@@ -81,9 +81,9 @@ func (m *Module) packageForFile(filename string) *Package {
 var moduleDirective = regexp.MustCompile(`(?m)^module\s+(\S+)`)
 
 // LoadModule loads, parses, and type-checks the module rooted at dir.
-// Directories named testdata or vendor, hidden directories, and
-// *_test.go files are skipped. Type errors are recorded per package, not
-// fatal — parse errors are.
+// Directories named testdata or vendor, hidden directories, nested
+// modules, and *_test.go files are skipped. Type errors are recorded per
+// package, not fatal — parse errors are.
 func LoadModule(dir string) (*Module, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
@@ -115,6 +115,13 @@ func LoadModule(dir string) (*Module, error) {
 		if path != abs && (name == "testdata" || name == "vendor" ||
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
+		}
+		if path != abs {
+			// A nested go.mod starts another module (bench/), which
+			// "./..." excludes as the go tool does.
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
 		}
 		return mod.parseDir(path)
 	}); err != nil {

@@ -39,6 +39,9 @@ func TestParallelLoadMatchesSerialView(t *testing.T) {
 	if len(mod.Packages) < 15 {
 		t.Fatalf("real module loaded only %d packages", len(mod.Packages))
 	}
+	if mod.Lookup("crayfish/bench") != nil {
+		t.Fatal("bench/ has its own go.mod but was loaded as part of this module")
+	}
 	tensorPkg := mod.Lookup("crayfish/internal/tensor")
 	modelPkg := mod.Lookup("crayfish/internal/model")
 	if tensorPkg == nil || modelPkg == nil {

@@ -493,9 +493,10 @@ type partition struct {
 // append stamps and stores records, returning the base offset, and
 // enforces the retention cap.
 func (p *partition) append(recs []Record, clock func() time.Time) int64 {
-	now := clock()
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	// Stamped under the lock: append times never decrease along the log.
+	now := clock()
 	base := p.start + int64(len(p.recs))
 	for i, r := range recs {
 		r.Partition = p.id

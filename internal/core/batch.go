@@ -18,7 +18,6 @@ package core
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 	"time"
@@ -43,23 +42,6 @@ type DataBatch struct {
 
 // Created returns the creation timestamp as a time.Time.
 func (b *DataBatch) Created() time.Time { return time.Unix(0, b.CreatedNanos) }
-
-// MarshalJSONBatch serialises the batch with the pipeline's default codec.
-func MarshalJSONBatch(b *DataBatch) ([]byte, error) {
-	return json.Marshal(b)
-}
-
-// UnmarshalJSONBatch parses a batch serialised by MarshalJSONBatch.
-func UnmarshalJSONBatch(data []byte) (*DataBatch, error) {
-	var b DataBatch
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("core: batch decode: %w", err)
-	}
-	if b.Count <= 0 {
-		return nil, fmt.Errorf("core: batch %d has non-positive count %d", b.ID, b.Count)
-	}
-	return &b, nil
-}
 
 // BatchCodec is the serialisation used between pipeline components.
 type BatchCodec interface {
@@ -99,14 +81,10 @@ func (BinaryCodec) Marshal(b *DataBatch) ([]byte, error) {
 	binary.LittleEndian.PutUint32(hdr[24:], uint32(len(b.Predictions)))
 	out = append(out, hdr[:]...)
 	for _, v := range b.Inputs {
-		var buf [4]byte
-		binary.LittleEndian.PutUint32(buf[:], math.Float32bits(v))
-		out = append(out, buf[:]...)
+		out = binary.LittleEndian.AppendUint32(out, math.Float32bits(v))
 	}
 	for _, v := range b.Predictions {
-		var buf [4]byte
-		binary.LittleEndian.PutUint32(buf[:], math.Float32bits(v))
-		out = append(out, buf[:]...)
+		out = binary.LittleEndian.AppendUint32(out, math.Float32bits(v))
 	}
 	return out, nil
 }

@@ -1,0 +1,272 @@
+package core
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"strconv"
+	"sync"
+)
+
+// The JSON DataBatch codec is specialised to the fixed five-field schema
+// (docs/PERFORMANCE.md "Pipeline codec"). The wire format is
+// encoding/json's, byte for byte: the encoder reproduces its output
+// exactly, and the decoder reads only that canonical layout itself and
+// hands every other input to json.Unmarshal, so what is accepted,
+// rejected and decoded is unchanged by construction. encoding/json is
+// the oracle the tests and FuzzJSONBatchDecode compare against.
+
+// jsonScratch holds the encoder's working buffers. The result is copied
+// out at its exact length, as encoding/json does, because the in-process
+// broker retains the returned slice for the life of the topic.
+var jsonScratch = sync.Pool{New: func() any {
+	buf := make([]byte, 0, 16<<10)
+	return &buf
+}}
+
+// MarshalJSONBatch serialises the batch with the pipeline's default codec.
+func MarshalJSONBatch(b *DataBatch) ([]byte, error) {
+	scratch := jsonScratch.Get().(*[]byte)
+	buf, finite := appendJSONBatch((*scratch)[:0], b)
+	var out []byte
+	if finite {
+		out = bytes.Clone(buf)
+	}
+	*scratch = buf
+	jsonScratch.Put(scratch)
+	if !finite {
+		// NaN or ±Inf: encoding/json words the error.
+		return json.Marshal(b)
+	}
+	return out, nil
+}
+
+// appendJSONBatch appends b as json.Marshal writes it, reporting false
+// if it met a value JSON cannot represent.
+func appendJSONBatch(buf []byte, b *DataBatch) ([]byte, bool) {
+	buf = append(buf, `{"id":`...)
+	buf = strconv.AppendInt(buf, b.ID, 10)
+	buf = append(buf, `,"created_ns":`...)
+	buf = strconv.AppendInt(buf, b.CreatedNanos, 10)
+	buf = append(buf, `,"count":`...)
+	buf = strconv.AppendInt(buf, int64(b.Count), 10)
+	buf = append(buf, `,"inputs":`...)
+	finite := true
+	if b.Inputs == nil {
+		buf = append(buf, "null"...)
+	} else {
+		buf, finite = appendJSONFloats(buf, b.Inputs)
+	}
+	if finite && len(b.Predictions) > 0 {
+		buf = append(buf, `,"predictions":`...)
+		buf, finite = appendJSONFloats(buf, b.Predictions)
+	}
+	return append(buf, '}'), finite
+}
+
+// appendJSONFloats appends vals as a JSON array with encoding/json's
+// float32 formatting (ES6 number-to-string: 'e' below 1e-6 and from
+// 1e21, "e-07" shortened to "e-7"). It reports false at the first NaN or
+// infinity, which JSON cannot represent.
+func appendJSONFloats(buf []byte, vals []float32) ([]byte, bool) {
+	buf = append(buf, '[')
+	for i, v := range vals {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		abs := v
+		if abs < 0 {
+			abs = -abs
+		}
+		if !(abs <= math.MaxFloat32) {
+			return buf, false
+		}
+		format := byte('f')
+		if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+			format = 'e'
+		}
+		buf = strconv.AppendFloat(buf, float64(v), format, -1, 32)
+		if n := len(buf); format == 'e' && n >= 4 && buf[n-4] == 'e' && buf[n-3] == '-' && buf[n-2] == '0' {
+			buf[n-2] = buf[n-1]
+			buf = buf[:n-1]
+		}
+	}
+	return append(buf, ']'), true
+}
+
+// UnmarshalJSONBatch parses a batch serialised by MarshalJSONBatch.
+func UnmarshalJSONBatch(data []byte) (*DataBatch, error) {
+	b := new(DataBatch)
+	if !decodeCanonicalJSON(data, b) {
+		*b = DataBatch{}
+		if err := json.Unmarshal(data, b); err != nil {
+			return nil, fmt.Errorf("core: batch decode: %w", err)
+		}
+	}
+	if b.Count <= 0 {
+		return nil, fmt.Errorf("core: batch %d has non-positive count %d", b.ID, b.Count)
+	}
+	return b, nil
+}
+
+// decodeCanonicalJSON decodes data into b if data is exactly the layout
+// MarshalJSONBatch writes: the five keys in declaration order, no
+// whitespace, "inputs" an array, "predictions" present or absent. It
+// reports false — leaving b partly written — for anything else,
+// including input json.Unmarshal would also accept (reordered keys,
+// null, escapes) or reject (malformed or out-of-range numbers); the
+// caller then asks json.Unmarshal.
+func decodeCanonicalJSON(data []byte, b *DataBatch) bool {
+	var count int64
+	var ok bool
+	p := data
+	if p, ok = cutLiteral(p, `{"id":`); !ok {
+		return false
+	}
+	if b.ID, p, ok = cutJSONInt(p); !ok {
+		return false
+	}
+	if p, ok = cutLiteral(p, `,"created_ns":`); !ok {
+		return false
+	}
+	if b.CreatedNanos, p, ok = cutJSONInt(p); !ok {
+		return false
+	}
+	if p, ok = cutLiteral(p, `,"count":`); !ok {
+		return false
+	}
+	if count, p, ok = cutJSONInt(p); !ok || int64(int(count)) != count {
+		return false
+	}
+	b.Count = int(count)
+	if p, ok = cutLiteral(p, `,"inputs":`); !ok {
+		return false
+	}
+	if b.Inputs, p, ok = cutJSONFloats(p); !ok {
+		return false
+	}
+	if rest, found := cutLiteral(p, `,"predictions":`); found {
+		if b.Predictions, p, ok = cutJSONFloats(rest); !ok {
+			return false
+		}
+	}
+	return len(p) == 1 && p[0] == '}'
+}
+
+// cutLiteral returns p without the leading lit, if p starts with it.
+func cutLiteral(p []byte, lit string) ([]byte, bool) {
+	if len(p) < len(lit) || string(p[:len(lit)]) != lit {
+		return p, false
+	}
+	return p[len(lit):], true
+}
+
+// cutJSONInt parses the JSON integer at the start of p — the number
+// grammar without fraction or exponent, which is all json.Unmarshal
+// accepts for an int64 field — and returns what follows it.
+func cutJSONInt(p []byte) (int64, []byte, bool) {
+	n := jsonIntLen(p)
+	if n == 0 {
+		return 0, p, false
+	}
+	// The conversion does not escape, so it does not allocate.
+	v, err := strconv.ParseInt(string(p[:n]), 10, 64)
+	return v, p[n:], err == nil
+}
+
+// cutJSONFloats parses the JSON array of numbers at the start of p and
+// returns what follows it. The slice is sized from the comma count
+// before any number is parsed, so it is bounded by len(p) and never
+// grows; an empty array yields an empty, non-nil slice as json.Unmarshal
+// does.
+func cutJSONFloats(p []byte) ([]float32, []byte, bool) {
+	if len(p) == 0 || p[0] != '[' {
+		return nil, p, false
+	}
+	end := bytes.IndexByte(p, ']')
+	if end < 0 {
+		return nil, p, false
+	}
+	body, rest := p[1:end], p[end+1:]
+	if len(body) == 0 {
+		return []float32{}, rest, true
+	}
+	vals := make([]float32, bytes.Count(body, []byte{','})+1)
+	for i := range vals {
+		n := jsonNumberLen(body)
+		if n == 0 {
+			return nil, p, false
+		}
+		// As in cutJSONInt, the conversion stays on the stack for any
+		// number of ordinary length.
+		v, err := strconv.ParseFloat(string(body[:n]), 32)
+		if err != nil {
+			return nil, p, false
+		}
+		vals[i] = float32(v)
+		body = body[n:]
+		if i < len(vals)-1 {
+			if len(body) == 0 || body[0] != ',' {
+				return nil, p, false
+			}
+			body = body[1:]
+		}
+	}
+	return vals, rest, len(body) == 0
+}
+
+// jsonIntLen returns the length of the JSON integer — -?(0|[1-9][0-9]*)
+// — at the start of p, or 0 if there is none.
+func jsonIntLen(p []byte) int {
+	i := 0
+	if i < len(p) && p[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(p) && p[i] == '0':
+		return i + 1
+	case i < len(p) && '1' <= p[i] && p[i] <= '9':
+		return i + jsonDigitsLen(p[i:])
+	}
+	return 0
+}
+
+// jsonNumberLen returns the length of the JSON number (RFC 8259 §6) at
+// the start of p, or 0 if there is none. strconv.ParseFloat accepts
+// more ("1.", ".5", "+1", "0x1p-2", "Inf"), so the grammar is enforced
+// here.
+func jsonNumberLen(p []byte) int {
+	i := jsonIntLen(p)
+	if i == 0 {
+		return 0
+	}
+	if i < len(p) && p[i] == '.' {
+		n := jsonDigitsLen(p[i+1:])
+		if n == 0 {
+			return 0
+		}
+		i += 1 + n
+	}
+	if i < len(p) && (p[i] == 'e' || p[i] == 'E') {
+		j := i + 1
+		if j < len(p) && (p[j] == '+' || p[j] == '-') {
+			j++
+		}
+		n := jsonDigitsLen(p[j:])
+		if n == 0 {
+			return 0
+		}
+		i = j + n
+	}
+	return i
+}
+
+// jsonDigitsLen returns how many ASCII digits p starts with.
+func jsonDigitsLen(p []byte) int {
+	i := 0
+	for i < len(p) && '0' <= p[i] && p[i] <= '9' {
+		i++
+	}
+	return i
+}

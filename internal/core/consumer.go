@@ -39,8 +39,9 @@ type OutputConsumer struct {
 	samples []Sample
 	decoded map[int64]bool
 	dupes   int
-	// changed is closed and replaced whenever a new sample lands, so
-	// WaitForCount blocks without polling.
+	// changed is non-nil while a WaitForCount caller is blocked; the next
+	// sample closes and clears it, so open-loop runs, which never wait,
+	// pay nothing per sample.
 	changed chan struct{}
 }
 
@@ -53,7 +54,7 @@ func NewOutputConsumer(t broker.Transport, topic string, codec BatchCodec) (*Out
 	if err != nil {
 		return nil, err
 	}
-	return &OutputConsumer{codec: codec, consumer: c, decoded: make(map[int64]bool), changed: make(chan struct{})}, nil
+	return &OutputConsumer{codec: codec, consumer: c, decoded: make(map[int64]bool)}, nil
 }
 
 // Run polls the output topic until stop closes, then drains whatever is
@@ -125,8 +126,10 @@ func (oc *OutputConsumer) record(b *DataBatch, end time.Time) {
 	})
 	oc.mSamples.Inc()
 	oc.mE2E.Record(int64(lat))
-	close(oc.changed)
-	oc.changed = make(chan struct{})
+	if oc.changed != nil {
+		close(oc.changed)
+		oc.changed = nil
+	}
 }
 
 // Samples returns the collected measurements in arrival order.
@@ -150,6 +153,11 @@ func (oc *OutputConsumer) WaitForCount(n int, deadline time.Time) bool {
 	for {
 		oc.mu.Lock()
 		have := len(oc.samples)
+		if have < n && oc.changed == nil {
+			// Registered under the lock record takes, so a sample landing
+			// from here on finds the channel and closes it.
+			oc.changed = make(chan struct{})
+		}
 		ch := oc.changed
 		oc.mu.Unlock()
 		if have >= n {
@@ -165,6 +173,20 @@ func (oc *OutputConsumer) WaitForCount(n int, deadline time.Time) bool {
 			return false
 		}
 	}
+}
+
+// waitForSamples polls until n samples were recorded or the deadline
+// passes, reporting whether the count was reached: the runners' drain
+// wait. It polls SampleCount every millisecond rather than blocking in
+// WaitForCount, whose wake-up per sample costs more than the poll.
+func (oc *OutputConsumer) waitForSamples(n int, deadline time.Time) bool {
+	for time.Now().Before(deadline) {
+		if oc.SampleCount() >= n {
+			return true
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return false
 }
 
 // Duplicates reports how many duplicate batch IDs were observed.

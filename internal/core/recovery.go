@@ -181,17 +181,8 @@ func (r *Runner) runRecoveryPipeline(cfg Config, plan faults.Plan, inj *faults.I
 		}
 		drain += plan.LastWindowEnd() + 2*time.Second
 	}
-	deadline := time.Now().Add(drain)
-	recovered := false
-	var recoveredAt time.Time
-	for time.Now().Before(deadline) {
-		if len(oc.Samples()) >= expected {
-			recovered = true
-			recoveredAt = time.Now()
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	recovered := oc.waitForSamples(expected, time.Now().Add(drain))
+	recoveredAt := time.Now()
 
 	inj.Stop()
 	engineErr := job.Stop()

@@ -201,13 +201,7 @@ func (r *Runner) runWithScorer(cfg Config, scorer serving.Scorer) (*Result, erro
 			drain = 250 * time.Millisecond
 		}
 	}
-	deadline := time.Now().Add(drain)
-	for time.Now().Before(deadline) {
-		if len(oc.Samples()) >= produced {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	oc.waitForSamples(produced, time.Now().Add(drain))
 
 	engineErr := job.Stop()
 	close(consumerStop)

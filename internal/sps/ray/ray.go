@@ -44,6 +44,10 @@ func New() *Engine {
 // dynamic object by the receiving actor and re-serialised by the next
 // send. Non-JSON payloads (engine conformance tests) pass through
 // untouched, like raw byte objects in Ray's object store.
+//
+// This is deliberately generic encoding/json through a dynamic map, not
+// core's schema-specialised DataBatch codec: the reflective round trip
+// is the Python pickling cost being modelled (DESIGN.md).
 func pickleCycle(value []byte) []byte {
 	var obj map[string]any
 	if err := json.Unmarshal(value, &obj); err != nil {

@@ -18,6 +18,10 @@
 # reference at the same shape (attention_fused_speedup), and the
 # compiled transformer plan's steady-state cost is booked as
 # transformer_ns_op (docs/PERFORMANCE.md "Fused transformer kernels").
+# The codec pair books the pipeline's JSON DataBatch codec on an FFNN
+# record (json_codec_marshal_ns, json_codec_unmarshal_ns) and its
+# speed-up over encoding/json, the oracle it must match byte for byte
+# (docs/PERFORMANCE.md "Pipeline codec").
 #
 #   BENCHTIME   per-benchmark budget (default 1s; check.sh passes 50x)
 #   OUT         output path (default BENCH_inference.json)
@@ -28,8 +32,8 @@ BENCHTIME="${BENCHTIME:-1s}"
 OUT="${OUT:-BENCH_inference.json}"
 
 go test -run NONE -benchmem -benchtime "$BENCHTIME" \
-	-bench 'MatMulBlocked128|QMatMul$|Conv2D$|Conv2DInto$|ConvDirectVsWinograd|PlanForward|QPlanAgreement$|UnplannedForward|ScoreResNet|ScoreFFNN|ScoreBatchedVsUnbatched|ServerCapacitySweep$|BrokerFailover$|AttentionFusedVsUnfused' \
-	./internal/tensor/ ./internal/model/ ./internal/serving/embedded/ ./internal/serving/external/ . \
+	-bench 'MatMulBlocked128|QMatMul$|Conv2D$|Conv2DInto$|ConvDirectVsWinograd|PlanForward|QPlanAgreement$|UnplannedForward|ScoreResNet|ScoreFFNN|ScoreBatchedVsUnbatched|ServerCapacitySweep$|BrokerFailover$|AttentionFusedVsUnfused|JSONCodec' \
+	./internal/tensor/ ./internal/model/ ./internal/serving/embedded/ ./internal/serving/external/ ./internal/core/ . \
 	| awk -v benchtime="$BENCHTIME" '
 	/^pkg:/ { pkg = $2 }
 	/^Benchmark/ && /ns\/op/ {
@@ -53,6 +57,10 @@ go test -run NONE -benchmem -benchtime "$BENCHTIME" \
 		if (name ~ /AttentionFusedVsUnfused\/fused$/)     { afns = ns }
 		if (name ~ /AttentionFusedVsUnfused\/unfused$/)   { auns = ns }
 		if (name ~ /PlanForwardTransformer$/)             { tns = ns }
+		if (name ~ /JSONCodecMarshal\/codec$/)            { jmns = ns }
+		if (name ~ /JSONCodecMarshal\/encodingjson$/)     { jmons = ns }
+		if (name ~ /JSONCodecUnmarshal\/codec$/)          { juns = ns }
+		if (name ~ /JSONCodecUnmarshal\/encodingjson$/)   { juons = ns }
 	}
 	END {
 		printf "\n  ],\n"
@@ -84,6 +92,17 @@ go test -run NONE -benchmem -benchtime "$BENCHTIME" \
 		}
 		if (tns > 0) {
 			printf "  \"transformer_ns_op\": %s,\n", tns
+		}
+		# The pipeline codec (docs/PERFORMANCE.md "Pipeline codec"): one
+		# scored FFNN record through the specialised JSON codec, and
+		# how many times longer encoding/json takes for the same bytes.
+		if (jmns > 0 && jmons > 0) {
+			printf "  \"json_codec_marshal_ns\": %s,\n", jmns
+			printf "  \"json_codec_marshal_vs_encodingjson\": %.2f,\n", jmons / jmns
+		}
+		if (juns > 0 && juons > 0) {
+			printf "  \"json_codec_unmarshal_ns\": %s,\n", juns
+			printf "  \"json_codec_unmarshal_vs_encodingjson\": %.2f,\n", juons / juns
 		}
 		# The server scenario capacity (highest offered Poisson rate
 		# meeting the p99 bound; docs/SCENARIOS.md).

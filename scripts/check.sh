@@ -59,6 +59,10 @@ go test -race -count=1 \
 # leak-checks every node, server, and client join.
 go test -race -count=1 -run 'TestCluster' ./internal/broker/ ./internal/broker/clustertest/
 go test -race ./...
+# Decoder fuzz smoke (ROADMAP item 5a): the specialised JSON DataBatch
+# decoder and encoding/json must agree on every input the fuzzer finds in
+# a few seconds; the checked-in corpus already ran as a unit test above.
+go test -run '^$' -fuzz '^FuzzJSONBatchDecode$' -fuzztime 8s ./internal/core/
 CRAYFISH_BENCH_SCALE=0.05 go test -run NONE -bench . -benchtime=1x .
 # Inference microbenchmarks at smoke scale: validates the harness and the
 # JSON pipeline without overwriting the tracked BENCH_inference.json
