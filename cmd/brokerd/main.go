@@ -11,8 +11,10 @@
 // same ordered peer list; the process listens on its own entry. Node 0 is
 // the controller and consumer-group coordinator seat: it elects partition
 // leaders, pushes metadata to the peers, and creates the -topics once
-// every peer answers a ping. Metadata and replication ride the same TCP
-// wire protocol clients use (see docs/CLUSTER.md):
+// every peer answers a ping. Metadata and replication ride the TCP wire
+// protocol clients use — tagged length-prefixed frames, records in
+// binary, control ops and errors as JSON (docs/CLUSTER.md "Wire
+// protocol"):
 //
 //	brokerd -cluster -node-id 0 -peers 127.0.0.1:9092,127.0.0.1:9093,127.0.0.1:9094 \
 //	        -replication-factor 3 -topics crayfish-in:32,crayfish-out:32

@@ -35,12 +35,22 @@ var hotModelFiles = map[string]bool{
 	"attnexec.go": true,
 }
 
+// hotBrokerFiles are the internal/broker files whose entire contents are
+// hot: the TCP wire protocol's frame codec, which every produced and
+// fetched record crosses twice.
+var hotBrokerFiles = map[string]bool{
+	"wire.go": true,
+}
+
 // NewHotPathAlloc flags heap allocations on the inference hot path:
 // calls to tensor.New and make([]T, ...) for the inference datatypes
 // (float32 activations, int8 quantized values, int32 accumulators,
 // uint64 packed words) inside internal/tensor's Into-variant kernels
 // (plus the helpers above) and anywhere in internal/model's forward.go
-// and plan.go. The zero-allocation contract
+// and plan.go, and make([]byte, ...), make([]Record, ...) and
+// make([]FetchRequest, ...) anywhere in internal/broker's wire.go, whose
+// encoders append into connection scratch and whose decoders slice the
+// frame they are given. The zero-allocation contract
 // (docs/PERFORMANCE.md) is held by AllocsPerRun tests at the package
 // level; this analyzer attributes a regression to its line before the
 // tests can only say "some step allocated". Deliberate cold-path
@@ -49,7 +59,7 @@ var hotModelFiles = map[string]bool{
 func NewHotPathAlloc() *Analyzer {
 	a := &Analyzer{
 		Name: "hotpathalloc",
-		Doc:  "inference hot paths (tensor Into-kernels, model forward/plan) must not allocate; annotate deliberate cold-path allocations",
+		Doc:  "hot paths (tensor Into-kernels, model forward/plan, the broker wire codec) must not allocate; annotate deliberate cold-path allocations",
 	}
 	a.Run = func(pass *Pass) {
 		switch pass.Pkg.ModRel {
@@ -60,20 +70,27 @@ func NewHotPathAlloc() *Analyzer {
 					if !ok || fd.Body == nil || !hotTensorFunc(fd.Name.Name) {
 						continue
 					}
-					reportHotAllocs(pass, fd.Body, "tensor kernel "+fd.Name.Name)
+					reportHotAllocs(pass, fd.Body, "tensor kernel "+fd.Name.Name, hotSliceElems)
 				}
 			})
 		case "internal/model":
-			pass.eachFile(func(f *ast.File) {
-				name := filepath.Base(pass.Module.Fset.Position(f.Pos()).Filename)
-				if !hotModelFiles[name] {
-					return
-				}
-				reportHotAllocs(pass, f, name)
-			})
+			reportHotFiles(pass, hotModelFiles, hotSliceElems)
+		case "internal/broker":
+			reportHotFiles(pass, hotBrokerFiles, hotWireElems)
 		}
 	}
 	return a
+}
+
+// reportHotFiles reports the banned allocation forms anywhere in the
+// package's files named in files.
+func reportHotFiles(pass *Pass, files, elems map[string]bool) {
+	pass.eachFile(func(f *ast.File) {
+		name := filepath.Base(pass.Module.Fset.Position(f.Pos()).Filename)
+		if files[name] {
+			reportHotAllocs(pass, f, name, elems)
+		}
+	})
 }
 
 // hotTensorFunc reports whether a tensor function name is on the hot
@@ -83,8 +100,9 @@ func hotTensorFunc(name string) bool {
 }
 
 // reportHotAllocs walks one hot region and reports the banned
-// allocation forms.
-func reportHotAllocs(pass *Pass, root ast.Node, where string) {
+// allocation forms; elems names the slice element types whose make is
+// banned there.
+func reportHotAllocs(pass *Pass, root ast.Node, where string, elems map[string]bool) {
 	info := pass.Pkg.TypesInfo
 	ast.Inspect(root, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -93,7 +111,7 @@ func reportHotAllocs(pass *Pass, root ast.Node, where string) {
 		}
 		switch fun := call.Fun.(type) {
 		case *ast.Ident:
-			if elt, ok := hotSliceMake(info, call); fun.Name == "make" && ok {
+			if elt, ok := hotSliceMake(info, call, elems); fun.Name == "make" && ok {
 				pass.Report(call.Pos(), "make([]%s, ...) in %s: hot paths take caller scratch or arena buffers (docs/PERFORMANCE.md), or annotate //lint:allow hotpathalloc <reason>", elt, where)
 			}
 			if fun.Name == "New" && pass.Pkg.ModRel == "internal/tensor" && isLocalFunc(info, fun) {
@@ -121,10 +139,19 @@ var hotSliceElems = map[string]bool{
 	"uint64":  true,
 }
 
-// hotSliceMake matches the literal form make([]T, ...) for a hot
-// element type T, requiring make to be the builtin when type
+// hotWireElems are the element types banned in the broker's frame
+// codec: frame bytes, and the record and fetch-position slices the
+// decoders append to.
+var hotWireElems = map[string]bool{
+	"byte":         true,
+	"Record":       true,
+	"FetchRequest": true,
+}
+
+// hotSliceMake matches the literal form make([]T, ...) for an element
+// type T in elems, requiring make to be the builtin when type
 // information is available. It returns the element type name.
-func hotSliceMake(info *types.Info, call *ast.CallExpr) (string, bool) {
+func hotSliceMake(info *types.Info, call *ast.CallExpr, elems map[string]bool) (string, bool) {
 	if len(call.Args) == 0 {
 		return "", false
 	}
@@ -140,7 +167,7 @@ func hotSliceMake(info *types.Info, call *ast.CallExpr) (string, bool) {
 		return "", false
 	}
 	elt, ok := at.Elt.(*ast.Ident)
-	if !ok || !hotSliceElems[elt.Name] {
+	if !ok || !elems[elt.Name] {
 		return "", false
 	}
 	return elt.Name, true

@@ -39,17 +39,21 @@ type AppendNotifier interface {
 
 var _ AppendNotifier = (*Broker)(nil)
 
-// MultiFetcherInto is the optional transport extension for
-// allocation-free polling: FetchMultiInto appends the fetched records
-// into the caller's reusable buffer instead of allocating a response
-// slice per call. The in-process *Broker implements it; remote
-// transports do not, and consumers fall back to the allocating
+// MultiFetcherInto is the optional transport extension for polling
+// without a response slice per call: FetchMultiInto appends the fetched
+// records into the caller's reusable buffer. The in-process *Broker, a
+// cluster *Node and the TCP *RemoteClient implement it (the last at one
+// allocation per non-empty fetch, the frame body its records alias);
+// consumers on any other transport fall back to the allocating
 // FetchMulti.
 type MultiFetcherInto interface {
 	FetchMultiInto(topic string, reqs []FetchRequest, maxTotal int, out []Record) ([]Record, error)
 }
 
-var _ MultiFetcherInto = (*Broker)(nil)
+var (
+	_ MultiFetcherInto = (*Broker)(nil)
+	_ MultiFetcherInto = (*Node)(nil)
+)
 
 // Producer writes records to a topic, spreading keyless records
 // round-robin across partitions and hashing keyed records.
@@ -262,8 +266,9 @@ func (c *Consumer) Positions() map[TopicPartition]int64 {
 // Buffer ownership: the returned slice is the consumer's reusable
 // response buffer — it stays valid only until the next Poll/PollWait
 // call, so consume (or copy out) its records before polling again. The
-// records' Key/Value byte slices alias the broker's immutable log and
-// remain valid past the next poll.
+// records' Key/Value byte slices alias the broker's immutable log (or,
+// over TCP, the body their response frame was read into, which nothing
+// reuses) and remain valid past the next poll.
 func (c *Consumer) Poll(max int) ([]Record, error) {
 	if max <= 0 {
 		max = 1
@@ -320,6 +325,14 @@ func (c *Consumer) Poll(max int) ([]Record, error) {
 func (c *Consumer) PollWait(max int, timeout time.Duration) ([]Record, error) {
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
+	// retry paces the remote fallback's re-polls: one timer per call,
+	// re-armed after each empty poll.
+	var retry *time.Timer
+	defer func() {
+		if retry != nil {
+			retry.Stop()
+		}
+	}()
 	notifier, _ := c.t.(AppendNotifier)
 	for {
 		// Capture the signal before polling: an append that races the
@@ -345,11 +358,16 @@ func (c *Consumer) PollWait(max int, timeout time.Duration) ([]Record, error) {
 			}
 			continue
 		}
-		retry := time.NewTimer(time.Millisecond)
+		if retry == nil {
+			retry = time.NewTimer(time.Millisecond)
+		} else {
+			// The last wait drained retry.C, so Reset cannot race a
+			// stale tick.
+			retry.Reset(time.Millisecond)
+		}
 		select {
 		case <-retry.C:
 		case <-deadline.C:
-			retry.Stop()
 			return nil, nil
 		}
 	}

@@ -713,22 +713,29 @@ func (n *Node) Fetch(topic string, partition int, offset int64, max int) ([]Reco
 // FetchMulti implements Transport with the same high-watermark clamp
 // per partition.
 func (n *Node) FetchMulti(topic string, reqs []FetchRequest, maxTotal int) ([]Record, error) {
+	return n.FetchMultiInto(topic, reqs, maxTotal, nil)
+}
+
+// FetchMultiInto implements MultiFetcherInto: FetchMulti appending into
+// out, which is how the TCP server reads a node without a slice per
+// fetch.
+func (n *Node) FetchMultiInto(topic string, reqs []FetchRequest, maxTotal int, out []Record) ([]Record, error) {
 	if err := n.gate(); err != nil {
 		return nil, err
 	}
 	if maxTotal <= 0 {
 		maxTotal = 1
 	}
-	var out []Record
+	base := len(out)
 	for _, req := range reqs {
-		if len(out) >= maxTotal {
+		budget := maxTotal - (len(out) - base)
+		if budget <= 0 {
 			break
 		}
 		hw, clamped, err := n.visibleRange(TopicPartition{Topic: topic, Partition: req.Partition})
 		if err != nil {
 			return nil, err
 		}
-		budget := maxTotal - len(out)
 		if clamped {
 			if req.Offset >= hw {
 				continue
@@ -737,11 +744,9 @@ func (n *Node) FetchMulti(topic string, reqs []FetchRequest, maxTotal int) ([]Re
 				budget = int(hw - req.Offset)
 			}
 		}
-		recs, err := n.b.Fetch(topic, req.Partition, req.Offset, budget)
-		if err != nil {
+		if out, err = n.b.FetchMultiInto(topic, []FetchRequest{req}, budget, out); err != nil {
 			return nil, err
 		}
-		out = append(out, recs...)
 	}
 	return out, nil
 }

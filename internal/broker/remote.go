@@ -2,6 +2,7 @@ package broker
 
 import (
 	"bufio"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -41,10 +42,13 @@ type RemoteClient struct {
 	closed bool
 }
 
+// remoteConn is one pooled connection. buf is its scratch: the request
+// frame is built in it and written in one call, then a record-free
+// response is read back into it.
 type remoteConn struct {
-	c  net.Conn
-	br *bufio.Reader
-	bw *bufio.Writer
+	c   net.Conn
+	br  *bufio.Reader
+	buf []byte
 }
 
 // DialOption configures a RemoteClient.
@@ -161,11 +165,7 @@ func (rc *RemoteClient) checkout() (*remoteConn, error) {
 	if err != nil {
 		return nil, resilience.MarkRetryable(fmt.Errorf("broker: dial %s: %w: %w", rc.addr, ErrUnavailable, err))
 	}
-	return &remoteConn{
-		c:  conn,
-		br: bufio.NewReaderSize(conn, 64<<10),
-		bw: bufio.NewWriterSize(conn, 64<<10),
-	}, nil
+	return &remoteConn{c: conn, br: bufio.NewReaderSize(conn, 64<<10)}, nil
 }
 
 // flushIdle drops every pooled connection: after one transport failure
@@ -191,14 +191,19 @@ func (rc *RemoteClient) checkin(c *remoteConn) {
 	rc.idle = append(rc.idle, c)
 }
 
-// call performs one synchronous request/response round trip under the
-// client's resilience policy. Transport faults (typed ErrUnavailable,
-// retryable) are retried and count toward the breaker; errors the
-// broker itself returned prove it is up, so they do neither.
-func (rc *RemoteClient) call(req *wireRequest) (*wireResponse, error) {
+// roundTrip performs one synchronous request/response exchange under
+// the client's resilience policy. enc appends the request frame to the
+// connection's scratch; dec decodes a binary response frame (nil when
+// only a control response is expected) and may keep slices of the
+// payload it is given only when that payload can hold a record
+// (readFrame). Transport faults (typed ErrUnavailable, retryable) are
+// retried and count toward the breaker; an error the broker itself
+// returned proves it is up, so it does neither, and comes back with the
+// control response that carried it.
+func (rc *RemoteClient) roundTrip(enc func(b []byte) []byte, dec func(tag byte, payload []byte) error) (*wireResponse, error) {
 	var resp *wireResponse
 	err := resilience.Run(rc.retry, rc.breaker, func() error {
-		r, terr := rc.callOnce(req)
+		r, terr := rc.once(enc, dec)
 		if terr != nil {
 			return terr
 		}
@@ -208,10 +213,26 @@ func (rc *RemoteClient) call(req *wireRequest) (*wireResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	if resp.Err != "" {
+	if resp != nil && resp.Err != "" {
 		return resp, decodeWireError(resp)
 	}
 	return resp, nil
+}
+
+// call is roundTrip for a control op: a JSON request answered by a JSON
+// response.
+func (rc *RemoteClient) call(req *wireRequest) (*wireResponse, error) {
+	return rc.callDecoding(req, nil)
+}
+
+// callDecoding is call for the control op whose success is answered
+// with a binary frame (replica_fetch).
+func (rc *RemoteClient) callDecoding(req *wireRequest, dec func(tag byte, payload []byte) error) (*wireResponse, error) {
+	frame, err := appendControlFrame(nil, req)
+	if err != nil {
+		return nil, err
+	}
+	return rc.roundTrip(func(b []byte) []byte { return append(b[:0], frame...) }, dec)
 }
 
 // decodeWireError reconstructs the typed error a broker or cluster node
@@ -238,8 +259,9 @@ func decodeWireError(resp *wireResponse) error {
 	return err
 }
 
-// callOnce is one wire round trip; every failure is a transport fault.
-func (rc *RemoteClient) callOnce(req *wireRequest) (*wireResponse, error) {
+// once is one wire exchange; every failure but an oversized request is
+// a transport fault.
+func (rc *RemoteClient) once(enc func(b []byte) []byte, dec func(tag byte, payload []byte) error) (*wireResponse, error) {
 	conn, err := rc.checkout()
 	if err != nil {
 		return nil, err
@@ -248,27 +270,52 @@ func (rc *RemoteClient) callOnce(req *wireRequest) (*wireResponse, error) {
 		//lint:allow clockdiscipline socket I/O deadlines are wall-clock by net.Conn contract, not measurement timestamps
 		conn.c.SetDeadline(time.Now().Add(rc.timeout))
 	}
-	if err := writeFrame(conn.bw, req); err != nil {
-		conn.c.Close()
-		rc.flushIdle()
-		return nil, resilience.MarkRetryable(fmt.Errorf("broker: write: %w: %w", ErrUnavailable, err))
+	conn.buf = enc(conn.buf)
+	if err := writeFrame(conn.c, conn.buf); err != nil {
+		if errors.Is(err, errFrameTooLarge) {
+			// Nothing was sent: the connection is good and a retry
+			// would build the same frame.
+			conn.buf = nil
+			rc.checkin(conn)
+			return nil, err
+		}
+		return nil, rc.fault(conn, "write", err)
 	}
-	if err := conn.bw.Flush(); err != nil {
-		conn.c.Close()
-		rc.flushIdle()
-		return nil, resilience.MarkRetryable(fmt.Errorf("broker: write: %w: %w", ErrUnavailable, err))
+	tag, payload, err := readFrame(conn.br, &conn.buf)
+	if err != nil {
+		return nil, rc.fault(conn, "read", err)
 	}
-	var resp wireResponse
-	if err := readFrame(conn.br, &resp); err != nil {
-		conn.c.Close()
-		rc.flushIdle()
-		return nil, resilience.MarkRetryable(fmt.Errorf("broker: read: %w: %w", ErrUnavailable, err))
+	var resp *wireResponse
+	switch {
+	case tag == tagControl:
+		resp = new(wireResponse)
+		if err = json.Unmarshal(payload, resp); err == nil && dec != nil && resp.Err == "" {
+			// Only the failure of an op answered in binary is a
+			// control response.
+			err = errMalformedFrame
+		}
+	case dec != nil:
+		err = dec(tag, payload)
+	default:
+		err = errMalformedFrame
+	}
+	if err != nil {
+		return nil, rc.fault(conn, "read", err)
 	}
 	if rc.timeout > 0 {
 		conn.c.SetDeadline(time.Time{})
 	}
+	conn.buf = trimScratch(conn.buf)
 	rc.checkin(conn)
-	return &resp, nil
+	return resp, nil
+}
+
+// fault closes a connection that failed mid-exchange and types the
+// failure as a retryable ErrUnavailable.
+func (rc *RemoteClient) fault(conn *remoteConn, during string, err error) error {
+	conn.c.Close()
+	rc.flushIdle()
+	return resilience.MarkRetryable(fmt.Errorf("broker: %s: %w: %w", during, ErrUnavailable, err))
 }
 
 // CreateTopic implements Transport.
@@ -294,29 +341,46 @@ func (rc *RemoteClient) Partitions(topic string) (int, error) {
 
 // Produce implements Transport.
 func (rc *RemoteClient) Produce(topic string, partition int, recs []Record) (int64, error) {
-	resp, err := rc.call(&wireRequest{Op: "produce", Topic: topic, Partition: partition, Records: toWire(recs)})
+	var off int64
+	_, err := rc.roundTrip(
+		func(b []byte) []byte { return appendProduceFrame(b, topic, partition, recs) },
+		func(tag byte, payload []byte) (err error) {
+			off, err = decodeAck(tag, payload)
+			return err
+		})
 	if err != nil {
 		return 0, err
 	}
-	return resp.Offset, nil
+	return off, nil
 }
 
 // Fetch implements Transport.
 func (rc *RemoteClient) Fetch(topic string, partition int, offset int64, max int) ([]Record, error) {
-	resp, err := rc.call(&wireRequest{Op: "fetch", Topic: topic, Partition: partition, Offset: offset, Max: max})
-	if err != nil {
-		return nil, err
-	}
-	return fromWire(resp.Records), nil
+	return rc.FetchMultiInto(topic, []FetchRequest{{Partition: partition, Offset: offset}}, max, nil)
 }
 
 // FetchMulti implements Transport.
 func (rc *RemoteClient) FetchMulti(topic string, reqs []FetchRequest, maxTotal int) ([]Record, error) {
-	resp, err := rc.call(&wireRequest{Op: "fetch_multi", Topic: topic, Fetches: reqs, Max: maxTotal})
+	return rc.FetchMultiInto(topic, reqs, maxTotal, nil)
+}
+
+// FetchMultiInto implements MultiFetcherInto: the fetched records are
+// appended to out, and their keys and values alias the one body the
+// response frame was read into — nothing else is allocated, and nothing
+// at all when the fetch comes back empty.
+func (rc *RemoteClient) FetchMultiInto(topic string, reqs []FetchRequest, maxTotal int, out []Record) ([]Record, error) {
+	base := len(out)
+	_, err := rc.roundTrip(
+		func(b []byte) []byte { return appendFetchFrame(b, topic, reqs, maxTotal) },
+		func(tag byte, payload []byte) (err error) {
+			// A retried exchange starts over from what the caller gave.
+			out, _, _, err = decodeRecords(tag, payload, out[:base])
+			return err
+		})
 	if err != nil {
 		return nil, err
 	}
-	return fromWire(resp.Records), nil
+	return out, nil
 }
 
 // EndOffset implements Transport.
@@ -333,6 +397,9 @@ func (rc *RemoteClient) JoinGroup(group string, topics []string) (Assignment, er
 	resp, err := rc.call(&wireRequest{Op: "join_group", Group: group, Topics: topics})
 	if err != nil {
 		return Assignment{}, err
+	}
+	if resp.Assignment == nil {
+		return Assignment{}, fmt.Errorf("broker: join_group response missing assignment")
 	}
 	return *resp.Assignment, nil
 }
@@ -383,7 +450,8 @@ func (rc *RemoteClient) PushView(v ClusterView) error {
 // ReplicaFetch implements ClusterPeer: a follower pulls records from
 // the remote leader.
 func (rc *RemoteClient) ReplicaFetch(req ReplicaFetchRequest) (ReplicaFetchResponse, error) {
-	resp, err := rc.call(&wireRequest{
+	var r ReplicaFetchResponse
+	_, err := rc.callDecoding(&wireRequest{
 		Op:        "replica_fetch",
 		Topic:     req.Topic,
 		Partition: req.Partition,
@@ -391,11 +459,14 @@ func (rc *RemoteClient) ReplicaFetch(req ReplicaFetchRequest) (ReplicaFetchRespo
 		Max:       req.Max,
 		From:      req.From,
 		Epoch:     req.Epoch,
+	}, func(tag byte, payload []byte) (err error) {
+		r.Records, r.HW, r.Epoch, err = decodeRecords(tag, payload, nil)
+		return err
 	})
 	if err != nil {
 		return ReplicaFetchResponse{}, err
 	}
-	return ReplicaFetchResponse{Records: fromWire(resp.Records), HW: resp.HW, Epoch: resp.Epoch}, nil
+	return r, nil
 }
 
 // AdmitFollower implements ClusterPeer: the controller asks a remote
@@ -432,6 +503,7 @@ func (rc *RemoteClient) ClusterView() (ClusterView, error) {
 
 var (
 	_ Transport        = (*RemoteClient)(nil)
+	_ MultiFetcherInto = (*RemoteClient)(nil)
 	_ ClusterPeer      = (*RemoteClient)(nil)
 	_ ClusterTransport = (*RemoteClient)(nil)
 )

@@ -2,6 +2,7 @@ package broker
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"net"
@@ -44,22 +45,53 @@ func TestServerSurvivesGarbageBytes(t *testing.T) {
 	conn.Write(hdr[:])
 	conn.Close()
 
-	// A valid frame with JSON junk inside must produce an error reply,
+	// exchange writes one well-framed request and returns the response
+	// frame, or the error the read ended with.
+	exchange := func(frame []byte) (byte, []byte, error) {
+		t.Helper()
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := writeFrame(conn, frame); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		var scratch []byte
+		return readFrame(conn, &scratch)
+	}
+
+	// A control frame naming no known op must produce an error reply,
 	// not a crash.
-	conn, err = net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
+	tag, payload, err := exchange(append(beginFrame(nil, tagControl), `{"op":"no-such-op"}`...))
+	var resp wireResponse
+	if err != nil || tag != tagControl || json.Unmarshal(payload, &resp) != nil || resp.Err == "" {
+		t.Fatalf("unknown op answered with tag %q, %q, %v; want an error response", tag, payload, err)
 	}
-	body := []byte(`{"op":"no-such-op"}`)
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	conn.Write(hdr[:])
-	conn.Write(body)
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	reply := make([]byte, 4)
-	if _, err := conn.Read(reply); err != nil {
-		t.Fatalf("server did not reply to unknown op: %v", err)
+
+	// Well-framed requests with a malformed inside close the connection
+	// and cost the server nothing: a control frame that is not JSON, an
+	// unknown tag, a produce cut inside a length, a produce and a fetch
+	// whose counts promise more than the frame holds, a value length
+	// past the end of the frame.
+	produce := appendProduceFrame(nil, "post-garbage", 0, []Record{{Value: []byte("value")}})
+	hugeCount := binary.AppendUvarint(append(beginFrame(nil, tagProduce), 1, 't', 0), 1<<40)
+	hugeCount = append(hugeCount, make([]byte, 2*minRecordWire)...)
+	longValue := append([]byte(nil), produce...)
+	longValue[len(longValue)-len("value")-1] = 200
+	for name, frame := range map[string][]byte{
+		"control, not JSON":   append(beginFrame(nil, tagControl), "{op"...),
+		"unknown tag":         append(beginFrame(nil, 'Z'), 1, 2, 3),
+		"truncated length":    produce[:len(produce)-len("value")-1],
+		"record count 2^40":   hugeCount,
+		"position count 2^50": binary.AppendUvarint(append(beginFrame(nil, tagFetch), 1, 't', 1), 1<<50),
+		"value length 200":    longValue,
+	} {
+		if tag, payload, err := exchange(frame); err == nil {
+			t.Errorf("%s: answered with tag %q, %q; want the connection closed", name, tag, payload)
+		}
 	}
-	conn.Close()
 
 	// The broker still serves a real client.
 	rc, err := Dial(srv.Addr())

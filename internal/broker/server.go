@@ -2,29 +2,47 @@ package broker
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
-	"time"
 
 	"crayfish/internal/resilience"
 )
 
-// wire protocol: each frame is a uint32 big-endian length followed by a
-// JSON document. Requests and responses alternate synchronously per
-// connection; clients open multiple connections for parallelism.
+// Wire protocol. Requests and responses alternate synchronously per
+// connection; clients open multiple connections for parallelism. There
+// is one framing and no negotiation:
+//
+//	frame   = uint32 big-endian length | tag byte | payload
+//	          (the length counts the tag and the payload, at most maxFrameSize)
+//	int     = uvarint of the value's two's complement, shortest spelling only
+//	bytes   = uvarint length | raw bytes
+//	time    = int64 big-endian Unix nanoseconds; math.MinInt64 is the zero time
+//	record  = int partition | int offset | time create | time append | bytes key | bytes value
+//	records = uvarint count | record*
+//
+// One line per tag (wire.go holds the codec):
+//
+//	'P' request:  bytes topic | int partition | records            (produce)
+//	'A' response: int base offset                                  (to 'P')
+//	'F' request:  bytes topic | int max | uvarint count | (int partition | int offset)*
+//	              (fetch and fetch_multi; a fetch is one position)
+//	'R' response: int hw | int epoch | records                     (to 'F', hw = epoch = 0,
+//	              and to the control op replica_fetch)
+//	'C' either:   a JSON wireRequest or wireResponse — every other op, and every
+//	              error response, including those to 'P' and 'F'
+//
+// Record bytes never pass through JSON. A reader refuses a count or a
+// length that the bytes remaining cannot hold before it sizes anything
+// by them, and reads a body in bounded steps as it arrives. A malformed
+// payload or an unknown tag closes the connection; an unknown control op
+// is answered with an error.
 
-// maxFrameSize bounds a single wire frame (a 50 MB record plus base64 and
-// envelope overhead).
-const maxFrameSize = 96 << 20
-
-// wireRequest is the client -> server frame. From/Epoch/View serve the
-// cluster ops (replica_fetch, push_view); single-broker traffic leaves
-// them zero.
+// wireRequest is the client -> server control document. From/Epoch/View
+// serve the cluster ops (replica_fetch, push_view); single-broker
+// traffic leaves them zero.
 type wireRequest struct {
 	Op         string          `json:"op"`
 	Topic      string          `json:"topic,omitempty"`
@@ -36,9 +54,7 @@ type wireRequest struct {
 	Member     string          `json:"member,omitempty"`
 	Generation int             `json:"generation,omitempty"`
 	Topics     []string        `json:"topics,omitempty"`
-	Records    []wireRecord    `json:"records,omitempty"`
 	TP         *TopicPartition `json:"tp,omitempty"`
-	Fetches    []FetchRequest  `json:"fetches,omitempty"`
 	From       int             `json:"from,omitempty"`
 	Epoch      int             `json:"epoch,omitempty"`
 	View       *ClusterView    `json:"view,omitempty"`
@@ -53,9 +69,9 @@ type wireNotLeader struct {
 	Epoch     int    `json:"epoch"`
 }
 
-// wireResponse is the server -> client frame. Retryable preserves the
-// resilience marking across the wire the way Rebalance preserves
-// ErrRebalance; NotLeader/View/HW/Epoch serve the cluster ops.
+// wireResponse is the server -> client control document. Retryable
+// preserves the resilience marking across the wire the way Rebalance
+// preserves ErrRebalance; NotLeader/View serve the cluster ops.
 type wireResponse struct {
 	Err        string         `json:"err,omitempty"`
 	Rebalance  bool           `json:"rebalance,omitempty"`
@@ -63,76 +79,19 @@ type wireResponse struct {
 	NotLeader  *wireNotLeader `json:"not_leader,omitempty"`
 	Offset     int64          `json:"offset,omitempty"`
 	Count      int            `json:"count,omitempty"`
-	Records    []wireRecord   `json:"records,omitempty"`
 	Assignment *Assignment    `json:"assignment,omitempty"`
 	View       *ClusterView   `json:"view,omitempty"`
-	HW         int64          `json:"hw,omitempty"`
-	Epoch      int            `json:"epoch,omitempty"`
 	Admitted   bool           `json:"admitted,omitempty"`
 }
 
-// wireRecord is the JSON form of a Record; []byte fields use JSON's
-// standard base64 encoding.
-type wireRecord struct {
-	Key        []byte    `json:"key,omitempty"`
-	Value      []byte    `json:"value"`
-	Timestamp  time.Time `json:"ts"`
-	AppendTime time.Time `json:"append_ts"`
-	Partition  int       `json:"partition"`
-	Offset     int64     `json:"offset"`
-}
-
-func toWire(recs []Record) []wireRecord {
-	out := make([]wireRecord, len(recs))
-	for i, r := range recs {
-		out[i] = wireRecord{Key: r.Key, Value: r.Value, Timestamp: r.Timestamp, AppendTime: r.AppendTime, Partition: r.Partition, Offset: r.Offset}
-	}
-	return out
-}
-
-func fromWire(recs []wireRecord) []Record {
-	out := make([]Record, len(recs))
-	for i, r := range recs {
-		out[i] = Record{Key: r.Key, Value: r.Value, Timestamp: r.Timestamp, AppendTime: r.AppendTime, Partition: r.Partition, Offset: r.Offset}
-	}
-	return out
-}
-
-func writeFrame(w io.Writer, v any) error {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
-	return err
-}
-
-func readFrame(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrameSize {
-		return fmt.Errorf("broker: frame of %d bytes exceeds limit", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return err
-	}
-	return json.Unmarshal(body, v)
-}
-
-// requestHandler maps one wire request to its response; the Server is
-// generic over it so the same listener/framing serves a standalone
-// Broker or a cluster Node.
+// requestHandler is what a Server serves: the two record-bearing ops as
+// methods, every other op as a control request whose response frame the
+// handler appends. The Server is generic over it so the same listener
+// and framing serve a standalone Broker or a cluster Node.
 type requestHandler interface {
-	serve(req *wireRequest) *wireResponse
+	Produce(topic string, partition int, recs []Record) (int64, error)
+	MultiFetcherInto
+	control(req *wireRequest, out []byte) ([]byte, error)
 }
 
 // Server exposes a request handler over TCP.
@@ -149,7 +108,7 @@ type Server struct {
 // Serve starts a TCP server for the broker on addr (e.g. "127.0.0.1:0")
 // and returns once the listener is bound.
 func Serve(b *Broker, addr string) (*Server, error) {
-	return serveHandler(brokerHandler{b: b}, addr)
+	return serveHandler(brokerHandler{b}, addr)
 }
 
 // ServeNode starts a TCP server for a cluster node: the standard
@@ -157,7 +116,7 @@ func Serve(b *Broker, addr string) (*Server, error) {
 // plus the cluster ops (ping, metadata, push_view, log_end,
 // replica_fetch, admit_follower).
 func ServeNode(n *Node, addr string) (*Server, error) {
-	return serveHandler(nodeHandler{n: n}, addr)
+	return serveHandler(nodeHandler{n}, addr)
 }
 
 func serveHandler(h requestHandler, addr string) (*Server, error) {
@@ -216,20 +175,107 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	br := bufio.NewReaderSize(conn, 64<<10)
-	bw := bufio.NewWriterSize(conn, 64<<10)
+	c := serverConn{h: s.h}
 	for {
-		var req wireRequest
-		if err := readFrame(br, &req); err != nil {
+		tag, payload, err := readFrame(br, &c.buf)
+		if err != nil {
 			return
 		}
-		resp := s.h.serve(&req)
-		if err := writeFrame(bw, resp); err != nil {
+		if err := c.serve(tag, payload); err != nil {
 			return
 		}
-		if err := bw.Flush(); err != nil {
+		// The record buffer must not keep the last frame's keys and
+		// values alive while the connection idles.
+		clear(c.recs)
+		if err := writeFrame(conn, c.buf); err != nil {
 			return
 		}
+		c.buf = trimScratch(c.buf)
 	}
+}
+
+// serverConn is one connection's reusable state. buf holds a
+// record-free request payload and then the response frame: a decoder
+// copies what it keeps of such a payload (topic, positions) before the
+// response overwrites it, and a payload that can hold a record never
+// lands in buf (readFrame). recs is the decoded produce batch or the
+// fetched records the response is encoded straight from. topics interns
+// the few topic names a connection sees, so that a request naming one
+// again — every poll — does not allocate its string.
+type serverConn struct {
+	h      requestHandler
+	buf    []byte
+	recs   []Record
+	reqs   []FetchRequest
+	topics map[string]string
+}
+
+// maxInternedTopics bounds serverConn.topics against a peer that names
+// a new topic in every request.
+const maxInternedTopics = 64
+
+func (c *serverConn) topic(name []byte) string {
+	if s, ok := c.topics[string(name)]; ok {
+		return s
+	}
+	s := string(name)
+	if len(c.topics) < maxInternedTopics {
+		if c.topics == nil {
+			c.topics = make(map[string]string)
+		}
+		c.topics[s] = s
+	}
+	return s
+}
+
+// serve answers one request frame by building its response frame in
+// c.buf. An error means the request was malformed and the connection is
+// to be closed; an error of the op itself is a response like any other.
+func (c *serverConn) serve(tag byte, payload []byte) error {
+	switch tag {
+	case tagProduce:
+		topic, partition, recs, err := decodeProduce(payload, c.recs[:0])
+		if err != nil {
+			return err
+		}
+		c.recs = recs
+		off, err := c.h.Produce(c.topic(topic), partition, recs)
+		if err != nil {
+			return c.fail(err)
+		}
+		c.buf = appendAckFrame(c.buf, off)
+		return nil
+	case tagFetch:
+		topic, maxTotal, reqs, err := decodeFetch(payload, c.reqs[:0])
+		if err != nil {
+			return err
+		}
+		c.reqs = reqs
+		recs, err := c.h.FetchMultiInto(c.topic(topic), reqs, maxTotal, c.recs[:0])
+		if err != nil {
+			return c.fail(err)
+		}
+		c.recs = recs
+		c.buf = appendRecordsFrame(c.buf, 0, 0, recs)
+		return nil
+	case tagControl:
+		var req wireRequest
+		err := json.Unmarshal(payload, &req)
+		if err == nil {
+			c.buf, err = c.h.control(&req, c.buf)
+		}
+		return err
+	}
+	return errMalformedFrame
+}
+
+// fail answers a produce or a fetch whose op failed.
+func (c *serverConn) fail(opErr error) error {
+	// A fetch may have filled part of the buffer before it failed.
+	clear(c.recs[:cap(c.recs)])
+	var err error
+	c.buf, err = appendErrorFrame(c.buf, opErr)
+	return err
 }
 
 // failResp encodes an error into a response, preserving the typed
@@ -246,8 +292,14 @@ func failResp(resp *wireResponse, err error) *wireResponse {
 	return resp
 }
 
-// dispatchTransport serves the standard Transport ops against t — the
-// shared core of the standalone-broker and cluster-node handlers.
+// appendErrorFrame builds the response to an op that failed.
+func appendErrorFrame(b []byte, err error) ([]byte, error) {
+	return appendControlFrame(b, failResp(&wireResponse{}, err))
+}
+
+// dispatchTransport serves the Transport ops that travel as control
+// requests against t — the shared core of the standalone-broker and
+// cluster-node handlers.
 func dispatchTransport(t Transport, req *wireRequest) *wireResponse {
 	resp := &wireResponse{}
 	fail := func(err error) *wireResponse { return failResp(resp, err) }
@@ -266,24 +318,6 @@ func dispatchTransport(t Transport, req *wireRequest) *wireResponse {
 			return fail(err)
 		}
 		resp.Count = n
-	case "produce":
-		off, err := t.Produce(req.Topic, req.Partition, fromWire(req.Records))
-		if err != nil {
-			return fail(err)
-		}
-		resp.Offset = off
-	case "fetch":
-		recs, err := t.Fetch(req.Topic, req.Partition, req.Offset, req.Max)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Records = toWire(recs)
-	case "fetch_multi":
-		recs, err := t.FetchMulti(req.Topic, req.Fetches, req.Max)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Records = toWire(recs)
 	case "end_offset":
 		off, err := t.EndOffset(req.Topic, req.Partition)
 		if err != nil {
@@ -329,51 +363,41 @@ func dispatchTransport(t Transport, req *wireRequest) *wireResponse {
 }
 
 // brokerHandler serves a standalone Broker.
-type brokerHandler struct{ b *Broker }
+type brokerHandler struct{ *Broker }
 
-func (h brokerHandler) serve(req *wireRequest) *wireResponse {
-	return dispatchTransport(h.b, req)
+func (h brokerHandler) control(req *wireRequest, out []byte) ([]byte, error) {
+	return appendControlFrame(out, dispatchTransport(h.Broker, req))
 }
 
 // nodeHandler serves a cluster Node: the cluster ops plus the standard
 // Transport ops routed through the node's leadership gates.
-type nodeHandler struct{ n *Node }
+type nodeHandler struct{ *Node }
 
-func (h nodeHandler) serve(req *wireRequest) *wireResponse {
+func (h nodeHandler) control(req *wireRequest, out []byte) ([]byte, error) {
 	resp := &wireResponse{}
-	fail := func(err error) *wireResponse { return failResp(resp, err) }
+	var err error
 	switch req.Op {
 	case "ping":
-		if err := h.n.Ping(); err != nil {
-			return fail(err)
-		}
+		err = h.Ping()
 	case "metadata":
-		v, err := h.n.ClusterView()
-		if err != nil {
-			return fail(err)
+		var v ClusterView
+		if v, err = h.ClusterView(); err == nil {
+			resp.View = &v
 		}
-		resp.View = &v
 	case "push_view":
 		if req.View == nil {
-			return fail(fmt.Errorf("broker: push_view missing view"))
-		}
-		if err := h.n.PushView(*req.View); err != nil {
-			return fail(err)
+			err = fmt.Errorf("broker: push_view missing view")
+		} else {
+			err = h.PushView(*req.View)
 		}
 	case "log_end":
-		off, err := h.n.LogEnd(TopicPartition{Topic: req.Topic, Partition: req.Partition})
-		if err != nil {
-			return fail(err)
-		}
-		resp.Offset = off
+		resp.Offset, err = h.LogEnd(TopicPartition{Topic: req.Topic, Partition: req.Partition})
 	case "admit_follower":
-		ok, err := h.n.AdmitFollower(TopicPartition{Topic: req.Topic, Partition: req.Partition}, req.From, req.Epoch)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Admitted = ok
+		resp.Admitted, err = h.AdmitFollower(TopicPartition{Topic: req.Topic, Partition: req.Partition}, req.From, req.Epoch)
 	case "replica_fetch":
-		r, err := h.n.ReplicaFetch(ReplicaFetchRequest{
+		// The one control op answered with a records frame.
+		var r ReplicaFetchResponse
+		r, err = h.ReplicaFetch(ReplicaFetchRequest{
 			Topic:     req.Topic,
 			Partition: req.Partition,
 			Offset:    req.Offset,
@@ -381,14 +405,14 @@ func (h nodeHandler) serve(req *wireRequest) *wireResponse {
 			From:      req.From,
 			Epoch:     req.Epoch,
 		})
-		if err != nil {
-			return fail(err)
+		if err == nil {
+			return appendRecordsFrame(out, r.HW, r.Epoch, r.Records), nil
 		}
-		resp.Records = toWire(r.Records)
-		resp.HW = r.HW
-		resp.Epoch = r.Epoch
 	default:
-		return dispatchTransport(h.n, req)
+		resp = dispatchTransport(h.Node, req)
 	}
-	return resp
+	if err != nil {
+		resp = failResp(resp, err)
+	}
+	return appendControlFrame(out, resp)
 }

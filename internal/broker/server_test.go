@@ -208,3 +208,28 @@ func TestInjectedLatencyDelays(t *testing.T) {
 		t.Fatalf("injected latency not applied: %v", elapsed)
 	}
 }
+
+// TestRemoteIncompleteResponses: a well-framed join_group response that
+// carries no assignment is an error, not a nil dereference.
+func TestRemoteIncompleteResponses(t *testing.T) {
+	empty, err := appendControlFrame(nil, &wireResponse{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := Dial(cannedPeer(t, stamped(empty)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if a, err := rc.JoinGroup("g", []string{"t"}); err == nil {
+		t.Fatalf("JoinGroup = %+v, want an error for the missing assignment", a)
+	}
+	if _, err := rc.ClusterView(); err == nil {
+		t.Fatal("ClusterView accepted a response without a view")
+	}
+	// An op answered in binary takes a control response only as its
+	// failure: one without an error is a broken peer, not offset 0.
+	if off, err := rc.Produce("t", 0, []Record{{Value: []byte("v")}}); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("Produce = %d, %v, want ErrUnavailable", off, err)
+	}
+}

@@ -21,7 +21,12 @@
 # The codec pair books the pipeline's JSON DataBatch codec on an FFNN
 # record (json_codec_marshal_ns, json_codec_unmarshal_ns) and its
 # speed-up over encoding/json, the oracle it must match byte for byte
-# (docs/PERFORMANCE.md "Pipeline codec").
+# (docs/PERFORMANCE.md "Pipeline codec"). The broker rung books the
+# TCP wire path (docs/PERFORMANCE.md "Broker wire"): one 16-record
+# FFNN-sized records frame through the binary frame codec
+# (wire_frame_encode_ns, wire_frame_decode_ns) and a produce plus the
+# fetch that reads it back over loopback, per record
+# (broker_tcp_rt_us_per_rec).
 #
 #   BENCHTIME   per-benchmark budget (default 1s; check.sh passes 50x)
 #   OUT         output path (default BENCH_inference.json)
@@ -32,8 +37,8 @@ BENCHTIME="${BENCHTIME:-1s}"
 OUT="${OUT:-BENCH_inference.json}"
 
 go test -run NONE -benchmem -benchtime "$BENCHTIME" \
-	-bench 'MatMulBlocked128|QMatMul$|Conv2D$|Conv2DInto$|ConvDirectVsWinograd|PlanForward|QPlanAgreement$|UnplannedForward|ScoreResNet|ScoreFFNN|ScoreBatchedVsUnbatched|ServerCapacitySweep$|BrokerFailover$|AttentionFusedVsUnfused|JSONCodec' \
-	./internal/tensor/ ./internal/model/ ./internal/serving/embedded/ ./internal/serving/external/ ./internal/core/ . \
+	-bench 'MatMulBlocked128|QMatMul$|Conv2D$|Conv2DInto$|ConvDirectVsWinograd|PlanForward|QPlanAgreement$|UnplannedForward|ScoreResNet|ScoreFFNN|ScoreBatchedVsUnbatched|ServerCapacitySweep$|BrokerFailover$|AttentionFusedVsUnfused|JSONCodec|WireFrame|RemoteProduceFetch$' \
+	./internal/tensor/ ./internal/model/ ./internal/serving/embedded/ ./internal/serving/external/ ./internal/core/ ./internal/broker/ . \
 	| awk -v benchtime="$BENCHTIME" '
 	/^pkg:/ { pkg = $2 }
 	/^Benchmark/ && /ns\/op/ {
@@ -61,6 +66,9 @@ go test -run NONE -benchmem -benchtime "$BENCHTIME" \
 		if (name ~ /JSONCodecMarshal\/encodingjson$/)     { jmons = ns }
 		if (name ~ /JSONCodecUnmarshal\/codec$/)          { juns = ns }
 		if (name ~ /JSONCodecUnmarshal\/encodingjson$/)   { juons = ns }
+		if (name ~ /WireFrameEncode$/)                    { wens = ns }
+		if (name ~ /WireFrameDecode$/)                    { wdns = ns }
+		if (name ~ /RemoteProduceFetch$/)                 { rtns = ns }
 	}
 	END {
 		printf "\n  ],\n"
@@ -103,6 +111,17 @@ go test -run NONE -benchmem -benchtime "$BENCHTIME" \
 		if (juns > 0 && juons > 0) {
 			printf "  \"json_codec_unmarshal_ns\": %s,\n", juns
 			printf "  \"json_codec_unmarshal_vs_encodingjson\": %.2f,\n", juons / juns
+		}
+		# The TCP wire path of the broker (docs/PERFORMANCE.md "Broker wire"):
+		# a 16-record FFNN-sized records frame through the frame codec,
+		# and a 16-record produce plus the fetch that reads it back over
+		# loopback, per record.
+		if (wens > 0 && wdns > 0) {
+			printf "  \"wire_frame_encode_ns\": %s,\n", wens
+			printf "  \"wire_frame_decode_ns\": %s,\n", wdns
+		}
+		if (rtns > 0) {
+			printf "  \"broker_tcp_rt_us_per_rec\": %.2f,\n", rtns / 16 / 1000
 		}
 		# The server scenario capacity (highest offered Poisson rate
 		# meeting the p99 bound; docs/SCENARIOS.md).

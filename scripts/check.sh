@@ -63,6 +63,10 @@ go test -race ./...
 # decoder and encoding/json must agree on every input the fuzzer finds in
 # a few seconds; the checked-in corpus already ran as a unit test above.
 go test -run '^$' -fuzz '^FuzzJSONBatchDecode$' -fuzztime 8s ./internal/core/
+# The broker's wire frames (docs/CLUSTER.md "Wire protocol"): no input
+# may panic a decoder or make it size anything beyond what its payload
+# holds, and whatever decodes must re-encode to the same bytes.
+go test -run '^$' -fuzz '^FuzzWireFrameDecode$' -fuzztime 8s ./internal/broker/
 CRAYFISH_BENCH_SCALE=0.05 go test -run NONE -bench . -benchtime=1x .
 # Inference microbenchmarks at smoke scale: validates the harness and the
 # JSON pipeline without overwriting the tracked BENCH_inference.json
