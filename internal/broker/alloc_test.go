@@ -42,7 +42,7 @@ func TestPollSteadyStateAllocs(t *testing.T) {
 			c.Seek(TopicPartition{Topic: "t", Partition: p}, 0)
 		}
 		for {
-			recs, err := c.Poll(128)
+			recs, err := c.Poll(128, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +91,7 @@ func TestRemotePollSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	poll := func() int {
-		recs, err := c.Poll(perPoll)
+		recs, err := c.Poll(perPoll, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,10 +120,11 @@ func TestRemotePollSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// cannedPeer accepts one connection and answers every request frame on
-// it with the same response frame, allocating nothing per exchange, so
-// that what AllocsPerRun counts is the client's alone.
-func cannedPeer(t *testing.T, response []byte) string {
+// cannedPeer accepts one connection and answers the request frames on it
+// with the given response frames in turn, over and over, allocating
+// nothing per exchange, so that what AllocsPerRun counts is the client's
+// alone.
+func cannedPeer(t *testing.T, responses ...[]byte) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -139,14 +140,14 @@ func cannedPeer(t *testing.T, response []byte) string {
 		defer conn.Close()
 		br := bufio.NewReader(conn)
 		hdr := make([]byte, frameHeader)
-		for {
+		for i := 0; ; i++ {
 			if _, err := io.ReadFull(br, hdr); err != nil {
 				return
 			}
 			if _, err := br.Discard(int(binary.BigEndian.Uint32(hdr))); err != nil {
 				return
 			}
-			if _, err := conn.Write(response); err != nil {
+			if _, err := conn.Write(responses[i%len(responses)]); err != nil {
 				return
 			}
 		}
@@ -188,25 +189,62 @@ func TestRemoteProduceAckAllocs(t *testing.T) {
 	}
 }
 
-// TestRemotePollWaitReusesItsTimer: an idle remote consumer's PollWait
-// re-polls about once a millisecond; what it allocates must not grow
-// with the number of re-polls (its two timers, not one per empty poll).
-func TestRemotePollWaitReusesItsTimer(t *testing.T) {
-	_, rc := startServer(t)
-	if err := rc.CreateTopic("t", 1); err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewAssignedConsumer(rc, "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wait := func() {
-		if recs, err := c.PollWait(8, 20*time.Millisecond); err != nil || len(recs) != 0 {
-			t.Fatalf("PollWait = %d records, %v", len(recs), err)
+// TestRemoteParkedPollAllocs: a blocking poll that parks at the broker
+// and comes back empty — one await frame, one fetch frame — costs the
+// client no allocation, and one with a cancel channel to watch: the go
+// statement of the watcher.
+func TestRemoteParkedPollAllocs(t *testing.T) {
+	empty, ack := stamped(appendRecordsFrame(nil, 0, 0, nil)), stamped(appendAckFrame(nil, 0))
+	for name, cancel := range map[string]chan struct{}{"no cancel": nil, "cancel": make(chan struct{})} {
+		want := 0.0
+		if cancel != nil {
+			want = 1
+		}
+		// The consumer is built by hand: the peer answers fetches and
+		// awaits in turn, and nothing else.
+		rc, err := Dial(cannedPeer(t, empty, ack))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rc.Close()
+		c := &Consumer{t: rc, topic: "t", assigned: []TopicPartition{{Topic: "t"}}, positions: make(map[TopicPartition]int64)}
+		poll := func() {
+			if recs, err := c.Poll(8, time.Millisecond, cancel); err != nil || len(recs) != 0 {
+				t.Fatalf("%s: Poll = %d records, %v", name, len(recs), err)
+			}
+		}
+		poll() // fetch, await, fetch; from here on await, fetch
+		poll()
+		if allocs := testing.AllocsPerRun(100, poll); allocs > want {
+			t.Errorf("%s: a parked remote poll allocated %.1f times on the client, want %.0f", name, allocs, want)
 		}
 	}
-	wait()
-	if allocs := testing.AllocsPerRun(5, wait); allocs > 8 {
-		t.Errorf("a 20 ms idle PollWait allocated %.1f times, want a constant few", allocs)
+}
+
+// TestProduceWithoutWaitersAllocs: with nobody parked on the topic an
+// append arms no signal — no lock, no channel — and Produce allocates
+// nothing beyond the log's own growth, which is taken out here.
+func TestProduceWithoutWaitersAllocs(t *testing.T) {
+	b := New(DefaultConfig())
+	if err := b.CreateTopic("t", 1); err != nil {
+		t.Fatal(err)
+	}
+	b.topics["t"].parts[0].recs = make([]Record, 0, 1024)
+	recs := []Record{{Value: []byte("x")}}
+	produce := func() {
+		if _, err := b.Produce("t", 0, recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, produce); allocs > 0 {
+		t.Errorf("Produce with no waiter allocated %.1f times, want 0", allocs)
+	}
+	// A waiter that came and went leaves the signal armed for one append.
+	if _, err := b.AppendSignal("t"); err != nil {
+		t.Fatal(err)
+	}
+	produce()
+	if allocs := testing.AllocsPerRun(200, produce); allocs > 0 {
+		t.Errorf("Produce after the last waiter left allocated %.1f times, want 0", allocs)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"crayfish/internal/faults"
@@ -72,6 +73,9 @@ type Broker struct {
 	mAppendBytes   *telemetry.Counter
 	mFetchRecords  *telemetry.Counter
 	mFetchBytes    *telemetry.Counter
+	mAwaitParked   *telemetry.Counter
+	mAwaitTimeouts *telemetry.Counter
+	mAwaitWait     *telemetry.Histogram
 
 	mu     sync.RWMutex
 	topics map[string]*topic
@@ -94,6 +98,9 @@ func New(cfg Config) *Broker {
 		mAppendBytes:   cfg.Metrics.Counter("broker.append.bytes"),
 		mFetchRecords:  cfg.Metrics.Counter("broker.fetch.records"),
 		mFetchBytes:    cfg.Metrics.Counter("broker.fetch.bytes"),
+		mAwaitParked:   cfg.Metrics.Counter("broker.await.parked"),
+		mAwaitTimeouts: cfg.Metrics.Counter("broker.await.timeouts"),
+		mAwaitWait:     cfg.Metrics.Histogram("broker.await.wait_ns"),
 		topics:         make(map[string]*topic),
 		groups:         make(map[string]*group),
 	}
@@ -119,14 +126,17 @@ func (b *Broker) CreateTopic(name string, partitions int) error {
 }
 
 // DeleteTopic removes a topic, its logs, and any consumer-group offsets
-// referencing it (so a recreated topic starts clean).
+// referencing it (so a recreated topic starts clean). Whoever is parked
+// in Await on the topic wakes to ErrUnknownTopic.
 func (b *Broker) DeleteTopic(name string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if _, ok := b.topics[name]; !ok {
+	t, ok := b.topics[name]
+	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownTopic, name)
 	}
 	delete(b.topics, name)
+	t.wake(fmt.Errorf("%w: %q", ErrUnknownTopic, name))
 	for _, g := range b.groups {
 		for tp := range g.committed {
 			if tp.Topic == name {
@@ -159,11 +169,15 @@ func (b *Broker) Partitions(name string) (int, error) {
 	return len(t.parts), nil
 }
 
-// Close marks the broker closed. Outstanding clients receive ErrClosed.
+// Close marks the broker closed. Outstanding clients receive ErrClosed,
+// those parked in Await included.
 func (b *Broker) Close() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.closed = true
+	for _, t := range b.topics {
+		t.wake(ErrClosed)
+	}
 }
 
 func (b *Broker) topic(name string) (*topic, error) {
@@ -296,17 +310,69 @@ func (b *Broker) RebalanceGroups() {
 }
 
 // AppendSignal returns a channel that is closed the next time records are
-// appended to any partition of the topic. Callers must capture the
-// channel, check for data, and only then block on it: the capture-then-
-// check order guarantees an append racing the check re-arms the wait
-// instead of being lost. This lets in-process consumers block for new
-// records instead of busy-polling (see Consumer.PollWait).
+// appended to any partition of the topic, or the topic or the broker goes
+// away. Callers must capture the channel, check for data, and only then
+// block on it: the capture-then-check order guarantees an append racing
+// the check wakes the wait instead of being lost. Await is that loop.
 func (b *Broker) AppendSignal(topicName string) (<-chan struct{}, error) {
 	t, err := b.topic(topicName)
 	if err != nil {
 		return nil, err
 	}
-	return t.appendSignal(), nil
+	return t.appendSignal()
+}
+
+// Await implements Transport on the topic's append signal: it returns
+// nil once a record is readable at one of the positions (a position its
+// partition's log end has moved off, so that an out-of-range one comes
+// back at once for the fetch to refuse), once wait has elapsed, or once
+// cancel closes, and ErrUnknownTopic or ErrClosed when the topic is
+// deleted or the broker closed — before the call or while it is parked.
+func (b *Broker) Await(topicName string, positions []FetchRequest, wait time.Duration, cancel <-chan struct{}) error {
+	t, err := b.topic(topicName)
+	if err != nil {
+		return err
+	}
+	for _, pos := range positions {
+		if pos.Partition < 0 || pos.Partition >= len(t.parts) {
+			return fmt.Errorf("%w: %s/%d", ErrUnknownPartition, topicName, pos.Partition)
+		}
+	}
+	if wait <= 0 {
+		return nil
+	}
+	var deadline *time.Timer
+	var parkedAt time.Time
+	// The first check runs unarmed, so that an Await that finds records
+	// leaves no channel behind for the next append to close.
+	for !t.readable(positions) {
+		// Capture, then check: an append that races the check closes the
+		// captured channel, so the park below wakes instead of missing it.
+		var signal <-chan struct{}
+		if signal, err = t.appendSignal(); err != nil || t.readable(positions) {
+			break
+		}
+		if deadline == nil {
+			b.mAwaitParked.Inc()
+			if b.mAwaitWait != nil {
+				parkedAt = b.cfg.Clock()
+			}
+			deadline = time.NewTimer(wait)
+			defer deadline.Stop()
+		}
+		select {
+		case <-signal:
+			continue
+		case <-deadline.C:
+			b.mAwaitTimeouts.Inc()
+		case <-cancel:
+		}
+		break
+	}
+	if deadline != nil && b.mAwaitWait != nil {
+		b.mAwaitWait.Record(int64(b.cfg.Clock().Sub(parkedAt)))
+	}
+	return err
 }
 
 // countAppend and countFetch publish live log-traffic telemetry; both
@@ -451,32 +517,74 @@ type topic struct {
 	parts   []*partition
 	backlog *telemetry.Gauge
 
+	// The append signal. notify exists only between a waiter asking for
+	// it and the append (or the topic's end) that closes it; armed mirrors
+	// notify != nil so that an append nobody waits for takes no lock and
+	// makes no channel. gone is why the topic stopped taking waiters.
+	armed    atomic.Bool
 	notifyMu sync.Mutex
 	notify   chan struct{}
+	gone     error
 }
 
 func newTopic(name string, n, retention int) *topic {
-	t := &topic{name: name, parts: make([]*partition, n), notify: make(chan struct{})}
+	t := &topic{name: name, parts: make([]*partition, n)}
 	for i := range t.parts {
 		t.parts[i] = &partition{id: i, retention: retention}
 	}
 	return t
 }
 
-// appended wakes every waiter blocked on the topic's append signal by
-// closing the current signal channel and arming a fresh one.
+// appended wakes every waiter parked on the topic's append signal. A
+// waiter arms the signal before it checks the log and the append lands in
+// the log before this runs, so a waiter whose check missed the append is
+// seen here as armed.
 func (t *topic) appended() {
-	t.notifyMu.Lock()
-	close(t.notify)
-	t.notify = make(chan struct{})
-	t.notifyMu.Unlock()
+	if t.armed.Load() {
+		t.wake(nil)
+	}
 }
 
-// appendSignal returns the channel the next append will close.
-func (t *topic) appendSignal() <-chan struct{} {
+// wake closes the armed signal, if any. A non-nil gone retires the topic:
+// from here on appendSignal fails with it, so the woken waiters and every
+// later one learn why.
+func (t *topic) wake(gone error) {
 	t.notifyMu.Lock()
 	defer t.notifyMu.Unlock()
-	return t.notify
+	if gone != nil {
+		t.gone = gone
+	}
+	if t.notify != nil {
+		close(t.notify)
+		t.notify = nil
+		t.armed.Store(false)
+	}
+}
+
+// appendSignal arms the signal and returns the channel the next append
+// will close, or the reason the topic is gone.
+func (t *topic) appendSignal() (<-chan struct{}, error) {
+	t.notifyMu.Lock()
+	defer t.notifyMu.Unlock()
+	if t.gone != nil {
+		return nil, t.gone
+	}
+	if t.notify == nil {
+		t.notify = make(chan struct{})
+		t.armed.Store(true)
+	}
+	return t.notify, nil
+}
+
+// readable reports whether a fetch at one of the positions would return
+// something: records, or the error of an offset out of range.
+func (t *topic) readable(positions []FetchRequest) bool {
+	for _, pos := range positions {
+		if t.parts[pos.Partition].end() != pos.Offset {
+			return true
+		}
+	}
+	return false
 }
 
 // partition is an append-only record log. start is the log start offset:

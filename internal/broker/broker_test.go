@@ -289,7 +289,7 @@ func TestAssignedConsumerPollsAllPartitions(t *testing.T) {
 	}
 	got := 0
 	for i := 0; i < 20 && got < 12; i++ {
-		recs, err := c.Poll(5)
+		recs, err := c.Poll(5, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +299,7 @@ func TestAssignedConsumerPollsAllPartitions(t *testing.T) {
 		t.Fatalf("consumed %d records, want 12", got)
 	}
 	// Caught up: next poll is empty.
-	recs, err := c.Poll(5)
+	recs, err := c.Poll(5, 0, nil)
 	if err != nil || len(recs) != 0 {
 		t.Fatalf("poll after catch-up: %v, %v", recs, err)
 	}
@@ -317,7 +317,7 @@ func TestAssignedConsumerExplicitPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := c.Poll(10)
+	recs, err := c.Poll(10, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestConsumerSeekToEnd(t *testing.T) {
 	}
 	var got []Record
 	for i := 0; i < 8 && len(got) == 0; i++ {
-		recs, err := c.Poll(10)
+		recs, err := c.Poll(10, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,7 +369,7 @@ func TestConsumerClosedPoll(t *testing.T) {
 	if err := c.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	if _, err := c.Poll(1); !errors.Is(err, ErrClosed) {
+	if _, err := c.Poll(1, 0, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("poll after close: %v", err)
 	}
 }

@@ -19,6 +19,14 @@ type Transport interface {
 	Produce(topic string, partition int, recs []Record) (int64, error)
 	Fetch(topic string, partition int, offset int64, max int) ([]Record, error)
 	FetchMulti(topic string, reqs []FetchRequest, maxTotal int) ([]Record, error)
+	// Await parks at the broker — Kafka's fetch.max.wait.ms, with
+	// fetch.min.bytes left at its default of 1 — until a record is
+	// readable at or past one of the positions, wait elapses or cancel
+	// closes (a nil channel never does), and returns nil in each case: it
+	// carries no records, and the fetch that follows says what is there.
+	// It may return early. An error means waiting is pointless: the topic
+	// or the broker is gone, or the transport failed.
+	Await(topic string, positions []FetchRequest, wait time.Duration, cancel <-chan struct{}) error
 	EndOffset(topic string, partition int) (int64, error)
 	JoinGroup(group string, topics []string) (Assignment, error)
 	LeaveGroup(group, memberID string) error
@@ -29,10 +37,16 @@ type Transport interface {
 
 var _ Transport = (*Broker)(nil)
 
-// AppendNotifier is the optional transport extension for blocking reads:
-// AppendSignal returns a channel closed on the topic's next append. The
-// in-process *Broker implements it; remote transports do not, and
-// blocking consumers fall back to timed re-polling.
+// FetchMaxWait is how long the product's consumer loops let one Poll park
+// at the broker before they look at their own clocks again (commit and
+// checkpoint intervals, stop). Kafka's fetch.max.wait.ms defaults to 500
+// and Kafka Streams' poll.ms to 100; nothing here is sensitive to it,
+// because a parked Poll returns on the first record and on stop.
+const FetchMaxWait = 50 * time.Millisecond
+
+// AppendNotifier is the in-process *Broker's append signal, the
+// primitive its Await parks on: AppendSignal returns a channel closed on
+// the topic's next append. Consumers do not use it; they call Await.
 type AppendNotifier interface {
 	AppendSignal(topic string) (<-chan struct{}, error)
 }
@@ -152,6 +166,13 @@ type Consumer struct {
 	// steady-state fetch path stops reallocating per call.
 	reqs []FetchRequest
 	recs []Record
+
+	// caughtUp and waitReqs belong to the goroutine in Poll, not to mu.
+	// caughtUp: the last fetch drained what was readable, so the next
+	// blocking Poll parks before it fetches. waitReqs: the positions
+	// handed to Await, which runs with mu released.
+	caughtUp bool
+	waitReqs []FetchRequest
 }
 
 // NewAssignedConsumer creates a consumer reading the given partitions of a
@@ -258,21 +279,71 @@ func (c *Consumer) Positions() map[TopicPartition]int64 {
 
 // Poll returns up to max records in a single multi-partition fetch
 // request, rotating the partition order round-robin for fairness and
-// advancing positions past returned records. It returns an empty slice
-// when nothing new is available (pull model: the caller decides whether to
-// spin, sleep, or proceed). In group mode a broker-side rebalance is
-// handled transparently by adopting the new assignment.
+// advancing positions past returned records. With wait > 0 it blocks the
+// way a Kafka consumer's poll does: when nothing is readable it parks at
+// the broker (Transport.Await) until a record arrives, wait elapses or
+// cancel closes, and then fetches once. A poll that follows one which
+// drained the log parks before it fetches rather than after, so a record
+// arriving at an idle consumer costs one await and one fetch. With
+// wait == 0 Poll never blocks. An empty result means nothing arrived
+// within the wait, or cancel closed, or the transport's Await is a
+// shorter bounded wait than asked for (the cluster transports'): callers
+// loop on their own clock. In group mode a broker-side rebalance is
+// handled transparently by adopting the new assignment, which is checked
+// after the park and before the fetch, so no record is fetched under an
+// assignment older than one round trip.
 //
-// Buffer ownership: the returned slice is the consumer's reusable
-// response buffer — it stays valid only until the next Poll/PollWait
-// call, so consume (or copy out) its records before polling again. The
-// records' Key/Value byte slices alias the broker's immutable log (or,
-// over TCP, the body their response frame was read into, which nothing
-// reuses) and remain valid past the next poll.
-func (c *Consumer) Poll(max int) ([]Record, error) {
+// Poll is for one goroutine at a time. Buffer ownership: the returned
+// slice is the consumer's reusable response buffer — it stays valid only
+// until the next Poll, so consume (or copy out) its records before
+// polling again. The records' Key/Value byte slices alias the broker's
+// immutable log (or, over TCP, the body their response frame was read
+// into, which nothing reuses) and remain valid past the next poll.
+func (c *Consumer) Poll(max int, wait time.Duration, cancel <-chan struct{}) ([]Record, error) {
 	if max <= 0 {
 		max = 1
 	}
+	park := wait > 0 && c.caughtUp
+	for {
+		if park {
+			if err := c.await(wait, cancel); err != nil {
+				return nil, err
+			}
+		}
+		recs, err := c.fetch(max)
+		if err != nil || len(recs) > 0 || wait <= 0 || park {
+			return recs, err
+		}
+		park = true
+	}
+}
+
+// await parks at the broker on the consumer's current positions, without
+// holding mu: Close, Commit and Positions stay responsive meanwhile.
+func (c *Consumer) await(wait time.Duration, cancel <-chan struct{}) error {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return ErrClosed
+	}
+	c.waitReqs = c.appendPositionsLocked(c.waitReqs[:0])
+	c.mu.Unlock()
+	return c.t.Await(c.topic, c.waitReqs, wait, cancel)
+}
+
+// appendPositionsLocked appends the assigned partitions' positions in
+// this poll's round-robin order.
+func (c *Consumer) appendPositionsLocked(reqs []FetchRequest) []FetchRequest {
+	for i := range c.assigned {
+		tp := c.assigned[(c.rr+i)%len(c.assigned)]
+		reqs = append(reqs, FetchRequest{Partition: tp.Partition, Offset: c.positions[tp]})
+	}
+	return reqs
+}
+
+// fetch is one non-blocking poll: the assignment check of a group
+// member, then one multi-partition fetch.
+func (c *Consumer) fetch(max int) ([]Record, error) {
 	if c.group != "" {
 		a, err := c.t.FetchAssignment(c.group, c.memberID, c.generation)
 		if errors.Is(err, ErrRebalance) {
@@ -288,14 +359,11 @@ func (c *Consumer) Poll(max int) ([]Record, error) {
 	if c.closed {
 		return nil, ErrClosed
 	}
+	c.caughtUp = true
 	if len(c.assigned) == 0 {
 		return nil, nil
 	}
-	c.reqs = c.reqs[:0]
-	for i := range c.assigned {
-		tp := c.assigned[(c.rr+i)%len(c.assigned)]
-		c.reqs = append(c.reqs, FetchRequest{Partition: tp.Partition, Offset: c.positions[tp]})
-	}
+	c.reqs = c.appendPositionsLocked(c.reqs[:0])
 	c.rr++
 	var out []Record
 	var err error
@@ -308,6 +376,9 @@ func (c *Consumer) Poll(max int) ([]Record, error) {
 		return nil, err
 	}
 	c.recs = out[:0]
+	// A fetch that filled its max may have left records behind; any
+	// other drained what was readable.
+	c.caughtUp = len(out) < max
 	for _, rec := range out {
 		tp := TopicPartition{Topic: c.topic, Partition: rec.Partition}
 		if rec.Offset+1 > c.positions[tp] {
@@ -315,62 +386,6 @@ func (c *Consumer) Poll(max int) ([]Record, error) {
 		}
 	}
 	return out, nil
-}
-
-// PollWait is Poll, but blocks until records arrive, the timeout
-// elapses (returning an empty slice), or an error occurs. On an
-// in-process transport it parks on the topic's append signal, so idle
-// consumers cost nothing; on remote transports it degrades to a timed
-// re-poll loop.
-func (c *Consumer) PollWait(max int, timeout time.Duration) ([]Record, error) {
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	// retry paces the remote fallback's re-polls: one timer per call,
-	// re-armed after each empty poll.
-	var retry *time.Timer
-	defer func() {
-		if retry != nil {
-			retry.Stop()
-		}
-	}()
-	notifier, _ := c.t.(AppendNotifier)
-	for {
-		// Capture the signal before polling: an append that races the
-		// poll closes this channel, so the wait below wakes instead of
-		// missing it.
-		var signal <-chan struct{}
-		if notifier != nil {
-			ch, err := notifier.AppendSignal(c.topic)
-			if err != nil {
-				return nil, err
-			}
-			signal = ch
-		}
-		recs, err := c.Poll(max)
-		if err != nil || len(recs) > 0 {
-			return recs, err
-		}
-		if signal != nil {
-			select {
-			case <-signal:
-			case <-deadline.C:
-				return nil, nil
-			}
-			continue
-		}
-		if retry == nil {
-			retry = time.NewTimer(time.Millisecond)
-		} else {
-			// The last wait drained retry.C, so Reset cannot race a
-			// stale tick.
-			retry.Reset(time.Millisecond)
-		}
-		select {
-		case <-retry.C:
-		case <-deadline.C:
-			return nil, nil
-		}
-	}
 }
 
 // Commit persists current positions as the group's committed offsets.

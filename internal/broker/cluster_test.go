@@ -514,7 +514,7 @@ func TestClusterConformanceRebalance(t *testing.T) {
 	drain := func() {
 		t.Helper()
 		for polls := 0; polls < 200; polls++ {
-			recs, err := cons.Poll(16)
+			recs, err := cons.Poll(16, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -236,6 +236,13 @@ func (c *ClusterClient) FetchMulti(topic string, reqs []FetchRequest, maxTotal i
 	return out, nil
 }
 
+// Await implements Transport as a bounded timed wait on the client's
+// side (awaitBounded): no node is asked.
+func (c *ClusterClient) Await(topic string, positions []FetchRequest, wait time.Duration, cancel <-chan struct{}) error {
+	awaitBounded(wait, cancel)
+	return nil
+}
+
 // EndOffset implements Transport: the leader's high-watermark, the
 // consumer-visible log end.
 func (c *ClusterClient) EndOffset(topic string, partition int) (int64, error) {

@@ -334,7 +334,7 @@ func TestClusterConformanceGroupOverWire(t *testing.T) {
 	drain := func() {
 		t.Helper()
 		for polls := 0; polls < 100; polls++ {
-			recs, err := cons.Poll(8)
+			recs, err := cons.Poll(8, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -161,7 +161,7 @@ func TestGroupConsumerEndToEnd(t *testing.T) {
 	}
 	got := 0
 	for i := 0; i < 10 && got < 8; i++ {
-		recs, err := c1.Poll(4)
+		recs, err := c1.Poll(4, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestGroupConsumerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c1.Poll(1); err != nil {
+	if _, err := c1.Poll(1, 0, nil); err != nil {
 		t.Fatalf("poll across rebalance: %v", err)
 	}
 	if len(c1.Assignment())+len(c2.Assignment()) != 4 {
@@ -205,7 +205,7 @@ func TestGroupConsumerResumesFromCommitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := c1.Poll(1)
+	recs, err := c1.Poll(1, 0, nil)
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("first poll: %v, %v", recs, err)
 	}
@@ -220,7 +220,7 @@ func TestGroupConsumerResumesFromCommitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err = c2.Poll(5)
+	recs, err = c2.Poll(5, 0, nil)
 	if err != nil || len(recs) != 1 || string(recs[0].Value) != "b" {
 		t.Fatalf("resumed poll = %v, %v", recs, err)
 	}

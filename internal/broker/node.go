@@ -29,7 +29,7 @@ type NodeConfig struct {
 	// request.timeout.ms under acks=all.
 	AckTimeout time.Duration
 	// ReplicaPoll is the follower fetch loop's idle re-poll interval
-	// (default 1ms, matching Consumer.PollWait's remote fallback).
+	// (default 1ms, matching the cluster transports' Await).
 	ReplicaPoll time.Duration
 	// ReplicaBatch caps records per replica fetch (default 512).
 	ReplicaBatch int
@@ -419,12 +419,17 @@ func (n *Node) reconcileFetchersLocked() {
 // the controller's next view push retargets or stops the loop.
 func (n *Node) runFetcher(tp TopicPartition, target fetchTarget, stop chan struct{}) {
 	defer n.wg.Done()
-	link := n.peerLink(target.leader)
+	var link ClusterPeer
 	for {
 		select {
 		case <-stop:
 			return
 		default:
+		}
+		// Looked up until found: a view can arrive before the leader's
+		// link does (brokerd nodes start in any order).
+		if link == nil {
+			link = n.peerLink(target.leader)
 		}
 		if link == nil {
 			if !n.fetchWait(stop) {
@@ -749,6 +754,34 @@ func (n *Node) FetchMultiInto(topic string, reqs []FetchRequest, maxTotal int, o
 		}
 	}
 	return out, nil
+}
+
+// clusterAwait is the longest a cluster transport's Await waits.
+const clusterAwait = time.Millisecond
+
+// awaitBounded is the Await of the cluster transports, a bounded timed
+// wait that looks at no log: what a consumer of a replicated partition
+// may read is set by the high-watermark, which the append signal does
+// not follow. Consumers re-poll at this pace, as they always did.
+func awaitBounded(wait time.Duration, cancel <-chan struct{}) {
+	if wait <= 0 {
+		return
+	}
+	t := time.NewTimer(min(wait, clusterAwait))
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-cancel:
+	}
+}
+
+// Await implements Transport as a bounded timed wait (awaitBounded).
+func (n *Node) Await(topic string, positions []FetchRequest, wait time.Duration, cancel <-chan struct{}) error {
+	if err := n.gate(); err != nil {
+		return err
+	}
+	awaitBounded(wait, cancel)
+	return nil
 }
 
 // EndOffset implements Transport: for replicated partitions the

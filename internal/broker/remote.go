@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -26,29 +27,49 @@ const DefaultCallTimeout = 30 * time.Second
 // RemoteClient is a Transport speaking the TCP wire protocol to a broker
 // Server. It maintains a small pool of connections; each request checks a
 // connection out for its synchronous round trip, so independent goroutines
-// proceed in parallel. Transport faults surface as typed, retryable
-// ErrUnavailable errors; DialOptions add a retry policy and a circuit
-// breaker on top. Note that retrying a Produce after a torn response may
-// re-append records the broker already logged — delivery is
-// at-least-once, and the output consumer's seen-set deduplicates.
+// proceed in parallel (a parked Await holds its connection for the wait).
+// Transport faults surface as typed, retryable ErrUnavailable errors;
+// DialOptions add a retry policy and a circuit breaker on top. Note that
+// retrying a Produce after a torn response may re-append records the
+// broker already logged — delivery is at-least-once, and the output
+// consumer's seen-set deduplicates.
 type RemoteClient struct {
 	addr    string
 	timeout time.Duration
 	retry   *resilience.Retry
 	breaker *resilience.Breaker
 
+	// idle connections wait for a call, busy ones are in one; Close
+	// closes both kinds, so a call parked at the broker ends with it.
 	mu     sync.Mutex
 	idle   []*remoteConn
+	busy   []*remoteConn
 	closed bool
 }
 
 // remoteConn is one pooled connection. buf is its scratch: the request
 // frame is built in it and written in one call, then a record-free
-// response is read back into it.
+// response is read back into it. watched is where the goroutine watching
+// a parked await's cancel channel reports back (watch).
 type remoteConn struct {
-	c   net.Conn
-	br  *bufio.Reader
-	buf []byte
+	c       net.Conn
+	br      *bufio.Reader
+	buf     []byte
+	watched chan bool
+}
+
+// watch interrupts the connection's pending read when cancel closes. The
+// caller collects the verdict from watched once its read has returned —
+// true: interrupted — and the rendezvous is also what guarantees that
+// the watcher is done with the connection before anyone else uses it.
+func (c *remoteConn) watch(cancel <-chan struct{}) {
+	select {
+	case <-cancel:
+		// A deadline in the past fails the blocked read at once.
+		c.c.SetReadDeadline(time.Unix(1, 0))
+		c.watched <- true
+	case c.watched <- false:
+	}
 }
 
 // DialOption configures a RemoteClient.
@@ -128,12 +149,16 @@ func Dial(addr string, opts ...DialOption) (*RemoteClient, error) {
 	return rc, nil
 }
 
-// Close tears down pooled connections.
+// Close tears down the connections, those of calls in flight included:
+// such a call, which may be parked at the broker, returns ErrClosed.
 func (rc *RemoteClient) Close() error {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	rc.closed = true
 	for _, c := range rc.idle {
+		c.c.Close()
+	}
+	for _, c := range rc.busy {
 		c.c.Close()
 	}
 	rc.idle = nil
@@ -149,6 +174,7 @@ func (rc *RemoteClient) checkout() (*remoteConn, error) {
 	if n := len(rc.idle); n > 0 {
 		c := rc.idle[n-1]
 		rc.idle = rc.idle[:n-1]
+		rc.busy = append(rc.busy, c)
 		rc.mu.Unlock()
 		return c, nil
 	}
@@ -165,7 +191,35 @@ func (rc *RemoteClient) checkout() (*remoteConn, error) {
 	if err != nil {
 		return nil, resilience.MarkRetryable(fmt.Errorf("broker: dial %s: %w: %w", rc.addr, ErrUnavailable, err))
 	}
-	return &remoteConn{c: conn, br: bufio.NewReaderSize(conn, 64<<10)}, nil
+	c := &remoteConn{c: conn, br: bufio.NewReaderSize(conn, 64<<10), watched: make(chan bool)}
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	if rc.closed {
+		conn.Close()
+		return nil, ErrClosed
+	}
+	rc.busy = append(rc.busy, c)
+	return c, nil
+}
+
+// unbusyLocked takes a connection out of the busy set.
+func (rc *RemoteClient) unbusyLocked(c *remoteConn) {
+	if i := slices.Index(rc.busy, c); i >= 0 {
+		last := len(rc.busy) - 1
+		rc.busy[i] = rc.busy[last]
+		rc.busy[last] = nil
+		rc.busy = rc.busy[:last]
+	}
+}
+
+// discard closes a connection that is not to be used again and reports
+// whether the client has been closed.
+func (rc *RemoteClient) discard(c *remoteConn) (closed bool) {
+	c.c.Close()
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	rc.unbusyLocked(c)
+	return rc.closed
 }
 
 // flushIdle drops every pooled connection: after one transport failure
@@ -184,6 +238,7 @@ func (rc *RemoteClient) flushIdle() {
 func (rc *RemoteClient) checkin(c *remoteConn) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
+	rc.unbusyLocked(c)
 	if rc.closed || len(rc.idle) >= 64 {
 		c.c.Close()
 		return
@@ -201,9 +256,17 @@ func (rc *RemoteClient) checkin(c *remoteConn) {
 // returned proves it is up, so it does neither, and comes back with the
 // control response that carried it.
 func (rc *RemoteClient) roundTrip(enc func(b []byte) []byte, dec func(tag byte, payload []byte) error) (*wireResponse, error) {
+	return rc.roundTripParked(enc, dec, 0, nil)
+}
+
+// roundTripParked is roundTrip for a request the broker may sit on for up
+// to park before it answers, which the deadline allows for. When cancel
+// closes first the exchange is abandoned and nothing is returned, no
+// error either.
+func (rc *RemoteClient) roundTripParked(enc func(b []byte) []byte, dec func(tag byte, payload []byte) error, park time.Duration, cancel <-chan struct{}) (*wireResponse, error) {
 	var resp *wireResponse
 	err := resilience.Run(rc.retry, rc.breaker, func() error {
-		r, terr := rc.once(enc, dec)
+		r, terr := rc.once(enc, dec, park, cancel)
 		if terr != nil {
 			return terr
 		}
@@ -261,14 +324,14 @@ func decodeWireError(resp *wireResponse) error {
 
 // once is one wire exchange; every failure but an oversized request is
 // a transport fault.
-func (rc *RemoteClient) once(enc func(b []byte) []byte, dec func(tag byte, payload []byte) error) (*wireResponse, error) {
+func (rc *RemoteClient) once(enc func(b []byte) []byte, dec func(tag byte, payload []byte) error, park time.Duration, cancel <-chan struct{}) (*wireResponse, error) {
 	conn, err := rc.checkout()
 	if err != nil {
 		return nil, err
 	}
 	if rc.timeout > 0 {
 		//lint:allow clockdiscipline socket I/O deadlines are wall-clock by net.Conn contract, not measurement timestamps
-		conn.c.SetDeadline(time.Now().Add(rc.timeout))
+		conn.c.SetDeadline(time.Now().Add(rc.timeout + park))
 	}
 	conn.buf = enc(conn.buf)
 	if err := writeFrame(conn.c, conn.buf); err != nil {
@@ -281,7 +344,19 @@ func (rc *RemoteClient) once(enc func(b []byte) []byte, dec func(tag byte, paylo
 		}
 		return nil, rc.fault(conn, "write", err)
 	}
+	if cancel != nil {
+		//lint:allow gorolifecycle joined two lines down: the receive from watched is the watcher's last act
+		go conn.watch(cancel)
+	}
 	tag, payload, err := readFrame(conn.br, &conn.buf)
+	if cancel != nil && <-conn.watched {
+		// The broker will still answer, to nobody: the connection cannot
+		// carry another exchange.
+		if rc.discard(conn) {
+			return nil, ErrClosed
+		}
+		return nil, nil
+	}
 	if err != nil {
 		return nil, rc.fault(conn, "read", err)
 	}
@@ -311,9 +386,11 @@ func (rc *RemoteClient) once(enc func(b []byte) []byte, dec func(tag byte, paylo
 }
 
 // fault closes a connection that failed mid-exchange and types the
-// failure as a retryable ErrUnavailable.
+// failure as a retryable ErrUnavailable — unless Close is what failed it.
 func (rc *RemoteClient) fault(conn *remoteConn, during string, err error) error {
-	conn.c.Close()
+	if rc.discard(conn) {
+		return ErrClosed
+	}
 	rc.flushIdle()
 	return resilience.MarkRetryable(fmt.Errorf("broker: %s: %w: %w", during, ErrUnavailable, err))
 }
@@ -381,6 +458,24 @@ func (rc *RemoteClient) FetchMultiInto(topic string, reqs []FetchRequest, maxTot
 		return nil, err
 	}
 	return out, nil
+}
+
+// Await implements Transport with one 'W' frame that the server answers
+// when the wait is over; the connection is the call's for that long. The
+// wire carries whole milliseconds, rounded up.
+func (rc *RemoteClient) Await(topic string, positions []FetchRequest, wait time.Duration, cancel <-chan struct{}) error {
+	if wait <= 0 {
+		return nil
+	}
+	waitMs := int64((wait + time.Millisecond - 1) / time.Millisecond)
+	_, err := rc.roundTripParked(
+		func(b []byte) []byte { return appendAwaitFrame(b, topic, waitMs, positions) },
+		func(tag byte, payload []byte) error {
+			_, err := decodeAck(tag, payload)
+			return err
+		},
+		wait, cancel)
+	return err
 }
 
 // EndOffset implements Transport.

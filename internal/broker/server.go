@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"time"
 
 	"crayfish/internal/resilience"
 )
@@ -26,9 +27,14 @@ import (
 // One line per tag (wire.go holds the codec):
 //
 //	'P' request:  bytes topic | int partition | records            (produce)
-//	'A' response: int base offset                                  (to 'P')
+//	'A' response: int base offset                                  (to 'P'; to 'W', zero)
 //	'F' request:  bytes topic | int max | uvarint count | (int partition | int offset)*
 //	              (fetch and fetch_multi; a fetch is one position)
+//	'W' request:  bytes topic | int wait ms | uvarint count | (int partition | int offset)*
+//	              (await: answered once a record is readable at one of the
+//	              positions, the wait — clamped to [0, maxAwait] — has elapsed,
+//	              or the server shuts down; it carries no records, the 'F'
+//	              that follows does)
 //	'R' response: int hw | int epoch | records                     (to 'F', hw = epoch = 0,
 //	              and to the control op replica_fetch)
 //	'C' either:   a JSON wireRequest or wireResponse — every other op, and every
@@ -84,13 +90,15 @@ type wireResponse struct {
 	Admitted   bool           `json:"admitted,omitempty"`
 }
 
-// requestHandler is what a Server serves: the two record-bearing ops as
-// methods, every other op as a control request whose response frame the
-// handler appends. The Server is generic over it so the same listener
-// and framing serve a standalone Broker or a cluster Node.
+// requestHandler is what a Server serves: the two record-bearing ops and
+// the await as methods, every other op as a control request whose
+// response frame the handler appends. The Server is generic over it so
+// the same listener and framing serve a standalone Broker or a cluster
+// Node.
 type requestHandler interface {
 	Produce(topic string, partition int, recs []Record) (int64, error)
 	MultiFetcherInto
+	Await(topic string, positions []FetchRequest, wait time.Duration, cancel <-chan struct{}) error
 	control(req *wireRequest, out []byte) ([]byte, error)
 }
 
@@ -99,11 +107,19 @@ type Server struct {
 	h  requestHandler
 	ln net.Listener
 
+	// done closes when the server shuts down: the cancel of every await
+	// parked on a connection's goroutine.
+	done chan struct{}
+
 	mu     sync.Mutex
 	conns  map[net.Conn]bool
 	closed bool
 	wg     sync.WaitGroup
 }
+
+// maxAwait bounds how long one 'W' frame may park its connection's
+// goroutine, whatever the peer asks for.
+const maxAwait = time.Second
 
 // Serve starts a TCP server for the broker on addr (e.g. "127.0.0.1:0")
 // and returns once the listener is bound.
@@ -124,7 +140,7 @@ func serveHandler(h requestHandler, addr string) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{h: h, ln: ln, conns: make(map[net.Conn]bool)}
+	s := &Server{h: h, ln: ln, done: make(chan struct{}), conns: make(map[net.Conn]bool)}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -133,9 +149,13 @@ func serveHandler(h requestHandler, addr string) (*Server, error) {
 // Addr returns the bound listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close stops the listener and all connections.
+// Close stops the listener and all connections, waking the awaits
+// parked on them.
 func (s *Server) Close() error {
 	s.mu.Lock()
+	if !s.closed {
+		close(s.done)
+	}
 	s.closed = true
 	for c := range s.conns {
 		c.Close()
@@ -175,7 +195,7 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	br := bufio.NewReaderSize(conn, 64<<10)
-	c := serverConn{h: s.h}
+	c := serverConn{h: s.h, cancel: s.done}
 	for {
 		tag, payload, err := readFrame(br, &c.buf)
 		if err != nil {
@@ -204,6 +224,7 @@ func (s *Server) handle(conn net.Conn) {
 // again — every poll — does not allocate its string.
 type serverConn struct {
 	h      requestHandler
+	cancel <-chan struct{}
 	buf    []byte
 	recs   []Record
 	reqs   []FetchRequest
@@ -257,6 +278,18 @@ func (c *serverConn) serve(tag byte, payload []byte) error {
 		}
 		c.recs = recs
 		c.buf = appendRecordsFrame(c.buf, 0, 0, recs)
+		return nil
+	case tagAwait:
+		topic, waitMs, reqs, err := decodeAwait(payload, c.reqs[:0])
+		if err != nil {
+			return err
+		}
+		c.reqs = reqs
+		wait := time.Duration(min(max(waitMs, 0), maxAwait.Milliseconds())) * time.Millisecond
+		if err := c.h.Await(c.topic(topic), reqs, wait, c.cancel); err != nil {
+			return c.fail(err)
+		}
+		c.buf = appendAckFrame(c.buf, 0)
 		return nil
 	case tagControl:
 		var req wireRequest

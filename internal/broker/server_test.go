@@ -165,7 +165,7 @@ func TestRemoteClientThroughProducerConsumer(t *testing.T) {
 	defer c.Close()
 	got := 0
 	for i := 0; i < 12 && got < 6; i++ {
-		recs, err := c.Poll(4)
+		recs, err := c.Poll(4, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,6 +22,7 @@ const (
 	tagControl byte = 'C'
 	tagProduce byte = 'P'
 	tagFetch   byte = 'F'
+	tagAwait   byte = 'W'
 	tagAck     byte = 'A'
 	tagRecords byte = 'R'
 )
@@ -198,6 +199,19 @@ func appendProduceFrame(b []byte, topic string, partition int, recs []Record) []
 func appendFetchFrame(b []byte, topic string, reqs []FetchRequest, maxTotal int) []byte {
 	b = appendString(beginFrame(b, tagFetch), topic)
 	b = appendInt(b, int64(maxTotal))
+	return appendPositions(b, reqs)
+}
+
+// appendAwaitFrame builds the await request: park for up to waitMs
+// milliseconds, until a record is readable at one of the positions.
+func appendAwaitFrame(b []byte, topic string, waitMs int64, positions []FetchRequest) []byte {
+	b = appendString(beginFrame(b, tagAwait), topic)
+	b = appendInt(b, waitMs)
+	return appendPositions(b, positions)
+}
+
+// appendPositions writes a position count and the positions.
+func appendPositions(b []byte, reqs []FetchRequest) []byte {
 	b = binary.AppendUvarint(b, uint64(len(reqs)))
 	for _, req := range reqs {
 		b = appendInt(b, int64(req.Partition))
@@ -206,7 +220,8 @@ func appendFetchFrame(b []byte, topic string, reqs []FetchRequest, maxTotal int)
 	return b
 }
 
-// appendAckFrame builds the produce response: the base offset.
+// appendAckFrame builds the produce response, the base offset, and the
+// await response, a zero.
 func appendAckFrame(b []byte, offset int64) []byte {
 	return appendInt(beginFrame(b, tagAck), offset)
 }
@@ -335,6 +350,16 @@ func (r *wireReader) records(out []Record) []Record {
 	return out
 }
 
+// positions appends the decoded fetch positions to out.
+func (r *wireReader) positions(out []FetchRequest) []FetchRequest {
+	n := r.count(minFetchWire)
+	out = slices.Grow(out, n)
+	for i := 0; i < n && !r.bad; i++ {
+		out = append(out, FetchRequest{Partition: r.int(), Offset: r.int64()})
+	}
+	return out
+}
+
 // done reports whether the payload decoded cleanly and completely.
 func (r *wireReader) done() error {
 	if r.bad || len(r.b) != 0 {
@@ -359,15 +384,22 @@ func decodeFetch(payload []byte, reqs []FetchRequest) (topic []byte, maxTotal in
 	r := wireReader{b: payload}
 	topic = r.bytes()
 	maxTotal = r.int()
-	n := r.count(minFetchWire)
-	out = slices.Grow(reqs, n)
-	for i := 0; i < n && !r.bad; i++ {
-		out = append(out, FetchRequest{Partition: r.int(), Offset: r.int64()})
-	}
+	out = r.positions(reqs)
 	return topic, maxTotal, out, r.done()
 }
 
-// decodeAck decodes a produce response.
+// decodeAwait decodes an await request, appending its positions to reqs.
+// The topic aliases the payload; the wait comes back as sent, for the
+// server to clamp.
+func decodeAwait(payload []byte, reqs []FetchRequest) (topic []byte, waitMs int64, out []FetchRequest, err error) {
+	r := wireReader{b: payload}
+	topic = r.bytes()
+	waitMs = r.int64()
+	out = r.positions(reqs)
+	return topic, waitMs, out, r.done()
+}
+
+// decodeAck decodes a produce or an await response.
 func decodeAck(tag byte, payload []byte) (int64, error) {
 	if tag != tagAck {
 		return 0, errMalformedFrame

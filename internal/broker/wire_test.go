@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -140,6 +141,13 @@ func TestWireFramesRoundTrip(t *testing.T) {
 			}
 		}
 
+		// An await is a fetch's positions under a wait: any int64, the
+		// server clamps what it makes of it.
+		gotTopic, gotWait, gotReqs, err := decodeAwait(payloadOf(appendAwaitFrame(nil, topic, hw, reqs)), nil)
+		if err != nil || string(gotTopic) != topic || gotWait != hw || !slices.Equal(gotReqs, reqs) {
+			t.Fatalf("await: %q wait %d, %d positions, %v", gotTopic, gotWait, len(gotReqs), err)
+		}
+
 		if off, err := decodeAck(tagAck, payloadOf(appendAckFrame(nil, hw))); err != nil || off != hw {
 			t.Fatalf("ack: %d, %v; want %d", off, err, hw)
 		}
@@ -197,15 +205,17 @@ func TestWireRejectsMalformed(t *testing.T) {
 	produce := payloadOf(appendProduceFrame(nil, "topic", 1, recs))
 	records := payloadOf(appendRecordsFrame(nil, 9, 2, recs))
 	fetch := payloadOf(appendFetchFrame(nil, "topic", []FetchRequest{{Partition: 1, Offset: 2}, {Partition: 3}}, 16))
+	await := payloadOf(appendAwaitFrame(nil, "topic", 50, []FetchRequest{{Partition: 1, Offset: 2}, {Partition: 3}}))
 	ack := payloadOf(appendAckFrame(nil, 300))
 
 	decoders := map[string]func([]byte) error{
+		"await":   func(p []byte) error { _, _, _, err := decodeAwait(p, nil); return err },
 		"produce": func(p []byte) error { _, _, _, err := decodeProduce(p, nil); return err },
 		"records": func(p []byte) error { _, _, _, err := decodeRecords(tagRecords, p, nil); return err },
 		"fetch":   func(p []byte) error { _, _, _, err := decodeFetch(p, nil); return err },
 		"ack":     func(p []byte) error { _, err := decodeAck(tagAck, p); return err },
 	}
-	for name, payload := range map[string][]byte{"produce": produce, "records": records, "fetch": fetch, "ack": ack} {
+	for name, payload := range map[string][]byte{"produce": produce, "records": records, "fetch": fetch, "await": await, "ack": ack} {
 		decode := decoders[name]
 		if err := decode(payload); err != nil {
 			t.Fatalf("%s: valid payload refused: %v", name, err)
@@ -243,9 +253,13 @@ func TestWireRejectsMalformed(t *testing.T) {
 	if _, _, _, err := decodeRecords(tagRecords, long, nil); err == nil {
 		t.Error("value length past the payload accepted")
 	}
-	// A fetch claiming more positions than it has bytes for.
+	// A fetch, and an await, claiming more positions than they have
+	// bytes for.
 	if _, _, got, err := decodeFetch(binary.AppendUvarint([]byte{0, 1}, 1<<50), nil); err == nil || cap(got) != 0 {
 		t.Errorf("oversized position count: err %v, cap %d", err, cap(got))
+	}
+	if _, _, got, err := decodeAwait(binary.AppendUvarint([]byte{0, 50}, 1<<50), nil); err == nil || cap(got) != 0 {
+		t.Errorf("oversized await position count: err %v, cap %d", err, cap(got))
 	}
 }
 
@@ -412,6 +426,13 @@ func FuzzWireFrameDecode(f *testing.F) {
 				return
 			}
 			again = appendFetchFrame(nil, string(topic), reqs, maxTotal)
+		case tagAwait:
+			topic, waitMs, reqs, err := decodeAwait(payload, nil)
+			heldBy("await", cap(reqs), minFetchWire)
+			if err != nil {
+				return
+			}
+			again = appendAwaitFrame(nil, string(topic), waitMs, reqs)
 		case tagAck:
 			offset, err := decodeAck(tag, payload)
 			if err != nil {

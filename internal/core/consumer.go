@@ -57,8 +57,8 @@ func NewOutputConsumer(t broker.Transport, topic string, codec BatchCodec) (*Out
 	return &OutputConsumer{codec: codec, consumer: c, decoded: make(map[int64]bool)}, nil
 }
 
-// Run polls the output topic until stop closes, then drains whatever is
-// left and returns.
+// Run polls the output topic, parked at the broker while it is quiet,
+// until stop closes, then drains whatever is left and returns.
 func (oc *OutputConsumer) Run(stop <-chan struct{}) error {
 	oc.mSamples = oc.Metrics.Counter("consumer.samples")
 	oc.mDupes = oc.Metrics.Counter("consumer.duplicates")
@@ -69,12 +69,8 @@ func (oc *OutputConsumer) Run(stop <-chan struct{}) error {
 			return oc.drain()
 		default:
 		}
-		n, err := oc.pollOnce()
-		if err != nil {
+		if _, err := oc.pollOnce(broker.FetchMaxWait, stop); err != nil {
 			return err
-		}
-		if n == 0 {
-			time.Sleep(200 * time.Microsecond)
 		}
 	}
 }
@@ -82,7 +78,7 @@ func (oc *OutputConsumer) Run(stop <-chan struct{}) error {
 // drain consumes everything still in the topic after producers stopped.
 func (oc *OutputConsumer) drain() error {
 	for {
-		n, err := oc.pollOnce()
+		n, err := oc.pollOnce(0, nil)
 		if err != nil {
 			return err
 		}
@@ -92,8 +88,8 @@ func (oc *OutputConsumer) drain() error {
 	}
 }
 
-func (oc *OutputConsumer) pollOnce() (int, error) {
-	recs, err := oc.consumer.Poll(256)
+func (oc *OutputConsumer) pollOnce(wait time.Duration, cancel <-chan struct{}) (int, error) {
+	recs, err := oc.consumer.Poll(256, wait, cancel)
 	if err != nil {
 		return 0, fmt.Errorf("core: output consumer: %w", err)
 	}

@@ -108,7 +108,7 @@ func TestProducerBatchContents(t *testing.T) {
 	}
 	seen := map[int64]bool{}
 	for len(seen) < 3 {
-		recs, err := c.Poll(8)
+		recs, err := c.Poll(8, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +310,7 @@ func TestConsumerLatencyFromAppendTime(t *testing.T) {
 	if _, err := b.Produce("out", 0, []broker.Record{{Value: value}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := oc.pollOnce(); err != nil {
+	if _, err := oc.pollOnce(0, nil); err != nil {
 		t.Fatal(err)
 	}
 	samples := oc.Samples()
@@ -339,7 +339,7 @@ func TestConsumerDeduplicates(t *testing.T) {
 		}
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := oc.pollOnce(); err != nil {
+		if _, err := oc.pollOnce(0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

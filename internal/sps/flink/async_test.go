@@ -67,6 +67,44 @@ func TestAsyncIOOverlapsBlockingCalls(t *testing.T) {
 	}
 }
 
+// TestAsyncIOFlushesWhileSourceIsParked: results that complete after the
+// source went idle reach the sink without waiting for the source to come
+// back — through a transport whose awaits last an hour, it never does.
+func TestAsyncIOFlushesWhileSourceIsParked(t *testing.T) {
+	h := spstest.NewHarness(t, 1, 1)
+	patient := &spstest.Patient{Transport: h.Broker}
+	h.Spec.Transport = patient
+	release := make(chan struct{})
+	var entered atomic.Int64
+	h.Spec.Transform = func(v []byte) ([]byte, error) {
+		entered.Add(1)
+		<-release
+		return v, nil
+	}
+	e := New()
+	e.AsyncIO = true
+	job, err := e.Run(h.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Fewer than SinkFlushRecords, so that only the idle flush can send
+	// them; their transforms finish once the source is parked again.
+	const n = SinkFlushRecords - 1
+	h.Produce(t, n)
+	for deadline := time.Now().Add(10 * time.Second); entered.Load() < n || patient.Parked.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the source never took the records and parked again")
+		}
+	}
+	close(release)
+	if out := h.CollectOutput(t, n, 10*time.Second); len(out) != n {
+		t.Fatalf("%d of %d async results reached the sink with the source parked", len(out), n)
+	}
+	if err := job.Stop(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAsyncIODrainsOnStop(t *testing.T) {
 	h := spstest.NewHarness(t, 1, 1)
 	h.Spec.Transform = func(v []byte) ([]byte, error) {

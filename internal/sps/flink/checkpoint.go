@@ -148,18 +148,19 @@ func (cj *checkpointedJob) checkpointedSlot(consumer *broker.Consumer, producer 
 			return
 		default:
 		}
-		recs, err := consumer.Poll(max)
+		// Every polled record is scored and flushed by now: a consistent
+		// snapshot point, busy or idle. The poll parks no longer than
+		// until the next one is due.
+		due := cj.interval - time.Since(lastCp)
+		if due <= 0 {
+			cj.snapshot(consumer.Positions())
+			lastCp = time.Now()
+			continue
+		}
+		recs, err := consumer.Poll(max, min(due, broker.FetchMaxWait), j.stopCh)
 		if err != nil {
 			j.errs.Set(fmt.Errorf("flink: source: %w", err))
 			return
-		}
-		if len(recs) == 0 {
-			time.Sleep(j.e.IdleBackoff)
-			if time.Since(lastCp) >= cj.interval {
-				cj.snapshot(consumer.Positions())
-				lastCp = time.Now()
-			}
-			continue
 		}
 		stages.In.Add(int64(len(recs)))
 		for _, rec := range recs {
@@ -175,11 +176,5 @@ func (cj *checkpointedJob) checkpointedSlot(consumer *broker.Consumer, producer 
 			}
 		}
 		flush()
-		if time.Since(lastCp) >= cj.interval {
-			// Every record up to the current positions is now
-			// scored and flushed: a consistent snapshot point.
-			cj.snapshot(consumer.Positions())
-			lastCp = time.Now()
-		}
 	}
 }

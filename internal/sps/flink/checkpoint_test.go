@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"crayfish/internal/broker"
 	"crayfish/internal/faults"
 	"crayfish/internal/sps"
 	"crayfish/internal/sps/spstest"
@@ -59,6 +60,49 @@ func TestCheckpointedJobDelivers(t *testing.T) {
 	}
 	if len(out) != 30 {
 		t.Fatalf("delivered %d of 30", len(out))
+	}
+}
+
+// longestWait records the longest wait a job asked of Await.
+type longestWait struct {
+	broker.Transport
+	longest atomic.Int64
+}
+
+func (l *longestWait) Await(topic string, positions []broker.FetchRequest, wait time.Duration, cancel <-chan struct{}) error {
+	for {
+		seen := l.longest.Load()
+		if int64(wait) <= seen || l.longest.CompareAndSwap(seen, int64(wait)) {
+			break
+		}
+	}
+	return l.Transport.Await(topic, positions, wait, cancel)
+}
+
+// TestCheckpointWhileIdle: a job with nothing to read still checkpoints
+// on its interval, because its poll never parks past the next one due.
+func TestCheckpointWhileIdle(t *testing.T) {
+	h := spstest.NewHarness(t, 2, 2)
+	lw := &longestWait{Transport: h.Broker}
+	h.Spec.Transport = lw
+	const interval = 5 * time.Millisecond // well under broker.FetchMaxWait
+	job, err := New().RunCheckpointed(h.Spec, Checkpoint{}, interval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, ok := job.LatestCheckpoint(); ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("an idle job never checkpointed")
+		}
+	}
+	if err := job.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if longest := time.Duration(lw.longest.Load()); longest <= 0 || longest > interval {
+		t.Fatalf("the idle source parked for up to %v, want within the %v to its next checkpoint", longest, interval)
 	}
 }
 

@@ -29,8 +29,6 @@ type Engine struct {
 	// ChannelDepth is the bounded depth (in records) of the queues
 	// between pipeline stages.
 	ChannelDepth int
-	// IdleBackoff is how long a source sleeps after an empty poll.
-	IdleBackoff time.Duration
 	// AsyncIO runs the scoring operator as Flink's asynchronous I/O
 	// operator (unordered wait): up to AsyncCapacity transform calls
 	// are in flight per slot and results are emitted as they complete.
@@ -46,7 +44,7 @@ type Engine struct {
 // New returns an engine with default settings (blocking scoring calls, as
 // in the paper's evaluation).
 func New() *Engine {
-	return &Engine{SegmentSize: 32 << 10, ChannelDepth: 64, IdleBackoff: 200 * time.Microsecond, AsyncCapacity: 16}
+	return &Engine{SegmentSize: 32 << 10, ChannelDepth: 64, AsyncCapacity: 16}
 }
 
 // Name implements sps.Processor.
@@ -240,7 +238,7 @@ func (j *job) chainedSlot(consumer *broker.Consumer, producer *broker.Producer) 
 			return
 		default:
 		}
-		recs, err := consumer.Poll(max)
+		recs, err := consumer.Poll(max, broker.FetchMaxWait, j.stopCh)
 		if err != nil {
 			j.errs.Set(fmt.Errorf("flink: source: %w", err))
 			pending.Wait()
@@ -248,10 +246,6 @@ func (j *job) chainedSlot(consumer *broker.Consumer, producer *broker.Producer) 
 			return
 		}
 		if len(recs) == 0 {
-			if j.e.AsyncIO {
-				flush() // don't let async results linger while idle
-			}
-			time.Sleep(j.e.IdleBackoff)
 			continue
 		}
 		stages.In.Add(int64(len(recs)))
@@ -287,8 +281,13 @@ func (j *job) chainedSlot(consumer *broker.Consumer, producer *broker.Producer) 
 			pending.Add(1)
 			go func(v []byte) {
 				defer pending.Done()
-				defer func() { <-inflight }()
 				score(v)
+				<-inflight
+				if len(inflight) == 0 {
+					// Nothing else in flight: the source may be parked in
+					// its poll, so the results must not wait for it.
+					flush()
+				}
 			}(value)
 		}
 	}
@@ -390,13 +389,12 @@ func (j *job) sourceLoop(consumer *broker.Consumer, out chan<- pipeRecord) {
 			return
 		default:
 		}
-		recs, err := consumer.Poll(max)
+		recs, err := consumer.Poll(max, broker.FetchMaxWait, j.stopCh)
 		if err != nil {
 			j.errs.Set(fmt.Errorf("flink: source: %w", err))
 			return
 		}
 		if len(recs) == 0 {
-			time.Sleep(j.e.IdleBackoff)
 			continue
 		}
 		stages.In.Add(int64(len(recs)))

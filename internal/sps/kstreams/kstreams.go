@@ -24,8 +24,6 @@ func init() {
 type Engine struct {
 	// PollRecords is the max records fetched per poll (max.poll.records).
 	PollRecords int
-	// IdleBackoff is how long a thread sleeps after an empty poll.
-	IdleBackoff time.Duration
 	// CommitInterval throttles offset commits; zero commits after every
 	// processed batch (Kafka Streams' at-least-once default is
 	// time-based; the experiments use per-batch commits for clarity).
@@ -37,7 +35,7 @@ type Engine struct {
 // deployment runs with (commit.interval.ms scaled to this repository's
 // shorter experiment durations).
 func New() *Engine {
-	return &Engine{PollRecords: 500, IdleBackoff: 200 * time.Microsecond, CommitInterval: time.Second}
+	return &Engine{PollRecords: 500, CommitInterval: time.Second}
 }
 
 // Name implements sps.Processor.
@@ -146,13 +144,12 @@ func (j *job) streamThread(consumer *broker.Consumer, producer *broker.AsyncProd
 			return
 		default:
 		}
-		recs, err := consumer.Poll(max)
+		recs, err := consumer.Poll(max, broker.FetchMaxWait, j.stopCh)
 		if err != nil {
 			j.errs.Set(fmt.Errorf("kafka-streams: poll: %w", err))
 			return
 		}
 		if len(recs) == 0 {
-			time.Sleep(j.e.IdleBackoff)
 			continue
 		}
 		// Re-check after the poll: a peer thread that saw the stop may

@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
-	"time"
 
 	"crayfish/internal/broker"
 	"crayfish/internal/sps"
@@ -25,8 +24,6 @@ func init() {
 type Engine struct {
 	// MailboxDepth bounds each actor's inbox.
 	MailboxDepth int
-	// IdleBackoff is how long an input actor sleeps after an empty poll.
-	IdleBackoff time.Duration
 	// PickleHops enables the per-hop object (un)marshalling cost: the
 	// paper's Ray adapter passes the decoded event object between
 	// Python actors, so every actor boundary pickles and unpickles it.
@@ -36,7 +33,7 @@ type Engine struct {
 
 // New returns an engine with default settings.
 func New() *Engine {
-	return &Engine{MailboxDepth: 64, IdleBackoff: 200 * time.Microsecond, PickleHops: true}
+	return &Engine{MailboxDepth: 64, PickleHops: true}
 }
 
 // pickleCycle performs the per-hop object serialisation round trip Ray's
@@ -147,13 +144,12 @@ func (j *job) inputActor(a *Actor, consumer *broker.Consumer, downstream *Actor)
 			return
 		default:
 		}
-		recs, err := consumer.Poll(max)
+		recs, err := consumer.Poll(max, broker.FetchMaxWait, j.stopCh)
 		if err != nil {
 			j.errs.Set(fmt.Errorf("ray: input actor: %w", err))
 			return
 		}
 		if len(recs) == 0 {
-			time.Sleep(j.e.IdleBackoff)
 			continue
 		}
 		stages.In.Add(int64(len(recs)))

@@ -124,10 +124,11 @@ func (j *job) driverLoop(consumer *broker.Consumer, producer *broker.Producer) {
 			return
 		case <-ticker.C:
 		}
-		// Collect the micro-batch: everything available, up to the cap.
+		// Collect the micro-batch: everything available, up to the cap —
+		// never waiting for more, the trigger sets the pace.
 		var batch []broker.Record
 		for len(batch) < max {
-			recs, err := consumer.Poll(max - len(batch))
+			recs, err := consumer.Poll(max-len(batch), 0, nil)
 			if err != nil {
 				j.errs.Set(fmt.Errorf("spark-ss: poll: %w", err))
 				return

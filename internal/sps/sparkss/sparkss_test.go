@@ -57,7 +57,7 @@ func TestMicroBatchingBatchesSinkWrites(t *testing.T) {
 	}
 	stamps := map[int64]bool{}
 	for {
-		recs, err := c.Poll(64)
+		recs, err := c.Poll(64, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

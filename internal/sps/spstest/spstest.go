@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -62,8 +63,8 @@ func (h *Harness) Produce(t *testing.T, n int) {
 }
 
 // CollectOutput reads the output topic until n records arrive or the
-// deadline passes, returning the values sorted. It blocks on the
-// broker's append signal between reads rather than busy-polling.
+// deadline passes, returning the values sorted. It parks at the broker
+// between reads rather than busy-polling.
 func (h *Harness) CollectOutput(t *testing.T, n int, deadline time.Duration) [][]byte {
 	t.Helper()
 	c, err := broker.NewAssignedConsumer(h.Broker, "out")
@@ -77,12 +78,9 @@ func (h *Harness) CollectOutput(t *testing.T, n int, deadline time.Duration) [][
 		if left <= 0 {
 			break
 		}
-		recs, err := c.PollWait(64, left)
+		recs, err := c.Poll(64, left, nil)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if len(recs) == 0 {
-			break // PollWait timed out: the deadline is exhausted
 		}
 		for _, r := range recs {
 			out = append(out, r.Value)
@@ -102,6 +100,57 @@ func RunConformance(t *testing.T, factory func() sps.Processor) {
 	t.Run("StopIdempotent", func(t *testing.T) { testStopIdempotent(t, factory()) })
 	t.Run("SpecValidation", func(t *testing.T) { testSpecValidation(t, factory()) })
 	t.Run("ContinuousFlow", func(t *testing.T) { testContinuousFlow(t, factory()) })
+	t.Run("StopWhileParked", func(t *testing.T) { testStopWhileParked(t, factory()) })
+}
+
+// Patient is a transport whose every Await is stretched to an hour: a
+// consumer parked through it comes back for a record or for its cancel
+// channel, never for its deadline, so a test that sees it come back
+// needs no timing assertion to know why. Parked counts the awaits in
+// progress.
+type Patient struct {
+	broker.Transport
+	Parked atomic.Int64
+}
+
+// Await implements broker.Transport.
+func (p *Patient) Await(topic string, positions []broker.FetchRequest, _ time.Duration, cancel <-chan struct{}) error {
+	p.Parked.Add(1)
+	defer p.Parked.Add(-1)
+	return p.Transport.Await(topic, positions, time.Hour, cancel)
+}
+
+// testStopWhileParked: an idle job's sources park at the broker; a record
+// wakes them, and Stop ends them through their cancel channel — with
+// every wait an hour long, a Stop that waited for a deadline would hang
+// the test.
+func testStopWhileParked(t *testing.T, proc sps.Processor) {
+	h := NewHarness(t, 2, 2)
+	patient := &Patient{Transport: h.Broker}
+	h.Spec.Transport = patient
+	h.Spec.Parallelism = sps.Parallelism{Default: 2}
+	job, err := proc.Run(h.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Let the sources park (spark-ss never does: its trigger paces it).
+	for deadline := time.Now().Add(200 * time.Millisecond); patient.Parked.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	h.Produce(t, 6)
+	if out := h.CollectOutput(t, 6, 10*time.Second); len(out) != 6 {
+		t.Fatalf("%s: %d of 6 records reached the output of an idle job", proc.Name(), len(out))
+	}
+	stopped := make(chan error, 1)
+	go func() { stopped <- job.Stop() }()
+	select {
+	case err := <-stopped:
+		if err != nil {
+			t.Fatalf("stop: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%s: Stop did not return with its sources parked", proc.Name())
+	}
 }
 
 func testEndToEnd(t *testing.T, proc sps.Processor, mp int) {

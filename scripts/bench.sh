@@ -26,7 +26,10 @@
 # FFNN-sized records frame through the binary frame codec
 # (wire_frame_encode_ns, wire_frame_decode_ns) and a produce plus the
 # fetch that reads it back over loopback, per record
-# (broker_tcp_rt_us_per_rec).
+# (broker_tcp_rt_us_per_rec). The wake rung books the blocking fetch
+# (docs/PERFORMANCE.md "Blocking fetch"): the time from an append to the
+# parked consumer holding the record, in process and over loopback
+# (poll_wake_us_inproc, poll_wake_us_tcp).
 #
 #   BENCHTIME   per-benchmark budget (default 1s; check.sh passes 50x)
 #   OUT         output path (default BENCH_inference.json)
@@ -37,7 +40,7 @@ BENCHTIME="${BENCHTIME:-1s}"
 OUT="${OUT:-BENCH_inference.json}"
 
 go test -run NONE -benchmem -benchtime "$BENCHTIME" \
-	-bench 'MatMulBlocked128|QMatMul$|Conv2D$|Conv2DInto$|ConvDirectVsWinograd|PlanForward|QPlanAgreement$|UnplannedForward|ScoreResNet|ScoreFFNN|ScoreBatchedVsUnbatched|ServerCapacitySweep$|BrokerFailover$|AttentionFusedVsUnfused|JSONCodec|WireFrame|RemoteProduceFetch$' \
+	-bench 'MatMulBlocked128|QMatMul$|Conv2D$|Conv2DInto$|ConvDirectVsWinograd|PlanForward|QPlanAgreement$|UnplannedForward|ScoreResNet|ScoreFFNN|ScoreBatchedVsUnbatched|ServerCapacitySweep$|BrokerFailover$|AttentionFusedVsUnfused|JSONCodec|WireFrame|RemoteProduceFetch$|PollWake' \
 	./internal/tensor/ ./internal/model/ ./internal/serving/embedded/ ./internal/serving/external/ ./internal/core/ ./internal/broker/ . \
 	| awk -v benchtime="$BENCHTIME" '
 	/^pkg:/ { pkg = $2 }
@@ -69,6 +72,8 @@ go test -run NONE -benchmem -benchtime "$BENCHTIME" \
 		if (name ~ /WireFrameEncode$/)                    { wens = ns }
 		if (name ~ /WireFrameDecode$/)                    { wdns = ns }
 		if (name ~ /RemoteProduceFetch$/)                 { rtns = ns }
+		if (name ~ /PollWake\/inproc$/)                   { pwins = ns }
+		if (name ~ /PollWake\/tcp$/)                      { pwtns = ns }
 	}
 	END {
 		printf "\n  ],\n"
@@ -122,6 +127,13 @@ go test -run NONE -benchmem -benchtime "$BENCHTIME" \
 		}
 		if (rtns > 0) {
 			printf "  \"broker_tcp_rt_us_per_rec\": %.2f,\n", rtns / 16 / 1000
+		}
+		# The blocking fetch (docs/PERFORMANCE.md "Blocking fetch"): one
+		# append to the consumer parked in Poll holding the record, the
+		# produce included, one record at a time.
+		if (pwins > 0 && pwtns > 0) {
+			printf "  \"poll_wake_us_inproc\": %.2f,\n", pwins / 1000
+			printf "  \"poll_wake_us_tcp\": %.2f,\n", pwtns / 1000
 		}
 		# The server scenario capacity (highest offered Poisson rate
 		# meeting the p99 bound; docs/SCENARIOS.md).

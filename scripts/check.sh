@@ -58,6 +58,19 @@ go test -race -count=1 \
 # so this runs race-enabled and by name; the clustertest binary also
 # leak-checks every node, server, and client join.
 go test -race -count=1 -run 'TestCluster' ./internal/broker/ ./internal/broker/clustertest/
+# Blocking fetch (docs/PERFORMANCE.md "Blocking fetch"): consumers park
+# at the broker and are woken by appends, cancels, deletions and closes
+# from other goroutines — a lost wake-up or a waiter nobody tells shows
+# as a hang, not as a wrong value. Race-enabled and by name: the await
+# ends in process and over TCP, the 10 000-round ping-pong, shutdown and
+# Close with a call parked, and every engine's Stop with its sources
+# parked for an hour.
+go test -race -count=1 -timeout 5m \
+	-run 'TestAwait|TestPollNeverLosesAWakeUp|TestIdleConsumerCallsPerWait|TestServerCloseWakesParkedAwait|TestRemoteCloseEndsCallInFlight|TestRemoteAwaitCancelDropsTheConnection' \
+	./internal/broker/
+go test -race -count=1 -timeout 5m \
+	-run 'TestConformance/StopWhileParked|TestAsyncIOConformance/StopWhileParked|TestCheckpointWhileIdle|TestAsyncIOFlushesWhileSourceIsParked' \
+	./internal/sps/...
 go test -race ./...
 # Decoder fuzz smoke (ROADMAP item 5a): the specialised JSON DataBatch
 # decoder and encoding/json must agree on every input the fuzzer finds in
