@@ -10,27 +10,24 @@ import (
 // hotTensorFuncs are the internal/tensor functions that sit on the
 // steady-state inference path beyond the Into-suffix convention: the
 // blocked matmul core, the im2col packers (float and quantized), the
-// parallel fan-outs, the packed int8 GEMM core, and the fused
-// transformer row kernels (attention lanes, the shared softmax row
-// loop).
+// pooled fan-out, the packed int8 GEMM core, and the fused transformer
+// row kernels (attention lanes, the shared softmax row loop).
 var hotTensorFuncs = map[string]bool{
-	"matMulRange":    true,
-	"im2col":         true,
-	"parallelMatMul": true,
-	"poolMatMul":     true,
-	"qMatMulPacked":  true,
-	"im2colQ":        true,
-	"store4q":        true,
-	"attentionRows":  true,
-	"poolAttention":  true,
-	"softmaxRows":    true,
+	"matMulRange":   true,
+	"im2col":        true,
+	"poolMatMul":    true,
+	"qMatMulPacked": true,
+	"im2colQ":       true,
+	"store4q":       true,
+	"attentionRows": true,
+	"softmaxRows":   true,
 }
 
 // hotModelFiles are the internal/model files whose entire contents are
-// hot: the reference forward pass, the compiled execution plan, and the
-// plan's transformer-operator dispatch.
+// hot: the compiled execution plan and the transformer-operator
+// dispatch it shares with the interpreter. The interpreter itself
+// (forward.go) is the oracle and may allocate.
 var hotModelFiles = map[string]bool{
-	"forward.go":  true,
 	"plan.go":     true,
 	"attnexec.go": true,
 }
@@ -46,8 +43,8 @@ var hotBrokerFiles = map[string]bool{
 // calls to tensor.New and make([]T, ...) for the inference datatypes
 // (float32 activations, int8 quantized values, int32 accumulators,
 // uint64 packed words) inside internal/tensor's Into-variant kernels
-// (plus the helpers above) and anywhere in internal/model's forward.go
-// and plan.go, and make([]byte, ...), make([]Record, ...) and
+// (plus the helpers above) and anywhere in internal/model's plan.go and
+// attnexec.go, and make([]byte, ...), make([]Record, ...) and
 // make([]FetchRequest, ...) anywhere in internal/broker's wire.go, whose
 // encoders append into connection scratch and whose decoders slice the
 // frame they are given. The zero-allocation contract
@@ -59,7 +56,7 @@ var hotBrokerFiles = map[string]bool{
 func NewHotPathAlloc() *Analyzer {
 	a := &Analyzer{
 		Name: "hotpathalloc",
-		Doc:  "hot paths (tensor Into-kernels, model forward/plan, the broker wire codec) must not allocate; annotate deliberate cold-path allocations",
+		Doc:  "hot paths (tensor Into-kernels, the model plan, the broker wire codec) must not allocate; annotate deliberate cold-path allocations",
 	}
 	a.Run = func(pass *Pass) {
 		switch pass.Pkg.ModRel {

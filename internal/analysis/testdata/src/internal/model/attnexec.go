@@ -1,8 +1,7 @@
 package model
 
-// attnexec.go is allocation-restricted in its entirety, like forward.go
-// and plan.go: the compiled plan's transformer-operator dispatch lives
-// here.
+// attnexec.go is allocation-restricted in its entirety, like plan.go:
+// the transformer-operator dispatch the compiled plan runs lives here.
 
 import (
 	"fixture.test/internal/tensor"

@@ -1,5 +1,5 @@
 // Package model seeds hotpathalloc violations in a hot model file:
-// forward.go and plan.go are allocation-restricted in their entirety.
+// plan.go and attnexec.go are allocation-restricted in their entirety.
 package model
 
 import (

@@ -59,12 +59,6 @@ func attentionRows(src []float32) []float32 {
 	return lane
 }
 
-// poolAttention is on the hot-helper allow-list (the attention fan-out).
-func poolAttention(src []float32) {
-	scr := make([]float32, len(src)) // want hotpathalloc
-	_ = scr
-}
-
 // softmaxRows is on the hot-helper allow-list (the shared softmax row
 // loop).
 func softmaxRows(dst []float32) []float32 {

@@ -10,7 +10,6 @@ import (
 	"crayfish/internal/core"
 	"crayfish/internal/model"
 	"crayfish/internal/netsim"
-	"crayfish/internal/serving/embedded"
 	"crayfish/internal/sps/flink"
 	"crayfish/internal/telemetry"
 )
@@ -125,14 +124,42 @@ func AblationTransport(opts Options) (*Report, error) {
 	return r, nil
 }
 
-// AblationFusedExecution isolates the ONNX runtime's graph-level fusion:
-// the same model scored through the fused engine vs the unfused op-by-op
-// executor, without any pipeline around it.
+// timeRuns times iters calls of run after one untimed call, which sizes
+// buffers and builds kernel caches.
+func timeRuns(iters int, run func() error) (time.Duration, error) {
+	if err := run(); err != nil {
+		return 0, err
+	}
+	start := time.Now()
+	for i := 0; i < iters; i++ {
+		if err := run(); err != nil {
+			return 0, err
+		}
+	}
+	return time.Since(start) / time.Duration(iters), nil
+}
+
+// timePlan measures a compiled plan's steady-state cost per single-point
+// inference. The plan may scratch its input, so every call gets a fresh
+// copy.
+func timePlan(p *model.Plan, inputs []float32, iters int) (time.Duration, error) {
+	in := make([]float32, len(inputs))
+	out := make([]float32, p.OutputLen())
+	return timeRuns(iters, func() error {
+		copy(in, inputs)
+		return p.Forward(in, 1, out)
+	})
+}
+
+// AblationFusedExecution isolates graph compilation: the same model
+// scored through a compiled plan (resolved kernels, recycled arena
+// buffers) vs the op-by-op allocating reference pass, without any
+// pipeline around it.
 func AblationFusedExecution(opts Options) (*Report, error) {
 	o := opts.withDefaults()
 	r := &Report{
 		ID:     "Ablation A4",
-		Title:  "Execution plan: fused (ONNX engine) vs unfused (SavedModel path), FFNN, direct scoring",
+		Title:  "Execution plan: fused (compiled plan) vs unfused (op-by-op allocating reference pass), FFNN, direct scoring",
 		Header: []string{"plan", "ns/inference"},
 	}
 	m := model.NewFFNN(1)
@@ -145,27 +172,34 @@ func AblationFusedExecution(opts Options) (*Report, error) {
 	if iters < 50 {
 		iters = 50
 	}
-	for _, fused := range []bool{true, false} {
-		engine := embedded.NewEngine(m, fused)
-		// Warm up.
-		for i := 0; i < 20; i++ {
-			if _, err := engine.Run(inputs, 1, model.ExecHints{}); err != nil {
-				return nil, err
-			}
+	plan, err := m.Compile(model.ExecHints{})
+	if err != nil {
+		return nil, err
+	}
+	defer plan.Close()
+	fused, err := timePlan(plan, inputs, iters)
+	if err != nil {
+		return nil, err
+	}
+	// The baseline arm: the allocating interpreter, which no serving
+	// path runs.
+	unfused, err := timeRuns(iters, func() error {
+		x, err := m.BatchInput(append([]float32(nil), inputs...), 1)
+		if err != nil {
+			return err
 		}
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := engine.Run(inputs, 1, model.ExecHints{}); err != nil {
-				return nil, err
-			}
-		}
-		per := time.Since(start) / time.Duration(iters)
-		name := "unfused op-by-op"
-		if fused {
-			name = "fused dense plan"
-		}
-		o.logf("ablation fusion %s: %v/inference", name, per)
-		r.AddRow(name, fmt.Sprint(per.Nanoseconds()))
+		_, err = m.ForwardWith(x, model.ExecHints{})
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, row := range []struct {
+		name string
+		per  time.Duration
+	}{{"fused dense plan", fused}, {"unfused op-by-op", unfused}} {
+		o.logf("ablation fusion %s: %v/inference", row.name, row.per)
+		r.AddRow(row.name, fmt.Sprint(row.per.Nanoseconds()))
 	}
 	r.AddNote("fusion + buffer reuse is why the ONNX analogue leads Table 4, and why TF-Serving beats TorchServe externally")
 	return r, nil
@@ -221,18 +255,14 @@ func AblationFastKernels(opts Options) (*Report, error) {
 	if iters < 2 {
 		iters = 2
 	}
-	measure := func(mm *model.Model, hints model.ExecHints) (time.Duration, error) {
-		// Warm (builds Winograd caches).
-		if _, err := embedded.ForwardUnfused(mm, inputs, 1, hints); err != nil {
+	// Every arm runs a compiled plan, the executor serving runs, so the
+	// rows differ in kernels only.
+	measure := func(p *model.Plan, err error) (time.Duration, error) {
+		if err != nil {
 			return 0, err
 		}
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := embedded.ForwardUnfused(mm, inputs, 1, hints); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(start) / time.Duration(iters), nil
+		defer p.Close()
+		return timePlan(p, inputs, iters)
 	}
 	cases := []struct {
 		name  string
@@ -244,7 +274,7 @@ func AblationFastKernels(opts Options) (*Report, error) {
 		{"winograd + bn folding (tf-serving gpu)", folded, model.ExecHints{FastConv: true}},
 	}
 	for _, c := range cases {
-		per, err := measure(c.m, c.hints)
+		per, err := measure(c.m.Compile(c.hints))
 		if err != nil {
 			return nil, fmt.Errorf("ablation kernels (%s): %w", c.name, err)
 		}
@@ -257,35 +287,14 @@ func AblationFastKernels(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ablation kernels (int8 calibration): %w", err)
 	}
-	qplan, err := folded.QuantizePlan(model.ExecHints{}, cal)
-	if err != nil {
-		return nil, fmt.Errorf("ablation kernels (int8 plan): %w", err)
-	}
-	defer qplan.Close()
-	qout := make([]float32, qplan.OutputLen())
-	qbuf := make([]float32, len(inputs))
-	qMeasure := func() (time.Duration, error) {
-		copy(qbuf, inputs)
-		if err := qplan.Forward(qbuf, 1, qout); err != nil {
-			return 0, err
-		}
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			copy(qbuf, inputs)
-			if err := qplan.Forward(qbuf, 1, qout); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(start) / time.Duration(iters), nil
-	}
-	qper, err := qMeasure()
+	qper, err := measure(folded.QuantizePlan(model.ExecHints{}, cal))
 	if err != nil {
 		return nil, fmt.Errorf("ablation kernels (int8 plan): %w", err)
 	}
 	o.logf("ablation kernels int8 quantized plan: %v", qper)
 	r.AddRow("int8 quantized plan (tensorrt-style)", fmtMs(qper))
 	r.AddNote("these real kernel-level gains are the source of Figure 9's GPU improvements (plus the modelled PCIe transfer)")
-	r.AddNote("the int8 arm runs the packed-GEMM quantized plan on the BN-folded model; its accuracy cost is pinned by the drift contract (docs/QUANTIZATION.md)")
+	r.AddNote("every arm runs a compiled plan; the int8 arm is the packed-GEMM quantized plan on the BN-folded model, its accuracy cost pinned by the drift contract (docs/QUANTIZATION.md)")
 	return r, nil
 }
 
@@ -410,29 +419,16 @@ func AblationAttention(opts Options) (*Report, error) {
 		{"fused flash-attention (gpu kernels)", model.ExecHints{FastConv: true}},
 		{"fused + head-parallel (gpu, 4 workers)", model.ExecHints{FastConv: true, Workers: 4}},
 	}
-	buf := make([]float32, len(inputs))
 	for _, c := range cases {
 		plan, err := m.Compile(c.hints)
 		if err != nil {
 			return nil, fmt.Errorf("ablation attention (%s): %w", c.name, err)
 		}
-		out := make([]float32, plan.OutputLen())
-		// Warm up (builds the execution state).
-		copy(buf, inputs)
-		if err := plan.Forward(buf, 1, out); err != nil {
-			plan.Close()
+		per, err := timePlan(plan, inputs, iters)
+		plan.Close()
+		if err != nil {
 			return nil, fmt.Errorf("ablation attention (%s): %w", c.name, err)
 		}
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			copy(buf, inputs)
-			if err := plan.Forward(buf, 1, out); err != nil {
-				plan.Close()
-				return nil, fmt.Errorf("ablation attention (%s): %w", c.name, err)
-			}
-		}
-		per := time.Since(start) / time.Duration(iters)
-		plan.Close()
 		o.logf("ablation attention %s: %v/inference", c.name, per)
 		r.AddRow(c.name, fmt.Sprint(per.Nanoseconds()))
 	}

@@ -9,9 +9,14 @@ import (
 // ExecHints tunes how a forward pass executes. The zero value is the
 // sequential reference path; accelerator devices request data-parallel
 // kernels (Workers > 1) and fast convolution algorithms (FastConv), both
-// producing identical outputs within float tolerance.
+// producing identical outputs within float tolerance. Which kernel a
+// hint set selects is decided in one place: convModeFor for
+// convolutions, attnexec.go for the transformer operators.
 type ExecHints struct {
-	// Workers fans conv/matmul kernels out across goroutines when > 1.
+	// Workers fans conv/matmul/attention kernels of a compiled Plan out
+	// over its resident work pool when > 1. Row partitioning is
+	// bit-identical at any worker count, so the interpreter
+	// (Forward/ForwardWith) ignores it and stays sequential.
 	Workers int
 	// FastConv selects the fast library kernels, as accelerator
 	// libraries do: the Winograd F(2×2,3×3) kernel for eligible
@@ -21,42 +26,36 @@ type ExecHints struct {
 	FastConv bool
 }
 
-// execOpts is the internal alias for ExecHints.
-type execOpts = ExecHints
-
 // Forward runs the reference (unfused, sequential) forward pass over a
 // batch. For dense models the input has shape [n, features]; for
 // convolutional models [n, c, h, w]. It returns the [n, classes] output.
 //
-// This is the oracle implementation: every serving runtime must produce
-// outputs that match Forward bit-for-bit or within float tolerance.
+// This is the oracle, not an executor: no serving path runs it. Every
+// compiled Plan must match it bit for bit under the same hints
+// (TestGraphDifferential), the int8 plan within the drift contract, and
+// Calibrate walks it. It allocates every intermediate and is free to.
 func (m *Model) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	return m.forward(in, execOpts{})
+	return m.forward(in, ExecHints{})
 }
 
-// ForwardParallel is Forward with conv/matmul kernels fanned out across
-// workers.
-func (m *Model) ForwardParallel(in *tensor.Tensor, workers int) (*tensor.Tensor, error) {
-	return m.forward(in, execOpts{Workers: workers})
-}
-
-// ForwardWith runs the forward pass with explicit execution hints; it is
-// the entry point device-aware runtimes use.
+// ForwardWith is Forward under explicit execution hints: the oracle for
+// a Plan compiled with the same hints. FastConv selects the kernels a
+// plan would run; Workers is ignored (see ExecHints).
 func (m *Model) ForwardWith(in *tensor.Tensor, hints ExecHints) (*tensor.Tensor, error) {
 	return m.forward(in, hints)
 }
 
-func (m *Model) forward(in *tensor.Tensor, opts execOpts) (*tensor.Tensor, error) {
+func (m *Model) forward(in *tensor.Tensor, opts ExecHints) (*tensor.Tensor, error) {
+	opts.Workers = 0 // the oracle is sequential (see ExecHints.Workers)
 	x := in
 	var skips []*tensor.Tensor
 	var err error
 	for i := 0; i < len(m.Layers); i++ {
 		l := m.Layers[i]
 		// The fast-kernel path folds a residual add into the layer norm
-		// that follows it (one read/write pass instead of two),
-		// mirroring the plan's compile-time peephole so planned and
-		// unplanned passes stay bit-identical per hint set.
-		if opts.FastConv && l.Kind == KindResidual && i+1 < len(m.Layers) && m.Layers[i+1].Kind == KindLayerNorm {
+		// that follows it (one read/write pass instead of two), where
+		// the plan's compile-time peephole does.
+		if l.Kind == KindResidual && m.fusesResidualNorm(opts, i+1) {
 			x, skips, err = fusedResidualNorm(x, skips, m.Layers[i+1])
 			if err != nil {
 				return nil, fmt.Errorf("model %q layer %d (%s): %w", m.Name, i, l.Name, err)
@@ -77,7 +76,7 @@ func (m *Model) forward(in *tensor.Tensor, opts execOpts) (*tensor.Tensor, error
 
 // applyLayer executes one layer, returning the new activation and skip
 // stack.
-func applyLayer(l *Layer, x *tensor.Tensor, skips []*tensor.Tensor, opts execOpts) (*tensor.Tensor, []*tensor.Tensor, error) {
+func applyLayer(l *Layer, x *tensor.Tensor, skips []*tensor.Tensor, opts ExecHints) (*tensor.Tensor, []*tensor.Tensor, error) {
 	switch l.Kind {
 	case KindDense:
 		// Rank-3 transformer activations [n, S, D] run the same GEMM
@@ -90,13 +89,7 @@ func applyLayer(l *Layer, x *tensor.Tensor, skips []*tensor.Tensor, opts execOpt
 			}
 			xm = v
 		}
-		var y *tensor.Tensor
-		var err error
-		if opts.Workers > 1 {
-			y, err = tensor.MatMulParallel(xm, l.W, opts.Workers)
-		} else {
-			y, err = tensor.MatMul(xm, l.W)
-		}
+		y, err := tensor.MatMul(xm, l.W)
 		if err != nil {
 			return nil, skips, err
 		}
@@ -174,38 +167,30 @@ func applyLayer(l *Layer, x *tensor.Tensor, skips []*tensor.Tensor, opts execOpt
 		if err := lnShapeCheck(x, l); err != nil {
 			return nil, skips, err
 		}
-		if opts.FastConv {
-			tensor.LayerNormResidualInto(x, x, nil, l.Gamma, l.Beta, l.Eps)
-		} else {
-			tensor.LayerNormReferenceInto(x, x, nil, l.Gamma, l.Beta, l.Eps)
-		}
+		lnInto(opts, l, x)
 		return x, skips, nil
 
 	case KindGELU:
-		if opts.FastConv {
-			return tensor.GELU(x), skips, nil
-		}
-		return tensor.GELUReference(x), skips, nil
+		geluInto(opts, x)
+		return x, skips, nil
 
 	default:
 		return nil, skips, fmt.Errorf("unknown layer kind %q", l.Kind)
 	}
 }
 
-func convOp(x *tensor.Tensor, l *Layer, opts execOpts) (*tensor.Tensor, error) {
+func convOp(x *tensor.Tensor, l *Layer, opts ExecHints) (*tensor.Tensor, error) {
 	var y *tensor.Tensor
 	var err error
-	switch {
-	case opts.FastConv && l.Stride == 1 && l.W.Dim(2) == 3 && l.W.Dim(3) == 3:
+	switch convModeFor(opts, l) {
+	case convWinograd:
 		y, err = l.winogradApply(x)
-	case opts.FastConv && opts.Workers > 1:
-		y, err = tensor.Conv2DParallel(x, l.W, l.Stride, l.Pad, opts.Workers)
-	case opts.FastConv:
-		y, err = tensor.Conv2D(x, l.W, l.Stride, l.Pad)
-	default:
-		// The CPU device runs the single-thread reference kernel,
-		// matching the paper's one-thread CPU inference setting.
+	case convReference:
 		y, err = tensor.Conv2DReference(x, l.W, l.Stride, l.Pad)
+	default:
+		// convBlocked; convPooled is the same blocked GEMM with its
+		// rows partitioned, which a sequential pass never asks for.
+		y, err = tensor.Conv2D(x, l.W, l.Stride, l.Pad)
 	}
 	if err != nil {
 		return nil, err
@@ -218,14 +203,13 @@ func convOp(x *tensor.Tensor, l *Layer, opts execOpts) (*tensor.Tensor, error) {
 	return y, nil
 }
 
-// attnOp mirrors convOp's device split for attention: accelerator
-// profiles run the fused flash-style kernel, the CPU device the
-// unfused reference (materialised S×S scores, textbook P×V).
-func attnOp(x *tensor.Tensor, l *Layer, opts execOpts) (*tensor.Tensor, error) {
-	if opts.FastConv {
-		return tensor.Attention(x, l.Heads)
+// attnOp is convOp for attention.
+func attnOp(x *tensor.Tensor, l *Layer, opts ExecHints) (*tensor.Tensor, error) {
+	if attnModeFor(opts) == attnReference {
+		return tensor.AttentionReference(x, l.Heads)
 	}
-	return tensor.AttentionReference(x, l.Heads)
+	// attnFused; attnPooled is the same kernel with its lanes partitioned.
+	return tensor.Attention(x, l.Heads)
 }
 
 // fusedResidualNorm pops the skip stack and runs the fused

@@ -6,6 +6,15 @@
 // deterministically (He initialisation from a seeded PRNG) so that every
 // serving runtime in the repository scores identical models, mirroring how
 // the paper distributes one pre-trained model in several storage formats.
+//
+// A model is executed one way: compiled into a Plan (Compile, the
+// op-by-op CompileUnfused, the int8 QuantizePlan), which every embedded
+// runtime and every serving daemon scores through. The interpreter
+// (Forward, ForwardWith) is the oracle beside it, as MLPerf keeps one
+// reference implementation that every optimised path is checked
+// against: sequential, allocating, run by no serving path — the plans
+// are tested bit for bit against it on seeded random graphs, Calibrate
+// walks it, and benchmarks use it as the labelled baseline.
 package model
 
 import (

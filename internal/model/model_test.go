@@ -162,32 +162,44 @@ func TestResNetForward(t *testing.T) {
 	}
 }
 
-func TestForwardParallelMatchesSequential(t *testing.T) {
+// TestWorkersPlanMatchesSequential pins the fan-out contract at model
+// level: a plan whose matmul and conv rows are partitioned over a work
+// pool scores the bench ResNet bit for bit like the sequential oracle.
+func TestWorkersPlanMatchesSequential(t *testing.T) {
 	cfg := BenchResNetConfig(3)
 	cfg.InputSize = 32
 	m := NewResNet(cfg)
-	mk := func() *tensor.Tensor {
-		in, err := m.BatchInput(make([]float32, 2*3*32*32), 2)
+	const n = 2
+	data := make([]float32, n*m.InputLen())
+	r := rand.New(rand.NewSource(9))
+	for i := range data {
+		data[i] = r.Float32()
+	}
+	for _, hints := range []ExecHints{{Workers: 4}, {Workers: 4, FastConv: true}} {
+		// Layers mutate activations in place, so each run gets a fresh input.
+		in, err := m.BatchInput(append([]float32(nil), data...), n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := rand.New(rand.NewSource(9))
-		for i := range in.Data() {
-			in.Data()[i] = r.Float32()
+		seq, err := m.ForwardWith(in, ExecHints{FastConv: hints.FastConv})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return in
-	}
-	// Layers mutate activations in place, so each run gets a fresh input.
-	seq, err := m.Forward(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := m.ForwardParallel(mk(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !seq.AllClose(par, 1e-3) {
-		t.Fatal("parallel forward differs from sequential")
+		plan, err := m.Compile(hints)
+		if err != nil {
+			t.Fatal(err)
+		}
+		par := make([]float32, n*plan.OutputLen())
+		err = plan.Forward(append([]float32(nil), data...), n, par)
+		plan.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range seq.Data() {
+			if par[i] != w {
+				t.Fatalf("%+v: output[%d] = %v with workers, %v sequential", hints, i, par[i], w)
+			}
+		}
 	}
 }
 

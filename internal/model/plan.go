@@ -16,9 +16,11 @@ import (
 // connection still references it) and each concurrent caller gets its
 // own execution state, so Workers > 1 paths never share scratch.
 //
-// Outputs are bit-identical to the uncompiled Model.ForwardWith under
-// the same hints: the plan runs the same kernel loop bodies in the same
-// order, only the buffer lifetimes differ.
+// A Plan is the only executor the product runs: every embedded runtime
+// and every serving daemon scores through one. Outputs are bit-identical
+// to the oracle, Model.ForwardWith, under the same hints: the plan runs
+// the same kernel loop bodies in the same order, only the buffer
+// lifetimes (and, with Workers > 1, the row partitioning) differ.
 type Plan struct {
 	m     *Model
 	hints ExecHints
@@ -39,7 +41,7 @@ type Plan struct {
 	slots atomic.Pointer[[]*stateSlot]
 }
 
-// convMode is the kernel a conv-like op runs, fixed at compile time.
+// convMode is the kernel a conv-like op runs.
 type convMode int
 
 const (
@@ -48,6 +50,25 @@ const (
 	convPooled                    // blocked GEMM fanned over the work pool
 	convWinograd                  // F(2×2,3×3) fast kernel
 )
+
+// convModeFor is the convolution kernel-selection table, read by the
+// plan compiler and by the interpreter: the fast library runs Winograd
+// where it applies (3×3, stride 1) and the blocked GEMM elsewhere,
+// pooled when the device offers workers; without it the CPU device
+// runs the single-thread reference kernel, matching the paper's
+// one-thread CPU inference setting.
+func convModeFor(h ExecHints, l *Layer) convMode {
+	switch {
+	case !h.FastConv:
+		return convReference
+	case l.Stride == 1 && l.W.Dim(2) == 3 && l.W.Dim(3) == 3:
+		return convWinograd
+	case h.Workers > 1:
+		return convPooled
+	default:
+		return convBlocked
+	}
+}
 
 type planOp struct {
 	kind LayerKind
@@ -184,11 +205,7 @@ func (m *Model) Compile(hints ExecHints) (*Plan, error) {
 				return fail("residual dims %v vs skip %v", cur, skips[len(skips)-1])
 			}
 			skips = skips[:len(skips)-1]
-			// The fast-kernel peephole: fold a directly-following
-			// layer norm into this residual add (the reference
-			// forward applies the same fusion under FastConv, keeping
-			// planned and unplanned passes bit-identical).
-			if hints.FastConv && i+1 < len(m.Layers) && m.Layers[i+1].Kind == KindLayerNorm {
+			if m.fusesResidualNorm(hints, i+1) {
 				op.lnFuse = m.Layers[i+1]
 			}
 		case KindAttention:
@@ -202,9 +219,7 @@ func (m *Model) Compile(hints ExecHints) (*Plan, error) {
 			if len(cur) == 0 || cur[len(cur)-1] != l.Gamma.Len() {
 				return fail("layernorm width %d against per-point dims %v", l.Gamma.Len(), cur)
 			}
-			if hints.FastConv && i > 0 && m.Layers[i-1].Kind == KindResidual {
-				op.fused = true // consumed by the residual's peephole
-			}
+			op.fused = m.fusesResidualNorm(hints, i) // run by the residual before it
 		default:
 			return fail("unknown layer kind %q", l.Kind)
 		}
@@ -248,25 +263,16 @@ func (p *Plan) compileConv(op *planOp, l *Layer, in []int) ([]int, error) {
 	if oh <= 0 || ow <= 0 {
 		return nil, fmt.Errorf("conv output would be empty for input %v kernel %v", in, l.W.Shape())
 	}
-	switch {
-	case p.hints.FastConv && l.Stride == 1 && kh == 3 && kw == 3:
+	if op.mode = convModeFor(p.hints, l); op.mode == convWinograd {
 		wc, err := l.winogradConv()
 		if err != nil {
 			return nil, err
 		}
-		op.mode = convWinograd
 		op.wino = wc
 		op.winoIdx = p.nWino
 		op.winoH, op.winoW = h, w
 		p.nWino++
-	case p.hints.FastConv && p.hints.Workers > 1:
-		op.mode = convPooled
-		op.colLen = c * kh * kw * oh * ow
-	case p.hints.FastConv:
-		op.mode = convBlocked
-		op.colLen = c * kh * kw * oh * ow
-	default:
-		op.mode = convReference
+	} else {
 		op.colLen = c * kh * kw * oh * ow
 	}
 	return []int{oc, oh, ow}, nil
@@ -288,7 +294,8 @@ func sameDims(a, b []int) bool {
 // buffer lifetimes: every operator output stays live until the pass
 // ends instead of being recycled into its successor. This models
 // runtimes that execute the stored graph node by node without a fusion
-// pass (the savedmodel embedded runtime) while still drawing buffers
+// pass (the savedmodel embedded runtime; the eager execution of the
+// TorchServe and Ray Serve daemons) while still drawing buffers
 // from the arena, so the steady state stays allocation-free. Outputs
 // are bit-identical to Compile's — only lifetimes differ.
 func (m *Model) CompileUnfused(hints ExecHints) (*Plan, error) {
@@ -514,10 +521,10 @@ func (p *Plan) exec(s *execState, in, out []float32) error {
 			x = y
 		case KindLayerNorm:
 			if !op.fused {
-				p.lnInto(op, x)
+				lnInto(p.hints, l, x)
 			}
 		case KindGELU:
-			p.geluInto(x)
+			geluInto(p.hints, x)
 		}
 	}
 	copy(out, x.Data())
@@ -535,7 +542,7 @@ func (p *Plan) qApply(s *execState, i int, op *planOp, x *tensor.Tensor) (*tenso
 	q := op.q
 	switch op.kind {
 	case KindDense:
-		rows := x.Dim(0)
+		rows := x.Len() / q.k // n, or n·S for a rank-3 [n, S, D] activation
 		qx := s.arena.GetQ(rows, q.k)
 		tensor.QuantizeLHSInto(qx, x.Data(), q.inScale, q.inZP)
 		acc := s.arena.GetAcc(rows * q.n)
@@ -617,22 +624,4 @@ func (p *Plan) convInto(s *execState, op *planOp, dst, src *tensor.Tensor) error
 		}
 	}
 	return nil
-}
-
-// MutatesInput reports whether a forward pass may write to the input
-// buffer it is handed: true when an in-place operator (ReLU, softmax,
-// batch norm, residual add) touches the activation before any
-// allocating operator has replaced it. Serving runtimes use it to
-// document — not work around — the Scorer buffer-ownership contract:
-// scorers own their input for the duration of the call either way.
-func (m *Model) MutatesInput() bool {
-	for _, l := range m.Layers {
-		switch l.Kind {
-		case KindDense, KindConv, KindMaxPool, KindGlobalAvg, KindAttention:
-			return false
-		case KindReLU, KindSoftmax, KindBatchNorm, KindResidual, KindLayerNorm, KindGELU:
-			return true
-		}
-	}
-	return false
 }

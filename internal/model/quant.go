@@ -158,7 +158,7 @@ func (m *Model) Calibrate(inputs []float32, n int) (*Calibration, error) {
 			}
 			cal.Stats = append(cal.Stats, observeStats(i, l.Name, skips[len(skips)-1]))
 		}
-		x, skips, err = applyLayer(l, x, skips, execOpts{})
+		x, skips, err = applyLayer(l, x, skips, ExecHints{})
 		if err != nil {
 			return nil, fmt.Errorf("model %q layer %d (%s): calibrating: %w", m.Name, i, l.Name, err)
 		}

@@ -13,8 +13,13 @@
 //     function-interface cost on every call: inputs and outputs round-trip
 //     through a byte-level marshalling boundary, like a JNI bridge.
 //
-// Every runtime produces outputs identical to model.Forward; they differ
-// only in how they execute, which is exactly the paper's premise.
+// Every runtime scores through a model.Plan compiled at load time for
+// its device — nothing here runs the interpreter — and produces the
+// outputs of the oracle, model.ForwardWith, under the device's hints;
+// they differ only in how they execute, which is exactly the paper's
+// premise. The external daemons (internal/serving/external) host these
+// runtimes as their executors: ONNX's fused plan inside TF-Serving,
+// SavedModel's unfused plan inside TorchServe and Ray Serve.
 //
 // A device wrapped by gpu.WithInt8 (or named "gpu+int8") opts the ONNX
 // and DL4J runtimes into the quantized int8 path: LoadModel folds batch
@@ -286,22 +291,4 @@ func (r *Runtime) scoreDL4J(inputs []float32, n int) ([]float32, error) {
 		return nil, fmt.Errorf("embedded dl4j: output marshalling: %w", err)
 	}
 	return out, nil
-}
-
-// forwardUnfused is the shared unfused execution path: build the batch
-// tensor over the caller's buffer, run the reference forward pass with
-// the device's hints, and copy out the probabilities. The Scorer
-// contract gives Score the input batch for the duration of the call, so
-// no defensive copy is made even for models whose first operator writes
-// in place (model.MutatesInput).
-func forwardUnfused(m *model.Model, inputs []float32, n int, hints model.ExecHints) ([]float32, error) {
-	in, err := m.BatchInput(inputs, n)
-	if err != nil {
-		return nil, err
-	}
-	t, err := m.ForwardWith(in, hints)
-	if err != nil {
-		return nil, err
-	}
-	return append([]float32(nil), t.Data()...), nil
 }

@@ -3,7 +3,6 @@ package embedded
 import (
 	"math/rand"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 
@@ -91,37 +90,6 @@ func TestRuntimesMatchOnConvModel(t *testing.T) {
 				t.Fatalf("%s: output %d differs across runtimes", kind, i)
 			}
 		}
-	}
-}
-
-func TestFusedPlanCompilation(t *testing.T) {
-	dense := compileFused(model.NewFFNN(1))
-	if !dense.Fused() {
-		t.Fatal("FFNN did not fuse")
-	}
-	// 4 dense layers, each absorbing its activation.
-	if len(dense.steps) != 4 {
-		t.Fatalf("fused steps = %d, want 4", len(dense.steps))
-	}
-	if !dense.steps[0].fuseReLU || dense.steps[0].softmax {
-		t.Fatal("first step should fuse ReLU")
-	}
-	if !dense.steps[3].softmax {
-		t.Fatal("last step should absorb softmax")
-	}
-	if !strings.Contains(dense.describe(), "fused") {
-		t.Fatalf("describe = %q", dense.describe())
-	}
-
-	cfg := model.BenchResNetConfig(1)
-	cfg.InputSize = 32
-	cfg.Blocks = [4]int{1, 1, 1, 1}
-	conv := compileFused(model.NewResNet(cfg))
-	if conv.Fused() {
-		t.Fatal("conv model fused onto the dense path")
-	}
-	if !strings.Contains(conv.describe(), "generic") {
-		t.Fatalf("describe = %q", conv.describe())
 	}
 }
 
@@ -290,7 +258,10 @@ func TestPlannedRuntimesAllocProfile(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if allocs > 1 {
+		// Under -race sync.Pool drops a quarter of what is Put back, so
+		// DL4J's pooled FFI scratch is rebuilt at random; the path still
+		// runs race-checked.
+		if allocs > 1 && !raceEnabled {
 			t.Errorf("%s: %.1f allocs/op in steady state, want <= 1", kind, allocs)
 		}
 	}
@@ -394,27 +365,38 @@ func benchScore(b *testing.B, kind Kind) {
 func BenchmarkScoreResNetPlanned(b *testing.B) { benchScore(b, ONNX) }
 
 // BenchmarkScoreResNetUnplanned is the per-op allocating baseline over
-// the same model, batch, and kernels. It anchors on the raw unfused
-// executor directly (not the SavedModel runtime, which now runs an
-// arena-backed plan and is alloc-parity with ONNX) so the
-// scorer_bytes_ratio claim in BENCH_inference.json keeps comparing
-// planned execution against genuine per-op allocation.
+// the same model, batch, and kernels: the interpreter, Model.ForwardWith,
+// called the way a scorer would call it (batch tensor over the caller's
+// buffer in, a copy of the probabilities out). No runtime executes this
+// way any more; the pair keeps the scorer_bytes_ratio and
+// scorer_speed_ratio claims in BENCH_inference.json comparing planned
+// execution against genuine per-op allocation.
 func BenchmarkScoreResNetUnplanned(b *testing.B) {
 	cfg := model.BenchResNetConfig(3)
 	cfg.InputSize = 32
 	cfg.Blocks = [4]int{1, 1, 1, 1}
 	m := model.NewResNet(cfg)
 	inputs := make([]float32, 2*m.InputLen())
-	if _, err := ForwardUnfused(m, inputs, 2, model.ExecHints{}); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ForwardUnfused(m, inputs, 2, model.ExecHints{}); err != nil {
+	score := func() {
+		in, err := m.BatchInput(inputs, 2)
+		if err != nil {
 			b.Fatal(err)
 		}
+		t, err := m.ForwardWith(in, model.ExecHints{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		unplannedOut = append([]float32(nil), t.Data()...)
+	}
+	score()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		score()
 	}
 }
+
+// unplannedOut keeps the baseline's output copy from being optimised away.
+var unplannedOut []float32
 
 // loadInt8Runtime builds a runtime on an int8-wrapped CPU device.
 func loadInt8Runtime(t testing.TB, kind Kind, m *model.Model) *Runtime {

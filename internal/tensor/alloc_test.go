@@ -155,7 +155,7 @@ func TestMatMulParallelInto(t *testing.T) {
 	// The pooled conv path shares the fan-out.
 	in := randTensor(r, 1, 3, 9, 9)
 	kern := randTensor(r, 5, 3, 3, 3)
-	wantConv, err := Conv2DParallel(in, kern, 1, 1, 4)
+	wantConv, err := Conv2D(in, kern, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,17 +163,22 @@ func TestMatMulParallelInto(t *testing.T) {
 	dstConv := New(wantConv.Shape()...)
 	assertZeroAllocs(t, "Conv2DPoolInto", func() { Conv2DPoolInto(dstConv, in, kern, 1, 1, col, 4, pool, &wg) })
 	if !bitEqual(dstConv, wantConv) {
-		t.Error("Conv2DPoolInto differs from Conv2DParallel")
+		t.Error("Conv2DPoolInto differs from Conv2D")
 	}
 }
 
-// TestParallelMatMulEvenSplit pins the satellite fix: with the even ±1
-// split, MatMulParallel stays correct when the row count is not a
+// TestParallelMatMulEvenSplit pins the even ±1 row split of the pooled
+// fan-out: MatMulParallelInto stays correct when the row count is not a
 // multiple of the worker count — including the shapes where ceil
-// chunking used to idle trailing workers (e.g. 10 rows / 4 workers ->
-// chunks 3,3,3,1; now 3,3,2,2).
+// chunking would idle trailing workers (10 rows / 4 workers -> chunks
+// 3,3,3,1; the even split gives 3,3,2,2) — when more workers are asked
+// for than there are rows, and when more are asked for than the pool
+// holds.
 func TestParallelMatMulEvenSplit(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
+	pool := NewWorkPool(7)
+	defer pool.Close()
+	var wg sync.WaitGroup
 	for _, m := range []int{1, 2, 3, 5, 10, 16, 17} {
 		a := randTensor(r, m, 6)
 		b := randTensor(r, 6, 4)
@@ -181,11 +186,10 @@ func TestParallelMatMulEvenSplit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := New(m, 4)
 		for _, workers := range []int{1, 2, 3, 4, 8, m + 3} {
-			got, err := MatMulParallel(a, b, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got.Fill(-1)
+			MatMulParallelInto(got, a, b, workers, pool, &wg)
 			if !bitEqual(got, want) {
 				t.Errorf("m=%d workers=%d: parallel result differs", m, workers)
 			}

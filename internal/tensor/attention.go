@@ -589,13 +589,6 @@ func GELUInto(dst, src *Tensor) {
 	}
 }
 
-// GELU applies the fused tanh-approximation GELU in place and returns
-// the tensor.
-func GELU(t *Tensor) *Tensor {
-	GELUInto(t, t)
-	return t
-}
-
 // GELUReferenceInto is the exact-erf GELU, 0.5x(1+erf(x/√2)) — the
 // unfused reference the tanh approximation is measured against (the
 // two agree within ~1e-3 absolute). dst may alias src.
@@ -607,11 +600,4 @@ func GELUReferenceInto(dst, src *Tensor) {
 		u := float64(v)
 		dst.data[i] = float32(0.5 * u * (1 + math.Erf(u/math.Sqrt2)))
 	}
-}
-
-// GELUReference applies the exact-erf GELU in place and returns the
-// tensor.
-func GELUReference(t *Tensor) *Tensor {
-	GELUReferenceInto(t, t)
-	return t
 }

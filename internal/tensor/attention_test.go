@@ -169,17 +169,16 @@ func TestLayerNormGELUKernels(t *testing.T) {
 	wantG := New(3, 8)
 	GELUInto(wantG, g)
 	gAlias := g.Clone()
-	if GELU(gAlias) != gAlias {
-		t.Error("GELU did not return its argument")
-	}
+	GELUInto(gAlias, gAlias)
 	if !bitEqual(gAlias, wantG) {
-		t.Error("in-place GELU differs from GELUInto")
+		t.Error("aliased GELUInto differs from out-of-place")
 	}
 	gRef := g.Clone()
 	wantRef := New(3, 8)
 	GELUReferenceInto(wantRef, g)
-	if GELUReference(gRef) != gRef || !bitEqual(gRef, wantRef) {
-		t.Error("in-place GELUReference differs from GELUReferenceInto")
+	GELUReferenceInto(gRef, gRef)
+	if !bitEqual(gRef, wantRef) {
+		t.Error("aliased GELUReferenceInto differs from out-of-place")
 	}
 
 	// Allocating attention API rejects malformed inputs with errors.

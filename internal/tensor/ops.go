@@ -239,14 +239,6 @@ func Conv2DReference(in, kernel *Tensor, stride, pad int) (*Tensor, error) {
 	return conv2D(in, kernel, stride, pad, referenceMatMul)
 }
 
-// Conv2DParallel is Conv2D with the matmul row range fanned out over the
-// given number of workers; it is used by the GPU device.
-func Conv2DParallel(in, kernel *Tensor, stride, pad, workers int) (*Tensor, error) {
-	return conv2D(in, kernel, stride, pad, func(cd, ad, bd []float32, m, k, n int) {
-		parallelMatMul(cd, ad, bd, m, k, n, workers)
-	})
-}
-
 type matMulFn func(cd, ad, bd []float32, m, k, n int)
 
 func conv2D(in, kernel *Tensor, stride, pad int, mm matMulFn) (*Tensor, error) {

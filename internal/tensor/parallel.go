@@ -5,65 +5,14 @@ import (
 	"sync"
 )
 
-// parallelMatMul computes C = A×B splitting the row range of C across
-// workers. cd must be zeroed-or-overwritable; it is reset here.
-func parallelMatMul(cd, ad, bd []float32, m, k, n, workers int) {
-	for i := range cd {
-		cd[i] = 0
-	}
-	if workers <= 1 || m < 2 {
-		matMulRange(cd, ad, bd, 0, m, k, n)
-		return
-	}
-	if workers > m {
-		workers = m
-	}
-	// Split the m rows so every worker gets within ±1 row of the others:
-	// ceil-chunking ((m+workers-1)/workers) can hand the first workers
-	// oversized chunks and leave trailing workers with nothing, wasting
-	// the fork/join cost on idle goroutines.
-	base, rem := m/workers, m%workers
-	var wg sync.WaitGroup
-	i0 := 0
-	for w := 0; w < workers; w++ {
-		rows := base
-		if w < rem {
-			rows++
-		}
-		i1 := i0 + rows
-		wg.Add(1)
-		go func(i0, i1 int) {
-			defer wg.Done()
-			matMulRange(cd, ad, bd, i0, i1, k, n)
-		}(i0, i1)
-		i0 = i1
-	}
-	wg.Wait()
-}
-
-// MatMulParallel computes C = A × B splitting rows of A across the given
-// number of workers. It is the kernel used by the GPU device for dense
-// layers.
-func MatMulParallel(a, b *Tensor, workers int) (*Tensor, error) {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		return nil, fmt.Errorf("tensor: MatMulParallel requires rank-2 operands, got %v × %v", a.shape, b.shape)
-	}
-	if a.shape[1] != b.shape[0] {
-		return nil, fmt.Errorf("tensor: MatMulParallel shape mismatch %v × %v", a.shape, b.shape)
-	}
-	c := New(a.shape[0], b.shape[1])
-	parallelMatMul(c.data, a.data, b.data, a.shape[0], a.shape[1], b.shape[1], workers)
-	return c, nil
-}
-
 // MatMulParallelInto computes dst = a × b into an already-shaped dst
 // without allocating: row ranges are fanned out to the pool's resident
 // workers while the caller computes the first chunk itself. done must
 // be an idle caller-owned WaitGroup (keep one per execution state so
 // the hot path never allocates); it is idle again on return. A nil
 // pool or workers <= 1 runs everything on the calling goroutine. Row
-// partitioning keeps the result bit-identical to MatMul and
-// MatMulParallel at any worker count. Panics on shape mismatch
+// partitioning keeps the result bit-identical to MatMul at any worker
+// count. Panics on shape mismatch
 // (plan-compile-validated hot kernel).
 func MatMulParallelInto(dst, a, b *Tensor, workers int, pool *WorkPool, done *sync.WaitGroup) {
 	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
@@ -77,8 +26,8 @@ func MatMulParallelInto(dst, a, b *Tensor, workers int, pool *WorkPool, done *sy
 }
 
 // Conv2DPoolInto is Conv2DInto with the per-image GEMM fanned out over
-// the pool's resident workers — the allocation-free analogue of
-// Conv2DParallel. done follows the MatMulParallelInto contract.
+// the pool's resident workers; bit-identical to Conv2DInto at any
+// worker count. done follows the MatMulParallelInto contract.
 func Conv2DPoolInto(dst, in, kernel *Tensor, stride, pad int, col []float32, workers int, pool *WorkPool, done *sync.WaitGroup) {
 	conv2DInto(dst, in, kernel, stride, pad, col, func(cd, ad, bd []float32, m, k, n int) {
 		poolMatMul(cd, ad, bd, m, k, n, workers, pool, done)

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -158,12 +159,6 @@ func TestMatMulShapeErrors(t *testing.T) {
 	if _, err := MatMulNaive(a, b); err == nil {
 		t.Fatal("mismatched MatMulNaive did not error")
 	}
-	if _, err := MatMulParallel(a, b, 2); err == nil {
-		t.Fatal("mismatched MatMulParallel did not error")
-	}
-	if _, err := MatMulParallel(New(3), b, 2); err == nil {
-		t.Fatal("rank-1 MatMulParallel did not error")
-	}
 }
 
 // randTensor builds a deterministic pseudo-random tensor for differential
@@ -199,6 +194,9 @@ func TestMatMulMatchesNaiveProperty(t *testing.T) {
 
 func TestMatMulParallelMatchesSequentialProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
+	pool := NewWorkPool(7)
+	defer pool.Close()
+	var wg sync.WaitGroup
 	f := func(mi, ki, ni, wi uint8) bool {
 		m, k, n := int(mi)%33+1, int(ki)%65+1, int(ni)%33+1
 		workers := int(wi)%8 + 1
@@ -208,11 +206,10 @@ func TestMatMulParallelMatchesSequentialProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		par, err := MatMulParallel(a, b, workers)
-		if err != nil {
-			return false
-		}
-		return seq.AllClose(par, 1e-3)
+		par := New(m, n)
+		par.Fill(-1)
+		MatMulParallelInto(par, a, b, workers, pool, &wg)
+		return bitEqual(seq, par)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -409,7 +406,7 @@ func TestConv2DReferenceMatchesBlocked(t *testing.T) {
 	}
 }
 
-func TestConv2DParallelMatchesSequential(t *testing.T) {
+func TestConv2DPoolIntoMatchesSequential(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	in := randTensor(r, 2, 3, 9, 9)
 	k := randTensor(r, 4, 3, 3, 3)
@@ -417,12 +414,14 @@ func TestConv2DParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Conv2DParallel(in, k, 1, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !seq.AllClose(par, 1e-3) {
-		t.Fatal("parallel conv differs from sequential")
+	pool := NewWorkPool(3)
+	defer pool.Close()
+	var wg sync.WaitGroup
+	par := New(seq.Shape()...)
+	par.Fill(-1)
+	Conv2DPoolInto(par, in, k, 1, 1, make([]float32, Conv2DScratchLen(in, k, 1, 1)), 4, pool, &wg)
+	if !bitEqual(seq, par) {
+		t.Fatal("pooled conv differs from sequential")
 	}
 }
 
@@ -533,6 +532,29 @@ func TestMatMulIntoPanicsOnMismatch(t *testing.T) {
 		}
 	}()
 	MatMulInto(New(2, 2), New(2, 3), New(4, 2))
+}
+
+// TestMatMulParallelIntoPanicsOnMismatch: the pooled kernel has no
+// error return, so the shape mistakes MatMul reports as errors must
+// stop it before any row is handed to a worker.
+func TestMatMulParallelIntoPanicsOnMismatch(t *testing.T) {
+	pool := NewWorkPool(1)
+	defer pool.Close()
+	var wg sync.WaitGroup
+	for name, operands := range map[string][3]*Tensor{
+		"inner dims":  {New(2, 2), New(2, 3), New(4, 2)},
+		"rank-1 lhs":  {New(3, 2), New(3), New(4, 2)},
+		"dst too big": {New(3, 2), New(2, 4), New(4, 2)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: MatMulParallelInto mismatch did not panic", name)
+				}
+			}()
+			MatMulParallelInto(operands[0], operands[1], operands[2], 2, pool, &wg)
+		}()
+	}
 }
 
 func BenchmarkMatMulBlocked128(b *testing.B) {

@@ -87,10 +87,12 @@ func (p *WorkPool) Close() {
 }
 
 // poolMatMul computes C = A×B over the pool: chunks 1..workers-1 are
-// enqueued, chunk 0 runs on the calling goroutine, done joins. The
-// even ±1-row split matches parallelMatMul, and because each row is
-// produced whole by one matMulRange call, results are bit-identical to
-// the sequential kernel at any worker count.
+// enqueued, chunk 0 runs on the calling goroutine, done joins. Rows
+// split evenly, every chunk within ±1 row of the others — ceil chunking
+// can hand the first workers oversized chunks and leave the last with
+// nothing — and because each row is produced whole by one matMulRange
+// call, results are bit-identical to the sequential kernel at any
+// worker count.
 func poolMatMul(cd, ad, bd []float32, m, k, n, workers int, pool *WorkPool, done *sync.WaitGroup) {
 	if pool != nil && workers > pool.n+1 {
 		workers = pool.n + 1

@@ -13,6 +13,11 @@ fi
 
 go build ./...
 go vet ./...
+# The benchmark harness is a module of its own (bench/go.mod), outside
+# ./..., and names product symbols: vet and test it here, so deleting or
+# renaming one of them fails this gate and not the benchmark driver.
+go vet -C bench ./...
+go test -C bench ./...
 go run ./cmd/crayfishlint ./...
 # Fault-injection conformance across all four engines (docs/FAULTS.md):
 # breaker and retry behaviour is concurrency-sensitive, so this suite
@@ -31,8 +36,19 @@ go test -race -run 'TestBatchingConformance|TestAsyncIOBatchingConformance' -cou
 # failure; under -race the exact-zero assertions relax but the same
 # paths still execute race-checked.
 go test -race -count=1 \
-	-run 'TestIntoKernelsMatchAndDontAllocate|TestWinogradApplyInto|TestMatMulParallelInto|TestArena|TestPlanForwardAllocs|TestPlanConcurrent|TestQuantKernelsMatchOracleAndDontAllocate|TestQuantArena|TestQPlanForwardAllocs|TestQPlanConcurrent|TestAttentionKernelsMatchAndDontAllocate|TestAttentionFusedMatchesReference|TestLayerNormGELUKernels|TestTransformerFusedVsReference|TestQuantRejectsTransformerKinds' \
+	-run 'TestIntoKernelsMatchAndDontAllocate|TestWinogradApplyInto|TestMatMulParallelInto|TestMatMulParallelMatchesSequentialProperty|TestParallelMatMulEvenSplit|TestConv2DPoolIntoMatchesSequential|TestWorkersPlanMatchesSequential|TestArena|TestPlanForwardAllocs|TestPlanConcurrent|TestQuantKernelsMatchOracleAndDontAllocate|TestQuantArena|TestQPlanForwardAllocs|TestQPlanConcurrent|TestAttentionKernelsMatchAndDontAllocate|TestAttentionFusedMatchesReference|TestLayerNormGELUKernels|TestTransformerFusedVsReference|TestQuantRejectsTransformerKinds' \
 	./internal/tensor/ ./internal/model/
+# One executor, one oracle (docs/PERFORMANCE.md "One executor"): every
+# compiled plan — fused, unfused, int8, with and without pool workers —
+# against the interpreter on seeded random model graphs, bit for bit;
+# a failure prints the seed and -graphseed N replays it. Then the
+# daemons: each one's answer against the oracle on the model it serves,
+# and plan lifetimes across reloads under load, failed starts and Close
+# (the suite's TestMain leak-checks every pool worker).
+go test -race -count=1 -run 'TestGraphDifferential|TestGraphGeneratorCoverage|TestGraphRejection' ./internal/model/
+go test -race -count=1 \
+	-run 'TestDaemonsMatchOracleBitForBit|TestReloadUnderLoadRetiresPlans|TestStartFailureReleasesPlan' \
+	./internal/serving/external/
 # Load-generator conformance (docs/SCENARIOS.md): arrival schedules must
 # replay byte-identically per seed, scenario verdict logic must match the
 # documented constraints, and the legacy open/closed/burst knobs must
