@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -133,19 +132,19 @@ func oracleUnmarshalJSON(data []byte) (*DataBatch, error) {
 	return &b, nil
 }
 
-// sameBatch is reflect.DeepEqual (nil and empty slices differ) that also
-// tells -0 from 0.
+// sameBatch compares the exported fields — what a batch is; the bytes a
+// decoder retained are not — telling nil from empty slices and -0 from 0.
 func sameBatch(a, b *DataBatch) bool {
-	if !reflect.DeepEqual(a, b) {
+	return a.ID == b.ID && a.CreatedNanos == b.CreatedNanos && a.Count == b.Count &&
+		sameFloats(a.Inputs, b.Inputs) && sameFloats(a.Predictions, b.Predictions)
+}
+
+func sameFloats(a, b []float32) bool {
+	if (a == nil) != (b == nil) || len(a) != len(b) {
 		return false
 	}
-	for i := range a.Inputs {
-		if math.Float32bits(a.Inputs[i]) != math.Float32bits(b.Inputs[i]) {
-			return false
-		}
-	}
-	for i := range a.Predictions {
-		if math.Float32bits(a.Predictions[i]) != math.Float32bits(b.Predictions[i]) {
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
 			return false
 		}
 	}
@@ -171,10 +170,28 @@ func checkAgainstOracle(t *testing.T, b *DataBatch) {
 		return
 	}
 	checkDecodeAgainstOracle(t, got)
+	if b.Count <= 0 {
+		return
+	}
+	// The operator's round: what was decoded from these bytes, scored,
+	// goes out as json.Marshal would write it.
+	dec, err := UnmarshalJSONBatch(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scored := *b
+	scored.Predictions = []float32{0.25, -3e-9}
+	dec.Predictions = scored.Predictions
+	want, _ = json.Marshal(&scored)
+	if got, err = MarshalJSONBatch(dec); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("re-marshal of a decoded batch differs from encoding/json (err %v): %.60q vs %.60q", err, got, want)
+	}
 }
 
 // checkDecodeAgainstOracle decodes data both ways: same verdict, same
-// error text, same batch.
+// error text, same batch. stamp, which converts no float, agrees with
+// the full decode on all three, and what was decoded re-encodes to
+// bytes that decode to the same batch.
 func checkDecodeAgainstOracle(t *testing.T, data []byte) {
 	t.Helper()
 	want, wantErr := oracleUnmarshalJSON(data)
@@ -182,8 +199,28 @@ func checkDecodeAgainstOracle(t *testing.T, data []byte) {
 	if (wantErr == nil) != (gotErr == nil) || wantErr != nil && wantErr.Error() != gotErr.Error() {
 		t.Fatalf("unmarshal %.80q: error %v, encoding/json %v", data, gotErr, wantErr)
 	}
-	if wantErr == nil && !sameBatch(got, want) {
+	id, created, stampErr := stamp(JSONCodec{}, data)
+	if (wantErr == nil) != (stampErr == nil) || wantErr != nil && wantErr.Error() != stampErr.Error() {
+		t.Fatalf("stamp %.80q: error %v, encoding/json %v", data, stampErr, wantErr)
+	}
+	if wantErr != nil {
+		return
+	}
+	if !sameBatch(got, want) {
 		t.Fatalf("unmarshal %.80q: %+v, encoding/json %+v", data, got, want)
+	}
+	if id != want.ID || created != want.CreatedNanos {
+		t.Fatalf("stamp %.80q: id %d created_ns %d, encoding/json %d %d", data, id, created, want.ID, want.CreatedNanos)
+	}
+	enc, err := MarshalJSONBatch(got)
+	if err != nil {
+		t.Fatalf("re-marshal of %.80q: %v", data, err)
+	}
+	if len(want.Predictions) == 0 {
+		want.Predictions = nil // omitempty: an empty array is not written back
+	}
+	if again, err := oracleUnmarshalJSON(enc); err != nil || !sameBatch(again, want) {
+		t.Fatalf("unmarshal %.80q re-encodes to %.80q, which decodes to %+v (err %v)", data, enc, again, err)
 	}
 }
 
@@ -279,6 +316,177 @@ func TestJSONCodecCanonicalFastPath(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { _, _ = UnmarshalJSONBatch(data) }); n > 3 {
 		t.Fatalf("canonical Unmarshal allocates %v times per record, want <= 3", n)
 	}
+	// The operator's encode: the retained inputs are copied, not formatted.
+	for _, codec := range []BatchCodec{JSONCodec{}, BinaryCodec{}} {
+		rec, err := codec.Marshal(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := codec.Unmarshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec.wire.span == nil {
+			t.Fatalf("%s: decoded batch retains no inputs", codec.Name())
+		}
+		if n := testing.AllocsPerRun(100, func() { _, _ = codec.Marshal(dec) }); n != 1 {
+			t.Fatalf("%s: re-marshal of a decoded batch allocates %v times, want 1", codec.Name(), n)
+		}
+	}
+}
+
+// TestReencodeDecodedBatch: a decoded batch carries the bytes its inputs
+// were decoded from, and the encoder may copy them only while they are
+// still what the batch says.
+func TestReencodeDecodedBatch(t *testing.T) {
+	const rec = `{"id":7,"created_ns":9,"count":2,"inputs":[1,-2.5,3e-9,0]}`
+	cases := []struct {
+		name string
+		rec  string
+		edit func(b *DataBatch)
+		want string // empty: what json.Marshal writes for the edited batch
+	}{
+		{"untouched", rec, func(*DataBatch) {}, ""},
+		{"scored", rec, func(b *DataBatch) { b.Predictions = []float32{0.25, 0.75} }, ""},
+		{"header edited", rec, func(b *DataBatch) { b.ID, b.CreatedNanos, b.Count = -1, 1<<62, 4 }, ""},
+		{"inputs replaced", rec, func(b *DataBatch) { b.Inputs = []float32{5, 6, 7, 8} }, ""},
+		{"inputs replaced by a shorter view", rec, func(b *DataBatch) { b.Inputs = b.Inputs[:2] }, ""},
+		{"inputs replaced by a later view", rec, func(b *DataBatch) { b.Inputs = b.Inputs[1:] }, ""},
+		{"inputs set nil", rec, func(b *DataBatch) { b.Inputs = nil }, ""},
+		{"inputs emptied", rec, func(b *DataBatch) { b.Inputs = b.Inputs[:0] }, ""},
+		{"empty array", `{"id":7,"created_ns":9,"count":2,"inputs":[]}`, func(*DataBatch) {}, ""},
+		{"null inputs", `{"id":7,"created_ns":9,"count":2,"inputs":null}`, func(*DataBatch) {}, ""},
+		{"edited in place: not seen, Inputs is Score's scratch", rec,
+			func(b *DataBatch) { b.Inputs[0] = 99 }, rec},
+		{"foreign spellings kept", `{"id":7,"created_ns":9,"count":1,"inputs":[1.0,1e0,0.10000000149011612,-0.0,100e-2]}`,
+			func(b *DataBatch) { b.Predictions = []float32{1} },
+			`{"id":7,"created_ns":9,"count":1,"inputs":[1.0,1e0,0.10000000149011612,-0.0,100e-2],"predictions":[1]}`},
+		{"foreign layout re-formatted", `{"count":1,"id":7,"created_ns":9,"inputs":[1.0, 1e0]}`, func(*DataBatch) {}, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b, err := UnmarshalJSONBatch([]byte(tc.rec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(b)
+			want := []byte(tc.want)
+			if tc.want == "" {
+				if want, err = json.Marshal(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := MarshalJSONBatch(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("got  %s\nwant %s", got, want)
+			}
+			// Whatever the spelling, the same float32 values.
+			again, err := UnmarshalJSONBatch(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.want != "" {
+				if b, err = oracleUnmarshalJSON(want); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !sameBatch(again, b) {
+				t.Fatalf("re-encoded batch decodes to %+v, want %+v", again, b)
+			}
+		})
+	}
+}
+
+// TestTranscodeNeverSplices: a batch decoded by one codec and encoded by
+// the other is formatted from Inputs, never from the retained bytes.
+func TestTranscodeNeverSplices(t *testing.T) {
+	src := &DataBatch{ID: 7, CreatedNanos: 9, Count: 2, Inputs: []float32{1, -2.5, 3e-9, 0}, Predictions: []float32{0.5}}
+	codecs := []BatchCodec{JSONCodec{}, BinaryCodec{}}
+	for _, from := range codecs {
+		for _, to := range codecs {
+			rec, err := from.Marshal(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, err := from.Unmarshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := to.Marshal(dec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := to.Marshal(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s→%s: %q, want %q", from.Name(), to.Name(), got, want)
+			}
+		}
+	}
+}
+
+// fullDecodeCodec hides JSONCodec behind another type, as the benchmark
+// harness's timing wrapper does.
+type fullDecodeCodec struct {
+	JSONCodec
+	decoded int
+}
+
+func (c *fullDecodeCodec) Unmarshal(data []byte) (*DataBatch, error) {
+	c.decoded++
+	return c.JSONCodec.Unmarshal(data)
+}
+
+func TestStamp(t *testing.T) {
+	b := ffnnRecord()
+	for _, codec := range []BatchCodec{JSONCodec{}, BinaryCodec{}} {
+		rec, err := codec.Marshal(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Truncations at a growing stride, a trailing byte, and a zeroed
+		// count: the verdict and the error are the full decode's.
+		inputs := [][]byte{rec, append(bytes.Clone(rec), 0)}
+		for n := 0; n < len(rec); n += 1 + n/7 {
+			inputs = append(inputs, rec[:n])
+		}
+		if _, ok := codec.(BinaryCodec); ok {
+			noCount := bytes.Clone(rec)
+			copy(noCount[16:20], []byte{0, 0, 0, 0})
+			inputs = append(inputs, noCount)
+		}
+		for _, in := range inputs {
+			want, wantErr := codec.Unmarshal(in)
+			id, created, err := stamp(codec, in)
+			if (wantErr == nil) != (err == nil) || err != nil && err.Error() != wantErr.Error() {
+				t.Fatalf("%s, %d bytes: stamp error %v, Unmarshal %v", codec.Name(), len(in), err, wantErr)
+			}
+			if err == nil && (id != want.ID || created != want.CreatedNanos) {
+				t.Fatalf("%s: stamp read %d, %d from a record of %d, %d", codec.Name(), id, created, want.ID, want.CreatedNanos)
+			}
+		}
+		if raceEnabled {
+			continue
+		}
+		if n := testing.AllocsPerRun(100, func() { _, _, _ = stamp(codec, rec) }); n != 0 {
+			t.Fatalf("%s: stamp allocates %v times per record, want 0", codec.Name(), n)
+		}
+	}
+	// A codec stamp does not know decodes in full: the harness's wrapper
+	// needs the whole batch for its output check.
+	rec, err := MarshalJSONBatch(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrapped := &fullDecodeCodec{}
+	if id, _, err := stamp(wrapped, rec); err != nil || id != b.ID || wrapped.decoded != 1 {
+		t.Fatalf("stamp through a wrapper: id %d, err %v, %d full decodes; want %d, nil, 1", id, err, wrapped.decoded, b.ID)
+	}
 }
 
 // FuzzJSONBatchDecode: on arbitrary bytes the decoder and encoding/json
@@ -325,7 +533,56 @@ func BenchmarkJSONCodecUnmarshal(b *testing.B) {
 	})
 }
 
+// BenchmarkJSONCodecRescore is the scoring operator's encode: a batch
+// decoded once, marshalled with its predictions attached. The twin is
+// json.Marshal of the same scored record.
+func BenchmarkJSONCodecRescore(b *testing.B) {
+	rec := ffnnRecord()
+	data, err := MarshalJSONBatch(rec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dec, err := UnmarshalJSONBatch(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("codec", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchBytes, _ = MarshalJSONBatch(dec)
+		}
+	})
+	b.Run("encodingjson", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchBytes, _ = json.Marshal(rec)
+		}
+	})
+}
+
+// BenchmarkJSONCodecStamp is the output consumer's read of one scored
+// record; the twin is the full decode it replaced, through the oracle.
+func BenchmarkJSONCodecStamp(b *testing.B) {
+	data, err := MarshalJSONBatch(ffnnRecord())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("codec", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchID, _, _ = stamp(JSONCodec{}, data)
+		}
+	})
+	b.Run("encodingjson", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchBatch, _ = oracleUnmarshalJSON(data)
+		}
+	})
+}
+
 var (
 	benchBytes []byte
 	benchBatch *DataBatch
+	benchID    int64
 )

@@ -16,6 +16,15 @@ import (
 // hands every other input to json.Unmarshal, so what is accepted,
 // rejected and decoded is unchanged by construction. encoding/json is
 // the oracle the tests and FuzzJSONBatchDecode compare against.
+//
+// A float is converted only where somebody reads it. A batch decoded
+// from the canonical layout keeps the record's "inputs" bytes and the
+// encoder copies them back, so re-encoding it yields the same bytes as
+// json.Marshal for every record the encoder wrote; a canonical-layout
+// record whose numbers a foreign producer spelled differently ("1.0",
+// "1e0", surplus digits) keeps the producer's spelling — equal as
+// float32, not byte-equal to a re-format. stampJSON reads a record's id
+// and created_ns and converts no float at all.
 
 // jsonScratch holds the encoder's working buffers. The result is copied
 // out at its exact length, as encoding/json does, because the in-process
@@ -53,7 +62,9 @@ func appendJSONBatch(buf []byte, b *DataBatch) ([]byte, bool) {
 	buf = strconv.AppendInt(buf, int64(b.Count), 10)
 	buf = append(buf, `,"inputs":`...)
 	finite := true
-	if b.Inputs == nil {
+	if span := b.wireSpan(true); span != nil {
+		buf = append(buf, span...)
+	} else if b.Inputs == nil {
 		buf = append(buf, "null"...)
 	} else {
 		buf, finite = appendJSONFloats(buf, b.Inputs)
@@ -95,7 +106,12 @@ func appendJSONFloats(buf []byte, vals []float32) ([]byte, bool) {
 	return append(buf, ']'), true
 }
 
-// UnmarshalJSONBatch parses a batch serialised by MarshalJSONBatch.
+// UnmarshalJSONBatch parses a batch serialised by MarshalJSONBatch. The
+// batch borrows data: MarshalJSONBatch of it copies the bytes of
+// "inputs" out of data, so data must stay unchanged while the batch is
+// in use (Inputs itself is a fresh slice, and Score's scratch). Header
+// fields and Predictions edited after the decode are always honoured; to
+// re-encode different inputs assign Inputs a new slice.
 func UnmarshalJSONBatch(data []byte) (*DataBatch, error) {
 	b := new(DataBatch)
 	if !decodeCanonicalJSON(data, b) {
@@ -121,37 +137,114 @@ func decodeCanonicalJSON(data []byte, b *DataBatch) bool {
 	var count int64
 	var ok bool
 	p := data
-	if p, ok = cutLiteral(p, `{"id":`); !ok {
-		return false
-	}
-	if b.ID, p, ok = cutJSONInt(p); !ok {
-		return false
-	}
-	if p, ok = cutLiteral(p, `,"created_ns":`); !ok {
-		return false
-	}
-	if b.CreatedNanos, p, ok = cutJSONInt(p); !ok {
-		return false
-	}
-	if p, ok = cutLiteral(p, `,"count":`); !ok {
-		return false
-	}
-	if count, p, ok = cutJSONInt(p); !ok || int64(int(count)) != count {
+	if b.ID, b.CreatedNanos, count, p, ok = cutJSONHeader(p); !ok {
 		return false
 	}
 	b.Count = int(count)
-	if p, ok = cutLiteral(p, `,"inputs":`); !ok {
-		return false
-	}
+	inputs := p
 	if b.Inputs, p, ok = cutJSONFloats(p); !ok {
 		return false
 	}
+	b.retainInputs(inputs[:len(inputs)-len(p)], true)
 	if rest, found := cutLiteral(p, `,"predictions":`); found {
 		if b.Predictions, p, ok = cutJSONFloats(rest); !ok {
 			return false
 		}
 	}
 	return len(p) == 1 && p[0] == '}'
+}
+
+// stampJSON reads id and created_ns from a record in the canonical
+// layout and converts no float: it checks every number of both arrays
+// against the JSON grammar and reports false for a record it cannot
+// vouch for — anything decodeCanonicalJSON would refuse, a count the
+// full decode rejects, and a number that could overflow a float32 (an
+// exponent, or 39 or more integer digits; 38 nines are below
+// math.MaxFloat32). The caller then runs UnmarshalJSONBatch, whose
+// verdict and error text it is.
+func stampJSON(data []byte) (id, createdNanos int64, ok bool) {
+	var count int64
+	p := data
+	if id, createdNanos, count, p, ok = cutJSONHeader(p); !ok || count <= 0 {
+		return 0, 0, false
+	}
+	if p, ok = skipPlainJSONFloats(p); !ok {
+		return 0, 0, false
+	}
+	if rest, found := cutLiteral(p, `,"predictions":`); found {
+		if p, ok = skipPlainJSONFloats(rest); !ok {
+			return 0, 0, false
+		}
+	}
+	return id, createdNanos, len(p) == 1 && p[0] == '}'
+}
+
+// cutJSONHeader parses the canonical layout up to the value of
+// "inputs" and returns what follows.
+func cutJSONHeader(p []byte) (id, createdNanos, count int64, rest []byte, ok bool) {
+	if p, ok = cutLiteral(p, `{"id":`); !ok {
+		return 0, 0, 0, p, false
+	}
+	if id, p, ok = cutJSONInt(p); !ok {
+		return 0, 0, 0, p, false
+	}
+	if p, ok = cutLiteral(p, `,"created_ns":`); !ok {
+		return 0, 0, 0, p, false
+	}
+	if createdNanos, p, ok = cutJSONInt(p); !ok {
+		return 0, 0, 0, p, false
+	}
+	if p, ok = cutLiteral(p, `,"count":`); !ok {
+		return 0, 0, 0, p, false
+	}
+	if count, p, ok = cutJSONInt(p); !ok || int64(int(count)) != count {
+		return 0, 0, 0, p, false
+	}
+	p, ok = cutLiteral(p, `,"inputs":`)
+	return id, createdNanos, count, p, ok
+}
+
+// skipPlainJSONFloats steps over the JSON array at the start of p if
+// every element is a number without an exponent and with at most 38
+// integer digits — -?(0|[1-9][0-9]{0,37})(\.[0-9]+)? — which
+// strconv.ParseFloat(…, 32) cannot refuse.
+func skipPlainJSONFloats(p []byte) ([]byte, bool) {
+	if len(p) < 2 || p[0] != '[' {
+		return p, false
+	}
+	if p[1] == ']' {
+		return p[2:], true
+	}
+	for i := 1; ; {
+		if i < len(p) && p[i] == '-' {
+			i++
+		}
+		if i < len(p) && p[i] == '0' {
+			i++
+		} else if n := jsonDigitsLen(p[i:]); n == 0 || n > 38 {
+			return p, false
+		} else {
+			i += n
+		}
+		if i < len(p) && p[i] == '.' {
+			n := jsonDigitsLen(p[i+1:])
+			if n == 0 {
+				return p, false
+			}
+			i += 1 + n
+		}
+		if i == len(p) {
+			return p, false
+		}
+		switch p[i] {
+		case ',':
+			i++
+		case ']':
+			return p[i+1:], true
+		default:
+			return p, false
+		}
+	}
 }
 
 // cutLiteral returns p without the leading lit, if p starts with it.

@@ -94,28 +94,28 @@ func (oc *OutputConsumer) pollOnce(wait time.Duration, cancel <-chan struct{}) (
 		return 0, fmt.Errorf("core: output consumer: %w", err)
 	}
 	for _, rec := range recs {
-		batch, err := oc.codec.Unmarshal(rec.Value)
+		id, createdNanos, err := stamp(oc.codec, rec.Value)
 		if err != nil {
 			return 0, fmt.Errorf("core: output consumer: %w", err)
 		}
-		oc.record(batch, rec.AppendTime)
+		oc.record(id, createdNanos, rec.AppendTime)
 	}
 	return len(recs), nil
 }
 
-func (oc *OutputConsumer) record(b *DataBatch, end time.Time) {
+func (oc *OutputConsumer) record(id, createdNanos int64, end time.Time) {
 	oc.mu.Lock()
 	defer oc.mu.Unlock()
-	if oc.decoded[b.ID] {
+	if oc.decoded[id] {
 		oc.dupes++
 		oc.mDupes.Inc()
 		return
 	}
-	oc.decoded[b.ID] = true
-	start := b.Created()
+	oc.decoded[id] = true
+	start := time.Unix(0, createdNanos)
 	lat := end.Sub(start)
 	oc.samples = append(oc.samples, Sample{
-		ID:      b.ID,
+		ID:      id,
 		Start:   start,
 		End:     end,
 		Latency: lat,

@@ -29,7 +29,7 @@ func TestConsumerRecordAllocatesNoChannelWithoutWaiter(t *testing.T) {
 	end := time.Now()
 	var id int64
 	n := testing.AllocsPerRun(5000, func() {
-		oc.record(&DataBatch{ID: id, CreatedNanos: 1}, end)
+		oc.record(id, 1, end)
 		id++
 	})
 	if n != 0 {
@@ -46,7 +46,7 @@ func TestConsumerWaitForCountNeverMissesAWakeUp(t *testing.T) {
 	oc := newTestConsumer(t)
 	end := time.Now()
 	for k := 1; k <= 2000; k++ {
-		go oc.record(&DataBatch{ID: int64(k), CreatedNanos: 1}, end)
+		go oc.record(int64(k), 1, end)
 		if !oc.WaitForCount(k, time.Now().Add(5*time.Second)) {
 			t.Fatalf("sample %d recorded but WaitForCount timed out", k)
 		}
@@ -63,7 +63,7 @@ func TestDrainWaitDoesNotCopySamples(t *testing.T) {
 	oc := newTestConsumer(t)
 	end := time.Now()
 	for id := int64(0); id < 20000; id++ {
-		oc.record(&DataBatch{ID: id, CreatedNanos: 1}, end)
+		oc.record(id, 1, end)
 	}
 	n := testing.AllocsPerRun(5, func() {
 		if oc.waitForSamples(20001, time.Now().Add(4*time.Millisecond)) {

@@ -48,16 +48,17 @@ func RunStandalone(cfg Config) (*Result, error) {
 					continue
 				}
 				end := time.Now()
-				b, err := codec.Unmarshal(scored)
+				id, createdNanos, err := stamp(codec, scored)
 				if err != nil {
 					continue
 				}
+				start := time.Unix(0, createdNanos)
 				mu.Lock()
 				samples = append(samples, Sample{
-					ID:      b.ID,
-					Start:   b.Created(),
+					ID:      id,
+					Start:   start,
 					End:     end,
-					Latency: end.Sub(b.Created()),
+					Latency: end.Sub(start),
 				})
 				mu.Unlock()
 			}

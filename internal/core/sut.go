@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"crayfish/internal/gpu"
 	"crayfish/internal/model"
@@ -132,7 +133,10 @@ func BuildScorerNet(cfg ServingConfig, m *model.Model, mp int, network netsim.Pr
 
 // MakeTransform builds the scoring operator's logic: decode the
 // CrayfishDataBatch, score it (embedded in-process or via a blocking
-// external call), attach the predictions, re-encode.
+// external call), attach the predictions, re-encode. Score may scratch
+// the inputs it is lent, so the scored record's inputs are the bytes the
+// decoder retained; a batch that retains none (JSON off the canonical
+// layout, a foreign codec) is scored through a copy.
 func MakeTransform(codec BatchCodec, scorer serving.Scorer) sps.Transform {
 	if codec == nil {
 		codec = JSONCodec{}
@@ -142,7 +146,11 @@ func MakeTransform(codec BatchCodec, scorer serving.Scorer) sps.Transform {
 		if err != nil {
 			return nil, err
 		}
-		preds, err := scorer.Score(b.Inputs, b.Count)
+		lent := b.Inputs
+		if b.wire.span == nil {
+			lent = slices.Clone(lent)
+		}
+		preds, err := scorer.Score(lent, b.Count)
 		if err != nil {
 			return nil, err
 		}

@@ -21,7 +21,10 @@
 # The codec pair books the pipeline's JSON DataBatch codec on an FFNN
 # record (json_codec_marshal_ns, json_codec_unmarshal_ns) and its
 # speed-up over encoding/json, the oracle it must match byte for byte
-# (docs/PERFORMANCE.md "Pipeline codec"). The broker rung books the
+# (docs/PERFORMANCE.md "Pipeline codec"), and the two calls that convert
+# no input float: the operator's encode of a batch it decoded
+# (json_codec_rescore_ns) and the output consumer's read of id and
+# created_ns (json_codec_stamp_ns). The broker rung books the
 # TCP wire path (docs/PERFORMANCE.md "Broker wire"): one 16-record
 # FFNN-sized records frame through the binary frame codec
 # (wire_frame_encode_ns, wire_frame_decode_ns) and a produce plus the
@@ -69,6 +72,10 @@ go test -run NONE -benchmem -benchtime "$BENCHTIME" \
 		if (name ~ /JSONCodecMarshal\/encodingjson$/)     { jmons = ns }
 		if (name ~ /JSONCodecUnmarshal\/codec$/)          { juns = ns }
 		if (name ~ /JSONCodecUnmarshal\/encodingjson$/)   { juons = ns }
+		if (name ~ /JSONCodecRescore\/codec$/)            { jrns = ns }
+		if (name ~ /JSONCodecRescore\/encodingjson$/)     { jrons = ns }
+		if (name ~ /JSONCodecStamp\/codec$/)              { jsns = ns }
+		if (name ~ /JSONCodecStamp\/encodingjson$/)       { jsons = ns }
 		if (name ~ /WireFrameEncode$/)                    { wens = ns }
 		if (name ~ /WireFrameDecode$/)                    { wdns = ns }
 		if (name ~ /RemoteProduceFetch$/)                 { rtns = ns }
@@ -116,6 +123,18 @@ go test -run NONE -benchmem -benchtime "$BENCHTIME" \
 		if (juns > 0 && juons > 0) {
 			printf "  \"json_codec_unmarshal_ns\": %s,\n", juns
 			printf "  \"json_codec_unmarshal_vs_encodingjson\": %.2f,\n", juons / juns
+		}
+		# Floats nobody reads are not converted: the scoring operator
+		# encoding a batch it decoded (its inputs copied from the
+		# record) and the output consumer reading id and created_ns,
+		# each against encoding/json doing the whole job.
+		if (jrns > 0 && jrons > 0) {
+			printf "  \"json_codec_rescore_ns\": %s,\n", jrns
+			printf "  \"json_codec_rescore_vs_encodingjson\": %.2f,\n", jrons / jrns
+		}
+		if (jsns > 0 && jsons > 0) {
+			printf "  \"json_codec_stamp_ns\": %s,\n", jsns
+			printf "  \"json_codec_stamp_vs_encodingjson\": %.2f,\n", jsons / jsns
 		}
 		# The TCP wire path of the broker (docs/PERFORMANCE.md "Broker wire"):
 		# a 16-record FFNN-sized records frame through the frame codec,
