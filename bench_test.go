@@ -152,7 +152,7 @@ func BenchmarkBrokerFailover(b *testing.B) {
 			InputShape: []int{28, 28},
 			BatchSize:  1,
 			MaxEvents:  maxEvents,
-			InputRate:  2 * maxEvents / d.Seconds(),
+			Load:       &crayfish.LoadPolicy{Process: crayfish.LoadConstant, Rate: 2 * maxEvents / d.Seconds()},
 			Duration:   d + 6*time.Second,
 			Seed:       1,
 		},

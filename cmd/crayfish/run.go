@@ -50,7 +50,6 @@ func run() {
 		Workload: crayfish.Workload{
 			InputShape:  shape,
 			BatchSize:   *bsz,
-			InputRate:   *rate,
 			Duration:    *duration,
 			Seed:        *seed,
 			DatasetPath: *dataset,
@@ -68,6 +67,9 @@ func run() {
 		SourceParallelism:  *srcPar,
 		SinkParallelism:    *sinkPar,
 		Partitions:         *parts,
+	}
+	if *rate > 0 {
+		cfg.Workload.Load = &crayfish.LoadPolicy{Process: crayfish.LoadConstant, Rate: *rate}
 	}
 	if *mode == "external" {
 		cfg.Serving.Mode = crayfish.External

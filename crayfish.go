@@ -13,7 +13,7 @@
 //		Workload: crayfish.Workload{
 //			InputShape: []int{28, 28},
 //			BatchSize:  1,
-//			InputRate:  500,
+//			Load:       &crayfish.LoadPolicy{Process: crayfish.LoadConstant, Rate: 500},
 //			Duration:   2 * time.Second,
 //		},
 //		Engine:  "flink",
@@ -62,8 +62,8 @@ type (
 	// Config describes one experiment: workload, system under test, and
 	// measurement parameters.
 	Config = core.Config
-	// Workload carries the paper's Table 1 parameters (isz, bsz, ir,
-	// bd, tbb) plus run duration and seeding.
+	// Workload carries the paper's Table 1 parameters (isz, bsz, and
+	// ir/bd/tbb as its Load arrival policy) plus run duration and seeding.
 	Workload = core.Workload
 	// ServingConfig selects embedded or external serving, the tool,
 	// and the device.

@@ -13,7 +13,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		Workload: crayfish.Workload{
 			InputShape: []int{28, 28},
 			BatchSize:  1,
-			InputRate:  300,
+			Load:       &crayfish.LoadPolicy{Process: crayfish.LoadConstant, Rate: 300},
 			Duration:   200 * time.Millisecond,
 		},
 		Engine:     "flink",
@@ -34,7 +34,7 @@ func TestPublicAPIStandalone(t *testing.T) {
 	cfg := crayfish.Config{
 		Workload: crayfish.Workload{
 			InputShape: []int{28, 28},
-			InputRate:  300,
+			Load:       &crayfish.LoadPolicy{Process: crayfish.LoadConstant, Rate: 300},
 			Duration:   150 * time.Millisecond,
 		},
 		Engine:  "flink",

@@ -46,7 +46,7 @@ func main() {
 
 	// Step 1: probe the sustainable throughput with an open-loop run.
 	probe := baseCfg
-	probe.Workload.InputRate = 50_000
+	probe.Workload.Load = &crayfish.LoadPolicy{Process: crayfish.LoadConstant, Rate: 50_000}
 	probe.Workload.Duration = 2 * time.Second
 	res, err := crayfish.Run(probe)
 	if err != nil {
@@ -60,12 +60,18 @@ func main() {
 	// rate, quiet periods at 70%, three cycles. The run uses a shared
 	// broker so a monitoring consumer can window the scored stream
 	// while the pipeline runs.
+	const (
+		burstDuration     = 1500 * time.Millisecond
+		timeBetweenBursts = 6 * time.Second
+	)
 	attack := baseCfg
-	attack.Workload.Bursty = true
-	attack.Workload.BurstDuration = 1500 * time.Millisecond
-	attack.Workload.TimeBetweenBursts = 6 * time.Second
-	attack.Workload.BurstRate = st * 1.25
-	attack.Workload.BaseRate = st * 0.70
+	attack.Workload.Load = &crayfish.LoadPolicy{
+		Process: crayfish.LoadPhased,
+		Phases: []crayfish.LoadPhase{
+			{Duration: burstDuration, Rate: st * 1.25},
+			{Duration: timeBetweenBursts - burstDuration, Rate: st * 0.70},
+		},
+	}
 	attack.Workload.Duration = 18 * time.Second
 	attack.KeepSamples = true
 
@@ -89,10 +95,10 @@ func main() {
 
 	// Step 4: recovery analysis per burst (§5.1.4's metric).
 	for burst := 1; burst < 3; burst++ {
-		start := time.Duration(burst) * attack.Workload.TimeBetweenBursts
-		end := start + attack.Workload.BurstDuration
+		start := time.Duration(burst) * timeBetweenBursts
+		end := start + burstDuration
 		rec, err := core.RecoveryTime(res.Samples, res.RunStart, start, end,
-			attack.Workload.BurstDuration/10, 2)
+			burstDuration/10, 2)
 		if err != nil {
 			fmt.Printf("burst %d: %v\n", burst, err)
 			continue

@@ -47,7 +47,7 @@ func main() {
 			Workload: crayfish.Workload{
 				InputShape: []int{28, 28},
 				BatchSize:  32,
-				InputRate:  8,
+				Load:       &crayfish.LoadPolicy{Process: crayfish.LoadConstant, Rate: 8},
 				Duration:   3 * time.Second,
 				Seed:       9,
 			},

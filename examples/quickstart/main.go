@@ -19,9 +19,10 @@ func main() {
 		Workload: crayfish.Workload{
 			InputShape: []int{28, 28}, // isz: Fashion-MNIST images
 			BatchSize:  1,             // bsz: one data point per event
-			InputRate:  500,           // ir: constant 500 events/s
-			Duration:   3 * time.Second,
-			Seed:       1,
+			// ir: constant 500 events/s
+			Load:     &crayfish.LoadPolicy{Process: crayfish.LoadConstant, Rate: 500},
+			Duration: 3 * time.Second,
+			Seed:     1,
 		},
 		Engine:             "flink",
 		Serving:            crayfish.ServingConfig{Mode: crayfish.Embedded, Tool: "onnx"},
@@ -50,7 +51,7 @@ func main() {
 	// drops below the external arrangement's sustainable throughput so
 	// the latency readings stay queue-free.
 	cfg.Serving = crayfish.ServingConfig{Mode: crayfish.External, Tool: "tf-serving"}
-	cfg.Workload.InputRate = 150
+	cfg.Workload.Load = &crayfish.LoadPolicy{Process: crayfish.LoadConstant, Rate: 150}
 	res, err = crayfish.Run(cfg)
 	if err != nil {
 		log.Fatal(err)

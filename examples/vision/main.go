@@ -37,9 +37,10 @@ func main() {
 			Workload: crayfish.Workload{
 				InputShape: []int{3, 64, 64},
 				BatchSize:  8,
-				InputRate:  3, // closed loop: latency dominated by inference
-				Duration:   4 * time.Second,
-				Seed:       1,
+				// closed loop: latency dominated by inference
+				Load:     &crayfish.LoadPolicy{Process: crayfish.LoadConstant, Rate: 3},
+				Duration: 4 * time.Second,
+				Seed:     1,
 			},
 			Engine: "spark-ss",
 			Serving: crayfish.ServingConfig{

@@ -7,7 +7,6 @@ import (
 	"crayfish/internal/broker"
 	"crayfish/internal/faults"
 	"crayfish/internal/resilience"
-	"crayfish/internal/serving"
 )
 
 // ClusterSpec sizes the replicated broker cluster a failover recovery
@@ -94,42 +93,17 @@ func (r *Runner) RunClusterRecovery(cfg Config, plan faults.Plan, spec ClusterSp
 	if r.Transport != nil {
 		return nil, fmt.Errorf("core: cluster recovery runs own their cluster (Transport override set)")
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	spec = spec.withDefaults()
-	m, err := cfg.Model.Build()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Workload.PointLen() != m.InputLen() {
-		return nil, fmt.Errorf("core: workload shape %v does not match model input %v", cfg.Workload.InputShape, m.InputShape)
-	}
-	inj, err := faults.New(plan)
-	if err != nil {
-		return nil, err
-	}
-	if reg := cfg.Telemetry; reg != nil {
-		inj.OnInject(func(k faults.Kind) {
-			reg.Counter("faults.injected." + string(k)).Inc()
-		})
-	}
-
-	scorer, cleanup, err := buildRecoveryScorer(cfg, m, inj)
+	fr, scorer, cleanup, err := prepareFaultRun(&cfg, plan)
 	if err != nil {
 		return nil, err
 	}
 	defer cleanup()
-	scorer = serving.Instrument(&faultScorer{inner: scorer, inj: inj}, cfg.Telemetry)
 
-	bcfg := broker.DefaultConfig()
-	bcfg.Network = cfg.Network
-	bcfg.Metrics = cfg.Telemetry
-	bcfg.Faults = inj
 	cluster, err := broker.NewCluster(broker.ClusterConfig{
 		Nodes:             spec.Nodes,
 		ReplicationFactor: spec.ReplicationFactor,
-		Broker:            bcfg,
+		Broker:            brokerConfig(cfg, fr.inj),
 		AckTimeout:        spec.AckTimeout,
 		HeartbeatEvery:    spec.HeartbeatEvery,
 		ReplicaPoll:       spec.ReplicaPoll,
@@ -138,14 +112,9 @@ func (r *Runner) RunClusterRecovery(cfg Config, plan faults.Plan, spec ClusterSp
 		return nil, err
 	}
 	defer cluster.Close()
-	// Bind before inj.Start (the pipeline helper starts it): broker-crash
+	// Bind before the measurement loop starts the injector: broker-crash
 	// and broker-restart events resolve their "node-<id>" targets here.
-	cluster.Bind(inj)
-	for _, topic := range []string{InputTopic, OutputTopic} {
-		if err := cluster.CreateTopic(topic, cfg.Partitions); err != nil {
-			return nil, err
-		}
-	}
+	cluster.Bind(fr.inj)
 
 	// Torn-frame chaos runs while the workload is live and the planned
 	// faults are in flight, then stops: an unbounded tear schedule would
@@ -167,7 +136,7 @@ func (r *Runner) RunClusterRecovery(cfg Config, plan faults.Plan, spec ClusterSp
 	}
 	defer wireCleanup()
 
-	res, err := r.runRecoveryPipeline(cfg, plan, inj, transport, scorer)
+	res, err := r.measure(cfg, transport, scorer, fr)
 	if err != nil {
 		return nil, err
 	}

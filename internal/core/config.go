@@ -16,27 +16,11 @@ type Workload struct {
 	InputShape []int
 	// BatchSize is bsz: data points per CrayfishDataBatch (one event).
 	BatchSize int
-	// InputRate is ir: constant event generation rate in events/s.
-	// Zero means saturation: the producer emits as fast as it can,
-	// which is how sustainable-throughput probes drive the SUT.
-	// Legacy alias: equivalent to Load = &loadgen.Constant(ir) (or
-	// Saturate when zero); see LoadPolicy.
-	InputRate float64
-	// Bursty enables the periodic-burst generator (§4.1): BurstRate for
-	// BurstDuration (bd), then BaseRate until TimeBetweenBursts (tbb)
-	// elapses, repeating. Legacy alias for a two-phase Load policy; see
-	// LoadPolicy.
-	Bursty            bool
-	BurstDuration     time.Duration
-	TimeBetweenBursts time.Duration
-	BurstRate         float64
-	BaseRate          float64
-	// Load, when set, selects the arrival process declaratively
-	// (internal/loadgen): constant, Poisson, trace replay, phased
-	// composition, or saturation. Nil derives the process from the
-	// legacy knobs above — the two spellings are exact aliases and
-	// produce byte-identical schedules (docs/SCENARIOS.md). Setting
-	// both Load and a legacy pacing knob is a validation error.
+	// Load selects the arrival process (internal/loadgen): constant
+	// (the paper's ir), Poisson, trace replay, phased composition (the
+	// paper's periodic bursts, bd/tbb) or saturation. Nil saturates: the
+	// producer emits as fast as it can, which is how
+	// sustainable-throughput probes drive the SUT.
 	Load *loadgen.Policy
 	// Duration bounds the experiment (the paper's 15-minute timeout,
 	// scaled down).
@@ -79,18 +63,7 @@ func (w *Workload) Validate() error {
 	if w.Duration <= 0 {
 		w.Duration = time.Second
 	}
-	if w.Bursty {
-		if w.BurstDuration <= 0 || w.TimeBetweenBursts <= 0 {
-			return fmt.Errorf("core: bursty workload needs bd and tbb, got %v/%v", w.BurstDuration, w.TimeBetweenBursts)
-		}
-		if w.BurstRate <= 0 || w.BaseRate <= 0 {
-			return fmt.Errorf("core: bursty workload needs burst and base rates")
-		}
-	}
 	if w.Load != nil {
-		if w.InputRate != 0 || w.Bursty {
-			return fmt.Errorf("core: workload sets both a Load policy and legacy pacing knobs (InputRate/Bursty); use one spelling")
-		}
 		if err := w.Load.Validate(); err != nil {
 			return err
 		}
@@ -98,29 +71,11 @@ func (w *Workload) Validate() error {
 	return nil
 }
 
-// LoadPolicy canonicalizes the workload's pacing into a loadgen.Policy.
-// An explicit Load wins; otherwise the legacy knobs map exactly:
-// Bursty → a two-phase cycle (BurstRate for BurstDuration, then BaseRate
-// for the remainder of TimeBetweenBursts), InputRate > 0 → constant,
-// InputRate == 0 → saturation. Legacy configs therefore produce
-// byte-identical schedules to their Load-policy equivalents, pinned by
-// TestLoadPolicyAliases.
+// LoadPolicy is the workload's arrival policy: Load, or saturation when
+// none is set.
 func (w *Workload) LoadPolicy() loadgen.Policy {
 	if w.Load != nil {
 		return *w.Load
-	}
-	if w.Bursty {
-		if w.TimeBetweenBursts <= w.BurstDuration {
-			// Degenerate legacy cycle: the burst never ends.
-			return loadgen.Constant(w.BurstRate)
-		}
-		return loadgen.Phased(w.Seed,
-			loadgen.Phase{Duration: w.BurstDuration, Rate: w.BurstRate},
-			loadgen.Phase{Duration: w.TimeBetweenBursts - w.BurstDuration, Rate: w.BaseRate},
-		)
-	}
-	if w.InputRate > 0 {
-		return loadgen.Constant(w.InputRate)
 	}
 	return loadgen.Saturate()
 }

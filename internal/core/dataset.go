@@ -92,6 +92,23 @@ func ReadDataset(path string) (*Dataset, error) {
 	return ds, nil
 }
 
+// loadDataset reads the workload's dataset file and checks it against
+// the workload's shape; a workload without one gets nil, the synthetic
+// generator.
+func loadDataset(w *Workload) (*Dataset, error) {
+	if w.DatasetPath == "" {
+		return nil, nil
+	}
+	ds, err := ReadDataset(w.DatasetPath)
+	if err != nil {
+		return nil, err
+	}
+	if err := ds.Validate(w); err != nil {
+		return nil, err
+	}
+	return ds, nil
+}
+
 // batchAt assembles the id-th batch of n points, cycling through the
 // dataset (streams outlive finite datasets).
 func (d *Dataset) batchAt(id int64, n int) []float32 {

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"crayfish/internal/broker"
+	"crayfish/internal/loadgen"
+	"crayfish/internal/netsim"
 )
 
 var osWriteFile = os.WriteFile
@@ -40,7 +42,7 @@ func TestBuildScorerInt8(t *testing.T) {
 		{Mode: Embedded, Tool: "onnx", Int8: true},
 		{Mode: Embedded, Tool: "onnx", Device: "cpu+int8"},
 	} {
-		sc, cleanup, err := BuildScorer(cfg, m, 1)
+		sc, cleanup, err := BuildScorerNet(cfg, m, 1, netsim.Loopback)
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
@@ -54,11 +56,11 @@ func TestBuildScorerInt8(t *testing.T) {
 		cleanup()
 	}
 	// External serving tools manage their own precision.
-	if _, _, err := BuildScorer(ServingConfig{Mode: External, Tool: "tf-serving", Int8: true}, m, 1); err == nil {
+	if _, _, err := BuildScorerNet(ServingConfig{Mode: External, Tool: "tf-serving", Int8: true}, m, 1, netsim.Loopback); err == nil {
 		t.Fatal("external int8 accepted")
 	}
 	// The unfused savedmodel runtime cannot execute a quantized plan.
-	if _, _, err := BuildScorer(ServingConfig{Mode: Embedded, Tool: "savedmodel", Int8: true}, m, 1); err == nil {
+	if _, _, err := BuildScorerNet(ServingConfig{Mode: Embedded, Tool: "savedmodel", Int8: true}, m, 1, netsim.Loopback); err == nil {
 		t.Fatal("savedmodel int8 accepted")
 	}
 }
@@ -66,6 +68,10 @@ func TestBuildScorerInt8(t *testing.T) {
 func TestValidateBrokerHeadroom(t *testing.T) {
 	cfg := quickConfig("flink", ServingConfig{Mode: Embedded, Tool: "onnx"})
 	cfg.Workload.Duration = 300 * time.Millisecond
+	// The check offers its own rate: whatever Load the config carried is
+	// replaced, not rejected.
+	poisson := loadgen.Poisson(50, 1)
+	cfg.Workload.Load = &poisson
 	r := &Runner{DrainTimeout: 100 * time.Millisecond}
 	// A no-op pipeline easily sustains a modest target.
 	tput, err := r.ValidateBrokerHeadroom(cfg, 100, 1.5)
@@ -83,6 +89,9 @@ func TestValidateBrokerHeadroom(t *testing.T) {
 
 func TestFindSustainableRate(t *testing.T) {
 	cfg := quickConfig("flink", ServingConfig{Mode: Embedded, Tool: "onnx"})
+	// The search offers its own rates, whatever Load the config carried.
+	poisson := loadgen.Poisson(50, 1)
+	cfg.Workload.Load = &poisson
 	r := &Runner{}
 	st, err := r.FindSustainableRate(cfg, SustainableThroughputOptions{
 		Low:           50,
@@ -188,7 +197,6 @@ func TestProducerFromDataset(t *testing.T) {
 	w := Workload{
 		InputShape:  []int{4},
 		BatchSize:   2,
-		InputRate:   0,
 		MaxEvents:   2,
 		Duration:    time.Second,
 		DatasetPath: path,

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"crayfish/internal/loadgen"
 	"crayfish/internal/serving"
 )
 
@@ -46,11 +47,13 @@ func (r *Runner) ValidateBrokerHeadroom(cfg Config, targetRate, headroom float64
 	}
 	noop := cfg
 	noop.Serving = ServingConfig{Mode: Embedded, Tool: "onnx"} // placeholder; replaced below
-	noop.Workload.InputRate = targetRate * headroom
+	load := loadgen.Constant(targetRate * headroom)
+	noop.Workload.Load = &load
 	if err := noop.Validate(); err != nil {
 		return 0, err
 	}
-	res, err := r.runWithScorer(noop, NoopScorer{Inputs: noop.Workload.PointLen(), Outputs: 1})
+	scorer := NoopScorer{Inputs: noop.Workload.PointLen(), Outputs: 1}
+	res, err := r.runWithScorer(noop, serving.Instrument(scorer, noop.Telemetry))
 	if err != nil {
 		return 0, err
 	}

@@ -55,18 +55,11 @@ func NewInputProducer(t broker.Transport, topic string, w Workload, codec BatchC
 	if err != nil {
 		return nil, err
 	}
-	ip := &InputProducer{w: w, codec: codec, prod: p}
-	if w.DatasetPath != "" {
-		ds, err := ReadDataset(w.DatasetPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := ds.Validate(&w); err != nil {
-			return nil, err
-		}
-		ip.dataset = ds
+	ds, err := loadDataset(&w)
+	if err != nil {
+		return nil, err
 	}
-	return ip, nil
+	return &InputProducer{w: w, codec: codec, prod: p, dataset: ds}, nil
 }
 
 // Produced returns how many events were emitted so far.
@@ -98,7 +91,6 @@ func (p *InputProducer) Run(stop <-chan struct{}) (int, error) {
 	mEvents := p.Metrics.Counter("producer.events")
 	mBytes := p.Metrics.Counter("producer.bytes")
 	mBatches := p.Metrics.Counter("producer.batches")
-	mLag := p.Metrics.Gauge("producer.lag_ns")
 	mOffered := p.Metrics.Gauge("loadgen.offered_rps")
 	mSchedLag := p.Metrics.Gauge("loadgen.schedule_lag_ns")
 
@@ -178,9 +170,7 @@ func (p *InputProducer) Run(stop <-chan struct{}) (int, error) {
 		}
 		// How far the open-loop generator trails its schedule — nonzero
 		// means the producer (not the SUT) is the bottleneck at this
-		// offered rate. producer.lag_ns is the legacy name for the same
-		// level loadgen.schedule_lag_ns reports.
-		mLag.Set(int64(lag))
+		// offered rate.
 		mSchedLag.Set(int64(lag))
 		mOffered.Set(int64(rate))
 		batch := gen.next(id)

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"strings"
+	"reflect"
 	"testing"
 	"time"
 
@@ -23,7 +23,7 @@ func TestProducerConstantRate(t *testing.T) {
 	w := Workload{
 		InputShape: []int{4},
 		BatchSize:  2,
-		InputRate:  200,
+		Load:       constantLoad(200),
 		Duration:   200 * time.Millisecond,
 		Seed:       1,
 	}
@@ -48,7 +48,6 @@ func TestProducerMaxEvents(t *testing.T) {
 	tr := producerHarness(t)
 	w := Workload{
 		InputShape: []int{4},
-		InputRate:  0, // saturation
 		Duration:   5 * time.Second,
 		MaxEvents:  17,
 		Seed:       1,
@@ -72,7 +71,7 @@ func TestProducerMaxEvents(t *testing.T) {
 
 func TestProducerStopChannel(t *testing.T) {
 	tr := producerHarness(t)
-	w := Workload{InputShape: []int{4}, InputRate: 10, Duration: time.Hour, Seed: 1}
+	w := Workload{InputShape: []int{4}, Load: constantLoad(10), Duration: time.Hour, Seed: 1}
 	p, err := NewInputProducer(tr, "in", w, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +93,7 @@ func TestProducerStopChannel(t *testing.T) {
 
 func TestProducerBatchContents(t *testing.T) {
 	tr := producerHarness(t)
-	w := Workload{InputShape: []int{3, 2}, BatchSize: 4, InputRate: 0, Duration: time.Second, MaxEvents: 3, Seed: 9}
+	w := Workload{InputShape: []int{3, 2}, BatchSize: 4, Duration: time.Second, MaxEvents: 3, Seed: 9}
 	p, err := NewInputProducer(tr, "in", w, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -135,15 +134,13 @@ func TestProducerBatchContents(t *testing.T) {
 }
 
 func TestProducerBurstRateSchedule(t *testing.T) {
-	w := Workload{
-		InputShape:        []int{4},
-		Bursty:            true,
-		BurstDuration:     30 * time.Millisecond,
-		TimeBetweenBursts: 100 * time.Millisecond,
-		BurstRate:         1000,
-		BaseRate:          100,
-		Duration:          time.Second,
-	}
+	// Figure 8's periodic burst: 1000 ev/s for bd = 30 ms, then 100 ev/s
+	// for the rest of tbb = 100 ms, repeating.
+	burst := loadgen.Phased(0,
+		loadgen.Phase{Duration: 30 * time.Millisecond, Rate: 1000},
+		loadgen.Phase{Duration: 70 * time.Millisecond, Rate: 100},
+	)
+	w := Workload{InputShape: []int{4}, Load: &burst, Duration: time.Second}
 	if err := w.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -175,70 +172,6 @@ func TestProducerBurstRateSchedule(t *testing.T) {
 	}
 }
 
-// TestLoadPolicyAliases is the legacy-knob regression table: every
-// legacy pacing spelling (open-loop constant, saturation, periodic
-// burst) must produce a byte-identical arrival schedule to its explicit
-// Load-policy equivalent (docs/SCENARIOS.md "Legacy knobs").
-func TestLoadPolicyAliases(t *testing.T) {
-	scheduleBytes := func(t *testing.T, w Workload) string {
-		t.Helper()
-		if err := w.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		var buf strings.Builder
-		if err := loadgen.WriteSchedule(&buf, w.LoadPolicy(), 256); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	shape := []int{4}
-	burstPolicy := loadgen.Phased(3,
-		loadgen.Phase{Duration: 20 * time.Millisecond, Rate: 2000},
-		loadgen.Phase{Duration: 80 * time.Millisecond, Rate: 150},
-	)
-	constPolicy := loadgen.Constant(400)
-	satPolicy := loadgen.Saturate()
-	cases := []struct {
-		name   string
-		legacy Workload
-		load   Workload
-	}{
-		{
-			name:   "open-loop constant",
-			legacy: Workload{InputShape: shape, InputRate: 400},
-			load:   Workload{InputShape: shape, Load: &constPolicy},
-		},
-		{
-			name:   "saturation",
-			legacy: Workload{InputShape: shape},
-			load:   Workload{InputShape: shape, Load: &satPolicy},
-		},
-		{
-			name: "periodic burst",
-			legacy: Workload{
-				InputShape:        shape,
-				Bursty:            true,
-				BurstDuration:     20 * time.Millisecond,
-				TimeBetweenBursts: 100 * time.Millisecond,
-				BurstRate:         2000,
-				BaseRate:          150,
-				Seed:              3,
-			},
-			load: Workload{InputShape: shape, Seed: 3, Load: &burstPolicy},
-		},
-	}
-	for _, c := range cases {
-		if got, want := scheduleBytes(t, c.legacy), scheduleBytes(t, c.load); got != want {
-			t.Errorf("%s: legacy and Load schedules differ:\nlegacy %q\nload   %q", c.name, got, want)
-		}
-	}
-	// Setting both spellings at once must not validate.
-	both := Workload{InputShape: shape, InputRate: 400, Load: &constPolicy}
-	if err := both.Validate(); err == nil {
-		t.Error("workload with both Load and InputRate validated")
-	}
-}
-
 func TestWorkloadValidation(t *testing.T) {
 	bad := Workload{}
 	if err := bad.Validate(); err == nil {
@@ -248,13 +181,9 @@ func TestWorkloadValidation(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("zero-size shape accepted")
 	}
-	bad = Workload{InputShape: []int{4}, Bursty: true}
+	bad = Workload{InputShape: []int{4}, Load: &loadgen.Policy{Process: loadgen.ProcessConstant}}
 	if err := bad.Validate(); err == nil {
-		t.Fatal("bursty without bd/tbb accepted")
-	}
-	bad = Workload{InputShape: []int{4}, Bursty: true, BurstDuration: time.Second, TimeBetweenBursts: time.Second}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("bursty without rates accepted")
+		t.Fatal("constant load without a rate accepted")
 	}
 	good := Workload{InputShape: []int{4}}
 	if err := good.Validate(); err != nil {
@@ -262,6 +191,9 @@ func TestWorkloadValidation(t *testing.T) {
 	}
 	if good.BatchSize != 1 || good.Duration != time.Second {
 		t.Fatalf("defaults not applied: %+v", good)
+	}
+	if !reflect.DeepEqual(good.LoadPolicy(), loadgen.Saturate()) {
+		t.Fatalf("nil Load is %+v, want saturation", good.LoadPolicy())
 	}
 }
 

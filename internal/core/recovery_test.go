@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"crayfish/internal/batching"
 	"crayfish/internal/faults"
 	"crayfish/internal/telemetry"
 )
@@ -13,7 +14,7 @@ import (
 func recoveryConfig(engine string, serving ServingConfig) Config {
 	cfg := quickConfig(engine, serving)
 	cfg.Workload.MaxEvents = 120
-	cfg.Workload.InputRate = 600
+	cfg.Workload.Load = constantLoad(600)
 	cfg.Workload.Duration = time.Second
 	return cfg
 }
@@ -98,6 +99,42 @@ func TestRunRecoveryDeterministicReplay(t *testing.T) {
 	if a.Dropped != b.Dropped || a.Duplicated != b.Duplicated || a.Lost != b.Lost {
 		t.Fatalf("accounting differs: run1 drop=%d dup=%d lost=%d, run2 drop=%d dup=%d lost=%d",
 			a.Dropped, a.Duplicated, a.Lost, b.Dropped, b.Duplicated, b.Lost)
+	}
+}
+
+// TestRunRecoveryHonoursBatching: a fault run is the ordinary pipeline
+// with an injector firing, so Config.Batching coalesces scorer calls
+// there too and nothing is lost beyond the planned drops — and the fault
+// log, a function of the plan and the produce sequence, is the unbatched
+// run's byte for byte.
+func TestRunRecoveryHonoursBatching(t *testing.T) {
+	plan := messagePlan()
+	run := func(policy *batching.Policy) (*RecoveryResult, int64) {
+		t.Helper()
+		cfg := recoveryConfig("kafka-streams", ServingConfig{Mode: Embedded, Tool: "onnx"})
+		cfg.Batching = policy
+		cfg.Telemetry = telemetry.New()
+		res, err := (&Runner{}).RunRecovery(cfg, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Result.EngineErr != nil {
+			t.Fatalf("engine error: %v", res.Result.EngineErr)
+		}
+		counters := res.Result.Telemetry.Counters
+		return res, counters["sps.batch.size_flush"] + counters["sps.batch.linger_flush"]
+	}
+	plain, plainBatches := run(nil)
+	batched, batches := run(&batching.Policy{MaxBatch: 4})
+	if plainBatches != 0 || batches == 0 {
+		t.Fatalf("sps.batch.* flushes: %d unbatched, %d with Batching set; want 0 and > 0", plainBatches, batches)
+	}
+	if !batched.Recovered || batched.Lost != 0 || batched.Dropped != 6 {
+		t.Fatalf("recovered=%v lost=%d dropped=%d with Batching set, want a clean recovery past 6 planned drops",
+			batched.Recovered, batched.Lost, batched.Dropped)
+	}
+	if batched.FaultLog != plain.FaultLog {
+		t.Fatalf("fault logs differ:\n--- unbatched\n%s--- batched\n%s", plain.FaultLog, batched.FaultLog)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"crayfish/internal/broker"
+	"crayfish/internal/faults"
 	"crayfish/internal/loadgen"
 	"crayfish/internal/serving"
 	"crayfish/internal/sps"
@@ -76,17 +77,7 @@ type Runner struct {
 // The caller must have imported the engine packages (or the root crayfish
 // package) so the configured engine is registered.
 func (r *Runner) Run(cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	m, err := cfg.Model.Build()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Workload.PointLen() != m.InputLen() {
-		return nil, fmt.Errorf("core: workload shape %v does not match model input %v", cfg.Workload.InputShape, m.InputShape)
-	}
-	scorer, cleanup, err := BuildScorerNet(cfg.Serving, m, cfg.ParallelismDefault, cfg.Network)
+	scorer, cleanup, err := prepare(&cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -94,26 +85,86 @@ func (r *Runner) Run(cfg Config) (*Result, error) {
 	return r.runWithScorer(cfg, scorer)
 }
 
-// runWithScorer executes a validated experiment against an explicit
-// scorer. It backs both Run and the no-op broker validation.
-func (r *Runner) runWithScorer(cfg Config, scorer serving.Scorer) (*Result, error) {
-	codec := r.Codec
-	if codec == nil {
-		codec = JSONCodec{}
+// prepare is the prelude every runner shares: validate and default the
+// config, build the model, check the workload's shape against it, and
+// build the scorer on cfg.Network. With a fault run's injector the
+// scorer sits behind the injector's fault windows and its serving daemon
+// under the injector's crash/restart events. Scorer-stage telemetry
+// wraps last, so every serving mode — embedded runtime or external
+// client — reports through the same metrics.
+func prepare(cfg *Config, inj *faults.Injector) (serving.Scorer, func(), error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
 	}
-	// Scorer-stage telemetry wraps here so every serving mode — embedded
-	// runtime or external client — reports through the same metrics.
-	scorer = serving.Instrument(scorer, cfg.Telemetry)
+	m, err := cfg.Model.Build()
+	if err != nil {
+		return nil, nil, err
+	}
+	if cfg.Workload.PointLen() != m.InputLen() {
+		return nil, nil, fmt.Errorf("core: workload shape %v does not match model input %v", cfg.Workload.InputShape, m.InputShape)
+	}
+	scorer, cleanup, err := buildScorer(cfg.Serving, m, cfg.ParallelismDefault, cfg.Network, inj, cfg.Telemetry)
+	if err != nil {
+		return nil, nil, err
+	}
+	if inj != nil {
+		scorer = &faultScorer{inner: scorer, inj: inj}
+	}
+	return serving.Instrument(scorer, cfg.Telemetry), cleanup, nil
+}
 
+// brokerConfig configures a run's private broker. It joins the run's
+// registry (a shared remote broker daemon reports through its own,
+// brokerd -metrics-addr); a fault run's injector applies the plan's
+// message faults at its produce boundary.
+func brokerConfig(cfg Config, inj *faults.Injector) broker.Config {
+	bcfg := broker.DefaultConfig()
+	bcfg.Network = cfg.Network
+	bcfg.Metrics = cfg.Telemetry
+	bcfg.Faults = inj
+	return bcfg
+}
+
+// runWithScorer measures a validated experiment against an explicit
+// scorer on the runner's broker. It backs both Run and the no-op broker
+// validation.
+func (r *Runner) runWithScorer(cfg Config, scorer serving.Scorer) (*Result, error) {
 	transport := r.Transport
 	if transport == nil {
-		bcfg := broker.DefaultConfig()
-		bcfg.Network = cfg.Network
-		// A private broker joins the run's registry; a shared remote
-		// broker daemon reports through its own (brokerd -metrics-addr).
-		bcfg.Metrics = cfg.Telemetry
-		transport = broker.New(bcfg)
+		transport = broker.New(brokerConfig(cfg, nil))
+	} else {
+		// Shared brokers persist across runs; drop this run's topics so
+		// reruns start clean (best-effort: the broker may already be
+		// shutting down). Private in-process brokers are discarded
+		// wholesale.
+		defer func() {
+			_ = transport.DeleteTopic(InputTopic)
+			_ = transport.DeleteTopic(OutputTopic)
+		}()
 	}
+	books, err := r.measure(cfg, transport, scorer, nil)
+	if err != nil {
+		return nil, err
+	}
+	return books.Result, nil
+}
+
+// faultRun is what a fault-injection run hands the measurement loop on
+// top of an ordinary run's arguments.
+type faultRun struct {
+	plan faults.Plan
+	inj  *faults.Injector
+}
+
+// measure is the one measurement loop (§3.1, §3.3): launch the engine
+// job over the transport, start the output consumer, stream the workload,
+// drain the backlog, stop everything and analyze. It returns the run's
+// books: the Result inside the produced/accounted/lost accounting every
+// run has. With fr set the plan's injector fires while the workload
+// streams, records retry through its fault windows, the drain waits the
+// fault schedule out, and the books carry the fault log, the recovery
+// time and the degraded-window latency as well.
+func (r *Runner) measure(cfg Config, transport broker.Transport, scorer serving.Scorer, fr *faultRun) (*RecoveryResult, error) {
 	// Topic setup is idempotent: a shared broker daemon may have been
 	// started with the topics pre-created.
 	for _, topic := range []string{InputTopic, OutputTopic} {
@@ -121,16 +172,6 @@ func (r *Runner) runWithScorer(cfg Config, scorer serving.Scorer) (*Result, erro
 			return nil, err
 		}
 	}
-	defer func() {
-		// Shared brokers persist across runs; drop this run's topics
-		// so reruns start clean. Private in-process brokers are
-		// discarded wholesale.
-		if r.Transport != nil {
-			// Best-effort: a shared broker may already be shutting down.
-			_ = transport.DeleteTopic(InputTopic)
-			_ = transport.DeleteTopic(OutputTopic)
-		}
-	}()
 
 	engine := r.Engine
 	if engine == nil {
@@ -140,13 +181,13 @@ func (r *Runner) runWithScorer(cfg Config, scorer serving.Scorer) (*Result, erro
 			return nil, err
 		}
 	}
-	job, err := engine.Run(sps.JobSpec{
+	spec := sps.JobSpec{
 		Transport:      transport,
 		InputTopic:     InputTopic,
 		OutputTopic:    OutputTopic,
 		Group:          fmt.Sprintf("crayfish-sut-%d", atomic.AddInt64(&runSeq, 1)),
-		Transform:      MakeTransform(codec, scorer),
-		BatchTransform: MakeBatchTransform(codec, scorer),
+		Transform:      MakeTransform(r.Codec, scorer),
+		BatchTransform: MakeBatchTransform(r.Codec, scorer),
 		Batching:       cfg.Batching,
 		Parallelism: sps.Parallelism{
 			Default: cfg.ParallelismDefault,
@@ -154,29 +195,32 @@ func (r *Runner) runWithScorer(cfg Config, scorer serving.Scorer) (*Result, erro
 			Sink:    cfg.SinkParallelism,
 		},
 		Metrics: cfg.Telemetry,
-	})
-	if err != nil {
-		return nil, err
 	}
-
-	oc, err := NewOutputConsumer(transport, OutputTopic, codec)
+	if fr != nil {
+		spec.Retry = recoveryRetry(fr.plan)
+	}
+	// The consumer and the producer only read their topic's partition
+	// count here; built before anything runs, a failure leaves nothing to
+	// stop.
+	oc, err := NewOutputConsumer(transport, OutputTopic, r.Codec)
 	if err != nil {
-		_ = job.Stop()
 		return nil, err
 	}
 	oc.Metrics = cfg.Telemetry
+	producer, err := NewInputProducer(transport, InputTopic, cfg.Workload, r.Codec)
+	if err != nil {
+		return nil, err
+	}
+	producer.Metrics = cfg.Telemetry
+
+	job, err := engine.Run(spec)
+	if err != nil {
+		return nil, err
+	}
 	consumerStop := make(chan struct{})
 	consumerDone := make(chan error, 1)
 	go func() { consumerDone <- oc.Run(consumerStop) }()
 
-	producer, err := NewInputProducer(transport, InputTopic, cfg.Workload, codec)
-	if err != nil {
-		_ = job.Stop()
-		close(consumerStop)
-		<-consumerDone
-		return nil, err
-	}
-	producer.Metrics = cfg.Telemetry
 	if cfg.closedStreams > 0 {
 		// Closed-loop issue control (single-/multi-stream scenarios):
 		// event #issued may only go out once all but the window's worth
@@ -191,18 +235,35 @@ func (r *Runner) runWithScorer(cfg Config, scorer serving.Scorer) (*Result, erro
 	}
 
 	runStart := time.Now()
+	if fr != nil {
+		fr.inj.Start()
+	}
 	produced, prodErr := producer.Run(nil)
 
 	// Drain: wait until the SUT catches up or the drain window closes.
+	expected := produced
+	var faultBudget time.Duration
+	if fr != nil {
+		// The expected count is only knowable after production: planned
+		// drops never reach the pipeline. The derived drain budget covers
+		// the whole fault schedule on top of the usual one.
+		expected -= fr.inj.CountsFor(InputTopic)[faults.Drop]
+		faultBudget = fr.plan.LastWindowEnd() + 2*time.Second
+	}
 	drain := r.DrainTimeout
 	if drain <= 0 {
 		drain = cfg.Workload.Duration
 		if drain < 250*time.Millisecond {
 			drain = 250 * time.Millisecond
 		}
+		drain += faultBudget
 	}
-	oc.waitForSamples(produced, time.Now().Add(drain))
+	caughtUp := oc.waitForSamples(expected, time.Now().Add(drain))
+	caughtUpAt := time.Now()
 
+	if fr != nil {
+		fr.inj.Stop()
+	}
 	engineErr := job.Stop()
 	close(consumerStop)
 	if err := <-consumerDone; err != nil && engineErr == nil {
@@ -213,17 +274,37 @@ func (r *Runner) runWithScorer(cfg Config, scorer serving.Scorer) (*Result, erro
 	}
 
 	samples := oc.Samples()
-	metrics, err := Analyze(samples, produced, cfg.WarmupFraction)
+	res, err := newResult(cfg, samples, produced, runStart)
 	if err != nil {
 		return nil, fmt.Errorf("core: run produced %d events but %w (engine error: %v)", produced, err, engineErr)
 	}
-	res := &Result{
-		Config:     cfg,
-		Metrics:    metrics,
-		RunStart:   runStart,
-		Duplicates: oc.Duplicates(),
-		EngineErr:  engineErr,
+	res.Duplicates, res.EngineErr = oc.Duplicates(), engineErr
+	books := &RecoveryResult{
+		Result:     res,
+		Produced:   produced,
+		Dropped:    produced - expected,
+		Duplicated: res.Duplicates,
+		Accounted:  len(samples),
+		Lost:       expected - len(samples),
+		Recovered:  caughtUp,
 	}
+	if fr != nil {
+		books.FaultLog = faults.FormatLog(fr.inj.Log())
+		if ttr := caughtUpAt.Sub(runStart.Add(fr.plan.LastWindowEnd())); caughtUp && ttr > 0 {
+			books.TimeToRecover = ttr
+		}
+		books.DegradedP95, books.DegradedSamples = degradedLatency(samples, runStart, fr.plan)
+	}
+	return books, nil
+}
+
+// newResult analyzes a run's samples into its Result.
+func newResult(cfg Config, samples []Sample, produced int, runStart time.Time) (*Result, error) {
+	metrics, err := Analyze(samples, produced, cfg.WarmupFraction)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Config: cfg, Metrics: metrics, RunStart: runStart}
 	if cfg.KeepSamples {
 		res.Samples = samples
 	}

@@ -38,8 +38,6 @@ func (r *Runner) RunScenario(cfg Config, sc loadgen.Scenario) (*Result, error) {
 		policy.Seed = cfg.Workload.Seed
 	}
 	cfg.Workload.Load = &policy
-	cfg.Workload.InputRate = 0
-	cfg.Workload.Bursty = false
 	switch sc.Kind {
 	case loadgen.SingleStream, loadgen.MultiStream:
 		cfg.closedStreams = sc.Streams

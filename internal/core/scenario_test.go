@@ -8,12 +8,10 @@ import (
 	"crayfish/internal/telemetry"
 )
 
-// scenarioConfig is quickConfig without legacy pacing knobs: the
-// scenario supplies the arrival policy.
+// scenarioConfig is quickConfig, constant Load and all: the scenario's
+// arrival policy replaces whatever the workload said.
 func scenarioConfig(engine string) Config {
-	cfg := quickConfig(engine, ServingConfig{Mode: Embedded, Tool: "onnx"})
-	cfg.Workload.InputRate = 0
-	return cfg
+	return quickConfig(engine, ServingConfig{Mode: Embedded, Tool: "onnx"})
 }
 
 // TestRunScenarioKinds runs each of the four scenarios end to end on one

@@ -1,11 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
-	"crayfish/internal/serving"
+	"crayfish/internal/loadgen"
 )
 
 // RunStandalone executes the Figure 13 baseline: a self-contained
@@ -14,26 +13,24 @@ import (
 // serialisation is applied at the pipeline boundary so the comparison
 // against the Kafka-based pipeline isolates exactly the broker hops.
 func RunStandalone(cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	codec := BatchCodec(JSONCodec{})
-	m, err := cfg.Model.Build()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Workload.PointLen() != m.InputLen() {
-		return nil, fmt.Errorf("core: workload shape %v does not match model input %v", cfg.Workload.InputShape, m.InputShape)
-	}
-	scorer, cleanup, err := BuildScorer(cfg.Serving, m, cfg.ParallelismDefault)
+	scorer, cleanup, err := prepare(&cfg, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer cleanup()
-	transform := MakeTransform(codec, serving.Instrument(scorer, cfg.Telemetry))
+	codec := BatchCodec(JSONCodec{})
+	transform := MakeTransform(codec, scorer)
+	gen := newDataGenerator(cfg.Workload)
+	if gen.dataset, err = loadDataset(&cfg.Workload); err != nil {
+		return nil, err
+	}
+	sched, err := cfg.Workload.LoadPolicy().Schedule()
+	if err != nil {
+		return nil, err
+	}
+	pacer := loadgen.NewPacer(sched, loadgen.Clock{})
 
-	type item struct{ value []byte }
-	pipe := make(chan item, 64)
+	pipe := make(chan []byte, 64)
 
 	var mu sync.Mutex
 	var samples []Sample
@@ -42,8 +39,8 @@ func RunStandalone(cfg Config) (*Result, error) {
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
-			for it := range pipe {
-				scored, err := transform(it.value)
+			for value := range pipe {
+				scored, err := transform(value)
 				if err != nil {
 					continue
 				}
@@ -65,48 +62,32 @@ func RunStandalone(cfg Config) (*Result, error) {
 		}()
 	}
 
-	gen := newDataGenerator(cfg.Workload)
-	runStart := time.Now()
+	runStart := pacer.Start()
 	deadline := runStart.Add(cfg.Workload.Duration)
 	produced := 0
-	var id int64
 	for time.Now().Before(deadline) {
 		if cfg.Workload.MaxEvents > 0 && produced >= cfg.Workload.MaxEvents {
 			break
 		}
-		if rate := cfg.Workload.InputRate; rate > 0 {
-			due := runStart.Add(time.Duration(float64(id) * float64(time.Second) / rate))
-			if wait := time.Until(due); wait > 0 {
-				time.Sleep(wait)
-			}
+		wait, _, _, ok := pacer.Tick()
+		if !ok {
+			// Trace replay exhausted its arrivals.
+			break
 		}
-		batch := gen.next(id)
-		value, err := codec.Marshal(batch)
+		if wait > 0 {
+			pacer.Sleep(wait, nil)
+		}
+		value, err := codec.Marshal(gen.next(int64(produced)))
 		if err != nil {
 			close(pipe)
 			workers.Wait()
 			return nil, err
 		}
-		pipe <- item{value: value}
+		pipe <- value
 		produced++
-		id++
 	}
 	close(pipe)
 	workers.Wait()
 
-	mu.Lock()
-	collected := append([]Sample(nil), samples...)
-	mu.Unlock()
-	metrics, err := Analyze(collected, produced, cfg.WarmupFraction)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Config: cfg, Metrics: metrics, RunStart: runStart}
-	if cfg.KeepSamples {
-		res.Samples = collected
-	}
-	if cfg.Telemetry != nil {
-		res.Telemetry = cfg.Telemetry.Snapshot()
-	}
-	return res, nil
+	return newResult(cfg, samples, produced, runStart)
 }

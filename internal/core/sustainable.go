@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"time"
+
+	"crayfish/internal/loadgen"
 )
 
 // SustainableThroughputOptions tunes FindSustainableRate.
@@ -44,7 +46,8 @@ func (r *Runner) FindSustainableRate(cfg Config, opts SustainableThroughputOptio
 
 	probe := func(rate float64) (bool, error) {
 		run := cfg
-		run.Workload.InputRate = rate
+		load := loadgen.Constant(rate)
+		run.Workload.Load = &load
 		run.Workload.Duration = opts.ProbeDuration
 		res, err := r.Run(run)
 		if err != nil {

@@ -3,15 +3,19 @@ package core
 import (
 	"fmt"
 	"slices"
+	"time"
 
+	"crayfish/internal/faults"
 	"crayfish/internal/gpu"
 	"crayfish/internal/model"
 	"crayfish/internal/modelfmt"
 	"crayfish/internal/netsim"
+	"crayfish/internal/resilience"
 	"crayfish/internal/serving"
 	"crayfish/internal/serving/embedded"
 	"crayfish/internal/serving/external"
 	"crayfish/internal/sps"
+	"crayfish/internal/telemetry"
 )
 
 // ModelSpec selects a pre-trained model for an experiment.
@@ -46,17 +50,23 @@ func (s ModelSpec) Build() (*model.Model, error) {
 	}
 }
 
-// BuildScorer assembles the serving side of the SUT: an embedded runtime
-// loading the model through its native storage format, or an external
-// serving daemon plus client. The returned cleanup releases servers and
-// clients and is safe to call once.
-func BuildScorer(cfg ServingConfig, m *model.Model, mp int) (serving.Scorer, func(), error) {
-	return BuildScorerNet(cfg, m, mp, netsim.Loopback)
+// BuildScorerNet assembles the serving side of the SUT: an embedded
+// runtime loading the model through its native storage format, or an
+// external serving daemon plus client, with the network profile applied
+// to the external serving link (the serving VM hop of §4.2). The returned
+// cleanup releases servers and clients and is safe to call once.
+func BuildScorerNet(cfg ServingConfig, m *model.Model, mp int, network netsim.Profile) (serving.Scorer, func(), error) {
+	return buildScorer(cfg, m, mp, network, nil, nil)
 }
 
-// BuildScorerNet is BuildScorer with a network profile applied to the
-// external serving link (the serving VM hop of §4.2).
-func BuildScorerNet(cfg ServingConfig, m *model.Model, mp int, network netsim.Profile) (serving.Scorer, func(), error) {
+// buildScorer is BuildScorerNet for any run. A fault run passes its
+// injector (and the registry its client reports resilience.* into): a
+// daemon the run launches then has the injector's Crash/Restart events
+// bound to its supervisor, and the client dials with retries and a
+// circuit breaker, so the pipeline rides the outage out. Embedded
+// serving and an already-running daemon (ServingConfig.Addr) build the
+// same either way; crash/restart events then fire with no target.
+func buildScorer(cfg ServingConfig, m *model.Model, mp int, network netsim.Profile, inj *faults.Injector, reg *telemetry.Registry) (serving.Scorer, func(), error) {
 	dev, err := gpu.ByName(cfg.Device)
 	if err != nil {
 		return nil, nil, err
@@ -89,7 +99,10 @@ func BuildScorerNet(cfg ServingConfig, m *model.Model, mp int, network netsim.Pr
 			workers = mp
 		}
 		addr := cfg.Addr
-		var srv external.Server
+		var opts external.ClientOptions
+		// The daemon runs under a Supervisor (a Start that pins the bound
+		// address); only a fault run ever crashes or restarts it.
+		var sup *external.Supervisor
 		if addr == "" {
 			f, err := external.Format(kind)
 			if err != nil {
@@ -99,7 +112,7 @@ func BuildScorerNet(cfg ServingConfig, m *model.Model, mp int, network netsim.Pr
 			if err != nil {
 				return nil, nil, err
 			}
-			srv, err = external.Start(external.Config{
+			sup, err = external.NewSupervisor(external.Config{
 				Kind:       kind,
 				ModelBytes: stored,
 				Workers:    workers,
@@ -109,19 +122,28 @@ func BuildScorerNet(cfg ServingConfig, m *model.Model, mp int, network netsim.Pr
 			if err != nil {
 				return nil, nil, err
 			}
-			addr = srv.Addr()
+			addr = sup.Addr()
+			if inj != nil {
+				inj.Handle(faults.Crash, func(faults.Event) { _ = sup.Crash() })
+				inj.Handle(faults.Restart, func(faults.Event) { _ = sup.Restart() })
+				opts = external.ClientOptions{
+					Retry:   &resilience.Retry{Attempts: 3, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond},
+					Breaker: &resilience.Breaker{FailureThreshold: 5, Cooldown: 25 * time.Millisecond},
+					Metrics: reg,
+				}
+			}
 		}
-		client, err := external.DialClient(kind, addr)
+		client, err := external.DialClientOpts(kind, addr, opts)
 		if err != nil {
-			if srv != nil {
-				_ = srv.Close()
+			if sup != nil {
+				_ = sup.Close()
 			}
 			return nil, nil, err
 		}
 		cleanup := func() {
 			_ = client.Close()
-			if srv != nil {
-				_ = srv.Close()
+			if sup != nil {
+				_ = sup.Close()
 			}
 		}
 		return client, cleanup, nil

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"crayfish/internal/model"
+	"crayfish/internal/netsim"
 	"crayfish/internal/sps"
 )
 
@@ -14,7 +15,7 @@ import (
 func TestTransformKeepsInputs(t *testing.T) {
 	m := model.NewFFNNSized(1, 8, []int{4}, 3)
 	m.Layers = append([]*model.Layer{{Kind: model.KindReLU, Name: "relu-in"}}, m.Layers...)
-	scorer, cleanup, err := BuildScorer(ServingConfig{Mode: Embedded, Tool: "onnx"}, m, 1)
+	scorer, cleanup, err := BuildScorerNet(ServingConfig{Mode: Embedded, Tool: "onnx"}, m, 1, netsim.Loopback)
 	if err != nil {
 		t.Fatal(err)
 	}

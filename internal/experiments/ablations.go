@@ -30,7 +30,7 @@ func AblationProducerBatching(opts Options) (*Report, error) {
 	w := o.ffnnWorkload()
 	w.BatchSize = 32
 	cfg := o.baseConfig("flink", embeddedTool("onnx"), w, "ffnn", 1)
-	cfg.Workload.InputRate = 2_000
+	cfg.Workload.Load = openLoop(2_000)
 	cfg.Workload.Duration = d
 	runner := &core.Runner{DrainTimeout: time.Millisecond}
 	res, err := runner.Run(cfg)
@@ -43,7 +43,7 @@ func AblationProducerBatching(opts Options) (*Report, error) {
 	w = o.ffnnWorkload()
 	w.BatchSize = 1
 	cfg = o.baseConfig("flink", embeddedTool("onnx"), w, "ffnn", 1)
-	cfg.Workload.InputRate = openLoopRate("ffnn")
+	cfg.Workload.Load = openLoop(openLoopRate("ffnn"))
 	cfg.Workload.Duration = d
 	res, err = runner.Run(cfg)
 	if err != nil {
@@ -65,7 +65,7 @@ func AblationSerialization(opts Options) (*Report, error) {
 	}
 	for _, codec := range []core.BatchCodec{core.JSONCodec{}, core.BinaryCodec{}} {
 		cfg := o.baseConfig("flink", embeddedTool("onnx"), o.ffnnWorkload(), "ffnn", 1)
-		cfg.Workload.InputRate = openLoopRate("ffnn")
+		cfg.Workload.Load = openLoop(openLoopRate("ffnn"))
 		cfg.Workload.Duration = o.scaled(2 * time.Second)
 		runner := &core.Runner{Codec: codec, DrainTimeout: time.Millisecond}
 		res, err := runner.Run(cfg)
@@ -92,7 +92,7 @@ func AblationTransport(opts Options) (*Report, error) {
 		cfg := o.baseConfig("flink", embeddedTool("onnx"), o.ffnnWorkload(), "ffnn", 1)
 		cfg.Network.Latency = 0
 		cfg.Network.BandwidthBytesPerSec = 0
-		cfg.Workload.InputRate = 2_000
+		cfg.Workload.Load = openLoop(2_000)
 		cfg.Workload.Duration = o.scaled(2 * time.Second)
 		runner := &core.Runner{Transport: transport, DrainTimeout: 100 * time.Millisecond}
 		res, err := runner.Run(cfg)
@@ -318,7 +318,7 @@ func AblationNetworkRealism(opts Options) (*Report, error) {
 			} else {
 				name = "LAN (paper-fitted)"
 			}
-			cfg.Workload.InputRate = 100
+			cfg.Workload.Load = openLoop(100)
 			cfg.Workload.Duration = o.scaled(2 * time.Second)
 			runner := &core.Runner{}
 			latRes, err := runner.Run(cfg)
@@ -355,7 +355,7 @@ func AblationDynamicBatching(opts Options) (*Report, error) {
 		cfg := o.baseConfig("flink", externalTool("tf-serving"), o.ffnnWorkload(), "ffnn", 4)
 		cfg.Batching = policy
 		cfg.Telemetry = reg
-		cfg.Workload.InputRate = 2_000
+		cfg.Workload.Load = openLoop(2_000)
 		cfg.Workload.Duration = d
 		runner := &core.Runner{DrainTimeout: time.Millisecond}
 		res, err := runner.Run(cfg)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"crayfish/internal/core"
+	"crayfish/internal/loadgen"
 	"crayfish/internal/netsim"
 	"crayfish/internal/sps"
 
@@ -235,6 +236,12 @@ func openLoopRate(modelName string) float64 {
 	return 30_000
 }
 
+// openLoop spells the paper's constant input rate ir as a Workload.Load.
+func openLoop(rate float64) *loadgen.Policy {
+	p := loadgen.Constant(rate)
+	return &p
+}
+
 // saturate measures open-loop throughput. A short probe at the paper's
 // nominal rate estimates the SUT's capacity; the measured run then drives
 // it at 1.3× that estimate — still above sustainable, but with bounded
@@ -253,7 +260,7 @@ func (o Options) saturateWithEngine(cfg core.Config, engine sps.Processor, d tim
 func (o Options) saturateWith(runner *core.Runner, cfg core.Config, d time.Duration) (float64, error) {
 
 	probe := cfg
-	probe.Workload.InputRate = openLoopRate(cfg.Model.Name)
+	probe.Workload.Load = openLoop(openLoopRate(cfg.Model.Name))
 	probe.Workload.Duration = d / 2
 	if probe.Workload.Duration < 400*time.Millisecond {
 		probe.Workload.Duration = 400 * time.Millisecond
@@ -271,7 +278,7 @@ func (o Options) saturateWith(runner *core.Runner, cfg core.Config, d time.Durat
 		rate = nominal
 	}
 
-	cfg.Workload.InputRate = rate
+	cfg.Workload.Load = openLoop(rate)
 	cfg.Workload.Duration = d
 	results, err := runner.RunAveraged(cfg, o.Runs)
 	if err != nil {
@@ -286,7 +293,7 @@ func (o Options) closedLoop(cfg core.Config, rate float64, d time.Duration) (cor
 	if minRate := 4 / d.Seconds(); rate < minRate {
 		rate = minRate
 	}
-	cfg.Workload.InputRate = rate
+	cfg.Workload.Load = openLoop(rate)
 	cfg.Workload.Duration = d
 	runner := &core.Runner{}
 	results, err := runner.RunAveraged(cfg, o.Runs)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"crayfish/internal/core"
+	"crayfish/internal/loadgen"
 )
 
 // servingTools5 is the Figure 5/6 tool set.
@@ -124,11 +125,11 @@ func Figure8BurstRecovery(opts Options) (*Report, error) {
 			return nil, fmt.Errorf("figure8 %s: ST probe: %w", serving.Tool, err)
 		}
 		w := o.ffnnWorkload()
-		w.Bursty = true
-		w.BurstDuration = bd
-		w.TimeBetweenBursts = tbb
-		w.BurstRate = st * 1.25
-		w.BaseRate = st * 0.70
+		burst := loadgen.Phased(0,
+			loadgen.Phase{Duration: bd, Rate: st * 1.25},
+			loadgen.Phase{Duration: tbb - bd, Rate: st * 0.70},
+		)
+		w.Load = &burst
 		w.Duration = total
 		cfg = o.baseConfig("flink", serving, w, "ffnn", 1)
 		cfg.KeepSamples = true
@@ -366,15 +367,15 @@ func Figure13KafkaOverhead(opts Options) (*Report, error) {
 	}
 	r.AddRow("kafka", fmtRate(viaTput), fmtMs(viaLat.Mean), fmtMs(viaLat.P99))
 
+	// No Load: the throughput half saturates.
 	standCfg := latCfg
-	standCfg.Workload.InputRate = 0
 	standCfg.Workload.Duration = o.scaled(3 * time.Second)
 	standTput, err := core.RunStandalone(standCfg)
 	if err != nil {
 		return nil, fmt.Errorf("figure13 no-kafka throughput: %w", err)
 	}
 	standLatCfg := latCfg
-	standLatCfg.Workload.InputRate = 20
+	standLatCfg.Workload.Load = openLoop(20)
 	standLatCfg.Workload.Duration = o.scaled(3 * time.Second)
 	standLat, err := core.RunStandalone(standLatCfg)
 	if err != nil {

@@ -46,7 +46,7 @@ func RecoveryFaultInjection(opts Options) (*Report, error) {
 		// generous backstop so a slow run (race detector, loaded CI) still
 		// produces every event the plan's sequence windows target.
 		w.Duration = d + 2*time.Second
-		w.InputRate = 2 * maxEvents / d.Seconds()
+		w.Load = openLoop(2 * maxEvents / d.Seconds())
 		cfg := o.baseConfig(p.engine, p.serving, w, "ffnn", 1)
 		plan := recoveryPlan(p.serving, d)
 

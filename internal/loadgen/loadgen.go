@@ -236,9 +236,8 @@ func (s *Schedule) phaseAt(off time.Duration) Phase {
 // WriteSchedule writes the first n arrivals of the policy's schedule in
 // the canonical conformance format — one "index offset_ns rate" line per
 // arrival. This is the byte-identity surface: equal policies (same seed)
-// must produce equal bytes, pinned by the loadgen conformance suite and
-// the core load-policy alias regression test. Unbounded processes emit
-// exactly n lines; a shorter trace ends early.
+// must produce equal bytes, pinned by the loadgen conformance suite.
+// Unbounded processes emit exactly n lines; a shorter trace ends early.
 func WriteSchedule(w io.Writer, p Policy, n int) error {
 	s, err := p.Schedule()
 	if err != nil {

@@ -50,14 +50,20 @@ go test -race -count=1 \
 	-run 'TestDaemonsMatchOracleBitForBit|TestReloadUnderLoadRetiresPlans|TestStartFailureReleasesPlan' \
 	./internal/serving/external/
 # Load-generator conformance (docs/SCENARIOS.md): arrival schedules must
-# replay byte-identically per seed, scenario verdict logic must match the
-# documented constraints, and the legacy open/closed/burst knobs must
-# alias exactly onto their Load-policy equivalents. The producer/pacer
-# path crosses goroutines, so this runs race-enabled and by name.
+# replay byte-identically per seed and scenario verdict logic must match
+# the documented constraints. The producer/pacer path crosses goroutines,
+# so this runs race-enabled and by name.
 go test -race -count=1 \
 	-run 'TestScheduleDeterminism|TestScheduleGolden|TestScenarioVerdicts|TestPacer' \
 	./internal/loadgen/
-go test -race -count=1 -run 'TestLoadPolicyAliases|TestRunScenario' ./internal/core/
+go test -race -count=1 -run 'TestRunScenario' ./internal/core/
+# One experiment pipeline (DESIGN.md `internal/core`): a fault run and the
+# broker-less baseline are the ordinary run's prelude and loop, so what
+# Config says holds in them too — Batching under a fault plan (same fault
+# log, nothing lost), Load, DatasetPath and Network in RunStandalone. The
+# injector, the batcher and the standalone workers all cross goroutines:
+# race-enabled and by name.
+go test -race -count=1 -run 'TestRunRecoveryHonoursBatching|TestRunStandaloneHonoursConfig' ./internal/core/
 # Static-analysis self-tests (docs/STATIC_ANALYSIS.md): the CFG/dataflow
 # analyzers must match the fixture markers exactly, the directive grammar
 # must associate suppressions to the right lines, and the wave-parallel

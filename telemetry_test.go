@@ -24,7 +24,7 @@ func TestRunTelemetryContract(t *testing.T) {
 		Workload: crayfish.Workload{
 			InputShape: []int{28, 28},
 			BatchSize:  1,
-			InputRate:  300,
+			Load:       &crayfish.LoadPolicy{Process: crayfish.LoadConstant, Rate: 300},
 			Duration:   200 * time.Millisecond,
 		},
 		Engine:     "flink",
@@ -104,7 +104,6 @@ func TestRunTelemetryContract(t *testing.T) {
 	scReg := crayfish.NewTelemetry()
 	scCfg := cfg
 	scCfg.Telemetry = scReg
-	scCfg.Workload.InputRate = 0
 	scRes, err := crayfish.RunScenario(scCfg, crayfish.Scenario{
 		Kind:         crayfish.ScenarioServer,
 		TargetRate:   300,
@@ -251,7 +250,7 @@ func TestRunWithoutTelemetry(t *testing.T) {
 	cfg := crayfish.Config{
 		Workload: crayfish.Workload{
 			InputShape: []int{28, 28},
-			InputRate:  300,
+			Load:       &crayfish.LoadPolicy{Process: crayfish.LoadConstant, Rate: 300},
 			Duration:   100 * time.Millisecond,
 		},
 		Engine:     "kafka-streams",
@@ -275,7 +274,7 @@ func TestStandaloneTelemetry(t *testing.T) {
 	cfg := crayfish.Config{
 		Workload: crayfish.Workload{
 			InputShape: []int{28, 28},
-			InputRate:  300,
+			Load:       &crayfish.LoadPolicy{Process: crayfish.LoadConstant, Rate: 300},
 			Duration:   100 * time.Millisecond,
 		},
 		Engine:    "flink",
