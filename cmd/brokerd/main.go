@@ -242,7 +242,6 @@ func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:9092", "listen address (single-broker mode; cluster mode listens on its -peers entry)")
 		topics      = flag.String("topics", "", "topics to pre-create, as name:partitions[,name:partitions...]")
-		lanMs       = flag.Float64("lan-latency-ms", 0, "injected per-operation LAN latency in milliseconds (0 = off)")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (JSON telemetry) and /debug/pprof on this address (empty = off)")
 		cluster     = flag.Bool("cluster", false, "run as one node of a replicated cluster (requires -node-id and -peers)")
 		nodeID      = flag.Int("node-id", 0, "this node's id in the -peers list (cluster mode)")
@@ -260,7 +259,6 @@ func main() {
 		}
 		fmt.Printf("metrics on http://%s/metrics (pprof on /debug/pprof)\n", bound)
 	}
-	_ = lanMs // the in-daemon broker already sits behind real TCP; keep flag for symmetry
 
 	specs, err := parseTopics(*topics)
 	if err != nil {

@@ -119,11 +119,6 @@ func (p *Producer) SendBatch(recs []Record) (int, int64, error) {
 	return part, off, err
 }
 
-// SendToPartition appends a record to an explicit partition.
-func (p *Producer) SendToPartition(partition int, key, value []byte, ts time.Time) (int64, error) {
-	return p.t.Produce(p.topic, partition, []Record{{Key: key, Value: value, Timestamp: ts}})
-}
-
 // NextPartition advances the round-robin cursor and returns the partition
 // a keyless record would target. Batching producers use it to pick the
 // partition for a multi-record append.

@@ -31,9 +31,10 @@ type NodeConfig struct {
 	// ReplicaPoll is the follower fetch loop's idle re-poll interval
 	// (default 1ms, matching the cluster transports' Await).
 	ReplicaPoll time.Duration
-	// ReplicaBatch caps records per replica fetch (default 512).
-	ReplicaBatch int
 }
+
+// replicaBatch caps records per replica fetch.
+const replicaBatch = 512
 
 // fetchTarget identifies whom a follower fetcher is replicating from.
 type fetchTarget struct {
@@ -103,14 +104,13 @@ func (rs *replState) advanceHW(localEnd int64, selfID int, lag *telemetry.Gauge)
 // process kill that preserves the log ("disk survives"), which is what
 // lets a restarted node rejoin and catch up.
 type Node struct {
-	id           int
-	name         string
-	b            *Broker
-	ackTimeout   time.Duration
-	replicaPoll  time.Duration
-	replicaBatch int
-	metrics      *telemetry.Registry
-	mReplicaLag  *telemetry.Gauge
+	id          int
+	name        string
+	b           *Broker
+	ackTimeout  time.Duration
+	replicaPoll time.Duration
+	metrics     *telemetry.Registry
+	mReplicaLag *telemetry.Gauge
 
 	ctrl *Controller // set on the controller node; routes topic admin
 
@@ -136,23 +136,19 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.ReplicaPoll <= 0 {
 		cfg.ReplicaPoll = time.Millisecond
 	}
-	if cfg.ReplicaBatch <= 0 {
-		cfg.ReplicaBatch = 512
-	}
 	n := &Node{
-		id:           cfg.ID,
-		name:         fmt.Sprintf("node-%d", cfg.ID),
-		b:            New(cfg.Broker),
-		ackTimeout:   cfg.AckTimeout,
-		replicaPoll:  cfg.ReplicaPoll,
-		replicaBatch: cfg.ReplicaBatch,
-		metrics:      cfg.Broker.Metrics,
-		mReplicaLag:  cfg.Broker.Metrics.Gauge("broker.cluster.replica_lag"),
-		alive:        true,
-		crashed:      make(chan struct{}),
-		peers:        make(map[int]ClusterPeer, len(cfg.Peers)),
-		parts:        make(map[TopicPartition]*replState),
-		fetchers:     make(map[TopicPartition]*fetcher),
+		id:          cfg.ID,
+		name:        fmt.Sprintf("node-%d", cfg.ID),
+		b:           New(cfg.Broker),
+		ackTimeout:  cfg.AckTimeout,
+		replicaPoll: cfg.ReplicaPoll,
+		metrics:     cfg.Broker.Metrics,
+		mReplicaLag: cfg.Broker.Metrics.Gauge("broker.cluster.replica_lag"),
+		alive:       true,
+		crashed:     make(chan struct{}),
+		peers:       make(map[int]ClusterPeer, len(cfg.Peers)),
+		parts:       make(map[TopicPartition]*replState),
+		fetchers:    make(map[TopicPartition]*fetcher),
 	}
 	for id, p := range cfg.Peers {
 		n.peers[id] = p
@@ -448,7 +444,7 @@ func (n *Node) runFetcher(tp TopicPartition, target fetchTarget, stop chan struc
 			Topic:     tp.Topic,
 			Partition: tp.Partition,
 			Offset:    end,
-			Max:       n.replicaBatch,
+			Max:       replicaBatch,
 			From:      n.id,
 			Epoch:     target.epoch,
 		})

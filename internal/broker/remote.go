@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"crayfish/internal/resilience"
-	"crayfish/internal/telemetry"
 )
 
 // ErrUnavailable types every transport-level failure of the remote
@@ -29,7 +28,7 @@ const DefaultCallTimeout = 30 * time.Second
 // connection out for its synchronous round trip, so independent goroutines
 // proceed in parallel (a parked Await holds its connection for the wait).
 // Transport faults surface as typed, retryable ErrUnavailable errors;
-// DialOptions add a retry policy and a circuit breaker on top. Note that
+// WithRetry adds a retry policy on top. Note that
 // retrying a Produce after a torn response may re-append records the
 // broker already logged — delivery is at-least-once, and the output
 // consumer's seen-set deduplicates.
@@ -37,7 +36,6 @@ type RemoteClient struct {
 	addr    string
 	timeout time.Duration
 	retry   *resilience.Retry
-	breaker *resilience.Breaker
 
 	// idle connections wait for a call, busy ones are in one; Close
 	// closes both kinds, so a call parked at the broker ends with it.
@@ -85,53 +83,6 @@ func WithCallTimeout(d time.Duration) DialOption {
 // policy; errors returned by the broker itself are never retried.
 func WithRetry(r *resilience.Retry) DialOption {
 	return func(rc *RemoteClient) { rc.retry = r }
-}
-
-// WithBreaker guards every round trip with the circuit breaker: failed
-// trips count toward opening it, shed calls fail fast with a retryable
-// resilience.ErrOpen.
-func WithBreaker(b *resilience.Breaker) DialOption {
-	return func(rc *RemoteClient) { rc.breaker = b }
-}
-
-// WithMetrics publishes the client's resilience counters (retries, shed
-// calls, breaker state; see docs/OBSERVABILITY.md) into reg by chaining
-// observers onto the client's Retry and Breaker. Options compose in
-// order, so pass WithMetrics after WithRetry / WithBreaker.
-func WithMetrics(reg *telemetry.Registry) DialOption {
-	return func(rc *RemoteClient) {
-		if reg == nil {
-			return
-		}
-		if rc.retry != nil {
-			retries := reg.Counter("resilience.retries.broker")
-			prev := rc.retry.OnAttempt
-			rc.retry.OnAttempt = func(attempt int, err error) {
-				retries.Inc()
-				if prev != nil {
-					prev(attempt, err)
-				}
-			}
-		}
-		if rc.breaker != nil {
-			shed := reg.Counter("resilience.shed.broker")
-			state := reg.Gauge("resilience.breaker.state.broker")
-			prevShed := rc.breaker.OnShed
-			rc.breaker.OnShed = func() {
-				shed.Inc()
-				if prevShed != nil {
-					prevShed()
-				}
-			}
-			prevChange := rc.breaker.OnChange
-			rc.breaker.OnChange = func(from, to resilience.State) {
-				state.Set(int64(to))
-				if prevChange != nil {
-					prevChange(from, to)
-				}
-			}
-		}
-	}
 }
 
 // Dial connects to a broker server.
@@ -252,9 +203,8 @@ func (rc *RemoteClient) checkin(c *remoteConn) {
 // only a control response is expected) and may keep slices of the
 // payload it is given only when that payload can hold a record
 // (readFrame). Transport faults (typed ErrUnavailable, retryable) are
-// retried and count toward the breaker; an error the broker itself
-// returned proves it is up, so it does neither, and comes back with the
-// control response that carried it.
+// retried; an error the broker itself returned proves it is up, so it is
+// not retried and comes back with the control response that carried it.
 func (rc *RemoteClient) roundTrip(enc func(b []byte) []byte, dec func(tag byte, payload []byte) error) (*wireResponse, error) {
 	return rc.roundTripParked(enc, dec, 0, nil)
 }
@@ -265,7 +215,7 @@ func (rc *RemoteClient) roundTrip(enc func(b []byte) []byte, dec func(tag byte, 
 // error either.
 func (rc *RemoteClient) roundTripParked(enc func(b []byte) []byte, dec func(tag byte, payload []byte) error, park time.Duration, cancel <-chan struct{}) (*wireResponse, error) {
 	var resp *wireResponse
-	err := resilience.Run(rc.retry, rc.breaker, func() error {
+	err := rc.retry.Do(func() error {
 		r, terr := rc.once(enc, dec, park, cancel)
 		if terr != nil {
 			return terr

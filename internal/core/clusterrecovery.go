@@ -17,16 +17,6 @@ type ClusterSpec struct {
 	// ReplicationFactor is replicas per partition (default 3, clamped to
 	// Nodes).
 	ReplicationFactor int
-	// AckTimeout bounds a produce's replication wait (default 2s — small
-	// enough that an undetected dead follower surfaces as a retryable
-	// timeout well inside the experiment's retry budget).
-	AckTimeout time.Duration
-	// HeartbeatEvery is the controller's liveness sweep period (default
-	// 1ms).
-	HeartbeatEvery time.Duration
-	// ReplicaPoll is the follower fetch loop's idle interval (default
-	// 200µs, keeping replica lag far below the fault-window scale).
-	ReplicaPoll time.Duration
 	// TornFrameEvery, when >0, additionally serves every node over real
 	// TCP behind a faults.NewProxy and arms a torn frame — a response
 	// stream severed mid-frame — on every node's client link at this
@@ -37,15 +27,28 @@ type ClusterSpec struct {
 	// the workload and the last fault window have both passed, so the
 	// drain phase measures recovery instead of prolonging the outage.
 	TornFrameEvery time.Duration
-	// TornFrameBytes is how many response bytes pass before an armed
-	// tear severs the connection (default 48: mid-frame for every
-	// response the pipeline sends).
-	TornFrameBytes int
 	// TornFrameFor bounds the chaos window explicitly. Zero derives it
 	// from the plan's last fault window and the workload duration,
 	// whichever ends later.
 	TornFrameFor time.Duration
 }
+
+// The recovery cluster's fixed timings.
+const (
+	// clusterAckTimeout bounds a produce's replication wait: small enough
+	// that an undetected dead follower surfaces as a retryable timeout
+	// well inside the experiment's retry budget.
+	clusterAckTimeout = 2 * time.Second
+	// clusterHeartbeat is the controller's liveness sweep period.
+	clusterHeartbeat = time.Millisecond
+	// clusterReplicaPoll is the follower fetch loop's idle interval,
+	// keeping replica lag far below the fault-window scale.
+	clusterReplicaPoll = 200 * time.Microsecond
+	// tornFrameBytes is how many response bytes pass before an armed tear
+	// severs the connection: mid-frame for every response the pipeline
+	// sends.
+	tornFrameBytes = 48
+)
 
 func (s ClusterSpec) withDefaults() ClusterSpec {
 	if s.Nodes <= 0 {
@@ -53,18 +56,6 @@ func (s ClusterSpec) withDefaults() ClusterSpec {
 	}
 	if s.ReplicationFactor <= 0 {
 		s.ReplicationFactor = 3
-	}
-	if s.AckTimeout <= 0 {
-		s.AckTimeout = 2 * time.Second
-	}
-	if s.HeartbeatEvery <= 0 {
-		s.HeartbeatEvery = time.Millisecond
-	}
-	if s.ReplicaPoll <= 0 {
-		s.ReplicaPoll = 200 * time.Microsecond
-	}
-	if s.TornFrameBytes <= 0 {
-		s.TornFrameBytes = 48
 	}
 	return s
 }
@@ -104,9 +95,9 @@ func (r *Runner) RunClusterRecovery(cfg Config, plan faults.Plan, spec ClusterSp
 		Nodes:             spec.Nodes,
 		ReplicationFactor: spec.ReplicationFactor,
 		Broker:            brokerConfig(cfg, fr.inj),
-		AckTimeout:        spec.AckTimeout,
-		HeartbeatEvery:    spec.HeartbeatEvery,
-		ReplicaPoll:       spec.ReplicaPoll,
+		AckTimeout:        clusterAckTimeout,
+		HeartbeatEvery:    clusterHeartbeat,
+		ReplicaPoll:       clusterReplicaPoll,
 	})
 	if err != nil {
 		return nil, err
@@ -219,7 +210,7 @@ func clusterTransport(cluster *broker.Cluster, spec ClusterSpec, chaosFor time.D
 			case <-t.C:
 			}
 			for _, p := range proxies {
-				p.TearAfter(spec.TornFrameBytes)
+				p.TearAfter(tornFrameBytes)
 			}
 		}
 	}()

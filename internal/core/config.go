@@ -107,8 +107,6 @@ type Config struct {
 	// everything at in-process speed; experiments use netsim.LAN to
 	// reproduce the cluster environment of §4.2.
 	Network netsim.Profile
-	// WarmupFraction of samples is discarded (the paper drops 25%).
-	WarmupFraction float64
 	// KeepSamples retains per-batch samples in the result (needed for
 	// burst-recovery analysis); aggregates are always computed.
 	KeepSamples bool
@@ -142,15 +140,12 @@ type ServingConfig struct {
 	// Tool names the serving tool: onnx, savedmodel, dl4j (embedded);
 	// tf-serving, torchserve, ray-serve (external).
 	Tool string
-	// Device is "cpu" (default) or "gpu"; a "+int8" suffix (or the
-	// Int8 flag) selects the quantized execution profile.
+	// Device is "cpu" (default) or "gpu"; a "+int8" suffix selects the
+	// quantized int8 inference path (docs/QUANTIZATION.md): the model is
+	// calibrated and compiled to an int8 plan at load time. Embedded
+	// onnx/dl4j only — the savedmodel runtime executes its graph unfused
+	// and external tools manage their own precision.
 	Device string
-	// Int8 opts the embedded runtime into the quantized int8 inference
-	// path (docs/QUANTIZATION.md): the model is calibrated and compiled
-	// to an int8 plan at load time. Embedded onnx/dl4j only — the
-	// savedmodel runtime executes its graph unfused and external tools
-	// manage their own precision.
-	Int8 bool
 	// Workers overrides the external server's worker pool; zero means
 	// the experiment's parallelism (fair resource allocation, §3.5,
 	// gives external servers their own pool).
@@ -179,12 +174,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Partitions <= 0 {
 		c.Partitions = 32
-	}
-	if c.WarmupFraction < 0 || c.WarmupFraction >= 1 {
-		return fmt.Errorf("core: warmup fraction %v out of [0,1)", c.WarmupFraction)
-	}
-	if c.WarmupFraction == 0 {
-		c.WarmupFraction = 0.25
 	}
 	return nil
 }

@@ -103,7 +103,6 @@ func TestRunDrainWaitHoldsTwentyThousandSamplesWithoutCopying(t *testing.T) {
 	const events = 20000
 	cfg := quickConfig("flink", ServingConfig{Mode: Embedded, Tool: "onnx"})
 	cfg.Workload = Workload{InputShape: []int{4}, BatchSize: 1, Duration: 30 * time.Second, MaxEvents: events, Seed: 1}
-	cfg.WarmupFraction = 0
 	var before, after runtime.MemStats
 	scorer := &holdingScorer{NoopScorer: NoopScorer{Inputs: 4, Outputs: 1}, last: events, hold: func() {
 		runtime.ReadMemStats(&before)

@@ -36,31 +36,25 @@ func TestBuildScorerInt8(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The Int8 flag and the "+int8" device suffix are equivalent
-	// spellings; both produce a working embedded scorer.
-	for _, cfg := range []ServingConfig{
-		{Mode: Embedded, Tool: "onnx", Int8: true},
-		{Mode: Embedded, Tool: "onnx", Device: "cpu+int8"},
-	} {
-		sc, cleanup, err := BuildScorerNet(cfg, m, 1, netsim.Loopback)
-		if err != nil {
-			t.Fatalf("%+v: %v", cfg, err)
-		}
-		out, err := sc.Score(make([]float32, m.InputLen()), 1)
-		if err != nil {
-			t.Fatalf("%+v: %v", cfg, err)
-		}
-		if len(out) != m.OutputSize {
-			t.Fatalf("%+v: output %d", cfg, len(out))
-		}
-		cleanup()
+	// The "+int8" device suffix produces a working embedded scorer.
+	sc, cleanup, err := BuildScorerNet(ServingConfig{Mode: Embedded, Tool: "onnx", Device: "cpu+int8"}, m, 1, netsim.Loopback)
+	if err != nil {
+		t.Fatal(err)
 	}
+	out, err := sc.Score(make([]float32, m.InputLen()), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != m.OutputSize {
+		t.Fatalf("output %d", len(out))
+	}
+	cleanup()
 	// External serving tools manage their own precision.
-	if _, _, err := BuildScorerNet(ServingConfig{Mode: External, Tool: "tf-serving", Int8: true}, m, 1, netsim.Loopback); err == nil {
+	if _, _, err := BuildScorerNet(ServingConfig{Mode: External, Tool: "tf-serving", Device: "cpu+int8"}, m, 1, netsim.Loopback); err == nil {
 		t.Fatal("external int8 accepted")
 	}
 	// The unfused savedmodel runtime cannot execute a quantized plan.
-	if _, _, err := BuildScorerNet(ServingConfig{Mode: Embedded, Tool: "savedmodel", Int8: true}, m, 1, netsim.Loopback); err == nil {
+	if _, _, err := BuildScorerNet(ServingConfig{Mode: Embedded, Tool: "savedmodel", Device: "cpu+int8"}, m, 1, netsim.Loopback); err == nil {
 		t.Fatal("savedmodel int8 accepted")
 	}
 }
@@ -84,36 +78,6 @@ func TestValidateBrokerHeadroom(t *testing.T) {
 	// An absurd target fails the check with the measured rate attached.
 	if _, err := r.ValidateBrokerHeadroom(cfg, 1e9, 1.0); err == nil {
 		t.Fatal("absurd headroom target passed")
-	}
-}
-
-func TestFindSustainableRate(t *testing.T) {
-	cfg := quickConfig("flink", ServingConfig{Mode: Embedded, Tool: "onnx"})
-	// The search offers its own rates, whatever Load the config carried.
-	poisson := loadgen.Poisson(50, 1)
-	cfg.Workload.Load = &poisson
-	r := &Runner{}
-	st, err := r.FindSustainableRate(cfg, SustainableThroughputOptions{
-		Low:           50,
-		High:          100_000,
-		ProbeDuration: 200 * time.Millisecond,
-		Tolerance:     0.5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st < 50 || st >= 100_000 {
-		t.Fatalf("sustainable rate %.1f out of plausible range", st)
-	}
-	// Validation paths.
-	if _, err := r.FindSustainableRate(cfg, SustainableThroughputOptions{Low: 10, High: 5}); err == nil {
-		t.Fatal("inverted bounds accepted")
-	}
-	// A floor above capacity must be reported.
-	if _, err := r.FindSustainableRate(cfg, SustainableThroughputOptions{
-		Low: 5e8, High: 1e9, ProbeDuration: 150 * time.Millisecond,
-	}); err == nil {
-		t.Fatal("unsustainable floor accepted")
 	}
 }
 

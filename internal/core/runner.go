@@ -298,9 +298,13 @@ func (r *Runner) measure(cfg Config, transport broker.Transport, scorer serving.
 	return books, nil
 }
 
+// warmupFraction is the leading share of samples every run discards
+// before it measures, as the paper does.
+const warmupFraction = 0.25
+
 // newResult analyzes a run's samples into its Result.
 func newResult(cfg Config, samples []Sample, produced int, runStart time.Time) (*Result, error) {
-	metrics, err := Analyze(samples, produced, cfg.WarmupFraction)
+	metrics, err := Analyze(samples, produced, warmupFraction)
 	if err != nil {
 		return nil, err
 	}

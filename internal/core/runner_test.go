@@ -43,7 +43,6 @@ func quickConfig(engine string, serving ServingConfig) Config {
 		Model:              ModelSpec{Name: "ffnn", Seed: 1},
 		ParallelismDefault: 1,
 		Partitions:         4,
-		WarmupFraction:     0.25,
 	}
 }
 
@@ -290,7 +289,6 @@ func TestRunStandaloneHonoursConfig(t *testing.T) {
 			cfg.Workload = Workload{InputShape: []int{4}, BatchSize: 2, MaxEvents: 3, Duration: time.Second, DatasetPath: path}
 			cfg.Model = ModelSpec{Custom: model.NewFFNNSized(1, 4, []int{3}, 1)}
 			cfg.Serving = ServingConfig{Mode: External, Tool: "tf-serving", Addr: daemon.Addr()}
-			cfg.WarmupFraction = 0
 			return func(t *testing.T, res *Result) {
 				daemon.mu.Lock()
 				defer daemon.mu.Unlock()

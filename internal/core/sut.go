@@ -71,9 +71,6 @@ func buildScorer(cfg ServingConfig, m *model.Model, mp int, network netsim.Profi
 	if err != nil {
 		return nil, nil, err
 	}
-	if cfg.Int8 && !gpu.SupportsInt8(dev) {
-		dev = gpu.WithInt8(dev)
-	}
 	if gpu.SupportsInt8(dev) && cfg.Mode != Embedded {
 		return nil, nil, fmt.Errorf("core: int8 execution is embedded-only (external tools manage their own precision), got mode %q", cfg.Mode)
 	}

@@ -210,7 +210,6 @@ func (o Options) baseConfig(engine string, serving core.ServingConfig, w core.Wo
 		ParallelismDefault: mp,
 		Partitions:         o.Partitions,
 		Network:            *o.Network,
-		WarmupFraction:     0.25,
 	}
 }
 

@@ -2,7 +2,6 @@ package loadgen
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -124,31 +123,6 @@ type Observed struct {
 	P50, P90, P95, P99 time.Duration
 	// Throughput is the measured rate in events/s.
 	Throughput float64
-}
-
-// Summarize computes an Observed from raw latency samples and a
-// measured throughput; the sample order does not matter.
-func Summarize(samples []time.Duration, throughput float64) Observed {
-	if len(samples) == 0 {
-		return Observed{Throughput: throughput}
-	}
-	s := make([]time.Duration, len(samples))
-	copy(s, samples)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	at := func(q float64) time.Duration {
-		idx := int(q * float64(len(s)))
-		if idx >= len(s) {
-			idx = len(s) - 1
-		}
-		return s[idx]
-	}
-	return Observed{
-		P50:        at(0.50),
-		P90:        at(0.90),
-		P95:        at(0.95),
-		P99:        at(0.99),
-		Throughput: throughput,
-	}
 }
 
 // percentile picks the booked percentile out of an Observed.

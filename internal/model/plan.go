@@ -307,9 +307,6 @@ func (m *Model) CompileUnfused(hints ExecHints) (*Plan, error) {
 	return p, nil
 }
 
-// Hints returns the execution hints the plan was compiled with.
-func (p *Plan) Hints() ExecHints { return p.hints }
-
 // Quantized reports whether the plan executes int8 kernels
 // (QuantizePlan). Serving runtimes use it to model int8-sized device
 // transfers.

@@ -53,31 +53,18 @@ func (e *Engine) RunCheckpointed(spec sps.JobSpec, from Checkpoint, interval tim
 	if interval <= 0 {
 		return nil, fmt.Errorf("flink: checkpoint interval must be positive")
 	}
-	j := &job{e: e, spec: spec, stopCh: make(chan struct{})}
-	cj := &checkpointedJob{job: j, interval: interval}
-
-	n := spec.Parallelism.Default
-	split, err := partitionSplit(spec.Transport, spec.InputTopic, n)
+	consumers, producers, err := chainedClients(spec)
 	if err != nil {
 		return nil, err
 	}
-	for slot := 0; slot < n; slot++ {
-		if len(split[slot]) == 0 {
-			continue
-		}
-		consumer, err := broker.NewAssignedConsumer(spec.Transport, spec.InputTopic, split[slot]...)
-		if err != nil {
-			return nil, err
-		}
+	j := &job{e: e, spec: spec, stopCh: make(chan struct{})}
+	cj := &checkpointedJob{job: j, interval: interval}
+	for slot, consumer := range consumers {
 		for tp, off := range from.Positions {
 			consumer.Seek(tp, off)
 		}
-		producer, err := broker.NewProducer(spec.Transport, spec.OutputTopic)
-		if err != nil {
-			return nil, err
-		}
 		j.wg.Add(1)
-		go cj.checkpointedSlot(consumer, producer)
+		go cj.checkpointedSlot(consumer, producers[slot])
 	}
 	return cj, nil
 }
@@ -121,10 +108,6 @@ func (cj *checkpointedJob) snapshot(positions map[broker.TopicPartition]int64) {
 func (cj *checkpointedJob) checkpointedSlot(consumer *broker.Consumer, producer *broker.Producer) {
 	j := cj.job
 	defer j.wg.Done()
-	max := j.spec.PollMax
-	if max <= 0 {
-		max = j.e.ChannelDepth
-	}
 	stages := j.spec.Stages()
 	var sinkBuf []broker.Record
 	flush := func() {
@@ -157,14 +140,14 @@ func (cj *checkpointedJob) checkpointedSlot(consumer *broker.Consumer, producer 
 			lastCp = time.Now()
 			continue
 		}
-		recs, err := consumer.Poll(max, min(due, broker.FetchMaxWait), j.stopCh)
+		recs, err := consumer.Poll(channelDepth, min(due, broker.FetchMaxWait), j.stopCh)
 		if err != nil {
 			j.errs.Set(fmt.Errorf("flink: source: %w", err))
 			return
 		}
 		stages.In.Add(int64(len(recs)))
 		for _, rec := range recs {
-			scored, err := j.spec.Transform(j.e.segment(rec.Value).reassemble())
+			scored, err := j.spec.Transform(segment(rec.Value).reassemble())
 			if err != nil {
 				j.errs.Set(fmt.Errorf("flink: scoring: %w", err))
 				stages.Dropped.Inc()

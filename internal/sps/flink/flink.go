@@ -23,29 +23,31 @@ func init() {
 
 // Engine is the Flink-analogue processor.
 type Engine struct {
-	// SegmentSize is the network-buffer segment size in bytes (Flink's
-	// memory segments; 32 KiB by default).
-	SegmentSize int
-	// ChannelDepth is the bounded depth (in records) of the queues
-	// between pipeline stages.
-	ChannelDepth int
 	// AsyncIO runs the scoring operator as Flink's asynchronous I/O
-	// operator (unordered wait): up to AsyncCapacity transform calls
+	// operator (unordered wait): up to asyncCapacity transform calls
 	// are in flight per slot and results are emitted as they complete.
 	// The paper deliberately keeps external calls blocking for engine
 	// fairness (§4.3) and names async I/O as the feature that would
 	// lift external serving (§7); this option measures that what-if.
 	AsyncIO bool
-	// AsyncCapacity bounds in-flight async transforms per slot
-	// (Flink's operator capacity); 0 means 16.
-	AsyncCapacity int
 }
+
+const (
+	// segmentSize is the network-buffer segment size in bytes (Flink's
+	// 32 KiB memory segments).
+	segmentSize = 32 << 10
+	// channelDepth is the bounded depth, in records, of the queues
+	// between pipeline stages, and the most records one source poll
+	// fetches.
+	channelDepth = 64
+	// asyncCapacity bounds in-flight async transforms per slot (Flink's
+	// async operator capacity).
+	asyncCapacity = 16
+)
 
 // New returns an engine with default settings (blocking scoring calls, as
 // in the paper's evaluation).
-func New() *Engine {
-	return &Engine{SegmentSize: 32 << 10, ChannelDepth: 64, AsyncCapacity: 16}
-}
+func New() *Engine { return &Engine{} }
 
 // Name implements sps.Processor.
 func (e *Engine) Name() string { return "flink" }
@@ -57,18 +59,14 @@ type pipeRecord struct {
 }
 
 // segment copies value into fixed-size network buffers.
-func (e *Engine) segment(value []byte) pipeRecord {
-	segSize := e.SegmentSize
-	if segSize <= 0 {
-		segSize = 32 << 10
-	}
-	n := (len(value) + segSize - 1) / segSize
+func segment(value []byte) pipeRecord {
+	n := (len(value) + segmentSize - 1) / segmentSize
 	if n == 0 {
 		n = 1
 	}
 	segs := make([][]byte, 0, n)
-	for off := 0; off < len(value) || off == 0; off += segSize {
-		end := off + segSize
+	for off := 0; off < len(value) || off == 0; off += segmentSize {
+		end := off + segmentSize
 		if end > len(value) {
 			end = len(value)
 		}
@@ -108,10 +106,14 @@ func (e *Engine) Run(spec sps.JobSpec) (sps.Job, error) {
 		return nil, err
 	}
 	j := &job{e: e, spec: spec, stopCh: make(chan struct{})}
+	start := j.startUnchained
 	if spec.Parallelism.Uniform() {
-		return j, j.startChained()
+		start = j.startChained
 	}
-	return j, j.startUnchained()
+	if err := start(); err != nil {
+		return nil, err
+	}
+	return j, nil
 }
 
 func (j *job) Stop() error {
@@ -125,17 +127,35 @@ func (j *job) Err() error { return j.errs.Get() }
 
 func (j *job) ErrSignal() <-chan struct{} { return j.errs.Signal() }
 
-// partitionSplit spreads the input partitions over n source tasks.
-func partitionSplit(t broker.Transport, topic string, n int) ([][]int, error) {
-	parts, err := t.Partitions(topic)
+// newSources spreads the input partitions over n source tasks and builds
+// a consumer for each task that owns any: tasks beyond the partition
+// count get nothing to run.
+func newSources(spec sps.JobSpec, n int) ([]*broker.Consumer, error) {
+	parts, err := spec.Transport.Partitions(spec.InputTopic)
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]int, n)
+	split := make([][]int, min(n, parts))
 	for p := 0; p < parts; p++ {
-		out[p%n] = append(out[p%n], p)
+		split[p%len(split)] = append(split[p%len(split)], p)
 	}
-	return out, nil
+	consumers := make([]*broker.Consumer, 0, len(split))
+	for _, owned := range split {
+		c, err := broker.NewAssignedConsumer(spec.Transport, spec.InputTopic, owned...)
+		if err != nil {
+			closeConsumers(consumers)
+			return nil, err
+		}
+		consumers = append(consumers, c)
+	}
+	return consumers, nil
+}
+
+// closeConsumers releases the consumers a failed start built.
+func closeConsumers(consumers []*broker.Consumer) {
+	for _, c := range consumers {
+		_ = c.Close()
+	}
 }
 
 // SinkFlushRecords is the chained sink operator's small client buffer:
@@ -149,42 +169,44 @@ const SinkFlushRecords = 4
 // startChained launches the flink[N-N-N] topology: N task slots, each
 // running the whole chained pipeline — source poll, record reassembly,
 // scoring, and the synchronous sink flush — on one task thread, exactly
-// what operator chaining does to a source→map→sink DAG.
+// what operator chaining does to a source→map→sink DAG. Every client is
+// built before any slot starts, so a failed start leaves nothing running.
 func (j *job) startChained() error {
-	n := j.spec.Parallelism.Default
-	split, err := partitionSplit(j.spec.Transport, j.spec.InputTopic, n)
+	consumers, producers, err := chainedClients(j.spec)
 	if err != nil {
 		return err
 	}
-	for slot := 0; slot < n; slot++ {
-		if len(split[slot]) == 0 {
-			continue
-		}
-		consumer, err := broker.NewAssignedConsumer(j.spec.Transport, j.spec.InputTopic, split[slot]...)
-		if err != nil {
-			return err
-		}
-		producer, err := broker.NewProducer(j.spec.Transport, j.spec.OutputTopic)
-		if err != nil {
-			return err
-		}
+	for slot, consumer := range consumers {
 		j.wg.Add(1)
-		go j.chainedSlot(consumer, producer)
+		go j.chainedSlot(consumer, producers[slot])
 	}
 	return nil
+}
+
+// chainedClients builds each chained slot's source consumer and sink
+// producer; slots beyond the partition count get neither.
+func chainedClients(spec sps.JobSpec) ([]*broker.Consumer, []*broker.Producer, error) {
+	consumers, err := newSources(spec, spec.Parallelism.Default)
+	if err != nil {
+		return nil, nil, err
+	}
+	producers := make([]*broker.Producer, len(consumers))
+	for slot := range consumers {
+		if producers[slot], err = broker.NewProducer(spec.Transport, spec.OutputTopic); err != nil {
+			closeConsumers(consumers)
+			return nil, nil, err
+		}
+	}
+	return consumers, producers, nil
 }
 
 // chainedSlot is one flink[N-N-N] task slot: poll → segment/reassemble →
 // score → buffered sink flush, all on this goroutine. With AsyncIO the
 // scoring step becomes Flink's async operator: the slot keeps polling
-// while up to AsyncCapacity transforms are in flight, and completed
+// while up to asyncCapacity transforms are in flight, and completed
 // results flush unordered.
 func (j *job) chainedSlot(consumer *broker.Consumer, producer *broker.Producer) {
 	defer j.wg.Done()
-	max := j.spec.PollMax
-	if max <= 0 {
-		max = j.e.ChannelDepth
-	}
 	stages := j.spec.Stages()
 
 	var mu sync.Mutex // guards sinkBuf in async mode
@@ -214,11 +236,7 @@ func (j *job) chainedSlot(consumer *broker.Consumer, producer *broker.Producer) 
 		}
 	}
 
-	capacity := j.e.AsyncCapacity
-	if capacity <= 0 {
-		capacity = 16
-	}
-	inflight := make(chan struct{}, capacity)
+	inflight := make(chan struct{}, asyncCapacity)
 	var pending sync.WaitGroup
 	score := func(value []byte) {
 		scored, err := j.spec.Transform(value)
@@ -238,7 +256,7 @@ func (j *job) chainedSlot(consumer *broker.Consumer, producer *broker.Producer) 
 			return
 		default:
 		}
-		recs, err := consumer.Poll(max, broker.FetchMaxWait, j.stopCh)
+		recs, err := consumer.Poll(channelDepth, broker.FetchMaxWait, j.stopCh)
 		if err != nil {
 			j.errs.Set(fmt.Errorf("flink: source: %w", err))
 			pending.Wait()
@@ -259,7 +277,7 @@ func (j *job) chainedSlot(consumer *broker.Consumer, producer *broker.Producer) 
 			for i, rec := range recs {
 				// The record still crosses the network-buffer segment
 				// boundary between the source and the chained task.
-				values[i] = j.e.segment(rec.Value).reassemble()
+				values[i] = segment(rec.Value).reassemble()
 			}
 			scoredAll, scoreErrs := j.spec.TransformMany(values)
 			for i := range values {
@@ -276,7 +294,7 @@ func (j *job) chainedSlot(consumer *broker.Consumer, producer *broker.Producer) 
 			continue
 		}
 		for _, rec := range recs {
-			value := j.e.segment(rec.Value).reassemble()
+			value := segment(rec.Value).reassemble()
 			inflight <- struct{}{}
 			pending.Add(1)
 			go func(v []byte) {
@@ -294,25 +312,31 @@ func (j *job) chainedSlot(consumer *broker.Consumer, producer *broker.Producer) 
 }
 
 // startUnchained launches the operator-parallel topology: Source tasks →
-// scoring queue → Score tasks → sink queue → Sink tasks.
+// scoring queue → Score tasks → sink queue → Sink tasks. Every client is
+// built before any task starts, so a failed start leaves nothing running.
 func (j *job) startUnchained() error {
 	p := j.spec.Parallelism
-	split, err := partitionSplit(j.spec.Transport, j.spec.InputTopic, p.Source)
+	consumers, err := newSources(j.spec, p.Source)
 	if err != nil {
 		return err
 	}
-	scoreCh := make(chan pipeRecord, j.e.ChannelDepth*p.Score)
-	sinkCh := make(chan []byte, j.e.ChannelDepth*p.Sink)
-
-	var sources sync.WaitGroup
-	for s := 0; s < p.Source; s++ {
-		if len(split[s]) == 0 {
-			continue
-		}
-		consumer, err := broker.NewAssignedConsumer(j.spec.Transport, j.spec.InputTopic, split[s]...)
+	producers := make([]*broker.AsyncProducer, 0, p.Sink)
+	for s := 0; s < p.Sink; s++ {
+		producer, err := broker.NewAsyncProducer(j.spec.Transport, j.spec.OutputTopic, channelDepth)
 		if err != nil {
+			closeConsumers(consumers)
+			for _, producer := range producers {
+				_ = producer.Close()
+			}
 			return err
 		}
+		producers = append(producers, producer)
+	}
+	scoreCh := make(chan pipeRecord, channelDepth*p.Score)
+	sinkCh := make(chan []byte, channelDepth*p.Sink)
+
+	var sources sync.WaitGroup
+	for _, consumer := range consumers {
 		sources.Add(1)
 		j.wg.Add(1)
 		go func() {
@@ -341,11 +365,7 @@ func (j *job) startUnchained() error {
 		}()
 	}
 
-	for s := 0; s < p.Sink; s++ {
-		producer, err := broker.NewAsyncProducer(j.spec.Transport, j.spec.OutputTopic, j.e.ChannelDepth)
-		if err != nil {
-			return err
-		}
+	for _, producer := range producers {
 		j.wg.Add(1)
 		go func() {
 			defer j.wg.Done()
@@ -378,10 +398,6 @@ func (j *job) startUnchained() error {
 // until stopped. The bounded channel write is the backpressure point.
 func (j *job) sourceLoop(consumer *broker.Consumer, out chan<- pipeRecord) {
 	defer j.wg.Done()
-	max := j.spec.PollMax
-	if max <= 0 {
-		max = j.e.ChannelDepth
-	}
 	stages := j.spec.Stages()
 	for {
 		select {
@@ -389,7 +405,7 @@ func (j *job) sourceLoop(consumer *broker.Consumer, out chan<- pipeRecord) {
 			return
 		default:
 		}
-		recs, err := consumer.Poll(max, broker.FetchMaxWait, j.stopCh)
+		recs, err := consumer.Poll(channelDepth, broker.FetchMaxWait, j.stopCh)
 		if err != nil {
 			j.errs.Set(fmt.Errorf("flink: source: %w", err))
 			return
@@ -400,7 +416,7 @@ func (j *job) sourceLoop(consumer *broker.Consumer, out chan<- pipeRecord) {
 		stages.In.Add(int64(len(recs)))
 		for _, rec := range recs {
 			select {
-			case out <- j.e.segment(rec.Value):
+			case out <- segment(rec.Value):
 			case <-j.stopCh:
 				return
 			}

@@ -52,15 +52,14 @@ func TestOperatorLevelParallelism(t *testing.T) {
 }
 
 func TestSegmentationRoundTrip(t *testing.T) {
-	e := New()
-	e.SegmentSize = 8
-	for _, size := range []int{0, 1, 7, 8, 9, 16, 100} {
+	const seg = segmentSize
+	for _, size := range []int{0, 1, seg - 1, seg, seg + 1, 3*seg + 7} {
 		value := make([]byte, size)
 		for i := range value {
 			value[i] = byte(i)
 		}
-		rec := e.segment(value)
-		wantSegs := (size + 7) / 8
+		rec := segment(value)
+		wantSegs := (size + seg - 1) / seg
 		if wantSegs == 0 {
 			wantSegs = 1
 		}
@@ -74,9 +73,8 @@ func TestSegmentationRoundTrip(t *testing.T) {
 }
 
 func TestSegmentationCopies(t *testing.T) {
-	e := New()
 	value := []byte("immutable")
-	rec := e.segment(value)
+	rec := segment(value)
 	value[0] = 'X'
 	if rec.reassemble()[0] == 'X' {
 		t.Fatal("segment aliased the source buffer")
@@ -87,8 +85,6 @@ func TestLargeRecordsFlowThroughBufferSplit(t *testing.T) {
 	// A record much larger than the segment size must survive the
 	// network-buffer split (the bsz=512 latency experiments send
 	// multi-MB batches).
-	e := New()
-	e.SegmentSize = 1024
 	h := spstest.NewHarness(t, 1, 1)
 	big := make([]byte, 300_000)
 	for i := range big {
@@ -98,7 +94,7 @@ func TestLargeRecordsFlowThroughBufferSplit(t *testing.T) {
 	if _, err := h.Broker.Produce("in", 0, mkRecords(big)); err != nil {
 		t.Fatal(err)
 	}
-	job, err := e.Run(h.Spec)
+	job, err := New().Run(h.Spec)
 	if err != nil {
 		t.Fatal(err)
 	}

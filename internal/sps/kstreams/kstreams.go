@@ -22,12 +22,11 @@ func init() {
 
 // Engine is the Kafka-Streams-analogue processor.
 type Engine struct {
-	// PollRecords is the max records fetched per poll (max.poll.records).
-	PollRecords int
-	// CommitInterval throttles offset commits; zero commits after every
-	// processed batch (Kafka Streams' at-least-once default is
-	// time-based; the experiments use per-batch commits for clarity).
-	CommitInterval time.Duration
+	// pollRecords is the max records fetched per poll (max.poll.records).
+	pollRecords int
+	// commitInterval throttles offset commits; zero or less commits after
+	// every processed batch.
+	commitInterval time.Duration
 }
 
 // New returns an engine with default settings: max.poll.records=500 and a
@@ -35,7 +34,7 @@ type Engine struct {
 // deployment runs with (commit.interval.ms scaled to this repository's
 // shorter experiment durations).
 func New() *Engine {
-	return &Engine{PollRecords: 500, CommitInterval: time.Second}
+	return &Engine{pollRecords: 500, commitInterval: time.Second}
 }
 
 // Name implements sps.Processor.
@@ -91,7 +90,7 @@ func (e *Engine) Run(spec sps.JobSpec) (sps.Job, error) {
 		if err != nil {
 			return fail(err)
 		}
-		producer, err := broker.NewAsyncProducer(spec.Transport, spec.OutputTopic, e.PollRecords*2)
+		producer, err := broker.NewAsyncProducer(spec.Transport, spec.OutputTopic, e.pollRecords*2)
 		if err != nil {
 			_ = consumer.Close()
 			return fail(err)
@@ -132,10 +131,6 @@ func (j *job) streamThread(consumer *broker.Consumer, producer *broker.AsyncProd
 			j.errs.Set(fmt.Errorf("kafka-streams: sink: %w", err))
 		}
 	}()
-	max := j.spec.PollMax
-	if max <= 0 {
-		max = j.e.PollRecords
-	}
 	stages := j.spec.Stages()
 	lastCommit := time.Now()
 	for {
@@ -144,7 +139,7 @@ func (j *job) streamThread(consumer *broker.Consumer, producer *broker.AsyncProd
 			return
 		default:
 		}
-		recs, err := consumer.Poll(max, broker.FetchMaxWait, j.stopCh)
+		recs, err := consumer.Poll(j.e.pollRecords, broker.FetchMaxWait, j.stopCh)
 		if err != nil {
 			j.errs.Set(fmt.Errorf("kafka-streams: poll: %w", err))
 			return
@@ -188,7 +183,7 @@ func (j *job) streamThread(consumer *broker.Consumer, producer *broker.AsyncProd
 			}
 			stages.Out.Inc()
 		}
-		if j.e.CommitInterval <= 0 || time.Since(lastCommit) >= j.e.CommitInterval {
+		if j.e.commitInterval <= 0 || time.Since(lastCommit) >= j.e.commitInterval {
 			if err := producer.Flush(); err != nil {
 				j.errs.Set(fmt.Errorf("kafka-streams: sink: %w", err))
 			}

@@ -36,7 +36,7 @@ func TestCommitsOffsetsAsItProcesses(t *testing.T) {
 	h := spstest.NewHarness(t, 2, 2)
 	h.Produce(t, 10)
 	e := New()
-	e.CommitInterval = -1 // commit after every processed batch
+	e.commitInterval = -1 // commit after every processed batch
 	job, err := e.Run(h.Spec)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestThreadsCappedByPartitions(t *testing.T) {
 
 func TestCommitIntervalThrottles(t *testing.T) {
 	e := New()
-	e.CommitInterval = time.Hour // never inside the test window
+	e.commitInterval = time.Hour // never inside the test window
 	h := spstest.NewHarness(t, 1, 1)
 	h.Produce(t, 5)
 	job, err := e.Run(h.Spec)
@@ -125,8 +125,8 @@ func TestCrashRecoveryViaCommittedOffsets(t *testing.T) {
 		return base(v)
 	}
 	e := New()
-	e.CommitInterval = -1 // commit after every processed batch
-	e.PollRecords = 8
+	e.commitInterval = -1 // commit after every processed batch
+	e.pollRecords = 8
 	job, err := e.Run(h.Spec)
 	if err != nil {
 		t.Fatal(err)

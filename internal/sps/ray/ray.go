@@ -21,26 +21,22 @@ func init() {
 }
 
 // Engine is the Ray-analogue processor.
-type Engine struct {
-	// MailboxDepth bounds each actor's inbox.
-	MailboxDepth int
-	// PickleHops enables the per-hop object (un)marshalling cost: the
-	// paper's Ray adapter passes the decoded event object between
-	// Python actors, so every actor boundary pickles and unpickles it.
-	// Modelled here as a real JSON decode + encode cycle per hop.
-	PickleHops bool
-}
+type Engine struct{}
+
+// mailboxDepth bounds each actor's inbox, and the records one input
+// actor polls and one scoring actor drains at a time.
+const mailboxDepth = 64
 
 // New returns an engine with default settings.
-func New() *Engine {
-	return &Engine{MailboxDepth: 64, PickleHops: true}
-}
+func New() *Engine { return &Engine{} }
 
 // pickleCycle performs the per-hop object serialisation round trip Ray's
-// actor boundaries pay: the structured event is deserialised into a
-// dynamic object by the receiving actor and re-serialised by the next
-// send. Non-JSON payloads (engine conformance tests) pass through
-// untouched, like raw byte objects in Ray's object store.
+// actor boundaries pay: the paper's Ray adapter passes the decoded event
+// object between Python actors, so every actor boundary pickles and
+// unpickles it. The structured event is deserialised into a dynamic
+// object by the receiving actor and re-serialised by the next send.
+// Non-JSON payloads (engine conformance tests) pass through untouched,
+// like raw byte objects in Ray's object store.
 //
 // This is deliberately generic encoding/json through a dynamic map, not
 // core's schema-specialised DataBatch codec: the reflective round trip
@@ -61,7 +57,6 @@ func pickleCycle(value []byte) []byte {
 func (e *Engine) Name() string { return "ray" }
 
 type job struct {
-	e    *Engine
 	spec sps.JobSpec
 	sys  *System
 
@@ -87,7 +82,7 @@ func (e *Engine) Run(spec sps.JobSpec) (sps.Job, error) {
 		split[p%mp] = append(split[p%mp], p)
 	}
 
-	j := &job{e: e, spec: spec, sys: NewSystem(), stopCh: make(chan struct{})}
+	j := &job{spec: spec, sys: NewSystem(), stopCh: make(chan struct{})}
 	for i := 0; i < mp; i++ {
 		if len(split[i]) == 0 {
 			continue
@@ -96,19 +91,19 @@ func (e *Engine) Run(spec sps.JobSpec) (sps.Job, error) {
 		if err != nil {
 			return nil, err
 		}
-		producer, err := broker.NewAsyncProducer(spec.Transport, spec.OutputTopic, e.MailboxDepth)
+		producer, err := broker.NewAsyncProducer(spec.Transport, spec.OutputTopic, mailboxDepth)
 		if err != nil {
 			return nil, err
 		}
 		// The chain is wired back to front so each stage knows its
 		// downstream actor.
-		output := j.sys.Spawn(fmt.Sprintf("output-%d", i), e.MailboxDepth, func(a *Actor) {
+		output := j.sys.Spawn(fmt.Sprintf("output-%d", i), mailboxDepth, func(a *Actor) {
 			j.outputActor(a, producer)
 		})
-		scoring := j.sys.Spawn(fmt.Sprintf("scoring-%d", i), e.MailboxDepth, func(a *Actor) {
+		scoring := j.sys.Spawn(fmt.Sprintf("scoring-%d", i), mailboxDepth, func(a *Actor) {
 			j.scoringActor(a, output)
 		})
-		j.sys.Spawn(fmt.Sprintf("input-%d", i), e.MailboxDepth, func(a *Actor) {
+		j.sys.Spawn(fmt.Sprintf("input-%d", i), mailboxDepth, func(a *Actor) {
 			j.inputActor(a, consumer, scoring)
 		})
 	}
@@ -133,10 +128,6 @@ func (j *job) storeLen() int { return j.sys.Store().Len() }
 // On stop it closes its downstream mailbox so the chain drains in order.
 func (j *job) inputActor(a *Actor, consumer *broker.Consumer, downstream *Actor) {
 	defer close(downstream.Inbox)
-	max := j.spec.PollMax
-	if max <= 0 {
-		max = j.e.MailboxDepth
-	}
 	stages := j.spec.Stages()
 	for {
 		select {
@@ -144,7 +135,7 @@ func (j *job) inputActor(a *Actor, consumer *broker.Consumer, downstream *Actor)
 			return
 		default:
 		}
-		recs, err := consumer.Poll(max, broker.FetchMaxWait, j.stopCh)
+		recs, err := consumer.Poll(mailboxDepth, broker.FetchMaxWait, j.stopCh)
 		if err != nil {
 			j.errs.Set(fmt.Errorf("ray: input actor: %w", err))
 			return
@@ -154,11 +145,7 @@ func (j *job) inputActor(a *Actor, consumer *broker.Consumer, downstream *Actor)
 		}
 		stages.In.Add(int64(len(recs)))
 		for _, rec := range recs {
-			value := rec.Value
-			if j.e.PickleHops {
-				value = pickleCycle(value)
-			}
-			a.Send(downstream, value)
+			a.Send(downstream, pickleCycle(rec.Value))
 		}
 	}
 }
@@ -173,7 +160,7 @@ func (j *job) inputActor(a *Actor, consumer *broker.Consumer, downstream *Actor)
 func (j *job) scoringActor(a *Actor, downstream *Actor) {
 	defer close(downstream.Inbox)
 	stages := j.spec.Stages()
-	values := make([][]byte, 0, j.e.MailboxDepth)
+	values := make([][]byte, 0, mailboxDepth)
 	for {
 		value, ok, err := a.Recv()
 		if err != nil {
@@ -185,7 +172,7 @@ func (j *job) scoringActor(a *Actor, downstream *Actor) {
 		}
 		values = append(values[:0], value)
 	drain:
-		for len(values) < j.e.MailboxDepth {
+		for len(values) < mailboxDepth {
 			select {
 			case ref, more := <-a.Inbox:
 				if !more {
@@ -210,11 +197,7 @@ func (j *job) scoringActor(a *Actor, downstream *Actor) {
 				stages.Dropped.Inc()
 				continue
 			}
-			scored := scoredAll[i]
-			if j.e.PickleHops {
-				scored = pickleCycle(scored)
-			}
-			a.Send(downstream, scored)
+			a.Send(downstream, pickleCycle(scoredAll[i]))
 		}
 	}
 }

@@ -24,24 +24,27 @@ func init() {
 
 // Engine is the Spark-Structured-Streaming-analogue processor.
 type Engine struct {
-	// TriggerInterval is the micro-batch trigger. The paper sets "the
+	// triggerInterval is the micro-batch trigger. The paper sets "the
 	// job trigger interval to the minimum possible"; the default here
 	// is the scheduling floor of the driver loop.
-	TriggerInterval time.Duration
-	// MaxBatchRecords caps one micro-batch (maxOffsetsPerTrigger).
-	MaxBatchRecords int
-	// ExecutorCores is the executor's task-slot count. Spark's Kafka
+	triggerInterval time.Duration
+}
+
+const (
+	// maxBatchRecords caps one micro-batch (maxOffsetsPerTrigger).
+	maxBatchRecords = 2048
+	// executorCores is the executor's task-slot count. Spark's Kafka
 	// source creates one task per topic partition regardless of the
 	// benchmark's mp knob, and the paper's executor has 60 cores
 	// (Table 3) — which is why Figure 11 shows Spark SS high but flat
 	// when scaling mp, and why it saturates external servers: a whole
 	// micro-batch's tasks issue concurrent inference calls.
-	ExecutorCores int
-}
+	executorCores = 60
+)
 
 // New returns an engine with default settings.
 func New() *Engine {
-	return &Engine{TriggerInterval: time.Millisecond, MaxBatchRecords: 2048, ExecutorCores: 60}
+	return &Engine{triggerInterval: time.Millisecond}
 }
 
 // Name implements sps.Processor.
@@ -105,18 +108,14 @@ func (j *job) driverLoop(consumer *broker.Consumer, producer *broker.Producer) {
 		return
 	}
 	executors := parts
-	if executors > j.e.ExecutorCores {
-		executors = j.e.ExecutorCores
+	if executors > executorCores {
+		executors = executorCores
 	}
 	if mp := j.spec.Parallelism.Score; mp > executors {
 		executors = mp
 	}
-	max := j.spec.PollMax
-	if max <= 0 {
-		max = j.e.MaxBatchRecords
-	}
 	stages := j.spec.Stages()
-	ticker := time.NewTicker(j.e.TriggerInterval)
+	ticker := time.NewTicker(j.e.triggerInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -127,8 +126,8 @@ func (j *job) driverLoop(consumer *broker.Consumer, producer *broker.Producer) {
 		// Collect the micro-batch: everything available, up to the cap —
 		// never waiting for more, the trigger sets the pace.
 		var batch []broker.Record
-		for len(batch) < max {
-			recs, err := consumer.Poll(max-len(batch), 0, nil)
+		for len(batch) < maxBatchRecords {
+			recs, err := consumer.Poll(maxBatchRecords-len(batch), 0, nil)
 			if err != nil {
 				j.errs.Set(fmt.Errorf("spark-ss: poll: %w", err))
 				return

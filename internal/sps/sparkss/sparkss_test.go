@@ -35,7 +35,7 @@ func TestMicroBatchingBatchesSinkWrites(t *testing.T) {
 	// All records available at one trigger must land in the sink as a
 	// small number of batched appends, not one append per record.
 	e := New()
-	e.TriggerInterval = 5 * time.Millisecond
+	e.triggerInterval = 5 * time.Millisecond
 	h := spstest.NewHarness(t, 2, 1)
 	h.Produce(t, 50)
 	job, err := e.Run(h.Spec)
@@ -75,7 +75,7 @@ func TestMicroBatchingBatchesSinkWrites(t *testing.T) {
 
 func TestTriggerIntervalSetsLatencyFloor(t *testing.T) {
 	e := New()
-	e.TriggerInterval = 30 * time.Millisecond
+	e.triggerInterval = 30 * time.Millisecond
 	h := spstest.NewHarness(t, 1, 1)
 	job, err := e.Run(h.Spec)
 	if err != nil {

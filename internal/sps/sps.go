@@ -103,9 +103,6 @@ type JobSpec struct {
 	Batching *batching.Policy
 	// Parallelism scales the operators.
 	Parallelism Parallelism
-	// PollMax bounds records fetched per source poll; 0 means an
-	// engine-specific default.
-	PollMax int
 	// Retry, when set, re-runs the transform on retryable failures
 	// (resilience.IsRetryable) before the engine sees the error — the
 	// operator-level restart policy every real engine offers. Errors
@@ -246,15 +243,6 @@ func (s *JobSpec) CloseBatching() {
 	if s.batcher != nil {
 		s.batcher.Close()
 	}
-}
-
-// BatchTarget reports the micro-batcher's current batch-size target, or
-// zero when batching is disabled.
-func (s *JobSpec) BatchTarget() int {
-	if s.batcher == nil {
-		return 0
-	}
-	return s.batcher.Target()
 }
 
 // StageCounters are the engine-side source/sink record counters every

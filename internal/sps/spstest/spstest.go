@@ -15,6 +15,7 @@ import (
 
 	"crayfish/internal/broker"
 	"crayfish/internal/sps"
+	"crayfish/internal/testutil/leakcheck"
 )
 
 // Harness wires a fresh broker with input/output topics.
@@ -101,6 +102,27 @@ func RunConformance(t *testing.T, factory func() sps.Processor) {
 	t.Run("SpecValidation", func(t *testing.T) { testSpecValidation(t, factory()) })
 	t.Run("ContinuousFlow", func(t *testing.T) { testContinuousFlow(t, factory()) })
 	t.Run("StopWhileParked", func(t *testing.T) { testStopWhileParked(t, factory()) })
+	t.Run("StartFailure", func(t *testing.T) { testStartFailure(t, factory) })
+}
+
+// testStartFailure: a job whose output topic is missing must fail to
+// start and leave nothing running, under uniform and per-operator
+// parallelism alike — the caller gets no Job, so nobody could Stop
+// whatever a half-built topology had already launched.
+func testStartFailure(t *testing.T, factory func() sps.Processor) {
+	for _, p := range []sps.Parallelism{{Default: 2}, {Default: 1, Source: 2, Score: 1, Sink: 2}} {
+		h := NewHarness(t, 2, 2)
+		h.Spec.OutputTopic = "missing"
+		h.Spec.Parallelism = p
+		proc := factory()
+		if job, err := proc.Run(h.Spec); err == nil {
+			_ = job.Stop()
+			t.Fatalf("%s %+v: started without its output topic", proc.Name(), p)
+		}
+		if err := leakcheck.Check(2 * time.Second); err != nil {
+			t.Fatalf("%s %+v: failed start left goroutines running: %v", proc.Name(), p, err)
+		}
+	}
 }
 
 // Patient is a transport whose every Await is stretched to an hour: a

@@ -90,10 +90,6 @@ func (q *QTensor) Data() []int8 { return q.data }
 // per channel along Axis.
 func (q *QTensor) Scales() []float32 { return q.scales }
 
-// ZeroPoints returns the zero points matching Scales (symmetric
-// per-channel weights always carry zero).
-func (q *QTensor) ZeroPoints() []int32 { return q.zps }
-
 // Axis returns the quantized axis, or -1 for per-tensor parameters.
 func (q *QTensor) Axis() int { return q.axis }
 

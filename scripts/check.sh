@@ -93,6 +93,14 @@ go test -race -count=1 -timeout 5m \
 go test -race -count=1 -timeout 5m \
 	-run 'TestConformance/StopWhileParked|TestAsyncIOConformance/StopWhileParked|TestCheckpointWhileIdle|TestAsyncIOFlushesWhileSourceIsParked' \
 	./internal/sps/...
+# A failed start leaves nothing running: with its output topic missing,
+# every engine's Run must fail under uniform and per-operator parallelism
+# without a goroutine left behind (no caller holds a Job to Stop). Then
+# flink's network-buffer split at its real 32 KiB segment. Race-enabled
+# and by name.
+go test -race -count=1 \
+	-run 'TestConformance/StartFailure|TestAsyncIOConformance/StartFailure|TestSegmentation|TestLargeRecordsFlowThroughBufferSplit' \
+	./internal/sps/...
 go test -race ./...
 # Decoder fuzz smoke (ROADMAP item 5a): the specialised JSON DataBatch
 # decoder and encoding/json must agree on every input the fuzzer finds in
