@@ -5,6 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/big"
+	"math/rand"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -495,6 +500,166 @@ func TestStamp(t *testing.T) {
 func FuzzJSONBatchDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecodeAgainstOracle(t, data)
+	})
+}
+
+// checkParseFloat32 holds parseJSONFloat32 to strconv.ParseFloat(…, 32)
+// on s, a JSON number: same verdict, the same float32 bit for bit, and
+// the whole of s consumed when a delimiter follows.
+func checkParseFloat32(t *testing.T, s string) {
+	t.Helper()
+	want, wantErr := strconv.ParseFloat(s, 32)
+	got, n, ok := parseJSONFloat32([]byte(s + ","))
+	if ok != (wantErr == nil) {
+		t.Fatalf("parseJSONFloat32(%q): ok %v, strconv error %v", s, ok, wantErr)
+	}
+	if ok && (n != len(s) || math.Float32bits(got) != math.Float32bits(float32(want))) {
+		t.Fatalf("parseJSONFloat32(%q) = %v (%#x), %d bytes; strconv %v (%#x), %d bytes",
+			s, got, math.Float32bits(got), n, float32(want), math.Float32bits(float32(want)), len(s))
+	}
+}
+
+// jsonNumber matches exactly the RFC 8259 §6 number grammar.
+var jsonNumber = regexp.MustCompile(`^-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?$`)
+
+func TestParseJSONFloat32MatchesStrconv(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	randomFloat32 := func() float32 {
+		for {
+			if f := math.Float32frombits(rng.Uint32()); !math.IsNaN(float64(f)) && !math.IsInf(float64(f), 0) {
+				return f
+			}
+		}
+	}
+	digits := func(n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte('0' + rng.Intn(10))
+		}
+		return string(b)
+	}
+	// Shortest spellings, as the encoder writes them and in both formats.
+	for i := 0; i < 50000; i++ {
+		f := randomFloat32()
+		enc, _ := appendJSONFloats(nil, []float32{f})
+		checkParseFloat32(t, string(enc[1:len(enc)-1]))
+		checkParseFloat32(t, strconv.FormatFloat(float64(f), 'f', -1, 32))
+		checkParseFloat32(t, strconv.FormatFloat(float64(f), 'e', -1, 32))
+		// Magnitudes the fast path covers, where random bit patterns are rare.
+		g := float32(rng.Float64() * math.Pow(10, float64(rng.Intn(40)-20)))
+		checkParseFloat32(t, strconv.FormatFloat(float64(g), 'f', -1, 32))
+	}
+	// Long decimals: 0–25 fraction digits behind 0–25 integer digits.
+	for i := 0; i < 50000; i++ {
+		intPart := "0"
+		if n := rng.Intn(26); n > 0 {
+			intPart = string(byte('1'+rng.Intn(9))) + digits(n-1)
+		}
+		s := intPart
+		if n := rng.Intn(26); n > 0 {
+			s += "." + digits(n)
+		}
+		if rng.Intn(2) == 0 {
+			s = "-" + s
+		}
+		checkParseFloat32(t, s)
+	}
+	// Float32 halfway points, where rounding through float64 can go
+	// wrong: written out exactly, one digit either side, and as the
+	// decimals nearest them that the fast path takes (the most fraction
+	// digits, at most 22, that keep the mantissa within 2^53). Some of
+	// those are not the halfway point and yet round to it in float64.
+	pow10 := func(k int) *big.Int { return new(big.Int).Exp(big.NewInt(10), big.NewInt(int64(k)), nil) }
+	maxMant := new(big.Int).Lsh(big.NewInt(1), 53)
+	for i := 0; i < 30000; i++ {
+		var f float32
+		switch i % 3 {
+		case 0:
+			f = randomFloat32()
+		case 1: // integers and short binary fractions
+			f = float32(math.Ldexp(float64(1+rng.Intn(1<<23)), rng.Intn(40)))
+		case 2: // the magnitudes the fast path covers
+			f = float32(rng.Float64() * math.Pow(10, float64(rng.Intn(30)-15)))
+		}
+		f = float32(math.Abs(float64(f)))
+		next := math.Nextafter32(f, float32(math.Inf(1)))
+		if math.IsInf(float64(next), 0) {
+			continue
+		}
+		mid := new(big.Rat).SetFloat64(float64(f))
+		mid.Add(mid, new(big.Rat).SetFloat64(float64(next)))
+		mid.Quo(mid, big.NewRat(2, 1))
+		s := mid.FloatString(mid.Denom().BitLen() - 1) // every digit: the denominator is a power of two
+		checkParseFloat32(t, s)
+		n := 0 // fraction digits
+		if dot := strings.IndexByte(s, '.'); dot >= 0 {
+			n = len(s) - dot - 1
+		}
+		step := new(big.Rat).SetFrac(big.NewInt(1), pow10(n+1))
+		checkParseFloat32(t, new(big.Rat).Add(mid, step).FloatString(n+1))
+		checkParseFloat32(t, new(big.Rat).Sub(mid, step).FloatString(n+1))
+		for k := 22; k >= 0; k-- {
+			scaled := new(big.Rat).Mul(mid, new(big.Rat).SetInt(pow10(k)))
+			m := new(big.Int).Quo(scaled.Num(), scaled.Denom())
+			if m.Cmp(maxMant) > 0 {
+				continue
+			}
+			for d := int64(-1); d <= 2; d++ {
+				near := new(big.Int).Add(m, big.NewInt(d))
+				if near.Sign() >= 0 && near.Cmp(maxMant) <= 0 {
+					checkParseFloat32(t, new(big.Rat).SetFrac(near, pow10(k)).FloatString(k))
+				}
+			}
+			break
+		}
+	}
+	for _, s := range []string{
+		"0", "-0", "0.0", "-0.0", "0.000000000000000000000000000000", "-0.000", "1", "-1", "0.5",
+		"16777217", "16777216.5", "33554434", "9007199254740992", "9007199254740993",
+		"1234567890123456789", "12345678901234567890", "0.1234567890123456789", "0.12345678901234567890123",
+		"1000000000000000000000", "10000000000000000000000", "0.0000000000000000000001", "0.00000000000000000000001",
+		"340282346638528859811704183484516925440", "340282356779733661637539395458142568448",
+		"340282356779733661637539395458142568447", "1e0", "1E5", "-2.5e+3", "1e-46", "1e-45", "1e38", "1e39",
+		"3.4028235e38", "3.4028236e38", "1.401298464324817e-45", "7.006492321624085e-46", "0.1e-7",
+	} {
+		checkParseFloat32(t, s)
+	}
+	// The grammar: none of these starts with a JSON number, though
+	// strconv takes some of them.
+	for _, s := range []string{"", "-", "+1", ".5", "-.5", "1.", "1.e5", "1e", "1e+", "1E-", "Inf", "NaN", "-Inf", "a"} {
+		if _, _, ok := parseJSONFloat32([]byte(s)); ok {
+			t.Fatalf("parseJSONFloat32(%q) accepted", s)
+		}
+	}
+	// A number ends where the grammar does; the caller checks what follows.
+	for s, want := range map[string]int{"01": 1, "0x1p-2": 1, "1.5.2": 3, "1e5e": 3, "-0-": 2, "12]": 2} {
+		if _, n, ok := parseJSONFloat32([]byte(s)); !ok || n != want {
+			t.Fatalf("parseJSONFloat32(%q): %d bytes (ok %v), want %d", s, n, ok, want)
+		}
+	}
+}
+
+// FuzzParseJSONFloat32: on arbitrary text the parser reads a JSON number
+// prefix or nothing, and what it reads is strconv's float32 bit for bit.
+func FuzzParseJSONFloat32(f *testing.F) {
+	for _, s := range []string{"0", "-0.5", "16777217", "0.1234567890123456789012", "1e-45", "3.4028236e38", "1.", "01"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, n, ok := parseJSONFloat32([]byte(s))
+		if jsonNumber.MatchString(s) {
+			checkParseFloat32(t, s)
+		}
+		if !ok {
+			return
+		}
+		if n < 1 || n > len(s) || !jsonNumber.MatchString(s[:n]) {
+			t.Fatalf("parseJSONFloat32(%q) read %d bytes, not a JSON number", s, n)
+		}
+		want, err := strconv.ParseFloat(s[:n], 32)
+		if err != nil || math.Float32bits(got) != math.Float32bits(float32(want)) {
+			t.Fatalf("parseJSONFloat32(%q) = %v; strconv %v, %v", s[:n], got, float32(want), err)
+		}
 	})
 }
 

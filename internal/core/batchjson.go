@@ -287,17 +287,11 @@ func cutJSONFloats(p []byte) ([]float32, []byte, bool) {
 	}
 	vals := make([]float32, bytes.Count(body, []byte{','})+1)
 	for i := range vals {
-		n := jsonNumberLen(body)
-		if n == 0 {
+		v, n, ok := parseJSONFloat32(body)
+		if !ok {
 			return nil, p, false
 		}
-		// As in cutJSONInt, the conversion stays on the stack for any
-		// number of ordinary length.
-		v, err := strconv.ParseFloat(string(body[:n]), 32)
-		if err != nil {
-			return nil, p, false
-		}
-		vals[i] = float32(v)
+		vals[i] = v
 		body = body[n:]
 		if i < len(vals)-1 {
 			if len(body) == 0 || body[0] != ',' {
@@ -325,21 +319,77 @@ func jsonIntLen(p []byte) int {
 	return 0
 }
 
-// jsonNumberLen returns the length of the JSON number (RFC 8259 §6) at
-// the start of p, or 0 if there is none. strconv.ParseFloat accepts
-// more ("1.", ".5", "+1", "0x1p-2", "Inf"), so the grammar is enforced
-// here.
-func jsonNumberLen(p []byte) int {
-	i := jsonIntLen(p)
-	if i == 0 {
-		return 0
+// exactPow10 holds the powers of ten a float64 represents exactly.
+var exactPow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// parseJSONFloat32 parses the JSON number (RFC 8259 §6) at the start of
+// p as strconv.ParseFloat(…, 32) does, bit for bit, and returns its
+// length; false if p starts with no JSON number or strconv refuses it
+// (out of float32 range). strconv accepts more ("1.", ".5", "+1",
+// "0x1p-2", "Inf"), so the grammar is enforced here, in the same scan
+// that gathers up to 19 significant digits.
+//
+// Without an exponent, with at most 19 significant digits making a
+// mantissa m ≤ 2^53 and at most 22 digits after the point, m and the
+// power of ten d are exact float64s, so m/d is correctly rounded to
+// float64 (Clinger's fast path). Rounding that on to float32 gives the correctly
+// rounded float32 unless the float64 sits exactly halfway between two
+// float32s — low 29 mantissa bits 1<<28 (no such value is subnormal in
+// either format) — where the decimal may lie on either side. That, and
+// every number outside the fast path, goes to strconv.
+func parseJSONFloat32(p []byte) (float32, int, bool) {
+	i := 0
+	neg := i < len(p) && p[i] == '-'
+	if neg {
+		i++
+	}
+	var mant uint64
+	digits, exp10 := 0, 0 // the number is mant·10^exp10 while exact holds
+	exact := true
+	switch {
+	case i < len(p) && p[i] == '0':
+		i++
+	case i < len(p) && '1' <= p[i] && p[i] <= '9':
+		for ; i < len(p) && digits < 19; i++ {
+			c := p[i] - '0'
+			if c > 9 {
+				break
+			}
+			mant = mant*10 + uint64(c)
+			digits++
+		}
+		if n := jsonDigitsLen(p[i:]); n > 0 {
+			i += n
+			exact = false
+		}
+	default:
+		return 0, 0, false
 	}
 	if i < len(p) && p[i] == '.' {
-		n := jsonDigitsLen(p[i+1:])
-		if n == 0 {
-			return 0
+		i++
+		start := i
+		if digits == 0 {
+			for i < len(p) && p[i] == '0' { // leading zeros are not significant
+				i++
+			}
 		}
-		i += 1 + n
+		for ; i < len(p) && digits < 19; i++ {
+			c := p[i] - '0'
+			if c > 9 {
+				break
+			}
+			mant = mant*10 + uint64(c)
+			digits++
+		}
+		exp10 = start - i
+		if n := jsonDigitsLen(p[i:]); n > 0 {
+			i += n
+			exact = false
+		}
+		if i == start {
+			return 0, 0, false
+		}
 	}
 	if i < len(p) && (p[i] == 'e' || p[i] == 'E') {
 		j := i + 1
@@ -348,11 +398,24 @@ func jsonNumberLen(p []byte) int {
 		}
 		n := jsonDigitsLen(p[j:])
 		if n == 0 {
-			return 0
+			return 0, 0, false
 		}
 		i = j + n
+		exact = false
 	}
-	return i
+	if exact && mant <= 1<<53 && exp10 >= -22 {
+		f := float64(mant) / exactPow10[-exp10]
+		if neg {
+			f = -f
+		}
+		if math.Float64bits(f)&(1<<29-1) != 1<<28 {
+			return float32(f), i, true
+		}
+	}
+	// As in cutJSONInt, the conversion stays on the stack for any number
+	// of ordinary length.
+	v, err := strconv.ParseFloat(string(p[:i]), 32)
+	return float32(v), i, err == nil
 }
 
 // jsonDigitsLen returns how many ASCII digits p starts with.

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 	"time"
 
@@ -219,6 +223,139 @@ func TestDataGeneratorDeterministic(t *testing.T) {
 	if same {
 		t.Fatal("different seeds produced identical data")
 	}
+}
+
+// zeroCreated returns rec with its created_ns set to 0.
+func zeroCreated(t *testing.T, codec BatchCodec, rec []byte) []byte {
+	t.Helper()
+	_, created, err := stamp(codec, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := codec.(BinaryCodec); ok {
+		out := bytes.Clone(rec)
+		clear(out[8:16])
+		return out
+	}
+	field := `,"created_ns":`
+	return bytes.Replace(rec, []byte(field+strconv.FormatInt(created, 10)+","), []byte(field+"0,"), 1)
+}
+
+// TestSamplePool: the pool changes what a record costs, not what it is.
+// Until the budget is full, event id is the generator's id-th batch
+// formatted; after it, event id repeats event id mod P; two pools of one
+// seed write the same records; and with a dataset every record is the
+// dataset batch the generator would have formatted.
+func TestSamplePool(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	ds := &Dataset{PointLen: 784, Points: make([][]float32, 300)}
+	for i := range ds.Points {
+		ds.Points[i] = make([]float32, ds.PointLen)
+		for j := range ds.Points[i] {
+			ds.Points[i][j] = rng.Float32()
+		}
+	}
+	datasetCut := false
+	for _, codec := range []BatchCodec{JSONCodec{}, BinaryCodec{}} {
+		for _, bsz := range []int{1, 4} {
+			w := Workload{InputShape: []int{28, 28}, BatchSize: bsz, Seed: 3}
+			if err := w.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			t.Run(fmt.Sprintf("%s/bsz%d", codec.Name(), bsz), func(t *testing.T) {
+				pool, replay := newSamplePool(w, nil, codec), newSamplePool(w, nil, codec)
+				gen := newDataGenerator(w)
+				var firsts []*DataBatch
+				for id := int64(0); !pool.full || id < 3*int64(len(pool.slots)); id++ {
+					rec, created, err := pool.record(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if gotID, gotCreated, err := stamp(codec, rec); err != nil || gotID != id || gotCreated != created {
+						t.Fatalf("event %d: record carries id %d, created_ns %d (err %v); want %d, %d", id, gotID, gotCreated, err, id, created)
+					}
+					var want *DataBatch
+					if pool.full && id >= int64(len(pool.slots)) {
+						b := *firsts[id%int64(len(pool.slots))]
+						b.ID = id
+						want = &b
+					} else {
+						want = gen.next(id)
+						firsts = append(firsts, want)
+					}
+					wantRec, err := codec.Marshal(want)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(zeroCreated(t, codec, rec), zeroCreated(t, codec, wantRec)) {
+						t.Fatalf("event %d (P %d, full %v) is not the generator's batch", id, len(pool.slots), pool.full)
+					}
+					again, _, err := replay.record(id)
+					if err != nil || !bytes.Equal(zeroCreated(t, codec, again), zeroCreated(t, codec, rec)) {
+						t.Fatalf("event %d differs between two pools of one seed (err %v)", id, err)
+					}
+				}
+				if pool.held < poolBudget || len(pool.slots) < 2 {
+					t.Fatalf("pool full at %d samples holding %d bytes, budget %d", len(pool.slots), pool.held, poolBudget)
+				}
+			})
+			t.Run(fmt.Sprintf("%s/bsz%d/dataset", codec.Name(), bsz), func(t *testing.T) {
+				pool := newSamplePool(w, ds, codec)
+				gen := newDataGenerator(w)
+				gen.dataset = ds
+				for id := int64(0); id < 2*pool.period+8; id++ {
+					rec, _, err := pool.record(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := codec.Marshal(gen.next(id))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(zeroCreated(t, codec, rec), zeroCreated(t, codec, want)) {
+						t.Fatalf("event %d is not the dataset's batch", id)
+					}
+				}
+				if len(pool.slots) < int(pool.period) {
+					datasetCut = true
+				}
+			})
+		}
+	}
+	if !datasetCut {
+		t.Fatal("no dataset run filled the budget before the dataset cycled: the formatted slots went untested")
+	}
+}
+
+func BenchmarkProducerRecord(b *testing.B) {
+	w := Workload{InputShape: []int{28, 28}, Seed: 1}
+	if err := w.Validate(); err != nil {
+		b.Fatal(err)
+	}
+	// Steady state: every sample is in the pool.
+	b.Run("pool", func(b *testing.B) {
+		b.ReportAllocs()
+		pool := newSamplePool(w, nil, JSONCodec{})
+		var id int64
+		for ; !pool.full; id++ {
+			if _, _, err := pool.record(id); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchBytes, _, _ = pool.record(id)
+			id++
+		}
+	})
+	// The twin: draw and format every event.
+	b.Run("format", func(b *testing.B) {
+		b.ReportAllocs()
+		gen := newDataGenerator(w)
+		for i := 0; i < b.N; i++ {
+			benchBytes, _ = MarshalJSONBatch(gen.next(int64(i)))
+		}
+	})
 }
 
 func TestConsumerLatencyFromAppendTime(t *testing.T) {

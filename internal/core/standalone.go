@@ -9,8 +9,9 @@ import (
 
 // RunStandalone executes the Figure 13 baseline: a self-contained
 // pipeline that generates data, scores it, and records output timestamps
-// in-process, with no message broker between components. The same batch
-// serialisation is applied at the pipeline boundary so the comparison
+// in-process, with no message broker between components. Its records
+// come from the input producer's sample pool and the same batch
+// serialisation is applied at the pipeline boundary, so the comparison
 // against the Kafka-based pipeline isolates exactly the broker hops.
 func RunStandalone(cfg Config) (*Result, error) {
 	scorer, cleanup, err := prepare(&cfg, nil)
@@ -20,10 +21,11 @@ func RunStandalone(cfg Config) (*Result, error) {
 	defer cleanup()
 	codec := BatchCodec(JSONCodec{})
 	transform := MakeTransform(codec, scorer)
-	gen := newDataGenerator(cfg.Workload)
-	if gen.dataset, err = loadDataset(&cfg.Workload); err != nil {
+	ds, err := loadDataset(&cfg.Workload)
+	if err != nil {
 		return nil, err
 	}
+	pool := newSamplePool(cfg.Workload, ds, codec)
 	sched, err := cfg.Workload.LoadPolicy().Schedule()
 	if err != nil {
 		return nil, err
@@ -77,7 +79,7 @@ func RunStandalone(cfg Config) (*Result, error) {
 		if wait > 0 {
 			pacer.Sleep(wait, nil)
 		}
-		value, err := codec.Marshal(gen.next(int64(produced)))
+		value, _, err := pool.record(int64(produced))
 		if err != nil {
 			close(pipe)
 			workers.Wait()

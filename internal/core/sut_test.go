@@ -5,8 +5,69 @@ import (
 
 	"crayfish/internal/model"
 	"crayfish/internal/netsim"
+	"crayfish/internal/serving"
 	"crayfish/internal/sps"
 )
+
+// countingScorer counts Score calls.
+type countingScorer struct {
+	serving.Scorer
+	calls int
+}
+
+func (c *countingScorer) Score(inputs []float32, n int) ([]float32, error) {
+	c.calls++
+	return c.Scorer.Score(inputs, n)
+}
+
+// TestRepeatedSampleCostsAFullScore: the producer's pool repeats
+// samples, and a repeated one is scored like a new one — one Score call
+// per event and the same allocations — so no cache in the operator or
+// the scorer can appear without this failing.
+func TestRepeatedSampleCostsAFullScore(t *testing.T) {
+	inner, cleanup, err := BuildScorerNet(ServingConfig{Mode: Embedded, Tool: "onnx"}, model.NewFFNN(1), 1, netsim.Loopback)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	scorer := &countingScorer{Scorer: inner}
+	transform := MakeTransform(JSONCodec{}, scorer)
+
+	w := Workload{InputShape: []int{28, 28}, Seed: 1}
+	if err := w.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	pool := newSamplePool(w, nil, JSONCodec{})
+	var recs [][]byte
+	for id := int64(0); !pool.full || id < 2*int64(len(pool.slots)); id++ {
+		rec, _, err := pool.record(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
+	}
+	for _, rec := range recs {
+		if _, err := transform(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if scorer.calls != len(recs) {
+		t.Fatalf("%d events, every sample twice, made %d Score calls", len(recs), scorer.calls)
+	}
+	if raceEnabled {
+		return // -race makes sync.Pool drop buffers and adds allocations
+	}
+	fresh := recs[:len(pool.slots)]
+	i := 0
+	freshAllocs := testing.AllocsPerRun(100, func() {
+		_, _ = transform(fresh[i%len(fresh)])
+		i++
+	})
+	repeatedAllocs := testing.AllocsPerRun(100, func() { _, _ = transform(recs[0]) })
+	if freshAllocs != repeatedAllocs {
+		t.Fatalf("a repeated sample allocates %v times, a fresh one %v", repeatedAllocs, freshAllocs)
+	}
+}
 
 // TestTransformKeepsInputs: serving.Scorer may use the inputs it is lent
 // as scratch, and a model whose first layer runs in place does. The

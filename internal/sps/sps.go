@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"crayfish/internal/batching"
@@ -215,6 +216,11 @@ func instrumentTransform(t Transform, reg *telemetry.Registry) Transform {
 // engines (whose operator loop is otherwise sequential) expose the
 // batching opportunity. Without batching the records run sequentially;
 // spawning goroutines would buy nothing.
+//
+// The fan-out is MaxBatch workers pulling indices, which fills a batch
+// as fast as one goroutine per record would: a micro-batch engine polls
+// thousands of records at once, and the runtime keeps every goroutine
+// descriptor it ever made for later collections to walk.
 func (s *JobSpec) TransformMany(values [][]byte) ([][]byte, []error) {
 	outs := make([][]byte, len(values))
 	errs := make([]error, len(values))
@@ -224,13 +230,17 @@ func (s *JobSpec) TransformMany(values [][]byte) ([][]byte, []error) {
 		}
 		return outs, errs
 	}
+	workers := min(s.Batching.WithDefaults().MaxBatch, len(values))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i, v := range values {
-		wg.Add(1)
-		go func(i int, v []byte) {
+	wg.Add(workers)
+	for range workers {
+		go func() {
 			defer wg.Done()
-			outs[i], errs[i] = s.Transform(v)
-		}(i, v)
+			for i := int(next.Add(1)) - 1; i < len(values); i = int(next.Add(1)) - 1 {
+				outs[i], errs[i] = s.Transform(values[i])
+			}
+		}()
 	}
 	wg.Wait()
 	return outs, errs

@@ -1,9 +1,15 @@
 package sps
 
 import (
+	"bytes"
+	"runtime"
+	"strconv"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"crayfish/internal/batching"
 	"crayfish/internal/broker"
 )
 
@@ -127,6 +133,53 @@ func TestNamesIncludesRegistered(t *testing.T) {
 	}
 	if _, err := New("names-test"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTransformManyBoundsFanOut: a micro-batch engine hands
+// TransformMany thousands of records at once. With batching on, the
+// records still coalesce into full batches and come back in order, and
+// TransformMany runs them on at most MaxBatch goroutines, not one each.
+func TestTransformManyBoundsFanOut(t *testing.T) {
+	const maxBatch, records = 16, 2048
+	var peak, batches, coalesced atomic.Int64
+	spec := JobSpec{
+		Transport: fakeTransport{}, InputTopic: "a", OutputTopic: "b",
+		Transform: func(v []byte) ([]byte, error) { return v, nil },
+		BatchTransform: func(values [][]byte) ([][]byte, error) {
+			// Count the goroutines TransformMany started that are alive
+			// now. (runtime.NumGoroutine would also count the batcher's
+			// linger watchers, which exit when the scheduler gets to them.)
+			buf := make([]byte, 1<<20)
+			stacks := buf[:runtime.Stack(buf, true)]
+			n := int64(bytes.Count(stacks, []byte("created by crayfish/internal/sps.(*JobSpec).TransformMany")))
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			batches.Add(1)
+			coalesced.Add(int64(len(values)))
+			return values, nil
+		},
+		Batching: &batching.Policy{MaxBatch: maxBatch, Linger: time.Hour},
+	}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	values := make([][]byte, records)
+	for i := range values {
+		values[i] = []byte(strconv.Itoa(i))
+	}
+	outs, errs := spec.TransformMany(values)
+	spec.CloseBatching()
+	for i := range values {
+		if errs[i] != nil || string(outs[i]) != strconv.Itoa(i) {
+			t.Fatalf("record %d: %q, %v", i, outs[i], errs[i])
+		}
+	}
+	if batches.Load() != records/maxBatch || coalesced.Load() != records {
+		t.Fatalf("%d records went out in %d batches, want %d full ones", coalesced.Load(), batches.Load(), records/maxBatch)
+	}
+	if got := peak.Load(); got == 0 || got > maxBatch {
+		t.Fatalf("TransformMany ran %d records on %d goroutines at once, want 1 to %d", records, got, maxBatch)
 	}
 }
 

@@ -24,11 +24,14 @@
 # (docs/PERFORMANCE.md "Pipeline codec"), and the two calls that convert
 # no input float: the operator's encode of a batch it decoded
 # (json_codec_rescore_ns) and the output consumer's read of id and
-# created_ns (json_codec_stamp_ns). The broker rung books the
-# TCP wire path (docs/PERFORMANCE.md "Broker wire"): one 16-record
-# FFNN-sized records frame through the binary frame codec
-# (wire_frame_encode_ns, wire_frame_decode_ns) and a produce plus the
-# fetch that reads it back over loopback, per record
+# created_ns (json_codec_stamp_ns). Beside them, producer_record_ns is
+# the input producer's steady-state cost per event on the same FFNN
+# shape: its header around a pooled sample's retained inputs, against
+# drawing and formatting the sample afresh (producer_record_vs_format).
+# The broker rung books the TCP wire path (docs/PERFORMANCE.md "Broker
+# wire"): one 16-record FFNN-sized records frame through the binary
+# frame codec (wire_frame_encode_ns, wire_frame_decode_ns) and a produce
+# plus the fetch that reads it back over loopback, per record
 # (broker_tcp_rt_us_per_rec). The wake rung books the blocking fetch
 # (docs/PERFORMANCE.md "Blocking fetch"): the time from an append to the
 # parked consumer holding the record, in process and over loopback
@@ -43,7 +46,7 @@ BENCHTIME="${BENCHTIME:-1s}"
 OUT="${OUT:-BENCH_inference.json}"
 
 go test -run NONE -benchmem -benchtime "$BENCHTIME" \
-	-bench 'MatMulBlocked128|QMatMul$|Conv2D$|Conv2DInto$|ConvDirectVsWinograd|PlanForward|QPlanAgreement$|UnplannedForward|ScoreResNet|ScoreFFNN|ScoreBatchedVsUnbatched|ServerCapacitySweep$|BrokerFailover$|AttentionFusedVsUnfused|JSONCodec|WireFrame|RemoteProduceFetch$|PollWake' \
+	-bench 'MatMulBlocked128|QMatMul$|Conv2D$|Conv2DInto$|ConvDirectVsWinograd|PlanForward|QPlanAgreement$|UnplannedForward|ScoreResNet|ScoreFFNN|ScoreBatchedVsUnbatched|ServerCapacitySweep$|BrokerFailover$|AttentionFusedVsUnfused|JSONCodec|ProducerRecord|WireFrame|RemoteProduceFetch$|PollWake' \
 	./internal/tensor/ ./internal/model/ ./internal/serving/embedded/ ./internal/serving/external/ ./internal/core/ ./internal/broker/ . \
 	| awk -v benchtime="$BENCHTIME" '
 	/^pkg:/ { pkg = $2 }
@@ -76,6 +79,8 @@ go test -run NONE -benchmem -benchtime "$BENCHTIME" \
 		if (name ~ /JSONCodecRescore\/encodingjson$/)     { jrons = ns }
 		if (name ~ /JSONCodecStamp\/codec$/)              { jsns = ns }
 		if (name ~ /JSONCodecStamp\/encodingjson$/)       { jsons = ns }
+		if (name ~ /ProducerRecord\/pool$/)               { prns = ns }
+		if (name ~ /ProducerRecord\/format$/)             { prfns = ns }
 		if (name ~ /WireFrameEncode$/)                    { wens = ns }
 		if (name ~ /WireFrameDecode$/)                    { wdns = ns }
 		if (name ~ /RemoteProduceFetch$/)                 { rtns = ns }
@@ -135,6 +140,12 @@ go test -run NONE -benchmem -benchtime "$BENCHTIME" \
 		if (jsns > 0 && jsons > 0) {
 			printf "  \"json_codec_stamp_ns\": %s,\n", jsns
 			printf "  \"json_codec_stamp_vs_encodingjson\": %.2f,\n", jsons / jsns
+		}
+		# The input producer per event once its sample pool is full,
+		# against drawing and formatting every event.
+		if (prns > 0 && prfns > 0) {
+			printf "  \"producer_record_ns\": %s,\n", prns
+			printf "  \"producer_record_vs_format\": %.2f,\n", prfns / prns
 		}
 		# The TCP wire path of the broker (docs/PERFORMANCE.md "Broker wire"):
 		# a 16-record FFNN-sized records frame through the frame codec,

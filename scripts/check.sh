@@ -64,6 +64,14 @@ go test -race -count=1 -run 'TestRunScenario' ./internal/core/
 # injector, the batcher and the standalone workers all cross goroutines:
 # race-enabled and by name.
 go test -race -count=1 -run 'TestRunRecoveryHonoursBatching|TestRunStandaloneHonoursConfig' ./internal/core/
+# The producer's sample pool and the operator's float parse
+# (docs/PERFORMANCE.md "Off both strconv floors"): a pooled record is
+# the generator's batch formatted, a repeated sample is scored in full,
+# and every float the fast path returns is strconv's bit for bit. Then
+# TransformMany's bounded fan-out, whose workers share one index
+# counter: race-enabled and by name.
+go test -race -count=1 -run 'TestSamplePool|TestRepeatedSampleCostsAFullScore|TestParseJSONFloat32MatchesStrconv' ./internal/core/
+go test -race -count=1 -run 'TestTransformManyBoundsFanOut' ./internal/sps/
 # Static-analysis self-tests (docs/STATIC_ANALYSIS.md): the CFG/dataflow
 # analyzers must match the fixture markers exactly, the directive grammar
 # must associate suppressions to the right lines, and the wave-parallel
@@ -106,6 +114,9 @@ go test -race ./...
 # decoder and encoding/json must agree on every input the fuzzer finds in
 # a few seconds; the checked-in corpus already ran as a unit test above.
 go test -run '^$' -fuzz '^FuzzJSONBatchDecode$' -fuzztime 8s ./internal/core/
+# The one-pass float parse under it: on arbitrary text it reads a JSON
+# number prefix or nothing, and what it reads is strconv's float32.
+go test -run '^$' -fuzz '^FuzzParseJSONFloat32$' -fuzztime 8s ./internal/core/
 # The broker's wire frames (docs/CLUSTER.md "Wire protocol"): no input
 # may panic a decoder or make it size anything beyond what its payload
 # holds, and whatever decodes must re-encode to the same bytes.
