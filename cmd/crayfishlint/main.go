@@ -1,7 +1,7 @@
 // Command crayfishlint runs Crayfish's project-specific static-analysis
 // suite (internal/analysis) over the module — the layering/metric/clock
-// checkers plus the CFG-dataflow analyzers (arenadiscipline,
-// borrowretain, lockdiscipline). It is wired into scripts/check.sh as a
+// checkers, the CFG-dataflow analyzers (arenadiscipline, borrowretain,
+// lockdiscipline) and deadexport. It is wired into scripts/check.sh as a
 // hard gate; docs/STATIC_ANALYSIS.md documents each analyzer and the
 // //lint:allow escape hatch.
 //

@@ -177,8 +177,8 @@ type (
 	// FaultRule is one message-fault clause (drop/duplicate/delay by
 	// per-topic sequence window).
 	FaultRule = faults.Rule
-	// FaultEvent is one timed fault (crash, restart, scorer-error or
-	// slow-replica window).
+	// FaultEvent is one timed fault (crash, restart, scorer-error
+	// window, broker crash or restart).
 	FaultEvent = faults.Event
 	// FaultKind names one fault type.
 	FaultKind = faults.Kind
@@ -201,7 +201,6 @@ const (
 	FaultCrash         = faults.Crash
 	FaultRestart       = faults.Restart
 	FaultScorerError   = faults.ScorerError
-	FaultSlowReplica   = faults.SlowReplica
 	FaultBrokerCrash   = faults.BrokerCrash
 	FaultBrokerRestart = faults.BrokerRestart
 )

@@ -69,8 +69,8 @@ type Pass struct {
 	suppressed *int
 }
 
-// Report records a diagnostic at pos unless an allow directive covers it.
-func (p *Pass) Report(pos token.Pos, format string, args ...any) {
+// report records a diagnostic at pos unless an allow directive covers it.
+func (p *Pass) report(pos token.Pos, format string, args ...any) {
 	position := p.Module.Fset.Position(pos)
 	pkg := p.Pkg
 	if pkg == nil && p.Module != nil {
@@ -157,15 +157,16 @@ func Run(mod *Module, suite []*Analyzer) Result {
 // DefaultAnalyzers returns a fresh instance of the full Crayfish suite.
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
-		NewLayering(),
-		NewMetricNames(),
-		NewClockDiscipline(),
-		NewGoroLifecycle(),
-		NewErrcheckLite(),
-		NewHotPathAlloc(),
-		NewArenaDiscipline(),
-		NewBorrowRetain(),
-		NewLockDiscipline(),
+		newLayering(),
+		newMetricNames(),
+		newClockDiscipline(),
+		newGoroLifecycle(),
+		newErrcheckLite(),
+		newHotPathAlloc(),
+		newArenaDiscipline(),
+		newBorrowRetain(),
+		newLockDiscipline(),
+		newDeadExport(),
 	}
 }
 

@@ -1,4 +1,4 @@
-package analysis_test
+package analysis
 
 import (
 	"bufio"
@@ -10,8 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"crayfish/internal/analysis"
 )
 
 // The fixture module under testdata/src seeds at least one violation per
@@ -20,17 +18,17 @@ import (
 
 var (
 	fixtureOnce sync.Once
-	fixtureMod  *analysis.Module
-	fixtureRes  analysis.Result
+	fixtureMod  *Module
+	fixtureRes  Result
 	fixtureErr  error
 )
 
-func fixture(t *testing.T) (*analysis.Module, analysis.Result) {
+func fixture(t *testing.T) (*Module, Result) {
 	t.Helper()
 	fixtureOnce.Do(func() {
-		fixtureMod, fixtureErr = analysis.LoadModule(filepath.Join("testdata", "src"))
+		fixtureMod, fixtureErr = LoadModule(filepath.Join("testdata", "src"))
 		if fixtureErr == nil {
-			fixtureRes = analysis.Run(fixtureMod, analysis.DefaultAnalyzers())
+			fixtureRes = Run(fixtureMod, DefaultAnalyzers())
 		}
 	})
 	if fixtureErr != nil {
@@ -115,7 +113,7 @@ func TestEveryAnalyzerCatchesItsSeed(t *testing.T) {
 	for _, d := range res.Diagnostics {
 		found[d.Analyzer]++
 	}
-	for _, a := range analysis.DefaultAnalyzers() {
+	for _, a := range DefaultAnalyzers() {
 		if found[a.Name] == 0 {
 			t.Errorf("analyzer %s caught nothing in the fixture module", a.Name)
 		}
@@ -127,7 +125,7 @@ func TestEveryAnalyzerCatchesItsSeed(t *testing.T) {
 // the contract document.
 func TestMetricNamesReverseDrift(t *testing.T) {
 	_, res := fixture(t)
-	var docDiags []analysis.Diagnostic
+	var docDiags []Diagnostic
 	for _, d := range res.Diagnostics {
 		if d.Analyzer == "metricnames" && strings.HasSuffix(d.Pos.Filename, ".md") {
 			docDiags = append(docDiags, d)
@@ -142,15 +140,15 @@ func TestMetricNamesReverseDrift(t *testing.T) {
 }
 
 // TestDirectiveSuppressionAndGrammar: well-formed lint:allow comments
-// suppress (the fixtures carry six, one in block-comment form), a
+// suppress (the fixtures carry seven, one in block-comment form), a
 // directive without a reason is itself reported, and a well-formed
 // directive that suppresses nothing is reported as stale.
 func TestDirectiveSuppressionAndGrammar(t *testing.T) {
 	_, res := fixture(t)
-	if res.Suppressed != 6 {
-		t.Errorf("suppressed = %d, want 6 (clockdiscipline line+block, gorolifecycle, errchecklite, hotpathalloc, lockdiscipline fixtures)", res.Suppressed)
+	if res.Suppressed != 7 {
+		t.Errorf("suppressed = %d, want 7 (clockdiscipline line+block, gorolifecycle, errchecklite, hotpathalloc, lockdiscipline, deadexport fixtures)", res.Suppressed)
 	}
-	var bad []analysis.Diagnostic
+	var bad []Diagnostic
 	for _, d := range res.Diagnostics {
 		if d.Analyzer == "lintdirective" {
 			bad = append(bad, d)
@@ -172,6 +170,40 @@ func TestDirectiveSuppressionAndGrammar(t *testing.T) {
 	}
 }
 
+// TestDeadExportDispositions: each deadexport seed's message names who
+// references it, which is what decides the fix. The exemptions (a
+// Stringer method, a type reached through Open's signature, a method
+// the bench module selects, a tagged field, a test-support package, an
+// allowed name) are pinned silent by TestSuiteMatchesFixtureMarkers.
+func TestDeadExportDispositions(t *testing.T) {
+	_, res := fixture(t)
+	want := map[string]string{
+		"func InternalOnly":     "used only inside internal/deadexp: unexport it",
+		"func OwnTestsOnly":     "reached only by internal/deadexp's own tests: delete it, or move it into a _test.go file",
+		"func OtherTestsOnly":   "reached from outside internal/deadexp only by tests (cmd/tool): move it to a test-support package",
+		"func Nowhere":          "referenced nowhere: delete it",
+		"method *Handle.Rewind": "referenced nowhere: delete it",
+		"func testHelper":       "no non-test reference outside its own body",
+		"field Settings.Burst":  "dead setting: other packages set Settings but never this field",
+	}
+	for _, d := range res.Diagnostics {
+		if d.Analyzer != "deadexport" {
+			continue
+		}
+		for name, msg := range want {
+			if strings.HasPrefix(d.Message, name+" ") {
+				if !strings.Contains(d.Message, msg) {
+					t.Errorf("%s: message %q, want it to say %q", name, d.Message, msg)
+				}
+				delete(want, name)
+			}
+		}
+	}
+	for name := range want {
+		t.Errorf("no deadexport finding for %s", name)
+	}
+}
+
 // TestLoaderShape sanity-checks the module loader: module path, package
 // discovery, and module-relative paths.
 func TestLoaderShape(t *testing.T) {
@@ -185,18 +217,18 @@ func TestLoaderShape(t *testing.T) {
 		"fixture.test/internal/core",
 		"fixture.test/cmd/tool",
 	} {
-		if mod.Lookup(want) == nil {
+		if mod.lookup(want) == nil {
 			t.Errorf("package %s not loaded", want)
 		}
 	}
-	core := mod.Lookup("fixture.test/internal/core")
+	core := mod.lookup("fixture.test/internal/core")
 	if core.ModRel != "internal/core" {
 		t.Errorf("core.ModRel = %q, want internal/core", core.ModRel)
 	}
 	if len(core.TypeErrors) == 0 {
 		t.Error("core imports github.com/nope/dep; expected recorded type errors")
 	}
-	if tel := mod.Lookup("fixture.test/telemetry"); len(tel.TypeErrors) != 0 {
+	if tel := mod.lookup("fixture.test/telemetry"); len(tel.TypeErrors) != 0 {
 		t.Errorf("telemetry should type-check cleanly, got %v", tel.TypeErrors)
 	}
 }

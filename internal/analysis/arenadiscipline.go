@@ -17,7 +17,7 @@ const (
 // Arena.Get result to its lifecycle bits.
 type arenaState = map[types.Object]uint8
 
-// NewArenaDiscipline enforces the tensor.Arena ownership contract
+// newArenaDiscipline enforces the tensor.Arena ownership contract
 // (docs/PERFORMANCE.md) with path-sensitive dataflow over the CFG layer:
 //
 //   - a buffer must not be used after Recycle on any path reaching the
@@ -35,7 +35,7 @@ type arenaState = map[types.Object]uint8
 // (buffers stay lent until an Arena.Reset, possibly deferred or in the
 // caller) are exempt from the leak check by construction: it only fires
 // for buffers the function explicitly recycles somewhere.
-func NewArenaDiscipline() *Analyzer {
+func newArenaDiscipline() *Analyzer {
 	a := &Analyzer{
 		Name: "arenadiscipline",
 		Doc:  "tensor.Arena buffers: no use after Recycle, no double Recycle, no path-dependent leaks of explicitly recycled buffers",
@@ -106,8 +106,8 @@ func runArenaFunc(pass *Pass, body *ast.BlockStmt) {
 		return
 	}
 
-	g := NewCFG(body)
-	d := Dataflow[arenaState]{
+	g := newCFG(body)
+	d := dataflow[arenaState]{
 		Entry:  arenaState{},
 		Bottom: func() arenaState { return arenaState{} },
 		Clone: func(s arenaState) arenaState {
@@ -127,14 +127,14 @@ func runArenaFunc(pass *Pass, body *ast.BlockStmt) {
 			}
 			return changed
 		},
-		Transfer: func(b *Block, s arenaState) arenaState {
+		Transfer: func(b *block, s arenaState) arenaState {
 			for _, n := range b.Nodes {
 				af.node(n, s, false)
 			}
 			return s
 		},
 	}
-	in := Forward(g, d)
+	in := forward(g, d)
 	for i, b := range g.Blocks {
 		s := d.Clone(in[i])
 		for _, n := range b.Nodes {
@@ -149,14 +149,14 @@ func runArenaFunc(pass *Pass, body *ast.BlockStmt) {
 	}
 }
 
-func lastNode(b *Block) ast.Node {
+func lastNode(b *block) ast.Node {
 	if len(b.Nodes) == 0 {
 		return nil
 	}
 	return b.Nodes[len(b.Nodes)-1]
 }
 
-func succOf(b *Block, target *Block) bool {
+func succOf(b *block, target *block) bool {
 	for _, s := range b.Succs {
 		if s == target {
 			return true
@@ -211,7 +211,7 @@ func (af *arenaFunc) node(n ast.Node, s arenaState, report bool) {
 		af.expr(n.X, s, report)
 	case *ast.IncDecStmt:
 		af.expr(n.X, s, report)
-	case RangeHead:
+	case rangeHead:
 		af.expr(n.Stmt.X, s, report)
 		for _, lhs := range []ast.Expr{n.Stmt.Key, n.Stmt.Value} {
 			if lhs == nil {
@@ -223,7 +223,7 @@ func (af *arenaFunc) node(n ast.Node, s arenaState, report bool) {
 				}
 			}
 		}
-	case CommOp:
+	case commOp:
 		switch c := n.Stmt.(type) {
 		case *ast.SendStmt:
 			af.node(c, s, report)
@@ -252,7 +252,7 @@ func (af *arenaFunc) node(n ast.Node, s arenaState, report bool) {
 				}
 			}
 		}
-	case SelectHead, *ast.BranchStmt:
+	case selectHead, *ast.BranchStmt:
 		// No arena semantics.
 	case ast.Expr:
 		af.expr(n, s, report)
@@ -420,7 +420,7 @@ func (af *arenaFunc) reportOnce(pos token.Pos, format string, args ...any) {
 		return
 	}
 	af.reported[pos] = true
-	af.pass.Report(pos, format, args...)
+	af.pass.report(pos, format, args...)
 }
 
 // trackedIdent resolves e to a tracked buffer's object, or nil.

@@ -20,7 +20,7 @@ const lentPrefix = "//lint:lent"
 // alias.
 type borrowState = map[types.Object]string
 
-// NewBorrowRetain verifies //lint:lent annotations with alias dataflow
+// newBorrowRetain verifies //lint:lent annotations with alias dataflow
 // over the CFG layer: no alias of a lent parameter may escape the call —
 // not through a store into a struct field, slice/map element, pointer
 // target, or package variable; not through a channel send; and not by
@@ -29,7 +29,7 @@ type borrowState = map[types.Object]string
 // treated as further borrows (interprocedural retention is out of
 // scope). The annotation documents the contract and this analyzer keeps
 // the documentation honest.
-func NewBorrowRetain() *Analyzer {
+func newBorrowRetain() *Analyzer {
 	a := &Analyzer{
 		Name: "borrowretain",
 		Doc:  "parameters annotated //lint:lent must not escape: no field/package-var store, no channel send, no goroutine capture",
@@ -106,9 +106,9 @@ func runBorrowFunc(pass *Pass, fd *ast.FuncDecl) {
 	}
 	for name := range named {
 		if name == "" {
-			pass.Report(fd.Name.Pos(), "lint:lent names no parameter (grammar: //lint:lent <param> [<param>...])")
+			pass.report(fd.Name.Pos(), "lint:lent names no parameter (grammar: //lint:lent <param> [<param>...])")
 		} else if params[name] == nil {
-			pass.Report(fd.Name.Pos(), "lint:lent names %s, which is not a parameter of %s", name, fd.Name.Name)
+			pass.report(fd.Name.Pos(), "lint:lent names %s, which is not a parameter of %s", name, fd.Name.Name)
 		}
 	}
 	if len(params) == 0 {
@@ -126,8 +126,8 @@ func runBorrowFunc(pass *Pass, fd *ast.FuncDecl) {
 		entry[obj] = name
 	}
 
-	g := NewCFG(fd.Body)
-	d := Dataflow[borrowState]{
+	g := newCFG(fd.Body)
+	d := dataflow[borrowState]{
 		Entry:  entry,
 		Bottom: func() borrowState { return borrowState{} },
 		Clone: func(s borrowState) borrowState {
@@ -147,14 +147,14 @@ func runBorrowFunc(pass *Pass, fd *ast.FuncDecl) {
 			}
 			return changed
 		},
-		Transfer: func(b *Block, s borrowState) borrowState {
+		Transfer: func(b *block, s borrowState) borrowState {
 			for _, n := range b.Nodes {
 				bf.node(n, s, false)
 			}
 			return s
 		},
 	}
-	in := Forward(g, d)
+	in := forward(g, d)
 	for i, b := range g.Blocks {
 		s := d.Clone(in[i])
 		for _, n := range b.Nodes {
@@ -205,7 +205,7 @@ func (bf *borrowFunc) node(n ast.Node, s borrowState, report bool) {
 		bf.goEscape(n, s, report)
 	case *ast.ReturnStmt:
 		// Returning a lent value hands it straight back to its owner.
-	case RangeHead:
+	case rangeHead:
 		for _, lhs := range []ast.Expr{n.Stmt.Key, n.Stmt.Value} {
 			if lhs == nil {
 				continue
@@ -216,10 +216,10 @@ func (bf *borrowFunc) node(n ast.Node, s borrowState, report bool) {
 				}
 			}
 		}
-	case CommOp:
+	case commOp:
 		bf.node(n.Stmt, s, report)
 	case *ast.ExprStmt, *ast.DeferStmt, *ast.IncDecStmt,
-		SelectHead, *ast.BranchStmt:
+		selectHead, *ast.BranchStmt:
 		// Plain calls (including deferred ones) are further borrows.
 	}
 }
@@ -312,7 +312,7 @@ func (bf *borrowFunc) reportOnce(pos token.Pos, format string, args ...any) {
 		return
 	}
 	bf.reported[pos] = true
-	bf.pass.Report(pos, format, args...)
+	bf.pass.report(pos, format, args...)
 }
 
 // exprDesc renders an lvalue for a message, falling back to its shape.

@@ -1,10 +1,8 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
-	"strings"
 )
 
 // This file is the control-flow layer under the dataflow analyzers
@@ -22,12 +20,12 @@ import (
 // function may inspect each node fully without double-visiting nested
 // bodies. Three wrapper nodes mark spots where flatness needs context:
 //
-//   - RangeHead: the evaluation of `range X` in a loop head (the body is
+//   - rangeHead: the evaluation of `range X` in a loop head (the body is
 //     in successor blocks). Lets analyzers see range-over-channel as a
 //     blocking receive without re-walking the body.
-//   - SelectHead: a select statement's decision point, carrying whether a
+//   - selectHead: a select statement's decision point, carrying whether a
 //     default clause exists (a select without default blocks).
-//   - CommOp: a comm clause's send/receive inside a chosen select case.
+//   - commOp: a comm clause's send/receive inside a chosen select case.
 //     The op itself already "won" the select, so it is not a fresh
 //     blocking point — but it is still an assignment/use/escape.
 //
@@ -37,51 +35,51 @@ import (
 // lattice (lockdiscipline ignores deferred Unlocks — the lock stays held
 // to the end; arenadiscipline treats a deferred Reset/Recycle as covering
 // every return).
-type CFG struct {
+type cfg struct {
 	// Blocks in creation order; Blocks[0] is the entry block.
-	Blocks []*Block
+	Blocks []*block
 	// Exit is the single synthetic exit block (no Nodes). Every return
 	// statement's block and every path falling off the end feed it.
-	Exit *Block
+	Exit *block
 }
 
-// Block is one basic block: straight-line flat nodes, then a transfer of
+// block is one basic block: straight-line flat nodes, then a transfer of
 // control to one of Succs (an empty Succs list other than Exit means the
 // block ends in a return or is the exit itself).
-type Block struct {
+type block struct {
 	Index int
 	Nodes []ast.Node
-	Succs []*Block
+	Succs []*block
 }
 
-// RangeHead marks a range loop's operand evaluation in the loop-head
+// rangeHead marks a range loop's operand evaluation in the loop-head
 // block. Stmt.X is the ranged expression; Stmt.Key/Stmt.Value are
 // assigned once per iteration.
-type RangeHead struct{ Stmt *ast.RangeStmt }
+type rangeHead struct{ Stmt *ast.RangeStmt }
 
-func (r RangeHead) Pos() token.Pos { return r.Stmt.Pos() }
-func (r RangeHead) End() token.Pos { return r.Stmt.X.End() }
+func (r rangeHead) Pos() token.Pos { return r.Stmt.Pos() }
+func (r rangeHead) End() token.Pos { return r.Stmt.X.End() }
 
-// SelectHead marks a select statement's blocking decision point.
-type SelectHead struct {
+// selectHead marks a select statement's blocking decision point.
+type selectHead struct {
 	Stmt       *ast.SelectStmt
 	HasDefault bool
 }
 
-func (s SelectHead) Pos() token.Pos { return s.Stmt.Pos() }
-func (s SelectHead) End() token.Pos { return s.Stmt.Select + 6 }
+func (s selectHead) Pos() token.Pos { return s.Stmt.Pos() }
+func (s selectHead) End() token.Pos { return s.Stmt.Select + 6 }
 
-// CommOp wraps the comm statement of a chosen select case (a send, a
+// commOp wraps the comm statement of a chosen select case (a send, a
 // receive expression, or a receive assignment).
-type CommOp struct{ Stmt ast.Stmt }
+type commOp struct{ Stmt ast.Stmt }
 
-func (c CommOp) Pos() token.Pos { return c.Stmt.Pos() }
-func (c CommOp) End() token.Pos { return c.Stmt.End() }
+func (c commOp) Pos() token.Pos { return c.Stmt.Pos() }
+func (c commOp) End() token.Pos { return c.Stmt.End() }
 
-// NewCFG builds the control-flow graph of one function body.
-func NewCFG(body *ast.BlockStmt) *CFG {
-	b := &cfgBuilder{g: &CFG{}}
-	b.g.Exit = &Block{Index: -1}
+// newCFG builds the control-flow graph of one function body.
+func newCFG(body *ast.BlockStmt) *cfg {
+	b := &cfgBuilder{g: &cfg{}}
+	b.g.Exit = &block{Index: -1}
 	entry := b.newBlock()
 	b.cur = entry
 	b.stmt(body)
@@ -104,18 +102,18 @@ func NewCFG(body *ast.BlockStmt) *CFG {
 
 type loopFrame struct {
 	label      string
-	breakTo    *Block
-	continueTo *Block // nil for switch/select frames (break only)
+	breakTo    *block
+	continueTo *block // nil for switch/select frames (break only)
 }
 
 type labelInfo struct {
-	block        *Block
-	pendingGotos []*Block
+	block        *block
+	pendingGotos []*block
 }
 
 type cfgBuilder struct {
-	g   *CFG
-	cur *Block // nil while control is unreachable (after return/branch)
+	g   *cfg
+	cur *block // nil while control is unreachable (after return/branch)
 
 	frames []*loopFrame
 	labels map[string]*labelInfo
@@ -123,13 +121,13 @@ type cfgBuilder struct {
 	pendingLabel string
 }
 
-func (b *cfgBuilder) newBlock() *Block {
-	blk := &Block{Index: len(b.g.Blocks)}
+func (b *cfgBuilder) newBlock() *block {
+	blk := &block{Index: len(b.g.Blocks)}
 	b.g.Blocks = append(b.g.Blocks, blk)
 	return blk
 }
 
-func (b *cfgBuilder) edge(from, to *Block) {
+func (b *cfgBuilder) edge(from, to *block) {
 	for _, s := range from.Succs {
 		if s == to {
 			return
@@ -140,7 +138,7 @@ func (b *cfgBuilder) edge(from, to *Block) {
 
 // ensure returns the current block, materializing a fresh unreachable one
 // when control already left (code after return stays analyzable).
-func (b *cfgBuilder) ensure() *Block {
+func (b *cfgBuilder) ensure() *block {
 	if b.cur == nil {
 		b.cur = b.newBlock()
 	}
@@ -157,7 +155,7 @@ func (b *cfgBuilder) add(n ast.Node) {
 
 // startBlock finishes cur with an edge into a fresh block and makes that
 // block current.
-func (b *cfgBuilder) startBlock() *Block {
+func (b *cfgBuilder) startBlock() *block {
 	blk := b.newBlock()
 	if b.cur != nil {
 		b.edge(b.cur, blk)
@@ -197,7 +195,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.stmt(s.Body)
 		thenExit := b.cur
 
-		var elseExit *Block
+		var elseExit *block
 		hasElse := s.Else != nil
 		if hasElse {
 			elseBlk := b.newBlock()
@@ -258,7 +256,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 
 	case *ast.RangeStmt:
 		head := b.startBlock()
-		b.add(RangeHead{Stmt: s})
+		b.add(rangeHead{Stmt: s})
 		done := b.newBlock()
 		b.edge(head, done)
 		frame := &loopFrame{label: b.takeLabel(), breakTo: done, continueTo: head}
@@ -297,7 +295,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 				hasDefault = true
 			}
 		}
-		b.add(SelectHead{Stmt: s, HasDefault: hasDefault})
+		b.add(selectHead{Stmt: s, HasDefault: hasDefault})
 		done := b.newBlock()
 		frame := &loopFrame{label: b.takeLabel(), breakTo: done}
 		b.frames = append(b.frames, frame)
@@ -307,7 +305,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			b.edge(head, blk)
 			b.cur = blk
 			if cc.Comm != nil {
-				b.add(CommOp{Stmt: cc.Comm})
+				b.add(commOp{Stmt: cc.Comm})
 			}
 			for _, st := range cc.Body {
 				b.stmt(st)
@@ -379,13 +377,13 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 
 // switchClauses builds the case blocks of a (type) switch whose head is
 // the current block.
-func (b *cfgBuilder) switchClauses(body *ast.BlockStmt, _ *Block) {
+func (b *cfgBuilder) switchClauses(body *ast.BlockStmt, _ *block) {
 	head := b.ensure()
 	done := b.newBlock()
 	frame := &loopFrame{label: b.takeLabel(), breakTo: done}
 	b.frames = append(b.frames, frame)
 
-	var caseBlocks []*Block
+	var caseBlocks []*block
 	var clauses []*ast.CaseClause
 	hasDefault := false
 	for _, c := range body.List {
@@ -449,60 +447,4 @@ func (b *cfgBuilder) findFrame(label *ast.Ident, isContinue bool) *loopFrame {
 		}
 	}
 	return nil
-}
-
-// dump renders the CFG compactly for tests: one line per block,
-// "i: [node kinds] -> succ indexes".
-func (g *CFG) dump() string {
-	var sb strings.Builder
-	for _, blk := range g.Blocks {
-		fmt.Fprintf(&sb, "%d:", blk.Index)
-		for _, n := range blk.Nodes {
-			fmt.Fprintf(&sb, " %s", nodeKind(n))
-		}
-		if len(blk.Succs) > 0 {
-			sb.WriteString(" ->")
-			for _, s := range blk.Succs {
-				fmt.Fprintf(&sb, " %d", s.Index)
-			}
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
-func nodeKind(n ast.Node) string {
-	switch n := n.(type) {
-	case RangeHead:
-		return "range"
-	case SelectHead:
-		if n.HasDefault {
-			return "select(default)"
-		}
-		return "select"
-	case CommOp:
-		return "comm"
-	case *ast.AssignStmt:
-		return "assign"
-	case *ast.ExprStmt:
-		return "expr"
-	case *ast.ReturnStmt:
-		return "return"
-	case *ast.SendStmt:
-		return "send"
-	case *ast.DeferStmt:
-		return "defer"
-	case *ast.GoStmt:
-		return "go"
-	case *ast.BranchStmt:
-		return strings.ToLower(n.Tok.String())
-	case *ast.DeclStmt:
-		return "decl"
-	case *ast.IncDecStmt:
-		return "incdec"
-	case ast.Expr:
-		return "cond"
-	default:
-		return fmt.Sprintf("%T", n)
-	}
 }

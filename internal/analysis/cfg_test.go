@@ -1,9 +1,11 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"strings"
 	"testing"
 )
 
@@ -19,10 +21,10 @@ func parseBody(t *testing.T, body string) *ast.BlockStmt {
 }
 
 // reach computes the set of blocks reachable from the entry block.
-func reach(g *CFG) map[int]bool {
+func reach(g *cfg) map[int]bool {
 	seen := map[int]bool{}
-	var walk func(b *Block)
-	walk = func(b *Block) {
+	var walk func(b *block)
+	walk = func(b *block) {
 		if seen[b.Index] {
 			return
 		}
@@ -121,7 +123,7 @@ func TestCFGShapes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			g := NewCFG(parseBody(t, tc.body))
+			g := newCFG(parseBody(t, tc.body))
 			got := g.dump()
 			if got != tc.want {
 				t.Errorf("cfg mismatch\n got:\n%s want:\n%s", got, tc.want)
@@ -140,7 +142,7 @@ func TestCFGExitReachable(t *testing.T) {
 		"switch x {\ncase 1:\nreturn\ndefault:\nf()\n}",
 	}
 	for _, body := range bodies {
-		g := NewCFG(parseBody(t, body))
+		g := newCFG(parseBody(t, body))
 		if !reach(g)[g.Exit.Index] {
 			t.Errorf("exit unreachable for body %q\n%s", body, g.dump())
 		}
@@ -149,7 +151,7 @@ func TestCFGExitReachable(t *testing.T) {
 
 // TestCFGInfiniteLoopExit: `for {}` with no break never reaches Exit.
 func TestCFGInfiniteLoopExit(t *testing.T) {
-	g := NewCFG(parseBody(t, "for {\nf()\n}"))
+	g := newCFG(parseBody(t, "for {\nf()\n}"))
 	if reach(g)[g.Exit.Index] {
 		t.Errorf("exit should be unreachable through an infinite loop\n%s", g.dump())
 	}
@@ -158,9 +160,9 @@ func TestCFGInfiniteLoopExit(t *testing.T) {
 // TestForwardReachability: the trivial "reached" lattice marks exactly
 // the blocks reachable from entry.
 func TestForwardReachability(t *testing.T) {
-	g := NewCFG(parseBody(t, "if c {\nreturn\n}\nf()\nreturn\ng()"))
+	g := newCFG(parseBody(t, "if c {\nreturn\n}\nf()\nreturn\ng()"))
 	type state = map[string]bool
-	in := Forward(g, Dataflow[state]{
+	in := forward(g, dataflow[state]{
 		Entry:  state{"r": true},
 		Bottom: func() state { return state{} },
 		Clone: func(s state) state {
@@ -180,7 +182,7 @@ func TestForwardReachability(t *testing.T) {
 			}
 			return changed
 		},
-		Transfer: func(b *Block, s state) state { return s },
+		Transfer: func(b *block, s state) state { return s },
 	})
 	want := reach(g)
 	for i, b := range g.Blocks {
@@ -194,9 +196,9 @@ func TestForwardReachability(t *testing.T) {
 // TestForwardLoopFixpoint: facts generated inside a loop propagate to the
 // loop head and beyond without livelock.
 func TestForwardLoopFixpoint(t *testing.T) {
-	g := NewCFG(parseBody(t, "for i := 0; i < n; i++ {\nx := f()\n_ = x\n}\ng()"))
+	g := newCFG(parseBody(t, "for i := 0; i < n; i++ {\nx := f()\n_ = x\n}\ng()"))
 	type state = map[string]bool
-	gen := func(b *Block) bool {
+	gen := func(b *block) bool {
 		for _, n := range b.Nodes {
 			if a, ok := n.(*ast.AssignStmt); ok && len(a.Lhs) == 1 {
 				if id, ok := a.Lhs[0].(*ast.Ident); ok && id.Name == "x" {
@@ -206,7 +208,7 @@ func TestForwardLoopFixpoint(t *testing.T) {
 		}
 		return false
 	}
-	in := Forward(g, Dataflow[state]{
+	in := forward(g, dataflow[state]{
 		Entry:  state{},
 		Bottom: func() state { return state{} },
 		Clone: func(s state) state {
@@ -226,7 +228,7 @@ func TestForwardLoopFixpoint(t *testing.T) {
 			}
 			return changed
 		},
-		Transfer: func(b *Block, s state) state {
+		Transfer: func(b *block, s state) state {
 			if gen(b) {
 				s["x"] = true
 			}
@@ -249,5 +251,61 @@ func TestForwardLoopFixpoint(t *testing.T) {
 	}
 	if !headSaw {
 		t.Errorf("no conditioned block saw the loop fact\n%s", g.dump())
+	}
+}
+
+// dump renders the CFG compactly for tests: one line per block,
+// "i: [node kinds] -> succ indexes".
+func (g *cfg) dump() string {
+	var sb strings.Builder
+	for _, blk := range g.Blocks {
+		fmt.Fprintf(&sb, "%d:", blk.Index)
+		for _, n := range blk.Nodes {
+			fmt.Fprintf(&sb, " %s", nodeKind(n))
+		}
+		if len(blk.Succs) > 0 {
+			sb.WriteString(" ->")
+			for _, s := range blk.Succs {
+				fmt.Fprintf(&sb, " %d", s.Index)
+			}
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
+func nodeKind(n ast.Node) string {
+	switch n := n.(type) {
+	case rangeHead:
+		return "range"
+	case selectHead:
+		if n.HasDefault {
+			return "select(default)"
+		}
+		return "select"
+	case commOp:
+		return "comm"
+	case *ast.AssignStmt:
+		return "assign"
+	case *ast.ExprStmt:
+		return "expr"
+	case *ast.ReturnStmt:
+		return "return"
+	case *ast.SendStmt:
+		return "send"
+	case *ast.DeferStmt:
+		return "defer"
+	case *ast.GoStmt:
+		return "go"
+	case *ast.BranchStmt:
+		return strings.ToLower(n.Tok.String())
+	case *ast.DeclStmt:
+		return "decl"
+	case *ast.IncDecStmt:
+		return "incdec"
+	case ast.Expr:
+		return "cond"
+	default:
+		return fmt.Sprintf("%T", n)
 	}
 }

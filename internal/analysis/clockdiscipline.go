@@ -9,7 +9,7 @@ import (
 // clockRestricted lists the module-relative packages that sit on the
 // measurement's timestamp path. The paper's latency pipeline (§3.3) is
 // producer CreateTime → broker LogAppendTime → consumer, with the broker
-// clock injectable (broker.Config.Clock) and all modelled waiting owned
+// clock injectable (broker.Config's clock) and all modelled waiting owned
 // by netsim.Profile / gpu's transfer model. Inside these packages a raw
 // wall-clock read or ad-hoc sleep either bypasses the injected clock
 // (making timestamp tests nondeterministic) or adds unmodelled delay to
@@ -19,7 +19,7 @@ import (
 // stray wall-clock read there breaks the byte-identical fault log.
 // The micro-batcher joins because its linger deadline and AIMD latency
 // window are part of the measured operator latency: both must run off
-// the injectable batching.Clock so trigger tests are deterministic.
+// the injectable batching clock so trigger tests are deterministic.
 // The load generator joins because its arrival schedules are promised to
 // be byte-identical per seed and its pacer is the instrument that stamps
 // the offered load: both must run off the injectable loadgen.Clock.
@@ -41,11 +41,11 @@ var clockBanned = map[string]bool{
 	"Tick":  true,
 }
 
-// NewClockDiscipline flags raw time.Now / time.Sleep (and After/Tick)
+// newClockDiscipline flags raw time.Now / time.Sleep (and After/Tick)
 // references in timestamp-path packages. Legitimate uses — the broker's
 // documented default clock, netsim's own modelled sleep — carry a
 // //lint:allow clockdiscipline annotation stating why.
-func NewClockDiscipline() *Analyzer {
+func newClockDiscipline() *Analyzer {
 	a := &Analyzer{
 		Name: "clockdiscipline",
 		Doc:  "timestamp-path packages (broker, netsim, gpu, faults, batching, loadgen) must route time through the injected clock / network model",
@@ -68,7 +68,7 @@ func NewClockDiscipline() *Analyzer {
 				if !isPackageRef(info, ident, "time") {
 					return true
 				}
-				pass.Report(sel.Pos(), "raw time.%s in timestamp-path package %s: route through the injected clock (broker.Config.Clock) or the netsim/gpu delay model, or annotate //lint:allow clockdiscipline <reason>", sel.Sel.Name, pass.Pkg.ModRel)
+				pass.report(sel.Pos(), "raw time.%s in timestamp-path package %s: route through the injected clock (broker.Config's clock) or the netsim/gpu delay model, or annotate //lint:allow clockdiscipline <reason>", sel.Sel.Name, pass.Pkg.ModRel)
 				return true
 			})
 		})

@@ -8,11 +8,11 @@ package analysis
 // solve and the report as two phases means a block revisited by the
 // worklist never reports twice.
 
-// Dataflow describes one forward analysis over a CFG. The state type S
+// dataflow describes one forward analysis over a CFG. The state type S
 // must behave as a join-semilattice under Join, with Bottom as the
 // neutral element; Transfer must be monotone (the usual gen/kill shapes
 // are) or the worklist may not terminate.
-type Dataflow[S any] struct {
+type dataflow[S any] struct {
 	// Entry is the state on function entry.
 	Entry S
 	// Bottom returns the least state (the initial in-state of every
@@ -25,12 +25,12 @@ type Dataflow[S any] struct {
 	Join func(dst, src S) bool
 	// Transfer applies one block's nodes to s and returns the out-state
 	// (mutating s is fine).
-	Transfer func(b *Block, s S) S
+	Transfer func(b *block, s S) S
 }
 
-// Forward iterates the analysis to fixpoint and returns the in-state of
+// forward iterates the analysis to fixpoint and returns the in-state of
 // every block, indexed by Block.Index.
-func Forward[S any](g *CFG, d Dataflow[S]) []S {
+func forward[S any](g *cfg, d dataflow[S]) []S {
 	in := make([]S, len(g.Blocks))
 	for i := range in {
 		in[i] = d.Bottom()

@@ -1,19 +1,17 @@
-package analysis_test
+package analysis
 
 import (
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"crayfish/internal/analysis"
 )
 
 // lintSnippet builds a one-package throwaway module whose single file
 // lives in internal/loadgen — a clock-restricted package, so every
 // time.Now reference is a deterministic clockdiscipline finding to hang
 // directive-association tests on — and runs the default suite over it.
-func lintSnippet(t *testing.T, src string) analysis.Result {
+func lintSnippet(t *testing.T, src string) Result {
 	t.Helper()
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module snippet.test\n\ngo 1.22\n"), 0o644); err != nil {
@@ -26,16 +24,16 @@ func lintSnippet(t *testing.T, src string) analysis.Result {
 	if err := os.WriteFile(filepath.Join(pkgDir, "snippet.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	mod, err := analysis.LoadModule(dir)
+	mod, err := LoadModule(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return analysis.Run(mod, analysis.DefaultAnalyzers())
+	return Run(mod, DefaultAnalyzers())
 }
 
 // diagsOf filters a result to one analyzer's messages.
-func diagsOf(res analysis.Result, analyzer string) []analysis.Diagnostic {
-	var out []analysis.Diagnostic
+func diagsOf(res Result, analyzer string) []Diagnostic {
+	var out []Diagnostic
 	for _, d := range res.Diagnostics {
 		if d.Analyzer == analyzer {
 			out = append(out, d)
@@ -201,11 +199,11 @@ func Idle() int {
 	if err := os.WriteFile(filepath.Join(dir, "snippet.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	mod, err := analysis.LoadModule(dir)
+	mod, err := LoadModule(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := analysis.Run(mod, []*analysis.Analyzer{analysis.NewClockDiscipline()})
+	res := Run(mod, []*Analyzer{newClockDiscipline()})
 	if n := len(diagsOf(res, "lintdirective")); n != 0 {
 		t.Errorf("stale check ran against an inactive analyzer: %v", diagsOf(res, "lintdirective"))
 	}

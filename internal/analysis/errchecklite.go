@@ -5,14 +5,14 @@ import (
 	"go/types"
 )
 
-// NewErrcheckLite flags call statements that silently discard an error
+// newErrcheckLite flags call statements that silently discard an error
 // returned by a module-internal function or method (expression
 // statements and defers; `_ = f()` is an explicit, visible discard and
 // is allowed). The check is scoped to module-internal callees on
 // purpose: those signatures are ours, so an ignored error there is
 // either a bug or a missing annotation — while fmt.Println-style stdlib
 // noise stays out.
-func NewErrcheckLite() *Analyzer {
+func newErrcheckLite() *Analyzer {
 	a := &Analyzer{
 		Name: "errchecklite",
 		Doc:  "errors returned by module-internal functions must not be silently discarded",
@@ -38,10 +38,10 @@ func NewErrcheckLite() *Analyzer {
 				if callee == nil || callee.Pkg() == nil {
 					return true
 				}
-				if pass.Module.Lookup(callee.Pkg().Path()) == nil {
+				if pass.Module.lookup(callee.Pkg().Path()) == nil {
 					return true // not module-internal
 				}
-				pass.Report(call.Pos(), "discarded error from %s.%s (handle it, or write `_ = ...` to discard explicitly)", callee.Pkg().Name(), callee.Name())
+				pass.report(call.Pos(), "discarded error from %s.%s (handle it, or write `_ = ...` to discard explicitly)", callee.Pkg().Name(), callee.Name())
 				return true
 			})
 		})

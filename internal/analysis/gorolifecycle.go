@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// NewGoroLifecycle flags fire-and-forget goroutines. Every `go`
+// newGoroLifecycle flags fire-and-forget goroutines. Every `go`
 // statement in production code must have a join visible at the spawn
 // site — the dynamic counterpart is internal/testutil/leakcheck, which
 // fails test binaries that exit with stray goroutines. A goroutine
@@ -22,7 +22,7 @@ import (
 // can return while it still runs, and under churn (per-run engines,
 // per-request handlers) it is a leak. Intentional daemons carry a
 // //lint:allow gorolifecycle annotation naming their actual join.
-func NewGoroLifecycle() *Analyzer {
+func newGoroLifecycle() *Analyzer {
 	a := &Analyzer{
 		Name: "gorolifecycle",
 		Doc:  "every go statement needs a visible join (WaitGroup, channel close/send) or an annotation",
@@ -45,7 +45,7 @@ func NewGoroLifecycle() *Analyzer {
 					return
 				case *ast.GoStmt:
 					if !goroutineJoined(info, n, encl) {
-						pass.Report(n.Pos(), "fire-and-forget goroutine: no WaitGroup Add/Done, channel close, or channel send ties its lifetime to the enclosing scope (join it, or annotate //lint:allow gorolifecycle <reason>)")
+						pass.report(n.Pos(), "fire-and-forget goroutine: no WaitGroup Add/Done, channel close, or channel send ties its lifetime to the enclosing scope (join it, or annotate //lint:allow gorolifecycle <reason>)")
 					}
 				}
 				walkChildren(n, encl, visit)

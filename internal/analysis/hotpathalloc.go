@@ -39,7 +39,7 @@ var hotBrokerFiles = map[string]bool{
 	"wire.go": true,
 }
 
-// NewHotPathAlloc flags heap allocations on the inference hot path:
+// newHotPathAlloc flags heap allocations on the inference hot path:
 // calls to tensor.New and make([]T, ...) for the inference datatypes
 // (float32 activations, int8 quantized values, int32 accumulators,
 // uint64 packed words) inside internal/tensor's Into-variant kernels
@@ -53,7 +53,7 @@ var hotBrokerFiles = map[string]bool{
 // tests can only say "some step allocated". Deliberate cold-path
 // allocations — plan compilation, per-state scratch construction —
 // carry a //lint:allow hotpathalloc annotation stating why.
-func NewHotPathAlloc() *Analyzer {
+func newHotPathAlloc() *Analyzer {
 	a := &Analyzer{
 		Name: "hotpathalloc",
 		Doc:  "hot paths (tensor Into-kernels, the model plan, the broker wire codec) must not allocate; annotate deliberate cold-path allocations",
@@ -109,17 +109,17 @@ func reportHotAllocs(pass *Pass, root ast.Node, where string, elems map[string]b
 		switch fun := call.Fun.(type) {
 		case *ast.Ident:
 			if elt, ok := hotSliceMake(info, call, elems); fun.Name == "make" && ok {
-				pass.Report(call.Pos(), "make([]%s, ...) in %s: hot paths take caller scratch or arena buffers (docs/PERFORMANCE.md), or annotate //lint:allow hotpathalloc <reason>", elt, where)
+				pass.report(call.Pos(), "make([]%s, ...) in %s: hot paths take caller scratch or arena buffers (docs/PERFORMANCE.md), or annotate //lint:allow hotpathalloc <reason>", elt, where)
 			}
 			if fun.Name == "New" && pass.Pkg.ModRel == "internal/tensor" && isLocalFunc(info, fun) {
-				pass.Report(call.Pos(), "tensor New in %s: hot kernels write into caller-provided tensors, or annotate //lint:allow hotpathalloc <reason>", where)
+				pass.report(call.Pos(), "tensor New in %s: hot kernels write into caller-provided tensors, or annotate //lint:allow hotpathalloc <reason>", where)
 			}
 		case *ast.SelectorExpr:
 			if fun.Sel.Name != "New" {
 				return true
 			}
 			if ident, ok := fun.X.(*ast.Ident); ok && isTensorPkgRef(info, ident) {
-				pass.Report(call.Pos(), "tensor.New in %s: hot paths draw from the execution plan's arena, or annotate //lint:allow hotpathalloc <reason>", where)
+				pass.report(call.Pos(), "tensor.New in %s: hot paths draw from the execution plan's arena, or annotate //lint:allow hotpathalloc <reason>", where)
 			}
 		}
 		return true

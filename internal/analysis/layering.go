@@ -23,7 +23,7 @@ var baseRel = map[string]bool{
 	"internal/loadgen":    true,
 }
 
-// NewLayering enforces the import DAG the architecture docs promise:
+// newLayering enforces the import DAG the architecture docs promise:
 //
 //   - base packages (tensor, netsim, telemetry, gpu, resilience, window,
 //     loadgen) import only the standard library;
@@ -35,7 +35,7 @@ var baseRel = map[string]bool{
 //   - every import is either standard library or module-internal: the
 //     module is dependency-free by design, and a third-party dependency
 //     must be an explicit decision, not an accident.
-func NewLayering() *Analyzer {
+func newLayering() *Analyzer {
 	a := &Analyzer{
 		Name: "layering",
 		Doc:  "enforce the package import DAG (base leaves, engine-agnostic core, no cmd imports, stdlib-only deps)",
@@ -49,11 +49,11 @@ func NewLayering() *Analyzer {
 					continue
 				}
 				inModule := path == mod.Path || strings.HasPrefix(path, mod.Path+"/")
-				if !inModule && mod.Lookup(path) != nil {
+				if !inModule && mod.lookup(path) != nil {
 					inModule = true // fixture modules with bare paths
 				}
 				if !inModule && !stdlibImportPath(path) {
-					pass.Report(imp.Pos(), "import %q is neither standard library nor module-internal; the module is dependency-free by design", path)
+					pass.report(imp.Pos(), "import %q is neither standard library nor module-internal; the module is dependency-free by design", path)
 					continue
 				}
 				if !inModule {
@@ -61,13 +61,13 @@ func NewLayering() *Analyzer {
 				}
 				rel := strings.TrimPrefix(strings.TrimPrefix(path, mod.Path), "/")
 				if rel == "cmd" || strings.HasPrefix(rel, "cmd/") {
-					pass.Report(imp.Pos(), "import of command package %q: nothing may import cmd/... (binaries are the top of the DAG)", path)
+					pass.report(imp.Pos(), "import of command package %q: nothing may import cmd/... (binaries are the top of the DAG)", path)
 				}
 				if baseRel[pkg.ModRel] {
-					pass.Report(imp.Pos(), "base package %s may import only the standard library, not %q", pkg.ModRel, path)
+					pass.report(imp.Pos(), "base package %s may import only the standard library, not %q", pkg.ModRel, path)
 				}
 				if pkg.ModRel == "internal/core" && strings.HasPrefix(rel, "internal/sps/") {
-					pass.Report(imp.Pos(), "internal/core must stay engine-agnostic: import engines via the sps registry, not %q", path)
+					pass.report(imp.Pos(), "internal/core must stay engine-agnostic: import engines via the sps registry, not %q", path)
 				}
 			}
 		}

@@ -62,8 +62,8 @@ type Module struct {
 	byFile map[string]*Package
 }
 
-// Lookup returns the loaded package with the given import path, or nil.
-func (m *Module) Lookup(path string) *Package { return m.byPath[path] }
+// lookup returns the loaded package with the given import path, or nil.
+func (m *Module) lookup(path string) *Package { return m.byPath[path] }
 
 // packageForFile returns the loaded package owning filename, or nil.
 func (m *Module) packageForFile(filename string) *Package {
@@ -218,7 +218,7 @@ func internalImports(mod *Module, pkg *Package) map[string]bool {
 	for _, f := range pkg.Files {
 		for _, imp := range f.Imports {
 			path := strings.Trim(imp.Path.Value, `"`)
-			if mod.Lookup(path) != nil && path != pkg.Path {
+			if mod.lookup(path) != nil && path != pkg.Path {
 				deps[path] = true
 			}
 		}
@@ -304,7 +304,7 @@ func (tc *typechecker) Import(path string) (*types.Package, error) {
 	if path == tc.mod.Path || strings.HasPrefix(path, tc.mod.Path+"/") {
 		return tc.checkModule(path)
 	}
-	if pkg := tc.mod.Lookup(path); pkg != nil {
+	if pkg := tc.mod.lookup(path); pkg != nil {
 		// Fixture modules may self-import under bare paths.
 		return tc.checkModule(path)
 	}
@@ -330,7 +330,7 @@ func (tc *typechecker) checkModule(path string) (*types.Package, error) {
 		tc.mu.Unlock()
 		return nil, fmt.Errorf("analysis: import cycle through %q", path)
 	}
-	pkg := tc.mod.Lookup(path)
+	pkg := tc.mod.lookup(path)
 	if pkg == nil {
 		tc.mu.Unlock()
 		return nil, fmt.Errorf("analysis: module package %q not found", path)

@@ -1,9 +1,7 @@
-package analysis_test
+package analysis
 
 import (
 	"testing"
-
-	"crayfish/internal/analysis"
 )
 
 // BenchmarkLintModule pins the full-module lint wall-clock: load + parse
@@ -13,11 +11,11 @@ import (
 // `go test ./internal/analysis -bench LintModule -benchtime 3x`).
 func BenchmarkLintModule(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		mod, err := analysis.LoadModule("../..")
+		mod, err := LoadModule("../..")
 		if err != nil {
 			b.Fatal(err)
 		}
-		res := analysis.Run(mod, analysis.DefaultAnalyzers())
+		res := Run(mod, DefaultAnalyzers())
 		if len(res.Diagnostics) != 0 {
 			b.Fatalf("lint of the real module should be clean, got %d diagnostics (first: %v)",
 				len(res.Diagnostics), res.Diagnostics[0])
@@ -32,18 +30,18 @@ func BenchmarkLintModule(b *testing.B) {
 // outside the fixtures that seed them. Under -race this doubles as the
 // loader's data-race exercise.
 func TestParallelLoadMatchesSerialView(t *testing.T) {
-	mod, err := analysis.LoadModule("../..")
+	mod, err := LoadModule("../..")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(mod.Packages) < 15 {
 		t.Fatalf("real module loaded only %d packages", len(mod.Packages))
 	}
-	if mod.Lookup("crayfish/bench") != nil {
+	if mod.lookup("crayfish/bench") != nil {
 		t.Fatal("bench/ has its own go.mod but was loaded as part of this module")
 	}
-	tensorPkg := mod.Lookup("crayfish/internal/tensor")
-	modelPkg := mod.Lookup("crayfish/internal/model")
+	tensorPkg := mod.lookup("crayfish/internal/tensor")
+	modelPkg := mod.lookup("crayfish/internal/model")
 	if tensorPkg == nil || modelPkg == nil {
 		t.Fatal("tensor or model package missing from the load")
 	}

@@ -29,7 +29,7 @@ type lockEdge struct {
 	fn       string
 }
 
-// NewLockDiscipline tracks sync.Mutex/RWMutex critical sections with a
+// newLockDiscipline tracks sync.Mutex/RWMutex critical sections with a
 // held-set dataflow over the CFG layer and reports, per function:
 //
 //   - re-acquiring a mutex already held on a path reaching the Lock
@@ -50,7 +50,7 @@ type lockEdge struct {
 // Deferred Unlocks keep the lock held to function exit, which is the
 // semantic truth, so critical sections that defer their Unlock get the
 // blocking-op checks for their whole tail.
-func NewLockDiscipline() *Analyzer {
+func newLockDiscipline() *Analyzer {
 	a := &Analyzer{
 		Name: "lockdiscipline",
 		Doc:  "no relock of a held mutex, no blocking ops under a lock, and a module-wide cycle-free mutex acquisition order",
@@ -107,8 +107,8 @@ func runLockFunc(pass *Pass, fn string, body *ast.BlockStmt, edges map[[2]string
 		edges:    edges,
 		reported: make(map[token.Pos]bool),
 	}
-	g := NewCFG(body)
-	d := Dataflow[lockState]{
+	g := newCFG(body)
+	d := dataflow[lockState]{
 		Entry:  lockState{},
 		Bottom: func() lockState { return lockState{} },
 		Clone: func(s lockState) lockState {
@@ -128,14 +128,14 @@ func runLockFunc(pass *Pass, fn string, body *ast.BlockStmt, edges map[[2]string
 			}
 			return changed
 		},
-		Transfer: func(b *Block, s lockState) lockState {
+		Transfer: func(b *block, s lockState) lockState {
 			for _, n := range b.Nodes {
 				lf.node(n, s, false)
 			}
 			return s
 		},
 	}
-	in := Forward(g, d)
+	in := forward(g, d)
 	for i, b := range g.Blocks {
 		s := d.Clone(in[i])
 		for _, n := range b.Nodes {
@@ -154,15 +154,15 @@ func (lf *lockFunc) node(n ast.Node, s lockState, report bool) {
 	case *ast.GoStmt:
 		// The goroutine does not inherit the caller's critical section;
 		// its body is analyzed as its own function.
-	case SelectHead:
+	case selectHead:
 		if !n.HasDefault && len(s) > 0 && report {
 			lf.reportOnce(n.Stmt.Pos(), "select with no default while holding %s: blocking under a lock stalls every contender", heldList(s))
 		}
-	case CommOp:
+	case commOp:
 		// The select head already accounted for blocking; the chosen
 		// comm op itself is ready by definition. Locks taken inside a
 		// comm clause body appear as ordinary nodes.
-	case RangeHead:
+	case rangeHead:
 		if len(s) > 0 && report && isChanType(lf.info, n.Stmt.X) {
 			lf.reportOnce(n.Stmt.Pos(), "ranging over a channel while holding %s: each iteration may block under the lock", heldList(s))
 		}
@@ -233,7 +233,7 @@ func (lf *lockFunc) reportOnce(pos token.Pos, format string, args ...any) {
 		return
 	}
 	lf.reported[pos] = true
-	lf.pass.Report(pos, format, args...)
+	lf.pass.report(pos, format, args...)
 }
 
 // heldList renders the held set for messages, deterministically.
@@ -447,7 +447,7 @@ func reportLockCycles(pass *Pass, edges map[[2]string]lockEdge) {
 		for _, e := range internal {
 			parts = append(parts, fmt.Sprintf("%s acquires %s while holding %s", e.fn, shortLockKey(e.to), shortLockKey(e.from)))
 		}
-		pass.Report(internal[0].pos,
+		pass.report(internal[0].pos,
 			"mutex acquisition-order cycle between %s (%s): opposite nesting orders can deadlock; pick one global order",
 			shortKeyList(scc), strings.Join(parts, "; "))
 	}

@@ -37,11 +37,15 @@ type Metric struct {
 }
 
 // Wildcard reports whether the name contains a dynamic placeholder.
+//
+//lint:allow deadexport telemetry_test.go's runtime contract check reads it
 func (m Metric) Wildcard() bool { return strings.Contains(m.Name, "<") }
 
 // Prefix returns the literal part of a wildcard name up to the
 // placeholder ("broker.backlog." for broker.backlog.<topic>); for exact
 // names it returns the full name.
+//
+//lint:allow deadexport telemetry_test.go's runtime contract check reads it
 func (m Metric) Prefix() string {
 	if i := strings.IndexByte(m.Name, '<'); i >= 0 {
 		return m.Name[:i]
@@ -49,10 +53,10 @@ func (m Metric) Prefix() string {
 	return m.Name
 }
 
-// Matches reports whether a concrete runtime metric name belongs to this
+// matches reports whether a concrete runtime metric name belongs to this
 // family: exact equality, or for wildcards a non-empty suffix after the
 // literal prefix.
-func (m Metric) Matches(name string) bool {
+func (m Metric) matches(name string) bool {
 	if !m.Wildcard() {
 		return m.Name == name
 	}
@@ -71,10 +75,10 @@ type Contract struct {
 // backticks, the kind in the second column.
 var row = regexp.MustCompile("^\\|\\s*`([a-z0-9_.<>-]+)`\\s*\\|\\s*(counter|gauge|histogram)\\s*\\|")
 
-// Parse reads a contract document. Every markdown table row whose first
+// parse reads a contract document. Every markdown table row whose first
 // cell is a backticked metric name and whose second cell is a metric
 // kind is part of the contract; everything else is prose.
-func Parse(r io.Reader, path string) (*Contract, error) {
+func parse(r io.Reader, path string) (*Contract, error) {
 	c := &Contract{Path: path}
 	seen := make(map[string]int)
 	sc := bufio.NewScanner(r)
@@ -109,14 +113,14 @@ func ParseFile(path string) (*Contract, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return Parse(f, path)
+	return parse(f, path)
 }
 
 // Match returns the documented family a concrete runtime name belongs
 // to, or nil if the name is undocumented.
 func (c *Contract) Match(name string) *Metric {
 	for i := range c.Metrics {
-		if c.Metrics[i].Matches(name) {
+		if c.Metrics[i].matches(name) {
 			return &c.Metrics[i]
 		}
 	}
@@ -133,16 +137,4 @@ func (c *Contract) MatchPrefix(prefix string) *Metric {
 		}
 	}
 	return nil
-}
-
-// Names returns the documented names of one kind (wildcards included,
-// with their placeholder spelling).
-func (c *Contract) Names(kind Kind) []string {
-	var out []string
-	for _, m := range c.Metrics {
-		if m.Kind == kind {
-			out = append(out, m.Name)
-		}
-	}
-	return out
 }

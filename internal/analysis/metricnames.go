@@ -10,18 +10,18 @@ import (
 	"crayfish/internal/analysis/metricdoc"
 )
 
-// ContractDoc is the module-relative path of the metrics contract that
+// contractDoc is the module-relative path of the metrics contract that
 // metricnames checks registrations against.
-const ContractDoc = "docs/OBSERVABILITY.md"
+const contractDoc = "docs/OBSERVABILITY.md"
 
-// NewMetricNames enforces the telemetry contract in both directions:
+// newMetricNames enforces the telemetry contract in both directions:
 // every Registry.Counter/Gauge/Histogram registration must use a name
 // (string constant, or constant prefix + dynamic suffix) documented in
 // docs/OBSERVABILITY.md with the matching kind, and every documented
 // metric must be registered somewhere in the tree. Drift either way is
 // an error — dashboards are built on the documented names, and dead doc
 // rows teach readers metrics that do not exist.
-func NewMetricNames() *Analyzer {
+func newMetricNames() *Analyzer {
 	a := &Analyzer{
 		Name: "metricnames",
 		Doc:  "telemetry registrations and docs/OBSERVABILITY.md must agree in both directions",
@@ -39,7 +39,7 @@ func NewMetricNames() *Analyzer {
 			return
 		}
 		loaded = true
-		contract, loadErr = metricdoc.ParseFile(filepath.Join(mod.Dir, filepath.FromSlash(ContractDoc)))
+		contract, loadErr = metricdoc.ParseFile(filepath.Join(mod.Dir, filepath.FromSlash(contractDoc)))
 	}
 
 	a.Run = func(pass *Pass) {
@@ -63,9 +63,9 @@ func NewMetricNames() *Analyzer {
 					m := contract.Match(name)
 					switch {
 					case m == nil:
-						pass.Report(arg.Pos(), "%s metric %q is not documented in %s", kind, name, ContractDoc)
+						pass.report(arg.Pos(), "%s metric %q is not documented in %s", kind, name, contractDoc)
 					case m.Kind != kind:
-						pass.Report(arg.Pos(), "metric %q registered as %s but documented as %s (%s:%d)", name, kind, m.Kind, ContractDoc, m.Line)
+						pass.report(arg.Pos(), "metric %q registered as %s but documented as %s (%s:%d)", name, kind, m.Kind, contractDoc, m.Line)
 					default:
 						registered[m.Name] = true
 					}
@@ -75,15 +75,15 @@ func NewMetricNames() *Analyzer {
 					m := contract.MatchPrefix(prefix)
 					switch {
 					case m == nil:
-						pass.Report(arg.Pos(), "dynamic %s metric with prefix %q has no wildcard row (`%s<suffix>`) in %s", kind, prefix, prefix, ContractDoc)
+						pass.report(arg.Pos(), "dynamic %s metric with prefix %q has no wildcard row (`%s<suffix>`) in %s", kind, prefix, prefix, contractDoc)
 					case m.Kind != kind:
-						pass.Report(arg.Pos(), "metric family %q registered as %s but documented as %s (%s:%d)", m.Name, kind, m.Kind, ContractDoc, m.Line)
+						pass.report(arg.Pos(), "metric family %q registered as %s but documented as %s (%s:%d)", m.Name, kind, m.Kind, contractDoc, m.Line)
 					default:
 						registered[m.Name] = true
 					}
 					return true
 				}
-				pass.Report(arg.Pos(), "%s metric name must be a string constant or constant prefix + dynamic suffix, so the contract stays statically checkable", kind)
+				pass.report(arg.Pos(), "%s metric name must be a string constant or constant prefix + dynamic suffix, so the contract stays statically checkable", kind)
 				return true
 			})
 		})
@@ -91,7 +91,7 @@ func NewMetricNames() *Analyzer {
 
 	a.Finish = func(pass *Pass) {
 		if loadErr != nil {
-			pass.reportAt(token.Position{Filename: ContractDoc, Line: 1},
+			pass.reportAt(token.Position{Filename: contractDoc, Line: 1},
 				"cannot load metrics contract: %v", loadErr)
 			return
 		}

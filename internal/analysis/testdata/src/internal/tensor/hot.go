@@ -66,3 +66,7 @@ func softmaxRows(dst []float32) []float32 {
 	copy(rows, dst)
 	return rows
 }
+
+// The hot helpers are seeded by name, not called; this keeps deadexport
+// from reporting them.
+var _ = []any{im2col, qMatMulPacked, attentionRows, softmaxRows}

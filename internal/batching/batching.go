@@ -52,8 +52,8 @@ type BatchFunc func(values [][]byte) ([][]byte, error)
 // isolate per-record failures when a whole-batch invocation errors.
 type SingleFunc func(value []byte) ([]byte, error)
 
-// ErrClosed is returned by Do after Close.
-var ErrClosed = errors.New("batching: batcher closed")
+// errClosed is returned by Do after Close.
+var errClosed = errors.New("batching: batcher closed")
 
 // Policy configures the dynamic batcher.
 type Policy struct {
@@ -95,9 +95,9 @@ func (p Policy) WithDefaults() Policy {
 	return p
 }
 
-// Clock abstracts time for the batcher so tests (and deterministic
+// batchClock abstracts time for the batcher so tests (and deterministic
 // experiments) inject a virtual clock instead of the wall clock.
-type Clock struct {
+type batchClock struct {
 	// Now reads the current time (request enqueue/complete stamps).
 	Now func() time.Time
 	// After returns a channel that receives after d elapses (the
@@ -105,9 +105,9 @@ type Clock struct {
 	After func(d time.Duration) <-chan time.Time
 }
 
-// RealClock is the wall-clock default used outside tests.
-func RealClock() Clock {
-	return Clock{
+// realClock is the wall-clock default used outside tests.
+func realClock() batchClock {
+	return batchClock{
 		Now:   time.Now,   //lint:allow clockdiscipline documented default; tests inject a virtual clock
 		After: time.After, //lint:allow clockdiscipline documented default linger timer; tests inject a virtual clock
 	}
@@ -125,8 +125,8 @@ type Config struct {
 	// Metrics publishes sps.batch.* telemetry (see
 	// docs/OBSERVABILITY.md); nil disables it at near-zero cost.
 	Metrics *telemetry.Registry
-	// Clock defaults to RealClock.
-	Clock Clock
+	// clock defaults to realClock.
+	clock batchClock
 }
 
 // Metric names, documented in docs/OBSERVABILITY.md (SPS stage).
@@ -158,7 +158,7 @@ type Batcher struct {
 	policy  Policy
 	batch   BatchFunc
 	single  SingleFunc
-	clock   Clock
+	clock   batchClock
 	sizeH   *telemetry.Histogram
 	lingerC *telemetry.Counter
 	sizeC   *telemetry.Counter
@@ -186,9 +186,9 @@ func New(cfg Config) (*Batcher, error) {
 		return nil, errors.New("batching: config needs a Batch function")
 	}
 	p := cfg.Policy.WithDefaults()
-	clock := cfg.Clock
+	clock := cfg.clock
 	if clock.Now == nil || clock.After == nil {
-		clock = RealClock()
+		clock = realClock()
 	}
 	b := &Batcher{
 		policy:  p,
@@ -211,14 +211,6 @@ func New(cfg Config) (*Batcher, error) {
 	return b, nil
 }
 
-// Target reports the current batch-size target (fixed at MaxBatch
-// without an SLO; AIMD-tuned with one).
-func (b *Batcher) Target() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.target
-}
-
 // Do submits one record value and blocks until its scored result is
 // available. The caller that completes a batch flushes it on its own
 // goroutine (leader flush), so several batches can be in flight at
@@ -232,7 +224,7 @@ func (b *Batcher) Do(value []byte) ([]byte, error) {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		return nil, ErrClosed
+		return nil, errClosed
 	}
 	if b.cur == nil {
 		b.cur = &pending{cut: make(chan struct{})}

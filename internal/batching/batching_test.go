@@ -25,8 +25,8 @@ func newFakeClock() *fakeClock {
 	return &fakeClock{now: time.Unix(0, 0), ch: make(chan time.Time)}
 }
 
-func (f *fakeClock) Clock() Clock {
-	return Clock{
+func (f *fakeClock) Clock() batchClock {
+	return batchClock{
 		Now: func() time.Time {
 			f.mu.Lock()
 			defer f.mu.Unlock()
@@ -84,7 +84,7 @@ func TestSizeTriggerCoalescesAndDemuxes(t *testing.T) {
 			return echoBatch(values)
 		},
 		Metrics: reg,
-		Clock:   fc.Clock(),
+		clock:   fc.Clock(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestLingerTriggerShipsPartialBatch(t *testing.T) {
 		Policy:  Policy{MaxBatch: 16, Linger: time.Millisecond},
 		Batch:   echoBatch,
 		Metrics: reg,
-		Clock:   fc.Clock(),
+		clock:   fc.Clock(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestPartialBatchErrorDropsOnlyFailingRecords(t *testing.T) {
 			}
 			return echoSingle(value)
 		},
-		Clock: fc.Clock(),
+		clock: fc.Clock(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +234,7 @@ func TestOutputCountMismatchTriggersFallback(t *testing.T) {
 			singles.Add(1)
 			return echoSingle(value)
 		},
-		Clock: fc.Clock(),
+		clock: fc.Clock(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +263,7 @@ func TestBatchErrorWithoutFallbackPropagates(t *testing.T) {
 	b, err := New(Config{
 		Policy: Policy{MaxBatch: 1, Linger: time.Hour},
 		Batch:  func([][]byte) ([][]byte, error) { return nil, wantErr },
-		Clock:  fc.Clock(),
+		clock:  fc.Clock(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -281,13 +281,13 @@ func TestAIMDGrowsUnderSLOAndHalvesOnBreach(t *testing.T) {
 		Policy:  Policy{MaxBatch: 8, MinBatch: 1, Linger: time.Hour, SLO: time.Millisecond, Window: 4},
 		Batch:   echoBatch,
 		Metrics: reg,
-		Clock:   fc.Clock(),
+		clock:   fc.Clock(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if got := b.Target(); got != 1 {
+	if got := b.targetNow(); got != 1 {
 		t.Fatalf("adaptive target starts at %d, want MinBatch 1", got)
 	}
 
@@ -302,7 +302,7 @@ func TestAIMDGrowsUnderSLOAndHalvesOnBreach(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		b.observe(window(0))
 	}
-	if got := b.Target(); got != 5 {
+	if got := b.targetNow(); got != 5 {
 		t.Fatalf("target after 4 good windows = %d, want 5", got)
 	}
 	if got := reg.Gauge(metricTarget).Value(); got != 5 {
@@ -310,21 +310,21 @@ func TestAIMDGrowsUnderSLOAndHalvesOnBreach(t *testing.T) {
 	}
 	// Multiplicative decrease on breach.
 	b.observe(window(10 * time.Millisecond))
-	if got := b.Target(); got != 2 {
+	if got := b.targetNow(); got != 2 {
 		t.Fatalf("target after breach = %d, want 2 (halved from 5, floored at 2)", got)
 	}
 	// Clamp at MaxBatch.
 	for i := 0; i < 20; i++ {
 		b.observe(window(0))
 	}
-	if got := b.Target(); got != 8 {
+	if got := b.targetNow(); got != 8 {
 		t.Fatalf("target clamps at %d, want MaxBatch 8", got)
 	}
 	// Halving never goes below MinBatch.
 	for i := 0; i < 10; i++ {
 		b.observe(window(10 * time.Millisecond))
 	}
-	if got := b.Target(); got != 1 {
+	if got := b.targetNow(); got != 1 {
 		t.Fatalf("target floors at %d, want MinBatch 1", got)
 	}
 }
@@ -334,7 +334,7 @@ func TestCloseFlushesOpenBatchAndRejectsNewWork(t *testing.T) {
 	b, err := New(Config{
 		Policy: Policy{MaxBatch: 16, Linger: time.Hour},
 		Batch:  echoBatch,
-		Clock:  fc.Clock(),
+		clock:  fc.Clock(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -354,7 +354,7 @@ func TestCloseFlushesOpenBatchAndRejectsNewWork(t *testing.T) {
 	if doErr != nil || !bytes.Equal(out, []byte("straggler!scored")) {
 		t.Fatalf("drained record: %q, %v", out, doErr)
 	}
-	if _, err := b.Do([]byte("late")); !errors.Is(err, ErrClosed) {
+	if _, err := b.Do([]byte("late")); !errors.Is(err, errClosed) {
 		t.Fatalf("Do after Close = %v, want ErrClosed", err)
 	}
 	b.Close() // idempotent
@@ -417,4 +417,12 @@ func TestConcurrentStress(t *testing.T) {
 	if got := reg.Histogram(metricBatchSize).Sum(); got != workers*perWorker {
 		t.Fatalf("batch size histogram sum = %d, want %d records", got, workers*perWorker)
 	}
+}
+
+// targetNow reads the current batch-size target (fixed at MaxBatch
+// without an SLO; AIMD-tuned with one).
+func (b *Batcher) targetNow() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.target
 }

@@ -39,7 +39,7 @@ func TestPollSteadyStateAllocs(t *testing.T) {
 	drain := func() int {
 		total := 0
 		for p := 0; p < parts; p++ {
-			c.Seek(TopicPartition{Topic: "t", Partition: p}, 0)
+			c.positions[TopicPartition{Topic: "t", Partition: p}] = 0
 		}
 		for {
 			recs, err := c.Poll(128, 0, nil)
@@ -99,7 +99,7 @@ func TestRemotePollSteadyStateAllocs(t *testing.T) {
 	}
 	drain := func() {
 		for p := 0; p < parts; p++ {
-			c.Seek(TopicPartition{Topic: "t", Partition: p}, 0)
+			c.positions[TopicPartition{Topic: "t", Partition: p}] = 0
 		}
 		total := 0
 		for n := poll(); n > 0; n = poll() {
@@ -177,7 +177,7 @@ func TestRemoteProduceAckAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rc.Close()
-	recs := []Record{{Key: []byte("k"), Value: make([]byte, 8<<10), Timestamp: time.Unix(1, 0)}}
+	recs := []Record{{key: []byte("k"), Value: make([]byte, 8<<10), Timestamp: time.Unix(1, 0)}}
 	produce := func() {
 		if off, err := rc.Produce("t", 0, recs); err != nil || off != 42 {
 			t.Fatalf("Produce = %d, %v", off, err)

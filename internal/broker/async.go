@@ -53,15 +53,15 @@ func NewAsyncProducer(t Transport, topic string, queueDepth int) (*AsyncProducer
 // observed so far.
 func (ap *AsyncProducer) Send(value []byte) error {
 	//lint:allow clockdiscipline client-side CreateTime stamp, not on the measured path
-	return ap.SendRecord(Record{Value: value, Timestamp: time.Now()})
+	return ap.sendRecord(Record{Value: value, Timestamp: time.Now()})
 }
 
-// SendRecord enqueues a record with explicit metadata.
-func (ap *AsyncProducer) SendRecord(rec Record) error {
+// sendRecord enqueues a record with explicit metadata.
+func (ap *AsyncProducer) sendRecord(rec Record) error {
 	ap.mu.Lock()
 	if ap.closed {
 		ap.mu.Unlock()
-		return ErrClosed
+		return errClosed
 	}
 	err := ap.err
 	ap.pending.Add(1)
@@ -83,7 +83,7 @@ func (ap *AsyncProducer) Flush() error {
 	return ap.err
 }
 
-// Close flushes and stops the sender. Further sends fail with ErrClosed.
+// Close flushes and stops the sender. Further sends fail with errClosed.
 func (ap *AsyncProducer) Close() error {
 	ap.mu.Lock()
 	if ap.closed {

@@ -80,8 +80,8 @@ func TestAwaitReturns(t *testing.T) {
 			if err := b.DeleteTopic("t"); err != nil {
 				panic(err)
 			}
-		}, ErrUnknownTopic},
-		{"broker closed", func(b *Broker, _ chan struct{}) { b.Close() }, ErrClosed},
+		}, errUnknownTopic},
+		{"broker closed", func(b *Broker, _ chan struct{}) { b.Close() }, errClosed},
 	}
 	for _, tc := range cases {
 		for _, via := range []string{"inproc", "tcp"} {
@@ -113,10 +113,10 @@ func TestAwaitReturns(t *testing.T) {
 	_, _, transports := awaitTransports(t)
 	for via, tr := range transports {
 		t.Run("gone before the call/"+via, func(t *testing.T) {
-			if err := tr.Await("nope", nil, never, nil); !hasErr(err, ErrUnknownTopic) {
+			if err := tr.Await("nope", nil, never, nil); !hasErr(err, errUnknownTopic) {
 				t.Fatalf("Await on a missing topic = %v", err)
 			}
-			if err := tr.Await("t", []FetchRequest{{Partition: 9}}, never, nil); !hasErr(err, ErrUnknownPartition) {
+			if err := tr.Await("t", []FetchRequest{{Partition: 9}}, never, nil); !hasErr(err, errUnknownPartition) {
 				t.Fatalf("Await on a missing partition = %v", err)
 			}
 		})
@@ -188,13 +188,13 @@ func TestServerCloseWakesParkedAwait(t *testing.T) {
 	}
 	// The client may read the answer of the woken handler or the closed
 	// connection, whichever the shutdown got to first; it must not hang.
-	if err := <-done; err != nil && !errors.Is(err, ErrUnavailable) {
+	if err := <-done; err != nil && !errors.Is(err, errUnavailable) {
 		t.Fatalf("Await across a server shutdown = %v", err)
 	}
 }
 
 // TestRemoteCloseEndsCallInFlight: Close closes the connection of a call
-// that is parked at the broker, and the caller sees ErrClosed.
+// that is parked at the broker, and the caller sees errClosed.
 func TestRemoteCloseEndsCallInFlight(t *testing.T) {
 	b, _, transports := awaitTransports(t)
 	rc := transports["tcp"].(*RemoteClient)
@@ -204,10 +204,10 @@ func TestRemoteCloseEndsCallInFlight(t *testing.T) {
 	if err := rc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-done; !errors.Is(err, ErrClosed) {
+	if err := <-done; !errors.Is(err, errClosed) {
 		t.Fatalf("a call in flight across Close = %v, want ErrClosed", err)
 	}
-	if _, err := rc.Partitions("t"); !errors.Is(err, ErrClosed) {
+	if _, err := rc.Partitions("t"); !errors.Is(err, errClosed) {
 		t.Fatalf("a call after Close = %v, want ErrClosed", err)
 	}
 	rc.mu.Lock()
@@ -347,9 +347,8 @@ func TestIdleConsumerCallsPerWait(t *testing.T) {
 func BenchmarkPollWake(b *testing.B) {
 	for _, via := range []string{"inproc", "tcp"} {
 		b.Run(via, func(b *testing.B) {
-			// No retention cap: its tail copy per append would be the
-			// benchmark. Every record shares one value, so the log grows by
-			// a Record per round.
+			// Every record shares one value, so the log grows by a Record
+			// per round.
 			br := New(DefaultConfig())
 			srv, err := Serve(br, "127.0.0.1:0")
 			if err != nil {

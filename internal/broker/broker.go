@@ -3,7 +3,6 @@ package broker
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,35 +15,26 @@ import (
 // Errors returned by broker operations.
 var (
 	ErrTopicExists      = errors.New("broker: topic already exists")
-	ErrUnknownTopic     = errors.New("broker: unknown topic")
-	ErrUnknownPartition = errors.New("broker: unknown partition")
-	ErrMessageTooLarge  = errors.New("broker: message exceeds max request size")
-	ErrOffsetOutOfRange = errors.New("broker: offset out of range")
-	ErrRebalance        = errors.New("broker: consumer group rebalanced; rejoin required")
-	ErrUnknownMember    = errors.New("broker: unknown group member")
-	ErrClosed           = errors.New("broker: closed")
+	errUnknownTopic     = errors.New("broker: unknown topic")
+	errUnknownPartition = errors.New("broker: unknown partition")
+	errMessageTooLarge  = errors.New("broker: message exceeds max request size")
+	errOffsetOutOfRange = errors.New("broker: offset out of range")
+	errRebalance        = errors.New("broker: consumer group rebalanced; rejoin required")
+	errUnknownMember    = errors.New("broker: unknown group member")
+	errClosed           = errors.New("broker: closed")
 )
+
+// maxRequestSize bounds a single record's value size. The paper raises
+// Kafka's limit to 50 MB for large-batch latency experiments (§4.3).
+const maxRequestSize = 50 << 20
 
 // Config tunes a Broker.
 type Config struct {
-	// MaxRequestSize bounds a single record's value size. The paper
-	// raises Kafka's limit to 50 MB for large-batch latency experiments
-	// (§4.3); the same default applies here.
-	MaxRequestSize int
 	// Network injects a modelled LAN hop (latency + payload transfer
 	// time) into every produce and fetch, imitating the separate-VM
 	// deployment of §4.2. The zero profile keeps the broker in-process
 	// fast; experiments opt into netsim.LAN.
 	Network netsim.Profile
-	// Clock supplies LogAppendTime stamps; nil means time.Now. Tests
-	// inject a fake clock to make timestamp assertions deterministic.
-	Clock func() time.Time
-	// RetentionRecords caps each partition's log length, like Kafka's
-	// retention.bytes: once a partition exceeds the cap, its oldest
-	// records are truncated and the log start offset advances. Zero
-	// keeps everything (the experiments' default — runs are short and
-	// discard the broker wholesale).
-	RetentionRecords int
 	// Metrics publishes live broker telemetry (append/fetch counts and
 	// per-topic backlog gauges; see docs/OBSERVABILITY.md) into the
 	// given registry. Nil disables instrumentation at near-zero cost.
@@ -56,11 +46,14 @@ type Config struct {
 	// records surface downstream and are deduplicated by the consumer's
 	// seen-set, dropped records are accounted by the injector.
 	Faults *faults.Injector
+	// clock supplies LogAppendTime stamps; nil means time.Now. Tests
+	// inject a fake clock to make timestamp assertions deterministic.
+	clock func() time.Time
 }
 
 // DefaultConfig mirrors the paper's broker settings.
 func DefaultConfig() Config {
-	return Config{MaxRequestSize: 50 << 20}
+	return Config{}
 }
 
 // Broker is an in-process message broker instance.
@@ -85,12 +78,9 @@ type Broker struct {
 
 // New creates a broker with the given configuration.
 func New(cfg Config) *Broker {
-	if cfg.MaxRequestSize <= 0 {
-		cfg.MaxRequestSize = DefaultConfig().MaxRequestSize
-	}
-	if cfg.Clock == nil {
-		//lint:allow clockdiscipline documented default; measurements inject a fake clock
-		cfg.Clock = time.Now
+	if cfg.clock == nil {
+		//lint:allow clockdiscipline documented default; tests inject a fake clock
+		cfg.clock = time.Now
 	}
 	return &Broker{
 		cfg:            cfg,
@@ -114,12 +104,12 @@ func (b *Broker) CreateTopic(name string, partitions int) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
-		return ErrClosed
+		return errClosed
 	}
 	if _, ok := b.topics[name]; ok {
 		return fmt.Errorf("%w: %q", ErrTopicExists, name)
 	}
-	t := newTopic(name, partitions, b.cfg.RetentionRecords)
+	t := newTopic(name, partitions)
 	t.backlog = b.cfg.Metrics.Gauge("broker.backlog." + name)
 	b.topics[name] = t
 	return nil
@@ -127,16 +117,16 @@ func (b *Broker) CreateTopic(name string, partitions int) error {
 
 // DeleteTopic removes a topic, its logs, and any consumer-group offsets
 // referencing it (so a recreated topic starts clean). Whoever is parked
-// in Await on the topic wakes to ErrUnknownTopic.
+// in Await on the topic wakes to errUnknownTopic.
 func (b *Broker) DeleteTopic(name string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	t, ok := b.topics[name]
 	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownTopic, name)
+		return fmt.Errorf("%w: %q", errUnknownTopic, name)
 	}
 	delete(b.topics, name)
-	t.wake(fmt.Errorf("%w: %q", ErrUnknownTopic, name))
+	t.wake(fmt.Errorf("%w: %q", errUnknownTopic, name))
 	for _, g := range b.groups {
 		for tp := range g.committed {
 			if tp.Topic == name {
@@ -148,18 +138,6 @@ func (b *Broker) DeleteTopic(name string) error {
 	return nil
 }
 
-// Topics lists topic names in sorted order.
-func (b *Broker) Topics() []string {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	out := make([]string, 0, len(b.topics))
-	for name := range b.topics {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Partitions returns the partition count of a topic.
 func (b *Broker) Partitions(name string) (int, error) {
 	t, err := b.topic(name)
@@ -169,14 +147,14 @@ func (b *Broker) Partitions(name string) (int, error) {
 	return len(t.parts), nil
 }
 
-// Close marks the broker closed. Outstanding clients receive ErrClosed,
+// Close marks the broker closed. Outstanding clients receive errClosed,
 // those parked in Await included.
 func (b *Broker) Close() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.closed = true
 	for _, t := range b.topics {
-		t.wake(ErrClosed)
+		t.wake(errClosed)
 	}
 }
 
@@ -184,11 +162,11 @@ func (b *Broker) topic(name string) (*topic, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	if b.closed {
-		return nil, ErrClosed
+		return nil, errClosed
 	}
 	t, ok := b.topics[name]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownTopic, name)
+		return nil, fmt.Errorf("%w: %q", errUnknownTopic, name)
 	}
 	return t, nil
 }
@@ -201,24 +179,24 @@ func (b *Broker) Produce(topicName string, partition int, recs []Record) (int64,
 		return 0, err
 	}
 	for i := range recs {
-		if len(recs[i].Value) > b.cfg.MaxRequestSize {
-			return 0, fmt.Errorf("%w: %d > %d bytes", ErrMessageTooLarge, len(recs[i].Value), b.cfg.MaxRequestSize)
+		if len(recs[i].Value) > maxRequestSize {
+			return 0, fmt.Errorf("%w: %d > %d bytes", errMessageTooLarge, len(recs[i].Value), maxRequestSize)
 		}
 	}
 	if partition < 0 || partition >= len(t.parts) {
-		return 0, fmt.Errorf("%w: %s/%d", ErrUnknownPartition, topicName, partition)
+		return 0, fmt.Errorf("%w: %s/%d", errUnknownPartition, topicName, partition)
 	}
 	if b.cfg.Network.Enabled() {
 		bytes := 0
 		for i := range recs {
-			bytes += len(recs[i].Value) + len(recs[i].Key)
+			bytes += len(recs[i].Value) + len(recs[i].key)
 		}
 		b.cfg.Network.Apply(bytes)
 	}
 	if b.cfg.Faults != nil {
 		recs = b.applyFaults(topicName, recs)
 	}
-	base := t.parts[partition].append(recs, b.cfg.Clock)
+	base := t.parts[partition].append(recs, b.cfg.clock)
 	b.countAppend(t, recs)
 	t.appended()
 	return base, nil
@@ -259,7 +237,7 @@ func (b *Broker) replicate(topicName string, partition int, recs []Record) error
 		return err
 	}
 	if partition < 0 || partition >= len(t.parts) {
-		return fmt.Errorf("%w: %s/%d", ErrUnknownPartition, topicName, partition)
+		return fmt.Errorf("%w: %s/%d", errUnknownPartition, topicName, partition)
 	}
 	if err := t.parts[partition].replicate(recs); err != nil {
 		return err
@@ -277,7 +255,7 @@ func (b *Broker) replicaRead(topicName string, partition int, offset int64, max 
 		return nil, err
 	}
 	if partition < 0 || partition >= len(t.parts) {
-		return nil, fmt.Errorf("%w: %s/%d", ErrUnknownPartition, topicName, partition)
+		return nil, fmt.Errorf("%w: %s/%d", errUnknownPartition, topicName, partition)
 	}
 	return t.parts[partition].fetch(offset, max)
 }
@@ -291,17 +269,17 @@ func (b *Broker) truncateTo(topicName string, partition int, to int64) error {
 		return err
 	}
 	if partition < 0 || partition >= len(t.parts) {
-		return fmt.Errorf("%w: %s/%d", ErrUnknownPartition, topicName, partition)
+		return fmt.Errorf("%w: %s/%d", errUnknownPartition, topicName, partition)
 	}
 	t.parts[partition].truncate(to)
 	return nil
 }
 
-// RebalanceGroups bumps every consumer group's generation, forcing all
+// rebalanceGroups bumps every consumer group's generation, forcing all
 // members through a rebalance round trip. The cluster controller calls
 // it on the coordinator seat when broker membership changes, mirroring
 // Kafka's rebalance-on-cluster-change.
-func (b *Broker) RebalanceGroups() {
+func (b *Broker) rebalanceGroups() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, g := range b.groups {
@@ -326,7 +304,7 @@ func (b *Broker) AppendSignal(topicName string) (<-chan struct{}, error) {
 // nil once a record is readable at one of the positions (a position its
 // partition's log end has moved off, so that an out-of-range one comes
 // back at once for the fetch to refuse), once wait has elapsed, or once
-// cancel closes, and ErrUnknownTopic or ErrClosed when the topic is
+// cancel closes, and errUnknownTopic or errClosed when the topic is
 // deleted or the broker closed — before the call or while it is parked.
 func (b *Broker) Await(topicName string, positions []FetchRequest, wait time.Duration, cancel <-chan struct{}) error {
 	t, err := b.topic(topicName)
@@ -335,7 +313,7 @@ func (b *Broker) Await(topicName string, positions []FetchRequest, wait time.Dur
 	}
 	for _, pos := range positions {
 		if pos.Partition < 0 || pos.Partition >= len(t.parts) {
-			return fmt.Errorf("%w: %s/%d", ErrUnknownPartition, topicName, pos.Partition)
+			return fmt.Errorf("%w: %s/%d", errUnknownPartition, topicName, pos.Partition)
 		}
 	}
 	if wait <= 0 {
@@ -355,7 +333,7 @@ func (b *Broker) Await(topicName string, positions []FetchRequest, wait time.Dur
 		if deadline == nil {
 			b.mAwaitParked.Inc()
 			if b.mAwaitWait != nil {
-				parkedAt = b.cfg.Clock()
+				parkedAt = b.cfg.clock()
 			}
 			deadline = time.NewTimer(wait)
 			defer deadline.Stop()
@@ -370,7 +348,7 @@ func (b *Broker) Await(topicName string, positions []FetchRequest, wait time.Dur
 		break
 	}
 	if deadline != nil && b.mAwaitWait != nil {
-		b.mAwaitWait.Record(int64(b.cfg.Clock().Sub(parkedAt)))
+		b.mAwaitWait.Record(int64(b.cfg.clock().Sub(parkedAt)))
 	}
 	return err
 }
@@ -383,7 +361,7 @@ func (b *Broker) countAppend(t *topic, recs []Record) {
 	}
 	bytes := 0
 	for i := range recs {
-		bytes += len(recs[i].Value) + len(recs[i].Key)
+		bytes += len(recs[i].Value) + len(recs[i].key)
 	}
 	b.mAppendRecords.Add(int64(len(recs)))
 	b.mAppendBytes.Add(int64(bytes))
@@ -396,7 +374,7 @@ func (b *Broker) countFetch(t *topic, recs []Record) {
 	}
 	bytes := 0
 	for i := range recs {
-		bytes += len(recs[i].Value) + len(recs[i].Key)
+		bytes += len(recs[i].Value) + len(recs[i].key)
 	}
 	b.mFetchRecords.Add(int64(len(recs)))
 	b.mFetchBytes.Add(int64(bytes))
@@ -411,14 +389,14 @@ func (b *Broker) Fetch(topicName string, partition int, offset int64, maxRecords
 		return nil, err
 	}
 	if partition < 0 || partition >= len(t.parts) {
-		return nil, fmt.Errorf("%w: %s/%d", ErrUnknownPartition, topicName, partition)
+		return nil, fmt.Errorf("%w: %s/%d", errUnknownPartition, topicName, partition)
 	}
 	recs, err := t.parts[partition].fetch(offset, maxRecords)
 	if err == nil {
 		if b.cfg.Network.Enabled() {
 			bytes := 0
 			for i := range recs {
-				bytes += len(recs[i].Value) + len(recs[i].Key)
+				bytes += len(recs[i].Value) + len(recs[i].key)
 			}
 			b.cfg.Network.Apply(bytes)
 		}
@@ -460,7 +438,7 @@ func (b *Broker) FetchMultiInto(topicName string, reqs []FetchRequest, maxTotal 
 	base := len(out)
 	for _, req := range reqs {
 		if req.Partition < 0 || req.Partition >= len(t.parts) {
-			return nil, fmt.Errorf("%w: %s/%d", ErrUnknownPartition, topicName, req.Partition)
+			return nil, fmt.Errorf("%w: %s/%d", errUnknownPartition, topicName, req.Partition)
 		}
 		if len(out)-base >= maxTotal {
 			break
@@ -474,7 +452,7 @@ func (b *Broker) FetchMultiInto(topicName string, reqs []FetchRequest, maxTotal 
 	if b.cfg.Network.Enabled() {
 		bytes := 0
 		for i := range fetched {
-			bytes += len(fetched[i].Value) + len(fetched[i].Key)
+			bytes += len(fetched[i].Value) + len(fetched[i].key)
 		}
 		b.cfg.Network.Apply(bytes)
 	}
@@ -490,22 +468,9 @@ func (b *Broker) EndOffset(topicName string, partition int) (int64, error) {
 		return 0, err
 	}
 	if partition < 0 || partition >= len(t.parts) {
-		return 0, fmt.Errorf("%w: %s/%d", ErrUnknownPartition, topicName, partition)
+		return 0, fmt.Errorf("%w: %s/%d", errUnknownPartition, topicName, partition)
 	}
 	return t.parts[partition].end(), nil
-}
-
-// StartOffset returns the earliest retained offset in a partition; it is
-// greater than zero once retention has truncated the log head.
-func (b *Broker) StartOffset(topicName string, partition int) (int64, error) {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return 0, err
-	}
-	if partition < 0 || partition >= len(t.parts) {
-		return 0, fmt.Errorf("%w: %s/%d", ErrUnknownPartition, topicName, partition)
-	}
-	return t.parts[partition].startOffset(), nil
 }
 
 // topic is a named set of partitions. backlog tracks appended-minus-
@@ -527,10 +492,10 @@ type topic struct {
 	gone     error
 }
 
-func newTopic(name string, n, retention int) *topic {
+func newTopic(name string, n int) *topic {
 	t := &topic{name: name, parts: make([]*partition, n)}
 	for i := range t.parts {
-		t.parts[i] = &partition{id: i, retention: retention}
+		t.parts[i] = &partition{id: i}
 	}
 	return t
 }
@@ -587,46 +552,31 @@ func (t *topic) readable(positions []FetchRequest) bool {
 	return false
 }
 
-// partition is an append-only record log. start is the log start offset:
-// it advances when retention truncates the head, as Kafka's does.
+// partition is an append-only record log; a record's offset is its index.
 type partition struct {
-	id        int
-	retention int
+	id int
 
-	mu    sync.RWMutex
-	start int64
-	recs  []Record
+	mu   sync.RWMutex
+	recs []Record
 }
 
-// append stamps and stores records, returning the base offset, and
-// enforces the retention cap.
+// append stamps and stores records, returning the base offset.
 func (p *partition) append(recs []Record, clock func() time.Time) int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	// Stamped under the lock: append times never decrease along the log.
 	now := clock()
-	base := p.start + int64(len(p.recs))
+	base := int64(len(p.recs))
 	for i, r := range recs {
 		r.Partition = p.id
 		r.Offset = base + int64(i)
 		r.AppendTime = now
 		p.recs = append(p.recs, r)
 	}
-	if p.retention > 0 && len(p.recs) > p.retention {
-		drop := len(p.recs) - p.retention
-		p.start += int64(drop)
-		// Copy the tail into a fresh slice so the truncated head's
-		// backing memory is released.
-		tail := make([]Record, p.retention)
-		copy(tail, p.recs[drop:])
-		p.recs = tail
-	}
 	return base
 }
 
-// fetch copies up to max records starting at offset. An offset below the
-// log start (truncated by retention) resets to the earliest retained
-// record, Kafka's auto.offset.reset=earliest behaviour.
+// fetch copies up to max records starting at offset.
 func (p *partition) fetch(offset int64, max int) ([]Record, error) {
 	return p.fetchInto(offset, max, nil)
 }
@@ -640,22 +590,11 @@ func (p *partition) fetchInto(offset int64, max int, out []Record) ([]Record, er
 	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	end := p.start + int64(len(p.recs))
+	end := int64(len(p.recs))
 	if offset < 0 || offset > end {
-		return nil, fmt.Errorf("%w: offset %d, log range [%d, %d]", ErrOffsetOutOfRange, offset, p.start, end)
+		return nil, fmt.Errorf("%w: offset %d, log range [0, %d]", errOffsetOutOfRange, offset, end)
 	}
-	if offset < p.start {
-		offset = p.start
-	}
-	if offset == end {
-		return out, nil
-	}
-	lo := offset - p.start
-	hi := lo + int64(max)
-	if hi > int64(len(p.recs)) {
-		hi = int64(len(p.recs))
-	}
-	return append(out, p.recs[lo:hi]...), nil
+	return append(out, p.recs[offset:min(offset+int64(max), end)]...), nil
 }
 
 // replicate appends leader-stamped records verbatim. Records the
@@ -665,13 +604,13 @@ func (p *partition) fetchInto(offset int64, max int, out []Record) ([]Record, er
 func (p *partition) replicate(recs []Record) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	end := p.start + int64(len(p.recs))
+	end := int64(len(p.recs))
 	for _, r := range recs {
 		if r.Offset < end {
 			continue
 		}
 		if r.Offset > end {
-			return fmt.Errorf("%w: replica append at %d past log end %d", ErrOffsetOutOfRange, r.Offset, end)
+			return fmt.Errorf("%w: replica append at %d past log end %d", errOffsetOutOfRange, r.Offset, end)
 		}
 		p.recs = append(p.recs, r)
 		end++
@@ -683,24 +622,13 @@ func (p *partition) replicate(recs []Record) error {
 func (p *partition) truncate(to int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if to < p.start {
-		to = p.start
-	}
-	keep := to - p.start
-	if keep < int64(len(p.recs)) {
-		p.recs = p.recs[:keep]
+	if to < int64(len(p.recs)) {
+		p.recs = p.recs[:max(to, 0)]
 	}
 }
 
 func (p *partition) end() int64 {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return p.start + int64(len(p.recs))
-}
-
-// startOffset returns the earliest retained offset.
-func (p *partition) startOffset() int64 {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.start
+	return int64(len(p.recs))
 }

@@ -33,7 +33,7 @@ func TestCreateTopicValidation(t *testing.T) {
 	if err != nil || n != 2 {
 		t.Fatalf("Partitions = %d, %v", n, err)
 	}
-	if _, err := b.Partitions("missing"); !errors.Is(err, ErrUnknownTopic) {
+	if _, err := b.Partitions("missing"); !errors.Is(err, errUnknownTopic) {
 		t.Fatalf("missing topic: %v", err)
 	}
 }
@@ -43,27 +43,11 @@ func TestDeleteTopic(t *testing.T) {
 	if err := b.DeleteTopic("in"); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.DeleteTopic("in"); !errors.Is(err, ErrUnknownTopic) {
+	if err := b.DeleteTopic("in"); !errors.Is(err, errUnknownTopic) {
 		t.Fatalf("double delete: %v", err)
 	}
-	if got := b.Topics(); len(got) != 0 {
-		t.Fatalf("Topics = %v", got)
-	}
-}
-
-func TestTopicsSorted(t *testing.T) {
-	b := New(Config{})
-	for _, n := range []string{"zeta", "alpha", "mid"} {
-		if err := b.CreateTopic(n, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := b.Topics()
-	want := []string{"alpha", "mid", "zeta"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Topics = %v", got)
-		}
+	if _, err := b.Partitions("in"); !errors.Is(err, errUnknownTopic) {
+		t.Fatalf("deleted topic still listed: %v", err)
 	}
 }
 
@@ -97,7 +81,7 @@ func TestProduceFetchRoundTrip(t *testing.T) {
 
 func TestLogAppendTimeUsesBrokerClock(t *testing.T) {
 	fake := time.Unix(42, 0)
-	b := New(Config{Clock: func() time.Time { return fake }})
+	b := New(Config{clock: func() time.Time { return fake }})
 	if err := b.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -121,29 +105,31 @@ func TestFetchBounds(t *testing.T) {
 	if recs, err := b.Fetch("in", 0, 1, 5); err != nil || len(recs) != 0 {
 		t.Fatalf("fetch at log end: %v, %v", recs, err)
 	}
-	if _, err := b.Fetch("in", 0, 2, 5); !errors.Is(err, ErrOffsetOutOfRange) {
+	if _, err := b.Fetch("in", 0, 2, 5); !errors.Is(err, errOffsetOutOfRange) {
 		t.Fatalf("past-end fetch: %v", err)
 	}
-	if _, err := b.Fetch("in", 0, -1, 5); !errors.Is(err, ErrOffsetOutOfRange) {
+	if _, err := b.Fetch("in", 0, -1, 5); !errors.Is(err, errOffsetOutOfRange) {
 		t.Fatalf("negative fetch: %v", err)
 	}
-	if _, err := b.Fetch("in", 9, 0, 5); !errors.Is(err, ErrUnknownPartition) {
+	if _, err := b.Fetch("in", 9, 0, 5); !errors.Is(err, errUnknownPartition) {
 		t.Fatalf("bad partition: %v", err)
 	}
-	if _, err := b.Fetch("nope", 0, 0, 5); !errors.Is(err, ErrUnknownTopic) {
+	if _, err := b.Fetch("nope", 0, 0, 5); !errors.Is(err, errUnknownTopic) {
 		t.Fatalf("bad topic: %v", err)
 	}
 }
 
 func TestMaxRequestSize(t *testing.T) {
-	b := New(Config{MaxRequestSize: 8})
+	b := New(Config{})
 	if err := b.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Produce("t", 0, []Record{{Value: make([]byte, 9)}}); !errors.Is(err, ErrMessageTooLarge) {
+	// Produce neither copies nor reads a value, so the 50 MiB buffers
+	// stay untouched pages.
+	if _, err := b.Produce("t", 0, []Record{{Value: make([]byte, maxRequestSize+1)}}); !errors.Is(err, errMessageTooLarge) {
 		t.Fatalf("oversized produce: %v", err)
 	}
-	if _, err := b.Produce("t", 0, []Record{{Value: make([]byte, 8)}}); err != nil {
+	if _, err := b.Produce("t", 0, []Record{{Value: make([]byte, maxRequestSize)}}); err != nil {
 		t.Fatalf("max-size produce: %v", err)
 	}
 }
@@ -161,7 +147,7 @@ func TestEndOffset(t *testing.T) {
 	if err != nil || off != 2 {
 		t.Fatalf("EndOffset = %d, %v", off, err)
 	}
-	if _, err := b.EndOffset("in", 99); !errors.Is(err, ErrUnknownPartition) {
+	if _, err := b.EndOffset("in", 99); !errors.Is(err, errUnknownPartition) {
 		t.Fatalf("bad partition: %v", err)
 	}
 }
@@ -169,10 +155,10 @@ func TestEndOffset(t *testing.T) {
 func TestClosedBrokerRejectsOps(t *testing.T) {
 	b := newTestBroker(t)
 	b.Close()
-	if _, err := b.Produce("in", 0, []Record{{Value: []byte("x")}}); !errors.Is(err, ErrClosed) {
+	if _, err := b.Produce("in", 0, []Record{{Value: []byte("x")}}); !errors.Is(err, errClosed) {
 		t.Fatalf("produce after close: %v", err)
 	}
-	if err := b.CreateTopic("t2", 1); !errors.Is(err, ErrClosed) {
+	if err := b.CreateTopic("t2", 1); !errors.Is(err, errClosed) {
 		t.Fatalf("create after close: %v", err)
 	}
 }
@@ -267,7 +253,7 @@ func TestProducerKeyHashingSticky(t *testing.T) {
 
 func TestProducerUnknownTopic(t *testing.T) {
 	b := newTestBroker(t)
-	if _, err := NewProducer(b, "missing"); !errors.Is(err, ErrUnknownTopic) {
+	if _, err := NewProducer(b, "missing"); !errors.Is(err, errUnknownTopic) {
 		t.Fatalf("NewProducer: %v", err)
 	}
 }
@@ -324,36 +310,8 @@ func TestAssignedConsumerExplicitPartitions(t *testing.T) {
 	if len(recs) != 1 || string(recs[0].Value) != "p3" {
 		t.Fatalf("poll = %v", recs)
 	}
-	if _, err := NewAssignedConsumer(b, "in", 11); !errors.Is(err, ErrUnknownPartition) {
+	if _, err := NewAssignedConsumer(b, "in", 11); !errors.Is(err, errUnknownPartition) {
 		t.Fatalf("bad partition: %v", err)
-	}
-}
-
-func TestConsumerSeekToEnd(t *testing.T) {
-	b := newTestBroker(t)
-	if _, err := b.Produce("in", 0, []Record{{Value: []byte("old")}}); err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewAssignedConsumer(b, "in")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SeekToEnd(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Produce("in", 0, []Record{{Value: []byte("new")}}); err != nil {
-		t.Fatal(err)
-	}
-	var got []Record
-	for i := 0; i < 8 && len(got) == 0; i++ {
-		recs, err := c.Poll(10, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, recs...)
-	}
-	if len(got) != 1 || string(got[0].Value) != "new" {
-		t.Fatalf("poll after SeekToEnd = %v", got)
 	}
 }
 
@@ -369,7 +327,7 @@ func TestConsumerClosedPoll(t *testing.T) {
 	if err := c.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	if _, err := c.Poll(1, 0, nil); !errors.Is(err, ErrClosed) {
+	if _, err := c.Poll(1, 0, nil); !errors.Is(err, errClosed) {
 		t.Fatalf("poll after close: %v", err)
 	}
 }

@@ -38,8 +38,8 @@ type Transport interface {
 var _ Transport = (*Broker)(nil)
 
 // FetchMaxWait is how long the product's consumer loops let one Poll park
-// at the broker before they look at their own clocks again (commit and
-// checkpoint intervals, stop). Kafka's fetch.max.wait.ms defaults to 500
+// at the broker before they look at their own clocks again (commit
+// intervals, stop). Kafka's fetch.max.wait.ms defaults to 500
 // and Kafka Streams' poll.ms to 100; nothing here is sensitive to it,
 // because a parked Poll returns on the first record and on stop.
 const FetchMaxWait = 50 * time.Millisecond
@@ -92,15 +92,9 @@ func NewProducer(t Transport, topic string) (*Producer, error) {
 // Send appends one record, stamping it with the current time as its
 // CreateTime, and returns the partition and offset it landed at.
 func (p *Producer) Send(key, value []byte) (int, int64, error) {
-	//lint:allow clockdiscipline client-side CreateTime stamp, not on the measured path
-	return p.SendAt(key, value, time.Now())
-}
-
-// SendAt is Send with an explicit CreateTime; the Crayfish producer uses
-// it to record the measurement start timestamp (§3.3 step 1).
-func (p *Producer) SendAt(key, value []byte, ts time.Time) (int, int64, error) {
 	part := p.pickPartition(key)
-	off, err := p.t.Produce(p.topic, part, []Record{{Key: key, Value: value, Timestamp: ts}})
+	//lint:allow clockdiscipline client-side CreateTime stamp, not on the measured path
+	off, err := p.t.Produce(p.topic, part, []Record{{key: key, Value: value, Timestamp: time.Now()}})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -185,7 +179,7 @@ func NewAssignedConsumer(t Transport, topic string, partitions ...int) (*Consume
 	}
 	for _, p := range partitions {
 		if p < 0 || p >= n {
-			return nil, fmt.Errorf("%w: %s/%d", ErrUnknownPartition, topic, p)
+			return nil, fmt.Errorf("%w: %s/%d", errUnknownPartition, topic, p)
 		}
 		c.assigned = append(c.assigned, TopicPartition{Topic: topic, Partition: p})
 	}
@@ -229,47 +223,6 @@ func (c *Consumer) adopt(a Assignment) error {
 		c.positions[tp] = off
 	}
 	return nil
-}
-
-// Assignment returns the partitions this consumer currently owns.
-func (c *Consumer) Assignment() []TopicPartition {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]TopicPartition(nil), c.assigned...)
-}
-
-// SeekToEnd moves every assigned partition's position to the log end so
-// Poll only returns records produced afterwards.
-func (c *Consumer) SeekToEnd() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, tp := range c.assigned {
-		end, err := c.t.EndOffset(tp.Topic, tp.Partition)
-		if err != nil {
-			return err
-		}
-		c.positions[tp] = end
-	}
-	return nil
-}
-
-// Seek moves one partition's position.
-func (c *Consumer) Seek(tp TopicPartition, offset int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.positions[tp] = offset
-}
-
-// Positions returns a copy of the consumer's current positions for its
-// assigned partitions (the next offset each will read).
-func (c *Consumer) Positions() map[TopicPartition]int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[TopicPartition]int64, len(c.assigned))
-	for _, tp := range c.assigned {
-		out[tp] = c.positions[tp]
-	}
-	return out
 }
 
 // Poll returns up to max records in a single multi-partition fetch
@@ -319,7 +272,7 @@ func (c *Consumer) await(wait time.Duration, cancel <-chan struct{}) error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return ErrClosed
+		return errClosed
 	}
 	c.waitReqs = c.appendPositionsLocked(c.waitReqs[:0])
 	c.mu.Unlock()
@@ -341,7 +294,7 @@ func (c *Consumer) appendPositionsLocked(reqs []FetchRequest) []FetchRequest {
 func (c *Consumer) fetch(max int) ([]Record, error) {
 	if c.group != "" {
 		a, err := c.t.FetchAssignment(c.group, c.memberID, c.generation)
-		if errors.Is(err, ErrRebalance) {
+		if errors.Is(err, errRebalance) {
 			if err := c.adopt(a); err != nil {
 				return nil, err
 			}
@@ -352,7 +305,7 @@ func (c *Consumer) fetch(max int) ([]Record, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return nil, ErrClosed
+		return nil, errClosed
 	}
 	c.caughtUp = true
 	if len(c.assigned) == 0 {

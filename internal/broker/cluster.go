@@ -6,27 +6,29 @@ import (
 	"sort"
 )
 
-// Cluster-mode errors. ErrNotLeader and ErrNodeDown are routing signals:
+// Cluster-mode errors. ErrNotLeader and errNodeDown are routing signals:
 // the partition-aware client refreshes its metadata and re-routes, so
-// both travel wrapped retryable (resilience.IsRetryable). ErrFencedEpoch
+// both travel wrapped retryable (resilience.IsRetryable). errFencedEpoch
 // is the fencing verdict a stale leader or follower receives when its
 // leader epoch no longer matches; the controller's next view push
 // resolves it, so it too is retryable from the replication loop's point
-// of view. ErrAckTimeout means replication did not confirm an append
+// of view. errAckTimeout means replication did not confirm an append
 // within the ack window — the record may or may not be stored, exactly
 // Kafka's acks=all timeout, and the producer's retry (at-least-once,
 // deduplicated downstream) rides it out.
 var (
-	ErrNotLeader   = errors.New("broker: not leader for partition")
-	ErrNodeDown    = errors.New("broker: node down")
-	ErrFencedEpoch = errors.New("broker: fenced leader epoch")
-	ErrAckTimeout  = errors.New("broker: replication ack timeout")
-	ErrNoLeader    = errors.New("broker: partition has no live leader")
+	ErrNotLeader   = errors.New("broker: not leader for partition") //lint:allow deadexport clustertest's wire conformance suite matches it
+	errNodeDown    = errors.New("broker: node down")
+	errFencedEpoch = errors.New("broker: fenced leader epoch")
+	errAckTimeout  = errors.New("broker: replication ack timeout")
+	errNoLeader    = errors.New("broker: partition has no live leader")
 )
 
 // NotLeaderError reports where a misrouted partition request should have
 // gone. It matches errors.Is(err, ErrNotLeader); Leader is -1 when the
 // partition is currently leaderless (every replica dead).
+//
+//lint:allow deadexport clustertest's wire conformance suite asserts it
 type NotLeaderError struct {
 	TP     TopicPartition
 	Leader int
@@ -62,8 +64,8 @@ type ClusterView struct {
 	Partitions map[string][]PartitionState `json:"partitions"`
 }
 
-// Clone deep-copies the view so holders can mutate their copy freely.
-func (v ClusterView) Clone() ClusterView {
+// clone deep-copies the view so holders can mutate their copy freely.
+func (v ClusterView) clone() ClusterView {
 	out := ClusterView{Version: v.Version, Members: append([]int(nil), v.Members...)}
 	if v.Partitions != nil {
 		out.Partitions = make(map[string][]PartitionState, len(v.Partitions))
@@ -85,6 +87,8 @@ func (v ClusterView) Clone() ClusterView {
 
 // State returns the partition's replication state, or false when the
 // view does not cover it.
+//
+//lint:allow deadexport clustertest's wire conformance suite reads it
 func (v ClusterView) State(tp TopicPartition) (PartitionState, bool) {
 	states, ok := v.Partitions[tp.Topic]
 	if !ok || tp.Partition < 0 || tp.Partition >= len(states) {
@@ -93,24 +97,24 @@ func (v ClusterView) State(tp TopicPartition) (PartitionState, bool) {
 	return states[tp.Partition], true
 }
 
-// Leader returns the partition's current leader node id, or an error
+// leader returns the partition's current leader node id, or an error
 // when the view does not cover the partition or it is offline.
-func (v ClusterView) Leader(tp TopicPartition) (int, error) {
+func (v ClusterView) leader(tp TopicPartition) (int, error) {
 	s, ok := v.State(tp)
 	if !ok {
-		return 0, fmt.Errorf("%w: %s/%d", ErrUnknownPartition, tp.Topic, tp.Partition)
+		return 0, fmt.Errorf("%w: %s/%d", errUnknownPartition, tp.Topic, tp.Partition)
 	}
 	if s.Leader < 0 {
-		return 0, fmt.Errorf("%w: %s/%d", ErrNoLeader, tp.Topic, tp.Partition)
+		return 0, fmt.Errorf("%w: %s/%d", errNoLeader, tp.Topic, tp.Partition)
 	}
 	return s.Leader, nil
 }
 
-// ReplicaFetchRequest is a follower's catch-up read: Offset is the
+// replicaFetchRequest is a follower's catch-up read: Offset is the
 // follower's log end (it holds everything below), so the leader both
 // serves the next records and learns the follower's replication
 // progress from the same message — the Kafka fetch-derived ISR model.
-type ReplicaFetchRequest struct {
+type replicaFetchRequest struct {
 	Topic     string `json:"topic"`
 	Partition int    `json:"partition"`
 	Offset    int64  `json:"offset"`
@@ -119,9 +123,9 @@ type ReplicaFetchRequest struct {
 	Epoch     int    `json:"epoch"` // follower's leader epoch for the partition
 }
 
-// ReplicaFetchResponse carries the records plus the leader's current
+// replicaFetchResponse carries the records plus the leader's current
 // high-watermark and epoch, which is how followers learn both.
-type ReplicaFetchResponse struct {
+type replicaFetchResponse struct {
 	Records []Record
 	HW      int64
 	Epoch   int
@@ -134,7 +138,7 @@ type ReplicaFetchResponse struct {
 type ClusterPeer interface {
 	Ping() error
 	PushView(v ClusterView) error
-	ReplicaFetch(req ReplicaFetchRequest) (ReplicaFetchResponse, error)
+	ReplicaFetch(req replicaFetchRequest) (replicaFetchResponse, error)
 	// LogEnd is the node's raw local log end for a partition (not the
 	// consumer-visible high-watermark) — the controller's election key.
 	LogEnd(tp TopicPartition) (int64, error)

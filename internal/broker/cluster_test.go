@@ -135,10 +135,10 @@ func TestClusterConformanceLeaderKill(t *testing.T) {
 	}()
 
 	waitUntil(t, 2*time.Second, func() bool { return ackedN.Load() >= 10 }, "10 acks before the kill")
-	if err := c.Crash("node-1"); err != nil {
+	if err := c.crash("node-1"); err != nil {
 		t.Fatal(err)
 	}
-	c.Controller().Tick() // detect the death, elect from the ISR, push the view
+	c.ctrl.Tick() // detect the death, elect from the ISR, push the view
 
 	if err := <-done; err != nil {
 		t.Fatal(err)
@@ -186,10 +186,10 @@ func TestClusterConformanceFollowerKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Partition 0 leads on node 0; node 2 is a pure follower.
-	if err := c.Crash("node-2"); err != nil {
+	if err := c.crash("node-2"); err != nil {
 		t.Fatal(err)
 	}
-	c.Controller().Tick()
+	c.ctrl.Tick()
 	v := c.View()
 	st, _ := v.State(TopicPartition{Topic: "t", Partition: 0})
 	if st.Leader != 0 || st.Epoch != 1 {
@@ -230,16 +230,16 @@ func TestClusterAckGatedOnISR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Crash("node-1"); err != nil {
+	if err := c.crash("node-1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Crash("node-2"); err != nil {
+	if err := c.crash("node-2"); err != nil {
 		t.Fatal(err)
 	}
 	// No Tick: the controller has not noticed, so the ISR still lists
 	// the dead followers and the high-watermark cannot advance.
 	_, perr := leader.Produce("t", 0, []Record{{Value: []byte("unacked")}})
-	if !errors.Is(perr, ErrAckTimeout) {
+	if !errors.Is(perr, errAckTimeout) {
 		t.Fatalf("produce with dead ISR members = %v, want ErrAckTimeout", perr)
 	}
 	if !resilience.IsRetryable(perr) {
@@ -257,7 +257,7 @@ func TestClusterAckGatedOnISR(t *testing.T) {
 	}
 	// The controller notices the deaths: the ISR shrinks to the leader
 	// alone and the pending record becomes acked and visible.
-	c.Controller().Tick()
+	c.ctrl.Tick()
 	if _, err := leader.Produce("t", 0, []Record{{Value: []byte("post-shrink")}}); err != nil {
 		t.Fatalf("produce after ISR shrink: %v", err)
 	}
@@ -281,13 +281,13 @@ func TestClusterEpochFencing(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Stale follower: epoch below the leader's.
-	_, ferr := leader.ReplicaFetch(ReplicaFetchRequest{Topic: "t", Partition: 0, Offset: 0, Max: 1, From: 1, Epoch: 0})
-	if !errors.Is(ferr, ErrFencedEpoch) {
+	_, ferr := leader.ReplicaFetch(replicaFetchRequest{Topic: "t", Partition: 0, Offset: 0, Max: 1, From: 1, Epoch: 0})
+	if !errors.Is(ferr, errFencedEpoch) {
 		t.Fatalf("stale follower fetch = %v, want ErrFencedEpoch", ferr)
 	}
 	// Newer epoch: the cluster moved on while this leader was isolated.
-	_, ferr = leader.ReplicaFetch(ReplicaFetchRequest{Topic: "t", Partition: 0, Offset: 0, Max: 1, From: 1, Epoch: 7})
-	if !errors.Is(ferr, ErrFencedEpoch) {
+	_, ferr = leader.ReplicaFetch(replicaFetchRequest{Topic: "t", Partition: 0, Offset: 0, Max: 1, From: 1, Epoch: 7})
+	if !errors.Is(ferr, errFencedEpoch) {
 		t.Fatalf("superseding fetch = %v, want ErrFencedEpoch", ferr)
 	}
 	_, perr := leader.Produce("t", 0, []Record{{Value: []byte("x")}})
@@ -315,23 +315,23 @@ func TestClusterRestartCatchUp(t *testing.T) {
 	if _, err := cl.Produce("t", 0, []Record{{Value: []byte("pre")}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Crash("node-2"); err != nil {
+	if err := c.crash("node-2"); err != nil {
 		t.Fatal(err)
 	}
-	c.Controller().Tick()
+	c.ctrl.Tick()
 	for i := 0; i < 5; i++ {
 		if _, err := cl.Produce("t", 0, []Record{{Value: []byte(fmt.Sprintf("mid-%d", i))}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := c.Restart("node-2"); err != nil {
+	if err := c.restart("node-2"); err != nil {
 		t.Fatal(err)
 	}
 	// Re-admission is leader-driven: the returner re-enters the ISR only
 	// once its replica fetches cover the leader's high-watermark, so the
 	// test ticks the controller until the expansion sweep confirms it.
 	waitUntil(t, 2*time.Second, func() bool {
-		c.Controller().Tick()
+		c.ctrl.Tick()
 		st, _ := c.View().State(TopicPartition{Topic: "t", Partition: 0})
 		return containsInt(st.ISR, 2)
 	}, "returner re-admitted to ISR after catch-up")
@@ -366,10 +366,10 @@ func TestClusterReturnedReplicaOutOfISRUntilCaughtUp(t *testing.T) {
 	if _, err := cl.Produce("t", 0, []Record{{Value: []byte("pre")}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Crash("node-2"); err != nil {
+	if err := c.crash("node-2"); err != nil {
 		t.Fatal(err)
 	}
-	c.Controller().Tick()
+	c.ctrl.Tick()
 	for i := 0; i < 5; i++ {
 		if _, err := cl.Produce("t", 0, []Record{{Value: []byte(fmt.Sprintf("mid-%d", i))}}); err != nil {
 			t.Fatal(err)
@@ -385,17 +385,17 @@ func TestClusterReturnedReplicaOutOfISRUntilCaughtUp(t *testing.T) {
 	if ok, aerr := n0.AdmitFollower(tp, 2, st.Epoch); aerr != nil || ok {
 		t.Fatalf("AdmitFollower(lagging returner) = (%v, %v), want (false, nil)", ok, aerr)
 	}
-	c.Controller().Tick()
+	c.ctrl.Tick()
 	if st, _ := c.View().State(tp); containsInt(st.ISR, 2) {
 		t.Fatalf("lagging returner must stay out of the ISR: %+v", st)
 	}
 	// Once restarted, replica fetches close the gap and the next sweeps
 	// re-admit it — and only then.
-	if err := c.Restart("node-2"); err != nil {
+	if err := c.restart("node-2"); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, 2*time.Second, func() bool {
-		c.Controller().Tick()
+		c.ctrl.Tick()
 		st, _ := c.View().State(tp)
 		return containsInt(st.ISR, 2)
 	}, "caught-up returner re-admitted to ISR")
@@ -431,28 +431,28 @@ func TestClusterNoUncleanElectionAfterReturn(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Node 1 drops out; "solo" is acked against ISR {0} alone.
-	if err := c.Crash("node-1"); err != nil {
+	if err := c.crash("node-1"); err != nil {
 		t.Fatal(err)
 	}
-	c.Controller().Tick()
+	c.ctrl.Tick()
 	if _, err := cl.Produce("t", 0, []Record{{Value: []byte("solo")}}); err != nil {
 		t.Fatal(err)
 	}
 	// Now the sole in-sync survivor dies too: offline, ISR frozen at {0}.
-	if err := c.Crash("node-0"); err != nil {
+	if err := c.crash("node-0"); err != nil {
 		t.Fatal(err)
 	}
-	c.Controller().Tick()
+	c.ctrl.Tick()
 	st, _ := c.View().State(tp)
 	if st.Leader != -1 || !containsInt(st.ISR, 0) || containsInt(st.ISR, 1) {
 		t.Fatalf("offline state must freeze the last in-sync set: %+v", st)
 	}
 	// The stale replica returns first. Electing it would lose "solo", so
 	// the partition must stay offline.
-	if err := c.Restart("node-1"); err != nil {
+	if err := c.restart("node-1"); err != nil {
 		t.Fatal(err)
 	}
-	c.Controller().Tick()
+	c.ctrl.Tick()
 	if st, _ := c.View().State(tp); st.Leader != -1 {
 		t.Fatalf("stale returner outside the last ISR must not be elected: %+v", st)
 	}
@@ -460,10 +460,10 @@ func TestClusterNoUncleanElectionAfterReturn(t *testing.T) {
 		t.Fatal("produce must keep failing while only a stale replica is back")
 	}
 	// The frozen-ISR member returns: revival, with every acked record.
-	if err := c.Restart("node-0"); err != nil {
+	if err := c.restart("node-0"); err != nil {
 		t.Fatal(err)
 	}
-	c.Controller().Tick()
+	c.ctrl.Tick()
 	if st, _ := c.View().State(tp); st.Leader != 0 {
 		t.Fatalf("revival must elect the last in-sync member: %+v", st)
 	}
@@ -473,7 +473,7 @@ func TestClusterNoUncleanElectionAfterReturn(t *testing.T) {
 	}
 	// And the stale replica rejoins the usual way: catch up, then ISR.
 	waitUntil(t, 2*time.Second, func() bool {
-		c.Controller().Tick()
+		c.ctrl.Tick()
 		st, _ := c.View().State(tp)
 		return containsInt(st.ISR, 1)
 	}, "stale replica re-admitted after catch-up")
@@ -507,8 +507,6 @@ func TestClusterConformanceRebalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cons.Close()
-	gen0 := cons.Positions() // touch positions so assignment is live
-	_ = gen0
 
 	seen := make(map[string]int) // "partition/offset" → times consumed
 	drain := func() {
@@ -536,10 +534,10 @@ func TestClusterConformanceRebalance(t *testing.T) {
 
 	// Kill a non-coordinator node: the controller bumps every group
 	// generation so consumers notice the topology change.
-	if err := c.Crash("node-2"); err != nil {
+	if err := c.crash("node-2"); err != nil {
 		t.Fatal(err)
 	}
-	c.Controller().Tick()
+	c.ctrl.Tick()
 
 	for p := 0; p < 2; p++ {
 		for i := perPart; i < perPart+5; i++ {
@@ -580,13 +578,13 @@ func TestClusterOfflinePartitionAndRevival(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Partition 0 replicas are nodes 0 and 1; kill both.
-	if err := c.Crash("node-0"); err != nil {
+	if err := c.crash("node-0"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Crash("node-1"); err != nil {
+	if err := c.crash("node-1"); err != nil {
 		t.Fatal(err)
 	}
-	c.Controller().Tick()
+	c.ctrl.Tick()
 	v := c.View()
 	st, _ := v.State(TopicPartition{Topic: "t", Partition: 0})
 	if st.Leader != -1 {
@@ -595,10 +593,10 @@ func TestClusterOfflinePartitionAndRevival(t *testing.T) {
 	if _, err := cl.Produce("t", 0, []Record{{Value: []byte("lost-cause")}}); err == nil {
 		t.Fatal("produce to an offline partition must fail")
 	}
-	if err := c.Restart("node-1"); err != nil {
+	if err := c.restart("node-1"); err != nil {
 		t.Fatal(err)
 	}
-	c.Controller().Tick()
+	c.ctrl.Tick()
 	v = c.View()
 	st, _ = v.State(TopicPartition{Topic: "t", Partition: 0})
 	if st.Leader != 1 {
@@ -656,6 +654,6 @@ func TestClusterTopicAdminRouting(t *testing.T) {
 	}
 	waitUntil(t, 2*time.Second, func() bool {
 		_, err := n1.Broker().Partitions("t")
-		return errors.Is(err, ErrUnknownTopic)
+		return errors.Is(err, errUnknownTopic)
 	}, "topic deletion to reach followers")
 }

@@ -66,7 +66,7 @@ func (c *ClusterClient) refreshView() error {
 // refreshing once when the view does not cover the partition yet.
 func (c *ClusterClient) leaderFor(tp TopicPartition) (int, error) {
 	c.mu.RLock()
-	leader, err := c.view.Leader(tp)
+	leader, err := c.view.leader(tp)
 	c.mu.RUnlock()
 	if err == nil {
 		return leader, nil
@@ -76,7 +76,7 @@ func (c *ClusterClient) leaderFor(tp TopicPartition) (int, error) {
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	leader, err = c.view.Leader(tp)
+	leader, err = c.view.leader(tp)
 	if err != nil {
 		// Offline or unknown: retryable — a restarting replica may
 		// revive the partition within the retry budget.
@@ -121,7 +121,7 @@ func (c *ClusterClient) onLeader(tp TopicPartition, fn func(link ClusterTranspor
 
 // onCoordinator runs fn against the coordinator seat, retrying
 // transport-level failures only; broker-level verdicts (including
-// ErrRebalance, which carries a valid assignment) pass through.
+// errRebalance, which carries a valid assignment) pass through.
 func (c *ClusterClient) onCoordinator(fn func(link ClusterTransport) error) error {
 	var inner error
 	err := resilience.Run(c.retry, nil, func() error {
@@ -162,7 +162,7 @@ func (c *ClusterClient) Partitions(topic string) (int, error) {
 	defer c.mu.RUnlock()
 	states, ok = c.view.Partitions[topic]
 	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownTopic, topic)
+		return 0, fmt.Errorf("%w: %q", errUnknownTopic, topic)
 	}
 	return len(states), nil
 }
@@ -272,7 +272,7 @@ func (c *ClusterClient) LeaveGroup(group, memberID string) error {
 }
 
 // FetchAssignment implements Transport via the coordinator seat. An
-// ErrRebalance verdict passes through with its assignment so group
+// errRebalance verdict passes through with its assignment so group
 // consumers adopt it, exactly as on a single broker.
 func (c *ClusterClient) FetchAssignment(group, memberID string, generation int) (Assignment, error) {
 	var a Assignment

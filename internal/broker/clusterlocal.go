@@ -17,7 +17,7 @@ type ClusterConfig struct {
 	ReplicationFactor int
 	// Broker is the per-node log configuration (clock, metrics, network
 	// model, fault injector for produce-boundary message faults — each
-	// fires once, on the partition leader). RetentionRecords must be 0.
+	// fires once, on the partition leader).
 	Broker Config
 	// AckTimeout bounds a produce's wait for replication (default 5s).
 	AckTimeout time.Duration
@@ -55,8 +55,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		n, err := NewNode(NodeConfig{
 			ID:          i,
 			Broker:      cfg.Broker,
-			AckTimeout:  cfg.AckTimeout,
-			ReplicaPoll: cfg.ReplicaPoll,
+			ackTimeout:  cfg.AckTimeout,
+			replicaPoll: cfg.ReplicaPoll,
 		})
 		if err != nil {
 			return nil, err
@@ -117,8 +117,8 @@ func (c *Cluster) Node(id int) (*Node, error) {
 	return c.nodes[id], nil
 }
 
-// NodeByName resolves a fault-plan target like "node-1".
-func (c *Cluster) NodeByName(name string) (*Node, error) {
+// nodeByName resolves a fault-plan target like "node-1".
+func (c *Cluster) nodeByName(name string) (*Node, error) {
 	for _, n := range c.nodes {
 		if n.name == name {
 			return n, nil
@@ -127,9 +127,9 @@ func (c *Cluster) NodeByName(name string) (*Node, error) {
 	return nil, fmt.Errorf("broker: unknown cluster node %q", name)
 }
 
-// Crash kills the named node (fault-plan target form, "node-<id>").
-func (c *Cluster) Crash(name string) error {
-	n, err := c.NodeByName(name)
+// crash kills the named node (fault-plan target form, "node-<id>").
+func (c *Cluster) crash(name string) error {
+	n, err := c.nodeByName(name)
 	if err != nil {
 		return err
 	}
@@ -137,9 +137,9 @@ func (c *Cluster) Crash(name string) error {
 	return nil
 }
 
-// Restart revives the named node.
-func (c *Cluster) Restart(name string) error {
-	n, err := c.NodeByName(name)
+// restart revives the named node.
+func (c *Cluster) restart(name string) error {
+	n, err := c.nodeByName(name)
 	if err != nil {
 		return err
 	}
@@ -150,10 +150,6 @@ func (c *Cluster) Restart(name string) error {
 // View returns the controller's current authoritative metadata.
 func (c *Cluster) View() ClusterView { return c.ctrl.View() }
 
-// Controller exposes the control plane (tests drive Tick directly for
-// step-determinism).
-func (c *Cluster) Controller() *Controller { return c.ctrl }
-
 // Bind registers the cluster as the handler for the injector's
 // broker-crash / broker-restart timed events, keyed by node name: a
 // FaultPlan event with Target "node-1" kills that node at its planned
@@ -161,8 +157,8 @@ func (c *Cluster) Controller() *Controller { return c.ctrl }
 // validated the shape; a name mismatch books as a no-op, not a panic
 // mid-experiment).
 func (c *Cluster) Bind(inj *faults.Injector) {
-	inj.Handle(faults.BrokerCrash, func(e faults.Event) { _ = c.Crash(e.Target) })
-	inj.Handle(faults.BrokerRestart, func(e faults.Event) { _ = c.Restart(e.Target) })
+	inj.Handle(faults.BrokerCrash, func(e faults.Event) { _ = c.crash(e.Target) })
+	inj.Handle(faults.BrokerRestart, func(e faults.Event) { _ = c.restart(e.Target) })
 }
 
 // Close shuts down the controller and every node.

@@ -48,17 +48,13 @@ func dialPeer(t *testing.T, addr string) *broker.RemoteClient {
 }
 
 // newWireCluster stands up N served nodes wired to each other through
-// RemoteClients, with the controller (heartbeat disabled; tests call
+// RemoteClients, at brokerd's node defaults, with the controller (heartbeat disabled; tests call
 // Tick) also reaching every node over the wire.
 func newWireCluster(t *testing.T, n, rf int) *wireCluster {
 	t.Helper()
 	w := &wireCluster{}
 	for id := 0; id < n; id++ {
-		node, err := broker.NewNode(broker.NodeConfig{
-			ID:          id,
-			AckTimeout:  2 * time.Second,
-			ReplicaPoll: 200 * time.Microsecond,
-		})
+		node, err := broker.NewNode(broker.NodeConfig{ID: id})
 		if err != nil {
 			t.Fatal(err)
 		}

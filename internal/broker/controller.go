@@ -143,10 +143,12 @@ func (c *Controller) run() {
 }
 
 // View returns a copy of the current authoritative metadata.
+//
+//lint:allow deadexport clustertest's wire conformance suite reads it
 func (c *Controller) View() ClusterView {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.view.Clone()
+	return c.view.clone()
 }
 
 // CreateTopic places a topic's partitions across the cluster —
@@ -161,7 +163,7 @@ func (c *Controller) CreateTopic(name string, partitions int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return ErrClosed
+		return errClosed
 	}
 	if _, ok := c.view.Partitions[name]; ok {
 		return fmt.Errorf("%w: %q", ErrTopicExists, name)
@@ -206,10 +208,10 @@ func (c *Controller) DeleteTopic(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return ErrClosed
+		return errClosed
 	}
 	if _, ok := c.view.Partitions[name]; !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownTopic, name)
+		return fmt.Errorf("%w: %q", errUnknownTopic, name)
 	}
 	delete(c.view.Partitions, name)
 	c.view.Version++
@@ -224,6 +226,8 @@ func (c *Controller) DeleteTopic(name string) error {
 // Pings run outside c.mu (a stalled peer must not block topic admin or
 // View); transitions apply under it, in ascending node-id order, so
 // concurrent failures still resolve deterministically.
+//
+//lint:allow deadexport clustertest's wire conformance suite steps it
 func (c *Controller) Tick() {
 	c.tickMu.Lock()
 	defer c.tickMu.Unlock()
@@ -270,7 +274,7 @@ func (c *Controller) Tick() {
 		c.view.Version++
 		c.pushViewLocked()
 		if c.coordinator != nil {
-			c.coordinator.RebalanceGroups()
+			c.coordinator.rebalanceGroups()
 		}
 	}
 	if c.expandISRLocked() {
@@ -438,7 +442,7 @@ func (c *Controller) expandISRLocked() bool {
 // sweep handles the death. Caller holds c.mu.
 func (c *Controller) pushViewLocked() {
 	for _, id := range c.view.Members {
-		_ = c.peers[id].PushView(c.view.Clone())
+		_ = c.peers[id].PushView(c.view.clone())
 	}
 }
 

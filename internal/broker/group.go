@@ -50,7 +50,7 @@ func (b *Broker) group(name string) *group {
 // JoinGroup adds a member subscribing to the given topics and returns its
 // assignment. Every join bumps the group generation, invalidating
 // assignments held by other members until they rejoin (they observe
-// ErrRebalance from FetchAssignment).
+// errRebalance from FetchAssignment).
 func (b *Broker) JoinGroup(groupName string, topics []string) (Assignment, error) {
 	for _, t := range topics {
 		if _, err := b.Partitions(t); err != nil {
@@ -86,14 +86,14 @@ func (b *Broker) LeaveGroup(groupName, memberID string) error {
 		}
 	}
 	if idx == -1 {
-		return fmt.Errorf("%w: %s in group %s", ErrUnknownMember, memberID, groupName)
+		return fmt.Errorf("%w: %s in group %s", errUnknownMember, memberID, groupName)
 	}
 	g.members = append(g.members[:idx], g.members[idx+1:]...)
 	return b.rebalanceLocked(g)
 }
 
 // FetchAssignment returns the member's current assignment. If the group
-// generation moved past the member's, it returns ErrRebalance and the
+// generation moved past the member's, it returns errRebalance and the
 // member must adopt the new assignment it receives.
 func (b *Broker) FetchAssignment(groupName, memberID string, generation int) (Assignment, error) {
 	g := b.group(groupName)
@@ -101,11 +101,11 @@ func (b *Broker) FetchAssignment(groupName, memberID string, generation int) (As
 	defer b.mu.RUnlock()
 	parts, ok := g.assignment[memberID]
 	if !ok {
-		return Assignment{}, fmt.Errorf("%w: %s in group %s", ErrUnknownMember, memberID, groupName)
+		return Assignment{}, fmt.Errorf("%w: %s in group %s", errUnknownMember, memberID, groupName)
 	}
 	a := Assignment{MemberID: memberID, Generation: g.generation, Partitions: parts}
 	if generation != g.generation {
-		return a, ErrRebalance
+		return a, errRebalance
 	}
 	return a, nil
 }
@@ -150,7 +150,7 @@ func (b *Broker) rebalanceLocked(g *group) error {
 	for _, t := range topics {
 		tp, ok := b.topics[t]
 		if !ok {
-			return fmt.Errorf("%w: %q", ErrUnknownTopic, t)
+			return fmt.Errorf("%w: %q", errUnknownTopic, t)
 		}
 		n := len(tp.parts)
 		per := n / len(g.members)

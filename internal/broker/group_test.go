@@ -24,7 +24,7 @@ func TestJoinGroupAssignsAllPartitionsOnce(t *testing.T) {
 	}
 	// First member must observe the rebalance and its halved assignment.
 	na1, err := b.FetchAssignment("g", a1.MemberID, a1.Generation)
-	if !errors.Is(err, ErrRebalance) {
+	if !errors.Is(err, errRebalance) {
 		t.Fatalf("stale generation fetch: %v", err)
 	}
 	if len(na1.Partitions)+len(a2.Partitions) != 4 {
@@ -41,7 +41,7 @@ func TestJoinGroupAssignsAllPartitionsOnce(t *testing.T) {
 
 func TestJoinGroupUnknownTopic(t *testing.T) {
 	b := newTestBroker(t)
-	if _, err := b.JoinGroup("g", []string{"missing"}); !errors.Is(err, ErrUnknownTopic) {
+	if _, err := b.JoinGroup("g", []string{"missing"}); !errors.Is(err, errUnknownTopic) {
 		t.Fatalf("join with unknown topic: %v", err)
 	}
 }
@@ -60,13 +60,13 @@ func TestLeaveGroupRebalances(t *testing.T) {
 		t.Fatal(err)
 	}
 	na2, err := b.FetchAssignment("g", a2.MemberID, a2.Generation)
-	if !errors.Is(err, ErrRebalance) {
+	if !errors.Is(err, errRebalance) {
 		t.Fatalf("fetch after leave: %v", err)
 	}
 	if len(na2.Partitions) != 4 {
 		t.Fatalf("survivor owns %v, want all 4", na2.Partitions)
 	}
-	if err := b.LeaveGroup("g", a1.MemberID); !errors.Is(err, ErrUnknownMember) {
+	if err := b.LeaveGroup("g", a1.MemberID); !errors.Is(err, errUnknownMember) {
 		t.Fatalf("double leave: %v", err)
 	}
 }
@@ -182,8 +182,8 @@ func TestGroupConsumerEndToEnd(t *testing.T) {
 	if _, err := c1.Poll(1, 0, nil); err != nil {
 		t.Fatalf("poll across rebalance: %v", err)
 	}
-	if len(c1.Assignment())+len(c2.Assignment()) != 4 {
-		t.Fatalf("assignments %v + %v", c1.Assignment(), c2.Assignment())
+	if len(c1.assigned)+len(c2.assigned) != 4 {
+		t.Fatalf("assignments %v + %v", c1.assigned, c2.assigned)
 	}
 	if err := c2.Close(); err != nil {
 		t.Fatal(err)

@@ -16,21 +16,15 @@ type NodeConfig struct {
 	// is "node-<ID>".
 	ID int
 	// Broker configures the node's local log storage (topics, groups,
-	// clock, metrics). RetentionRecords must be zero: replication
-	// assumes follower logs can always resume from their own end, which
-	// head truncation would break.
+	// metrics).
 	Broker Config
-	// Peers links this node to the others, keyed by node id. In-process
-	// clusters pass the *Node values directly; brokerd passes
-	// RemoteClients.
-	Peers map[int]ClusterPeer
-	// AckTimeout bounds how long a produce waits for the high-watermark
+	// ackTimeout bounds how long a produce waits for the high-watermark
 	// to cover it before failing retryably (default 5s) — Kafka's
 	// request.timeout.ms under acks=all.
-	AckTimeout time.Duration
-	// ReplicaPoll is the follower fetch loop's idle re-poll interval
+	ackTimeout time.Duration
+	// replicaPoll is the follower fetch loop's idle re-poll interval
 	// (default 1ms, matching the cluster transports' Await).
-	ReplicaPoll time.Duration
+	replicaPoll time.Duration
 }
 
 // replicaBatch caps records per replica fetch.
@@ -127,31 +121,25 @@ type Node struct {
 
 // NewNode builds a cluster node around a fresh local Broker.
 func NewNode(cfg NodeConfig) (*Node, error) {
-	if cfg.Broker.RetentionRecords > 0 {
-		return nil, fmt.Errorf("broker: cluster nodes need RetentionRecords=0 (follower catch-up resumes from the log end)")
+	if cfg.ackTimeout <= 0 {
+		cfg.ackTimeout = 5 * time.Second
 	}
-	if cfg.AckTimeout <= 0 {
-		cfg.AckTimeout = 5 * time.Second
-	}
-	if cfg.ReplicaPoll <= 0 {
-		cfg.ReplicaPoll = time.Millisecond
+	if cfg.replicaPoll <= 0 {
+		cfg.replicaPoll = time.Millisecond
 	}
 	n := &Node{
 		id:          cfg.ID,
 		name:        fmt.Sprintf("node-%d", cfg.ID),
 		b:           New(cfg.Broker),
-		ackTimeout:  cfg.AckTimeout,
-		replicaPoll: cfg.ReplicaPoll,
+		ackTimeout:  cfg.ackTimeout,
+		replicaPoll: cfg.replicaPoll,
 		metrics:     cfg.Broker.Metrics,
 		mReplicaLag: cfg.Broker.Metrics.Gauge("broker.cluster.replica_lag"),
 		alive:       true,
 		crashed:     make(chan struct{}),
-		peers:       make(map[int]ClusterPeer, len(cfg.Peers)),
+		peers:       make(map[int]ClusterPeer),
 		parts:       make(map[TopicPartition]*replState),
 		fetchers:    make(map[TopicPartition]*fetcher),
-	}
-	for id, p := range cfg.Peers {
-		n.peers[id] = p
 	}
 	return n, nil
 }
@@ -179,9 +167,9 @@ func (n *Node) SetPeer(id int, p ClusterPeer) {
 // node 0 right after building the controller.
 func (n *Node) AttachController(c *Controller) { n.ctrl = c }
 
-// nodeDown wraps ErrNodeDown retryably with the node's name.
+// nodeDown wraps errNodeDown retryably with the node's name.
 func (n *Node) nodeDown() error {
-	return resilience.MarkRetryable(fmt.Errorf("%w: %s", ErrNodeDown, n.name))
+	return resilience.MarkRetryable(fmt.Errorf("%w: %s", errNodeDown, n.name))
 }
 
 // gate rejects calls while the node is down or closed.
@@ -189,7 +177,7 @@ func (n *Node) gate() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
-		return ErrClosed
+		return errClosed
 	}
 	if !n.alive {
 		return n.nodeDown()
@@ -215,9 +203,11 @@ func (rs *replState) notLeader(tp TopicPartition) error {
 }
 
 // Crash takes the node down: clients and peers get retryable
-// ErrNodeDown, follower fetchers stop, and produce ack waiters wake
+// errNodeDown, follower fetchers stop, and produce ack waiters wake
 // immediately instead of riding out their timers. The local log and
 // group state survive, modelling a process kill over durable storage.
+//
+//lint:allow deadexport clustertest's wire conformance suite kills nodes
 func (n *Node) Crash() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -233,6 +223,8 @@ func (n *Node) Crash() {
 // view — possibly stale — and starts follower fetchers from it; the
 // controller's next push delivers the current view, demoting (and
 // truncating) it if leadership moved while it was down.
+//
+//lint:allow deadexport clustertest's wire conformance suite revives nodes
 func (n *Node) Restart() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -289,7 +281,7 @@ func (n *Node) ClusterView() (ClusterView, error) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.view.Clone(), nil
+	return n.view.clone(), nil
 }
 
 // PushView implements ClusterPeer: the controller's metadata push.
@@ -316,7 +308,7 @@ func (n *Node) PushView(v ClusterView) error {
 			}
 		}
 	}
-	n.view = v.Clone()
+	n.view = v.clone()
 	for topic, states := range v.Partitions {
 		for p, st := range states {
 			tp := TopicPartition{Topic: topic, Partition: p}
@@ -440,7 +432,7 @@ func (n *Node) runFetcher(tp TopicPartition, target fetchTarget, stop chan struc
 			}
 			continue
 		}
-		resp, err := link.ReplicaFetch(ReplicaFetchRequest{
+		resp, err := link.ReplicaFetch(replicaFetchRequest{
 			Topic:     tp.Topic,
 			Partition: tp.Partition,
 			Offset:    end,
@@ -524,29 +516,29 @@ func (n *Node) adoptLeaderHW(tp TopicPartition, hw int64) {
 // progress (it holds everything below), which drives the high-watermark
 // derivation; the epoch check fences both directions — a stale follower
 // is refused, a newer epoch self-demotes this stale leader.
-func (n *Node) ReplicaFetch(req ReplicaFetchRequest) (ReplicaFetchResponse, error) {
+func (n *Node) ReplicaFetch(req replicaFetchRequest) (replicaFetchResponse, error) {
 	if err := n.gate(); err != nil {
-		return ReplicaFetchResponse{}, err
+		return replicaFetchResponse{}, err
 	}
 	tp := TopicPartition{Topic: req.Topic, Partition: req.Partition}
 	rs := n.state(tp)
 	if rs == nil {
-		return ReplicaFetchResponse{}, fmt.Errorf("%w: %s/%d", ErrUnknownPartition, req.Topic, req.Partition)
+		return replicaFetchResponse{}, fmt.Errorf("%w: %s/%d", errUnknownPartition, req.Topic, req.Partition)
 	}
 	localEnd, err := n.b.EndOffset(req.Topic, req.Partition)
 	if err != nil {
-		return ReplicaFetchResponse{}, err
+		return replicaFetchResponse{}, err
 	}
 	rs.mu.Lock()
 	if !rs.isLeader {
 		err := rs.notLeader(tp)
 		rs.mu.Unlock()
-		return ReplicaFetchResponse{}, err
+		return replicaFetchResponse{}, err
 	}
 	if req.Epoch < rs.epoch {
 		epoch := rs.epoch
 		rs.mu.Unlock()
-		return ReplicaFetchResponse{}, resilience.MarkRetryable(fmt.Errorf("%w: follower %d at epoch %d, leader at %d", ErrFencedEpoch, req.From, req.Epoch, epoch))
+		return replicaFetchResponse{}, resilience.MarkRetryable(fmt.Errorf("%w: follower %d at epoch %d, leader at %d", errFencedEpoch, req.From, req.Epoch, epoch))
 	}
 	if req.Epoch > rs.epoch {
 		// A follower already speaks a newer epoch: this node's
@@ -556,7 +548,7 @@ func (n *Node) ReplicaFetch(req ReplicaFetchRequest) (ReplicaFetchResponse, erro
 		rs.leader = -1
 		rs.epoch = req.Epoch
 		rs.mu.Unlock()
-		return ReplicaFetchResponse{}, resilience.MarkRetryable(fmt.Errorf("%w: leader superseded at epoch %d", ErrFencedEpoch, req.Epoch))
+		return replicaFetchResponse{}, resilience.MarkRetryable(fmt.Errorf("%w: leader superseded at epoch %d", errFencedEpoch, req.Epoch))
 	}
 	if req.Offset > rs.followerEnd[req.From] {
 		rs.followerEnd[req.From] = req.Offset
@@ -566,9 +558,9 @@ func (n *Node) ReplicaFetch(req ReplicaFetchRequest) (ReplicaFetchResponse, erro
 	rs.mu.Unlock()
 	recs, err := n.b.replicaRead(req.Topic, req.Partition, req.Offset, req.Max)
 	if err != nil {
-		return ReplicaFetchResponse{}, err
+		return replicaFetchResponse{}, err
 	}
-	return ReplicaFetchResponse{Records: recs, HW: hw, Epoch: epoch}, nil
+	return replicaFetchResponse{Records: recs, HW: hw, Epoch: epoch}, nil
 }
 
 // AdmitFollower implements ClusterPeer: the leader-side gate of ISR
@@ -585,7 +577,7 @@ func (n *Node) AdmitFollower(tp TopicPartition, follower, epoch int) (bool, erro
 	}
 	rs := n.state(tp)
 	if rs == nil {
-		return false, fmt.Errorf("%w: %s/%d", ErrUnknownPartition, tp.Topic, tp.Partition)
+		return false, fmt.Errorf("%w: %s/%d", errUnknownPartition, tp.Topic, tp.Partition)
 	}
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -669,7 +661,7 @@ func (n *Node) Produce(topic string, partition int, recs []Record) (int64, error
 		case <-crashed:
 			return 0, n.nodeDown()
 		case <-timer.C:
-			return 0, resilience.MarkRetryable(fmt.Errorf("%w: %s/%d waiting for hw %d", ErrAckTimeout, topic, partition, target))
+			return 0, resilience.MarkRetryable(fmt.Errorf("%w: %s/%d waiting for hw %d", errAckTimeout, topic, partition, target))
 		}
 	}
 }

@@ -10,8 +10,8 @@ import "time"
 
 // Record is one message in a partition log.
 type Record struct {
-	// Key routes the record to a partition when non-empty.
-	Key []byte
+	// key routes the record to a partition when non-empty.
+	key []byte
 	// Value is the payload.
 	Value []byte
 	// Timestamp is the producer-side creation time (CreateTime).

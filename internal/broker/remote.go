@@ -13,21 +13,21 @@ import (
 	"crayfish/internal/resilience"
 )
 
-// ErrUnavailable types every transport-level failure of the remote
+// errUnavailable types every transport-level failure of the remote
 // client — dial failure, connection reset, torn frame, deadline — as
-// distinct from an error the broker itself returned. ErrUnavailable
+// distinct from an error the broker itself returned. errUnavailable
 // errors are marked retryable (resilience.IsRetryable).
-var ErrUnavailable = errors.New("broker: unavailable")
+var errUnavailable = errors.New("broker: unavailable")
 
-// DefaultCallTimeout bounds one remote round trip when WithCallTimeout
+// defaultCallTimeout bounds one remote round trip when WithCallTimeout
 // is not given.
-const DefaultCallTimeout = 30 * time.Second
+const defaultCallTimeout = 30 * time.Second
 
 // RemoteClient is a Transport speaking the TCP wire protocol to a broker
 // Server. It maintains a small pool of connections; each request checks a
 // connection out for its synchronous round trip, so independent goroutines
 // proceed in parallel (a parked Await holds its connection for the wait).
-// Transport faults surface as typed, retryable ErrUnavailable errors;
+// Transport faults surface as typed, retryable errUnavailable errors;
 // WithRetry adds a retry policy on top. Note that
 // retrying a Produce after a torn response may re-append records the
 // broker already logged — delivery is at-least-once, and the output
@@ -74,12 +74,12 @@ func (c *remoteConn) watch(cancel <-chan struct{}) {
 type DialOption func(*RemoteClient)
 
 // WithCallTimeout sets the per-round-trip deadline (default
-// DefaultCallTimeout); d ≤ 0 disables deadlines entirely.
+// defaultCallTimeout); d ≤ 0 disables deadlines entirely.
 func WithCallTimeout(d time.Duration) DialOption {
 	return func(rc *RemoteClient) { rc.timeout = d }
 }
 
-// WithRetry retries transport failures (ErrUnavailable) with the given
+// WithRetry retries transport failures (errUnavailable) with the given
 // policy; errors returned by the broker itself are never retried.
 func WithRetry(r *resilience.Retry) DialOption {
 	return func(rc *RemoteClient) { rc.retry = r }
@@ -87,7 +87,7 @@ func WithRetry(r *resilience.Retry) DialOption {
 
 // Dial connects to a broker server.
 func Dial(addr string, opts ...DialOption) (*RemoteClient, error) {
-	rc := &RemoteClient{addr: addr, timeout: DefaultCallTimeout}
+	rc := &RemoteClient{addr: addr, timeout: defaultCallTimeout}
 	for _, o := range opts {
 		o(rc)
 	}
@@ -101,7 +101,7 @@ func Dial(addr string, opts ...DialOption) (*RemoteClient, error) {
 }
 
 // Close tears down the connections, those of calls in flight included:
-// such a call, which may be parked at the broker, returns ErrClosed.
+// such a call, which may be parked at the broker, returns errClosed.
 func (rc *RemoteClient) Close() error {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
@@ -120,7 +120,7 @@ func (rc *RemoteClient) checkout() (*remoteConn, error) {
 	rc.mu.Lock()
 	if rc.closed {
 		rc.mu.Unlock()
-		return nil, ErrClosed
+		return nil, errClosed
 	}
 	if n := len(rc.idle); n > 0 {
 		c := rc.idle[n-1]
@@ -140,14 +140,14 @@ func (rc *RemoteClient) checkout() (*remoteConn, error) {
 	}
 	conn, err := net.DialTimeout("tcp", rc.addr, dialTimeout)
 	if err != nil {
-		return nil, resilience.MarkRetryable(fmt.Errorf("broker: dial %s: %w: %w", rc.addr, ErrUnavailable, err))
+		return nil, resilience.MarkRetryable(fmt.Errorf("broker: dial %s: %w: %w", rc.addr, errUnavailable, err))
 	}
 	c := &remoteConn{c: conn, br: bufio.NewReaderSize(conn, 64<<10), watched: make(chan bool)}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if rc.closed {
 		conn.Close()
-		return nil, ErrClosed
+		return nil, errClosed
 	}
 	rc.busy = append(rc.busy, c)
 	return c, nil
@@ -202,7 +202,7 @@ func (rc *RemoteClient) checkin(c *remoteConn) {
 // connection's scratch; dec decodes a binary response frame (nil when
 // only a control response is expected) and may keep slices of the
 // payload it is given only when that payload can hold a record
-// (readFrame). Transport faults (typed ErrUnavailable, retryable) are
+// (readFrame). Transport faults (typed errUnavailable, retryable) are
 // retried; an error the broker itself returned proves it is up, so it is
 // not retried and comes back with the control response that carried it.
 func (rc *RemoteClient) roundTrip(enc func(b []byte) []byte, dec func(tag byte, payload []byte) error) (*wireResponse, error) {
@@ -249,14 +249,14 @@ func (rc *RemoteClient) callDecoding(req *wireRequest, dec func(tag byte, payloa
 }
 
 // decodeWireError reconstructs the typed error a broker or cluster node
-// encoded into resp: ErrRebalance and NotLeaderError keep their errors.Is
+// encoded into resp: errRebalance and NotLeaderError keep their errors.Is
 // / errors.As identity, and Retryable restores the resilience marking so
 // cluster clients re-route across the wire exactly as in-process.
 func decodeWireError(resp *wireResponse) error {
 	var err error
 	switch {
 	case resp.Rebalance:
-		err = ErrRebalance
+		err = errRebalance
 	case resp.NotLeader != nil:
 		err = &NotLeaderError{
 			TP:     TopicPartition{Topic: resp.NotLeader.Topic, Partition: resp.NotLeader.Partition},
@@ -303,7 +303,7 @@ func (rc *RemoteClient) once(enc func(b []byte) []byte, dec func(tag byte, paylo
 		// The broker will still answer, to nobody: the connection cannot
 		// carry another exchange.
 		if rc.discard(conn) {
-			return nil, ErrClosed
+			return nil, errClosed
 		}
 		return nil, nil
 	}
@@ -336,13 +336,13 @@ func (rc *RemoteClient) once(enc func(b []byte) []byte, dec func(tag byte, paylo
 }
 
 // fault closes a connection that failed mid-exchange and types the
-// failure as a retryable ErrUnavailable — unless Close is what failed it.
+// failure as a retryable errUnavailable — unless Close is what failed it.
 func (rc *RemoteClient) fault(conn *remoteConn, during string, err error) error {
 	if rc.discard(conn) {
-		return ErrClosed
+		return errClosed
 	}
 	rc.flushIdle()
-	return resilience.MarkRetryable(fmt.Errorf("broker: %s: %w: %w", during, ErrUnavailable, err))
+	return resilience.MarkRetryable(fmt.Errorf("broker: %s: %w: %w", during, errUnavailable, err))
 }
 
 // CreateTopic implements Transport.
@@ -494,8 +494,8 @@ func (rc *RemoteClient) PushView(v ClusterView) error {
 
 // ReplicaFetch implements ClusterPeer: a follower pulls records from
 // the remote leader.
-func (rc *RemoteClient) ReplicaFetch(req ReplicaFetchRequest) (ReplicaFetchResponse, error) {
-	var r ReplicaFetchResponse
+func (rc *RemoteClient) ReplicaFetch(req replicaFetchRequest) (replicaFetchResponse, error) {
+	var r replicaFetchResponse
 	_, err := rc.callDecoding(&wireRequest{
 		Op:        "replica_fetch",
 		Topic:     req.Topic,
@@ -509,7 +509,7 @@ func (rc *RemoteClient) ReplicaFetch(req ReplicaFetchRequest) (ReplicaFetchRespo
 		return err
 	})
 	if err != nil {
-		return ReplicaFetchResponse{}, err
+		return replicaFetchResponse{}, err
 	}
 	return r, nil
 }

@@ -77,7 +77,7 @@ type wireNotLeader struct {
 
 // wireResponse is the server -> client control document. Retryable
 // preserves the resilience marking across the wire the way Rebalance
-// preserves ErrRebalance; NotLeader/View serve the cluster ops.
+// preserves errRebalance; NotLeader/View serve the cluster ops.
 type wireResponse struct {
 	Err        string         `json:"err,omitempty"`
 	Rebalance  bool           `json:"rebalance,omitempty"`
@@ -316,7 +316,7 @@ func (c *serverConn) fail(opErr error) error {
 // NotLeader re-route hint.
 func failResp(resp *wireResponse, err error) *wireResponse {
 	resp.Err = err.Error()
-	resp.Rebalance = errors.Is(err, ErrRebalance)
+	resp.Rebalance = errors.Is(err, errRebalance)
 	resp.Retryable = resilience.IsRetryable(err)
 	var nl *NotLeaderError
 	if errors.As(err, &nl) {
@@ -429,8 +429,8 @@ func (h nodeHandler) control(req *wireRequest, out []byte) ([]byte, error) {
 		resp.Admitted, err = h.AdmitFollower(TopicPartition{Topic: req.Topic, Partition: req.Partition}, req.From, req.Epoch)
 	case "replica_fetch":
 		// The one control op answered with a records frame.
-		var r ReplicaFetchResponse
-		r, err = h.ReplicaFetch(ReplicaFetchRequest{
+		var r replicaFetchResponse
+		r, err = h.ReplicaFetch(replicaFetchRequest{
 			Topic:     req.Topic,
 			Partition: req.Partition,
 			Offset:    req.Offset,

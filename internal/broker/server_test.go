@@ -36,7 +36,7 @@ func TestRemoteProduceFetch(t *testing.T) {
 		t.Fatalf("Partitions = %d, %v", n, err)
 	}
 	ts := time.Now().Add(-time.Minute).Truncate(time.Millisecond)
-	off, err := rc.Produce("t", 1, []Record{{Key: []byte("k"), Value: []byte("hello"), Timestamp: ts}})
+	off, err := rc.Produce("t", 1, []Record{{key: []byte("k"), Value: []byte("hello"), Timestamp: ts}})
 	if err != nil || off != 0 {
 		t.Fatalf("Produce = %d, %v", off, err)
 	}
@@ -44,7 +44,7 @@ func TestRemoteProduceFetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || string(recs[0].Value) != "hello" || string(recs[0].Key) != "k" {
+	if len(recs) != 1 || string(recs[0].Value) != "hello" || string(recs[0].key) != "k" {
 		t.Fatalf("Fetch = %+v", recs)
 	}
 	if !recs[0].Timestamp.Equal(ts) {
@@ -91,9 +91,9 @@ func TestRemoteGroupLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Stale generation surfaces as ErrRebalance with the new assignment.
+	// Stale generation surfaces as errRebalance with the new assignment.
 	na1, err := rc.FetchAssignment("g", a1.MemberID, a1.Generation)
-	if !errors.Is(err, ErrRebalance) {
+	if !errors.Is(err, errRebalance) {
 		t.Fatalf("stale fetch: %v", err)
 	}
 	if len(na1.Partitions)+len(a2.Partitions) != 4 {
@@ -181,7 +181,7 @@ func TestClosedRemoteClient(t *testing.T) {
 	if err := rc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rc.Partitions("t"); !errors.Is(err, ErrClosed) {
+	if _, err := rc.Partitions("t"); !errors.Is(err, errClosed) {
 		t.Fatalf("call after close: %v", err)
 	}
 }
@@ -229,7 +229,7 @@ func TestRemoteIncompleteResponses(t *testing.T) {
 	}
 	// An op answered in binary takes a control response only as its
 	// failure: one without an error is a broken peer, not offset 0.
-	if off, err := rc.Produce("t", 0, []Record{{Value: []byte("v")}}); !errors.Is(err, ErrUnavailable) {
+	if off, err := rc.Produce("t", 0, []Record{{Value: []byte("v")}}); !errors.Is(err, errUnavailable) {
 		t.Fatalf("Produce = %d, %v, want ErrUnavailable", off, err)
 	}
 }

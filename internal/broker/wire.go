@@ -32,7 +32,7 @@ const (
 	// tag and the payload.
 	frameHeader = 4
 	// maxFrameSize bounds a single wire frame: one 50 MB record (the
-	// MaxRequestSize the paper raises Kafka to) with room to spare.
+	// maxRequestSize the paper raises Kafka to) with room to spare.
 	maxFrameSize = 96 << 20
 	// readChunk is the most readFrame allocates beyond twice the bytes
 	// of a body that have actually arrived, so a header alone cannot
@@ -59,7 +59,7 @@ const (
 
 var (
 	errMalformedFrame = errors.New("broker: malformed frame")
-	errFrameTooLarge  = fmt.Errorf("%w: frame exceeds %d bytes", ErrMessageTooLarge, maxFrameSize)
+	errFrameTooLarge  = fmt.Errorf("%w: frame exceeds %d bytes", errMessageTooLarge, maxFrameSize)
 )
 
 // readFrame reads one frame and returns its tag and payload. The
@@ -171,7 +171,7 @@ func appendRecords(b []byte, recs []Record) []byte {
 		b = appendInt(b, r.Offset)
 		b = appendTime(b, r.Timestamp)
 		b = appendTime(b, r.AppendTime)
-		b = appendBytes(b, r.Key)
+		b = appendBytes(b, r.key)
 		b = appendBytes(b, r.Value)
 	}
 	return b
@@ -181,7 +181,7 @@ func appendRecords(b []byte, recs []Record) []byte {
 func recordsWireMax(recs []Record) int {
 	n := binary.MaxVarintLen64
 	for i := range recs {
-		n += maxRecordOverhead + len(recs[i].Key) + len(recs[i].Value)
+		n += maxRecordOverhead + len(recs[i].key) + len(recs[i].Value)
 	}
 	return n
 }
@@ -234,7 +234,7 @@ func appendRecordsFrame(b []byte, hw int64, epoch int, recs []Record) []byte {
 	size := 1 + 2*binary.MaxVarintLen64 + recordsWireMax(recs)
 	for size > maxFrameSize && len(recs) > 1 {
 		last := &recs[len(recs)-1]
-		size -= maxRecordOverhead + len(last.Key) + len(last.Value)
+		size -= maxRecordOverhead + len(last.key) + len(last.Value)
 		recs = recs[:len(recs)-1]
 	}
 	b = slices.Grow(beginFrame(b, tagRecords), size)
@@ -343,7 +343,7 @@ func (r *wireReader) records(out []Record) []Record {
 		rec.Offset = r.int64()
 		rec.Timestamp = r.time()
 		rec.AppendTime = r.time()
-		rec.Key = r.bytes()
+		rec.key = r.bytes()
 		rec.Value = r.bytes()
 		out = append(out, rec)
 	}

@@ -42,13 +42,13 @@ func sameRecords(t *testing.T, got, want []Record) {
 		if !sameTime(g.Timestamp, w.Timestamp) || !sameTime(g.AppendTime, w.AppendTime) {
 			t.Fatalf("record %d times %v / %v, want %v / %v", i, g.Timestamp, g.AppendTime, w.Timestamp, w.AppendTime)
 		}
-		if !bytes.Equal(g.Key, w.Key) || !bytes.Equal(g.Value, w.Value) {
+		if !bytes.Equal(g.key, w.key) || !bytes.Equal(g.Value, w.Value) {
 			t.Fatalf("record %d key/value differ", i)
 		}
-		if (len(w.Key) == 0 && g.Key != nil) || (len(w.Value) == 0 && g.Value != nil) {
+		if (len(w.key) == 0 && g.key != nil) || (len(w.Value) == 0 && g.Value != nil) {
 			t.Fatalf("record %d: zero-length key/value decoded non-nil", i)
 		}
-		if cap(g.Key) != len(g.Key) || cap(g.Value) != len(g.Value) {
+		if cap(g.key) != len(g.key) || cap(g.Value) != len(g.Value) {
 			t.Fatalf("record %d: an append to its key or value could reach the next field", i)
 		}
 	}
@@ -94,7 +94,7 @@ func randomRecords(r *rand.Rand, n int) []Record {
 	recs := make([]Record, n)
 	for i := range recs {
 		recs[i] = Record{
-			Key: someBytes(), Value: someBytes(),
+			key: someBytes(), Value: someBytes(),
 			Timestamp: someTime(), AppendTime: someTime(),
 			Partition: int(someInt()), Offset: someInt(),
 		}
@@ -109,7 +109,7 @@ func TestWireFramesRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	for iter := 0; iter < 300; iter++ {
 		recs := randomRecords(r, r.Intn(6))
-		topic := string(randomRecords(r, 1)[0].Key)
+		topic := string(randomRecords(r, 1)[0].key)
 		partition, hw, epoch := int(r.Int63()), r.Int63(), int(r.Int31())
 		if iter%7 == 0 {
 			partition, hw = -3, -1
@@ -201,7 +201,7 @@ func TestWireDecodersAppend(t *testing.T) {
 // lengths the bytes remaining cannot hold are all refused — the last
 // without sizing anything by the claimed count.
 func TestWireRejectsMalformed(t *testing.T) {
-	recs := []Record{{Key: []byte("k"), Value: []byte("value"), Timestamp: time.Unix(1, 2), Partition: 3, Offset: 4}, {Value: []byte("v")}}
+	recs := []Record{{key: []byte("k"), Value: []byte("value"), Timestamp: time.Unix(1, 2), Partition: 3, Offset: 4}, {Value: []byte("v")}}
 	produce := payloadOf(appendProduceFrame(nil, "topic", 1, recs))
 	records := payloadOf(appendRecordsFrame(nil, 9, 2, recs))
 	fetch := payloadOf(appendFetchFrame(nil, "topic", []FetchRequest{{Partition: 1, Offset: 2}, {Partition: 3}}, 16))
@@ -288,7 +288,7 @@ func TestWireErrorResponses(t *testing.T) {
 		return decodeWireError(&resp)
 	}
 
-	if err := roundTrip(ErrRebalance); !errors.Is(err, ErrRebalance) || resilience.IsRetryable(err) {
+	if err := roundTrip(errRebalance); !errors.Is(err, errRebalance) || resilience.IsRetryable(err) {
 		t.Errorf("rebalance came back as %v", err)
 	}
 	sent := &NotLeaderError{TP: TopicPartition{Topic: "t", Partition: 2}, Leader: 1, Epoch: 7}
@@ -300,7 +300,7 @@ func TestWireErrorResponses(t *testing.T) {
 		t.Errorf("retryable came back as %v", err)
 	}
 	plain := errors.New("broker: unknown topic: \"x\"")
-	if err := roundTrip(plain); err.Error() != plain.Error() || resilience.IsRetryable(err) || errors.Is(err, ErrRebalance) {
+	if err := roundTrip(plain); err.Error() != plain.Error() || resilience.IsRetryable(err) || errors.Is(err, errRebalance) {
 		t.Errorf("plain error came back as %v", err)
 	}
 }
@@ -369,7 +369,7 @@ func TestRecordsFrameStopsAtTheFrameLimit(t *testing.T) {
 	// One record alone always goes, whatever its size — refusing it
 	// would stall the reader for good — and writeFrame is where a frame
 	// past the limit fails, typed.
-	if err := writeFrame(io.Discard, make([]byte, frameHeader+maxFrameSize+1)); !errors.Is(err, ErrMessageTooLarge) {
+	if err := writeFrame(io.Discard, make([]byte, frameHeader+maxFrameSize+1)); !errors.Is(err, errMessageTooLarge) {
 		t.Fatalf("oversized frame: %v", err)
 	}
 }
@@ -510,10 +510,11 @@ func BenchmarkWireFrameDecode(b *testing.B) {
 
 // BenchmarkRemoteProduceFetch is one 16-record produce and the fetch
 // that reads it back, over loopback TCP against a served broker; a
-// sixteenth of it is booked as broker_tcp_rt_us_per_rec. The log keeps
-// its last 256 records, so a long run does not hold every frame.
+// sixteenth of it is booked as broker_tcp_rt_us_per_rec. The topic is
+// recreated, off the clock, every 256 records, so a long run does not
+// hold every frame.
 func BenchmarkRemoteProduceFetch(b *testing.B) {
-	br := New(Config{RetentionRecords: 256})
+	br := New(DefaultConfig())
 	srv, err := Serve(br, "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -532,6 +533,16 @@ func BenchmarkRemoteProduceFetch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if i > 0 && i%16 == 0 {
+			b.StopTimer()
+			if err := rc.DeleteTopic("t"); err != nil {
+				b.Fatal(err)
+			}
+			if err := rc.CreateTopic("t", 1); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
 		base, err := rc.Produce("t", 0, recs)
 		if err != nil {
 			b.Fatal(err)

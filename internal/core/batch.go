@@ -121,10 +121,10 @@ type JSONCodec struct{}
 func (JSONCodec) Name() string { return "json" }
 
 // Marshal implements BatchCodec.
-func (JSONCodec) Marshal(b *DataBatch) ([]byte, error) { return MarshalJSONBatch(b) }
+func (JSONCodec) Marshal(b *DataBatch) ([]byte, error) { return marshalJSONBatch(b) }
 
 // Unmarshal implements BatchCodec.
-func (JSONCodec) Unmarshal(data []byte) (*DataBatch, error) { return UnmarshalJSONBatch(data) }
+func (JSONCodec) Unmarshal(data []byte) (*DataBatch, error) { return unmarshalJSONBatch(data) }
 
 // BinaryCodec is the compact little-endian codec used by the
 // serialisation-overhead ablation bench.
@@ -157,7 +157,7 @@ func (BinaryCodec) Marshal(b *DataBatch) ([]byte, error) {
 }
 
 // Unmarshal implements BatchCodec. The batch borrows data as
-// UnmarshalJSONBatch's does.
+// unmarshalJSONBatch's does.
 func (BinaryCodec) Unmarshal(data []byte) (*DataBatch, error) {
 	b := new(DataBatch)
 	nIn, nOut, err := binaryHeader(data, b)

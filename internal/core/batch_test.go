@@ -84,10 +84,10 @@ func TestBinaryCodecRoundTripProperty(t *testing.T) {
 }
 
 func TestUnmarshalRejectsMalformed(t *testing.T) {
-	if _, err := UnmarshalJSONBatch([]byte("{not json")); err == nil {
+	if _, err := unmarshalJSONBatch([]byte("{not json")); err == nil {
 		t.Fatal("bad JSON accepted")
 	}
-	if _, err := UnmarshalJSONBatch([]byte(`{"id":1,"count":0}`)); err == nil {
+	if _, err := unmarshalJSONBatch([]byte(`{"id":1,"count":0}`)); err == nil {
 		t.Fatal("zero count accepted")
 	}
 	bc := BinaryCodec{}
@@ -125,7 +125,7 @@ func TestBinarySmallerThanJSON(t *testing.T) {
 // The tests below hold the specialised JSON codec to encoding/json, the
 // oracle: identical bytes out, identical accept/reject set and values in.
 
-// oracleUnmarshalJSON is UnmarshalJSONBatch with encoding/json alone.
+// oracleUnmarshalJSON is unmarshalJSONBatch with encoding/json alone.
 func oracleUnmarshalJSON(data []byte) (*DataBatch, error) {
 	var b DataBatch
 	if err := json.Unmarshal(data, &b); err != nil {
@@ -160,7 +160,7 @@ func sameFloats(a, b []float32) bool {
 func checkAgainstOracle(t *testing.T, b *DataBatch) {
 	t.Helper()
 	want, wantErr := json.Marshal(b)
-	got, gotErr := MarshalJSONBatch(b)
+	got, gotErr := marshalJSONBatch(b)
 	if (wantErr == nil) != (gotErr == nil) || wantErr != nil && wantErr.Error() != gotErr.Error() {
 		t.Fatalf("marshal error %v, encoding/json %v", gotErr, wantErr)
 	}
@@ -180,7 +180,7 @@ func checkAgainstOracle(t *testing.T, b *DataBatch) {
 	}
 	// The operator's round: what was decoded from these bytes, scored,
 	// goes out as json.Marshal would write it.
-	dec, err := UnmarshalJSONBatch(got)
+	dec, err := unmarshalJSONBatch(got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func checkAgainstOracle(t *testing.T, b *DataBatch) {
 	scored.Predictions = []float32{0.25, -3e-9}
 	dec.Predictions = scored.Predictions
 	want, _ = json.Marshal(&scored)
-	if got, err = MarshalJSONBatch(dec); err != nil || !bytes.Equal(got, want) {
+	if got, err = marshalJSONBatch(dec); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("re-marshal of a decoded batch differs from encoding/json (err %v): %.60q vs %.60q", err, got, want)
 	}
 }
@@ -200,7 +200,7 @@ func checkAgainstOracle(t *testing.T, b *DataBatch) {
 func checkDecodeAgainstOracle(t *testing.T, data []byte) {
 	t.Helper()
 	want, wantErr := oracleUnmarshalJSON(data)
-	got, gotErr := UnmarshalJSONBatch(data)
+	got, gotErr := unmarshalJSONBatch(data)
 	if (wantErr == nil) != (gotErr == nil) || wantErr != nil && wantErr.Error() != gotErr.Error() {
 		t.Fatalf("unmarshal %.80q: error %v, encoding/json %v", data, gotErr, wantErr)
 	}
@@ -217,7 +217,7 @@ func checkDecodeAgainstOracle(t *testing.T, data []byte) {
 	if id != want.ID || created != want.CreatedNanos {
 		t.Fatalf("stamp %.80q: id %d created_ns %d, encoding/json %d %d", data, id, created, want.ID, want.CreatedNanos)
 	}
-	enc, err := MarshalJSONBatch(got)
+	enc, err := marshalJSONBatch(got)
 	if err != nil {
 		t.Fatalf("re-marshal of %.80q: %v", data, err)
 	}
@@ -297,13 +297,13 @@ func ffnnRecord() *DataBatch {
 
 func TestJSONCodecCanonicalFastPath(t *testing.T) {
 	b := ffnnRecord()
-	data, err := MarshalJSONBatch(b)
+	data, err := marshalJSONBatch(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// What the encoder writes, the decoder reads without the oracle.
 	for _, rec := range []*DataBatch{b, {Count: 1, Inputs: []float32{}}, {ID: -1, Count: 2, Inputs: []float32{-0.0, 1e-7}}} {
-		enc, err := MarshalJSONBatch(rec)
+		enc, err := marshalJSONBatch(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,11 +314,11 @@ func TestJSONCodecCanonicalFastPath(t *testing.T) {
 	if raceEnabled {
 		return // -race makes sync.Pool drop buffers and adds allocations
 	}
-	if n := testing.AllocsPerRun(100, func() { _, _ = MarshalJSONBatch(b) }); n != 1 {
+	if n := testing.AllocsPerRun(100, func() { _, _ = marshalJSONBatch(b) }); n != 1 {
 		t.Fatalf("Marshal allocates %v times per record, want 1", n)
 	}
 	// The batch and its two slices.
-	if n := testing.AllocsPerRun(100, func() { _, _ = UnmarshalJSONBatch(data) }); n > 3 {
+	if n := testing.AllocsPerRun(100, func() { _, _ = unmarshalJSONBatch(data) }); n > 3 {
 		t.Fatalf("canonical Unmarshal allocates %v times per record, want <= 3", n)
 	}
 	// The operator's encode: the retained inputs are copied, not formatted.
@@ -370,7 +370,7 @@ func TestReencodeDecodedBatch(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			b, err := UnmarshalJSONBatch([]byte(tc.rec))
+			b, err := unmarshalJSONBatch([]byte(tc.rec))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -381,7 +381,7 @@ func TestReencodeDecodedBatch(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			got, err := MarshalJSONBatch(b)
+			got, err := marshalJSONBatch(b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -389,7 +389,7 @@ func TestReencodeDecodedBatch(t *testing.T) {
 				t.Fatalf("got  %s\nwant %s", got, want)
 			}
 			// Whatever the spelling, the same float32 values.
-			again, err := UnmarshalJSONBatch(got)
+			again, err := unmarshalJSONBatch(got)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -484,7 +484,7 @@ func TestStamp(t *testing.T) {
 	}
 	// A codec stamp does not know decodes in full: the harness's wrapper
 	// needs the whole batch for its output check.
-	rec, err := MarshalJSONBatch(b)
+	rec, err := marshalJSONBatch(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -668,7 +668,7 @@ func BenchmarkJSONCodecMarshal(b *testing.B) {
 	b.Run("codec", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			benchBytes, _ = MarshalJSONBatch(rec)
+			benchBytes, _ = marshalJSONBatch(rec)
 		}
 	})
 	b.Run("encodingjson", func(b *testing.B) {
@@ -680,14 +680,14 @@ func BenchmarkJSONCodecMarshal(b *testing.B) {
 }
 
 func BenchmarkJSONCodecUnmarshal(b *testing.B) {
-	data, err := MarshalJSONBatch(ffnnRecord())
+	data, err := marshalJSONBatch(ffnnRecord())
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("codec", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			benchBatch, _ = UnmarshalJSONBatch(data)
+			benchBatch, _ = unmarshalJSONBatch(data)
 		}
 	})
 	b.Run("encodingjson", func(b *testing.B) {
@@ -703,18 +703,18 @@ func BenchmarkJSONCodecUnmarshal(b *testing.B) {
 // json.Marshal of the same scored record.
 func BenchmarkJSONCodecRescore(b *testing.B) {
 	rec := ffnnRecord()
-	data, err := MarshalJSONBatch(rec)
+	data, err := marshalJSONBatch(rec)
 	if err != nil {
 		b.Fatal(err)
 	}
-	dec, err := UnmarshalJSONBatch(data)
+	dec, err := unmarshalJSONBatch(data)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("codec", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			benchBytes, _ = MarshalJSONBatch(dec)
+			benchBytes, _ = marshalJSONBatch(dec)
 		}
 	})
 	b.Run("encodingjson", func(b *testing.B) {
@@ -728,7 +728,7 @@ func BenchmarkJSONCodecRescore(b *testing.B) {
 // BenchmarkJSONCodecStamp is the output consumer's read of one scored
 // record; the twin is the full decode it replaced, through the oracle.
 func BenchmarkJSONCodecStamp(b *testing.B) {
-	data, err := MarshalJSONBatch(ffnnRecord())
+	data, err := marshalJSONBatch(ffnnRecord())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -34,8 +34,8 @@ var jsonScratch = sync.Pool{New: func() any {
 	return &buf
 }}
 
-// MarshalJSONBatch serialises the batch with the pipeline's default codec.
-func MarshalJSONBatch(b *DataBatch) ([]byte, error) {
+// marshalJSONBatch serialises the batch with the pipeline's default codec.
+func marshalJSONBatch(b *DataBatch) ([]byte, error) {
 	scratch := jsonScratch.Get().(*[]byte)
 	buf, finite := appendJSONBatch((*scratch)[:0], b)
 	var out []byte
@@ -106,13 +106,13 @@ func appendJSONFloats(buf []byte, vals []float32) ([]byte, bool) {
 	return append(buf, ']'), true
 }
 
-// UnmarshalJSONBatch parses a batch serialised by MarshalJSONBatch. The
-// batch borrows data: MarshalJSONBatch of it copies the bytes of
+// unmarshalJSONBatch parses a batch serialised by marshalJSONBatch. The
+// batch borrows data: marshalJSONBatch of it copies the bytes of
 // "inputs" out of data, so data must stay unchanged while the batch is
 // in use (Inputs itself is a fresh slice, and Score's scratch). Header
 // fields and Predictions edited after the decode are always honoured; to
 // re-encode different inputs assign Inputs a new slice.
-func UnmarshalJSONBatch(data []byte) (*DataBatch, error) {
+func unmarshalJSONBatch(data []byte) (*DataBatch, error) {
 	b := new(DataBatch)
 	if !decodeCanonicalJSON(data, b) {
 		*b = DataBatch{}
@@ -127,7 +127,7 @@ func UnmarshalJSONBatch(data []byte) (*DataBatch, error) {
 }
 
 // decodeCanonicalJSON decodes data into b if data is exactly the layout
-// MarshalJSONBatch writes: the five keys in declaration order, no
+// marshalJSONBatch writes: the five keys in declaration order, no
 // whitespace, "inputs" an array, "predictions" present or absent. It
 // reports false — leaving b partly written — for anything else,
 // including input json.Unmarshal would also accept (reordered keys,
@@ -160,7 +160,7 @@ func decodeCanonicalJSON(data []byte, b *DataBatch) bool {
 // vouch for — anything decodeCanonicalJSON would refuse, a count the
 // full decode rejects, and a number that could overflow a float32 (an
 // exponent, or 39 or more integer digits; 38 nines are below
-// math.MaxFloat32). The caller then runs UnmarshalJSONBatch, whose
+// math.MaxFloat32). The caller then runs unmarshalJSONBatch, whose
 // verdict and error text it is.
 func stampJSON(data []byte) (id, createdNanos int64, ok bool) {
 	var count int64

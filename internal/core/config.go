@@ -28,23 +28,23 @@ type Workload struct {
 	// MaxEvents optionally bounds generated events (the paper's 1M
 	// measurements); zero means unbounded.
 	MaxEvents int
-	// ProducerBatch is the Kafka-producer-style send batch: up to this
-	// many pending events go to the broker in one call. Events flush
-	// immediately whenever the generator would otherwise wait for the
-	// next due time (linger.ms = 0), so low-rate latency measurements
-	// are unaffected. Zero means 64.
-	ProducerBatch int
 	// Seed drives the synthetic data generator.
 	Seed int64
 	// DatasetPath, when set, feeds the producer from a real dataset
-	// file (WriteDataset format) instead of the synthetic generator —
-	// §3.1's second input option. The dataset's point length must match
-	// InputShape; streams cycle through finite datasets.
+	// file (the format dataset.go documents) instead of the synthetic
+	// generator — §3.1's second input option. The dataset's point length
+	// must match InputShape; streams cycle through finite datasets.
 	DatasetPath string
+	// producerBatch is the Kafka-producer-style send batch: up to this
+	// many pending events go to the broker in one call. Events flush
+	// immediately whenever the generator would otherwise wait for the
+	// next due time (linger.ms = 0), so low-rate latency measurements
+	// are unaffected. Zero means 64; closed-loop scenarios send one.
+	producerBatch int
 }
 
-// PointLen returns the flattened length of one data point.
-func (w *Workload) PointLen() int {
+// pointLen returns the flattened length of one data point.
+func (w *Workload) pointLen() int {
 	n := 1
 	for _, d := range w.InputShape {
 		n *= d
@@ -54,7 +54,7 @@ func (w *Workload) PointLen() int {
 
 // Validate checks and defaults the workload.
 func (w *Workload) Validate() error {
-	if len(w.InputShape) == 0 || w.PointLen() <= 0 {
+	if len(w.InputShape) == 0 || w.pointLen() <= 0 {
 		return fmt.Errorf("core: workload needs a non-empty input shape, got %v", w.InputShape)
 	}
 	if w.BatchSize <= 0 {
@@ -71,9 +71,9 @@ func (w *Workload) Validate() error {
 	return nil
 }
 
-// LoadPolicy is the workload's arrival policy: Load, or saturation when
+// loadPolicy is the workload's arrival policy: Load, or saturation when
 // none is set.
-func (w *Workload) LoadPolicy() loadgen.Policy {
+func (w *Workload) loadPolicy() loadgen.Policy {
 	if w.Load != nil {
 		return *w.Load
 	}

@@ -39,7 +39,7 @@ type OutputConsumer struct {
 	samples []Sample
 	decoded map[int64]bool
 	dupes   int
-	// changed is non-nil while a WaitForCount caller is blocked; the next
+	// changed is non-nil while a waitForCount caller is blocked; the next
 	// sample closes and clears it, so open-loop runs, which never wait,
 	// pay nothing per sample.
 	changed chan struct{}
@@ -142,10 +142,10 @@ func (oc *OutputConsumer) SampleCount() int {
 	return len(oc.samples)
 }
 
-// WaitForCount blocks until at least n samples were recorded or the
+// waitForCount blocks until at least n samples were recorded or the
 // deadline passes, reporting whether the count was reached. It backs the
 // closed-loop scenarios' issue-on-completion gate.
-func (oc *OutputConsumer) WaitForCount(n int, deadline time.Time) bool {
+func (oc *OutputConsumer) waitForCount(n int, deadline time.Time) bool {
 	for {
 		oc.mu.Lock()
 		have := len(oc.samples)
@@ -174,7 +174,7 @@ func (oc *OutputConsumer) WaitForCount(n int, deadline time.Time) bool {
 // waitForSamples polls until n samples were recorded or the deadline
 // passes, reporting whether the count was reached: the runners' drain
 // wait. It polls SampleCount every millisecond rather than blocking in
-// WaitForCount, whose wake-up per sample costs more than the poll.
+// waitForCount, whose wake-up per sample costs more than the poll.
 func (oc *OutputConsumer) waitForSamples(n int, deadline time.Time) bool {
 	for time.Now().Before(deadline) {
 		if oc.SampleCount() >= n {

@@ -22,7 +22,7 @@ func newTestConsumer(t *testing.T) *OutputConsumer {
 	return oc
 }
 
-// An open-loop run never calls WaitForCount, so recording a sample must
+// An open-loop run never calls waitForCount, so recording a sample must
 // not make (or close) a wake-up channel: amortised, it allocates nothing.
 func TestConsumerRecordAllocatesNoChannelWithoutWaiter(t *testing.T) {
 	oc := newTestConsumer(t)
@@ -40,18 +40,18 @@ func TestConsumerRecordAllocatesNoChannelWithoutWaiter(t *testing.T) {
 	}
 }
 
-// Every WaitForCount races one record: a wake-up lost between reading
+// Every waitForCount races one record: a wake-up lost between reading
 // the count and registering the channel would sit out the deadline.
 func TestConsumerWaitForCountNeverMissesAWakeUp(t *testing.T) {
 	oc := newTestConsumer(t)
 	end := time.Now()
 	for k := 1; k <= 2000; k++ {
 		go oc.record(int64(k), 1, end)
-		if !oc.WaitForCount(k, time.Now().Add(5*time.Second)) {
+		if !oc.waitForCount(k, time.Now().Add(5*time.Second)) {
 			t.Fatalf("sample %d recorded but WaitForCount timed out", k)
 		}
 	}
-	if oc.WaitForCount(2001, time.Now().Add(time.Millisecond)) {
+	if oc.waitForCount(2001, time.Now().Add(time.Millisecond)) {
 		t.Fatal("WaitForCount reported a sample nobody recorded")
 	}
 }
@@ -78,20 +78,24 @@ func TestDrainWaitDoesNotCopySamples(t *testing.T) {
 	}
 }
 
-// holdingScorer is a NoopScorer whose last call runs hold before it
-// returns, keeping the run in its drain wait for as long as hold takes.
+// holdingScorer scores four inputs into one constant output without
+// compute; its last call runs hold before it returns, keeping the run in
+// its drain wait for as long as hold takes.
 type holdingScorer struct {
-	NoopScorer
 	calls atomic.Int64
 	last  int64
 	hold  func()
 }
 
+func (s *holdingScorer) Name() string    { return "hold" }
+func (s *holdingScorer) InputLen() int   { return 4 }
+func (s *holdingScorer) OutputSize() int { return 1 }
+
 func (s *holdingScorer) Score(inputs []float32, count int) ([]float32, error) {
 	if s.calls.Add(1) == s.last {
 		s.hold()
 	}
-	return s.NoopScorer.Score(inputs, count)
+	return make([]float32, count), nil
 }
 
 // A 20 000-event saturating run drains completely through Runner, and
@@ -104,7 +108,7 @@ func TestRunDrainWaitHoldsTwentyThousandSamplesWithoutCopying(t *testing.T) {
 	cfg := quickConfig("flink", ServingConfig{Mode: Embedded, Tool: "onnx"})
 	cfg.Workload = Workload{InputShape: []int{4}, BatchSize: 1, Duration: 30 * time.Second, MaxEvents: events, Seed: 1}
 	var before, after runtime.MemStats
-	scorer := &holdingScorer{NoopScorer: NoopScorer{Inputs: 4, Outputs: 1}, last: events, hold: func() {
+	scorer := &holdingScorer{last: events, hold: func() {
 		runtime.ReadMemStats(&before)
 		time.Sleep(100 * time.Millisecond)
 		runtime.ReadMemStats(&after)

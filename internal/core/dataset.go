@@ -16,45 +16,14 @@ import (
 
 const datasetMagic = "CRFDATA1"
 
-// WriteDataset stores data points (flattened row-major, pointLen values
-// each) to path.
-func WriteDataset(path string, points []float32, pointLen int) error {
-	if pointLen <= 0 || len(points)%pointLen != 0 {
-		return fmt.Errorf("core: %d values do not form %d-length points", len(points), pointLen)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w := bufio.NewWriter(f)
-	if _, err := w.WriteString(datasetMagic); err != nil {
-		return err
-	}
-	hdr := make([]byte, 8)
-	binary.LittleEndian.PutUint32(hdr, uint32(pointLen))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(points)/pointLen))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	buf := make([]byte, 4)
-	for _, v := range points {
-		binary.LittleEndian.PutUint32(buf, math.Float32bits(v))
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return w.Flush()
-}
-
-// Dataset is a loaded real dataset served to the input producer.
-type Dataset struct {
+// dataset is a loaded real dataset served to the input producer.
+type dataset struct {
 	PointLen int
 	Points   [][]float32
 }
 
-// ReadDataset loads a dataset file written by WriteDataset.
-func ReadDataset(path string) (*Dataset, error) {
+// readDataset loads a dataset file in the format above.
+func readDataset(path string) (*dataset, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -74,12 +43,21 @@ func ReadDataset(path string) (*Dataset, error) {
 	}
 	pointLen := int(binary.LittleEndian.Uint32(hdr))
 	count := int(binary.LittleEndian.Uint32(hdr[4:]))
-	if pointLen <= 0 || count < 0 || pointLen > 1<<24 || count > 1<<24 {
-		return nil, fmt.Errorf("core: implausible dataset dimensions %d×%d", count, pointLen)
+	info, err := f.Stat()
+	if err != nil {
+		return nil, err
 	}
-	ds := &Dataset{PointLen: pointLen, Points: make([][]float32, count)}
-	buf := make([]byte, 4*pointLen)
+	// The header sizes every allocation below, so it has to fit the file.
+	body := info.Size() - int64(len(datasetMagic)+len(hdr))
+	if pointLen <= 0 || 4*int64(count)*int64(pointLen) > body {
+		return nil, fmt.Errorf("core: dataset header claims %d points of %d floats, the file holds %d bytes of them", count, pointLen, body)
+	}
+	ds := &dataset{PointLen: pointLen, Points: make([][]float32, count)}
+	var buf []byte
 	for i := 0; i < count; i++ {
+		if buf == nil {
+			buf = make([]byte, 4*pointLen)
+		}
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return nil, fmt.Errorf("core: dataset point %d: %w", i, err)
 		}
@@ -95,11 +73,11 @@ func ReadDataset(path string) (*Dataset, error) {
 // loadDataset reads the workload's dataset file and checks it against
 // the workload's shape; a workload without one gets nil, the synthetic
 // generator.
-func loadDataset(w *Workload) (*Dataset, error) {
+func loadDataset(w *Workload) (*dataset, error) {
 	if w.DatasetPath == "" {
 		return nil, nil
 	}
-	ds, err := ReadDataset(w.DatasetPath)
+	ds, err := readDataset(w.DatasetPath)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +89,7 @@ func loadDataset(w *Workload) (*Dataset, error) {
 
 // batchAt assembles the id-th batch of n points, cycling through the
 // dataset (streams outlive finite datasets).
-func (d *Dataset) batchAt(id int64, n int) []float32 {
+func (d *dataset) batchAt(id int64, n int) []float32 {
 	out := make([]float32, 0, n*d.PointLen)
 	for i := 0; i < n; i++ {
 		p := d.Points[(int(id)*n+i)%len(d.Points)]
@@ -121,12 +99,12 @@ func (d *Dataset) batchAt(id int64, n int) []float32 {
 }
 
 // Validate checks the dataset against a workload's shape.
-func (d *Dataset) Validate(w *Workload) error {
+func (d *dataset) Validate(w *Workload) error {
 	if len(d.Points) == 0 {
 		return fmt.Errorf("core: dataset is empty")
 	}
-	if d.PointLen != w.PointLen() {
-		return fmt.Errorf("core: dataset points have %d values, workload shape %v wants %d", d.PointLen, w.InputShape, w.PointLen())
+	if d.PointLen != w.pointLen() {
+		return fmt.Errorf("core: dataset points have %d values, workload shape %v wants %d", d.PointLen, w.InputShape, w.pointLen())
 	}
 	return nil
 }

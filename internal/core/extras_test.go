@@ -1,35 +1,21 @@
 package core
 
 import (
+	"bufio"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
 	"crayfish/internal/broker"
-	"crayfish/internal/loadgen"
 	"crayfish/internal/netsim"
 )
 
 var osWriteFile = os.WriteFile
-
-func TestNoopScorer(t *testing.T) {
-	n := NoopScorer{Inputs: 4, Outputs: 2}
-	if n.Name() != "noop" || n.InputLen() != 4 || n.OutputSize() != 2 {
-		t.Fatalf("metadata %v", n)
-	}
-	out, err := n.Score(make([]float32, 8), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 4 {
-		t.Fatalf("output %d", len(out))
-	}
-	if _, err := n.Score(make([]float32, 3), 1); err == nil {
-		t.Fatal("short batch accepted")
-	}
-}
 
 func TestBuildScorerInt8(t *testing.T) {
 	m, err := ModelSpec{Name: "ffnn", Seed: 1}.Build()
@@ -59,35 +45,13 @@ func TestBuildScorerInt8(t *testing.T) {
 	}
 }
 
-func TestValidateBrokerHeadroom(t *testing.T) {
-	cfg := quickConfig("flink", ServingConfig{Mode: Embedded, Tool: "onnx"})
-	cfg.Workload.Duration = 300 * time.Millisecond
-	// The check offers its own rate: whatever Load the config carried is
-	// replaced, not rejected.
-	poisson := loadgen.Poisson(50, 1)
-	cfg.Workload.Load = &poisson
-	r := &Runner{DrainTimeout: 100 * time.Millisecond}
-	// A no-op pipeline easily sustains a modest target.
-	tput, err := r.ValidateBrokerHeadroom(cfg, 100, 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tput < 100 {
-		t.Fatalf("no-op throughput %.1f below target", tput)
-	}
-	// An absurd target fails the check with the measured rate attached.
-	if _, err := r.ValidateBrokerHeadroom(cfg, 1e9, 1.0); err == nil {
-		t.Fatal("absurd headroom target passed")
-	}
-}
-
 func TestDatasetRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "points.crf")
 	points := []float32{1, 2, 3, 4, 5, 6}
-	if err := WriteDataset(path, points, 3); err != nil {
+	if err := writeDataset(path, points, 3); err != nil {
 		t.Fatal(err)
 	}
-	ds, err := ReadDataset(path)
+	ds, err := readDataset(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,17 +70,17 @@ func TestDatasetRoundTrip(t *testing.T) {
 
 func TestDatasetValidation(t *testing.T) {
 	dir := t.TempDir()
-	if err := WriteDataset(filepath.Join(dir, "x"), []float32{1, 2, 3}, 2); err == nil {
+	if err := writeDataset(filepath.Join(dir, "x"), []float32{1, 2, 3}, 2); err == nil {
 		t.Fatal("ragged dataset accepted")
 	}
-	if _, err := ReadDataset(filepath.Join(dir, "missing")); err == nil {
+	if _, err := readDataset(filepath.Join(dir, "missing")); err == nil {
 		t.Fatal("missing file accepted")
 	}
 	bad := filepath.Join(dir, "bad")
-	if err := WriteDataset(bad, []float32{1, 2}, 2); err != nil {
+	if err := writeDataset(bad, []float32{1, 2}, 2); err != nil {
 		t.Fatal(err)
 	}
-	ds, err := ReadDataset(bad)
+	ds, err := readDataset(bad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +88,7 @@ func TestDatasetValidation(t *testing.T) {
 	if err := ds.Validate(&w); err == nil {
 		t.Fatal("shape mismatch accepted")
 	}
-	empty := &Dataset{PointLen: 2}
+	empty := &dataset{PointLen: 2}
 	if err := empty.Validate(&Workload{InputShape: []int{2}}); err == nil {
 		t.Fatal("empty dataset accepted")
 	}
@@ -132,7 +96,7 @@ func TestDatasetValidation(t *testing.T) {
 
 func TestDatasetRejectsForeignFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "junk")
-	if err := WriteDataset(path, []float32{1}, 1); err != nil {
+	if err := writeDataset(path, []float32{1}, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the magic.
@@ -140,8 +104,31 @@ func TestDatasetRejectsForeignFile(t *testing.T) {
 	if err := writeFile(path, data); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadDataset(path); err == nil {
+	if _, err := readDataset(path); err == nil {
 		t.Fatal("corrupt magic accepted")
+	}
+}
+
+// TestDatasetHeaderCannotSizeAllocations: a 16-byte file whose header
+// claims 2^24 points of 2^24 floats is refused before the reader sizes
+// anything from those counts (at the parent it allocated ≈ 470 MB).
+func TestDatasetHeaderCannotSizeAllocations(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "header-only.crf")
+	hdr := make([]byte, 8)
+	binary.LittleEndian.PutUint32(hdr, 1<<24)
+	binary.LittleEndian.PutUint32(hdr[4:], 1<<24)
+	if err := writeFile(path, append([]byte(datasetMagic), hdr...)); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readDataset(path)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a header-only dataset claiming 2^48 floats was accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("reading a 16-byte dataset allocated %d bytes, want < 1 MiB", grew)
 	}
 }
 
@@ -151,7 +138,7 @@ func TestProducerFromDataset(t *testing.T) {
 	for i := range points {
 		points[i] = float32(i) + 0.5
 	}
-	if err := WriteDataset(path, points, 4); err != nil {
+	if err := writeDataset(path, points, 4); err != nil {
 		t.Fatal(err)
 	}
 	b := broker.New(broker.DefaultConfig())
@@ -179,7 +166,7 @@ func TestProducerFromDataset(t *testing.T) {
 	if len(recs) != 2 {
 		t.Fatalf("produced %d records", len(recs))
 	}
-	batch, err := UnmarshalJSONBatch(recs[0].Value)
+	batch, err := unmarshalJSONBatch(recs[0].Value)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,4 +184,35 @@ func TestProducerFromDataset(t *testing.T) {
 // writeFile is a small test helper (os.WriteFile with default perms).
 func writeFile(path string, data []byte) error {
 	return osWriteFile(path, data, 0o644)
+}
+
+// writeDataset stores data points (flattened row-major, pointLen values
+// each) to path.
+func writeDataset(path string, points []float32, pointLen int) error {
+	if pointLen <= 0 || len(points)%pointLen != 0 {
+		return fmt.Errorf("core: %d values do not form %d-length points", len(points), pointLen)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	w := bufio.NewWriter(f)
+	if _, err := w.WriteString(datasetMagic); err != nil {
+		return err
+	}
+	hdr := make([]byte, 8)
+	binary.LittleEndian.PutUint32(hdr, uint32(pointLen))
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(points)/pointLen))
+	if _, err := w.Write(hdr); err != nil {
+		return err
+	}
+	buf := make([]byte, 4)
+	for _, v := range points {
+		binary.LittleEndian.PutUint32(buf, math.Float32bits(v))
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+	}
+	return w.Flush()
 }

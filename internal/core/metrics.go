@@ -33,12 +33,12 @@ type Metrics struct {
 	Warmup int
 }
 
-// Analyze computes metrics from samples, discarding the leading
+// analyze computes metrics from samples, discarding the leading
 // warmupFraction (the paper discards the first 25%). The fraction must
 // lie in [0,1): discarding every sample leaves nothing to measure, so a
 // fraction of 1 or more is a configuration error, not a request for a
 // one-sample window.
-func Analyze(samples []Sample, produced int, warmupFraction float64) (Metrics, error) {
+func analyze(samples []Sample, produced int, warmupFraction float64) (Metrics, error) {
 	m := Metrics{Produced: produced, Consumed: len(samples)}
 	if warmupFraction < 0 || warmupFraction >= 1 {
 		return m, fmt.Errorf("core: warmup fraction %v out of [0,1)", warmupFraction)
@@ -109,22 +109,22 @@ func latencyStats(samples []Sample) LatencyStats {
 	}
 }
 
-// TimelinePoint aggregates latency over one time bucket, for burst plots.
-type TimelinePoint struct {
+// timelinePoint aggregates latency over one time bucket, for burst plots.
+type timelinePoint struct {
 	Offset  time.Duration // since the first sample's end time
 	Count   int
 	MeanLat time.Duration
 }
 
-// Timeline buckets samples by end time into fixed-width bins.
-func Timeline(samples []Sample, bin time.Duration) []TimelinePoint {
+// timeline buckets samples by end time into fixed-width bins.
+func timeline(samples []Sample, bin time.Duration) []timelinePoint {
 	if len(samples) == 0 || bin <= 0 {
 		return nil
 	}
 	ordered := append([]Sample(nil), samples...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].End.Before(ordered[j].End) })
 	t0 := ordered[0].End
-	var out []TimelinePoint
+	var out []timelinePoint
 	idx := -1
 	var acc float64
 	for _, s := range ordered {
@@ -134,7 +134,7 @@ func Timeline(samples []Sample, bin time.Duration) []TimelinePoint {
 				out[idx].MeanLat = time.Duration(acc / float64(out[idx].Count))
 			}
 			idx++
-			out = append(out, TimelinePoint{Offset: time.Duration(idx) * bin})
+			out = append(out, timelinePoint{Offset: time.Duration(idx) * bin})
 			acc = 0
 		}
 		out[idx].Count++
@@ -157,7 +157,7 @@ func RecoveryTime(samples []Sample, runStart time.Time, burstStart, burstEnd tim
 	if tolerance <= 0 {
 		tolerance = 2
 	}
-	points := Timeline(samples, bin)
+	points := timeline(samples, bin)
 	if len(points) == 0 {
 		return 0, fmt.Errorf("core: no samples for recovery analysis")
 	}

@@ -19,7 +19,7 @@ func mkSamples(n int, spacing, latency time.Duration) []Sample {
 func TestAnalyzeThroughputAndLatency(t *testing.T) {
 	// 101 samples spaced 10ms: 100 events/s.
 	samples := mkSamples(101, 10*time.Millisecond, 5*time.Millisecond)
-	m, err := Analyze(samples, 101, 0.0001)
+	m, err := analyze(samples, 101, 0.0001)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestAnalyzeWarmupDiscard(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		samples[i].Latency = time.Second
 	}
-	m, err := Analyze(samples, 100, 0.25)
+	m, err := analyze(samples, 100, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestAnalyzeWarmupDiscard(t *testing.T) {
 }
 
 func TestAnalyzeEmpty(t *testing.T) {
-	if _, err := Analyze(nil, 0, 0.25); err == nil {
+	if _, err := analyze(nil, 0, 0.25); err == nil {
 		t.Fatal("empty analysis succeeded")
 	}
 }
@@ -79,7 +79,7 @@ func TestAnalyzeWarmupFractionValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m, err := Analyze(tc.samples, len(tc.samples), tc.fraction)
+			m, err := analyze(tc.samples, len(tc.samples), tc.fraction)
 			if tc.wantErr {
 				if err == nil {
 					t.Fatalf("Analyze(fraction=%v) succeeded, want error", tc.fraction)
@@ -100,7 +100,7 @@ func TestAnalyzeWarmupFractionValidation(t *testing.T) {
 }
 
 func TestAnalyzeSingleSample(t *testing.T) {
-	m, err := Analyze(mkSamples(1, time.Millisecond, time.Millisecond), 1, 0.25)
+	m, err := analyze(mkSamples(1, time.Millisecond, time.Millisecond), 1, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestLatencyPercentilesOrdered(t *testing.T) {
 		end := t0.Add(time.Duration(i) * time.Millisecond)
 		samples[i] = Sample{End: end, Latency: lat}
 	}
-	m, err := Analyze(samples, 100, 0.0001)
+	m, err := analyze(samples, 100, 0.0001)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestLatencyPercentilesOrdered(t *testing.T) {
 
 func TestTimelineBuckets(t *testing.T) {
 	samples := mkSamples(30, 10*time.Millisecond, time.Millisecond)
-	points := Timeline(samples, 100*time.Millisecond)
+	points := timeline(samples, 100*time.Millisecond)
 	if len(points) != 3 {
 		t.Fatalf("bins %d, want 3", len(points))
 	}
@@ -146,10 +146,10 @@ func TestTimelineBuckets(t *testing.T) {
 	if total != 30 {
 		t.Fatalf("binned %d samples", total)
 	}
-	if Timeline(nil, time.Second) != nil {
+	if timeline(nil, time.Second) != nil {
 		t.Fatal("empty timeline not nil")
 	}
-	if Timeline(samples, 0) != nil {
+	if timeline(samples, 0) != nil {
 		t.Fatal("zero bin accepted")
 	}
 }

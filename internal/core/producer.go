@@ -23,7 +23,7 @@ type InputProducer struct {
 	w       Workload
 	codec   BatchCodec
 	prod    *broker.Producer
-	dataset *Dataset
+	dataset *dataset
 
 	// Metrics, when set before Run, publishes live producer telemetry
 	// (producer.*, loadgen.*; see docs/OBSERVABILITY.md).
@@ -81,7 +81,7 @@ func (p *InputProducer) Produced() int {
 // saturating policy emits as fast as it can.
 func (p *InputProducer) Run(stop <-chan struct{}) (int, error) {
 	pool := newSamplePool(p.w, p.dataset, p.codec)
-	batchCap := p.w.ProducerBatch
+	batchCap := p.w.producerBatch
 	if batchCap <= 0 {
 		batchCap = 64
 	}
@@ -94,7 +94,7 @@ func (p *InputProducer) Run(stop <-chan struct{}) (int, error) {
 	mOffered := p.Metrics.Gauge("loadgen.offered_rps")
 	mSchedLag := p.Metrics.Gauge("loadgen.schedule_lag_ns")
 
-	sched, err := p.w.LoadPolicy().Schedule()
+	sched, err := p.w.loadPolicy().Schedule()
 	if err != nil {
 		return 0, fmt.Errorf("core: producer: %w", err)
 	}
@@ -213,7 +213,7 @@ type samplePool struct {
 	full   bool // no slot is added any more
 }
 
-func newSamplePool(w Workload, ds *Dataset, codec BatchCodec) *samplePool {
+func newSamplePool(w Workload, ds *dataset, codec BatchCodec) *samplePool {
 	pool := &samplePool{codec: codec, gen: newDataGenerator(w)}
 	if ds != nil {
 		pool.gen.dataset = ds
@@ -262,14 +262,14 @@ type dataGenerator struct {
 	w       Workload
 	rng     *rand.Rand
 	buf     []float32
-	dataset *Dataset
+	dataset *dataset
 }
 
 func newDataGenerator(w Workload) *dataGenerator {
 	return &dataGenerator{
 		w:   w,
 		rng: rand.New(rand.NewSource(w.Seed)),
-		buf: make([]float32, w.BatchSize*w.PointLen()),
+		buf: make([]float32, w.BatchSize*w.pointLen()),
 	}
 }
 

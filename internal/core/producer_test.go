@@ -119,7 +119,7 @@ func TestProducerBatchContents(t *testing.T) {
 			break
 		}
 		for _, rec := range recs {
-			b, err := UnmarshalJSONBatch(rec.Value)
+			b, err := unmarshalJSONBatch(rec.Value)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,7 +148,7 @@ func TestProducerBurstRateSchedule(t *testing.T) {
 	if err := w.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	s, err := w.LoadPolicy().Schedule()
+	s, err := w.loadPolicy().Schedule()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,8 +196,8 @@ func TestWorkloadValidation(t *testing.T) {
 	if good.BatchSize != 1 || good.Duration != time.Second {
 		t.Fatalf("defaults not applied: %+v", good)
 	}
-	if !reflect.DeepEqual(good.LoadPolicy(), loadgen.Saturate()) {
-		t.Fatalf("nil Load is %+v, want saturation", good.LoadPolicy())
+	if !reflect.DeepEqual(good.loadPolicy(), loadgen.Saturate()) {
+		t.Fatalf("nil Load is %+v, want saturation", good.loadPolicy())
 	}
 }
 
@@ -248,7 +248,7 @@ func zeroCreated(t *testing.T, codec BatchCodec, rec []byte) []byte {
 // dataset batch the generator would have formatted.
 func TestSamplePool(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	ds := &Dataset{PointLen: 784, Points: make([][]float32, 300)}
+	ds := &dataset{PointLen: 784, Points: make([][]float32, 300)}
 	for i := range ds.Points {
 		ds.Points[i] = make([]float32, ds.PointLen)
 		for j := range ds.Points[i] {
@@ -353,7 +353,7 @@ func BenchmarkProducerRecord(b *testing.B) {
 		b.ReportAllocs()
 		gen := newDataGenerator(w)
 		for i := 0; i < b.N; i++ {
-			benchBytes, _ = MarshalJSONBatch(gen.next(int64(i)))
+			benchBytes, _ = marshalJSONBatch(gen.next(int64(i)))
 		}
 	})
 }
@@ -361,8 +361,7 @@ func BenchmarkProducerRecord(b *testing.B) {
 func TestConsumerLatencyFromAppendTime(t *testing.T) {
 	// The end timestamp must be the broker's LogAppendTime, not the
 	// consumer's read time.
-	fixed := time.Unix(1000, 0)
-	b := broker.New(broker.Config{Clock: func() time.Time { return fixed }})
+	b := broker.New(broker.DefaultConfig())
 	if err := b.CreateTopic("out", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -370,15 +369,20 @@ func TestConsumerLatencyFromAppendTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	created := fixed.Add(-30 * time.Millisecond)
+	created := time.Now().Add(-30 * time.Millisecond)
 	batch := &DataBatch{ID: 1, CreatedNanos: created.UnixNano(), Count: 1, Inputs: []float32{1}}
-	value, err := MarshalJSONBatch(batch)
+	value, err := marshalJSONBatch(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := b.Produce("out", 0, []broker.Record{{Value: value}}); err != nil {
 		t.Fatal(err)
 	}
+	recs, err := b.Fetch("out", 0, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(5 * time.Millisecond) // the read comes visibly after the append
 	if _, err := oc.pollOnce(0, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -386,8 +390,8 @@ func TestConsumerLatencyFromAppendTime(t *testing.T) {
 	if len(samples) != 1 {
 		t.Fatalf("samples %d", len(samples))
 	}
-	if samples[0].Latency != 30*time.Millisecond {
-		t.Fatalf("latency %v, want 30ms exactly (from LogAppendTime)", samples[0].Latency)
+	if want := recs[0].AppendTime.Sub(time.Unix(0, created.UnixNano())); samples[0].Latency != want {
+		t.Fatalf("latency %v, want %v exactly (from LogAppendTime)", samples[0].Latency, want)
 	}
 }
 
@@ -401,7 +405,7 @@ func TestConsumerDeduplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := &DataBatch{ID: 7, CreatedNanos: time.Now().UnixNano(), Count: 1, Inputs: []float32{1}}
-	value, _ := MarshalJSONBatch(batch)
+	value, _ := marshalJSONBatch(batch)
 	for i := 0; i < 3; i++ {
 		if _, err := b.Produce("out", 0, []broker.Record{{Value: value}}); err != nil {
 			t.Fatal(err)

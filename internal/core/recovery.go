@@ -48,7 +48,7 @@ type RecoveryResult struct {
 // RunRecovery executes one experiment while the fault plan fires: the
 // broker applies the plan's message faults, timed events crash/restart
 // the external serving daemon (when cfg serves externally) and open
-// scorer-error / slow-replica windows, and the SUT's clients ride the
+// scorer-error windows, and the SUT's clients ride the
 // faults out with retries and circuit breakers. The run then reports
 // time-to-recover and the loss/duplication accounting.
 //
@@ -126,8 +126,8 @@ func degradedLatency(samples []Sample, start time.Time, plan faults.Plan) (time.
 }
 
 // faultScorer sits between the transform and the real scorer, applying
-// the injector's lazy fault windows: slow-replica delays stretch the
-// call, scorer-error windows fail it retryably.
+// the injector's lazy fault windows: a scorer-error window fails the
+// call retryably.
 type faultScorer struct {
 	inner serving.Scorer
 	inj   *faults.Injector
@@ -137,14 +137,11 @@ func (f *faultScorer) Name() string    { return f.inner.Name() }
 func (f *faultScorer) InputLen() int   { return f.inner.InputLen() }
 func (f *faultScorer) OutputSize() int { return f.inner.OutputSize() }
 
-// Score injects the configured delay/fault, then defers to the wrapped
+// Score injects the configured fault, then defers to the wrapped
 // scorer under the same buffer-ownership contract.
 //
 //lint:lent inputs
 func (f *faultScorer) Score(inputs []float32, n int) ([]float32, error) {
-	if d := f.inj.ReplicaDelay(); d > 0 {
-		time.Sleep(d)
-	}
 	if err := f.inj.ScorerFault(); err != nil {
 		return nil, err
 	}

@@ -47,35 +47,3 @@ func WriteSamplesCSV(w io.Writer, samples []Sample) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// ReadSamplesCSV parses a WriteSamplesCSV export back into samples.
-func ReadSamplesCSV(r io.Reader) ([]Sample, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("core: empty samples CSV")
-	}
-	out := make([]Sample, 0, len(rows)-1)
-	for i, row := range rows[1:] {
-		if len(row) != 4 {
-			return nil, fmt.Errorf("core: samples CSV row %d has %d fields", i+1, len(row))
-		}
-		id, err1 := strconv.ParseInt(row[0], 10, 64)
-		start, err2 := strconv.ParseInt(row[1], 10, 64)
-		end, err3 := strconv.ParseInt(row[2], 10, 64)
-		lat, err4 := strconv.ParseInt(row[3], 10, 64)
-		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
-			return nil, fmt.Errorf("core: samples CSV row %d is malformed", i+1)
-		}
-		out = append(out, Sample{
-			ID:      id,
-			Start:   time.Unix(0, start),
-			End:     time.Unix(0, end),
-			Latency: time.Duration(lat),
-		})
-	}
-	return out, nil
-}

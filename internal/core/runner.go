@@ -100,7 +100,7 @@ func prepare(cfg *Config, inj *faults.Injector) (serving.Scorer, func(), error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	if cfg.Workload.PointLen() != m.InputLen() {
+	if cfg.Workload.pointLen() != m.InputLen() {
 		return nil, nil, fmt.Errorf("core: workload shape %v does not match model input %v", cfg.Workload.InputShape, m.InputShape)
 	}
 	scorer, cleanup, err := buildScorer(cfg.Serving, m, cfg.ParallelismDefault, cfg.Network, inj, cfg.Telemetry)
@@ -230,7 +230,7 @@ func (r *Runner) measure(cfg Config, transport broker.Transport, scorer serving.
 		streams := cfg.closedStreams
 		gateDeadline := time.Now().Add(cfg.Workload.Duration)
 		producer.Gate = func(issued int) bool {
-			return oc.WaitForCount(issued+1-streams, gateDeadline)
+			return oc.waitForCount(issued+1-streams, gateDeadline)
 		}
 	}
 
@@ -304,7 +304,7 @@ const warmupFraction = 0.25
 
 // newResult analyzes a run's samples into its Result.
 func newResult(cfg Config, samples []Sample, produced int, runStart time.Time) (*Result, error) {
-	metrics, err := Analyze(samples, produced, warmupFraction)
+	metrics, err := analyze(samples, produced, warmupFraction)
 	if err != nil {
 		return nil, err
 	}
@@ -347,16 +347,4 @@ func MeanThroughput(results []*Result) float64 {
 		sum += r.Metrics.Throughput
 	}
 	return sum / float64(len(results))
-}
-
-// MeanLatency averages mean latency across runs.
-func MeanLatency(results []*Result) time.Duration {
-	if len(results) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, r := range results {
-		sum += float64(r.Metrics.Latency.Mean)
-	}
-	return time.Duration(sum / float64(len(results)))
 }

@@ -6,18 +6,12 @@ import (
 	"crayfish/internal/loadgen"
 )
 
-// JudgeScenario applies a scenario's constraint to a run's metrics —
+// judgeScenario applies a scenario's constraint to a run's metrics —
 // the per-scenario half of the analyzer (§3.3): the latency percentiles
 // and throughput Analyze computed become the Observed summary the
 // scenario's validator judges.
-func JudgeScenario(m Metrics, sc loadgen.Scenario) loadgen.Verdict {
-	return sc.Judge(loadgen.Observed{
-		P50:        m.Latency.P50,
-		P90:        m.Latency.P90,
-		P95:        m.Latency.P95,
-		P99:        m.Latency.P99,
-		Throughput: m.Throughput,
-	})
+func judgeScenario(m Metrics, sc loadgen.Scenario) loadgen.Verdict {
+	return sc.Judge(loadgen.Observed{P90: m.Latency.P90, P99: m.Latency.P99, Throughput: m.Throughput})
 }
 
 // RunScenario executes one experiment under an MLPerf-style scenario
@@ -44,13 +38,13 @@ func (r *Runner) RunScenario(cfg Config, sc loadgen.Scenario) (*Result, error) {
 		// Every issued event must reach the broker immediately: a
 		// producer-side send batch would hold back the very completions
 		// the issue gate waits on.
-		cfg.Workload.ProducerBatch = 1
+		cfg.Workload.producerBatch = 1
 	}
 	res, err := r.Run(cfg)
 	if err != nil {
 		return nil, err
 	}
-	v := JudgeScenario(res.Metrics, sc)
+	v := judgeScenario(res.Metrics, sc)
 	res.Verdict = &v
 	if cfg.Telemetry != nil {
 		g := cfg.Telemetry.Gauge("scenario.verdict")

@@ -26,7 +26,7 @@ func RunStandalone(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	pool := newSamplePool(cfg.Workload, ds, codec)
-	sched, err := cfg.Workload.LoadPolicy().Schedule()
+	sched, err := cfg.Workload.loadPolicy().Schedule()
 	if err != nil {
 		return nil, err
 	}

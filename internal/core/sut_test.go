@@ -75,7 +75,7 @@ func TestRepeatedSampleCostsAFullScore(t *testing.T) {
 // same, whichever route its bytes take through the codec.
 func TestTransformKeepsInputs(t *testing.T) {
 	m := model.NewFFNNSized(1, 8, []int{4}, 3)
-	m.Layers = append([]*model.Layer{{Kind: model.KindReLU, Name: "relu-in"}}, m.Layers...)
+	m.Layers = append([]*model.Layer{{Kind: "relu", Name: "relu-in"}}, m.Layers...)
 	scorer, cleanup, err := BuildScorerNet(ServingConfig{Mode: Embedded, Tool: "onnx"}, m, 1, netsim.Loopback)
 	if err != nil {
 		t.Fatal(err)

@@ -14,10 +14,10 @@ import (
 	"crayfish/internal/telemetry"
 )
 
-// AblationProducerBatching quantifies the §3.5 "producer-level batching"
+// ablationProducerBatching quantifies the §3.5 "producer-level batching"
 // design decision: shipping bsz data points as one CrayfishDataBatch event
 // versus one event per data point.
-func AblationProducerBatching(opts Options) (*Report, error) {
+func ablationProducerBatching(opts Options) (*Report, error) {
 	o := opts.withDefaults()
 	r := &Report{
 		ID:     "Ablation A1",
@@ -37,7 +37,7 @@ func AblationProducerBatching(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ablation batching (batched): %w", err)
 	}
-	r.AddRow("1 event = 32 points", fmtRate(res.Metrics.Throughput*32))
+	r.addRow("1 event = 32 points", fmtRate(res.Metrics.Throughput*32))
 
 	// Unbatched: one point per event.
 	w = o.ffnnWorkload()
@@ -49,14 +49,14 @@ func AblationProducerBatching(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ablation batching (per-point): %w", err)
 	}
-	r.AddRow("1 event = 1 point", fmtRate(res.Metrics.Throughput))
-	r.AddNote("batching data points into one event amortises per-event framework overhead, justifying the CrayfishDataBatch unit")
+	r.addRow("1 event = 1 point", fmtRate(res.Metrics.Throughput))
+	r.addNote("batching data points into one event amortises per-event framework overhead, justifying the CrayfishDataBatch unit")
 	return r, nil
 }
 
-// AblationSerialization compares the paper's JSON pipeline codec against
+// ablationSerialization compares the paper's JSON pipeline codec against
 // the compact binary codec.
-func AblationSerialization(opts Options) (*Report, error) {
+func ablationSerialization(opts Options) (*Report, error) {
 	o := opts.withDefaults()
 	r := &Report{
 		ID:     "Ablation A2",
@@ -73,15 +73,15 @@ func AblationSerialization(opts Options) (*Report, error) {
 			return nil, fmt.Errorf("ablation serialisation (%s): %w", codec.Name(), err)
 		}
 		o.logf("ablation serialisation %s: %.1f events/s", codec.Name(), res.Metrics.Throughput)
-		r.AddRow(codec.Name(), fmtRate(res.Metrics.Throughput))
+		r.addRow(codec.Name(), fmtRate(res.Metrics.Throughput))
 	}
-	r.AddNote("JSON costs real throughput even through the schema-specialised codec — binary ≈ 1.55× here, from ≈ 1.8× before the operator stopped re-formatting inputs it did not change: the 784 floats it still parses, binary copies; the paper accepts it for simplicity and flexibility (§3.1)")
+	r.addNote("JSON costs real throughput even through the schema-specialised codec — binary ≈ 1.55× here, from ≈ 1.8× before the operator stopped re-formatting inputs it did not change: the 784 floats it still parses, binary copies; the paper accepts it for simplicity and flexibility (§3.1)")
 	return r, nil
 }
 
-// AblationTransport compares the in-process broker with the TCP broker
+// ablationTransport compares the in-process broker with the TCP broker
 // daemon, isolating real wire serialisation from the modelled LAN.
-func AblationTransport(opts Options) (*Report, error) {
+func ablationTransport(opts Options) (*Report, error) {
 	o := opts.withDefaults()
 	r := &Report{
 		ID:     "Ablation A3",
@@ -100,7 +100,7 @@ func AblationTransport(opts Options) (*Report, error) {
 			return fmt.Errorf("ablation transport (%s): %w", label, err)
 		}
 		o.logf("ablation transport %s: %.1f events/s, %v", label, res.Metrics.Throughput, res.Metrics.Latency.Mean)
-		r.AddRow(label, fmtRate(res.Metrics.Throughput), fmtMs(res.Metrics.Latency.Mean))
+		r.addRow(label, fmtRate(res.Metrics.Throughput), fmtMs(res.Metrics.Latency.Mean))
 		return nil
 	}
 	if err := run(nil, "in-process"); err != nil {
@@ -120,7 +120,7 @@ func AblationTransport(opts Options) (*Report, error) {
 	if err := run(rc, "tcp"); err != nil {
 		return nil, err
 	}
-	r.AddNote("the TCP daemon pays real frame serialisation and socket hops; experiments use the in-process broker plus the modelled LAN profile")
+	r.addNote("the TCP daemon pays real frame serialisation and socket hops; experiments use the in-process broker plus the modelled LAN profile")
 	return r, nil
 }
 
@@ -151,11 +151,11 @@ func timePlan(p *model.Plan, inputs []float32, iters int) (time.Duration, error)
 	})
 }
 
-// AblationFusedExecution isolates graph compilation: the same model
+// ablationFusedExecution isolates graph compilation: the same model
 // scored through a compiled plan (resolved kernels, recycled arena
 // buffers) vs the op-by-op allocating reference pass, without any
 // pipeline around it.
-func AblationFusedExecution(opts Options) (*Report, error) {
+func ablationFusedExecution(opts Options) (*Report, error) {
 	o := opts.withDefaults()
 	r := &Report{
 		ID:     "Ablation A4",
@@ -199,16 +199,16 @@ func AblationFusedExecution(opts Options) (*Report, error) {
 		per  time.Duration
 	}{{"fused dense plan", fused}, {"unfused op-by-op", unfused}} {
 		o.logf("ablation fusion %s: %v/inference", row.name, row.per)
-		r.AddRow(row.name, fmt.Sprint(row.per.Nanoseconds()))
+		r.addRow(row.name, fmt.Sprint(row.per.Nanoseconds()))
 	}
-	r.AddNote("fusion + buffer reuse is why the ONNX analogue leads Table 4, and why TF-Serving beats TorchServe externally")
+	r.addNote("fusion + buffer reuse is why the ONNX analogue leads Table 4, and why TF-Serving beats TorchServe externally")
 	return r, nil
 }
 
-// AblationAsyncIO measures the §7 what-if the paper declines to run: the
+// ablationAsyncIO measures the §7 what-if the paper declines to run: the
 // same external-serving pipeline with Flink's blocking calls (the paper's
 // §4.3 setting) versus its asynchronous I/O operator.
-func AblationAsyncIO(opts Options) (*Report, error) {
+func ablationAsyncIO(opts Options) (*Report, error) {
 	o := opts.withDefaults()
 	r := &Report{
 		ID:     "Ablation A6",
@@ -228,16 +228,16 @@ func AblationAsyncIO(opts Options) (*Report, error) {
 			name = "async I/O (capacity 16)"
 		}
 		o.logf("ablation async %s: %.1f events/s", name, tput)
-		r.AddRow(name, fmtRate(tput))
+		r.addRow(name, fmtRate(tput))
 	}
-	r.AddNote("async I/O overlaps the per-call network wait, recovering most of the embedded-vs-external gap — the close-integration direction §7 advocates")
+	r.addNote("async I/O overlaps the per-call network wait, recovering most of the embedded-vs-external gap — the close-integration direction §7 advocates")
 	return r, nil
 }
 
-// AblationFastKernels isolates the GPU device's kernel-level gains:
+// ablationFastKernels isolates the GPU device's kernel-level gains:
 // direct convolution vs Winograd vs Winograd + folded batch norms on the
 // benchmark ResNet.
-func AblationFastKernels(opts Options) (*Report, error) {
+func ablationFastKernels(opts Options) (*Report, error) {
 	o := opts.withDefaults()
 	r := &Report{
 		ID:     "Ablation A5",
@@ -279,7 +279,7 @@ func AblationFastKernels(opts Options) (*Report, error) {
 			return nil, fmt.Errorf("ablation kernels (%s): %w", c.name, err)
 		}
 		o.logf("ablation kernels %s: %v", c.name, per)
-		r.AddRow(c.name, fmtMs(per))
+		r.addRow(c.name, fmtMs(per))
 	}
 	// The float32-vs-int8 arm: calibrate the folded model and run the
 	// quantized plan over the same inputs (docs/QUANTIZATION.md).
@@ -292,17 +292,17 @@ func AblationFastKernels(opts Options) (*Report, error) {
 		return nil, fmt.Errorf("ablation kernels (int8 plan): %w", err)
 	}
 	o.logf("ablation kernels int8 quantized plan: %v", qper)
-	r.AddRow("int8 quantized plan (tensorrt-style)", fmtMs(qper))
-	r.AddNote("these real kernel-level gains are the source of Figure 9's GPU improvements (plus the modelled PCIe transfer)")
-	r.AddNote("every arm runs a compiled plan; the int8 arm is the packed-GEMM quantized plan on the BN-folded model, its accuracy cost pinned by the drift contract (docs/QUANTIZATION.md)")
+	r.addRow("int8 quantized plan (tensorrt-style)", fmtMs(qper))
+	r.addNote("these real kernel-level gains are the source of Figure 9's GPU improvements (plus the modelled PCIe transfer)")
+	r.addNote("every arm runs a compiled plan; the int8 arm is the packed-GEMM quantized plan on the BN-folded model, its accuracy cost pinned by the drift contract (docs/QUANTIZATION.md)")
 	return r, nil
 }
 
-// AblationNetworkRealism quantifies the modelled LAN's contribution: the
+// ablationNetworkRealism quantifies the modelled LAN's contribution: the
 // same pipelines with the inter-machine links at loopback speed versus
 // the paper-fitted LAN profile, so readers can see exactly what the
 // modelled network adds to every other number in EXPERIMENTS.md.
-func AblationNetworkRealism(opts Options) (*Report, error) {
+func ablationNetworkRealism(opts Options) (*Report, error) {
 	o := opts.withDefaults()
 	r := &Report{
 		ID:     "Ablation A7",
@@ -330,19 +330,19 @@ func AblationNetworkRealism(opts Options) (*Report, error) {
 				return nil, fmt.Errorf("ablation network (%s/%s): %w", serving.Tool, name, err)
 			}
 			o.logf("ablation network %s/%s: %.1f events/s, %v", serving.Tool, name, tput, latRes.Metrics.Latency.Mean)
-			r.AddRow(serving.Tool, name, fmtRate(tput), fmtMs(latRes.Metrics.Latency.Mean))
+			r.addRow(serving.Tool, name, fmtRate(tput), fmtMs(latRes.Metrics.Latency.Mean))
 		}
 	}
-	r.AddNote("the LAN profile is fitted to the paper's measured pings (netsim.LAN); it is what makes scaling curves and external-call costs behave like the 9-VM deployment")
+	r.addNote("the LAN profile is fitted to the paper's measured pings (netsim.LAN); it is what makes scaling curves and external-call costs behave like the 9-VM deployment")
 	return r, nil
 }
 
-// AblationDynamicBatching sweeps the scoring operator's micro-batch
+// ablationDynamicBatching sweeps the scoring operator's micro-batch
 // dimension (§4's bsz lever applied inside the operator): fixed batch
 // targets against the SLO-driven AIMD controller, on the external
 // serving path where every scorer invocation pays a wire round trip —
 // the cost coalescing amortises.
-func AblationDynamicBatching(opts Options) (*Report, error) {
+func ablationDynamicBatching(opts Options) (*Report, error) {
 	o := opts.withDefaults()
 	r := &Report{
 		ID:     "Ablation A8",
@@ -368,7 +368,7 @@ func AblationDynamicBatching(opts Options) (*Report, error) {
 			target = fmt.Sprintf("%d", res.Telemetry.Gauges["sps.batch.target"])
 		}
 		o.logf("ablation dynbatch %s: %.1f events/s, %v mean", label, res.Metrics.Throughput, res.Metrics.Latency.Mean)
-		r.AddRow(label, fmtRate(res.Metrics.Throughput), fmtMs(res.Metrics.Latency.Mean), batches, target)
+		r.addRow(label, fmtRate(res.Metrics.Throughput), fmtMs(res.Metrics.Latency.Mean), batches, target)
 		return nil
 	}
 	if err := run("off", nil); err != nil {
@@ -384,17 +384,17 @@ func AblationDynamicBatching(opts Options) (*Report, error) {
 	if err := run("adaptive (AIMD, SLO 50ms)", adaptive); err != nil {
 		return nil, err
 	}
-	r.AddNote("larger fixed targets trade queueing latency for fewer wire round trips; the AIMD controller finds the largest target whose p95 operator latency holds the SLO")
+	r.addNote("larger fixed targets trade queueing latency for fewer wire round trips; the AIMD controller finds the largest target whose p95 operator latency holds the SLO")
 	return r, nil
 }
 
-// AblationAttention isolates the fused transformer kernels: the same
+// ablationAttention isolates the fused transformer kernels: the same
 // transformer scored through plans compiled with the unfused reference
 // kernels (materialised S×S scores, multi-pass layer norm, erf GELU),
 // the fused flash-style kernels (tiled attention with online softmax,
 // one-pass residual + layer norm), and the fused kernels with the GPU
 // profile's head-parallel fan-out.
-func AblationAttention(opts Options) (*Report, error) {
+func ablationAttention(opts Options) (*Report, error) {
 	o := opts.withDefaults()
 	r := &Report{
 		ID:     "Ablation A9",
@@ -430,8 +430,8 @@ func AblationAttention(opts Options) (*Report, error) {
 			return nil, fmt.Errorf("ablation attention (%s): %w", c.name, err)
 		}
 		o.logf("ablation attention %s: %v/inference", c.name, per)
-		r.AddRow(c.name, fmt.Sprint(per.Nanoseconds()))
+		r.addRow(c.name, fmt.Sprint(per.Nanoseconds()))
 	}
-	r.AddNote("the fused kernel never materialises the S×S score matrix (one online-softmax stream per query row) and folds residual adds into layer norms; scripts/bench.sh pins the kernel-level contrast as attention_fused_speedup (contract >= 1.5x)")
+	r.addNote("the fused kernel never materialises the S×S score matrix (one online-softmax stream per query row) and folds residual adds into layer norms; scripts/bench.sh pins the kernel-level contrast as attention_fused_speedup (contract >= 1.5x)")
 	return r, nil
 }

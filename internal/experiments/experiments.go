@@ -35,9 +35,6 @@ type Options struct {
 	Runs int
 	// Parallelisms is the mp sweep for scale-up experiments.
 	Parallelisms []int
-	// Fanout is the source/sink parallelism for the operator-level
-	// experiment (the paper matches the 32 topic partitions).
-	Fanout int
 	// Partitions is the per-topic partition count.
 	Partitions int
 	// Network models the inter-machine links; defaults to netsim.LAN,
@@ -45,6 +42,9 @@ type Options struct {
 	Network *netsim.Profile
 	// Log receives progress lines; nil discards them.
 	Log io.Writer
+	// fanout is the source/sink parallelism for the operator-level
+	// experiments (the paper matches the 32 topic partitions).
+	fanout int
 }
 
 func (o Options) withDefaults() Options {
@@ -57,8 +57,8 @@ func (o Options) withDefaults() Options {
 	if len(o.Parallelisms) == 0 {
 		o.Parallelisms = []int{1, 2, 4, 8, 16}
 	}
-	if o.Fanout <= 0 {
-		o.Fanout = 32
+	if o.fanout <= 0 {
+		o.fanout = 32
 	}
 	if o.Partitions <= 0 {
 		o.Partitions = 32
@@ -96,13 +96,13 @@ type Report struct {
 	Notes  []string
 }
 
-// AddRow appends a formatted row.
-func (r *Report) AddRow(cells ...string) {
+// addRow appends a formatted row.
+func (r *Report) addRow(cells ...string) {
 	r.Rows = append(r.Rows, cells)
 }
 
-// AddNote appends a free-form note (deviations, environment caveats).
-func (r *Report) AddNote(format string, args ...any) {
+// addNote appends a free-form note (deviations, environment caveats).
+func (r *Report) addNote(format string, args ...any) {
 	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
 }
 
@@ -287,8 +287,9 @@ func (o Options) saturateWith(runner *core.Runner, cfg core.Config, d time.Durat
 }
 
 // closedLoop measures end-to-end latency at a low input rate, raising the
-// rate just enough to collect a handful of samples in very short runs.
-func (o Options) closedLoop(cfg core.Config, rate float64, d time.Duration) (core.LatencyStats, error) {
+// rate just enough to collect a handful of samples in very short runs. It
+// returns the run-averaged mean and p99 (the paper reports run averages).
+func (o Options) closedLoop(cfg core.Config, rate float64, d time.Duration) (mean, p99 time.Duration, err error) {
 	if minRate := 4 / d.Seconds(); rate < minRate {
 		rate = minRate
 	}
@@ -297,16 +298,11 @@ func (o Options) closedLoop(cfg core.Config, rate float64, d time.Duration) (cor
 	runner := &core.Runner{}
 	results, err := runner.RunAveraged(cfg, o.Runs)
 	if err != nil {
-		return core.LatencyStats{}, err
+		return 0, 0, err
 	}
-	// Average the per-run stats (the paper reports run averages).
-	var agg core.LatencyStats
 	for _, r := range results {
-		agg.Mean += r.Metrics.Latency.Mean / time.Duration(len(results))
-		agg.StdDev += r.Metrics.Latency.StdDev / time.Duration(len(results))
-		agg.P50 += r.Metrics.Latency.P50 / time.Duration(len(results))
-		agg.P95 += r.Metrics.Latency.P95 / time.Duration(len(results))
-		agg.P99 += r.Metrics.Latency.P99 / time.Duration(len(results))
+		mean += r.Metrics.Latency.Mean / time.Duration(len(results))
+		p99 += r.Metrics.Latency.P99 / time.Duration(len(results))
 	}
-	return agg, nil
+	return mean, p99, nil
 }

@@ -16,14 +16,14 @@ func tinyOptions() Options {
 		Scale:        0.04,
 		Runs:         1,
 		Parallelisms: []int{1, 2},
-		Fanout:       4,
+		fanout:       4,
 		Partitions:   4,
 		Network:      &lan,
 	}
 }
 
 func TestTable2(t *testing.T) {
-	r, err := Table2ModelSizes()
+	r, err := table2ModelSizes()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestTable2(t *testing.T) {
 }
 
 func TestTable4Tiny(t *testing.T) {
-	r, err := Table4ServingThroughput(tinyOptions())
+	r, err := table4ServingThroughput(tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestTable4Tiny(t *testing.T) {
 }
 
 func TestTable5Tiny(t *testing.T) {
-	r, err := Table5SPSThroughput(tinyOptions())
+	r, err := table5SPSThroughput(tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestTable5Tiny(t *testing.T) {
 
 func TestFigure5Tiny(t *testing.T) {
 	opts := tinyOptions()
-	r, err := Figure5LatencyBatchSize(opts)
+	r, err := figure5LatencyBatchSize(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestFigure5Tiny(t *testing.T) {
 }
 
 func TestFigure6Tiny(t *testing.T) {
-	r, err := Figure6ScaleUpFFNN(tinyOptions())
+	r, err := figure6ScaleUpFFNN(tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestFigure6Tiny(t *testing.T) {
 }
 
 func TestFigure7Tiny(t *testing.T) {
-	r, err := Figure7ScaleUpResNet(tinyOptions())
+	r, err := figure7ScaleUpResNet(tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestFigure7Tiny(t *testing.T) {
 }
 
 func TestFigure8Tiny(t *testing.T) {
-	r, err := Figure8BurstRecovery(tinyOptions())
+	r, err := figure8BurstRecovery(tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestFigure8Tiny(t *testing.T) {
 }
 
 func TestFigure9Tiny(t *testing.T) {
-	r, err := Figure9GPUAcceleration(tinyOptions())
+	r, err := figure9GPUAcceleration(tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestFigure9Tiny(t *testing.T) {
 }
 
 func TestFigure10Tiny(t *testing.T) {
-	r, err := Figure10SPSLatency(tinyOptions())
+	r, err := figure10SPSLatency(tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestFigure10Tiny(t *testing.T) {
 }
 
 func TestFigure11Tiny(t *testing.T) {
-	r, err := Figure11SPSScaleUp(tinyOptions())
+	r, err := figure11SPSScaleUp(tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestFigure11Tiny(t *testing.T) {
 }
 
 func TestFigure12Tiny(t *testing.T) {
-	r, err := Figure12OperatorParallelism(tinyOptions())
+	r, err := figure12OperatorParallelism(tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestFigure12Tiny(t *testing.T) {
 }
 
 func TestFigure13Tiny(t *testing.T) {
-	r, err := Figure13KafkaOverhead(tinyOptions())
+	r, err := figure13KafkaOverhead(tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestAblationsTiny(t *testing.T) {
 }
 
 func TestAblationKernelsInt8Arm(t *testing.T) {
-	r, err := AblationFastKernels(tinyOptions())
+	r, err := ablationFastKernels(tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestAblationKernelsInt8Arm(t *testing.T) {
 }
 
 func TestRecoveryTiny(t *testing.T) {
-	r, err := RecoveryFaultInjection(tinyOptions())
+	r, err := recoveryFaultInjection(tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestRecoveryTiny(t *testing.T) {
 }
 
 func TestFailoverTiny(t *testing.T) {
-	r, err := BrokerFailover(tinyOptions())
+	r, err := brokerFailover(tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestFailoverTiny(t *testing.T) {
 }
 
 func TestScenariosTiny(t *testing.T) {
-	r, err := ScenarioSuite(tinyOptions())
+	r, err := scenarioSuite(tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,8 +276,8 @@ func TestRegistry(t *testing.T) {
 
 func TestReportString(t *testing.T) {
 	r := &Report{ID: "X", Title: "T", Header: []string{"a", "bb"}}
-	r.AddRow("1", "2")
-	r.AddNote("hello %d", 5)
+	r.addRow("1", "2")
+	r.addNote("hello %d", 5)
 	s := r.String()
 	for _, want := range []string{"X — T", "a", "bb", "hello 5"} {
 		if !strings.Contains(s, want) {
@@ -288,7 +288,7 @@ func TestReportString(t *testing.T) {
 
 func TestOptionDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Scale != 1 || o.Runs != 2 || o.Fanout != 32 || o.Partitions != 32 {
+	if o.Scale != 1 || o.Runs != 2 || o.fanout != 32 || o.Partitions != 32 {
 		t.Fatalf("defaults %+v", o)
 	}
 	if o.Network == nil || !o.Network.Enabled() {
@@ -301,8 +301,8 @@ func TestOptionDefaults(t *testing.T) {
 
 func TestReportMarkdown(t *testing.T) {
 	r := &Report{ID: "Table X", Title: "demo", Header: []string{"a", "b"}}
-	r.AddRow("1", "2")
-	r.AddNote("caveat")
+	r.addRow("1", "2")
+	r.addNote("caveat")
 	md := r.Markdown()
 	for _, want := range []string{"### Table X", "| a | b |", "| --- | --- |", "| 1 | 2 |", "> caveat"} {
 		if !strings.Contains(md, want) {

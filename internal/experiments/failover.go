@@ -10,7 +10,7 @@ import (
 	"crayfish/internal/loadgen"
 )
 
-// BrokerFailover runs the replicated-cluster chaos scenario: the FFNN
+// brokerFailover runs the replicated-cluster chaos scenario: the FFNN
 // workload streams through a 3-node broker cluster at replication
 // factor 3 under the MLPerf server scenario's Poisson offered load,
 // while the fault plan kills the partition leader node mid-production
@@ -20,7 +20,7 @@ import (
 // elections reached, time-to-recover after the crash window closes,
 // the degraded-window p95, and whether repeated runs replayed the
 // fault log byte for byte.
-func BrokerFailover(opts Options) (*Report, error) {
+func brokerFailover(opts Options) (*Report, error) {
 	o := opts.withDefaults()
 	r := &Report{
 		ID:     "Failover",
@@ -124,12 +124,12 @@ func BrokerFailover(opts Options) (*Report, error) {
 		if deg >= 0 {
 			degCell = fmtMs(deg)
 		}
-		r.AddRow(p.engine, string(p.serving.Mode)+" "+p.serving.Tool,
+		r.addRow(p.engine, string(p.serving.Mode)+" "+p.serving.Tool,
 			strconv.Itoa(last.Produced), strconv.Itoa(lost),
 			strconv.Itoa(last.Failovers), strconv.Itoa(last.LeaderEpoch),
 			fmtDurOrDash(ttr), degCell, replay)
 	}
-	r.AddNote("acked lost counts records the broker acked and then failed to serve; the high-watermark gate keeps it at 0 across a single leader crash")
-	r.AddNote("the crash/restart schedule is timed-only, so every run's fault log is a pure function of the plan — 'byte-identical' is asserted, not assumed")
+	r.addNote("acked lost counts records the broker acked and then failed to serve; the high-watermark gate keeps it at 0 across a single leader crash")
+	r.addNote("the crash/restart schedule is timed-only, so every run's fault log is a pure function of the plan — 'byte-identical' is asserted, not assumed")
 	return r, nil
 }

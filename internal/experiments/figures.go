@@ -17,10 +17,10 @@ var servingTools5 = []core.ServingConfig{
 	externalTool("tf-serving"),
 }
 
-// Figure5LatencyBatchSize reproduces Figure 5: end-to-end latency for
+// figure5LatencyBatchSize reproduces Figure 5: end-to-end latency for
 // increasing batch sizes in the closed-loop scenario (Flink, FFNN, ir=1,
 // mp=1; batch sizes 32/128/512).
-func Figure5LatencyBatchSize(opts Options) (*Report, error) {
+func figure5LatencyBatchSize(opts Options) (*Report, error) {
 	o := opts.withDefaults()
 	r := &Report{
 		ID:     "Figure 5",
@@ -36,16 +36,16 @@ func Figure5LatencyBatchSize(opts Options) (*Report, error) {
 			// Closed loop: slow enough that latency is dominated
 			// by inference (larger batches get a proportionally
 			// lower rate, as one event carries more data).
-			lat, err := o.closedLoop(cfg, 640/float64(bsz), o.scaled(3*time.Second))
+			mean, _, err := o.closedLoop(cfg, 640/float64(bsz), o.scaled(3*time.Second))
 			if err != nil {
 				return nil, fmt.Errorf("figure5 %s/bsz=%d: %w", serving.Tool, bsz, err)
 			}
-			o.logf("figure5 %s bsz=%d: mean %v", serving.Tool, bsz, lat.Mean)
-			row = append(row, fmtMs(lat.Mean))
+			o.logf("figure5 %s bsz=%d: mean %v", serving.Tool, bsz, mean)
+			row = append(row, fmtMs(mean))
 		}
-		r.AddRow(row...)
+		r.addRow(row...)
 	}
-	r.AddNote("paper shape: latency grows with bsz; TF-Serving comparable to (sometimes below) embedded options; DL4J slowest embedded")
+	r.addNote("paper shape: latency grows with bsz; TF-Serving comparable to (sometimes below) embedded options; DL4J slowest embedded")
 	return r, nil
 }
 
@@ -67,14 +67,14 @@ func (o Options) scaleUp(id, title, engine, modelName string, w core.Workload, t
 			o.logf("%s %s mp=%d: %.1f events/s", id, serving.Tool, mp, tput)
 			row = append(row, fmtRate(tput))
 		}
-		r.AddRow(row...)
+		r.addRow(row...)
 	}
 	return r, nil
 }
 
-// Figure6ScaleUpFFNN reproduces Figure 6: vertical scalability of the
+// figure6ScaleUpFFNN reproduces Figure 6: vertical scalability of the
 // serving tools on Flink with the FFNN model (ir=30k, bsz=1).
-func Figure6ScaleUpFFNN(opts Options) (*Report, error) {
+func figure6ScaleUpFFNN(opts Options) (*Report, error) {
 	o := opts.withDefaults()
 	r, err := o.scaleUp("Figure 6",
 		"Vertical scalability, Flink + FFNN (saturation, bsz=1)",
@@ -82,13 +82,13 @@ func Figure6ScaleUpFFNN(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.AddNote("paper shape: ONNX/SavedModel scale to mp=16, DL4J plateaus by 8 (shared native workspaces), externals keep scaling, TF-Serving overtakes DL4J")
+	r.addNote("paper shape: ONNX/SavedModel scale to mp=16, DL4J plateaus by 8 (shared native workspaces), externals keep scaling, TF-Serving overtakes DL4J")
 	return r, nil
 }
 
-// Figure7ScaleUpResNet reproduces Figure 7: vertical scalability with the
+// figure7ScaleUpResNet reproduces Figure 7: vertical scalability with the
 // ResNet model (ir=256, bsz=1).
-func Figure7ScaleUpResNet(opts Options) (*Report, error) {
+func figure7ScaleUpResNet(opts Options) (*Report, error) {
 	o := opts.withDefaults()
 	tools := []core.ServingConfig{embeddedTool("onnx"), externalTool("torchserve"), externalTool("tf-serving")}
 	r, err := o.scaleUp("Figure 7",
@@ -97,13 +97,13 @@ func Figure7ScaleUpResNet(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.AddNote("paper shape: compute dominates; TF-Serving shows little gain from scaling, TorchServe overtakes it at high mp, ONNX keeps scaling")
+	r.addNote("paper shape: compute dominates; TF-Serving shows little gain from scaling, TorchServe overtakes it at high mp, ONNX keeps scaling")
 	return r, nil
 }
 
-// Figure8BurstRecovery reproduces Figure 8: periodic bursts above the
+// figure8BurstRecovery reproduces Figure 8: periodic bursts above the
 // sustainable throughput and the time each serving tool needs to recover.
-func Figure8BurstRecovery(opts Options) (*Report, error) {
+func figure8BurstRecovery(opts Options) (*Report, error) {
 	o := opts.withDefaults()
 	r := &Report{
 		ID:     "Figure 8",
@@ -157,10 +157,10 @@ func Figure8BurstRecovery(opts Options) (*Report, error) {
 			}
 		}
 		avg, best := aggregateRecovery(recs)
-		r.AddRow(serving.Tool, fmtRate(st), fmtDurOrDash(avg), fmtDurOrDash(best))
+		r.addRow(serving.Tool, fmtRate(st), fmtDurOrDash(avg), fmtDurOrDash(best))
 	}
-	r.AddNote("paper shape: TF-Serving's best-case recovery beats ONNX's but varies more between bursts; ONNX is steadier")
-	r.AddNote("bursts run at 125%% of the probed ST (the paper uses 110%%): this substrate's ST probe has ±15%% noise, so a 10%% overshoot would not reliably exceed capacity")
+	r.addNote("paper shape: TF-Serving's best-case recovery beats ONNX's but varies more between bursts; ONNX is steadier")
+	r.addNote("bursts run at 125%% of the probed ST (the paper uses 110%%): this substrate's ST probe has ±15%% noise, so a 10%% overshoot would not reliably exceed capacity")
 	return r, nil
 }
 
@@ -186,9 +186,9 @@ func fmtDurOrDash(d time.Duration) string {
 	return fmtMs(d)
 }
 
-// Figure9GPUAcceleration reproduces Figure 9: CPU vs GPU inference latency
+// figure9GPUAcceleration reproduces Figure 9: CPU vs GPU inference latency
 // for ONNX and TF-Serving on the ResNet model (closed loop, bsz=8, mp=1).
-func Figure9GPUAcceleration(opts Options) (*Report, error) {
+func figure9GPUAcceleration(opts Options) (*Report, error) {
 	o := opts.withDefaults()
 	r := &Report{
 		ID:     "Figure 9",
@@ -220,28 +220,28 @@ func Figure9GPUAcceleration(opts Options) (*Report, error) {
 		if d < 3*time.Second {
 			d = 3 * time.Second
 		}
-		lat, err := o.closedLoop(cfg, 3, d)
+		mean, _, err := o.closedLoop(cfg, 3, d)
 		if err != nil {
 			return nil, fmt.Errorf("figure9 %s-%s: %w", c.serving.Tool, c.device, err)
 		}
 		name := fmt.Sprintf("%s-%s", c.serving.Tool, c.device)
-		o.logf("figure9 %s: mean %v", name, lat.Mean)
+		o.logf("figure9 %s: mean %v", name, mean)
 		delta := ""
 		if c.device == "cpu" {
-			base[c.serving.Tool] = lat.Mean
+			base[c.serving.Tool] = mean
 		} else if b, ok := base[c.serving.Tool]; ok && b > 0 {
-			delta = fmt.Sprintf("%+.1f%%", 100*(float64(lat.Mean)-float64(b))/float64(b))
+			delta = fmt.Sprintf("%+.1f%%", 100*(float64(mean)-float64(b))/float64(b))
 		}
-		r.AddRow(name, fmtMs(lat.Mean), delta)
+		r.addRow(name, fmtMs(mean), delta)
 	}
-	r.AddNote("paper shape: both improve on GPU (onnx −16.4%%, tf-serving −24.1%%); tf-serving-gpu ≤ onnx-gpu and beats onnx-cpu")
-	r.AddNote("the GPU device gains come from real fast kernels (Winograd + BN folding) plus a modelled PCIe transfer; see DESIGN.md §1")
+	r.addNote("paper shape: both improve on GPU (onnx −16.4%%, tf-serving −24.1%%); tf-serving-gpu ≤ onnx-gpu and beats onnx-cpu")
+	r.addNote("the GPU device gains come from real fast kernels (Winograd + BN folding) plus a modelled PCIe transfer; see DESIGN.md §1")
 	return r, nil
 }
 
-// Figure10SPSLatency reproduces Figure 10: end-to-end latency across the
+// figure10SPSLatency reproduces Figure 10: end-to-end latency across the
 // four stream processors for increasing batch sizes.
-func Figure10SPSLatency(opts Options) (*Report, error) {
+func figure10SPSLatency(opts Options) (*Report, error) {
 	o := opts.withDefaults()
 	r := &Report{
 		ID:     "Figure 10",
@@ -255,23 +255,23 @@ func Figure10SPSLatency(opts Options) (*Report, error) {
 				w := o.ffnnWorkload()
 				w.BatchSize = bsz
 				cfg := o.baseConfig(engine, serving, w, "ffnn", 1)
-				lat, err := o.closedLoop(cfg, 640/float64(bsz), o.scaled(3*time.Second))
+				mean, _, err := o.closedLoop(cfg, 640/float64(bsz), o.scaled(3*time.Second))
 				if err != nil {
 					return nil, fmt.Errorf("figure10 %s/%s/bsz=%d: %w", engine, serving.Tool, bsz, err)
 				}
-				o.logf("figure10 %s/%s bsz=%d: mean %v", engine, serving.Tool, bsz, lat.Mean)
-				row = append(row, fmtMs(lat.Mean))
+				o.logf("figure10 %s/%s bsz=%d: mean %v", engine, serving.Tool, bsz, mean)
+				row = append(row, fmtMs(mean))
 			}
-			r.AddRow(row...)
+			r.addRow(row...)
 		}
 	}
-	r.AddNote("paper shape: Flink lowest at small bsz but Kafka Streams wins at 512 (no buffer splitting); Spark SS highest everywhere (micro-batch floor); Ray competitive")
+	r.addNote("paper shape: Flink lowest at small bsz but Kafka Streams wins at 512 (no buffer splitting); Spark SS highest everywhere (micro-batch floor); Ray competitive")
 	return r, nil
 }
 
-// Figure11SPSScaleUp reproduces Figure 11: vertical scalability across the
+// figure11SPSScaleUp reproduces Figure 11: vertical scalability across the
 // four stream processors with embedded and external serving.
-func Figure11SPSScaleUp(opts Options) (*Report, error) {
+func figure11SPSScaleUp(opts Options) (*Report, error) {
 	o := opts.withDefaults()
 	header := []string{"engine", "server"}
 	for _, mp := range o.Parallelisms {
@@ -294,16 +294,16 @@ func Figure11SPSScaleUp(opts Options) (*Report, error) {
 				o.logf("figure11 %s/%s mp=%d: %.1f events/s", engine, serving.Tool, mp, tput)
 				row = append(row, fmtRate(tput))
 			}
-			r.AddRow(row...)
+			r.addRow(row...)
 		}
 	}
-	r.AddNote("paper shape: Kafka Streams peaks highest (embedded); Spark SS high but flat in mp; Flink scales below KS; Ray lowest with Ray-Serve worst (single HTTP proxy)")
+	r.addNote("paper shape: Kafka Streams peaks highest (embedded); Spark SS high but flat in mp; Flink scales below KS; Ray lowest with Ray-Serve worst (single HTTP proxy)")
 	return r, nil
 }
 
-// Figure12OperatorParallelism reproduces Figure 12/§6.1: chained
+// figure12OperatorParallelism reproduces Figure 12/§6.1: chained
 // flink[N-N-N] vs operator-level flink[32-N-32].
-func Figure12OperatorParallelism(opts Options) (*Report, error) {
+func figure12OperatorParallelism(opts Options) (*Report, error) {
 	o := opts.withDefaults()
 	header := []string{"pipeline", "server"}
 	for _, mp := range o.Parallelisms {
@@ -311,21 +311,21 @@ func Figure12OperatorParallelism(opts Options) (*Report, error) {
 	}
 	r := &Report{
 		ID:     "Figure 12",
-		Title:  fmt.Sprintf("Operator-level parallelism: flink[N-N-N] vs flink[%d-N-%d] (FFNN)", o.Fanout, o.Fanout),
+		Title:  fmt.Sprintf("Operator-level parallelism: flink[N-N-N] vs flink[%d-N-%d] (FFNN)", o.fanout, o.fanout),
 		Header: header,
 	}
 	for _, serving := range []core.ServingConfig{embeddedTool("onnx"), externalTool("tf-serving")} {
 		for _, operatorLevel := range []bool{false, true} {
 			name := "flink[N-N-N]"
 			if operatorLevel {
-				name = fmt.Sprintf("flink[%d-N-%d]", o.Fanout, o.Fanout)
+				name = fmt.Sprintf("flink[%d-N-%d]", o.fanout, o.fanout)
 			}
 			row := []string{name, serving.Tool}
 			for _, mp := range o.Parallelisms {
 				cfg := o.baseConfig("flink", serving, o.ffnnWorkload(), "ffnn", mp)
 				if operatorLevel {
-					cfg.SourceParallelism = o.Fanout
-					cfg.SinkParallelism = o.Fanout
+					cfg.SourceParallelism = o.fanout
+					cfg.SinkParallelism = o.fanout
 				}
 				tput, err := o.saturate(cfg, o.scaled(3*time.Second))
 				if err != nil {
@@ -334,16 +334,16 @@ func Figure12OperatorParallelism(opts Options) (*Report, error) {
 				o.logf("figure12 %s/%s N=%d: %.1f events/s", name, serving.Tool, mp, tput)
 				row = append(row, fmtRate(tput))
 			}
-			r.AddRow(row...)
+			r.addRow(row...)
 		}
 	}
-	r.AddNote("paper shape: operator-level parallelism reaches ≈3.8× the chained pipeline's rate at low N — sources and sinks, not scoring, bottleneck the chained DAG")
+	r.addNote("paper shape: operator-level parallelism reaches ≈3.8× the chained pipeline's rate at low N — sources and sinks, not scoring, bottleneck the chained DAG")
 	return r, nil
 }
 
-// Figure13KafkaOverhead reproduces Figure 13/§6.2: the Crayfish pipeline
+// figure13KafkaOverhead reproduces Figure 13/§6.2: the Crayfish pipeline
 // with the broker in the loop vs an equivalent self-contained pipeline.
-func Figure13KafkaOverhead(opts Options) (*Report, error) {
+func figure13KafkaOverhead(opts Options) (*Report, error) {
 	o := opts.withDefaults()
 	r := &Report{
 		ID:     "Figure 13",
@@ -352,8 +352,8 @@ func Figure13KafkaOverhead(opts Options) (*Report, error) {
 	}
 	// Throughput: saturation with operator-level parallelism, as §6.2.
 	satCfg := o.baseConfig("flink", embeddedTool("onnx"), o.ffnnWorkload(), "ffnn", 1)
-	satCfg.SourceParallelism = o.Fanout
-	satCfg.SinkParallelism = o.Fanout
+	satCfg.SourceParallelism = o.fanout
+	satCfg.SinkParallelism = o.fanout
 	viaTput, err := o.saturate(satCfg, o.scaled(3*time.Second))
 	if err != nil {
 		return nil, fmt.Errorf("figure13 kafka throughput: %w", err)
@@ -361,11 +361,11 @@ func Figure13KafkaOverhead(opts Options) (*Report, error) {
 
 	// Latency: closed loop via broker vs standalone.
 	latCfg := o.baseConfig("flink", embeddedTool("onnx"), o.ffnnWorkload(), "ffnn", 1)
-	viaLat, err := o.closedLoop(latCfg, 20, o.scaled(3*time.Second))
+	viaMean, viaP99, err := o.closedLoop(latCfg, 20, o.scaled(3*time.Second))
 	if err != nil {
 		return nil, fmt.Errorf("figure13 kafka latency: %w", err)
 	}
-	r.AddRow("kafka", fmtRate(viaTput), fmtMs(viaLat.Mean), fmtMs(viaLat.P99))
+	r.addRow("kafka", fmtRate(viaTput), fmtMs(viaMean), fmtMs(viaP99))
 
 	// No Load: the throughput half saturates.
 	standCfg := latCfg
@@ -381,7 +381,7 @@ func Figure13KafkaOverhead(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("figure13 no-kafka latency: %w", err)
 	}
-	r.AddRow("no-kafka", fmtRate(standTput.Metrics.Throughput), fmtMs(standLat.Metrics.Latency.Mean), fmtMs(standLat.Metrics.Latency.P99))
-	r.AddNote("paper shape: throughput overhead of the broker is small (≈2.4%%), latency overhead is large (standalone up to 59%% lower)")
+	r.addRow("no-kafka", fmtRate(standTput.Metrics.Throughput), fmtMs(standLat.Metrics.Latency.Mean), fmtMs(standLat.Metrics.Latency.P99))
+	r.addNote("paper shape: throughput overhead of the broker is small (≈2.4%%), latency overhead is large (standalone up to 59%% lower)")
 	return r, nil
 }

@@ -9,7 +9,7 @@ import (
 	"crayfish/internal/faults"
 )
 
-// RecoveryFaultInjection runs the chaos scenario: a deterministic fault
+// recoveryFaultInjection runs the chaos scenario: a deterministic fault
 // plan fires while the FFNN workload streams — drops, duplicates, and
 // delays at the broker boundary plus a mid-run serving outage (a
 // scorer-error window for embedded serving, a daemon crash/restart for
@@ -18,7 +18,7 @@ import (
 // clean recovery), how long it needed to catch up after the last fault
 // window closed, and the p95 latency of the records scored while the
 // outage was open.
-func RecoveryFaultInjection(opts Options) (*Report, error) {
+func recoveryFaultInjection(opts Options) (*Report, error) {
 	o := opts.withDefaults()
 	r := &Report{
 		ID:     "Recovery",
@@ -81,12 +81,12 @@ func RecoveryFaultInjection(opts Options) (*Report, error) {
 		if deg >= 0 {
 			degCell = fmtMs(deg)
 		}
-		r.AddRow(p.engine, string(p.serving.Mode)+" "+p.serving.Tool,
+		r.addRow(p.engine, string(p.serving.Mode)+" "+p.serving.Tool,
 			strconv.Itoa(last.Produced), strconv.Itoa(last.Dropped), strconv.Itoa(last.Duplicated),
 			strconv.Itoa(lost), fmtDurOrDash(ttr), degCell)
 	}
-	r.AddNote("the plan is seed-driven: replaying it over the same workload reproduces the fault log byte for byte")
-	r.AddNote("lost counts records missing beyond the planned drops; 0 means the retries and breakers rode the outage out")
+	r.addNote("the plan is seed-driven: replaying it over the same workload reproduces the fault log byte for byte")
+	r.addNote("lost counts records missing beyond the planned drops; 0 means the retries and breakers rode the outage out")
 	return r, nil
 }
 

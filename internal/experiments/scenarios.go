@@ -8,7 +8,7 @@ import (
 	"crayfish/internal/loadgen"
 )
 
-// ScenarioSuite runs the four MLPerf-style load scenarios
+// scenarioSuite runs the four MLPerf-style load scenarios
 // (docs/SCENARIOS.md) across engine × serving tool and books each run's
 // structured verdict: single-stream (issue-on-completion, p90), multi-
 // stream (fixed outstanding window, p99), server (offered Poisson rate
@@ -17,7 +17,7 @@ import (
 // fastest pair and reports the knee — the highest offered rate that
 // still meets the bound, the capacity number BENCH_inference.json tracks
 // as server_capacity_rps.
-func ScenarioSuite(opts Options) (*Report, error) {
+func scenarioSuite(opts Options) (*Report, error) {
 	o := opts.withDefaults()
 	r := &Report{
 		ID:     "Scenario S1",
@@ -63,7 +63,7 @@ func ScenarioSuite(opts Options) (*Report, error) {
 			if v.Bound == 0 {
 				boundCell = "—"
 			}
-			r.AddRow(string(sc.Kind), p.engine, string(p.serving.Mode)+" "+p.serving.Tool,
+			r.addRow(string(sc.Kind), p.engine, string(p.serving.Mode)+" "+p.serving.Tool,
 				v.Constraint, fmt.Sprintf("%.2f %s", v.Metric, v.Unit), boundCell, status)
 			o.logf("scenario %s %s/%s: %s", sc.Kind, p.engine, p.serving.Tool, v)
 		}
@@ -86,13 +86,13 @@ func ScenarioSuite(opts Options) (*Report, error) {
 		if !v.Pass {
 			status = "FAIL"
 		}
-		r.AddRow("server sweep", "flink", "embedded onnx",
+		r.addRow("server sweep", "flink", "embedded onnx",
 			fmt.Sprintf("offered %s ev/s", fmtRate(pt.Rate)),
 			fmt.Sprintf("%.2f %s", v.Metric, v.Unit),
 			fmt.Sprintf("%g %s", v.Bound, v.Unit), status)
 		o.logf("capacity sweep at %s ev/s: %s", fmtRate(pt.Rate), v)
 	}
-	r.AddNote("server capacity (knee of the p99-vs-offered-load curve on flink/onnx): %s events/s", fmtRate(capacity))
-	r.AddNote("arrival schedules are seed-deterministic: replaying a scenario's seed reproduces the schedule byte for byte (docs/SCENARIOS.md)")
+	r.addNote("server capacity (knee of the p99-vs-offered-load curve on flink/onnx): %s events/s", fmtRate(capacity))
+	r.addNote("arrival schedules are seed-deterministic: replaying a scenario's seed reproduces the schedule byte for byte (docs/SCENARIOS.md)")
 	return r, nil
 }

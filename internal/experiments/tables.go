@@ -9,9 +9,9 @@ import (
 	"crayfish/internal/modelfmt"
 )
 
-// Table2ModelSizes reproduces Table 2: the two models' characteristics and
+// table2ModelSizes reproduces Table 2: the two models' characteristics and
 // their serialized size in each storage format.
-func Table2ModelSizes() (*Report, error) {
+func table2ModelSizes() (*Report, error) {
 	r := &Report{
 		ID:     "Table 2",
 		Title:  "Pre-trained model characteristics and stored sizes",
@@ -32,10 +32,10 @@ func Table2ModelSizes() (*Report, error) {
 			}
 			row = append(row, fmtBytes(len(data)))
 		}
-		r.AddRow(row...)
+		r.addRow(row...)
 	}
-	r.AddNote("paper: FFNN onnx 113KB / savedmodel 508KB / torch 115KB / h5 133KB; ResNet50 formats converge to weight size")
-	r.AddNote("the benchmark ResNet is the reduced-width substitution from DESIGN.md §1; run with model resnet50 for the 23M-parameter network")
+	r.addNote("paper: FFNN onnx 113KB / savedmodel 508KB / torch 115KB / h5 133KB; ResNet50 formats converge to weight size")
+	r.addNote("the benchmark ResNet is the reduced-width substitution from DESIGN.md §1; run with model resnet50 for the 23M-parameter network")
 	return r, nil
 }
 
@@ -61,9 +61,9 @@ func fmtBytes(n int) string {
 	}
 }
 
-// Table4ServingThroughput reproduces Table 4: sustainable throughput per
+// table4ServingThroughput reproduces Table 4: sustainable throughput per
 // serving tool with Apache Flink as the host SPS (bsz=1, mp=1).
-func Table4ServingThroughput(opts Options) (*Report, error) {
+func table4ServingThroughput(opts Options) (*Report, error) {
 	o := opts.withDefaults()
 	r := &Report{
 		ID:     "Table 4",
@@ -107,15 +107,15 @@ func Table4ServingThroughput(opts Options) (*Report, error) {
 			return nil, fmt.Errorf("table4 %s/%s: %w", e.model, e.tool, err)
 		}
 		o.logf("table4 %s/%s: %.1f events/s", e.model, e.tool, tput)
-		r.AddRow(e.model, e.tool, e.mode, fmtRate(tput))
+		r.addRow(e.model, e.tool, e.mode, fmtRate(tput))
 	}
-	r.AddNote("paper shape: embedded > external for FFNN; ONNX > SavedModel > DL4J; TF-Serving ≈ 3× TorchServe; ResNet collapses every tool to a few events/s with ONNX ≈ TF-Serving; the transformer (fused attention kernels) sits between the two")
+	r.addNote("paper shape: embedded > external for FFNN; ONNX > SavedModel > DL4J; TF-Serving ≈ 3× TorchServe; ResNet collapses every tool to a few events/s with ONNX ≈ TF-Serving; the transformer (fused attention kernels) sits between the two")
 	return r, nil
 }
 
-// Table5SPSThroughput reproduces Table 5: FFNN throughput across the four
+// table5SPSThroughput reproduces Table 5: FFNN throughput across the four
 // stream processors with ONNX (embedded) and TF-Serving (external).
-func Table5SPSThroughput(opts Options) (*Report, error) {
+func table5SPSThroughput(opts Options) (*Report, error) {
 	o := opts.withDefaults()
 	r := &Report{
 		ID:     "Table 5",
@@ -133,8 +133,8 @@ func Table5SPSThroughput(opts Options) (*Report, error) {
 			o.logf("table5 %s/%s: %.1f events/s", engine, serving.Tool, tput)
 			row = append(row, fmtRate(tput))
 		}
-		r.AddRow(row...)
+		r.addRow(row...)
 	}
-	r.AddNote("paper shape: Spark SS highest (micro-batching), Kafka Streams > Flink, Ray lowest; Spark SS nearly erases the embedded-vs-external gap")
+	r.addNote("paper shape: Spark SS highest (micro-batching), Kafka Streams > Flink, Ray lowest; Spark SS nearly erases the embedded-vs-external gap")
 	return r, nil
 }

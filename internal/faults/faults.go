@@ -2,7 +2,7 @@
 // experiments: a seed-driven Injector executes a Plan of message faults
 // (drop / duplicate / delay at the broker boundary) and timed fault
 // events (external serving daemon crash + restart, transient scorer
-// errors, slow-replica degradation) while a workload runs, so the
+// errors, broker node crash + restart) while a workload runs, so the
 // recovery scenario (internal/core.RunRecovery) can measure how each
 // SPS × serving pairing behaves when components degrade.
 //
@@ -57,9 +57,6 @@ const (
 	// ScorerError makes every scorer call fail (retryably) for the
 	// event's Duration window.
 	ScorerError Kind = "scorer-error"
-	// SlowReplica adds the event's Slowdown to every scorer call for
-	// the event's Duration window.
-	SlowReplica Kind = "slow-replica"
 	// BrokerCrash kills the named broker node (Event.Target, e.g.
 	// "node-1"; registered handler — broker.Cluster.Bind). A positive
 	// Duration makes it a crash *window*: the scheduler synthesises the
@@ -81,26 +78,24 @@ type Rule struct {
 	// unbounded.
 	FromSeq int64
 	ToSeq   int64
-	// Every applies the fault to every n-th record in the window
+	// every applies the fault to every n-th record in the window
 	// (≤ 1 = all of them).
-	Every int64
+	every int64
 	// Delay is the hold time for Kind == Delay rules.
 	Delay time.Duration
 }
 
 // Event is one timed fault: at offset At from Start, fire Kind. Crash
-// and Restart invoke registered handlers; ScorerError and SlowReplica
-// open a window of Duration.
+// and Restart invoke registered handlers; ScorerError opens a window of
+// Duration.
 type Event struct {
 	At   time.Duration
 	Kind Kind
 	// Target names the component the event hits (free text, e.g. the
 	// serving tool); it flows into the log for readability.
 	Target string
-	// Duration is the window length for ScorerError / SlowReplica.
+	// Duration is the window length for ScorerError.
 	Duration time.Duration
-	// Slowdown is the added per-call latency for SlowReplica.
-	Slowdown time.Duration
 }
 
 // Plan is a reproducible fault schedule.
@@ -133,14 +128,14 @@ func (p Plan) Validate() error {
 	}
 	for i, e := range p.Events {
 		switch e.Kind {
-		case Crash, Restart, ScorerError, SlowReplica, BrokerCrash, BrokerRestart:
+		case Crash, Restart, ScorerError, BrokerCrash, BrokerRestart:
 		default:
 			return fmt.Errorf("faults: event %d: kind %q is not a timed event", i, e.Kind)
 		}
 		if e.At < 0 {
 			return fmt.Errorf("faults: event %d: negative offset", i)
 		}
-		if (e.Kind == ScorerError || e.Kind == SlowReplica) && e.Duration <= 0 {
+		if e.Kind == ScorerError && e.Duration <= 0 {
 			return fmt.Errorf("faults: event %d: %s needs a positive Duration", i, e.Kind)
 		}
 		if (e.Kind == BrokerCrash || e.Kind == BrokerRestart) && e.Target == "" {
@@ -205,26 +200,17 @@ func FormatLog(entries []LogEntry) string {
 // can tell injected faults from real ones.
 var ErrInjected = errors.New("faults: injected failure")
 
-// Option configures an Injector.
-type Option func(*Injector)
-
-// WithClock injects the time source (default: the wall clock). The
-// recovery runner passes its run clock so event windows line up with
-// measured latencies.
-func WithClock(clock func() time.Time) Option {
-	return func(i *Injector) { i.clock = clock }
-}
-
 // Injector executes a Plan. Create with New, register Crash/Restart
-// handlers with Handle, then Start; Message / ScorerFault /
-// ReplicaDelay are safe for concurrent use between Start and Stop.
+// handlers with Handle, then Start; Message and ScorerFault are safe
+// for concurrent use between Start and Stop.
 type Injector struct {
-	plan  Plan
+	plan Plan
+	// clock is the time source; tests replace the wall clock before
+	// Start.
 	clock func() time.Time
 
 	mu       sync.Mutex
 	seqs     map[string]int64
-	counts   map[Kind]int
 	byTopic  map[string]map[Kind]int
 	log      []LogEntry
 	handlers map[Kind][]func(Event)
@@ -238,25 +224,18 @@ type Injector struct {
 }
 
 // New builds an injector for plan. The plan must Validate.
-func New(plan Plan, opts ...Option) (*Injector, error) {
+func New(plan Plan) (*Injector, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
-	i := &Injector{
+	return &Injector{
 		plan:     plan,
+		clock:    time.Now, //lint:allow clockdiscipline the wall-clock default; tests replace it
 		seqs:     make(map[string]int64),
-		counts:   make(map[Kind]int),
 		byTopic:  make(map[string]map[Kind]int),
 		handlers: make(map[Kind][]func(Event)),
 		stopCh:   make(chan struct{}),
-	}
-	for _, o := range opts {
-		o(i)
-	}
-	if i.clock == nil {
-		i.clock = time.Now //lint:allow clockdiscipline documented default when no clock is injected, mirrors broker.Config.Clock
-	}
-	return i, nil
+	}, nil
 }
 
 // Handle registers fn for every timed event of the given kind (Crash,
@@ -335,9 +314,8 @@ func expandEvents(events []Event) []Event {
 }
 
 // handledEvent reports whether the scheduler fires registered handlers
-// for the kind; the remaining timed kinds (ScorerError, SlowReplica)
-// need no firing — their windows are evaluated lazily against the clock
-// by ScorerFault / ReplicaDelay.
+// for the kind; the remaining timed kind, ScorerError, needs no firing —
+// its window is evaluated lazily against the clock by ScorerFault.
 func handledEvent(k Kind) bool {
 	return k == Crash || k == Restart || k == BrokerCrash || k == BrokerRestart
 }
@@ -376,7 +354,6 @@ func (i *Injector) schedule(timed []Event) {
 
 // count must be called with i.mu held.
 func (i *Injector) count(kind Kind, topic string) {
-	i.counts[kind]++
 	if topic != "" {
 		m := i.byTopic[topic]
 		if m == nil {
@@ -401,7 +378,7 @@ func (i *Injector) Message(topic string) Verdict {
 		if r.Topic != topic || seq < r.FromSeq || (r.ToSeq > 0 && seq >= r.ToSeq) {
 			continue
 		}
-		if r.Every > 1 && (seq-r.FromSeq)%r.Every != 0 {
+		if r.every > 1 && (seq-r.FromSeq)%r.every != 0 {
 			continue
 		}
 		switch r.Kind {
@@ -469,34 +446,6 @@ func (i *Injector) ScorerFault() error {
 		observe(ScorerError)
 	}
 	return resilience.MarkRetryable(fmt.Errorf("%w: scorer error window (target %s)", ErrInjected, e.Target))
-}
-
-// ReplicaDelay returns the extra per-call latency while a SlowReplica
-// window is open, 0 otherwise.
-func (i *Injector) ReplicaDelay() time.Duration {
-	e, ok := i.window(SlowReplica)
-	if !ok {
-		return 0
-	}
-	i.mu.Lock()
-	i.count(SlowReplica, "")
-	observe := i.onInject
-	i.mu.Unlock()
-	if observe != nil {
-		observe(SlowReplica)
-	}
-	return e.Slowdown
-}
-
-// Counts returns a copy of the per-kind injection totals.
-func (i *Injector) Counts() map[Kind]int {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	out := make(map[Kind]int, len(i.counts))
-	for k, n := range i.counts {
-		out[k] = n
-	}
-	return out
 }
 
 // CountsFor returns a copy of the per-kind totals for one topic.

@@ -57,9 +57,9 @@ func (p *Proxy) TearAfter(n int) {
 	p.tearBudget = n
 }
 
-// CutConnections severs every live proxied connection (both sides), as
+// cutConnections severs every live proxied connection (both sides), as
 // a broker restart would.
-func (p *Proxy) CutConnections() {
+func (p *Proxy) cutConnections() {
 	p.mu.Lock()
 	conns := make([]net.Conn, 0, len(p.conns))
 	for c := range p.conns {
@@ -76,7 +76,7 @@ func (p *Proxy) CutConnections() {
 func (p *Proxy) Close() error {
 	p.closeMu.Do(func() { close(p.closed) })
 	err := p.ln.Close()
-	p.CutConnections()
+	p.cutConnections()
 	p.wg.Wait()
 	return err
 }

@@ -22,9 +22,9 @@ import (
 type Device interface {
 	// Name identifies the device ("cpu", "gpu").
 	Name() string
-	// Workers is the kernel-level parallelism the device offers; 1 means
+	// workers is the kernel-level parallelism the device offers; 1 means
 	// sequential execution.
-	Workers() int
+	workers() int
 	// FastKernels reports whether the device's kernel library uses
 	// fast algorithms — Winograd convolution and the fused transformer
 	// kernels (flash-style attention, fused residual + layer norm) —
@@ -55,12 +55,14 @@ func ProfileOf(d Device) ExecProfile {
 	if d == nil {
 		d = CPU()
 	}
-	return ExecProfile{Workers: d.Workers(), FastKernels: d.FastKernels(), Int8: SupportsInt8(d)}
+	return ExecProfile{Workers: d.workers(), FastKernels: d.FastKernels(), Int8: SupportsInt8(d)}
 }
 
 // WithInt8 wraps a device so its profile requests int8 execution, the
 // way TensorRT-style deployments opt a model into the quantized engine
 // on the same hardware. nil wraps the CPU.
+//
+//lint:allow deadexport serving tests pin the int8 profile on the CPU
 func WithInt8(d Device) Device {
 	if d == nil {
 		d = CPU()
@@ -86,11 +88,13 @@ func CPU() Device { return cpuDevice{} }
 type cpuDevice struct{}
 
 func (cpuDevice) Name() string      { return "cpu" }
-func (cpuDevice) Workers() int      { return 1 }
+func (cpuDevice) workers() int      { return 1 }
 func (cpuDevice) FastKernels() bool { return false }
 func (cpuDevice) Transfer(int)      {}
 
 // Config tunes the simulated accelerator.
+//
+//lint:allow deadexport serving tests pin worker counts and transfer costs
 type Config struct {
 	// Workers is the data-parallel kernel width. 0 means all host cores.
 	Workers int
@@ -103,6 +107,8 @@ type Config struct {
 }
 
 // NewGPU returns an accelerator device.
+//
+//lint:allow deadexport serving tests pin worker counts and transfer costs
 func NewGPU(cfg Config) Device {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.NumCPU()
@@ -122,7 +128,7 @@ type gpuDevice struct {
 
 func (g *gpuDevice) Name() string { return "gpu" }
 
-func (g *gpuDevice) Workers() int { return g.cfg.Workers }
+func (g *gpuDevice) workers() int { return g.cfg.Workers }
 
 func (g *gpuDevice) FastKernels() bool { return true }
 

@@ -7,8 +7,8 @@ import (
 
 func TestCPUDevice(t *testing.T) {
 	d := CPU()
-	if d.Name() != "cpu" || d.Workers() != 1 {
-		t.Fatalf("cpu device = %s/%d", d.Name(), d.Workers())
+	if d.Name() != "cpu" || d.workers() != 1 {
+		t.Fatalf("cpu device = %s/%d", d.Name(), d.workers())
 	}
 	start := time.Now()
 	d.Transfer(1 << 30)
@@ -22,8 +22,8 @@ func TestGPUDefaults(t *testing.T) {
 	if d.Name() != "gpu" {
 		t.Fatalf("name = %s", d.Name())
 	}
-	if d.Workers() < 1 {
-		t.Fatalf("workers = %d", d.Workers())
+	if d.workers() < 1 {
+		t.Fatalf("workers = %d", d.workers())
 	}
 }
 

@@ -5,9 +5,9 @@
 // pooling. Payloads are opaque bytes; services define their own codecs.
 //
 // Fault semantics: every transport failure (dial, reset, torn frame,
-// deadline) surfaces as a typed ErrUnavailable marked retryable
+// deadline) surfaces as a typed errUnavailable marked retryable
 // (resilience.IsRetryable); application errors returned by remote
-// handlers are plain errors. Calls carry DefaultCallTimeout unless
+// handlers are plain errors. Calls carry defaultCallTimeout unless
 // WithTimeout overrides it, and WithRetry / WithBreaker wire the
 // client-side resilience policy into every Call.
 package grpcish
@@ -28,19 +28,19 @@ import (
 // maxFrame bounds one RPC frame.
 const maxFrame = 96 << 20
 
-// DefaultCallTimeout bounds one Call when WithTimeout is not given: no
+// defaultCallTimeout bounds one Call when WithTimeout is not given: no
 // hung daemon may wedge a run (a hang is indistinguishable from a
 // crash without a deadline).
-const DefaultCallTimeout = 30 * time.Second
+const defaultCallTimeout = 30 * time.Second
 
-// ErrClosed is returned for operations on a closed client or server.
-var ErrClosed = errors.New("grpcish: closed")
+// errClosed is returned for operations on a closed client or server.
+var errClosed = errors.New("grpcish: closed")
 
-// ErrUnavailable types every transport-level call failure — connection
+// errUnavailable types every transport-level call failure — connection
 // reset, torn frame, dial failure, deadline — as distinct from an
-// application error returned by the remote handler. ErrUnavailable
+// application error returned by the remote handler. errUnavailable
 // errors are marked retryable (resilience.IsRetryable).
-var ErrUnavailable = errors.New("grpcish: unavailable")
+var errUnavailable = errors.New("grpcish: unavailable")
 
 // Status codes carried in response frames.
 const (
@@ -84,7 +84,7 @@ func (s *Server) Serve(addr string) error {
 	if s.closed {
 		s.mu.Unlock()
 		ln.Close()
-		return ErrClosed
+		return errClosed
 	}
 	s.ln = ln
 	s.mu.Unlock()
@@ -267,13 +267,13 @@ type clientConn struct {
 // DialOption configures a Client.
 type DialOption func(*Client)
 
-// WithTimeout sets the per-call deadline (default DefaultCallTimeout);
+// WithTimeout sets the per-call deadline (default defaultCallTimeout);
 // d ≤ 0 disables deadlines entirely.
 func WithTimeout(d time.Duration) DialOption {
 	return func(c *Client) { c.timeout = d }
 }
 
-// WithRetry retries transport failures (ErrUnavailable) with the given
+// WithRetry retries transport failures (errUnavailable) with the given
 // policy; application errors are never retried.
 func WithRetry(r *resilience.Retry) DialOption {
 	return func(c *Client) { c.retry = r }
@@ -288,7 +288,7 @@ func WithBreaker(b *resilience.Breaker) DialOption {
 
 // Dial connects to addr, validating connectivity eagerly.
 func Dial(addr string, opts ...DialOption) (*Client, error) {
-	c := &Client{addr: addr, timeout: DefaultCallTimeout}
+	c := &Client{addr: addr, timeout: defaultCallTimeout}
 	for _, o := range opts {
 		o(c)
 	}
@@ -316,7 +316,7 @@ func (c *Client) checkout() (*clientConn, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, ErrClosed
+		return nil, errClosed
 	}
 	if n := len(c.idle); n > 0 {
 		cc := c.idle[n-1]
@@ -327,7 +327,7 @@ func (c *Client) checkout() (*clientConn, error) {
 	c.mu.Unlock()
 	conn, err := net.Dial("tcp", c.addr)
 	if err != nil {
-		return nil, resilience.MarkRetryable(fmt.Errorf("grpcish: dial %s: %w: %w", c.addr, ErrUnavailable, err))
+		return nil, resilience.MarkRetryable(fmt.Errorf("grpcish: dial %s: %w: %w", c.addr, errUnavailable, err))
 	}
 	return &clientConn{c: conn, br: bufio.NewReaderSize(conn, 64<<10), bw: bufio.NewWriterSize(conn, 64<<10)}, nil
 }
@@ -356,7 +356,7 @@ func (c *Client) checkin(cc *clientConn) {
 }
 
 // Call performs one unary RPC under the client's resilience policy:
-// transport failures are typed ErrUnavailable (retryable) and retried
+// transport failures are typed errUnavailable (retryable) and retried
 // when WithRetry is set; WithBreaker sheds calls while the circuit is
 // open. An application error returned by the remote handler comes back
 // as a plain (non-retryable) error whose message is the handler's — it
@@ -383,7 +383,7 @@ func (c *Client) Call(method string, req []byte) ([]byte, error) {
 
 // unavailable types err as a retryable transport failure.
 func unavailable(stage string, err error) error {
-	return resilience.MarkRetryable(fmt.Errorf("grpcish: %s: %w: %w", stage, ErrUnavailable, err))
+	return resilience.MarkRetryable(fmt.Errorf("grpcish: %s: %w: %w", stage, errUnavailable, err))
 }
 
 // callOnce performs one wire round trip, separating application errors

@@ -121,7 +121,7 @@ func TestClosedClient(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Call("echo", nil); !errors.Is(err, ErrClosed) {
+	if _, err := c.Call("echo", nil); !errors.Is(err, errClosed) {
 		t.Fatalf("call after close: %v", err)
 	}
 }

@@ -84,7 +84,7 @@ func TestMidCallResetIsTypedRetryable(t *testing.T) {
 	if err == nil {
 		t.Fatal("call over a reset connection succeeded")
 	}
-	if !errors.Is(err, ErrUnavailable) {
+	if !errors.Is(err, errUnavailable) {
 		t.Fatalf("reset not typed ErrUnavailable: %v", err)
 	}
 	if !resilience.IsRetryable(err) {
@@ -133,7 +133,7 @@ func TestRemoteErrorIsNotRetried(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected remote error")
 	}
-	if resilience.IsRetryable(err) || errors.Is(err, ErrUnavailable) {
+	if resilience.IsRetryable(err) || errors.Is(err, errUnavailable) {
 		t.Fatalf("application error mistyped as transport fault: %v", err)
 	}
 	mu.Lock()
@@ -173,7 +173,7 @@ func TestDefaultCallDeadline(t *testing.T) {
 	// must eventually fail the call. Shrink it via WithTimeout to keep
 	// the test quick, but prove Dial installs a deadline by default by
 	// checking the zero-option client's configured timeout.
-	c0 := &Client{addr: "x", timeout: DefaultCallTimeout}
+	c0 := &Client{addr: "x", timeout: defaultCallTimeout}
 	if c0.timeout <= 0 {
 		t.Fatal("no default deadline")
 	}
@@ -211,7 +211,7 @@ func TestDefaultCallDeadline(t *testing.T) {
 	if err == nil {
 		t.Fatal("hung call returned")
 	}
-	if !errors.Is(err, ErrUnavailable) || !resilience.IsRetryable(err) {
+	if !errors.Is(err, errUnavailable) || !resilience.IsRetryable(err) {
 		t.Fatalf("deadline error not typed/retryable: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -242,7 +242,7 @@ func TestOversizedRequestNotRetried(t *testing.T) {
 	if err == nil {
 		t.Fatal("oversized request accepted")
 	}
-	if errors.Is(err, ErrUnavailable) || resilience.IsRetryable(err) {
+	if errors.Is(err, errUnavailable) || resilience.IsRetryable(err) {
 		t.Fatalf("caller bug typed as transport fault: %v", err)
 	}
 	if attempts != 0 {

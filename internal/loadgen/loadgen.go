@@ -24,7 +24,6 @@ package loadgen
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"time"
 )
@@ -60,9 +59,9 @@ type Phase struct {
 	Duration time.Duration
 	// Rate is the phase's target rate in events/s.
 	Rate float64
-	// Process is the phase-local arrival process: ProcessConstant
+	// process is the phase-local arrival process: ProcessConstant
 	// (default) or ProcessPoisson.
-	Process ProcessKind
+	process ProcessKind
 }
 
 // Policy declaratively describes an arrival process. It is pure data:
@@ -75,9 +74,9 @@ type Policy struct {
 	// Seed drives every random draw the policy makes (poisson, phased
 	// poisson segments). Equal seeds yield byte-identical schedules.
 	Seed int64
-	// Trace is the explicit arrival-offset list for ProcessTrace;
+	// trace is the explicit arrival-offset list for ProcessTrace;
 	// offsets are since run start and must be non-decreasing.
-	Trace []time.Duration
+	trace []time.Duration
 	// Phases is the repeating cycle for ProcessPhased.
 	Phases []Phase
 }
@@ -90,11 +89,6 @@ func Constant(rate float64) Policy {
 // Poisson builds a Poisson-arrival policy at the target rate.
 func Poisson(rate float64, seed int64) Policy {
 	return Policy{Process: ProcessPoisson, Rate: rate, Seed: seed}
-}
-
-// Trace builds a trace-replay policy over explicit arrival offsets.
-func Trace(offsets []time.Duration) Policy {
-	return Policy{Process: ProcessTrace, Trace: offsets}
 }
 
 // Phased builds a repeating phase-cycle policy (diurnal/burst shapes).
@@ -115,16 +109,16 @@ func (p Policy) Validate() error {
 			return fmt.Errorf("loadgen: %s policy needs a positive rate, got %v", p.Process, p.Rate)
 		}
 	case ProcessTrace:
-		if len(p.Trace) == 0 {
+		if len(p.trace) == 0 {
 			return fmt.Errorf("loadgen: trace policy needs at least one arrival offset")
 		}
-		for i := 1; i < len(p.Trace); i++ {
-			if p.Trace[i] < p.Trace[i-1] {
-				return fmt.Errorf("loadgen: trace offsets must be non-decreasing (offset %d: %v < %v)", i, p.Trace[i], p.Trace[i-1])
+		for i := 1; i < len(p.trace); i++ {
+			if p.trace[i] < p.trace[i-1] {
+				return fmt.Errorf("loadgen: trace offsets must be non-decreasing (offset %d: %v < %v)", i, p.trace[i], p.trace[i-1])
 			}
 		}
-		if p.Trace[0] < 0 {
-			return fmt.Errorf("loadgen: trace offsets must be non-negative, got %v", p.Trace[0])
+		if p.trace[0] < 0 {
+			return fmt.Errorf("loadgen: trace offsets must be non-negative, got %v", p.trace[0])
 		}
 	case ProcessPhased:
 		if len(p.Phases) == 0 {
@@ -137,10 +131,10 @@ func (p Policy) Validate() error {
 			if ph.Rate <= 0 {
 				return fmt.Errorf("loadgen: phase %d needs a positive rate, got %v", i, ph.Rate)
 			}
-			switch ph.Process {
+			switch ph.process {
 			case "", ProcessConstant, ProcessPoisson:
 			default:
-				return fmt.Errorf("loadgen: phase %d process must be constant or poisson, got %q", i, ph.Process)
+				return fmt.Errorf("loadgen: phase %d process must be constant or poisson, got %q", i, ph.process)
 			}
 		}
 	case ProcessSaturate:
@@ -171,8 +165,8 @@ func (p Policy) Schedule() (*Schedule, error) {
 	return &Schedule{p: p, rng: rand.New(rand.NewSource(p.Seed))}, nil
 }
 
-// Saturating reports whether the schedule carries no pacing at all.
-func (s *Schedule) Saturating() bool {
+// saturating reports whether the schedule carries no pacing at all.
+func (s *Schedule) saturating() bool {
 	return s.p.Process == ProcessSaturate
 }
 
@@ -194,17 +188,17 @@ func (s *Schedule) Next() (offset time.Duration, rate float64, ok bool) {
 		s.t += time.Duration(s.rng.ExpFloat64() * float64(time.Second) / s.p.Rate)
 		return s.t, s.p.Rate, true
 	case ProcessTrace:
-		if s.idx >= len(s.p.Trace) {
+		if s.idx >= len(s.p.trace) {
 			return 0, 0, false
 		}
-		offset = s.p.Trace[s.idx]
+		offset = s.p.trace[s.idx]
 		s.idx++
 		return offset, 0, true
 	case ProcessPhased:
 		ph := s.phaseAt(s.t)
 		offset = s.t
 		gap := time.Duration(float64(time.Second) / ph.Rate)
-		if ph.Process == ProcessPoisson {
+		if ph.process == ProcessPoisson {
 			gap = time.Duration(s.rng.ExpFloat64() * float64(time.Second) / ph.Rate)
 			// Poisson phases place the arrival after the gap, like the
 			// pure Poisson process.
@@ -233,32 +227,6 @@ func (s *Schedule) phaseAt(off time.Duration) Phase {
 	return s.p.Phases[len(s.p.Phases)-1]
 }
 
-// WriteSchedule writes the first n arrivals of the policy's schedule in
-// the canonical conformance format — one "index offset_ns rate" line per
-// arrival. This is the byte-identity surface: equal policies (same seed)
-// must produce equal bytes, pinned by the loadgen conformance suite.
-// Unbounded processes emit exactly n lines; a shorter trace ends early.
-func WriteSchedule(w io.Writer, p Policy, n int) error {
-	s, err := p.Schedule()
-	if err != nil {
-		return err
-	}
-	if s.Saturating() {
-		_, err := fmt.Fprintf(w, "saturate\n")
-		return err
-	}
-	for i := 0; i < n; i++ {
-		off, rate, ok := s.Next()
-		if !ok {
-			break
-		}
-		if _, err := fmt.Fprintf(w, "%d %d %g\n", i, off.Nanoseconds(), rate); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Clock abstracts time for the Pacer so tests (and deterministic
 // experiments) inject a virtual clock instead of the wall clock.
 type Clock struct {
@@ -269,8 +237,8 @@ type Clock struct {
 	After func(d time.Duration) <-chan time.Time
 }
 
-// RealClock is the wall-clock default used outside tests.
-func RealClock() Clock {
+// realClock is the wall-clock default used outside tests.
+func realClock() Clock {
 	return Clock{
 		Now:   time.Now,   //lint:allow clockdiscipline documented default; tests inject a virtual clock
 		After: time.After, //lint:allow clockdiscipline documented default arrival timer; tests inject a virtual clock
@@ -297,7 +265,7 @@ type Pacer struct {
 // the wall clock.
 func NewPacer(s *Schedule, c Clock) *Pacer {
 	if c.Now == nil || c.After == nil {
-		c = RealClock()
+		c = realClock()
 	}
 	return &Pacer{s: s, c: c}
 }
@@ -317,7 +285,7 @@ func (p *Pacer) Start() time.Time {
 // replayed trace is exhausted. Saturating schedules always return
 // immediately with no wait and no lag.
 func (p *Pacer) Tick() (wait, lag time.Duration, rate float64, ok bool) {
-	if p.s.Saturating() {
+	if p.s.saturating() {
 		return 0, 0, 0, true
 	}
 	off, rate, ok := p.s.Next()

@@ -2,6 +2,8 @@ package loadgen
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"testing"
 	"time"
 )
@@ -26,7 +28,7 @@ func TestScheduleDeterminism(t *testing.T) {
 		"trace":    Trace([]time.Duration{0, time.Millisecond, 5 * time.Millisecond}),
 		"phased": Phased(7,
 			Phase{Duration: 10 * time.Millisecond, Rate: 1000},
-			Phase{Duration: 20 * time.Millisecond, Rate: 100, Process: ProcessPoisson},
+			Phase{Duration: 20 * time.Millisecond, Rate: 100, process: ProcessPoisson},
 		),
 	}
 	for name, p := range policies {
@@ -143,7 +145,7 @@ func TestPolicyValidate(t *testing.T) {
 		Phased(1),
 		Phased(1, Phase{Duration: 0, Rate: 10}),
 		Phased(1, Phase{Duration: time.Second, Rate: 0}),
-		Phased(1, Phase{Duration: time.Second, Rate: 10, Process: ProcessTrace}),
+		Phased(1, Phase{Duration: time.Second, Rate: 10, process: ProcessTrace}),
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -153,7 +155,7 @@ func TestPolicyValidate(t *testing.T) {
 	good := []Policy{
 		Constant(10), Poisson(10, 0), Saturate(),
 		Trace([]time.Duration{0, 0, time.Millisecond}),
-		Phased(0, Phase{Duration: time.Second, Rate: 1, Process: ProcessPoisson}),
+		Phased(0, Phase{Duration: time.Second, Rate: 1, process: ProcessPoisson}),
 	}
 	for i, p := range good {
 		if err := p.Validate(); err != nil {
@@ -268,4 +270,35 @@ func TestPacerSleepStop(t *testing.T) {
 	if p.Sleep(time.Hour, stop) {
 		t.Fatal("sleep survived a closed stop channel")
 	}
+}
+
+// Trace builds a trace-replay policy over explicit arrival offsets.
+func Trace(offsets []time.Duration) Policy {
+	return Policy{Process: ProcessTrace, trace: offsets}
+}
+
+// WriteSchedule writes the first n arrivals of the policy's schedule in
+// the canonical conformance format — one "index offset_ns rate" line per
+// arrival. This is the byte-identity surface: equal policies (same seed)
+// must produce equal bytes, pinned by the loadgen conformance suite.
+// Unbounded processes emit exactly n lines; a shorter trace ends early.
+func WriteSchedule(w io.Writer, p Policy, n int) error {
+	s, err := p.Schedule()
+	if err != nil {
+		return err
+	}
+	if s.saturating() {
+		_, err := fmt.Fprintf(w, "saturate\n")
+		return err
+	}
+	for i := 0; i < n; i++ {
+		off, rate, ok := s.Next()
+		if !ok {
+			break
+		}
+		if _, err := fmt.Fprintf(w, "%d %d %g\n", i, off.Nanoseconds(), rate); err != nil {
+			return err
+		}
+	}
+	return nil
 }

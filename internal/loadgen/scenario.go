@@ -22,8 +22,8 @@ const (
 	// p99 latency against the bound; this is the scenario the capacity
 	// sweep steps to find the knee.
 	Server Kind = "server"
-	// Offline issues everything with no pacing and books throughput
-	// against the floor.
+	// Offline issues everything with no pacing and books the throughput
+	// it reaches.
 	Offline Kind = "offline"
 )
 
@@ -39,13 +39,6 @@ type Scenario struct {
 	Seed int64
 	// LatencyBound is the latency constraint (latency scenarios).
 	LatencyBound time.Duration
-	// Percentile is the booked latency percentile. Zero defaults per
-	// kind: 0.90 for single-stream, 0.99 for multi-stream and server.
-	// Only 0.5, 0.9, 0.95 and 0.99 are measured.
-	Percentile float64
-	// MinThroughput is the offline throughput floor in events/s; zero
-	// books the measured throughput with an unconditional pass.
-	MinThroughput float64
 	// Streams is the multi-stream outstanding-query count (default 4).
 	Streams int
 }
@@ -54,20 +47,10 @@ type Scenario struct {
 func (sc Scenario) Normalize() Scenario {
 	switch sc.Kind {
 	case SingleStream:
-		if sc.Percentile == 0 {
-			sc.Percentile = 0.90
-		}
 		sc.Streams = 1
 	case MultiStream:
-		if sc.Percentile == 0 {
-			sc.Percentile = 0.99
-		}
 		if sc.Streams <= 0 {
 			sc.Streams = 4
-		}
-	case Server:
-		if sc.Percentile == 0 {
-			sc.Percentile = 0.99
 		}
 	}
 	return sc
@@ -89,18 +72,10 @@ func (sc Scenario) Validate() error {
 			return fmt.Errorf("loadgen: server scenario needs a positive latency bound")
 		}
 	case Offline:
-		if sc.MinThroughput < 0 {
-			return fmt.Errorf("loadgen: offline throughput floor must be non-negative")
-		}
 	case "":
 		return fmt.Errorf("loadgen: scenario needs a kind")
 	default:
 		return fmt.Errorf("loadgen: unknown scenario kind %q", sc.Kind)
-	}
-	switch sc.Percentile {
-	case 0, 0.5, 0.9, 0.95, 0.99:
-	default:
-		return fmt.Errorf("loadgen: percentile %v not measured (use 0.5, 0.9, 0.95 or 0.99)", sc.Percentile)
 	}
 	return nil
 }
@@ -120,23 +95,9 @@ func (sc Scenario) Policy() Policy {
 
 // Observed is the latency/throughput summary a scenario is judged on.
 type Observed struct {
-	P50, P90, P95, P99 time.Duration
+	P90, P99 time.Duration
 	// Throughput is the measured rate in events/s.
 	Throughput float64
-}
-
-// percentile picks the booked percentile out of an Observed.
-func (o Observed) percentile(q float64) time.Duration {
-	switch q {
-	case 0.5:
-		return o.P50
-	case 0.9:
-		return o.P90
-	case 0.95:
-		return o.P95
-	default:
-		return o.P99
-	}
 }
 
 // Verdict is a scenario's structured pass/fail outcome: the constraint,
@@ -151,8 +112,8 @@ type Verdict struct {
 	// Metric is the measured value (ms for latency scenarios, events/s
 	// for offline).
 	Metric float64
-	// Bound is the constraint's threshold in the same unit; 0 for an
-	// unconstrained offline booking.
+	// Bound is the constraint's threshold in the same unit; 0 for the
+	// offline booking.
 	Bound float64
 	// Unit names the metric's unit ("ms" or "events/s").
 	Unit string
@@ -169,29 +130,19 @@ func (v Verdict) String() string {
 
 // Judge applies the scenario's constraint to an observed summary.
 func (sc Scenario) Judge(o Observed) Verdict {
-	sc = sc.Normalize()
 	if sc.Kind == Offline {
-		v := Verdict{
-			Scenario: Offline,
-			Metric:   o.Throughput,
-			Bound:    sc.MinThroughput,
-			Unit:     "events/s",
-		}
-		if sc.MinThroughput > 0 {
-			v.Constraint = fmt.Sprintf("throughput >= %g events/s", sc.MinThroughput)
-			v.Pass = o.Throughput >= sc.MinThroughput
-		} else {
-			v.Constraint = "throughput booked"
-			v.Pass = true
-		}
-		return v
+		return Verdict{Scenario: Offline, Pass: true, Constraint: "throughput booked", Metric: o.Throughput, Unit: "events/s"}
 	}
-	measured := o.percentile(sc.Percentile)
+	// Single-stream books the p90, the others the p99.
+	measured, pct := o.P99, 99
+	if sc.Kind == SingleStream {
+		measured, pct = o.P90, 90
+	}
 	boundMs := float64(sc.LatencyBound) / float64(time.Millisecond)
 	return Verdict{
 		Scenario:   sc.Kind,
 		Pass:       measured <= sc.LatencyBound,
-		Constraint: fmt.Sprintf("p%g <= %gms", sc.Percentile*100, boundMs),
+		Constraint: fmt.Sprintf("p%d <= %gms", pct, boundMs),
 		Metric:     float64(measured) / float64(time.Millisecond),
 		Bound:      boundMs,
 		Unit:       "ms",

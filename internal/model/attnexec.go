@@ -75,7 +75,7 @@ func (p *Plan) attnInto(s *execState, op *planOp, dst, src *tensor.Tensor) {
 // read/write pass instead of two).
 func (m *Model) fusesResidualNorm(h ExecHints, i int) bool {
 	return h.FastConv && i > 0 && i < len(m.Layers) &&
-		m.Layers[i].Kind == KindLayerNorm && m.Layers[i-1].Kind == KindResidual
+		m.Layers[i].Kind == kindLayerNorm && m.Layers[i-1].Kind == kindResidual
 }
 
 // lnInto runs one standalone layer norm in place (a residual-fused one

@@ -25,19 +25,19 @@ func FoldBatchNorm(m *Model) *Model {
 	for i := 0; i < len(m.Layers); i++ {
 		l := m.Layers[i]
 		switch l.Kind {
-		case KindConv:
+		case kindConv:
 			// Fold a directly following batch norm.
-			if i+1 < len(m.Layers) && m.Layers[i+1].Kind == KindBatchNorm {
+			if i+1 < len(m.Layers) && m.Layers[i+1].Kind == kindBatchNorm {
 				bn := m.Layers[i+1]
 				out.Layers = append(out.Layers, foldConv(l, bn.Gamma, bn.Beta, bn.Mean, bn.Variance, bn.Eps))
 				i++ // consume the BN layer
 				continue
 			}
 			out.Layers = append(out.Layers, shallowCopy(l))
-		case KindProjSkip:
+		case kindProjSkip:
 			if l.Gamma != nil {
 				folded := foldConv(l, l.Gamma, l.Beta, l.Mean, l.Variance, l.Eps)
-				folded.Kind = KindProjSkip
+				folded.Kind = kindProjSkip
 				folded.Gamma, folded.Beta, folded.Mean, folded.Variance = nil, nil, nil, nil
 				out.Layers = append(out.Layers, folded)
 				continue
@@ -69,7 +69,7 @@ func foldConv(l *Layer, gamma, beta, mean, variance *tensor.Tensor, eps float32)
 		b.Data()[ch] = b.Data()[ch]*s + beta.Data()[ch] - mean.Data()[ch]*s
 	}
 	return &Layer{
-		Kind: KindConv, Name: l.Name + "+bn",
+		Kind: kindConv, Name: l.Name + "+bn",
 		W: w, B: b, Stride: l.Stride, Pad: l.Pad,
 	}
 }

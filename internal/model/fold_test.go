@@ -50,10 +50,10 @@ func TestFoldBatchNormRemovesBNLayers(t *testing.T) {
 	m := benchResNetSmall(3)
 	folded := FoldBatchNorm(m)
 	for _, l := range folded.Layers {
-		if l.Kind == KindBatchNorm {
+		if l.Kind == kindBatchNorm {
 			t.Fatalf("batchnorm layer %s survived folding", l.Name)
 		}
-		if l.Kind == KindProjSkip && l.Gamma != nil {
+		if l.Kind == kindProjSkip && l.Gamma != nil {
 			t.Fatalf("projskip %s kept its BN parameters", l.Name)
 		}
 	}

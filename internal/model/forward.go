@@ -55,7 +55,7 @@ func (m *Model) forward(in *tensor.Tensor, opts ExecHints) (*tensor.Tensor, erro
 		// The fast-kernel path folds a residual add into the layer norm
 		// that follows it (one read/write pass instead of two), where
 		// the plan's compile-time peephole does.
-		if l.Kind == KindResidual && m.fusesResidualNorm(opts, i+1) {
+		if l.Kind == kindResidual && m.fusesResidualNorm(opts, i+1) {
 			x, skips, err = fusedResidualNorm(x, skips, m.Layers[i+1])
 			if err != nil {
 				return nil, fmt.Errorf("model %q layer %d (%s): %w", m.Name, i, l.Name, err)
@@ -78,7 +78,7 @@ func (m *Model) forward(in *tensor.Tensor, opts ExecHints) (*tensor.Tensor, erro
 // stack.
 func applyLayer(l *Layer, x *tensor.Tensor, skips []*tensor.Tensor, opts ExecHints) (*tensor.Tensor, []*tensor.Tensor, error) {
 	switch l.Kind {
-	case KindDense:
+	case kindDense:
 		// Rank-3 transformer activations [n, S, D] run the same GEMM
 		// over a flattened [n*S, D] view and fold back afterwards.
 		xm := x
@@ -103,37 +103,37 @@ func applyLayer(l *Layer, x *tensor.Tensor, skips []*tensor.Tensor, opts ExecHin
 		}
 		return y, skips, nil
 
-	case KindReLU:
+	case kindReLU:
 		return tensor.ReLU(x), skips, nil
 
-	case KindSoftmax:
+	case kindSoftmax:
 		y, err := tensor.Softmax(x)
 		return y, skips, err
 
-	case KindConv:
+	case kindConv:
 		y, err := convOp(x, l, opts)
 		return y, skips, err
 
-	case KindBatchNorm:
+	case kindBatchNorm:
 		y, err := tensor.BatchNorm(x, l.Gamma, l.Beta, l.Mean, l.Variance, l.Eps)
 		return y, skips, err
 
-	case KindMaxPool:
+	case kindMaxPool:
 		y, err := tensor.MaxPool2D(x, l.PoolSize, l.Stride, l.Pad)
 		return y, skips, err
 
-	case KindGlobalAvg:
+	case kindGlobalAvg:
 		y, err := tensor.GlobalAvgPool2D(x)
 		return y, skips, err
 
-	case KindFlatten:
+	case kindFlatten:
 		y, err := x.Reshape(x.Dim(0), -1)
 		return y, skips, err
 
-	case KindSaveSkip:
+	case kindSaveSkip:
 		return x, append(skips, x), nil
 
-	case KindProjSkip:
+	case kindProjSkip:
 		if len(skips) == 0 {
 			return nil, skips, fmt.Errorf("projskip with empty skip stack")
 		}
@@ -150,7 +150,7 @@ func applyLayer(l *Layer, x *tensor.Tensor, skips []*tensor.Tensor, opts ExecHin
 		skips[len(skips)-1] = y
 		return x, skips, nil
 
-	case KindResidual:
+	case kindResidual:
 		if len(skips) == 0 {
 			return nil, skips, fmt.Errorf("residual with empty skip stack")
 		}
@@ -159,18 +159,18 @@ func applyLayer(l *Layer, x *tensor.Tensor, skips []*tensor.Tensor, opts ExecHin
 		y, err := tensor.AddInPlace(x, skip)
 		return y, skips, err
 
-	case KindAttention:
+	case kindAttention:
 		y, err := attnOp(x, l, opts)
 		return y, skips, err
 
-	case KindLayerNorm:
+	case kindLayerNorm:
 		if err := lnShapeCheck(x, l); err != nil {
 			return nil, skips, err
 		}
 		lnInto(opts, l, x)
 		return x, skips, nil
 
-	case KindGELU:
+	case kindGELU:
 		geluInto(opts, x)
 		return x, skips, nil
 

@@ -74,7 +74,7 @@ func (g *graphGen) chance(p float64) bool { return g.r.Float64() < p }
 
 func (g *graphGen) dense(out int) {
 	in := g.cur[len(g.cur)-1]
-	g.add(&Layer{Kind: KindDense, W: g.randT(1/math.Sqrt(float64(in)), in, out), B: g.randT(0.1, out)})
+	g.add(&Layer{Kind: kindDense, W: g.randT(1/math.Sqrt(float64(in)), in, out), B: g.randT(0.1, out)})
 	g.cur = append(append([]int(nil), g.cur[:len(g.cur)-1]...), out)
 }
 
@@ -105,7 +105,7 @@ func (g *graphGen) convGeom() (k, stride, pad int) {
 
 func (g *graphGen) conv() bool {
 	k, stride, pad := g.convGeom()
-	l, out := g.convLayer(KindConv, g.cur, 1+g.r.Intn(5), k, stride, pad)
+	l, out := g.convLayer(kindConv, g.cur, 1+g.r.Intn(5), k, stride, pad)
 	if l == nil {
 		return false
 	}
@@ -119,14 +119,14 @@ func (g *graphGen) bnParams(c int) (gamma, beta, mean, variance *tensor.Tensor) 
 }
 
 func (g *graphGen) batchNorm() {
-	l := &Layer{Kind: KindBatchNorm, Eps: 1e-5}
+	l := &Layer{Kind: kindBatchNorm, Eps: 1e-5}
 	l.Gamma, l.Beta, l.Mean, l.Variance = g.bnParams(g.cur[0])
 	g.add(l)
 }
 
 func (g *graphGen) layerNorm() {
 	d := g.cur[len(g.cur)-1]
-	g.add(&Layer{Kind: KindLayerNorm, Gamma: g.around(1, d), Beta: g.randT(0.1, d), Eps: 1e-5})
+	g.add(&Layer{Kind: kindLayerNorm, Gamma: g.around(1, d), Beta: g.randT(0.1, d), Eps: 1e-5})
 }
 
 func (g *graphGen) maxPool() bool {
@@ -137,7 +137,7 @@ func (g *graphGen) maxPool() bool {
 	if g.cur[1]+2*pad < k || g.cur[2]+2*pad < k {
 		return false
 	}
-	g.add(&Layer{Kind: KindMaxPool, PoolSize: k, Stride: stride, Pad: pad})
+	g.add(&Layer{Kind: kindMaxPool, PoolSize: k, Stride: stride, Pad: pad})
 	g.cur = []int{g.cur[0], oh, ow}
 	return true
 }
@@ -148,7 +148,7 @@ func (g *graphGen) attention() {
 	heads := 1 + g.r.Intn(3)
 	d := heads * (1 + g.r.Intn(4))
 	g.dense(3 * d)
-	g.add(&Layer{Kind: KindAttention, Heads: heads})
+	g.add(&Layer{Kind: kindAttention, Heads: heads})
 	g.cur = []int{g.cur[0], d}
 }
 
@@ -156,15 +156,15 @@ func (g *graphGen) attention() {
 func (g *graphGen) inPlace() {
 	switch pick := g.r.Intn(5); {
 	case pick == 0 && !g.plain:
-		g.add(&Layer{Kind: KindGELU})
+		g.add(&Layer{Kind: kindGELU})
 	case pick == 1 && !g.plain:
 		g.layerNorm()
 	case pick == 2 && !g.plain && len(g.cur) == 3:
 		g.batchNorm()
 	case pick == 3 && len(g.cur) < 3:
-		g.add(&Layer{Kind: KindSoftmax})
+		g.add(&Layer{Kind: kindSoftmax})
 	default:
-		g.add(&Layer{Kind: KindReLU})
+		g.add(&Layer{Kind: kindReLU})
 	}
 }
 
@@ -175,30 +175,30 @@ func (g *graphGen) inPlace() {
 // stay the same tensor. What follows the residual decides whether the
 // FastConv residual→layer-norm peephole fires.
 func (g *graphGen) skipBlock(depth int) {
-	g.add(&Layer{Kind: KindSaveSkip})
+	g.add(&Layer{Kind: kindSaveSkip})
 	saved := append([]int(nil), g.cur...)
 	switch {
 	case g.chance(0.1):
-		g.add(&Layer{Kind: KindReLU}) // skip == activation at the residual
+		g.add(&Layer{Kind: kindReLU}) // skip == activation at the residual
 	case len(g.cur) == 3:
 		g.convBody(saved, depth)
 	default:
 		w := g.cur[len(g.cur)-1]
 		g.dense(1 + g.r.Intn(8))
 		if !g.plain && g.chance(0.5) {
-			g.add(&Layer{Kind: KindGELU})
+			g.add(&Layer{Kind: kindGELU})
 		} else {
-			g.add(&Layer{Kind: KindReLU})
+			g.add(&Layer{Kind: kindReLU})
 		}
 		if depth < 2 && g.chance(0.3) {
 			g.skipBlock(depth + 1)
 		}
 		g.dense(w)
 	}
-	g.add(&Layer{Kind: KindResidual})
+	g.add(&Layer{Kind: kindResidual})
 	if g.plain {
 		if g.chance(0.5) {
-			g.add(&Layer{Kind: KindReLU})
+			g.add(&Layer{Kind: kindReLU})
 		}
 		return
 	}
@@ -206,10 +206,10 @@ func (g *graphGen) skipBlock(depth int) {
 	case 0:
 		g.layerNorm() // adjacent: the peephole fires under FastConv
 	case 1:
-		g.add(&Layer{Kind: KindReLU})
+		g.add(&Layer{Kind: kindReLU})
 		g.layerNorm() // separated: it must not
 	case 2:
-		g.add(&Layer{Kind: KindReLU})
+		g.add(&Layer{Kind: kindReLU})
 	}
 }
 
@@ -225,12 +225,12 @@ func (g *graphGen) convBody(saved []int, depth int) {
 		k = 1 + 2*g.r.Intn(3) // 1, 3, 5 at stride 1 with "same" padding
 		stride, pad, oc = 1, k/2, saved[0]
 	}
-	main, out := g.convLayer(KindConv, saved, oc, k, stride, pad)
+	main, out := g.convLayer(kindConv, saved, oc, k, stride, pad)
 	if main == nil {
-		g.add(&Layer{Kind: KindReLU})
+		g.add(&Layer{Kind: kindReLU})
 		return
 	}
-	proj, _ := g.convLayer(KindProjSkip, saved, oc, k, stride, pad)
+	proj, _ := g.convLayer(kindProjSkip, saved, oc, k, stride, pad)
 	if g.chance(0.5) {
 		proj.Eps = 1e-5
 		proj.Gamma, proj.Beta, proj.Mean, proj.Variance = g.bnParams(oc)
@@ -245,7 +245,7 @@ func (g *graphGen) convBody(saved []int, depth int) {
 	if g.chance(0.5) {
 		g.batchNorm()
 	}
-	g.add(&Layer{Kind: KindReLU})
+	g.add(&Layer{Kind: kindReLU})
 	if depth < 2 && g.chance(0.3) {
 		g.skipBlock(depth + 1)
 	}
@@ -280,10 +280,10 @@ func (g *graphGen) step() {
 			g.inPlace()
 		default:
 			if g.chance(0.5) {
-				g.add(&Layer{Kind: KindGlobalAvg})
+				g.add(&Layer{Kind: kindGlobalAvg})
 				g.cur = g.cur[:1]
 			} else {
-				g.add(&Layer{Kind: KindFlatten})
+				g.add(&Layer{Kind: kindFlatten})
 				g.cur = []int{g.cur[0] * g.cur[1] * g.cur[2]}
 			}
 		}
@@ -330,7 +330,7 @@ func genGraph(seed int64) (*Model, int, []float32) {
 		g.step()
 	}
 	if len(g.cur) == 3 && g.chance(0.5) {
-		g.add(&Layer{Kind: KindGlobalAvg})
+		g.add(&Layer{Kind: kindGlobalAvg})
 		g.cur = g.cur[:1]
 	}
 	if len(g.cur) > 1 {
@@ -338,13 +338,13 @@ func genGraph(seed int64) (*Model, int, []float32) {
 		for _, d := range g.cur {
 			n *= d
 		}
-		g.add(&Layer{Kind: KindFlatten})
+		g.add(&Layer{Kind: kindFlatten})
 		g.cur = []int{n}
 	}
 	g.m.OutputSize = 1 + g.r.Intn(6)
 	g.dense(g.m.OutputSize)
 	if g.chance(0.8) {
-		g.add(&Layer{Kind: KindSoftmax})
+		g.add(&Layer{Kind: kindSoftmax})
 	}
 	n := 1 + g.r.Intn(5)
 	in := make([]float32, n*g.m.InputLen())
@@ -363,7 +363,7 @@ func describe(m *Model) string {
 		if l.W != nil {
 			fmt.Fprintf(&b, "%v", l.W.Shape())
 		}
-		if l.Kind == KindConv || l.Kind == KindProjSkip || l.Kind == KindMaxPool {
+		if l.Kind == kindConv || l.Kind == kindProjSkip || l.Kind == kindMaxPool {
 			fmt.Fprintf(&b, "/s%dp%d", l.Stride, l.Pad)
 		}
 	}
@@ -529,7 +529,7 @@ func quantizable(folded *Model) bool {
 		return false
 	}
 	for _, l := range folded.Layers {
-		if l.Kind == KindBatchNorm || (l.Kind == KindProjSkip && l.Gamma != nil) {
+		if l.Kind == kindBatchNorm || (l.Kind == kindProjSkip && l.Gamma != nil) {
 			return false
 		}
 	}
@@ -589,7 +589,7 @@ func TestGraphGeneratorCoverage(t *testing.T) {
 				next = m.Layers[i+1].Kind
 			}
 			switch l.Kind {
-			case KindConv, KindProjSkip:
+			case kindConv, kindProjSkip:
 				if l.Stride == 1 && l.W.Dim(2) == 3 {
 					seen["winograd-eligible "+string(l.Kind)]++
 				}
@@ -599,32 +599,32 @@ func TestGraphGeneratorCoverage(t *testing.T) {
 				if l.B == nil {
 					seen["bias-free "+string(l.Kind)]++
 				}
-				if l.Kind == KindProjSkip && l.Gamma != nil {
+				if l.Kind == kindProjSkip && l.Gamma != nil {
 					seen["projskip+bn"]++
 				}
-				if l.Kind == KindProjSkip && l.Gamma == nil {
+				if l.Kind == kindProjSkip && l.Gamma == nil {
 					seen["projskip-bn"]++
 				}
-				if l.Kind == KindProjSkip && m.Layers[i-1].Kind == KindSaveSkip {
+				if l.Kind == kindProjSkip && m.Layers[i-1].Kind == kindSaveSkip {
 					seen["projskip on aliased skip"]++
 				}
-			case KindSaveSkip:
+			case kindSaveSkip:
 				if depth++; depth > maxDepth {
 					maxDepth = depth
 				}
-			case KindResidual:
+			case kindResidual:
 				depth--
-				if next == KindLayerNorm {
+				if next == kindLayerNorm {
 					seen["residual→layernorm"]++
 				}
-				if next == KindReLU && i+2 < len(m.Layers) && m.Layers[i+2].Kind == KindLayerNorm {
+				if next == kindReLU && i+2 < len(m.Layers) && m.Layers[i+2].Kind == kindLayerNorm {
 					seen["residual, relu, layernorm"]++
 				}
-				if i >= 2 && m.Layers[i-1].Kind == KindReLU && m.Layers[i-2].Kind == KindSaveSkip {
+				if i >= 2 && m.Layers[i-1].Kind == kindReLU && m.Layers[i-2].Kind == kindSaveSkip {
 					seen["residual on aliased skip"]++
 				}
 			}
-			if i == 0 && (l.Kind == KindReLU || l.Kind == KindGELU || l.Kind == KindSoftmax || l.Kind == KindBatchNorm || l.Kind == KindLayerNorm) {
+			if i == 0 && (l.Kind == kindReLU || l.Kind == kindGELU || l.Kind == kindSoftmax || l.Kind == kindBatchNorm || l.Kind == kindLayerNorm) {
 				seen["in-place first op"]++
 			}
 		}
@@ -660,33 +660,33 @@ func TestGraphRejection(t *testing.T) {
 			return true
 		}},
 		{"dangling save-skip", func(m *Model) bool {
-			m.Layers = append(m.Layers, &Layer{Kind: KindSaveSkip, Name: "dangling"})
+			m.Layers = append(m.Layers, &Layer{Kind: kindSaveSkip, Name: "dangling"})
 			return true
 		}},
 		{"residual without a skip", func(m *Model) bool {
-			m.Layers = append([]*Layer{{Kind: KindResidual, Name: "orphan"}}, m.Layers...)
+			m.Layers = append([]*Layer{{Kind: kindResidual, Name: "orphan"}}, m.Layers...)
 			return true
 		}},
-		{"dense without bias", mutateFirst(KindDense, func(l *Layer) { l.B = nil })},
-		{"conv with zero stride", mutateFirst(KindConv, func(l *Layer) { l.Stride = 0 })},
-		{"batchnorm without variance", mutateFirst(KindBatchNorm, func(l *Layer) { l.Variance = nil })},
-		{"maxpool of size zero", mutateFirst(KindMaxPool, func(l *Layer) { l.PoolSize = 0 })},
-		{"attention without heads", mutateFirst(KindAttention, func(l *Layer) { l.Heads = 0 })},
-		{"layernorm without gamma", mutateFirst(KindLayerNorm, func(l *Layer) { l.Gamma = nil })},
-		{"projskip with partial batchnorm", mutateFirst(KindProjSkip, func(l *Layer) { l.Gamma, l.Beta, l.Mean, l.Variance = tensor.New(l.W.Dim(0)), nil, nil, nil })},
+		{"dense without bias", mutateFirst(kindDense, func(l *Layer) { l.B = nil })},
+		{"conv with zero stride", mutateFirst(kindConv, func(l *Layer) { l.Stride = 0 })},
+		{"batchnorm without variance", mutateFirst(kindBatchNorm, func(l *Layer) { l.Variance = nil })},
+		{"maxpool of size zero", mutateFirst(kindMaxPool, func(l *Layer) { l.PoolSize = 0 })},
+		{"attention without heads", mutateFirst(kindAttention, func(l *Layer) { l.Heads = 0 })},
+		{"layernorm without gamma", mutateFirst(kindLayerNorm, func(l *Layer) { l.Gamma = nil })},
+		{"projskip with partial batchnorm", mutateFirst(kindProjSkip, func(l *Layer) { l.Gamma, l.Beta, l.Mean, l.Variance = tensor.New(l.W.Dim(0)), nil, nil, nil })},
 	}
 	shape := []struct {
 		name  string
 		apply func(m *Model) bool
 	}{
-		{"dense one input too wide", mutateFirst(KindDense, func(l *Layer) { l.W = tensor.New(l.W.Dim(0)+1, l.W.Dim(1)) })},
-		{"conv one channel too deep", mutateFirst(KindConv, func(l *Layer) { l.W = tensor.New(l.W.Dim(0), l.W.Dim(1)+1, l.W.Dim(2), l.W.Dim(3)) })},
-		{"layernorm one lane too wide", mutateFirst(KindLayerNorm, func(l *Layer) {
+		{"dense one input too wide", mutateFirst(kindDense, func(l *Layer) { l.W = tensor.New(l.W.Dim(0)+1, l.W.Dim(1)) })},
+		{"conv one channel too deep", mutateFirst(kindConv, func(l *Layer) { l.W = tensor.New(l.W.Dim(0), l.W.Dim(1)+1, l.W.Dim(2), l.W.Dim(3)) })},
+		{"layernorm one lane too wide", mutateFirst(kindLayerNorm, func(l *Layer) {
 			l.Gamma, l.Beta = tensor.New(l.Gamma.Len()+1), tensor.New(l.Gamma.Len()+1)
 		})},
 		{"projskip without a skip", func(m *Model) bool {
 			w := tensor.New(1, 1, 1, 1)
-			m.Layers = append([]*Layer{{Kind: KindProjSkip, Name: "orphan", W: w, Stride: 1}}, m.Layers...)
+			m.Layers = append([]*Layer{{Kind: kindProjSkip, Name: "orphan", W: w, Stride: 1}}, m.Layers...)
 			return true
 		}},
 	}

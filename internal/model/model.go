@@ -31,20 +31,20 @@ type LayerKind string
 
 // Layer kinds understood by the execution engines and storage formats.
 const (
-	KindDense     LayerKind = "dense"     // x·W + b
-	KindReLU      LayerKind = "relu"      // max(0, x)
-	KindSoftmax   LayerKind = "softmax"   // row-wise softmax
-	KindConv      LayerKind = "conv"      // 2-D convolution, NCHW
-	KindBatchNorm LayerKind = "batchnorm" // inference-mode batch norm
-	KindMaxPool   LayerKind = "maxpool"   // k×k max pooling
-	KindGlobalAvg LayerKind = "globalavg" // global average pool -> rank 2
-	KindFlatten   LayerKind = "flatten"   // collapse to [n, features]
-	KindResidual  LayerKind = "residual"  // add a saved skip connection
-	KindSaveSkip  LayerKind = "saveskip"  // remember activation for residual
-	KindProjSkip  LayerKind = "projskip"  // 1×1 conv + BN on the saved skip
-	KindAttention LayerKind = "attention" // multi-head self-attention over packed q|k|v rows
-	KindLayerNorm LayerKind = "layernorm" // per-row layer norm over the last dim
-	KindGELU      LayerKind = "gelu"      // Gaussian error linear unit
+	kindDense     LayerKind = "dense"     // x·W + b
+	kindReLU      LayerKind = "relu"      // max(0, x)
+	kindSoftmax   LayerKind = "softmax"   // row-wise softmax
+	kindConv      LayerKind = "conv"      // 2-D convolution, NCHW
+	kindBatchNorm LayerKind = "batchnorm" // inference-mode batch norm
+	kindMaxPool   LayerKind = "maxpool"   // k×k max pooling
+	kindGlobalAvg LayerKind = "globalavg" // global average pool -> rank 2
+	kindFlatten   LayerKind = "flatten"   // collapse to [n, features]
+	kindResidual  LayerKind = "residual"  // add a saved skip connection
+	kindSaveSkip  LayerKind = "saveskip"  // remember activation for residual
+	kindProjSkip  LayerKind = "projskip"  // 1×1 conv + BN on the saved skip
+	kindAttention LayerKind = "attention" // multi-head self-attention over packed q|k|v rows
+	kindLayerNorm LayerKind = "layernorm" // per-row layer norm over the last dim
+	kindGELU      LayerKind = "gelu"      // Gaussian error linear unit
 )
 
 // Layer is one operator in a model graph. Only the fields relevant to its
@@ -120,41 +120,41 @@ func (m *Model) Validate() error {
 	skipDepth := 0
 	for i, l := range m.Layers {
 		switch l.Kind {
-		case KindDense:
+		case kindDense:
 			if l.W == nil || l.B == nil || l.W.Rank() != 2 || l.B.Rank() != 1 {
 				return fmt.Errorf("model %q layer %d (%s): malformed dense tensors", m.Name, i, l.Name)
 			}
 			if l.W.Dim(1) != l.B.Dim(0) {
 				return fmt.Errorf("model %q layer %d (%s): dense W/B mismatch", m.Name, i, l.Name)
 			}
-		case KindConv, KindProjSkip:
+		case kindConv, kindProjSkip:
 			if l.W == nil || l.W.Rank() != 4 {
 				return fmt.Errorf("model %q layer %d (%s): malformed conv kernel", m.Name, i, l.Name)
 			}
 			if l.Stride <= 0 {
 				return fmt.Errorf("model %q layer %d (%s): non-positive stride", m.Name, i, l.Name)
 			}
-		case KindBatchNorm:
+		case kindBatchNorm:
 			if l.Gamma == nil || l.Beta == nil || l.Mean == nil || l.Variance == nil {
 				return fmt.Errorf("model %q layer %d (%s): malformed batchnorm", m.Name, i, l.Name)
 			}
-		case KindMaxPool:
+		case kindMaxPool:
 			if l.PoolSize <= 0 || l.Stride <= 0 {
 				return fmt.Errorf("model %q layer %d (%s): malformed maxpool", m.Name, i, l.Name)
 			}
-		case KindAttention:
+		case kindAttention:
 			if l.Heads <= 0 {
 				return fmt.Errorf("model %q layer %d (%s): attention needs a positive head count", m.Name, i, l.Name)
 			}
-		case KindLayerNorm:
+		case kindLayerNorm:
 			if l.Gamma == nil || l.Beta == nil || l.Gamma.Rank() != 1 || l.Beta.Rank() != 1 || l.Gamma.Len() != l.Beta.Len() {
 				return fmt.Errorf("model %q layer %d (%s): malformed layernorm", m.Name, i, l.Name)
 			}
-		case KindReLU, KindSoftmax, KindGlobalAvg, KindFlatten, KindGELU:
+		case kindReLU, kindSoftmax, kindGlobalAvg, kindFlatten, kindGELU:
 			// No parameters.
-		case KindSaveSkip:
+		case kindSaveSkip:
 			skipDepth++
-		case KindResidual:
+		case kindResidual:
 			if skipDepth == 0 {
 				return fmt.Errorf("model %q layer %d (%s): residual without saved skip", m.Name, i, l.Name)
 			}
@@ -162,7 +162,7 @@ func (m *Model) Validate() error {
 		default:
 			return fmt.Errorf("model %q layer %d: unknown kind %q", m.Name, i, l.Kind)
 		}
-		if l.Kind == KindProjSkip {
+		if l.Kind == kindProjSkip {
 			// Either a full BN parameter set or none at all (the
 			// BN was folded into the projection weights).
 			present := 0
@@ -239,14 +239,14 @@ func NewFFNNSized(seed int64, in int, hidden []int, classes int) *Model {
 	for i, h := range hidden {
 		w, b := initDense(r, prev, h)
 		m.Layers = append(m.Layers,
-			&Layer{Kind: KindDense, Name: fmt.Sprintf("dense%d", i), W: w, B: b},
-			&Layer{Kind: KindReLU, Name: fmt.Sprintf("relu%d", i)})
+			&Layer{Kind: kindDense, Name: fmt.Sprintf("dense%d", i), W: w, B: b},
+			&Layer{Kind: kindReLU, Name: fmt.Sprintf("relu%d", i)})
 		prev = h
 	}
 	w, b := initDense(r, prev, classes)
 	m.Layers = append(m.Layers,
-		&Layer{Kind: KindDense, Name: "logits", W: w, B: b},
-		&Layer{Kind: KindSoftmax, Name: "probs"})
+		&Layer{Kind: kindDense, Name: "logits", W: w, B: b},
+		&Layer{Kind: kindSoftmax, Name: "probs"})
 	return m
 }
 
@@ -265,8 +265,8 @@ type ResNetConfig struct {
 	Classes int
 }
 
-// DefaultResNetConfig returns the full ResNet50 configuration.
-func DefaultResNetConfig(seed int64) ResNetConfig {
+// defaultResNetConfig returns the full ResNet50 configuration.
+func defaultResNetConfig(seed int64) ResNetConfig {
 	return ResNetConfig{Seed: seed, WidthMult: 1, InputSize: 224, Blocks: [4]int{3, 4, 6, 3}, Classes: 1000}
 }
 
@@ -280,7 +280,7 @@ func BenchResNetConfig(seed int64) ResNetConfig {
 
 // NewResNet50 builds the full-width 224×224×3 ResNet50 (~23M parameters).
 func NewResNet50(seed int64) *Model {
-	return NewResNet(DefaultResNetConfig(seed))
+	return NewResNet(defaultResNetConfig(seed))
 }
 
 // NewResNet builds a bottleneck ResNet per cfg. The topology follows the
@@ -306,7 +306,7 @@ func NewResNet(cfg ResNetConfig) *Model {
 	}
 	stem := scale(64)
 	m.addConvBNReLU(r, "stem", 3, stem, 7, 2, 3)
-	m.Layers = append(m.Layers, &Layer{Kind: KindMaxPool, Name: "stem.pool", PoolSize: 3, Stride: 2, Pad: 1})
+	m.Layers = append(m.Layers, &Layer{Kind: kindMaxPool, Name: "stem.pool", PoolSize: 3, Stride: 2, Pad: 1})
 
 	in := stem
 	stageWidth := []int{scale(64), scale(128), scale(256), scale(512)}
@@ -324,41 +324,41 @@ func NewResNet(cfg ResNetConfig) *Model {
 			in = outc
 		}
 	}
-	m.Layers = append(m.Layers, &Layer{Kind: KindGlobalAvg, Name: "avgpool"})
+	m.Layers = append(m.Layers, &Layer{Kind: kindGlobalAvg, Name: "avgpool"})
 	w, b := initDense(r, in, cfg.Classes)
 	m.Layers = append(m.Layers,
-		&Layer{Kind: KindDense, Name: "fc", W: w, B: b},
-		&Layer{Kind: KindSoftmax, Name: "probs"})
+		&Layer{Kind: kindDense, Name: "fc", W: w, B: b},
+		&Layer{Kind: kindSoftmax, Name: "probs"})
 	return m
 }
 
 func (m *Model) addConvBNReLU(r *rand.Rand, prefix string, in, out, k, stride, pad int) {
 	gamma, beta, mean, variance := initBN(r, out)
 	m.Layers = append(m.Layers,
-		&Layer{Kind: KindConv, Name: prefix + ".conv", W: initConv(r, out, in, k, k), B: tensor.New(out), Stride: stride, Pad: pad},
-		&Layer{Kind: KindBatchNorm, Name: prefix + ".bn", Gamma: gamma, Beta: beta, Mean: mean, Variance: variance, Eps: 1e-5},
-		&Layer{Kind: KindReLU, Name: prefix + ".relu"})
+		&Layer{Kind: kindConv, Name: prefix + ".conv", W: initConv(r, out, in, k, k), B: tensor.New(out), Stride: stride, Pad: pad},
+		&Layer{Kind: kindBatchNorm, Name: prefix + ".bn", Gamma: gamma, Beta: beta, Mean: mean, Variance: variance, Eps: 1e-5},
+		&Layer{Kind: kindReLU, Name: prefix + ".relu"})
 }
 
 // addBottleneck appends a ResNet bottleneck block: 1×1 reduce, 3×3, 1×1
 // expand, plus an identity or projection shortcut.
 func (m *Model) addBottleneck(r *rand.Rand, prefix string, in, width, out, stride int, project bool) {
-	m.Layers = append(m.Layers, &Layer{Kind: KindSaveSkip, Name: prefix + ".skip"})
+	m.Layers = append(m.Layers, &Layer{Kind: kindSaveSkip, Name: prefix + ".skip"})
 	m.addConvBNReLU(r, prefix+".a", in, width, 1, 1, 0)
 	m.addConvBNReLU(r, prefix+".b", width, width, 3, stride, 1)
 	gamma, beta, mean, variance := initBN(r, out)
 	m.Layers = append(m.Layers,
-		&Layer{Kind: KindConv, Name: prefix + ".c.conv", W: initConv(r, out, width, 1, 1), B: tensor.New(out), Stride: 1, Pad: 0},
-		&Layer{Kind: KindBatchNorm, Name: prefix + ".c.bn", Gamma: gamma, Beta: beta, Mean: mean, Variance: variance, Eps: 1e-5})
+		&Layer{Kind: kindConv, Name: prefix + ".c.conv", W: initConv(r, out, width, 1, 1), B: tensor.New(out), Stride: 1, Pad: 0},
+		&Layer{Kind: kindBatchNorm, Name: prefix + ".c.bn", Gamma: gamma, Beta: beta, Mean: mean, Variance: variance, Eps: 1e-5})
 	if project {
 		pg, pb, pm, pv := initBN(r, out)
 		m.Layers = append(m.Layers, &Layer{
-			Kind: KindProjSkip, Name: prefix + ".proj",
+			Kind: kindProjSkip, Name: prefix + ".proj",
 			W: initConv(r, out, in, 1, 1), B: tensor.New(out), Stride: stride, Pad: 0,
 			Gamma: pg, Beta: pb, Mean: pm, Variance: pv, Eps: 1e-5,
 		})
 	}
 	m.Layers = append(m.Layers,
-		&Layer{Kind: KindResidual, Name: prefix + ".add"},
-		&Layer{Kind: KindReLU, Name: prefix + ".out"})
+		&Layer{Kind: kindResidual, Name: prefix + ".add"},
+		&Layer{Kind: kindReLU, Name: prefix + ".out"})
 }

@@ -58,7 +58,7 @@ func TestFFNNForwardShapesAndDistribution(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		var s float64
 		for j := 0; j < 10; j++ {
-			s += float64(out.At(i, j))
+			s += float64(out.Data()[i*10+j])
 		}
 		if math.Abs(s-1) > 1e-4 {
 			t.Fatalf("row %d probability sum %v", i, s)
@@ -110,7 +110,7 @@ func TestResNetBenchStructure(t *testing.T) {
 	// 3+4+6+3 = 16 bottleneck blocks -> 16 residual layers.
 	res := 0
 	for _, l := range m.Layers {
-		if l.Kind == KindResidual {
+		if l.Kind == kindResidual {
 			res++
 		}
 	}
@@ -239,14 +239,14 @@ func TestValidateCatchesMalformedModels(t *testing.T) {
 		m    *Model
 	}{
 		{"empty", &Model{Name: "x", InputShape: []int{4}}},
-		{"empty input", &Model{Name: "x", InputShape: []int{0}, Layers: []*Layer{{Kind: KindReLU}}}},
-		{"dense missing W", &Model{Name: "x", InputShape: []int{4}, Layers: []*Layer{{Kind: KindDense}}}},
-		{"dense W/B mismatch", &Model{Name: "x", InputShape: []int{4}, Layers: []*Layer{{Kind: KindDense, W: tensor.New(4, 2), B: tensor.New(3)}}}},
-		{"conv bad stride", &Model{Name: "x", InputShape: []int{1, 4, 4}, Layers: []*Layer{{Kind: KindConv, W: tensor.New(1, 1, 3, 3)}}}},
-		{"bn missing tensors", &Model{Name: "x", InputShape: []int{1, 4, 4}, Layers: []*Layer{{Kind: KindBatchNorm}}}},
-		{"pool bad size", &Model{Name: "x", InputShape: []int{1, 4, 4}, Layers: []*Layer{{Kind: KindMaxPool}}}},
-		{"residual no skip", &Model{Name: "x", InputShape: []int{4}, Layers: []*Layer{{Kind: KindResidual}}}},
-		{"dangling skip", &Model{Name: "x", InputShape: []int{4}, Layers: []*Layer{{Kind: KindSaveSkip}}}},
+		{"empty input", &Model{Name: "x", InputShape: []int{0}, Layers: []*Layer{{Kind: kindReLU}}}},
+		{"dense missing W", &Model{Name: "x", InputShape: []int{4}, Layers: []*Layer{{Kind: kindDense}}}},
+		{"dense W/B mismatch", &Model{Name: "x", InputShape: []int{4}, Layers: []*Layer{{Kind: kindDense, W: tensor.New(4, 2), B: tensor.New(3)}}}},
+		{"conv bad stride", &Model{Name: "x", InputShape: []int{1, 4, 4}, Layers: []*Layer{{Kind: kindConv, W: tensor.New(1, 1, 3, 3)}}}},
+		{"bn missing tensors", &Model{Name: "x", InputShape: []int{1, 4, 4}, Layers: []*Layer{{Kind: kindBatchNorm}}}},
+		{"pool bad size", &Model{Name: "x", InputShape: []int{1, 4, 4}, Layers: []*Layer{{Kind: kindMaxPool}}}},
+		{"residual no skip", &Model{Name: "x", InputShape: []int{4}, Layers: []*Layer{{Kind: kindResidual}}}},
+		{"dangling skip", &Model{Name: "x", InputShape: []int{4}, Layers: []*Layer{{Kind: kindSaveSkip}}}},
 		{"unknown kind", &Model{Name: "x", InputShape: []int{4}, Layers: []*Layer{{Kind: "bogus"}}}},
 	}
 	for _, tc := range cases {
@@ -258,7 +258,7 @@ func TestValidateCatchesMalformedModels(t *testing.T) {
 
 func TestForwardErrorsOnBadActivationShapes(t *testing.T) {
 	m := &Model{Name: "bad", InputShape: []int{4}, OutputSize: 2, Layers: []*Layer{
-		{Kind: KindDense, Name: "d", W: tensor.New(5, 2), B: tensor.New(2)}, // wants 5 inputs
+		{Kind: kindDense, Name: "d", W: tensor.New(5, 2), B: tensor.New(2)}, // wants 5 inputs
 	}}
 	in := tensor.New(1, 4)
 	if _, err := m.Forward(in); err == nil {

@@ -129,7 +129,7 @@ func (m *Model) Compile(hints ExecHints) (*Plan, error) {
 			return nil, fmt.Errorf("model %q layer %d (%s): %s", m.Name, i, l.Name, fmt.Sprintf(format, args...))
 		}
 		switch l.Kind {
-		case KindDense:
+		case kindDense:
 			// Rank-3 transformer activations run the same GEMM over a
 			// flattened [n*S, D] view at exec time.
 			if len(cur) != 1 && len(cur) != 2 {
@@ -144,24 +144,24 @@ func (m *Model) Compile(hints ExecHints) (*Plan, error) {
 				cur = []int{l.W.Dim(1)}
 			}
 			op.dims = cur
-		case KindReLU, KindGELU:
+		case kindReLU, kindGELU:
 			// in place, any shape
-		case KindSoftmax:
+		case kindSoftmax:
 			if len(cur) != 1 && len(cur) != 2 {
 				return fail("softmax input must be rank 2 or 3, got per-point dims %v", cur)
 			}
-		case KindConv:
+		case kindConv:
 			out, err := p.compileConv(&op, l, cur)
 			if err != nil {
 				return fail("%v", err)
 			}
 			cur = out
 			op.dims = cur
-		case KindBatchNorm:
+		case kindBatchNorm:
 			if len(cur) != 3 || cur[0] != l.Gamma.Len() {
 				return fail("batchnorm over per-point dims %v with %d channels", cur, l.Gamma.Len())
 			}
-		case KindMaxPool:
+		case kindMaxPool:
 			if len(cur) != 3 {
 				return fail("maxpool input must be NCHW, got per-point dims %v", cur)
 			}
@@ -172,22 +172,22 @@ func (m *Model) Compile(hints ExecHints) (*Plan, error) {
 			}
 			cur = []int{cur[0], oh, ow}
 			op.dims = cur
-		case KindGlobalAvg:
+		case kindGlobalAvg:
 			if len(cur) != 3 {
 				return fail("globalavg input must be NCHW, got per-point dims %v", cur)
 			}
 			cur = []int{cur[0]}
 			op.dims = cur
-		case KindFlatten:
+		case kindFlatten:
 			n := 1
 			for _, d := range cur {
 				n *= d
 			}
 			cur = []int{n}
 			op.dims = cur
-		case KindSaveSkip:
+		case kindSaveSkip:
 			skips = append(skips, cur)
-		case KindProjSkip:
+		case kindProjSkip:
 			if len(skips) == 0 {
 				return fail("projskip with empty skip stack")
 			}
@@ -197,7 +197,7 @@ func (m *Model) Compile(hints ExecHints) (*Plan, error) {
 			}
 			skips[len(skips)-1] = out
 			op.dims = out
-		case KindResidual:
+		case kindResidual:
 			if len(skips) == 0 {
 				return fail("residual with empty skip stack")
 			}
@@ -208,14 +208,14 @@ func (m *Model) Compile(hints ExecHints) (*Plan, error) {
 			if m.fusesResidualNorm(hints, i+1) {
 				op.lnFuse = m.Layers[i+1]
 			}
-		case KindAttention:
+		case kindAttention:
 			out, err := p.compileAttention(&op, l, cur)
 			if err != nil {
 				return fail("%v", err)
 			}
 			cur = out
 			op.dims = cur
-		case KindLayerNorm:
+		case kindLayerNorm:
 			if len(cur) == 0 || cur[len(cur)-1] != l.Gamma.Len() {
 				return fail("layernorm width %d against per-point dims %v", l.Gamma.Len(), cur)
 			}
@@ -436,7 +436,7 @@ func (p *Plan) exec(s *execState, in, out []float32) error {
 			continue
 		}
 		switch op.kind {
-		case KindDense:
+		case kindDense:
 			y := s.arena.Get(s.shapes[i]...)
 			xm, ym := x, y
 			if x.Rank() == 3 {
@@ -453,39 +453,39 @@ func (p *Plan) exec(s *execState, in, out []float32) error {
 			tensor.AddBiasInto(ym, ym, l.B)
 			p.retire(s, x)
 			x = y
-		case KindReLU:
+		case kindReLU:
 			tensor.ReLU(x)
-		case KindSoftmax:
+		case kindSoftmax:
 			tensor.SoftmaxInto(x, x)
-		case KindConv:
+		case kindConv:
 			y := s.arena.Get(s.shapes[i]...)
 			if err := p.convInto(s, op, y, x); err != nil {
 				return err
 			}
 			p.retire(s, x)
 			x = y
-		case KindBatchNorm:
+		case kindBatchNorm:
 			if _, err := tensor.BatchNorm(x, l.Gamma, l.Beta, l.Mean, l.Variance, l.Eps); err != nil {
 				return err
 			}
-		case KindMaxPool:
+		case kindMaxPool:
 			y := s.arena.Get(s.shapes[i]...)
 			tensor.MaxPool2DInto(y, x, l.PoolSize, l.Stride, l.Pad)
 			p.retire(s, x)
 			x = y
-		case KindGlobalAvg:
+		case kindGlobalAvg:
 			y := s.arena.Get(s.shapes[i]...)
 			tensor.GlobalAvgPool2DInto(y, x)
 			p.retire(s, x)
 			x = y
-		case KindFlatten:
+		case kindFlatten:
 			// A view, as in the reference pass: the underlying buffer
 			// stays lent until Reset, so it cannot be recycled out
 			// from under the view.
 			x = s.arena.Wrap(x.Data(), s.shapes[i]...)
-		case KindSaveSkip:
+		case kindSaveSkip:
 			s.skips = append(s.skips, x)
-		case KindProjSkip:
+		case kindProjSkip:
 			skip := s.skips[len(s.skips)-1]
 			y := s.arena.Get(s.shapes[i]...)
 			if err := p.convInto(s, op, y, skip); err != nil {
@@ -500,7 +500,7 @@ func (p *Plan) exec(s *execState, in, out []float32) error {
 			if skip != x {
 				p.retire(s, skip)
 			}
-		case KindResidual:
+		case kindResidual:
 			skip := s.skips[len(s.skips)-1]
 			s.skips = s.skips[:len(s.skips)-1]
 			if ln := op.lnFuse; ln != nil {
@@ -511,16 +511,16 @@ func (p *Plan) exec(s *execState, in, out []float32) error {
 			if skip != x {
 				p.retire(s, skip)
 			}
-		case KindAttention:
+		case kindAttention:
 			y := s.arena.Get(s.shapes[i]...)
 			p.attnInto(s, op, y, x)
 			p.retire(s, x)
 			x = y
-		case KindLayerNorm:
+		case kindLayerNorm:
 			if !op.fused {
 				lnInto(p.hints, l, x)
 			}
-		case KindGELU:
+		case kindGELU:
 			geluInto(p.hints, x)
 		}
 	}
@@ -538,7 +538,7 @@ func (p *Plan) exec(s *execState, in, out []float32) error {
 func (p *Plan) qApply(s *execState, i int, op *planOp, x *tensor.Tensor) (*tensor.Tensor, error) {
 	q := op.q
 	switch op.kind {
-	case KindDense:
+	case kindDense:
 		rows := x.Len() / q.k // n, or n·S for a rank-3 [n, S, D] activation
 		qx := s.arena.GetQ(rows, q.k)
 		tensor.QuantizeLHSInto(qx, x.Data(), q.inScale, q.inZP)
@@ -551,9 +551,9 @@ func (p *Plan) qApply(s *execState, i int, op *planOp, x *tensor.Tensor) (*tenso
 		s.arena.RecycleQ(qx)
 		p.retire(s, x)
 		return y, nil
-	case KindConv, KindProjSkip:
+	case kindConv, kindProjSkip:
 		src := x
-		if op.kind == KindProjSkip {
+		if op.kind == kindProjSkip {
 			src = s.skips[len(s.skips)-1]
 		}
 		n := src.Dim(0)
@@ -570,7 +570,7 @@ func (p *Plan) qApply(s *execState, i int, op *planOp, x *tensor.Tensor) (*tenso
 		s.arena.RecycleAcc(rsum)
 		s.arena.RecycleU64(lhs)
 		s.arena.RecycleQ(qin)
-		if op.kind == KindProjSkip {
+		if op.kind == kindProjSkip {
 			s.skips[len(s.skips)-1] = y
 			if src != x {
 				p.retire(s, src)

@@ -90,7 +90,7 @@ func TestPlanCompileErrors(t *testing.T) {
 		InputShape: []int{4},
 		OutputSize: 2,
 		Layers: []*Layer{
-			{Kind: KindResidual, Name: "r"},
+			{Kind: kindResidual, Name: "r"},
 		},
 	}
 	if _, err := bad.Compile(ExecHints{}); err == nil {
@@ -100,7 +100,7 @@ func TestPlanCompileErrors(t *testing.T) {
 		Name:       "mismatch",
 		InputShape: []int{4},
 		OutputSize: 2,
-		Layers:     []*Layer{{Kind: KindDense, Name: "d", W: tensor.New(5, 2), B: tensor.New(2)}},
+		Layers:     []*Layer{{Kind: kindDense, Name: "d", W: tensor.New(5, 2), B: tensor.New(2)}},
 	}
 	if _, err := mismatch.Compile(ExecHints{}); err == nil {
 		t.Fatal("dense width mismatch compiled")

@@ -16,19 +16,19 @@ import (
 // a dequantize back to float32 at each op boundary so the surrounding
 // float ops (ReLU, pooling, residual adds, softmax) are untouched.
 
-// UnsupportedQuantKindError reports a layer kind outside the int8
+// unsupportedQuantKindError reports a layer kind outside the int8
 // quantizer's coverage. The transformer kinds (attention, layer norm,
 // GELU) stay float32 deliberately: their kernels are softmax- and
 // normalisation-shaped, where int8's integer dot products buy nothing,
 // so both Calibrate and QuantizePlan reject them upfront instead of
 // silently skipping them.
-type UnsupportedQuantKindError struct {
+type unsupportedQuantKindError struct {
 	Model string
 	Layer string
 	Kind  LayerKind
 }
 
-func (e *UnsupportedQuantKindError) Error() string {
+func (e *unsupportedQuantKindError) Error() string {
 	return fmt.Sprintf("model %q layer %q: int8 quantization does not support layer kind %q (transformer kernels run float32)", e.Model, e.Layer, e.Kind)
 }
 
@@ -37,18 +37,18 @@ func (e *UnsupportedQuantKindError) Error() string {
 func (m *Model) checkQuantKinds() error {
 	for _, l := range m.Layers {
 		switch l.Kind {
-		case KindAttention, KindLayerNorm, KindGELU:
-			return &UnsupportedQuantKindError{Model: m.Name, Layer: l.Name, Kind: l.Kind}
+		case kindAttention, kindLayerNorm, kindGELU:
+			return &unsupportedQuantKindError{Model: m.Name, Layer: l.Name, Kind: l.Kind}
 		}
 	}
 	return nil
 }
 
-// LayerStats is the calibrated activation range at one layer's input.
+// layerStats is the calibrated activation range at one layer's input.
 // ChanMin/ChanMax record the per-channel envelope (diagnostics and
 // future per-channel activation schemes); Min/Max is the per-tensor
 // envelope the quantizer uses.
-type LayerStats struct {
+type layerStats struct {
 	Layer    int
 	Name     string
 	Min, Max float32
@@ -60,10 +60,10 @@ type LayerStats struct {
 // weighted layer in walk order.
 type Calibration struct {
 	Model string
-	Stats []LayerStats
+	Stats []layerStats
 }
 
-func (c *Calibration) find(layer int) *LayerStats {
+func (c *Calibration) find(layer int) *layerStats {
 	for i := range c.Stats {
 		if c.Stats[i].Layer == layer {
 			return &c.Stats[i]
@@ -75,8 +75,8 @@ func (c *Calibration) find(layer int) *LayerStats {
 // observeStats scans one activation tensor and records its range:
 // per-channel for NCHW (axis 1) and per-feature for dense [n, k]
 // batches, plus the per-tensor envelope.
-func observeStats(layer int, name string, x *tensor.Tensor) LayerStats {
-	st := LayerStats{Layer: layer, Name: name}
+func observeStats(layer int, name string, x *tensor.Tensor) layerStats {
+	st := layerStats{Layer: layer, Name: name}
 	var ch, inner, outer int
 	switch x.Rank() {
 	case 2:
@@ -150,9 +150,9 @@ func (m *Model) Calibrate(inputs []float32, n int) (*Calibration, error) {
 	var skips []*tensor.Tensor
 	for i, l := range m.Layers {
 		switch l.Kind {
-		case KindDense, KindConv:
+		case kindDense, kindConv:
 			cal.Stats = append(cal.Stats, observeStats(i, l.Name, x))
-		case KindProjSkip:
+		case kindProjSkip:
 			if len(skips) == 0 {
 				return nil, fmt.Errorf("model %q layer %d (%s): projskip with empty skip stack", m.Name, i, l.Name)
 			}
@@ -167,41 +167,6 @@ func (m *Model) Calibrate(inputs []float32, n int) (*Calibration, error) {
 		return nil, fmt.Errorf("model %q: no quantizable layers to calibrate", m.Name)
 	}
 	return cal, nil
-}
-
-// PlanAgreement scores a compiled plan against m's reference float32
-// forward pass on the same inputs and returns the fraction of points
-// whose argmax predictions match — the accuracy-drift metric of the
-// int8 contract (docs/QUANTIZATION.md). Both passes get their own copy
-// of the inputs.
-func PlanAgreement(m *Model, p *Plan, inputs []float32, n int) (float64, error) {
-	refIn, err := m.BatchInput(append([]float32(nil), inputs...), n)
-	if err != nil {
-		return 0, err
-	}
-	want, err := m.Forward(refIn)
-	if err != nil {
-		return 0, err
-	}
-	got := make([]float32, n*p.OutputLen())
-	if err := p.Forward(append([]float32(nil), inputs...), n, got); err != nil {
-		return 0, err
-	}
-	cols := p.OutputLen()
-	matches := 0
-	for i := 0; i < n; i++ {
-		row := got[i*cols : (i+1)*cols]
-		best, bi := row[0], 0
-		for j, v := range row[1:] {
-			if v > best {
-				best, bi = v, j+1
-			}
-		}
-		if bi == argmaxRow(want, i) {
-			matches++
-		}
-	}
-	return float64(matches) / float64(n), nil
 }
 
 // qOp is the compiled int8 state of one quantized op: RHS-packed
@@ -228,15 +193,15 @@ type qOp struct {
 const qBiasBound = 1 << 30
 
 // quantizeOp builds the int8 state for one weighted op.
-func quantizeOp(op *planOp, st *LayerStats) (*qOp, error) {
+func quantizeOp(op *planOp, st *layerStats) (*qOp, error) {
 	l := op.l
 	scale, zp := tensor.AffineParams(st.Min, st.Max)
 	q := &qOp{inScale: scale, inZP: zp}
 	switch op.kind {
-	case KindDense:
+	case kindDense:
 		q.w = tensor.QuantizeDenseWeights(l.W)
 		q.k, q.n = l.W.Dim(0), l.W.Dim(1)
-	default: // KindConv, KindProjSkip
+	default: // kindConv, kindProjSkip
 		q.w = tensor.QuantizeConvWeights(l.W)
 		q.kh, q.kw = l.W.Dim(2), l.W.Dim(3)
 		q.k, q.n = q.w.Dim(0), q.w.Dim(1)
@@ -288,7 +253,7 @@ func (m *Model) QuantizePlan(hints ExecHints, cal *Calibration) (*Plan, error) {
 		return nil, fmt.Errorf("model %q: QuantizePlan needs a calibration (run Calibrate)", m.Name)
 	}
 	for i, l := range m.Layers {
-		if l.Kind == KindBatchNorm || (l.Kind == KindProjSkip && l.Gamma != nil) {
+		if l.Kind == kindBatchNorm || (l.Kind == kindProjSkip && l.Gamma != nil) {
 			return nil, fmt.Errorf("model %q layer %d (%s): quantization requires folded batch norms (model.FoldBatchNorm)", m.Name, i, l.Name)
 		}
 	}
@@ -300,7 +265,7 @@ func (m *Model) QuantizePlan(hints ExecHints, cal *Calibration) (*Plan, error) {
 	for i := range p.ops {
 		op := &p.ops[i]
 		switch op.kind {
-		case KindDense, KindConv, KindProjSkip:
+		case kindDense, kindConv, kindProjSkip:
 		default:
 			continue
 		}

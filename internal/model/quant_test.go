@@ -58,7 +58,7 @@ func TestCalibrateRecordsRanges(t *testing.T) {
 	}
 	var denseLayers []int
 	for i, l := range m.Layers {
-		if l.Kind == KindDense {
+		if l.Kind == kindDense {
 			denseLayers = append(denseLayers, i)
 		}
 	}
@@ -326,4 +326,39 @@ func BenchmarkQPlanAgreement(b *testing.B) {
 	}
 	// After the loop: ResetTimer clears user-reported metrics.
 	b.ReportMetric(1-agree, "top1_delta")
+}
+
+// PlanAgreement scores a compiled plan against m's reference float32
+// forward pass on the same inputs and returns the fraction of points
+// whose argmax predictions match — the accuracy-drift metric of the
+// int8 contract (docs/QUANTIZATION.md). Both passes get their own copy
+// of the inputs.
+func PlanAgreement(m *Model, p *Plan, inputs []float32, n int) (float64, error) {
+	refIn, err := m.BatchInput(append([]float32(nil), inputs...), n)
+	if err != nil {
+		return 0, err
+	}
+	want, err := m.Forward(refIn)
+	if err != nil {
+		return 0, err
+	}
+	got := make([]float32, n*p.OutputLen())
+	if err := p.Forward(append([]float32(nil), inputs...), n, got); err != nil {
+		return 0, err
+	}
+	cols := p.OutputLen()
+	matches := 0
+	for i := 0; i < n; i++ {
+		row := got[i*cols : (i+1)*cols]
+		best, bi := row[0], 0
+		for j, v := range row[1:] {
+			if v > best {
+				best, bi = v, j+1
+			}
+		}
+		if bi == argmaxRow(want, i) {
+			matches++
+		}
+	}
+	return float64(matches) / float64(n), nil
 }

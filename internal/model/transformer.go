@@ -76,23 +76,23 @@ func NewTransformer(cfg TransformerConfig) *Model {
 		ff2W, ff2B := initDense(r, f, d)
 		g2, b2 := initLN(r, d)
 		m.Layers = append(m.Layers,
-			&Layer{Kind: KindSaveSkip, Name: prefix + ".attn.skip"},
-			&Layer{Kind: KindDense, Name: prefix + ".attn.qkv", W: qkvW, B: qkvB},
-			&Layer{Kind: KindAttention, Name: prefix + ".attn", Heads: cfg.Heads},
-			&Layer{Kind: KindDense, Name: prefix + ".attn.proj", W: projW, B: projB},
-			&Layer{Kind: KindResidual, Name: prefix + ".attn.add"},
-			&Layer{Kind: KindLayerNorm, Name: prefix + ".attn.norm", Gamma: g1, Beta: b1, Eps: 1e-5},
-			&Layer{Kind: KindSaveSkip, Name: prefix + ".ffn.skip"},
-			&Layer{Kind: KindDense, Name: prefix + ".ffn.up", W: ff1W, B: ff1B},
-			&Layer{Kind: KindGELU, Name: prefix + ".ffn.gelu"},
-			&Layer{Kind: KindDense, Name: prefix + ".ffn.down", W: ff2W, B: ff2B},
-			&Layer{Kind: KindResidual, Name: prefix + ".ffn.add"},
-			&Layer{Kind: KindLayerNorm, Name: prefix + ".ffn.norm", Gamma: g2, Beta: b2, Eps: 1e-5})
+			&Layer{Kind: kindSaveSkip, Name: prefix + ".attn.skip"},
+			&Layer{Kind: kindDense, Name: prefix + ".attn.qkv", W: qkvW, B: qkvB},
+			&Layer{Kind: kindAttention, Name: prefix + ".attn", Heads: cfg.Heads},
+			&Layer{Kind: kindDense, Name: prefix + ".attn.proj", W: projW, B: projB},
+			&Layer{Kind: kindResidual, Name: prefix + ".attn.add"},
+			&Layer{Kind: kindLayerNorm, Name: prefix + ".attn.norm", Gamma: g1, Beta: b1, Eps: 1e-5},
+			&Layer{Kind: kindSaveSkip, Name: prefix + ".ffn.skip"},
+			&Layer{Kind: kindDense, Name: prefix + ".ffn.up", W: ff1W, B: ff1B},
+			&Layer{Kind: kindGELU, Name: prefix + ".ffn.gelu"},
+			&Layer{Kind: kindDense, Name: prefix + ".ffn.down", W: ff2W, B: ff2B},
+			&Layer{Kind: kindResidual, Name: prefix + ".ffn.add"},
+			&Layer{Kind: kindLayerNorm, Name: prefix + ".ffn.norm", Gamma: g2, Beta: b2, Eps: 1e-5})
 	}
-	m.Layers = append(m.Layers, &Layer{Kind: KindFlatten, Name: "flatten"})
+	m.Layers = append(m.Layers, &Layer{Kind: kindFlatten, Name: "flatten"})
 	w, bias := initDense(r, cfg.SeqLen*d, cfg.Classes)
 	m.Layers = append(m.Layers,
-		&Layer{Kind: KindDense, Name: "logits", W: w, B: bias},
-		&Layer{Kind: KindSoftmax, Name: "probs"})
+		&Layer{Kind: kindDense, Name: "logits", W: w, B: bias},
+		&Layer{Kind: kindSoftmax, Name: "probs"})
 	return m
 }

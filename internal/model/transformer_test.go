@@ -116,7 +116,7 @@ func TestTransformerBatchInvariance(t *testing.T) {
 
 // TestQuantRejectsTransformerKinds pins the typed rejection: both
 // Calibrate and QuantizePlan refuse transformer layer kinds upfront
-// with an UnsupportedQuantKindError naming the model, layer, and kind —
+// with an unsupportedQuantKindError naming the model, layer, and kind —
 // message pinned exactly so downstream tooling can rely on it.
 func TestQuantRejectsTransformerKinds(t *testing.T) {
 	m := NewTransformer(DefaultTransformerConfig(1))
@@ -127,11 +127,11 @@ func TestQuantRejectsTransformerKinds(t *testing.T) {
 	if err == nil {
 		t.Fatal("Calibrate accepted a transformer")
 	}
-	var uerr *UnsupportedQuantKindError
+	var uerr *unsupportedQuantKindError
 	if !errors.As(err, &uerr) {
 		t.Fatalf("Calibrate error %T, want *UnsupportedQuantKindError", err)
 	}
-	if uerr.Kind != KindAttention || uerr.Layer != "block0.attn" {
+	if uerr.Kind != kindAttention || uerr.Layer != "block0.attn" {
 		t.Fatalf("Calibrate error fields %+v", uerr)
 	}
 	if err.Error() != wantMsg {

@@ -15,6 +15,24 @@ import (
 // cannot trigger huge allocations.
 const maxDecodeDim = 1 << 24
 
+// elemCount is the element count of a decoded shape. Every dimension
+// must lie in [0, maxDecodeDim], and the count may not exceed limit, the
+// float32s the input has left to hold it; the check runs before each
+// multiplication, so the count cannot overflow.
+func elemCount(shape []int, limit int) (int, error) {
+	n := 1
+	for _, d := range shape {
+		if d < 0 || d > maxDecodeDim {
+			return 0, fmt.Errorf("modelfmt: implausible dimension %d", d)
+		}
+		if d != 0 && n > limit/d {
+			return 0, fmt.Errorf("modelfmt: shape %v holds more than the %d floats left in the input", shape, limit)
+		}
+		n *= d
+	}
+	return n, nil
+}
+
 // binWriter serialises primitives in little-endian order.
 type binWriter struct {
 	buf bytes.Buffer
@@ -97,6 +115,19 @@ func (r *binReader) str() (string, error) {
 	return string(b), nil
 }
 
+// shape reads rank dimensions; elemCount bounds them.
+func (r *binReader) shape(rank int) ([]int, error) {
+	shape := make([]int, rank)
+	for i := range shape {
+		d, err := r.u32()
+		if err != nil {
+			return nil, err
+		}
+		shape[i] = int(d)
+	}
+	return shape, nil
+}
+
 func (r *binReader) tensorField() (*tensor.Tensor, error) {
 	rank, err := r.i32()
 	if err != nil {
@@ -108,21 +139,13 @@ func (r *binReader) tensorField() (*tensor.Tensor, error) {
 	if rank < 0 || rank > 8 {
 		return nil, fmt.Errorf("modelfmt: implausible tensor rank %d", rank)
 	}
-	shape := make([]int, rank)
-	n := 1
-	for i := range shape {
-		d, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		if d > maxDecodeDim {
-			return nil, fmt.Errorf("modelfmt: implausible tensor dimension %d", d)
-		}
-		shape[i] = int(d)
-		n *= int(d)
+	shape, err := r.shape(int(rank))
+	if err != nil {
+		return nil, err
 	}
-	if int64(4*n) > int64(r.r.Len()) {
-		return nil, fmt.Errorf("modelfmt: tensor payload %d bytes exceeds remaining input", 4*n)
+	n, err := elemCount(shape, r.r.Len()/4)
+	if err != nil {
+		return nil, err
 	}
 	data := make([]float32, n)
 	raw := make([]byte, 4*n)
@@ -221,16 +244,12 @@ func (r *binReader) readModelHeader() (*model.Model, int, error) {
 	if rank < 0 || rank > 8 {
 		return nil, 0, fmt.Errorf("modelfmt: implausible input rank %d", rank)
 	}
-	shape := make([]int, rank)
-	for i := range shape {
-		d, err := r.u32()
-		if err != nil {
-			return nil, 0, err
-		}
-		if d > maxDecodeDim {
-			return nil, 0, fmt.Errorf("modelfmt: implausible input dimension %d", d)
-		}
-		shape[i] = int(d)
+	shape, err := r.shape(int(rank))
+	if err != nil {
+		return nil, 0, err
+	}
+	if _, err := elemCount(shape, r.r.Len()/4); err != nil {
+		return nil, 0, err
 	}
 	out, err := r.i32()
 	if err != nil {

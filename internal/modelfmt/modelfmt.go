@@ -33,13 +33,8 @@ const (
 	H5         Format = "h5"
 )
 
-// Formats returns all supported formats in a stable order.
-func Formats() []Format {
-	return []Format{ONNX, SavedModel, Torch, H5}
-}
-
-// Codec encodes and decodes one storage format.
-type Codec interface {
+// codec encodes and decodes one storage format.
+type codec interface {
 	// Format returns the format this codec handles.
 	Format() Format
 	// Encode serialises a model.
@@ -48,15 +43,15 @@ type Codec interface {
 	Decode(data []byte) (*model.Model, error)
 }
 
-var codecs = map[Format]Codec{
+var codecs = map[Format]codec{
 	ONNX:       onnxCodec{},
 	SavedModel: savedModelCodec{},
 	Torch:      torchCodec{},
 	H5:         h5Codec{},
 }
 
-// Lookup returns the codec for a format.
-func Lookup(f Format) (Codec, error) {
+// lookup returns the codec for a format.
+func lookup(f Format) (codec, error) {
 	c, ok := codecs[f]
 	if !ok {
 		known := make([]string, 0, len(codecs))
@@ -71,7 +66,7 @@ func Lookup(f Format) (Codec, error) {
 
 // Encode serialises m in the given format.
 func Encode(f Format, m *model.Model) ([]byte, error) {
-	c, err := Lookup(f)
+	c, err := lookup(f)
 	if err != nil {
 		return nil, err
 	}
@@ -83,7 +78,7 @@ func Encode(f Format, m *model.Model) ([]byte, error) {
 
 // Decode reconstructs a model stored in the given format.
 func Decode(f Format, data []byte) (*model.Model, error) {
-	c, err := Lookup(f)
+	c, err := lookup(f)
 	if err != nil {
 		return nil, err
 	}

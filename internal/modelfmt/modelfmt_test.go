@@ -1,7 +1,10 @@
 package modelfmt
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -154,7 +157,7 @@ func TestSniff(t *testing.T) {
 }
 
 func TestLookupUnknownFormat(t *testing.T) {
-	if _, err := Lookup("bogus"); err == nil {
+	if _, err := lookup("bogus"); err == nil {
 		t.Fatal("Lookup accepted unknown format")
 	}
 	if _, err := Encode("bogus", model.NewFFNN(1)); err == nil {
@@ -227,6 +230,148 @@ func TestDecodeCorruptHeaderFields(t *testing.T) {
 	}
 }
 
+// overflowField is a tensor field whose shape, 2^24 × 2^24 × 2^16, holds
+// 2^64 elements: a count that wraps to zero in int64.
+func overflowField() []byte {
+	w := &binWriter{}
+	w.i32(3)
+	for _, d := range []uint32{1 << 24, 1 << 24, 1 << 16} {
+		w.u32(d)
+	}
+	return w.bytes()
+}
+
+// overflowONNX is a one-layer ONNX container whose first tensor field is
+// overflowField.
+func overflowONNX() []byte {
+	w := &binWriter{}
+	w.raw([]byte(onnxMagic))
+	w.u32(1)
+	w.writeModelHeader(&model.Model{Name: "o", InputShape: []int{1}, OutputSize: 1, Layers: []*model.Layer{{}}})
+	w.writeLayerCommon(&model.Layer{Kind: "dense", Name: "d"})
+	w.raw(overflowField())
+	return w.bytes()
+}
+
+// TestDecodersRefuseOverflowingShapes: every decoder site that multiplies
+// a decoded shape refuses one whose element count overflows, instead of
+// building a tensor that claims 2^64 elements over none.
+func TestDecodersRefuseOverflowingShapes(t *testing.T) {
+	huge := []int{1 << 24, 1 << 24, 1 << 16}
+	header := &binWriter{}
+	header.str("m")
+	header.i32(3)
+	for _, d := range huge {
+		header.u32(uint32(d))
+	}
+	header.i32(1)
+	header.i32(1)
+	for _, tc := range []struct {
+		name   string
+		decode func() error
+	}{
+		{"binary tensor field", func() error {
+			_, err := newBinReader(overflowField()).tensorField()
+			return err
+		}},
+		{"binary model header", func() error {
+			_, _, err := newBinReader(header.bytes()).readModelHeader()
+			return err
+		}},
+		{"torch raw tensor", func() error {
+			_, err := decodeRawTensor(nil, huge)
+			return err
+		}},
+		{"onnx container", func() error {
+			_, err := Decode(ONNX, overflowONNX())
+			return err
+		}},
+	} {
+		if err := tc.decode(); err == nil {
+			t.Errorf("%s: a shape of 2^64 elements decoded", tc.name)
+		}
+	}
+}
+
+// FuzzModelDecode holds the four decoders to the decoder contract: no
+// input panics one; a decoded model's shapes hold no more float32s than
+// the input has bytes for; and whatever decodes re-encodes to bytes that
+// decode to the same model, bit for bit.
+func FuzzModelDecode(f *testing.F) {
+	m := model.NewFFNNSized(1, 4, []int{3}, 2)
+	for i, format := range Formats() {
+		data, err := Encode(format, m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(i), data)
+	}
+	f.Add(uint8(0), overflowONNX())
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		formats := Formats()
+		format := formats[int(which)%len(formats)]
+		got, err := Decode(format, data)
+		if err != nil {
+			return
+		}
+		floats := got.InputLen()
+		for _, l := range got.Layers {
+			for _, ts := range layerTensors(l) {
+				if ts != nil {
+					floats += ts.Len()
+				}
+			}
+		}
+		if 4*floats > len(data) {
+			t.Fatalf("%s: %d input bytes decoded into shapes of %d float32s", format, len(data), floats)
+		}
+		again, err := Encode(format, got)
+		if err != nil {
+			t.Fatalf("%s: a decoded model does not re-encode: %v", format, err)
+		}
+		back, err := Decode(format, again)
+		if err != nil {
+			t.Fatalf("%s: a re-encoded model does not decode: %v", format, err)
+		}
+		if diff := modelDiff(got, back); diff != "" {
+			t.Fatalf("%s: re-encoded model differs: %s", format, diff)
+		}
+	})
+}
+
+// modelDiff names the first difference between two models, comparing
+// every float bit for bit (NaN payloads included), or returns "".
+func modelDiff(a, b *model.Model) string {
+	if a.Name != b.Name || !slices.Equal(a.InputShape, b.InputShape) || a.OutputSize != b.OutputSize || len(a.Layers) != len(b.Layers) {
+		return "metadata"
+	}
+	for i, la := range a.Layers {
+		lb := b.Layers[i]
+		if la.Kind != lb.Kind || la.Name != lb.Name || la.Stride != lb.Stride || la.Pad != lb.Pad ||
+			la.PoolSize != lb.PoolSize || la.Heads != lb.Heads || math.Float32bits(la.Eps) != math.Float32bits(lb.Eps) {
+			return fmt.Sprintf("layer %d attributes", i)
+		}
+		tb := layerTensors(lb)
+		for j, ta := range layerTensors(la) {
+			if (ta == nil) != (tb[j] == nil) {
+				return fmt.Sprintf("layer %d tensor %d presence", i, j)
+			}
+			if ta == nil {
+				continue
+			}
+			if !slices.Equal(ta.Shape(), tb[j].Shape()) {
+				return fmt.Sprintf("layer %d tensor %d shape", i, j)
+			}
+			for k, v := range ta.Data() {
+				if math.Float32bits(v) != math.Float32bits(tb[j].Data()[k]) {
+					return fmt.Sprintf("layer %d tensor %d element %d", i, j, k)
+				}
+			}
+		}
+	}
+	return ""
+}
+
 func TestFunctionLibraryIsModelIndependent(t *testing.T) {
 	a := functionLibrary()
 	b := functionLibrary()
@@ -266,4 +411,9 @@ func BenchmarkDecodeFFNN(b *testing.B) {
 			}
 		})
 	}
+}
+
+// Formats returns all supported formats in a stable order.
+func Formats() []Format {
+	return []Format{ONNX, SavedModel, Torch, H5}
 }

@@ -105,6 +105,11 @@ func (torchCodec) Decode(data []byte) (*model.Model, error) {
 	}
 	files := make(map[string][]byte, len(zr.File))
 	for _, f := range zr.File {
+		// A stored entry is no larger than the archive; a deflated one
+		// could inflate past any bound the input sets.
+		if f.Method != zip.Store {
+			return nil, fmt.Errorf("modelfmt: torch entry %q is compressed, not stored", f.Name)
+		}
 		rc, err := f.Open()
 		if err != nil {
 			return nil, fmt.Errorf("modelfmt: torch entry %q: %w", f.Name, err)
@@ -123,6 +128,9 @@ func (torchCodec) Decode(data []byte) (*model.Model, error) {
 	var manifest torchManifest
 	if err := json.Unmarshal(mj, &manifest); err != nil {
 		return nil, fmt.Errorf("modelfmt: torch manifest: %w", err)
+	}
+	if _, err := elemCount(manifest.InputShape, len(data)/4); err != nil {
+		return nil, fmt.Errorf("modelfmt: torch input shape: %w", err)
 	}
 	m := &model.Model{
 		Name:       manifest.Name,
@@ -164,12 +172,9 @@ func (torchCodec) Decode(data []byte) (*model.Model, error) {
 
 // decodeRawTensor rebuilds a tensor from raw little-endian float32 bytes.
 func decodeRawTensor(raw []byte, shape []int) (*tensor.Tensor, error) {
-	n := 1
-	for _, d := range shape {
-		if d < 0 || d > maxDecodeDim {
-			return nil, fmt.Errorf("implausible dimension %d", d)
-		}
-		n *= d
+	n, err := elemCount(shape, len(raw)/4)
+	if err != nil {
+		return nil, err
 	}
 	if len(raw) != 4*n {
 		return nil, fmt.Errorf("payload %d bytes, shape %v wants %d", len(raw), shape, 4*n)

@@ -33,8 +33,8 @@ func (p Profile) Enabled() bool {
 	return p.Latency > 0 || p.BandwidthBytesPerSec > 0
 }
 
-// Delay returns the modelled one-way transfer time for n bytes.
-func (p Profile) Delay(n int) time.Duration {
+// delay returns the modelled one-way transfer time for n bytes.
+func (p Profile) delay(n int) time.Duration {
 	d := p.Latency
 	if p.BandwidthBytesPerSec > 0 && n > 0 {
 		d += time.Duration(float64(n) / p.BandwidthBytesPerSec * float64(time.Second))
@@ -47,7 +47,7 @@ func (p Profile) Apply(n int) {
 	if !p.Enabled() {
 		return
 	}
-	if d := p.Delay(n); d > 0 {
+	if d := p.delay(n); d > 0 {
 		//lint:allow clockdiscipline the modelled transfer delay itself
 		time.Sleep(d)
 	}

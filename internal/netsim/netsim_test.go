@@ -9,7 +9,7 @@ func TestLoopbackIsFree(t *testing.T) {
 	if Loopback.Enabled() {
 		t.Fatal("loopback enabled")
 	}
-	if Loopback.Delay(1<<30) != 0 {
+	if Loopback.delay(1<<30) != 0 {
 		t.Fatal("loopback delays")
 	}
 	start := time.Now()
@@ -21,13 +21,13 @@ func TestLoopbackIsFree(t *testing.T) {
 
 func TestDelayScalesWithBytes(t *testing.T) {
 	p := Profile{Latency: time.Millisecond, BandwidthBytesPerSec: 1e6}
-	if d := p.Delay(0); d != time.Millisecond {
+	if d := p.delay(0); d != time.Millisecond {
 		t.Fatalf("zero-byte delay %v", d)
 	}
-	if d := p.Delay(1000); d != time.Millisecond+time.Millisecond {
+	if d := p.delay(1000); d != time.Millisecond+time.Millisecond {
 		t.Fatalf("1KB delay %v", d)
 	}
-	if p.Delay(2000) <= p.Delay(1000) {
+	if p.delay(2000) <= p.delay(1000) {
 		t.Fatal("delay not monotone in bytes")
 	}
 }
@@ -35,8 +35,8 @@ func TestDelayScalesWithBytes(t *testing.T) {
 func TestLANMatchesPaperPings(t *testing.T) {
 	// §4.2: 3 KB one FFNN input pings in 0.945 ms round trip, 64 KB in
 	// 1.565 ms. One-way: our profile should land near half of each.
-	rt3k := 2 * LAN.Delay(3_000)
-	rt64k := 2 * LAN.Delay(64_000)
+	rt3k := 2 * LAN.delay(3_000)
+	rt64k := 2 * LAN.delay(64_000)
 	if rt3k < 700*time.Microsecond || rt3k > 1300*time.Microsecond {
 		t.Fatalf("3KB round trip %v, paper 0.945ms", rt3k)
 	}

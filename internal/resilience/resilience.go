@@ -47,6 +47,8 @@ func IsRetryable(err error) bool {
 
 // ErrOpen is returned (wrapped retryable) when a Breaker sheds a call
 // because the circuit is open.
+//
+//lint:allow deadexport grpcish's breaker tests match it
 var ErrOpen = errors.New("resilience: circuit open")
 
 // State is a circuit breaker's position.
@@ -87,9 +89,9 @@ type Breaker struct {
 	// Cooldown is how long the circuit stays open before a probe is
 	// allowed (default 100ms).
 	Cooldown time.Duration
-	// Clock supplies the current time (default time.Now); injected by
+	// clock supplies the current time (default time.Now); injected by
 	// the fault layer for deterministic replay.
-	Clock func() time.Time
+	clock func() time.Time
 	// OnChange, if set, observes every state transition. Called outside
 	// the breaker's lock.
 	OnChange func(from, to State)
@@ -105,8 +107,8 @@ type Breaker struct {
 }
 
 func (b *Breaker) now() time.Time {
-	if b.Clock != nil {
-		return b.Clock()
+	if b.clock != nil {
+		return b.clock()
 	}
 	return time.Now()
 }
@@ -136,11 +138,11 @@ func (b *Breaker) State() State {
 	return b.state
 }
 
-// Allow reports whether a call may proceed. It returns nil to admit the
+// allow reports whether a call may proceed. It returns nil to admit the
 // call, or a retryable error wrapping ErrOpen when the call is shed.
 // Every admitted call must be followed by exactly one Success or
 // Failure. A nil breaker admits everything.
-func (b *Breaker) Allow() error {
+func (b *Breaker) allow() error {
 	if b == nil {
 		return nil
 	}
@@ -172,8 +174,8 @@ func (b *Breaker) Allow() error {
 	return MarkRetryable(fmt.Errorf("%w (retry after %v)", ErrOpen, b.cooldown()))
 }
 
-// Success records a successful call admitted by Allow.
-func (b *Breaker) Success() {
+// success records a successful call admitted by Allow.
+func (b *Breaker) success() {
 	if b == nil {
 		return
 	}
@@ -191,8 +193,8 @@ func (b *Breaker) Success() {
 	}
 }
 
-// Failure records a failed call admitted by Allow.
-func (b *Breaker) Failure() {
+// failure records a failed call admitted by Allow.
+func (b *Breaker) failure() {
 	if b == nil {
 		return
 	}
@@ -238,9 +240,6 @@ type Retry struct {
 	// it up to MaxDelay (default 1s).
 	BaseDelay time.Duration
 	MaxDelay  time.Duration
-	// Jitter is the fraction of each delay randomised around its centre
-	// (default 0.2, i.e. ±10%).
-	Jitter float64
 	// Seed seeds the jitter PRNG (default 1) so two runs with the same
 	// seed back off identically.
 	Seed int64
@@ -250,7 +249,7 @@ type Retry struct {
 	// Sleep and Clock are injectable for tests and the fault layer
 	// (defaults time.Sleep / time.Now).
 	Sleep func(time.Duration)
-	Clock func() time.Time
+	clock func() time.Time
 	// OnAttempt, if set, observes every retry (attempt numbers start at
 	// 1 for the first *re*try) with the error that caused it.
 	OnAttempt func(attempt int, err error)
@@ -280,16 +279,13 @@ func (r *Retry) maxDelay() time.Duration {
 	return r.MaxDelay
 }
 
-func (r *Retry) jitter() float64 {
-	if r.Jitter <= 0 {
-		return 0.2
-	}
-	return r.Jitter
-}
+// retryJitter is the fraction of each delay randomised around its
+// centre (±10%).
+const retryJitter = 0.2
 
 func (r *Retry) now() time.Time {
-	if r.Clock != nil {
-		return r.Clock()
+	if r.clock != nil {
+		return r.clock()
 	}
 	return time.Now()
 }
@@ -317,7 +313,7 @@ func (r *Retry) backoff(attempt int) time.Duration {
 	if d > max {
 		d = max
 	}
-	j := r.jitter()
+	j := retryJitter
 	r.mu.Lock()
 	if r.rng == nil {
 		seed := r.Seed
@@ -366,15 +362,15 @@ func (r *Retry) Do(op func() error) error {
 // cooldown), then reports the outcome back. Either component may be nil.
 func Run(r *Retry, b *Breaker, op func() error) error {
 	guarded := func() error {
-		if err := b.Allow(); err != nil {
+		if err := b.allow(); err != nil {
 			return err
 		}
 		err := op()
 		if err != nil {
-			b.Failure()
+			b.failure()
 			return err
 		}
-		b.Success()
+		b.success()
 		return nil
 	}
 	if r == nil {

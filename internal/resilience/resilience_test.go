@@ -104,7 +104,7 @@ func TestRetryBackoffDeterministicAcrossSeeds(t *testing.T) {
 }
 
 func TestRetryBackoffCapped(t *testing.T) {
-	r := &Retry{BaseDelay: 100 * time.Millisecond, MaxDelay: 250 * time.Millisecond, Jitter: 0.0001}
+	r := &Retry{BaseDelay: 100 * time.Millisecond, MaxDelay: 250 * time.Millisecond}
 	d := r.backoff(10)
 	if d > 300*time.Millisecond {
 		t.Fatalf("backoff %v exceeded cap", d)
@@ -117,7 +117,7 @@ func TestRetryMaxElapsed(t *testing.T) {
 	r := &Retry{
 		MaxElapsed: 50 * time.Millisecond,
 		BaseDelay:  time.Millisecond,
-		Clock:      func() time.Time { return now },
+		clock:      func() time.Time { return now },
 		Sleep:      func(d time.Duration) { now = now.Add(d) },
 	}
 	err := r.Do(func() error {
@@ -139,16 +139,16 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	b := &Breaker{
 		FailureThreshold: 3,
 		Cooldown:         100 * time.Millisecond,
-		Clock:            func() time.Time { return now },
+		clock:            func() time.Time { return now },
 		OnChange: func(from, to State) {
 			transitions = append(transitions, from.String()+"->"+to.String())
 		},
 	}
 	fail := func() {
-		if err := b.Allow(); err != nil {
+		if err := b.allow(); err != nil {
 			t.Fatalf("closed breaker shed a call: %v", err)
 		}
-		b.Failure()
+		b.failure()
 	}
 	fail()
 	fail()
@@ -160,23 +160,23 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 		t.Fatalf("state = %v, want open", b.State())
 	}
 	// Shed while open, before cooldown.
-	if err := b.Allow(); err == nil {
+	if err := b.allow(); err == nil {
 		t.Fatal("open breaker admitted a call")
 	} else if !IsRetryable(err) || !errors.Is(err, ErrOpen) {
 		t.Fatalf("shed error not typed/retryable: %v", err)
 	}
 	// After cooldown: one probe admitted, a second concurrent call shed.
 	now = now.Add(150 * time.Millisecond)
-	if err := b.Allow(); err != nil {
+	if err := b.allow(); err != nil {
 		t.Fatalf("probe not admitted: %v", err)
 	}
 	if b.State() != HalfOpen {
 		t.Fatalf("state = %v, want half-open", b.State())
 	}
-	if err := b.Allow(); err == nil {
+	if err := b.allow(); err == nil {
 		t.Fatal("second probe admitted while first in flight")
 	}
-	b.Success()
+	b.success()
 	if b.State() != Closed {
 		t.Fatalf("state = %v, want closed after probe success", b.State())
 	}
@@ -193,16 +193,16 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 
 func TestBreakerProbeFailureReopens(t *testing.T) {
 	var now time.Time
-	b := &Breaker{FailureThreshold: 1, Cooldown: 10 * time.Millisecond, Clock: func() time.Time { return now }}
-	if err := b.Allow(); err != nil {
+	b := &Breaker{FailureThreshold: 1, Cooldown: 10 * time.Millisecond, clock: func() time.Time { return now }}
+	if err := b.allow(); err != nil {
 		t.Fatal(err)
 	}
-	b.Failure()
+	b.failure()
 	now = now.Add(20 * time.Millisecond)
-	if err := b.Allow(); err != nil {
+	if err := b.allow(); err != nil {
 		t.Fatalf("probe not admitted: %v", err)
 	}
-	b.Failure()
+	b.failure()
 	if b.State() != Open {
 		t.Fatalf("state = %v, want open after probe failure", b.State())
 	}
@@ -211,11 +211,11 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 func TestBreakerOnShed(t *testing.T) {
 	var now time.Time
 	sheds := 0
-	b := &Breaker{FailureThreshold: 1, Clock: func() time.Time { return now }, OnShed: func() { sheds++ }}
-	_ = b.Allow()
-	b.Failure()
+	b := &Breaker{FailureThreshold: 1, clock: func() time.Time { return now }, OnShed: func() { sheds++ }}
+	_ = b.allow()
+	b.failure()
 	for i := 0; i < 3; i++ {
-		_ = b.Allow()
+		_ = b.allow()
 	}
 	if sheds != 3 {
 		t.Fatalf("sheds = %d, want 3", sheds)
@@ -228,12 +228,12 @@ func TestRunComposesRetryAndBreaker(t *testing.T) {
 	// cooldown, then probe, then succeed once the fault clears.
 	var now time.Time
 	clock := func() time.Time { return now }
-	b := &Breaker{FailureThreshold: 2, Cooldown: 30 * time.Millisecond, Clock: clock}
+	b := &Breaker{FailureThreshold: 2, Cooldown: 30 * time.Millisecond, clock: clock}
 	r := &Retry{
 		MaxElapsed: time.Second,
 		BaseDelay:  20 * time.Millisecond,
 		MaxDelay:   20 * time.Millisecond,
-		Clock:      clock,
+		clock:      clock,
 		Sleep:      func(d time.Duration) { now = now.Add(d) },
 	}
 	calls := 0

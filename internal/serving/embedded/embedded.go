@@ -46,11 +46,8 @@ type Kind string
 const (
 	ONNX       Kind = "onnx"
 	SavedModel Kind = "savedmodel"
-	DL4J       Kind = "dl4j"
+	dl4j       Kind = "dl4j"
 )
-
-// Kinds lists all embedded runtimes in a stable order.
-func Kinds() []Kind { return []Kind{ONNX, SavedModel, DL4J} }
 
 // Runtime is an embedded serving tool: Load brings a stored model into
 // operator memory, Score runs inference in-process.
@@ -74,7 +71,7 @@ func New(kind Kind, dev gpu.Device) (*Runtime, error) {
 		f = modelfmt.ONNX
 	case SavedModel:
 		f = modelfmt.SavedModel
-	case DL4J:
+	case dl4j:
 		f = modelfmt.H5
 	default:
 		return nil, fmt.Errorf("embedded: unknown runtime kind %q", kind)
@@ -222,7 +219,7 @@ func (r *Runtime) Score(inputs []float32, n int) ([]float32, error) {
 	switch r.kind {
 	case ONNX, SavedModel:
 		return r.scorePlanned(inputs, n)
-	case DL4J:
+	case dl4j:
 		return r.scoreDL4J(inputs, n)
 	}
 	return nil, fmt.Errorf("embedded: unknown runtime kind %q", r.kind)

@@ -175,7 +175,7 @@ func TestLoadRejectsWrongFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := New(DL4J, nil) // wants H5
+	r, err := New(dl4j, nil) // wants H5
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestRelativeSpeedONNXFastest(t *testing.T) {
 		t.Errorf("ONNX slower than SavedModel (median ratio %.2f)", ratio)
 	}
 	// DL4J's FFI rounds are a large, stable deficit.
-	if ratio := medianRatio(DL4J, SavedModel); ratio < 2 {
+	if ratio := medianRatio(dl4j, SavedModel); ratio < 2 {
 		t.Errorf("DL4J not paying its FFI cost vs SavedModel (median ratio %.2f)", ratio)
 	}
 }
@@ -423,7 +423,7 @@ func TestInt8RuntimeAgreesWithFloat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []Kind{ONNX, DL4J} {
+	for _, kind := range []Kind{ONNX, dl4j} {
 		r := loadInt8Runtime(t, kind, m)
 		if !r.plan.Quantized() {
 			t.Fatalf("%s: int8 device produced a float plan", kind)
@@ -508,3 +508,18 @@ func BenchmarkScoreFFNN(b *testing.B) {
 		})
 	}
 }
+
+// ffiCross is the allocating single-crossing variant: it returns a fresh
+// slice carrying the values across the boundary, leaving the input
+// untouched.
+func ffiCross(vals []float32) ([]float32, error) {
+	out := append([]float32(nil), vals...)
+	buf := make([]byte, 8+4*len(vals))
+	if err := ffiCrossInto(out, buf); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Kinds lists all embedded runtimes in a stable order.
+func Kinds() []Kind { return []Kind{ONNX, SavedModel, dl4j} }

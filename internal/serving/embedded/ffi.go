@@ -76,15 +76,3 @@ func ffiCrossRoundsInto(vals []float32, buf []byte) error {
 	}
 	return nil
 }
-
-// ffiCross is the allocating single-crossing variant: it returns a fresh
-// slice carrying the values across the boundary, leaving the input
-// untouched.
-func ffiCross(vals []float32) ([]float32, error) {
-	out := append([]float32(nil), vals...)
-	buf := make([]byte, 8+4*len(vals))
-	if err := ffiCrossInto(out, buf); err != nil {
-		return nil, err
-	}
-	return out, nil
-}

@@ -87,9 +87,9 @@ func TestAsyncIOFlushesWhileSourceIsParked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fewer than SinkFlushRecords, so that only the idle flush can send
+	// Fewer than sinkFlushRecords, so that only the idle flush can send
 	// them; their transforms finish once the source is parked again.
-	const n = SinkFlushRecords - 1
+	const n = sinkFlushRecords - 1
 	h.Produce(t, n)
 	for deadline := time.Now().Add(10 * time.Second); entered.Load() < n || patient.Parked.Load() == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {

@@ -158,13 +158,13 @@ func closeConsumers(consumers []*broker.Consumer) {
 	}
 }
 
-// SinkFlushRecords is the chained sink operator's small client buffer:
+// sinkFlushRecords is the chained sink operator's small client buffer:
 // the task thread flushes it synchronously, so with operator chaining the
 // write path shares the slot's resources — the reading/writing resource
 // constraint §6.1 identifies in flink[N-N-N]. Disabling chaining
 // (operator-level parallelism) moves sinks to dedicated tasks with fully
 // asynchronous batching producers.
-const SinkFlushRecords = 4
+const sinkFlushRecords = 4
 
 // startChained launches the flink[N-N-N] topology: N task slots, each
 // running the whole chained pipeline — source poll, record reassembly,
@@ -229,7 +229,7 @@ func (j *job) chainedSlot(consumer *broker.Consumer, producer *broker.Producer) 
 	emit := func(scored []byte) {
 		mu.Lock()
 		sinkBuf = append(sinkBuf, broker.Record{Value: scored, Timestamp: time.Now()})
-		full := len(sinkBuf) >= SinkFlushRecords
+		full := len(sinkBuf) >= sinkFlushRecords
 		mu.Unlock()
 		if full {
 			flush()

@@ -10,8 +10,3 @@ func mkRecords(values ...[]byte) []broker.Record {
 	}
 	return recs
 }
-
-// tp builds a topic-partition key for checkpoint assertions.
-func tp(topic string, p int) broker.TopicPartition {
-	return broker.TopicPartition{Topic: topic, Partition: p}
-}

@@ -17,11 +17,11 @@ import (
 )
 
 func init() {
-	sps.Register("kafka-streams", func() sps.Processor { return New() })
+	sps.Register("kafka-streams", func() sps.Processor { return newEngine() })
 }
 
-// Engine is the Kafka-Streams-analogue processor.
-type Engine struct {
+// engine is the Kafka-Streams-analogue processor.
+type engine struct {
 	// pollRecords is the max records fetched per poll (max.poll.records).
 	pollRecords int
 	// commitInterval throttles offset commits; zero or less commits after
@@ -29,19 +29,19 @@ type Engine struct {
 	commitInterval time.Duration
 }
 
-// New returns an engine with default settings: max.poll.records=500 and a
+// newEngine returns an engine with default settings: max.poll.records=500 and a
 // 1-second commit interval, matching the Kafka client defaults the paper's
 // deployment runs with (commit.interval.ms scaled to this repository's
 // shorter experiment durations).
-func New() *Engine {
-	return &Engine{pollRecords: 500, commitInterval: time.Second}
+func newEngine() *engine {
+	return &engine{pollRecords: 500, commitInterval: time.Second}
 }
 
 // Name implements sps.Processor.
-func (e *Engine) Name() string { return "kafka-streams" }
+func (e *engine) Name() string { return "kafka-streams" }
 
 type job struct {
-	e    *Engine
+	e    *engine
 	spec sps.JobSpec
 
 	stopCh  chan struct{}
@@ -53,7 +53,7 @@ type job struct {
 // Run implements sps.Processor. Kafka Streams has no operator-level
 // parallelism: the topology is replicated across stream threads, so the
 // scoring parallelism (mp) sets the thread count.
-func (e *Engine) Run(spec sps.JobSpec) (sps.Job, error) {
+func (e *engine) Run(spec sps.JobSpec) (sps.Job, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}

@@ -11,15 +11,15 @@ import (
 )
 
 func TestConformance(t *testing.T) {
-	spstest.RunConformance(t, func() sps.Processor { return New() })
+	spstest.RunConformance(t, func() sps.Processor { return newEngine() })
 }
 
 func TestFaultConformance(t *testing.T) {
-	spstest.RunFaultConformance(t, func() sps.Processor { return New() })
+	spstest.RunFaultConformance(t, func() sps.Processor { return newEngine() })
 }
 
 func TestBatchingConformance(t *testing.T) {
-	spstest.RunBatchingConformance(t, func() sps.Processor { return New() })
+	spstest.RunBatchingConformance(t, func() sps.Processor { return newEngine() })
 }
 
 func TestRegistered(t *testing.T) {
@@ -35,7 +35,7 @@ func TestRegistered(t *testing.T) {
 func TestCommitsOffsetsAsItProcesses(t *testing.T) {
 	h := spstest.NewHarness(t, 2, 2)
 	h.Produce(t, 10)
-	e := New()
+	e := newEngine()
 	e.commitInterval = -1 // commit after every processed batch
 	job, err := e.Run(h.Spec)
 	if err != nil {
@@ -68,7 +68,7 @@ func TestThreadsCappedByPartitions(t *testing.T) {
 	h := spstest.NewHarness(t, 2, 2)
 	h.Spec.Parallelism = sps.Parallelism{Default: 8}
 	h.Produce(t, 12)
-	job, err := New().Run(h.Spec)
+	job, err := newEngine().Run(h.Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestThreadsCappedByPartitions(t *testing.T) {
 }
 
 func TestCommitIntervalThrottles(t *testing.T) {
-	e := New()
+	e := newEngine()
 	e.commitInterval = time.Hour // never inside the test window
 	h := spstest.NewHarness(t, 1, 1)
 	h.Produce(t, 5)
@@ -124,7 +124,7 @@ func TestCrashRecoveryViaCommittedOffsets(t *testing.T) {
 		time.Sleep(500 * time.Microsecond)
 		return base(v)
 	}
-	e := New()
+	e := newEngine()
 	e.commitInterval = -1 // commit after every processed batch
 	e.pollRecords = 8
 	job, err := e.Run(h.Spec)

@@ -5,26 +5,26 @@ import (
 	"sync"
 )
 
-// ObjectRef names a value in the object store.
-type ObjectRef uint64
+// objectRef names a value in the object store.
+type objectRef uint64
 
-// ObjectStore is the Ray-analogue shared object store: every message
+// objectStore is the Ray-analogue shared object store: every message
 // between actors is serialised into the store by the sender and fetched
 // (and released) by the receiver, paying the two copies and the shared-
 // store synchronisation Ray pays for inter-actor data movement.
-type ObjectStore struct {
+type objectStore struct {
 	mu      sync.Mutex
-	next    ObjectRef
-	objects map[ObjectRef][]byte
+	next    objectRef
+	objects map[objectRef][]byte
 }
 
-// NewObjectStore returns an empty store.
-func NewObjectStore() *ObjectStore {
-	return &ObjectStore{objects: make(map[ObjectRef][]byte)}
+// newObjectStore returns an empty store.
+func newObjectStore() *objectStore {
+	return &objectStore{objects: make(map[objectRef][]byte)}
 }
 
-// Put copies value into the store and returns its ref.
-func (s *ObjectStore) Put(value []byte) ObjectRef {
+// put copies value into the store and returns its ref.
+func (s *objectStore) put(value []byte) objectRef {
 	buf := make([]byte, len(value))
 	copy(buf, value)
 	s.mu.Lock()
@@ -35,9 +35,9 @@ func (s *ObjectStore) Put(value []byte) ObjectRef {
 	return ref
 }
 
-// Get copies the value out of the store and releases the ref. Refs are
+// get copies the value out of the store and releases the ref. Refs are
 // single-consumer in the pipeline topology.
-func (s *ObjectStore) Get(ref ObjectRef) ([]byte, error) {
+func (s *objectStore) get(ref objectRef) ([]byte, error) {
 	s.mu.Lock()
 	buf, ok := s.objects[ref]
 	if ok {
@@ -52,46 +52,36 @@ func (s *ObjectStore) Get(ref ObjectRef) ([]byte, error) {
 	return out, nil
 }
 
-// Len reports the number of live objects (for leak tests).
-func (s *ObjectStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.objects)
-}
+// mailbox is an actor's bounded message queue, carrying object refs.
+type mailbox chan objectRef
 
-// Mailbox is an actor's bounded message queue, carrying object refs.
-type Mailbox chan ObjectRef
-
-// Actor is a processing actor with a mailbox and a behaviour that runs on
+// actor is a processing actor with a mailbox and a behaviour that runs on
 // its own goroutine.
-type Actor struct {
+type actor struct {
 	Name  string
-	Inbox Mailbox
-	store *ObjectStore
+	Inbox mailbox
+	store *objectStore
 }
 
-// System owns the object store and the spawned actors.
-type System struct {
-	store *ObjectStore
+// system owns the object store and the spawned actors.
+type system struct {
+	store *objectStore
 
 	mu     sync.Mutex
-	actors []*Actor
+	actors []*actor
 	wg     sync.WaitGroup
 }
 
-// NewSystem creates an actor system with a fresh object store.
-func NewSystem() *System {
-	return &System{store: NewObjectStore()}
+// newSystem creates an actor system with a fresh object store.
+func newSystem() *system {
+	return &system{store: newObjectStore()}
 }
 
-// Store returns the system's object store.
-func (sys *System) Store() *ObjectStore { return sys.store }
-
-// Spawn starts an actor running behaviour on its own goroutine. The
+// spawn starts an actor running behaviour on its own goroutine. The
 // behaviour receives the actor and returns when the actor is done (its
 // inbox closed or its source exhausted).
-func (sys *System) Spawn(name string, inboxCap int, behaviour func(*Actor)) *Actor {
-	a := &Actor{Name: name, Inbox: make(Mailbox, inboxCap), store: sys.store}
+func (sys *system) spawn(name string, inboxCap int, behaviour func(*actor)) *actor {
+	a := &actor{Name: name, Inbox: make(mailbox, inboxCap), store: sys.store}
 	sys.mu.Lock()
 	sys.actors = append(sys.actors, a)
 	sys.mu.Unlock()
@@ -104,21 +94,21 @@ func (sys *System) Spawn(name string, inboxCap int, behaviour func(*Actor)) *Act
 }
 
 // Wait blocks until every spawned actor has returned.
-func (sys *System) Wait() { sys.wg.Wait() }
+func (sys *system) Wait() { sys.wg.Wait() }
 
-// Send serialises value into the object store and delivers its ref to the
+// send serialises value into the object store and delivers its ref to the
 // target's mailbox.
-func (a *Actor) Send(to *Actor, value []byte) {
-	to.Inbox <- a.store.Put(value)
+func (a *actor) send(to *actor, value []byte) {
+	to.Inbox <- a.store.put(value)
 }
 
-// Recv takes the next message from the mailbox and materialises it from
+// recv takes the next message from the mailbox and materialises it from
 // the object store. ok is false once the mailbox is closed and drained.
-func (a *Actor) Recv() (value []byte, ok bool, err error) {
+func (a *actor) recv() (value []byte, ok bool, err error) {
 	ref, ok := <-a.Inbox
 	if !ok {
 		return nil, false, nil
 	}
-	value, err = a.store.Get(ref)
+	value, err = a.store.get(ref)
 	return value, true, err
 }

@@ -17,18 +17,18 @@ import (
 )
 
 func init() {
-	sps.Register("ray", func() sps.Processor { return New() })
+	sps.Register("ray", func() sps.Processor { return newEngine() })
 }
 
-// Engine is the Ray-analogue processor.
-type Engine struct{}
+// engine is the Ray-analogue processor.
+type engine struct{}
 
 // mailboxDepth bounds each actor's inbox, and the records one input
 // actor polls and one scoring actor drains at a time.
 const mailboxDepth = 64
 
-// New returns an engine with default settings.
-func New() *Engine { return &Engine{} }
+// newEngine returns an engine with default settings.
+func newEngine() *engine { return &engine{} }
 
 // pickleCycle performs the per-hop object serialisation round trip Ray's
 // actor boundaries pay: the paper's Ray adapter passes the decoded event
@@ -54,11 +54,11 @@ func pickleCycle(value []byte) []byte {
 }
 
 // Name implements sps.Processor.
-func (e *Engine) Name() string { return "ray" }
+func (e *engine) Name() string { return "ray" }
 
 type job struct {
 	spec sps.JobSpec
-	sys  *System
+	sys  *system
 
 	stopCh  chan struct{}
 	stopped sync.Once
@@ -68,7 +68,7 @@ type job struct {
 // Run implements sps.Processor. Ray has no operator-level parallelism
 // knob; mp actors of each type are spawned manually and chained
 // one-to-one, as in the paper's setup.
-func (e *Engine) Run(spec sps.JobSpec) (sps.Job, error) {
+func (e *engine) Run(spec sps.JobSpec) (sps.Job, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -82,7 +82,7 @@ func (e *Engine) Run(spec sps.JobSpec) (sps.Job, error) {
 		split[p%mp] = append(split[p%mp], p)
 	}
 
-	j := &job{spec: spec, sys: NewSystem(), stopCh: make(chan struct{})}
+	j := &job{spec: spec, sys: newSystem(), stopCh: make(chan struct{})}
 	for i := 0; i < mp; i++ {
 		if len(split[i]) == 0 {
 			continue
@@ -97,13 +97,13 @@ func (e *Engine) Run(spec sps.JobSpec) (sps.Job, error) {
 		}
 		// The chain is wired back to front so each stage knows its
 		// downstream actor.
-		output := j.sys.Spawn(fmt.Sprintf("output-%d", i), mailboxDepth, func(a *Actor) {
+		output := j.sys.spawn(fmt.Sprintf("output-%d", i), mailboxDepth, func(a *actor) {
 			j.outputActor(a, producer)
 		})
-		scoring := j.sys.Spawn(fmt.Sprintf("scoring-%d", i), mailboxDepth, func(a *Actor) {
+		scoring := j.sys.spawn(fmt.Sprintf("scoring-%d", i), mailboxDepth, func(a *actor) {
 			j.scoringActor(a, output)
 		})
-		j.sys.Spawn(fmt.Sprintf("input-%d", i), mailboxDepth, func(a *Actor) {
+		j.sys.spawn(fmt.Sprintf("input-%d", i), mailboxDepth, func(a *actor) {
 			j.inputActor(a, consumer, scoring)
 		})
 	}
@@ -121,12 +121,9 @@ func (j *job) Err() error { return j.errs.Get() }
 
 func (j *job) ErrSignal() <-chan struct{} { return j.errs.Signal() }
 
-// storeLen exposes the object-store population for leak tests.
-func (j *job) storeLen() int { return j.sys.Store().Len() }
-
 // inputActor consumes Kafka partitions and forwards records downstream.
 // On stop it closes its downstream mailbox so the chain drains in order.
-func (j *job) inputActor(a *Actor, consumer *broker.Consumer, downstream *Actor) {
+func (j *job) inputActor(a *actor, consumer *broker.Consumer, downstream *actor) {
 	defer close(downstream.Inbox)
 	stages := j.spec.Stages()
 	for {
@@ -145,7 +142,7 @@ func (j *job) inputActor(a *Actor, consumer *broker.Consumer, downstream *Actor)
 		}
 		stages.In.Add(int64(len(recs)))
 		for _, rec := range recs {
-			a.Send(downstream, pickleCycle(rec.Value))
+			a.send(downstream, pickleCycle(rec.Value))
 		}
 	}
 }
@@ -157,12 +154,12 @@ func (j *job) inputActor(a *Actor, consumer *broker.Consumer, downstream *Actor)
 // actor's backlog through one TransformMany round instead of record by
 // record; without batching the round degrades to the same sequential
 // loop as before, and message order is preserved either way.
-func (j *job) scoringActor(a *Actor, downstream *Actor) {
+func (j *job) scoringActor(a *actor, downstream *actor) {
 	defer close(downstream.Inbox)
 	stages := j.spec.Stages()
 	values := make([][]byte, 0, mailboxDepth)
 	for {
-		value, ok, err := a.Recv()
+		value, ok, err := a.recv()
 		if err != nil {
 			j.errs.Set(fmt.Errorf("ray: scoring actor: %w", err))
 			continue
@@ -180,7 +177,7 @@ func (j *job) scoringActor(a *Actor, downstream *Actor) {
 					// the next Recv observes the closure and returns.
 					break drain
 				}
-				v, err := a.store.Get(ref)
+				v, err := a.store.get(ref)
 				if err != nil {
 					j.errs.Set(fmt.Errorf("ray: scoring actor: %w", err))
 					continue
@@ -197,14 +194,14 @@ func (j *job) scoringActor(a *Actor, downstream *Actor) {
 				stages.Dropped.Inc()
 				continue
 			}
-			a.Send(downstream, pickleCycle(scoredAll[i]))
+			a.send(downstream, pickleCycle(scoredAll[i]))
 		}
 	}
 }
 
 // outputActor writes scored records to the output topic through a
 // batching producer (Ray's Kafka client batches sends too).
-func (j *job) outputActor(a *Actor, producer *broker.AsyncProducer) {
+func (j *job) outputActor(a *actor, producer *broker.AsyncProducer) {
 	defer func() {
 		if err := producer.Close(); err != nil {
 			j.errs.Set(fmt.Errorf("ray: output actor: %w", err))
@@ -212,7 +209,7 @@ func (j *job) outputActor(a *Actor, producer *broker.AsyncProducer) {
 	}()
 	stages := j.spec.Stages()
 	for {
-		value, ok, err := a.Recv()
+		value, ok, err := a.recv()
 		if err != nil {
 			j.errs.Set(fmt.Errorf("ray: output actor: %w", err))
 			continue

@@ -11,15 +11,15 @@ import (
 )
 
 func TestConformance(t *testing.T) {
-	spstest.RunConformance(t, func() sps.Processor { return New() })
+	spstest.RunConformance(t, func() sps.Processor { return newEngine() })
 }
 
 func TestFaultConformance(t *testing.T) {
-	spstest.RunFaultConformance(t, func() sps.Processor { return New() })
+	spstest.RunFaultConformance(t, func() sps.Processor { return newEngine() })
 }
 
 func TestBatchingConformance(t *testing.T) {
-	spstest.RunBatchingConformance(t, func() sps.Processor { return New() })
+	spstest.RunBatchingConformance(t, func() sps.Processor { return newEngine() })
 }
 
 func TestRegistered(t *testing.T) {
@@ -33,9 +33,9 @@ func TestRegistered(t *testing.T) {
 }
 
 func TestObjectStorePutGet(t *testing.T) {
-	s := NewObjectStore()
-	ref := s.Put([]byte("payload"))
-	got, err := s.Get(ref)
+	s := newObjectStore()
+	ref := s.put([]byte("payload"))
+	got, err := s.get(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,20 +43,20 @@ func TestObjectStorePutGet(t *testing.T) {
 		t.Fatalf("Get = %q", got)
 	}
 	// Refs are single-consumer: second Get fails.
-	if _, err := s.Get(ref); err == nil {
+	if _, err := s.get(ref); err == nil {
 		t.Fatal("double Get succeeded")
 	}
-	if s.Len() != 0 {
-		t.Fatalf("store leaked %d objects", s.Len())
+	if n := len(s.objects); n != 0 {
+		t.Fatalf("store leaked %d objects", n)
 	}
 }
 
 func TestObjectStoreCopies(t *testing.T) {
-	s := NewObjectStore()
+	s := newObjectStore()
 	src := []byte("abc")
-	ref := s.Put(src)
+	ref := s.put(src)
 	src[0] = 'X'
-	got, err := s.Get(ref)
+	got, err := s.get(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestObjectStoreCopies(t *testing.T) {
 }
 
 func TestObjectStoreConcurrent(t *testing.T) {
-	s := NewObjectStore()
+	s := newObjectStore()
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for w := 0; w < 8; w++ {
@@ -76,8 +76,8 @@ func TestObjectStoreConcurrent(t *testing.T) {
 			defer wg.Done()
 			payload := []byte{byte(w)}
 			for i := 0; i < 200; i++ {
-				ref := s.Put(payload)
-				got, err := s.Get(ref)
+				ref := s.put(payload)
+				got, err := s.get(ref)
 				if err != nil {
 					errs <- err
 					return
@@ -94,18 +94,18 @@ func TestObjectStoreConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if s.Len() != 0 {
-		t.Fatalf("store leaked %d objects", s.Len())
+	if n := len(s.objects); n != 0 {
+		t.Fatalf("store leaked %d objects", n)
 	}
 }
 
 func TestActorChainDrainsOnClose(t *testing.T) {
-	sys := NewSystem()
+	sys := newSystem()
 	var received [][]byte
 	var mu sync.Mutex
-	sink := sys.Spawn("sink", 8, func(a *Actor) {
+	sink := sys.spawn("sink", 8, func(a *actor) {
 		for {
-			v, ok, err := a.Recv()
+			v, ok, err := a.recv()
 			if err != nil {
 				t.Error(err)
 				return
@@ -118,10 +118,10 @@ func TestActorChainDrainsOnClose(t *testing.T) {
 			mu.Unlock()
 		}
 	})
-	src := sys.Spawn("src", 8, func(a *Actor) {
+	src := sys.spawn("src", 8, func(a *actor) {
 		defer close(sink.Inbox)
 		for i := 0; i < 5; i++ {
-			a.Send(sink, []byte{byte(i)})
+			a.send(sink, []byte{byte(i)})
 		}
 	})
 	_ = src
@@ -129,8 +129,8 @@ func TestActorChainDrainsOnClose(t *testing.T) {
 	if len(received) != 5 {
 		t.Fatalf("sink received %d messages, want 5", len(received))
 	}
-	if sys.Store().Len() != 0 {
-		t.Fatalf("object store leaked %d objects", sys.Store().Len())
+	if n := len(sys.store.objects); n != 0 {
+		t.Fatalf("object store leaked %d objects", n)
 	}
 }
 
@@ -139,8 +139,8 @@ func TestPipelineLeavesNoObjects(t *testing.T) {
 	// every hop's ref was consumed.
 	h := spstest.NewHarness(t, 2, 2)
 	h.Produce(t, 20)
-	e := New()
-	job, err := e.Run(h.Spec)
+	e := newEngine()
+	running, err := e.Run(h.Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,10 +148,10 @@ func TestPipelineLeavesNoObjects(t *testing.T) {
 	if len(out) != 20 {
 		t.Fatalf("got %d records", len(out))
 	}
-	if err := job.Stop(); err != nil {
+	if err := running.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	if store := job.(interface{ storeLen() int }); store.storeLen() != 0 {
-		t.Fatalf("object store leaked %d objects", store.storeLen())
+	if n := len(running.(*job).sys.store.objects); n != 0 {
+		t.Fatalf("object store leaked %d objects", n)
 	}
 }

@@ -19,11 +19,11 @@ import (
 )
 
 func init() {
-	sps.Register("spark-ss", func() sps.Processor { return New() })
+	sps.Register("spark-ss", func() sps.Processor { return newEngine() })
 }
 
-// Engine is the Spark-Structured-Streaming-analogue processor.
-type Engine struct {
+// engine is the Spark-Structured-Streaming-analogue processor.
+type engine struct {
 	// triggerInterval is the micro-batch trigger. The paper sets "the
 	// job trigger interval to the minimum possible"; the default here
 	// is the scheduling floor of the driver loop.
@@ -42,16 +42,16 @@ const (
 	executorCores = 60
 )
 
-// New returns an engine with default settings.
-func New() *Engine {
-	return &Engine{triggerInterval: time.Millisecond}
+// newEngine returns an engine with default settings.
+func newEngine() *engine {
+	return &engine{triggerInterval: time.Millisecond}
 }
 
 // Name implements sps.Processor.
-func (e *Engine) Name() string { return "spark-ss" }
+func (e *engine) Name() string { return "spark-ss" }
 
 type job struct {
-	e    *Engine
+	e    *engine
 	spec sps.JobSpec
 
 	stopCh  chan struct{}
@@ -61,7 +61,7 @@ type job struct {
 }
 
 // Run implements sps.Processor.
-func (e *Engine) Run(spec sps.JobSpec) (sps.Job, error) {
+func (e *engine) Run(spec sps.JobSpec) (sps.Job, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}

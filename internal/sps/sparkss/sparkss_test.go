@@ -10,15 +10,15 @@ import (
 )
 
 func TestConformance(t *testing.T) {
-	spstest.RunConformance(t, func() sps.Processor { return New() })
+	spstest.RunConformance(t, func() sps.Processor { return newEngine() })
 }
 
 func TestFaultConformance(t *testing.T) {
-	spstest.RunFaultConformance(t, func() sps.Processor { return New() })
+	spstest.RunFaultConformance(t, func() sps.Processor { return newEngine() })
 }
 
 func TestBatchingConformance(t *testing.T) {
-	spstest.RunBatchingConformance(t, func() sps.Processor { return New() })
+	spstest.RunBatchingConformance(t, func() sps.Processor { return newEngine() })
 }
 
 func TestRegistered(t *testing.T) {
@@ -34,7 +34,7 @@ func TestRegistered(t *testing.T) {
 func TestMicroBatchingBatchesSinkWrites(t *testing.T) {
 	// All records available at one trigger must land in the sink as a
 	// small number of batched appends, not one append per record.
-	e := New()
+	e := newEngine()
 	e.triggerInterval = 5 * time.Millisecond
 	h := spstest.NewHarness(t, 2, 1)
 	h.Produce(t, 50)
@@ -74,7 +74,7 @@ func TestMicroBatchingBatchesSinkWrites(t *testing.T) {
 }
 
 func TestTriggerIntervalSetsLatencyFloor(t *testing.T) {
-	e := New()
+	e := newEngine()
 	e.triggerInterval = 30 * time.Millisecond
 	h := spstest.NewHarness(t, 1, 1)
 	job, err := e.Run(h.Spec)
@@ -109,7 +109,7 @@ func TestExecutorChunking(t *testing.T) {
 		h := spstest.NewHarness(t, 1, 1)
 		h.Spec.Parallelism = sps.Parallelism{Default: executors}
 		h.Produce(t, 23)
-		job, err := New().Run(h.Spec)
+		job, err := newEngine().Run(h.Spec)
 		if err != nil {
 			t.Fatal(err)
 		}

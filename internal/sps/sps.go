@@ -57,8 +57,8 @@ type Parallelism struct {
 	Sink    int
 }
 
-// Normalize fills zero fields from Default and validates the result.
-func (p Parallelism) Normalize() (Parallelism, error) {
+// normalize fills zero fields from Default and validates the result.
+func (p Parallelism) normalize() (Parallelism, error) {
 	if p.Default <= 0 {
 		p.Default = 1
 	}
@@ -161,7 +161,7 @@ func (s *JobSpec) Validate() error {
 		s.Transform = instrumentTransform(s.Transform, s.Metrics)
 	}
 	var err error
-	s.Parallelism, err = s.Parallelism.Normalize()
+	s.Parallelism, err = s.Parallelism.normalize()
 	return err
 }
 

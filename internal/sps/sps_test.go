@@ -14,31 +14,31 @@ import (
 )
 
 func TestParallelismNormalize(t *testing.T) {
-	p, err := Parallelism{}.Normalize()
+	p, err := Parallelism{}.normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Default != 1 || p.Source != 1 || p.Score != 1 || p.Sink != 1 {
 		t.Fatalf("zero value normalised to %+v", p)
 	}
-	p, err = Parallelism{Default: 4, Score: 2}.Normalize()
+	p, err = Parallelism{Default: 4, Score: 2}.normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Source != 4 || p.Score != 2 || p.Sink != 4 {
 		t.Fatalf("override normalised to %+v", p)
 	}
-	if _, err := (Parallelism{Default: 2, Score: -1}).Normalize(); err == nil {
+	if _, err := (Parallelism{Default: 2, Score: -1}).normalize(); err == nil {
 		t.Fatal("negative parallelism accepted")
 	}
 }
 
 func TestParallelismUniform(t *testing.T) {
-	p, _ := Parallelism{Default: 3}.Normalize()
+	p, _ := Parallelism{Default: 3}.normalize()
 	if !p.Uniform() {
 		t.Fatal("N-N-N not uniform")
 	}
-	p, _ = Parallelism{Default: 3, Source: 32, Sink: 32}.Normalize()
+	p, _ = Parallelism{Default: 3, Source: 32, Sink: 32}.normalize()
 	if p.Uniform() {
 		t.Fatal("32-3-32 reported uniform")
 	}
@@ -51,7 +51,7 @@ func TestParallelismNormalizeProperty(t *testing.T) {
 			Source:  int(src) % 32,
 			Score:   int(score) % 32,
 			Sink:    int(sink) % 32,
-		}.Normalize()
+		}.normalize()
 		if err != nil {
 			return false
 		}

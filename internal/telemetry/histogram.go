@@ -50,7 +50,7 @@ func bucketBounds(idx int) (lo, width int64) {
 // Record is wait-free (plain atomic adds on the bucket array, count, and
 // sum; bounded CAS loops for min/max); Merge and Snapshot read the same
 // atomics, so recording never blocks observation. Negative values clamp
-// to zero. Create instances with NewHistogram (or through a Registry);
+// to zero. Create instances with newHistogram (or through a Registry);
 // a nil Histogram silently discards recordings.
 type Histogram struct {
 	count   atomic.Int64
@@ -60,8 +60,8 @@ type Histogram struct {
 	buckets [numBuckets]atomic.Int64
 }
 
-// NewHistogram creates an empty histogram.
-func NewHistogram() *Histogram {
+// newHistogram creates an empty histogram.
+func newHistogram() *Histogram {
 	h := &Histogram{}
 	h.min.Store(math.MaxInt64)
 	h.max.Store(-1)
@@ -117,39 +117,10 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-// Merge folds other's observations into h. Counts transfer exactly
-// (bucket-by-bucket atomic adds); h's quantiles afterwards equal those of
-// a histogram that had recorded both streams. Merging while other is
-// still being recorded into transfers whatever had landed at read time.
-func (h *Histogram) Merge(other *Histogram) {
-	if h == nil || other == nil {
-		return
-	}
-	for i := range other.buckets {
-		if n := other.buckets[i].Load(); n != 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	h.count.Add(other.count.Load())
-	h.sum.Add(other.sum.Load())
-	for {
-		v, cur := other.min.Load(), h.min.Load()
-		if v >= cur || h.min.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-	for {
-		v, cur := other.max.Load(), h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-}
-
-// Quantile estimates the q-quantile (q in [0,1]) from the bucket counts,
+// quantile estimates the q-quantile (q in [0,1]) from the bucket counts,
 // accurate to the bucket width (≤ 6.25% relative error). It returns 0
 // for an empty histogram.
-func (h *Histogram) Quantile(q float64) int64 {
+func (h *Histogram) quantile(q float64) int64 {
 	if h == nil {
 		return 0
 	}
@@ -210,9 +181,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Count: h.count.Load(),
 		Sum:   h.sum.Load(),
-		P50:   h.Quantile(0.50),
-		P95:   h.Quantile(0.95),
-		P99:   h.Quantile(0.99),
+		P50:   h.quantile(0.50),
+		P95:   h.quantile(0.95),
+		P99:   h.quantile(0.99),
 	}
 	if s.Count > 0 {
 		s.Min = h.min.Load()

@@ -28,10 +28,10 @@ func formatValue(name string, v int64) string {
 	return fmt.Sprintf("%d", v)
 }
 
-// WriteText renders the snapshot as sorted fixed-form text, one metric
+// writeText renders the snapshot as sorted fixed-form text, one metric
 // per line. When prev is a snapshot of the same registry taken earlier,
 // counters additionally show the rate over the elapsed interval.
-func (s *Snapshot) WriteText(w io.Writer, prev *Snapshot) error {
+func (s *Snapshot) writeText(w io.Writer, prev *Snapshot) error {
 	if s == nil {
 		return nil
 	}
@@ -67,7 +67,7 @@ func (s *Snapshot) WriteText(w io.Writer, prev *Snapshot) error {
 // Format renders the snapshot as text without rate annotations.
 func (s *Snapshot) Format() string {
 	var b strings.Builder
-	_ = s.WriteText(&b, nil)
+	_ = s.writeText(&b, nil)
 	return b.String()
 }
 
@@ -104,7 +104,7 @@ func Dump(w io.Writer, r *Registry, interval time.Duration) (stop func()) {
 			}
 			snap := r.Snapshot()
 			fmt.Fprintf(w, "--- telemetry @ %s ---\n", snap.At.Format("15:04:05.000"))
-			_ = snap.WriteText(w, prev)
+			_ = snap.writeText(w, prev)
 			prev = snap
 		}
 	}()

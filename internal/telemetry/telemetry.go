@@ -26,7 +26,6 @@
 package telemetry
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -148,31 +147,10 @@ func (r *Registry) Histogram(name string) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.histograms[name]
 	if !ok {
-		h = NewHistogram()
+		h = newHistogram()
 		r.histograms[name] = h
 	}
 	return h
-}
-
-// Names returns all registered metric names, sorted.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.histograms))
-	for n := range r.counters {
-		out = append(out, n)
-	}
-	for n := range r.gauges {
-		out = append(out, n)
-	}
-	for n := range r.histograms {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Snapshot captures every metric's current state. A nil registry

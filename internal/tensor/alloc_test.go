@@ -206,7 +206,7 @@ func TestArena(t *testing.T) {
 	if got := t1.Shape(); got[0] != 4 || got[1] != 8 {
 		t.Fatalf("Get shape %v", got)
 	}
-	if h, m := a.Stats(); h != 0 || m != 1 {
+	if h, m := a.stats(); h != 0 || m != 1 {
 		t.Fatalf("after first Get: hits=%d misses=%d", h, m)
 	}
 	a.Reset()
@@ -216,14 +216,14 @@ func TestArena(t *testing.T) {
 	if t2 != t1 {
 		t.Error("exact-shape Get did not reuse the recycled tensor")
 	}
-	if h, _ := a.Stats(); h != 1 {
+	if h, _ := a.stats(); h != 1 {
 		t.Errorf("exact-shape reuse not counted as hit")
 	}
 	a.Reset()
 
 	// Same class, different shape: data buffer is reused in place.
 	t3 := a.Get(2, 16)
-	if h, m := a.Stats(); h != 2 || m != 1 {
+	if h, m := a.stats(); h != 2 || m != 1 {
 		t.Errorf("class reuse: hits=%d misses=%d, want 2 and 1", h, m)
 	}
 	if t3.Len() != 32 {
@@ -273,8 +273,8 @@ func TestArena(t *testing.T) {
 // TestWorkPoolLifecycle checks Close joins the resident workers.
 func TestWorkPoolLifecycle(t *testing.T) {
 	pool := NewWorkPool(2)
-	if pool.Workers() != 2 {
-		t.Fatalf("Workers() = %d", pool.Workers())
+	if pool.n != 2 {
+		t.Fatalf("Workers() = %d", pool.n)
 	}
 	r := rand.New(rand.NewSource(2))
 	a := randTensor(r, 8, 8)
@@ -296,4 +296,14 @@ func bitEqual(a, b *Tensor) bool {
 		}
 	}
 	return true
+}
+
+// stats reports how many Gets were served from recycled memory (hits)
+// versus the allocator (misses). Safe to call concurrently with arena
+// use.
+func (a *Arena) stats() (hits, misses uint64) {
+	if a.extHits != nil {
+		return a.extHits.Load(), a.extMisses.Load()
+	}
+	return a.hits.Load(), a.misses.Load()
 }

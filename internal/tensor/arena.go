@@ -249,7 +249,7 @@ func (a *Arena) GetQ(shape ...int) *QTensor {
 	c := classFor(n)
 	if c >= arenaClasses {
 		// Off-scale request: plain allocation, never recycled. Built
-		// inline (not via NewQ) so the variadic shape slice never
+		// inline (not via newQ) so the variadic shape slice never
 		// escapes on the in-class path below.
 		a.miss()
 		q := &QTensor{
@@ -366,14 +366,4 @@ func (a *Arena) RecycleU64(b []uint64) {
 	if len(a.freeU64[c]) < arenaFreeCap {
 		a.freeU64[c] = append(a.freeU64[c], b)
 	}
-}
-
-// Stats reports how many Gets were served from recycled memory (hits)
-// versus the allocator (misses). Safe to call concurrently with arena
-// use.
-func (a *Arena) Stats() (hits, misses uint64) {
-	if a.extHits != nil {
-		return a.extHits.Load(), a.extMisses.Load()
-	}
-	return a.hits.Load(), a.misses.Load()
 }

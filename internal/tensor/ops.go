@@ -61,26 +61,6 @@ func matMulRange(cd, ad, bd []float32, i0, i1, k, n int) {
 	}
 }
 
-// MatMulNaive is a textbook triple loop used as the baseline for the
-// blocked-matmul ablation bench and as a differential-testing oracle.
-func MatMulNaive(a, b *Tensor) (*Tensor, error) {
-	if a.Rank() != 2 || b.Rank() != 2 || a.shape[1] != b.shape[0] {
-		return nil, fmt.Errorf("tensor: MatMulNaive shape mismatch %v × %v", a.shape, b.shape)
-	}
-	m, k, n := a.shape[0], a.shape[1], b.shape[1]
-	c := New(m, n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			var s float32
-			for p := 0; p < k; p++ {
-				s += a.data[i*k+p] * b.data[p*n+j]
-			}
-			c.data[i*n+j] = s
-		}
-	}
-	return c, nil
-}
-
 // AddBias adds a length-n bias vector to every row of an m×n tensor in
 // place and returns the tensor.
 func AddBias(t, bias *Tensor) (*Tensor, error) {
@@ -106,18 +86,6 @@ func AddBiasInto(dst, t, bias *Tensor) {
 			row[j] = src[j] + bias.data[j]
 		}
 	}
-}
-
-// Add computes element-wise a + b into a new tensor.
-func Add(a, b *Tensor) (*Tensor, error) {
-	if !a.SameShape(b) {
-		return nil, fmt.Errorf("tensor: Add shape mismatch %v + %v", a.shape, b.shape)
-	}
-	out := a.Clone()
-	for i, v := range b.data {
-		out.data[i] += v
-	}
-	return out, nil
 }
 
 // AddInPlace computes a += b and returns a.

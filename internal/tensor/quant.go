@@ -1,6 +1,8 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+)
 
 // Quantized int8 inference kernels (docs/QUANTIZATION.md).
 //
@@ -17,7 +19,7 @@ import "fmt"
 // vector intrinsics and a scalar int8 loop loses to the float32 blocked
 // kernel). Instead it packs two k-steps per uint64 lane and uses one
 // 64-bit integer multiply as a 2-way multiply-accumulate — see the
-// layout notes on PackLHS/PackRHS and the derivation on MaxQMatMulK.
+// layout notes on PackLHS/packRHS and the derivation on MaxQMatMulK.
 
 // MaxQMatMulK bounds the reduction depth of the packed int8 GEMM.
 // Three constraints from the SWAR accumulation, with unsigned operands
@@ -37,7 +39,7 @@ const MaxQMatMulK = 32768
 // optionally, the packed forms the int8 GEMM consumes. scales/zps hold
 // one entry for per-tensor quantization (axis < 0) or one per channel
 // along axis. The packed forms are role-specific: PackLHS prepares the
-// tensor as a GEMM left operand (rows), PackRHS as a right operand
+// tensor as a GEMM left operand (rows), packRHS as a right operand
 // (column panels); either may be absent.
 type QTensor struct {
 	shape  []int
@@ -52,9 +54,9 @@ type QTensor struct {
 	csum []int32  // per column: Σ signed(data)
 }
 
-// NewQ returns a zero-valued QTensor of the given shape with identity
+// newQ returns a zero-valued QTensor of the given shape with identity
 // quantization parameters (scale 1, zero point 0, per-tensor).
-func NewQ(shape ...int) *QTensor {
+func newQ(shape ...int) *QTensor {
 	n := 1
 	for _, d := range shape {
 		if d <= 0 {
@@ -71,17 +73,11 @@ func NewQ(shape ...int) *QTensor {
 	}
 }
 
-// Shape returns the dimensions. Callers must not mutate it.
-func (q *QTensor) Shape() []int { return q.shape }
-
-// Rank returns the number of dimensions.
-func (q *QTensor) Rank() int { return len(q.shape) }
+// rank returns the number of dimensions.
+func (q *QTensor) rank() int { return len(q.shape) }
 
 // Dim returns the size of dimension i.
 func (q *QTensor) Dim(i int) int { return q.shape[i] }
-
-// Len returns the number of elements.
-func (q *QTensor) Len() int { return len(q.data) }
 
 // Data returns the int8 storage in row-major order.
 func (q *QTensor) Data() []int8 { return q.data }
@@ -90,15 +86,12 @@ func (q *QTensor) Data() []int8 { return q.data }
 // per channel along Axis.
 func (q *QTensor) Scales() []float32 { return q.scales }
 
-// Axis returns the quantized axis, or -1 for per-tensor parameters.
-func (q *QTensor) Axis() int { return q.axis }
-
-// ColSums returns the per-column signed sums built by PackRHS (needed
+// ColSums returns the per-column signed sums built by packRHS (needed
 // to fold the activation zero point into the bias).
 func (q *QTensor) ColSums() []int32 { return q.csum }
 
-// SetParams installs per-tensor quantization parameters.
-func (q *QTensor) SetParams(scale float32, zp int32) {
+// setParams installs per-tensor quantization parameters.
+func (q *QTensor) setParams(scale float32, zp int32) {
 	q.scales = q.scales[:0]
 	q.scales = append(q.scales, scale)
 	q.zps = q.zps[:0]
@@ -156,10 +149,10 @@ func AffineParams(min, max float32) (scale float32, zp int32) {
 	return scale, zp
 }
 
-// SymmetricScale derives a symmetric int8 scale for values in
+// symmetricScale derives a symmetric int8 scale for values in
 // [-maxAbs, maxAbs] (zero point 0). An all-zero channel gets scale 1
 // so dequantization stays well-defined.
-func SymmetricScale(maxAbs float32) float32 {
+func symmetricScale(maxAbs float32) float32 {
 	if maxAbs <= 0 {
 		return 1
 	}
@@ -200,7 +193,7 @@ func QuantizeInto(q *QTensor, src []float32, scale float32, zp int32) {
 	if len(src) != len(q.data) {
 		panic(fmt.Sprintf("tensor: QuantizeInto src len %d vs tensor len %d", len(src), len(q.data)))
 	}
-	q.SetParams(scale, zp)
+	q.setParams(scale, zp)
 	inv := 1 / scale
 	for i, v := range src {
 		q.data[i] = quantizeVal(v, inv, zp)
@@ -214,7 +207,7 @@ func QuantizeInto(q *QTensor, src []float32, scale float32, zp int32) {
 // rsum collects 128·Σu per row for the epilogue correction. q must be
 // [m,k] with LHS buffers sized (arena GetQ does both).
 func QuantizeLHSInto(q *QTensor, src []float32, scale float32, zp int32) {
-	if q.Rank() != 2 {
+	if q.rank() != 2 {
 		panic(fmt.Sprintf("tensor: QuantizeLHSInto needs a rank-2 tensor, got %v", q.shape))
 	}
 	m, k := q.shape[0], q.shape[1]
@@ -225,7 +218,7 @@ func QuantizeLHSInto(q *QTensor, src []float32, scale float32, zp int32) {
 	if len(q.lhs) < m*kw || len(q.rsum) < m {
 		panic("tensor: QuantizeLHSInto packed buffers not sized (PackLHS or arena GetQ first)")
 	}
-	q.SetParams(scale, zp)
+	q.setParams(scale, zp)
 	inv := 1 / scale
 	for i := 0; i < m; i++ {
 		row := src[i*k : i*k+k]
@@ -253,36 +246,7 @@ func QuantizeLHSInto(q *QTensor, src []float32, scale float32, zp int32) {
 	}
 }
 
-// PackLHS builds the packed-LHS form from q's existing int8 data (see
-// QuantizeLHSInto for the layout). Cold path: grows the buffers.
-func PackLHS(q *QTensor) {
-	if q.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: PackLHS needs a rank-2 tensor, got %v", q.shape))
-	}
-	m, k := q.shape[0], q.shape[1]
-	kw := kwords(k)
-	q.ensureLHS(m, k)
-	for i := 0; i < m; i++ {
-		drow := q.data[i*k : i*k+k]
-		lrow := q.lhs[i*kw : i*kw+kw]
-		var r int32
-		p := 0
-		for ; p+2 <= k; p += 2 {
-			u0 := uint64(uint8(drow[p]) ^ 0x80)
-			u1 := uint64(uint8(drow[p+1]) ^ 0x80)
-			r += int32(u0) + int32(u1)
-			lrow[p>>1] = u0 | u1<<32
-		}
-		if p < k {
-			u0 := uint64(uint8(drow[p]) ^ 0x80)
-			r += int32(u0)
-			lrow[p>>1] = u0
-		}
-		q.rsum[i] = 128 * r
-	}
-}
-
-// PackRHS builds the packed-RHS form from q's int8 data, viewed as a
+// packRHS builds the packed-RHS form from q's int8 data, viewed as a
 // [k,n] matrix: columns are grouped into panels of 4, and within a
 // panel each k-pair becomes one uint64 word with the lanes REVERSED
 // relative to the LHS (low lane = odd k-step, high = even), so that a
@@ -290,8 +254,8 @@ func PackLHS(q *QTensor) {
 // both pair products into bits 32..63. Also collects per-column signed
 // sums for the zero-point correction. Cold path: called once per
 // weight matrix at plan-compile time.
-func PackRHS(q *QTensor) {
-	if q.Rank() != 2 {
+func packRHS(q *QTensor) {
+	if q.rank() != 2 {
 		panic(fmt.Sprintf("tensor: PackRHS needs a rank-2 tensor, got %v", q.shape))
 	}
 	k, n := q.shape[0], q.shape[1]
@@ -338,7 +302,7 @@ func PackRHS(q *QTensor) {
 // RHS-packed [k,n]; add bias with QAddBiasInto and map to float32 with
 // DequantizeAccInto.
 func QMatMulInto(acc []int32, a, b *QTensor) {
-	if a.Rank() != 2 || b.Rank() != 2 {
+	if a.rank() != 2 || b.rank() != 2 {
 		panic(fmt.Sprintf("tensor: QMatMulInto needs rank-2 operands, got %v x %v", a.shape, b.shape))
 	}
 	m, k := a.shape[0], a.shape[1]
@@ -478,62 +442,6 @@ func DequantizeAccTInto(dst []float32, acc []int32, mult []float32, nImg, patche
 	}
 }
 
-// RequantizeInto maps int32 accumulators back to int8 with per-column
-// multipliers and a destination zero point: q = round(acc·mult) + zp,
-// saturated. The planned forward pass dequantizes to float32 at op
-// boundaries instead; this exists for fully-int pipelines and the
-// property-test suite.
-func RequantizeInto(q *QTensor, acc []int32, mult []float32, scale float32, zp int32, rows, cols int) {
-	if len(q.data) < rows*cols || len(acc) < rows*cols || len(mult) < cols {
-		panic(fmt.Sprintf("tensor: RequantizeInto dst %d acc %d mult %d for %dx%d", len(q.data), len(acc), len(mult), rows, cols))
-	}
-	q.SetParams(scale, zp)
-	for i := 0; i < rows; i++ {
-		d := q.data[i*cols : i*cols+cols]
-		a := acc[i*cols : i*cols+cols]
-		for j := range d {
-			f := float32(a[j]) * mult[j]
-			if f >= 0 {
-				f += 0.5
-			} else {
-				f -= 0.5
-			}
-			v := int32(f) + zp
-			if v > 127 {
-				v = 127
-			} else if v < -128 {
-				v = -128
-			}
-			d[j] = int8(v)
-		}
-	}
-}
-
-// DequantizeInto expands a QTensor back to float32:
-// v = (q − zp) · scale, with per-channel parameters along Axis when
-// set.
-func DequantizeInto(dst []float32, q *QTensor) {
-	if len(dst) < len(q.data) {
-		panic(fmt.Sprintf("tensor: DequantizeInto dst len %d < %d", len(dst), len(q.data)))
-	}
-	if q.axis < 0 {
-		s, zp := q.scales[0], q.zps[0]
-		for i, v := range q.data {
-			dst[i] = float32(int32(v)-zp) * s
-		}
-		return
-	}
-	inner := 1
-	for _, d := range q.shape[q.axis+1:] {
-		inner *= d
-	}
-	ch := q.shape[q.axis]
-	for i, v := range q.data {
-		c := (i / inner) % ch
-		dst[i] = float32(int32(v)-q.zps[c]) * q.scales[c]
-	}
-}
-
 // im2colQ lowers one quantized image [c,h,w] directly into the
 // packed-LHS form of the patch matrix [oh·ow, c·kh·kw]: each output
 // position's receptive field becomes one packed row (k-pairs of
@@ -595,7 +503,7 @@ func im2colQ(lhs []uint64, rsum []int32, img []int8, zp int8, c, h, w, kh, kw, o
 // packed patch matrix (lens oh·ow·⌈k/2⌉ and oh·ow; arena GetU64 /
 // GetAcc).
 func QConv2DInto(acc []int32, in, weights *QTensor, kh, kw, stride, pad int, lhs []uint64, rsum []int32) {
-	if in.Rank() != 4 || weights.Rank() != 2 {
+	if in.rank() != 4 || weights.rank() != 2 {
 		panic(fmt.Sprintf("tensor: QConv2DInto needs NCHW input and packed [k,oc] weights, got %v x %v", in.shape, weights.shape))
 	}
 	n, c, h, w := in.shape[0], in.shape[1], in.shape[2], in.shape[3]
@@ -635,7 +543,7 @@ func QuantizeDenseWeights(w *Tensor) *QTensor {
 	}
 	k, n := w.Dim(0), w.Dim(1)
 	wd := w.Data()
-	q := NewQ(k, n)
+	q := newQ(k, n)
 	q.scales = make([]float32, n)
 	q.zps = make([]int32, n)
 	q.axis = 1
@@ -650,14 +558,14 @@ func QuantizeDenseWeights(w *Tensor) *QTensor {
 				maxAbs = v
 			}
 		}
-		s := SymmetricScale(maxAbs)
+		s := symmetricScale(maxAbs)
 		q.scales[j] = s
 		inv := 1 / s
 		for p := 0; p < k; p++ {
 			q.data[p*n+j] = quantizeVal(wd[p*n+j], inv, 0)
 		}
 	}
-	PackRHS(q)
+	packRHS(q)
 	return q
 }
 
@@ -672,7 +580,7 @@ func QuantizeConvWeights(w *Tensor) *QTensor {
 	oc, ic, kh, kw := w.Dim(0), w.Dim(1), w.Dim(2), w.Dim(3)
 	kt := ic * kh * kw
 	wd := w.Data()
-	q := NewQ(kt, oc)
+	q := newQ(kt, oc)
 	q.scales = make([]float32, oc)
 	q.zps = make([]int32, oc)
 	q.axis = 1
@@ -687,13 +595,13 @@ func QuantizeConvWeights(w *Tensor) *QTensor {
 				maxAbs = v
 			}
 		}
-		s := SymmetricScale(maxAbs)
+		s := symmetricScale(maxAbs)
 		q.scales[j] = s
 		inv := 1 / s
 		for p := 0; p < kt; p++ {
 			q.data[p*oc+j] = quantizeVal(wd[j*kt+p], inv, 0)
 		}
 	}
-	PackRHS(q)
+	packRHS(q)
 	return q
 }

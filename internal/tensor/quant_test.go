@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,7 +9,7 @@ import (
 
 // randQ fills a QTensor with deterministic pseudo-random int8 values.
 func randQ(r *rand.Rand, shape ...int) *QTensor {
-	q := NewQ(shape...)
+	q := newQ(shape...)
 	for i := range q.data {
 		q.data[i] = int8(r.Intn(256) - 128)
 	}
@@ -44,7 +45,7 @@ func TestQMatMulMatchesOracle(t *testing.T) {
 		a := randQ(r, m, k)
 		b := randQ(r, k, n)
 		PackLHS(a)
-		PackRHS(b)
+		packRHS(b)
 		acc := make([]int32, m*n)
 		QMatMulInto(acc, a, b)
 		want := qMatMulOracle(a, b)
@@ -70,8 +71,8 @@ func TestQMatMulExtremes(t *testing.T) {
 		{"maxxmax", 127, 127},
 		{"minxmin", -128, -128},
 	} {
-		a := NewQ(m, k)
-		b := NewQ(k, n)
+		a := newQ(m, k)
+		b := newQ(k, n)
 		for i := range a.data {
 			a.data[i] = tc.av
 		}
@@ -79,7 +80,7 @@ func TestQMatMulExtremes(t *testing.T) {
 			b.data[i] = tc.bv
 		}
 		PackLHS(a)
-		PackRHS(b)
+		packRHS(b)
 		acc := make([]int32, m*n)
 		QMatMulInto(acc, a, b)
 		want := int32(k) * int32(tc.av) * int32(tc.bv)
@@ -97,7 +98,7 @@ func TestQMatMulRejectsDeepReductions(t *testing.T) {
 			t.Fatal("QMatMulInto beyond MaxQMatMulK did not panic")
 		}
 	}()
-	QMatMulInto(make([]int32, 1), NewQ(1, MaxQMatMulK+2), NewQ(MaxQMatMulK+2, 1))
+	QMatMulInto(make([]int32, 1), newQ(1, MaxQMatMulK+2), newQ(MaxQMatMulK+2, 1))
 }
 
 // qConvOracle computes a quantized convolution the slow way: walk every
@@ -153,9 +154,9 @@ func TestQConv2DMatchesOracle(t *testing.T) {
 	}
 	for _, tc := range cases {
 		in := randQ(r, tc.n, tc.c, tc.h, tc.w)
-		in.SetParams(0.05, int32(r.Intn(64)-32))
+		in.setParams(0.05, int32(r.Intn(64)-32))
 		w := randQ(r, tc.c*tc.kh*tc.kw, tc.oc)
-		PackRHS(w)
+		packRHS(w)
 		oh := (tc.h+2*tc.pad-tc.kh)/tc.stride + 1
 		ow := (tc.w+2*tc.pad-tc.kw)/tc.stride + 1
 		patches := oh * ow
@@ -185,7 +186,7 @@ func TestQuantRoundTrip(t *testing.T) {
 		for i := range src {
 			src[i] = lo + r.Float32()*(hi-lo)
 		}
-		q := NewQ(len(src))
+		q := newQ(len(src))
 		QuantizeInto(q, src, scale, zp)
 		back := make([]float32, len(src))
 		DequantizeInto(back, q)
@@ -205,7 +206,7 @@ func TestQuantZeroIsExact(t *testing.T) {
 	for _, rg := range [][2]float32{{-1, 1}, {0.5, 3}, {-4, -0.25}, {0, 2}} {
 		scale, zp := AffineParams(rg[0], rg[1])
 		src := []float32{0}
-		q := NewQ(1)
+		q := newQ(1)
 		QuantizeInto(q, src, scale, zp)
 		if got := q.Data()[0]; int32(got) != zp {
 			t.Fatalf("range %v: quantized 0 = %d, want zero point %d", rg, got, zp)
@@ -224,7 +225,7 @@ func TestQuantZeroIsExact(t *testing.T) {
 func TestQuantSaturation(t *testing.T) {
 	scale, zp := AffineParams(-1, 1)
 	src := []float32{-100, 100, float32(math.Inf(-1)), float32(math.Inf(1)), -1, 1}
-	q := NewQ(len(src))
+	q := newQ(len(src))
 	QuantizeInto(q, src, scale, zp)
 	d := q.Data()
 	for i, want := range []int8{-128, 127, -128, 127} {
@@ -259,10 +260,10 @@ func TestQuantPerChannelVsPerTensor(t *testing.T) {
 		}
 	}
 	q := QuantizeDenseWeights(w)
-	if q.Axis() != 1 || len(q.Scales()) != len(consts) {
-		t.Fatalf("per-channel axis/scales = %d/%d", q.Axis(), len(q.Scales()))
+	if q.axis != 1 || len(q.Scales()) != len(consts) {
+		t.Fatalf("per-channel axis/scales = %d/%d", q.axis, len(q.Scales()))
 	}
-	back := make([]float32, q.Len())
+	back := make([]float32, len(q.data))
 	DequantizeInto(back, q)
 
 	// Per-tensor baseline: one symmetric scale over the whole matrix.
@@ -275,10 +276,10 @@ func TestQuantPerChannelVsPerTensor(t *testing.T) {
 			maxAbs = v
 		}
 	}
-	gs := SymmetricScale(maxAbs)
-	qt := NewQ(k, len(consts))
+	gs := symmetricScale(maxAbs)
+	qt := newQ(k, len(consts))
 	QuantizeInto(qt, w.Data(), gs, 0)
-	backT := make([]float32, qt.Len())
+	backT := make([]float32, len(qt.data))
 	DequantizeInto(backT, qt)
 
 	for j, c := range consts {
@@ -310,12 +311,12 @@ func TestQuantKernelsMatchOracleAndDontAllocate(t *testing.T) {
 	}
 	scale, zp := AffineParams(-3, 3)
 
-	a := NewQ(m, k)
+	a := newQ(m, k)
 	PackLHS(a) // size the packed buffers
 	assertZeroAllocs(t, "QuantizeLHSInto", func() { QuantizeLHSInto(a, src, scale, zp) })
 
 	// The fused quantize+pack must agree with quantize-then-pack.
-	a2 := NewQ(m, k)
+	a2 := newQ(m, k)
 	QuantizeInto(a2, src, scale, zp)
 	PackLHS(a2)
 	for i := range a.data {
@@ -330,7 +331,7 @@ func TestQuantKernelsMatchOracleAndDontAllocate(t *testing.T) {
 	}
 
 	b := randQ(r, k, n)
-	PackRHS(b)
+	packRHS(b)
 	acc := make([]int32, m*n)
 	assertZeroAllocs(t, "QMatMulInto", func() { QMatMulInto(acc, a, b) })
 	want := qMatMulOracle(a, b)
@@ -376,7 +377,7 @@ func TestQuantKernelsMatchOracleAndDontAllocate(t *testing.T) {
 		}
 	}
 
-	rq := NewQ(m, n)
+	rq := newQ(m, n)
 	assertZeroAllocs(t, "RequantizeInto", func() { RequantizeInto(rq, acc, mult, 0.1, 3, m, n) })
 
 	back := make([]float32, m*k)
@@ -384,9 +385,9 @@ func TestQuantKernelsMatchOracleAndDontAllocate(t *testing.T) {
 
 	// Quantized convolution with caller scratch.
 	in := randQ(r, 2, 3, 8, 8)
-	in.SetParams(0.04, 7)
+	in.setParams(0.04, 7)
 	cw := randQ(r, 3*3*3, 4)
-	PackRHS(cw)
+	packRHS(cw)
 	const patches = 8 * 8
 	lhs := make([]uint64, patches*kwords(27))
 	rsum := make([]int32, patches)
@@ -406,8 +407,8 @@ func TestQuantKernelsMatchOracleAndDontAllocate(t *testing.T) {
 func TestQuantArena(t *testing.T) {
 	var a Arena
 	q := a.GetQ(4, 6)
-	if q.Rank() != 2 || q.Len() != 24 {
-		t.Fatalf("GetQ shape = %v", q.Shape())
+	if q.rank() != 2 || len(q.data) != 24 {
+		t.Fatalf("GetQ shape = %v", q.shape)
 	}
 	if len(q.lhs) < 4*kwords(6) || len(q.rsum) < 4 {
 		t.Fatalf("GetQ rank-2 missing packed buffers: lhs %d rsum %d", len(q.lhs), len(q.rsum))
@@ -419,8 +420,8 @@ func TestQuantArena(t *testing.T) {
 	a.RecycleQ(q)
 	// Same class, different shape: buffer reused, shape rewritten.
 	q2 := a.GetQ(5, 5)
-	if q2 != q || q2.Dim(0) != 5 || q2.Len() != 25 {
-		t.Fatalf("class reuse: got %p shape %v (want %p)", q2, q2.Shape(), q)
+	if q2 != q || q2.Dim(0) != 5 || len(q2.data) != 25 {
+		t.Fatalf("class reuse: got %p shape %v (want %p)", q2, q2.shape, q)
 	}
 	a.RecycleQ(q2)
 
@@ -442,7 +443,7 @@ func TestQuantArena(t *testing.T) {
 		t.Fatal("RecycleU64 did not recycle the buffer")
 	}
 
-	hBefore, _ := a.Stats()
+	hBefore, _ := a.stats()
 	assertZeroAllocs(t, "quantized arena cycle", func() {
 		qq := a.GetQ(4, 6)
 		ac := a.GetAcc(64)
@@ -451,7 +452,7 @@ func TestQuantArena(t *testing.T) {
 		a.RecycleAcc(ac)
 		a.RecycleQ(qq)
 	})
-	hAfter, _ := a.Stats()
+	hAfter, _ := a.stats()
 	if hAfter <= hBefore {
 		t.Fatalf("quantized cycle recorded no arena hits (%d -> %d)", hBefore, hAfter)
 	}
@@ -466,7 +467,7 @@ func TestAffineParamsDegenerate(t *testing.T) {
 	if s, zp := AffineParams(0, 0); s != 1 || zp != 0 {
 		t.Fatalf("degenerate range: scale %g zp %d", s, zp)
 	}
-	if s := SymmetricScale(0); s != 1 {
+	if s := symmetricScale(0); s != 1 {
 		t.Fatalf("all-zero channel scale = %g", s)
 	}
 	// Inverted single-point range still includes zero after widening.
@@ -485,10 +486,95 @@ func BenchmarkQMatMul(b *testing.B) {
 	a := randQ(r, 128, 128)
 	w := randQ(r, 128, 128)
 	PackLHS(a)
-	PackRHS(w)
+	packRHS(w)
 	acc := make([]int32, 128*128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		QMatMulInto(acc, a, w)
+	}
+}
+
+// PackLHS builds the packed-LHS form from q's existing int8 data (see
+// QuantizeLHSInto for the layout). Cold path: grows the buffers.
+func PackLHS(q *QTensor) {
+	if q.rank() != 2 {
+		panic(fmt.Sprintf("tensor: PackLHS needs a rank-2 tensor, got %v", q.shape))
+	}
+	m, k := q.shape[0], q.shape[1]
+	kw := kwords(k)
+	q.ensureLHS(m, k)
+	for i := 0; i < m; i++ {
+		drow := q.data[i*k : i*k+k]
+		lrow := q.lhs[i*kw : i*kw+kw]
+		var r int32
+		p := 0
+		for ; p+2 <= k; p += 2 {
+			u0 := uint64(uint8(drow[p]) ^ 0x80)
+			u1 := uint64(uint8(drow[p+1]) ^ 0x80)
+			r += int32(u0) + int32(u1)
+			lrow[p>>1] = u0 | u1<<32
+		}
+		if p < k {
+			u0 := uint64(uint8(drow[p]) ^ 0x80)
+			r += int32(u0)
+			lrow[p>>1] = u0
+		}
+		q.rsum[i] = 128 * r
+	}
+}
+
+// RequantizeInto maps int32 accumulators back to int8 with per-column
+// multipliers and a destination zero point: q = round(acc·mult) + zp,
+// saturated. The planned forward pass dequantizes to float32 at op
+// boundaries instead; this exists for fully-int pipelines and the
+// property-test suite.
+func RequantizeInto(q *QTensor, acc []int32, mult []float32, scale float32, zp int32, rows, cols int) {
+	if len(q.data) < rows*cols || len(acc) < rows*cols || len(mult) < cols {
+		panic(fmt.Sprintf("tensor: RequantizeInto dst %d acc %d mult %d for %dx%d", len(q.data), len(acc), len(mult), rows, cols))
+	}
+	q.setParams(scale, zp)
+	for i := 0; i < rows; i++ {
+		d := q.data[i*cols : i*cols+cols]
+		a := acc[i*cols : i*cols+cols]
+		for j := range d {
+			f := float32(a[j]) * mult[j]
+			if f >= 0 {
+				f += 0.5
+			} else {
+				f -= 0.5
+			}
+			v := int32(f) + zp
+			if v > 127 {
+				v = 127
+			} else if v < -128 {
+				v = -128
+			}
+			d[j] = int8(v)
+		}
+	}
+}
+
+// DequantizeInto expands a QTensor back to float32:
+// v = (q − zp) · scale, with per-channel parameters along Axis when
+// set.
+func DequantizeInto(dst []float32, q *QTensor) {
+	if len(dst) < len(q.data) {
+		panic(fmt.Sprintf("tensor: DequantizeInto dst len %d < %d", len(dst), len(q.data)))
+	}
+	if q.axis < 0 {
+		s, zp := q.scales[0], q.zps[0]
+		for i, v := range q.data {
+			dst[i] = float32(int32(v)-zp) * s
+		}
+		return
+	}
+	inner := 1
+	for _, d := range q.shape[q.axis+1:] {
+		inner *= d
+	}
+	ch := q.shape[q.axis]
+	for i, v := range q.data {
+		c := (i / inner) % ch
+		dst[i] = float32(int32(v)-q.zps[c]) * q.scales[c]
 	}
 }

@@ -49,16 +49,6 @@ func FromSlice(data []float32, shape ...int) (*Tensor, error) {
 	return &Tensor{shape: append([]int(nil), shape...), data: data}, nil
 }
 
-// MustFromSlice is FromSlice but panics on error. Intended for tests and
-// literals with statically-known shapes.
-func MustFromSlice(data []float32, shape ...int) *Tensor {
-	t, err := FromSlice(data, shape...)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Shape returns the tensor's dimensions. The caller must not modify it.
 func (t *Tensor) Shape() []int { return t.shape }
 
@@ -115,30 +105,6 @@ func (t *Tensor) Reshape(shape ...int) (*Tensor, error) {
 	return &Tensor{shape: out, data: t.data}, nil
 }
 
-// At returns the element at the given multi-dimensional index.
-func (t *Tensor) At(idx ...int) float32 {
-	return t.data[t.offset(idx)]
-}
-
-// Set stores v at the given multi-dimensional index.
-func (t *Tensor) Set(v float32, idx ...int) {
-	t.data[t.offset(idx)] = v
-}
-
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: index rank %d != tensor rank %d", len(idx), len(t.shape)))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.shape))
-		}
-		off = off*t.shape[i] + x
-	}
-	return off
-}
-
 // SameShape reports whether t and o have identical shapes.
 func (t *Tensor) SameShape(o *Tensor) bool {
 	if len(t.shape) != len(o.shape) {
@@ -152,28 +118,6 @@ func (t *Tensor) SameShape(o *Tensor) bool {
 	return true
 }
 
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float32) {
-	for i := range t.data {
-		t.data[i] = v
-	}
-}
-
-// ArgMax returns the index of the largest element, or -1 for an empty
-// tensor. Ties resolve to the lowest index.
-func (t *Tensor) ArgMax() int {
-	if len(t.data) == 0 {
-		return -1
-	}
-	best, bi := t.data[0], 0
-	for i, v := range t.data[1:] {
-		if v > best {
-			best, bi = v, i+1
-		}
-	}
-	return bi
-}
-
 // Sum returns the sum of all elements in float64 precision.
 func (t *Tensor) Sum() float64 {
 	var s float64
@@ -185,6 +129,8 @@ func (t *Tensor) Sum() float64 {
 
 // AllClose reports whether every element of t is within tol of the
 // corresponding element of o and the shapes match.
+//
+//lint:allow deadexport model and modelfmt tests compare tensors through it
 func (t *Tensor) AllClose(o *Tensor, tol float64) bool {
 	if !t.SameShape(o) {
 		return false

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -607,4 +608,92 @@ func BenchmarkConv2DInto(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Conv2DInto(dst, in, k, 1, 1, col)
 	}
+}
+
+// MatMulNaive is a textbook triple loop used as the baseline for the
+// blocked-matmul ablation bench and as a differential-testing oracle.
+func MatMulNaive(a, b *Tensor) (*Tensor, error) {
+	if a.Rank() != 2 || b.Rank() != 2 || a.shape[1] != b.shape[0] {
+		return nil, fmt.Errorf("tensor: MatMulNaive shape mismatch %v × %v", a.shape, b.shape)
+	}
+	m, k, n := a.shape[0], a.shape[1], b.shape[1]
+	c := New(m, n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var s float32
+			for p := 0; p < k; p++ {
+				s += a.data[i*k+p] * b.data[p*n+j]
+			}
+			c.data[i*n+j] = s
+		}
+	}
+	return c, nil
+}
+
+// Add computes element-wise a + b into a new tensor.
+func Add(a, b *Tensor) (*Tensor, error) {
+	if !a.SameShape(b) {
+		return nil, fmt.Errorf("tensor: Add shape mismatch %v + %v", a.shape, b.shape)
+	}
+	out := a.Clone()
+	for i, v := range b.data {
+		out.data[i] += v
+	}
+	return out, nil
+}
+
+// MustFromSlice is FromSlice but panics on error. Intended for tests and
+// literals with statically-known shapes.
+func MustFromSlice(data []float32, shape ...int) *Tensor {
+	t, err := FromSlice(data, shape...)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
+// Fill sets every element to v.
+func (t *Tensor) Fill(v float32) {
+	for i := range t.data {
+		t.data[i] = v
+	}
+}
+
+// ArgMax returns the index of the largest element, or -1 for an empty
+// tensor. Ties resolve to the lowest index.
+func (t *Tensor) ArgMax() int {
+	if len(t.data) == 0 {
+		return -1
+	}
+	best, bi := t.data[0], 0
+	for i, v := range t.data[1:] {
+		if v > best {
+			best, bi = v, i+1
+		}
+	}
+	return bi
+}
+
+// Set stores v at the given multi-dimensional index.
+func (t *Tensor) Set(v float32, idx ...int) {
+	t.data[t.offset(idx)] = v
+}
+
+// At returns the element at the given multi-dimensional index.
+func (t *Tensor) At(idx ...int) float32 {
+	return t.data[t.offset(idx)]
+}
+
+func (t *Tensor) offset(idx []int) int {
+	if len(idx) != len(t.shape) {
+		panic(fmt.Sprintf("tensor: index rank %d != tensor rank %d", len(idx), len(t.shape)))
+	}
+	off := 0
+	for i, x := range idx {
+		if x < 0 || x >= t.shape[i] {
+			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.shape))
+		}
+		off = off*t.shape[i] + x
+	}
+	return off
 }

@@ -118,3 +118,13 @@ func BenchmarkConvDirectVsWinograd(b *testing.B) {
 		}
 	})
 }
+
+// Conv2DWinograd is a convenience wrapper constructing the transform and
+// applying it once; runtimes keep a WinogradConv per layer instead.
+func Conv2DWinograd(in, kernel *Tensor, pad int) (*Tensor, error) {
+	w, err := NewWinogradConv(kernel)
+	if err != nil {
+		return nil, err
+	}
+	return w.Apply(in, pad)
+}

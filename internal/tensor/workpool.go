@@ -1,6 +1,8 @@
 package tensor
 
-import "sync"
+import (
+	"sync"
+)
 
 // WorkPool is a small resident worker pool for fanning matrix-multiply
 // row ranges and fused-attention lane ranges out across goroutines
@@ -53,9 +55,6 @@ func NewWorkPool(n int) *WorkPool {
 	}
 	return p
 }
-
-// Workers reports the number of resident workers.
-func (p *WorkPool) Workers() int { return p.n }
 
 func (p *WorkPool) worker() {
 	defer p.wg.Done()

@@ -1,7 +1,7 @@
 // Package window provides event-time window aggregation — the streaming
 // capability the paper counts among stream processors' native strengths
 // over serving frameworks (§1: "online data transformations, aggregation,
-// and windowing"). It implements tumbling and sliding windows with
+// and windowing"). It implements tumbling windows with
 // watermark-driven emission and bounded lateness, the dataflow-model
 // semantics the paper's engines share (§1 cites the Dataflow model).
 package window
@@ -34,7 +34,6 @@ type Tumbling[T, A any] struct {
 	windows   map[int64]*state[A]
 	watermark time.Time
 	hasWM     bool
-	late      int
 }
 
 type state[A any] struct {
@@ -75,14 +74,12 @@ func (w *Tumbling[T, A]) bucket(ts time.Time) int64 {
 }
 
 // Add assigns one event to its window. Events whose window already closed
-// (watermark beyond end+lateness) are counted as dropped-late and return
-// false.
+// (watermark beyond end+lateness) are dropped and return false.
 func (w *Tumbling[T, A]) Add(ts time.Time, v T) bool {
 	b := w.bucket(ts)
 	if w.hasWM {
 		end := time.Unix(0, (b+1)*int64(w.size))
 		if !w.watermark.Before(end.Add(w.lateness)) {
-			w.late++
 			return false
 		}
 	}
@@ -139,94 +136,5 @@ func (w *Tumbling[T, A]) Flush() []Result[A] {
 	return out
 }
 
-// DroppedLate reports how many events arrived after their window closed.
-func (w *Tumbling[T, A]) DroppedLate() int { return w.late }
-
 // Open reports how many windows are currently buffering events.
 func (w *Tumbling[T, A]) Open() int { return len(w.windows) }
-
-// Sliding aggregates events into overlapping windows of the given size
-// emitted every slide. It is implemented as size/slide tumbling panes per
-// event: each event joins every window covering its timestamp.
-type Sliding[T, A any] struct {
-	size, slide time.Duration
-	newAcc      func() A
-	fold        func(acc A, v T) A
-	panes       map[int64]*state[A]
-	watermark   time.Time
-	hasWM       bool
-	late        int
-}
-
-// NewSliding creates a sliding-window aggregator. size must be a multiple
-// of slide.
-func NewSliding[T, A any](size, slide time.Duration, newAcc func() A, fold func(acc A, v T) A) (*Sliding[T, A], error) {
-	if size <= 0 || slide <= 0 {
-		return nil, fmt.Errorf("window: size and slide must be positive")
-	}
-	if size%slide != 0 {
-		return nil, fmt.Errorf("window: size %v must be a multiple of slide %v", size, slide)
-	}
-	if newAcc == nil || fold == nil {
-		return nil, fmt.Errorf("window: newAcc and fold are required")
-	}
-	return &Sliding[T, A]{
-		size: size, slide: slide,
-		newAcc: newAcc, fold: fold,
-		panes: make(map[int64]*state[A]),
-	}, nil
-}
-
-// Add assigns one event to every sliding window covering its timestamp.
-func (s *Sliding[T, A]) Add(ts time.Time, v T) bool {
-	// Window starts are multiples of slide; the event belongs to windows
-	// starting in (ts-size, ts].
-	first := ts.UnixNano() / int64(s.slide)
-	if ts.UnixNano() < 0 && ts.UnixNano()%int64(s.slide) != 0 {
-		first--
-	}
-	n := int(s.size / s.slide)
-	accepted := false
-	for i := 0; i < n; i++ {
-		start := (first - int64(i)) * int64(s.slide)
-		end := time.Unix(0, start+int64(s.size))
-		if s.hasWM && !s.watermark.Before(end) {
-			continue // this pane already closed
-		}
-		st, ok := s.panes[start]
-		if !ok {
-			st = &state[A]{acc: s.newAcc()}
-			s.panes[start] = st
-		}
-		st.acc = s.fold(st.acc, v)
-		st.count++
-		accepted = true
-	}
-	if !accepted {
-		s.late++
-	}
-	return accepted
-}
-
-// Watermark advances event time, emitting every sliding window whose end
-// passed, in start order.
-func (s *Sliding[T, A]) Watermark(ts time.Time) []Result[A] {
-	if s.hasWM && !ts.After(s.watermark) {
-		return nil
-	}
-	s.watermark = ts
-	s.hasWM = true
-	var out []Result[A]
-	for start, st := range s.panes {
-		end := time.Unix(0, start+int64(s.size))
-		if !ts.Before(end) {
-			out = append(out, Result[A]{Start: time.Unix(0, start), End: end, Value: st.acc, Count: st.count})
-			delete(s.panes, start)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
-	return out
-}
-
-// DroppedLate reports events that joined no window.
-func (s *Sliding[T, A]) DroppedLate() int { return s.late }

@@ -57,9 +57,6 @@ func TestTumblingLateness(t *testing.T) {
 	if w.Add(at(0), 7) {
 		t.Fatal("too-late event accepted")
 	}
-	if w.DroppedLate() != 1 {
-		t.Fatalf("dropped %d", w.DroppedLate())
-	}
 }
 
 func TestTumblingWatermarkMonotone(t *testing.T) {
@@ -140,75 +137,5 @@ func TestTumblingCountConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSlidingCoversOverlap(t *testing.T) {
-	s, err := NewSliding(2*time.Second, time.Second, func() int { return 0 }, func(acc, v int) int { return acc + v })
-	if err != nil {
-		t.Fatal(err)
-	}
-	// An event at t=1.5s belongs to windows [0,2) and [1,3).
-	s.Add(at(1).Add(500*time.Millisecond), 7)
-	out := s.Watermark(at(2))
-	if len(out) != 1 || out[0].Value != 7 || !out[0].Start.Equal(at(0)) {
-		t.Fatalf("first window %+v", out)
-	}
-	out = s.Watermark(at(3))
-	if len(out) != 1 || out[0].Value != 7 || !out[0].Start.Equal(at(1)) {
-		t.Fatalf("second window %+v", out)
-	}
-}
-
-func TestSlidingLateDrop(t *testing.T) {
-	s, err := NewSliding(2*time.Second, time.Second, func() int { return 0 }, func(acc, v int) int { return acc + v })
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Watermark(at(10))
-	if s.Add(at(1), 1) {
-		t.Fatal("event behind the watermark accepted")
-	}
-	if s.DroppedLate() != 1 {
-		t.Fatalf("dropped %d", s.DroppedLate())
-	}
-}
-
-func TestSlidingValidation(t *testing.T) {
-	mk := func(size, slide time.Duration) error {
-		_, err := NewSliding(size, slide, func() int { return 0 }, func(a, v int) int { return a })
-		return err
-	}
-	if mk(0, time.Second) == nil {
-		t.Fatal("zero size accepted")
-	}
-	if mk(3*time.Second, 2*time.Second) == nil {
-		t.Fatal("non-multiple slide accepted")
-	}
-	if _, err := NewSliding[int, int](time.Second, time.Second, nil, nil); err == nil {
-		t.Fatal("nil funcs accepted")
-	}
-}
-
-func TestSlidingEqualsTumblingWhenSlideEqualsSize(t *testing.T) {
-	s, err := NewSliding(time.Second, time.Second, func() int { return 0 }, func(acc, v int) int { return acc + v })
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := sumWindow(t, time.Second, 0)
-	for i := 0; i < 30; i++ {
-		ts := time.Unix(0, int64(i)*int64(250*time.Millisecond))
-		s.Add(ts, i)
-		w.Add(ts, i)
-	}
-	so := s.Watermark(at(100))
-	wo := w.Watermark(at(100))
-	if len(so) != len(wo) {
-		t.Fatalf("window counts differ: %d vs %d", len(so), len(wo))
-	}
-	for i := range so {
-		if so[i].Value != wo[i].Value || !so[i].Start.Equal(wo[i].Start) {
-			t.Fatalf("window %d differs: %+v vs %+v", i, so[i], wo[i])
-		}
 	}
 }

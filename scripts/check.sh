@@ -43,11 +43,11 @@ go test -race -count=1 \
 # against the interpreter on seeded random model graphs, bit for bit;
 # a failure prints the seed and -graphseed N replays it. Then the
 # daemons: each one's answer against the oracle on the model it serves,
-# and plan lifetimes across reloads under load, failed starts and Close
-# (the suite's TestMain leak-checks every pool worker).
+# and plan lifetimes across Close with predicts in flight and failed
+# starts (the suite's TestMain leak-checks every pool worker).
 go test -race -count=1 -run 'TestGraphDifferential|TestGraphGeneratorCoverage|TestGraphRejection' ./internal/model/
 go test -race -count=1 \
-	-run 'TestDaemonsMatchOracleBitForBit|TestReloadUnderLoadRetiresPlans|TestStartFailureReleasesPlan' \
+	-run 'TestDaemonsMatchOracleBitForBit|TestCloseWaitsOutInflightPredicts|TestStartFailureReleasesPlan' \
 	./internal/serving/external/
 # Load-generator conformance (docs/SCENARIOS.md): arrival schedules must
 # replay byte-identically per seed and scenario verdict logic must match
@@ -73,12 +73,13 @@ go test -race -count=1 -run 'TestRunRecoveryHonoursBatching|TestRunStandaloneHon
 go test -race -count=1 -run 'TestSamplePool|TestRepeatedSampleCostsAFullScore|TestParseJSONFloat32MatchesStrconv' ./internal/core/
 go test -race -count=1 -run 'TestTransformManyBoundsFanOut' ./internal/sps/
 # Static-analysis self-tests (docs/STATIC_ANALYSIS.md): the CFG/dataflow
-# analyzers must match the fixture markers exactly, the directive grammar
+# analyzers and deadexport must match the fixture markers exactly, each
+# deadexport finding must name its disposition, the directive grammar
 # must associate suppressions to the right lines, and the wave-parallel
 # type-checking loader is the one concurrent piece of the lint pipeline —
 # so this runs race-enabled and by name for an attributable failure.
 go test -race -count=1 \
-	-run 'TestCFG|TestForward|TestSuiteMatchesFixtureMarkers|TestEveryAnalyzerCatchesItsSeed|TestDirective|TestParallelLoadMatchesSerialView' \
+	-run 'TestCFG|TestForward|TestSuiteMatchesFixtureMarkers|TestEveryAnalyzerCatchesItsSeed|TestDeadExport|TestDirective|TestParallelLoadMatchesSerialView' \
 	./internal/analysis/
 # Cluster conformance (docs/CLUSTER.md): a leader kill mid-produce must
 # lose zero acked records, a follower kill must be client-invisible, and
@@ -99,7 +100,7 @@ go test -race -count=1 -timeout 5m \
 	-run 'TestAwait|TestPollNeverLosesAWakeUp|TestIdleConsumerCallsPerWait|TestServerCloseWakesParkedAwait|TestRemoteCloseEndsCallInFlight|TestRemoteAwaitCancelDropsTheConnection' \
 	./internal/broker/
 go test -race -count=1 -timeout 5m \
-	-run 'TestConformance/StopWhileParked|TestAsyncIOConformance/StopWhileParked|TestCheckpointWhileIdle|TestAsyncIOFlushesWhileSourceIsParked' \
+	-run 'TestConformance/StopWhileParked|TestAsyncIOConformance/StopWhileParked|TestAsyncIOFlushesWhileSourceIsParked' \
 	./internal/sps/...
 # A failed start leaves nothing running: with its output topic missing,
 # every engine's Run must fail under uniform and per-operator parallelism
@@ -121,6 +122,10 @@ go test -run '^$' -fuzz '^FuzzParseJSONFloat32$' -fuzztime 8s ./internal/core/
 # may panic a decoder or make it size anything beyond what its payload
 # holds, and whatever decodes must re-encode to the same bytes.
 go test -run '^$' -fuzz '^FuzzWireFrameDecode$' -fuzztime 8s ./internal/broker/
+# The four model-storage decoders, under the wire frames' contract: no
+# input panics one, no decoded shape holds more floats than the input
+# carries, and whatever decodes re-encodes to the same model.
+go test -run '^$' -fuzz '^FuzzModelDecode$' -fuzztime 8s ./internal/modelfmt/
 CRAYFISH_BENCH_SCALE=0.05 go test -run NONE -bench . -benchtime=1x .
 # Inference microbenchmarks at smoke scale: validates the harness and the
 # JSON pipeline without overwriting the tracked BENCH_inference.json
