@@ -48,8 +48,9 @@ func readDataset(path string) (*dataset, error) {
 		return nil, err
 	}
 	// The header sizes every allocation below, so it has to fit the file.
+	// Divide rather than multiply: two u32 counts overflow an int64 product.
 	body := info.Size() - int64(len(datasetMagic)+len(hdr))
-	if pointLen <= 0 || 4*int64(count)*int64(pointLen) > body {
+	if pointLen <= 0 || int64(count) > body/4/int64(pointLen) {
 		return nil, fmt.Errorf("core: dataset header claims %d points of %d floats, the file holds %d bytes of them", count, pointLen, body)
 	}
 	ds := &dataset{PointLen: pointLen, Points: make([][]float32, count)}

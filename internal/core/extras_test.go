@@ -110,25 +110,33 @@ func TestDatasetRejectsForeignFile(t *testing.T) {
 }
 
 // TestDatasetHeaderCannotSizeAllocations: a 16-byte file whose header
-// claims 2^24 points of 2^24 floats is refused before the reader sizes
-// anything from those counts (at the parent it allocated ≈ 470 MB).
+// claims more floats than it holds is refused before the reader sizes
+// anything from those counts. 2^24 × 2^24 allocated ≈ 470 MB once; the
+// two larger headers make 4·count·pointLen wrap an int64 (to 0 and to a
+// negative number), so a bound computed by multiplying lets them through.
 func TestDatasetHeaderCannotSizeAllocations(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "header-only.crf")
-	hdr := make([]byte, 8)
-	binary.LittleEndian.PutUint32(hdr, 1<<24)
-	binary.LittleEndian.PutUint32(hdr[4:], 1<<24)
-	if err := writeFile(path, append([]byte(datasetMagic), hdr...)); err != nil {
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := readDataset(path)
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatal("a header-only dataset claiming 2^48 floats was accepted")
-	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
-		t.Fatalf("reading a 16-byte dataset allocated %d bytes, want < 1 MiB", grew)
+	for _, tc := range []struct{ pointLen, count uint32 }{
+		{1 << 24, 1 << 24},
+		{1 << 31, 1 << 31},
+		{0xFFFFFFFF, 0xFFFFFFFF},
+	} {
+		path := filepath.Join(t.TempDir(), "header-only.crf")
+		hdr := make([]byte, 8)
+		binary.LittleEndian.PutUint32(hdr, tc.pointLen)
+		binary.LittleEndian.PutUint32(hdr[4:], tc.count)
+		if err := writeFile(path, append([]byte(datasetMagic), hdr...)); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := readDataset(path)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("a header-only dataset claiming %d points of %d floats was accepted", tc.count, tc.pointLen)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Fatalf("%d×%d: reading a 16-byte dataset allocated %d bytes, want < 1 MiB", tc.count, tc.pointLen, grew)
+		}
 	}
 }
 

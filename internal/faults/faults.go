@@ -69,8 +69,8 @@ const (
 )
 
 // Rule is one message-fault clause: apply Kind to records FromSeq ≤ seq
-// < ToSeq on Topic, every Every-th match. Sequence numbers count the
-// records offered to Message for that topic, starting at 0.
+// < ToSeq on Topic. Sequence numbers count the records offered to
+// Message for that topic, starting at 0.
 type Rule struct {
 	Topic string
 	Kind  Kind
