@@ -145,7 +145,7 @@ func dialPeerWait(addr string, wait time.Duration) (*broker.RemoteClient, error)
 // clusterNode is one wired-up cluster member: the served node, its peer
 // links, and — on the controller seat — the control plane.
 type clusterNode struct {
-	node    *broker.Node
+	node    *broker.Broker
 	srv     *broker.Server
 	ctrl    *broker.Controller
 	remotes []*broker.RemoteClient
@@ -172,14 +172,8 @@ func (cn *clusterNode) Close() {
 // for processes that have not started yet), and on node 0 build the
 // controller and create the bootstrap topics.
 func startCluster(nodeID int, peerAddrs []string, rf int, topics []topicSpec, reg *crayfish.TelemetryRegistry) (*clusterNode, error) {
-	node, err := broker.NewNode(broker.NodeConfig{
-		ID:     nodeID,
-		Broker: broker.Config{Metrics: reg},
-	})
-	if err != nil {
-		return nil, err
-	}
-	srv, err := broker.ServeNode(node, peerAddrs[nodeID])
+	node := broker.New(broker.Config{ID: nodeID, Metrics: reg})
+	srv, err := broker.Serve(node, peerAddrs[nodeID])
 	if err != nil {
 		node.Close()
 		return nil, err
@@ -215,7 +209,7 @@ func startCluster(nodeID int, peerAddrs []string, rf int, topics []topicSpec, re
 			Peers:             peers,
 			ReplicationFactor: rf,
 			HeartbeatEvery:    controllerHeartbeat,
-			Coordinator:       node.Broker(),
+			Coordinator:       node,
 			Metrics:           reg,
 		})
 		if err != nil {

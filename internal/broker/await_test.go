@@ -33,10 +33,26 @@ func hasErr(err, want error) bool {
 // untilCancelled serves a broker whose awaits ignore their wait, so that
 // a parked 'W' frame ends only by the server's shutdown or by the topic
 // or broker going away.
-type untilCancelled struct{ brokerHandler }
+type untilCancelled struct{ *Broker }
 
 func (h untilCancelled) Await(topic string, positions []FetchRequest, _ time.Duration, cancel <-chan struct{}) error {
 	return h.Broker.Await(topic, positions, never, cancel)
+}
+
+// dialServed serves h on a loopback port and dials it.
+func dialServed(t *testing.T, h requestHandler) (*Server, *RemoteClient) {
+	t.Helper()
+	srv, err := serveHandler(h, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	rc, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rc.Close() })
+	return srv, rc
 }
 
 // awaitTransports is a metered broker with a topic "t", reached in
@@ -47,46 +63,91 @@ func awaitTransports(t *testing.T) (*Broker, *Server, map[string]Transport) {
 	if err := b.CreateTopic("t", 2); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serveHandler(untilCancelled{brokerHandler{b}}, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	rc, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rc.Close() })
+	srv, rc := dialServed(t, untilCancelled{b})
 	return b, srv, map[string]Transport{"inproc": b, "tcp": rc}
+}
+
+// awaitCluster is a metered cluster of n nodes at replication factor rf
+// with a replicated topic "t" of two partitions, and its node 0, which
+// leads partition 0 — and partition 1 too when n is 1. Tests drive the
+// controller by hand.
+func awaitCluster(t *testing.T, n, rf int) (*Cluster, *Broker) {
+	t.Helper()
+	c, err := NewCluster(ClusterConfig{
+		Nodes:             n,
+		ReplicationFactor: rf,
+		Broker:            Config{Metrics: telemetry.New()},
+		AckTimeout:        300 * time.Millisecond,
+		HeartbeatEvery:    time.Hour,
+		ReplicaPoll:       200 * time.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	if err := c.CreateTopic("t", 2); err != nil {
+		t.Fatal(err)
+	}
+	node, err := c.Node(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, node
 }
 
 // TestAwaitReturns: Await ends on an append at a watched position, at
 // its deadline, on cancel, on the topic's deletion and on the broker's
 // close — and at once, without parking, when a record is already there.
+// The same holds at the leader of replicated partitions ("node"), where
+// a record counts once the high-watermark covers it, and where losing
+// the leadership and crashing end the wait too.
 func TestAwaitReturns(t *testing.T) {
 	at := []FetchRequest{{Partition: 0, Offset: 0}, {Partition: 1, Offset: 0}}
 	cases := []struct {
-		name string
-		end  func(b *Broker, cancel chan struct{})
-		want error
+		name     string
+		nodeOnly bool
+		end      func(b *Broker, c *Cluster, cancel chan struct{})
+		want     error
 	}{
-		{"append", func(b *Broker, _ chan struct{}) {
+		{"append", false, func(b *Broker, _ *Cluster, _ chan struct{}) {
 			if _, err := b.Produce("t", 1, []Record{{Value: []byte("x")}}); err != nil {
 				panic(err)
 			}
 		}, nil},
-		{"cancel", func(_ *Broker, cancel chan struct{}) { close(cancel) }, nil},
-		{"topic deleted", func(b *Broker, _ chan struct{}) {
+		{"cancel", false, func(_ *Broker, _ *Cluster, cancel chan struct{}) { close(cancel) }, nil},
+		{"topic deleted", false, func(b *Broker, _ *Cluster, _ chan struct{}) {
 			if err := b.DeleteTopic("t"); err != nil {
 				panic(err)
 			}
 		}, errUnknownTopic},
-		{"broker closed", func(b *Broker, _ chan struct{}) { b.Close() }, errClosed},
+		{"broker closed", false, func(b *Broker, _ *Cluster, _ chan struct{}) { b.Close() }, errClosed},
+		{"leadership lost", true, func(b *Broker, c *Cluster, _ chan struct{}) {
+			v := c.View()
+			v.Version++
+			st := &v.Partitions["t"][1]
+			st.Leader, st.Epoch = -1, st.Epoch+1
+			if err := b.PushView(v); err != nil {
+				panic(err)
+			}
+		}, nil},
+		{"crash", true, func(b *Broker, _ *Cluster, _ chan struct{}) { b.Crash() }, errNodeDown},
 	}
 	for _, tc := range cases {
-		for _, via := range []string{"inproc", "tcp"} {
+		for _, via := range []string{"inproc", "tcp", "node", "node-tcp"} {
+			if tc.nodeOnly && !strings.HasPrefix(via, "node") {
+				continue
+			}
 			t.Run(tc.name+"/"+via, func(t *testing.T) {
-				b, _, transports := awaitTransports(t)
+				var b *Broker
+				var c *Cluster
+				var transports map[string]Transport
+				if strings.HasPrefix(via, "node") {
+					c, b = awaitCluster(t, 1, 1)
+					_, rc := dialServed(t, untilCancelled{b})
+					transports = map[string]Transport{"node": b, "node-tcp": rc}
+				} else {
+					b, _, transports = awaitTransports(t)
+				}
 				cancel := make(chan struct{})
 				done := make(chan error, 1)
 				go func() { done <- transports[via].Await("t", at, never, cancel) }()
@@ -96,14 +157,14 @@ func TestAwaitReturns(t *testing.T) {
 					t.Fatalf("Await returned %v with nothing to return for", err)
 				default:
 				}
-				tc.end(b, cancel)
+				tc.end(b, c, cancel)
 				if err := <-done; (tc.want == nil && err != nil) || (tc.want != nil && !hasErr(err, tc.want)) {
 					t.Fatalf("Await = %v, want %v", err, tc.want)
 				}
 				if n := b.mAwaitTimeouts.Value(); n != 0 {
 					t.Fatalf("%d timeouts counted", n)
 				}
-				if n := b.mAwaitWait.Count(); via == "inproc" && n != 1 {
+				if n := b.mAwaitWait.Count(); (via == "inproc" || via == "node") && n != 1 {
 					t.Fatalf("%d waits recorded, want 1", n)
 				}
 			})
@@ -111,6 +172,9 @@ func TestAwaitReturns(t *testing.T) {
 	}
 
 	_, _, transports := awaitTransports(t)
+	_, node := awaitCluster(t, 1, 1)
+	_, rc := dialServed(t, untilCancelled{node})
+	transports["node"], transports["node-tcp"] = node, rc
 	for via, tr := range transports {
 		t.Run("gone before the call/"+via, func(t *testing.T) {
 			if err := tr.Await("nope", nil, never, nil); !hasErr(err, errUnknownTopic) {
@@ -123,55 +187,111 @@ func TestAwaitReturns(t *testing.T) {
 	}
 }
 
-// TestAwaitDeadlineAndReady: the two ends that need no second party.
-// These go through a real Serve, whose clamp is above the wait used.
+// TestAwaitDeadlineAndReady: the two ends that need no second party, on
+// a standalone broker and on the leader of replicated partitions. These
+// go through a real Serve, whose clamp is above the wait used.
 func TestAwaitDeadlineAndReady(t *testing.T) {
-	b := New(Config{Metrics: telemetry.New()})
-	if err := b.CreateTopic("t", 2); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := Serve(b, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	rc, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-	at := []FetchRequest{{Partition: 0, Offset: 0}, {Partition: 1, Offset: 0}}
-	const wait = 20 * time.Millisecond
-	for i, tr := range []Transport{b, rc} {
-		start := time.Now()
-		if err := tr.Await("t", at, wait, nil); err != nil {
+	standalone := func(t *testing.T) *Broker {
+		b := New(Config{Metrics: telemetry.New()})
+		if err := b.CreateTopic("t", 2); err != nil {
 			t.Fatal(err)
 		}
-		if took := time.Since(start); took < wait {
-			t.Fatalf("an Await of %v on an empty topic returned after %v", wait, took)
-		}
-		if parked, timeouts := b.mAwaitParked.Value(), b.mAwaitTimeouts.Value(); parked != int64(i+1) || timeouts != int64(i+1) {
-			t.Fatalf("parked %d timeouts %d after %d timed-out awaits", parked, timeouts, i+1)
-		}
+		return b
 	}
-	if _, err := b.Produce("t", 1, []Record{{Value: []byte("x")}}); err != nil {
-		t.Fatal(err)
+	node := func(t *testing.T) *Broker {
+		_, n := awaitCluster(t, 1, 1)
+		return n
 	}
-	for _, tr := range []Transport{b, rc} {
-		// Readable, a position behind the log start included; out of
-		// range comes back too, for the fetch to refuse.
-		for _, pos := range []FetchRequest{{Partition: 1, Offset: 0}, {Partition: 1, Offset: 5}, {Partition: 0, Offset: -1}} {
-			if err := tr.Await("t", []FetchRequest{pos}, never, nil); err != nil {
+	for name, build := range map[string]func(t *testing.T) *Broker{"standalone": standalone, "node": node} {
+		t.Run(name, func(t *testing.T) {
+			b := build(t)
+			srv, err := Serve(b, "127.0.0.1:0")
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		// wait == 0 asks for nothing.
-		if err := tr.Await("t", at[:1], 0, nil); err != nil {
-			t.Fatal(err)
-		}
+			defer srv.Close()
+			rc, err := Dial(srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rc.Close()
+			at := []FetchRequest{{Partition: 0, Offset: 0}, {Partition: 1, Offset: 0}}
+			const wait = 20 * time.Millisecond
+			for i, tr := range []Transport{b, rc} {
+				start := time.Now()
+				if err := tr.Await("t", at, wait, nil); err != nil {
+					t.Fatal(err)
+				}
+				if took := time.Since(start); took < wait {
+					t.Fatalf("an Await of %v on an empty topic returned after %v", wait, took)
+				}
+				if parked, timeouts := b.mAwaitParked.Value(), b.mAwaitTimeouts.Value(); parked != int64(i+1) || timeouts != int64(i+1) {
+					t.Fatalf("parked %d timeouts %d after %d timed-out awaits", parked, timeouts, i+1)
+				}
+			}
+			if _, err := b.Produce("t", 1, []Record{{Value: []byte("x")}}); err != nil {
+				t.Fatal(err)
+			}
+			for _, tr := range []Transport{b, rc} {
+				// Readable, a position behind the log start included; out
+				// of range comes back too, for the fetch to refuse.
+				for _, pos := range []FetchRequest{{Partition: 1, Offset: 0}, {Partition: 1, Offset: 5}, {Partition: 0, Offset: -1}} {
+					if err := tr.Await("t", []FetchRequest{pos}, never, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// wait == 0 asks for nothing.
+				if err := tr.Await("t", at[:1], 0, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if parked := b.mAwaitParked.Value(); parked != 2 {
+				t.Fatalf("awaits with something to read parked: %d in all, want the 2 from before", parked)
+			}
+		})
 	}
-	if parked := b.mAwaitParked.Value(); parked != 2 {
-		t.Fatalf("awaits with something to read parked: %d in all, want the 2 from before", parked)
+}
+
+// TestAwaitIgnoresUnackedAppend: at a leader whose followers are down
+// but still in the ISR (no controller tick), an append the
+// high-watermark does not cover wakes a parked Await, which checks,
+// finds nothing a consumer may read, and parks again until its wait
+// runs out.
+func TestAwaitIgnoresUnackedAppend(t *testing.T) {
+	for _, via := range []string{"node", "node-tcp"} {
+		t.Run(via, func(t *testing.T) {
+			c, n := awaitCluster(t, 3, 3)
+			_, rc := dialServed(t, n)
+			tr := map[string]Transport{"node": n, "node-tcp": rc}[via]
+			for _, name := range []string{"node-1", "node-2"} {
+				if err := c.crash(name); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const wait = 200 * time.Millisecond
+			done := make(chan error, 1)
+			start := time.Now()
+			go func() { done <- tr.Await("t", []FetchRequest{{Partition: 0}}, wait, nil) }()
+			awaitParked(t, n, 1)
+			produced := make(chan error, 1)
+			go func() {
+				_, err := n.Produce("t", 0, []Record{{Value: []byte("unacked")}})
+				produced <- err
+			}()
+			waitUntil(t, 2*time.Second, func() bool {
+				end, err := n.LogEnd(TopicPartition{Topic: "t", Partition: 0})
+				return err == nil && end == 1
+			}, "the unacked append to land")
+			if err := <-done; err != nil {
+				t.Fatalf("Await across an unacked append = %v", err)
+			}
+			if took := time.Since(start); took < wait {
+				t.Fatalf("an unacked append ended a %v wait after %v", wait, took)
+			}
+			if err := <-produced; !errors.Is(err, errAckTimeout) {
+				t.Fatalf("produce with its followers down = %v, want an ack timeout", err)
+			}
+		})
 	}
 }
 
@@ -301,23 +421,47 @@ func (c *countingTransport) FetchAssignment(group, memberID string, generation i
 // TestIdleConsumerCallsPerWait: an idle group consumer makes three
 // transport calls per wait period — one await, one assignment check, one
 // fetch — however long the period is, and a record that arrives at a
-// parked consumer costs the same three.
+// parked consumer costs the same three. That holds on a standalone
+// broker and at the leader of replicated partitions, in process and
+// over TCP.
 func TestIdleConsumerCallsPerWait(t *testing.T) {
-	b := New(DefaultConfig())
-	if err := b.CreateTopic("t", 2); err != nil {
-		t.Fatal(err)
+	for _, via := range []string{"standalone", "node", "node-tcp"} {
+		t.Run(via, func(t *testing.T) {
+			var b *Broker
+			if via == "standalone" {
+				b = New(DefaultConfig())
+				if err := b.CreateTopic("t", 2); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				_, b = awaitCluster(t, 1, 1)
+			}
+			var tr Transport = b
+			if via == "node-tcp" {
+				_, tr = dialServed(t, b)
+			}
+			idleCallsPerWait(t, b, tr)
+		})
 	}
-	ct := &countingTransport{Transport: b}
+}
+
+func idleCallsPerWait(t *testing.T, b *Broker, tr Transport) {
+	ct := &countingTransport{Transport: tr}
 	c, err := NewGroupConsumer(ct, "g", "t")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	const polls = 5
+	const wait = 5 * time.Millisecond
+	start := time.Now()
 	for i := 0; i < polls; i++ {
-		if recs, err := c.Poll(8, 5*time.Millisecond, nil); err != nil || len(recs) != 0 {
+		if recs, err := c.Poll(8, wait, nil); err != nil || len(recs) != 0 {
 			t.Fatalf("idle poll = %d records, %v", len(recs), err)
 		}
+	}
+	if took := time.Since(start); took < polls*wait {
+		t.Fatalf("%d idle polls of %v each took %v: an await returned before its wait", polls, wait, took)
 	}
 	// The first poll fetches before it parks: one assignment check and
 	// one fetch more than the rest.

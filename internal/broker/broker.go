@@ -3,6 +3,7 @@ package broker
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,9 +47,20 @@ type Config struct {
 	// records surface downstream and are deduplicated by the consumer's
 	// seen-set, dropped records are accounted by the injector.
 	Faults *faults.Injector
+	// ID is the broker's node id inside a replicated cluster; its
+	// fault-plan target name is "node-<ID>". A standalone broker leaves
+	// it 0.
+	ID int
 	// clock supplies LogAppendTime stamps; nil means time.Now. Tests
 	// inject a fake clock to make timestamp assertions deterministic.
 	clock func() time.Time
+	// ackTimeout bounds how long a produce to a replicated partition
+	// waits for the high-watermark to cover it before failing retryably
+	// (default 5s) — Kafka's request.timeout.ms under acks=all.
+	ackTimeout time.Duration
+	// replicaPoll is the follower fetch loop's idle re-poll interval
+	// (default 1ms).
+	replicaPoll time.Duration
 }
 
 // DefaultConfig mirrors the paper's broker settings.
@@ -56,7 +68,12 @@ func DefaultConfig() Config {
 	return Config{}
 }
 
-// Broker is an in-process message broker instance.
+// Broker is an in-process message broker instance. It runs alone, or as
+// one node of a replicated cluster once a controller pushes it a view
+// (node.go): the partitions a view covers are replicated, and produce,
+// fetch and await on them follow the node's leadership and
+// high-watermark. A broker that never receives a view has only
+// unreplicated partitions.
 type Broker struct {
 	cfg Config
 
@@ -70,10 +87,22 @@ type Broker struct {
 	mAwaitTimeouts *telemetry.Counter
 	mAwaitWait     *telemetry.Histogram
 
+	// mu guards the maps, the lifecycle flags and the cluster-node state
+	// below. Lock ordering: mu → replState.mu → partition.mu →
+	// topic.notifyMu; nothing locks upward.
 	mu     sync.RWMutex
 	topics map[string]*topic
 	groups map[string]*group
 	closed bool
+
+	// Cluster-node state, which a standalone broker leaves empty. down
+	// means crashed: calls answer retryable errNodeDown until Restart.
+	down     bool
+	ctrl     *Controller // set on the controller seat; routes topic admin
+	view     ClusterView
+	peers    map[int]ClusterPeer
+	fetchers map[TopicPartition]*fetcher
+	wg       sync.WaitGroup
 }
 
 // New creates a broker with the given configuration.
@@ -81,6 +110,12 @@ func New(cfg Config) *Broker {
 	if cfg.clock == nil {
 		//lint:allow clockdiscipline documented default; tests inject a fake clock
 		cfg.clock = time.Now
+	}
+	if cfg.ackTimeout <= 0 {
+		cfg.ackTimeout = 5 * time.Second
+	}
+	if cfg.replicaPoll <= 0 {
+		cfg.replicaPoll = time.Millisecond
 	}
 	return &Broker{
 		cfg:            cfg,
@@ -93,49 +128,97 @@ func New(cfg Config) *Broker {
 		mAwaitWait:     cfg.Metrics.Histogram("broker.await.wait_ns"),
 		topics:         make(map[string]*topic),
 		groups:         make(map[string]*group),
+		peers:          make(map[int]ClusterPeer),
+		fetchers:       make(map[TopicPartition]*fetcher),
 	}
 }
 
-// CreateTopic registers a topic with the given number of partitions.
+// CreateTopic registers a topic with the given number of partitions. On
+// the controller seat of a cluster it places a replicated topic
+// cluster-wide; any other cluster node refuses.
 func (b *Broker) CreateTopic(name string, partitions int) error {
+	switch ctrl, err := b.admin("create"); {
+	case err != nil:
+		return err
+	case ctrl != nil:
+		return ctrl.CreateTopic(name, partitions)
+	}
 	if partitions <= 0 {
 		return fmt.Errorf("broker: topic %q needs at least one partition", name)
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed {
-		return errClosed
+	if err := b.gateLocked(); err != nil {
+		return err
 	}
 	if _, ok := b.topics[name]; ok {
 		return fmt.Errorf("%w: %q", ErrTopicExists, name)
 	}
+	b.createTopicLocked(name, partitions)
+	return nil
+}
+
+// createTopicLocked adds an empty topic. Caller holds b.mu.
+func (b *Broker) createTopicLocked(name string, partitions int) *topic {
 	t := newTopic(name, partitions)
 	t.backlog = b.cfg.Metrics.Gauge("broker.backlog." + name)
 	b.topics[name] = t
-	return nil
+	return t
 }
 
 // DeleteTopic removes a topic, its logs, and any consumer-group offsets
 // referencing it (so a recreated topic starts clean). Whoever is parked
-// in Await on the topic wakes to errUnknownTopic.
+// in Await on the topic wakes to errUnknownTopic. Topic admin on a
+// cluster runs through the controller seat, as in CreateTopic.
 func (b *Broker) DeleteTopic(name string) error {
+	switch ctrl, err := b.admin("delete"); {
+	case err != nil:
+		return err
+	case ctrl != nil:
+		return ctrl.DeleteTopic(name)
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if err := b.gateLocked(); err != nil {
+		return err
+	}
 	t, ok := b.topics[name]
 	if !ok {
 		return fmt.Errorf("%w: %q", errUnknownTopic, name)
 	}
-	delete(b.topics, name)
-	t.wake(fmt.Errorf("%w: %q", errUnknownTopic, name))
+	b.deleteTopicLocked(t)
+	return nil
+}
+
+// deleteTopicLocked drops a topic and the group state naming it. Caller
+// holds b.mu.
+func (b *Broker) deleteTopicLocked(t *topic) {
+	delete(b.topics, t.name)
+	t.wake(fmt.Errorf("%w: %q", errUnknownTopic, t.name))
 	for _, g := range b.groups {
 		for tp := range g.committed {
-			if tp.Topic == name {
+			if tp.Topic == t.name {
 				delete(g.committed, tp)
 			}
 		}
-		delete(g.topics, name)
+		delete(g.topics, t.name)
 	}
-	return nil
+}
+
+// admin says where topic admin runs: through the controller on the
+// controller seat, here (nil, nil) on a standalone broker. A cluster
+// node — one linked to peers or holding a view — without the seat
+// refuses it.
+func (b *Broker) admin(op string) (*Controller, error) {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	if err := b.gateLocked(); err != nil {
+		return nil, err
+	}
+	if b.ctrl == nil && (len(b.peers) > 0 || b.view.Version > 0) {
+		return nil, fmt.Errorf("broker: %s is not the controller; %s topics against the controller node", b.Name(), op)
+	}
+	return b.ctrl, nil
 }
 
 // Partitions returns the partition count of a topic.
@@ -147,22 +230,44 @@ func (b *Broker) Partitions(name string) (int, error) {
 	return len(t.parts), nil
 }
 
-// Close marks the broker closed. Outstanding clients receive errClosed,
-// those parked in Await included.
+// Close shuts the broker down for good. Outstanding clients receive
+// errClosed, those parked in Await included; a cluster node's follower
+// fetchers stop and Close waits for them.
 func (b *Broker) Close() {
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.closed = true
+	b.stopFetchersLocked()
 	for _, t := range b.topics {
 		t.wake(errClosed)
 	}
+	b.mu.Unlock()
+	b.wg.Wait()
+}
+
+// gateLocked refuses every call on a closed or crashed broker. Caller
+// holds b.mu.
+func (b *Broker) gateLocked() error {
+	if b.closed {
+		return errClosed
+	}
+	if b.down {
+		return b.nodeDown()
+	}
+	return nil
+}
+
+// gate is gateLocked for a caller that holds no lock.
+func (b *Broker) gate() error {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return b.gateLocked()
 }
 
 func (b *Broker) topic(name string) (*topic, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	if b.closed {
-		return nil, errClosed
+	if err := b.gateLocked(); err != nil {
+		return nil, err
 	}
 	t, ok := b.topics[name]
 	if !ok {
@@ -171,10 +276,24 @@ func (b *Broker) topic(name string) (*topic, error) {
 	return t, nil
 }
 
-// Produce appends records to a topic partition, stamping each with the
-// broker's LogAppendTime. It returns the assigned base offset.
-func (b *Broker) Produce(topicName string, partition int, recs []Record) (int64, error) {
+// partition resolves one partition of a topic through the gate.
+func (b *Broker) partition(topicName string, id int) (*topic, *partition, error) {
 	t, err := b.topic(topicName)
+	if err != nil {
+		return nil, nil, err
+	}
+	if id < 0 || id >= len(t.parts) {
+		return nil, nil, fmt.Errorf("%w: %s/%d", errUnknownPartition, topicName, id)
+	}
+	return t, t.parts[id], nil
+}
+
+// Produce appends records to a topic partition, stamping each with the
+// broker's LogAppendTime. It returns the assigned base offset. On a
+// replicated partition only the leader takes the append, and the call
+// returns once the high-watermark covers it (produceAcked).
+func (b *Broker) Produce(topicName string, partition int, recs []Record) (int64, error) {
+	t, p, err := b.partition(topicName, partition)
 	if err != nil {
 		return 0, err
 	}
@@ -183,22 +302,26 @@ func (b *Broker) Produce(topicName string, partition int, recs []Record) (int64,
 			return 0, fmt.Errorf("%w: %d > %d bytes", errMessageTooLarge, len(recs[i].Value), maxRequestSize)
 		}
 	}
-	if partition < 0 || partition >= len(t.parts) {
-		return 0, fmt.Errorf("%w: %s/%d", errUnknownPartition, topicName, partition)
+	rs := p.repl.Load()
+	if rs != nil {
+		// A misrouted produce is refused before the hop and the fault
+		// verdicts, which belong to the leader's append.
+		if _, err := rs.visible(); err != nil {
+			return 0, err
+		}
 	}
 	if b.cfg.Network.Enabled() {
-		bytes := 0
-		for i := range recs {
-			bytes += len(recs[i].Value) + len(recs[i].key)
-		}
-		b.cfg.Network.Apply(bytes)
+		b.cfg.Network.Apply(recordBytes(recs))
 	}
 	if b.cfg.Faults != nil {
 		recs = b.applyFaults(topicName, recs)
 	}
-	base := t.parts[partition].append(recs, b.cfg.clock)
+	if rs != nil {
+		return b.produceAcked(t, p, rs, recs)
+	}
+	base := p.append(recs, b.cfg.clock)
 	b.countAppend(t, recs)
-	t.appended()
+	t.changed()
 	return base, nil
 }
 
@@ -226,55 +349,6 @@ func (b *Broker) applyFaults(topicName string, recs []Record) []Record {
 	return out
 }
 
-// replicate appends already-stamped records from a partition leader,
-// preserving their offsets and append times verbatim so replicas stay
-// byte-identical to the leader's log. It bypasses the produce-boundary
-// fault/network hooks — those fired once on the leader; replication is
-// internal traffic — and skips the client-traffic counters.
-func (b *Broker) replicate(topicName string, partition int, recs []Record) error {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return err
-	}
-	if partition < 0 || partition >= len(t.parts) {
-		return fmt.Errorf("%w: %s/%d", errUnknownPartition, topicName, partition)
-	}
-	if err := t.parts[partition].replicate(recs); err != nil {
-		return err
-	}
-	t.appended()
-	return nil
-}
-
-// replicaRead serves a follower catch-up fetch from the raw log: no
-// high-watermark clamp (followers replicate past it), no network model,
-// and no consumer-traffic counters.
-func (b *Broker) replicaRead(topicName string, partition int, offset int64, max int) ([]Record, error) {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return nil, err
-	}
-	if partition < 0 || partition >= len(t.parts) {
-		return nil, fmt.Errorf("%w: %s/%d", errUnknownPartition, topicName, partition)
-	}
-	return t.parts[partition].fetch(offset, max)
-}
-
-// truncateTo discards records at and above offset `to` — the demotion
-// path for a deposed leader, which drops its unacked tail before
-// re-fetching from the new leader.
-func (b *Broker) truncateTo(topicName string, partition int, to int64) error {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return err
-	}
-	if partition < 0 || partition >= len(t.parts) {
-		return fmt.Errorf("%w: %s/%d", errUnknownPartition, topicName, partition)
-	}
-	t.parts[partition].truncate(to)
-	return nil
-}
-
 // rebalanceGroups bumps every consumer group's generation, forcing all
 // members through a rebalance round trip. The cluster controller calls
 // it on the coordinator seat when broker membership changes, mirroring
@@ -288,8 +362,9 @@ func (b *Broker) rebalanceGroups() {
 }
 
 // AppendSignal returns a channel that is closed the next time records are
-// appended to any partition of the topic, or the topic or the broker goes
-// away. Callers must capture the channel, check for data, and only then
+// appended to any partition of the topic (on a cluster node, also when a
+// high-watermark advances or the node's leadership or liveness moves),
+// or the topic or the broker goes away. Callers must capture the channel, check for data, and only then
 // block on it: the capture-then-check order guarantees an append racing
 // the check wakes the wait instead of being lost. Await is that loop.
 func (b *Broker) AppendSignal(topicName string) (<-chan struct{}, error) {
@@ -300,12 +375,15 @@ func (b *Broker) AppendSignal(topicName string) (<-chan struct{}, error) {
 	return t.appendSignal()
 }
 
-// Await implements Transport on the topic's append signal: it returns
-// nil once a record is readable at one of the positions (a position its
-// partition's log end has moved off, so that an out-of-range one comes
-// back at once for the fetch to refuse), once wait has elapsed, or once
-// cancel closes, and errUnknownTopic or errClosed when the topic is
-// deleted or the broker closed — before the call or while it is parked.
+// Await implements Transport on the topic's signal: it returns nil once
+// a record is readable at one of the positions (a position below its
+// partition's visible end, or past its log end so that the fetch refuses
+// it), once a replicated position's partition is no longer led here (the
+// fetch answers NotLeaderError), once wait has elapsed, or once cancel
+// closes. It returns errUnknownTopic, errClosed or errNodeDown when the
+// topic is deleted, the broker closed or crashed — before the call or
+// while it is parked. An append a replicated partition has not acked
+// yet wakes the wait, which checks again and parks again.
 func (b *Broker) Await(topicName string, positions []FetchRequest, wait time.Duration, cancel <-chan struct{}) error {
 	t, err := b.topic(topicName)
 	if err != nil {
@@ -324,10 +402,14 @@ func (b *Broker) Await(topicName string, positions []FetchRequest, wait time.Dur
 	// The first check runs unarmed, so that an Await that finds records
 	// leaves no channel behind for the next append to close.
 	for !t.readable(positions) {
-		// Capture, then check: an append that races the check closes the
+		// Capture, then check: an append, a high-watermark advance, a
+		// leadership loss or a crash that races the checks closes the
 		// captured channel, so the park below wakes instead of missing it.
 		var signal <-chan struct{}
-		if signal, err = t.appendSignal(); err != nil || t.readable(positions) {
+		if signal, err = t.appendSignal(); err == nil {
+			err = b.gate()
+		}
+		if err != nil || t.readable(positions) {
 			break
 		}
 		if deadline == nil {
@@ -359,12 +441,8 @@ func (b *Broker) countAppend(t *topic, recs []Record) {
 	if b.mAppendRecords == nil {
 		return
 	}
-	bytes := 0
-	for i := range recs {
-		bytes += len(recs[i].Value) + len(recs[i].key)
-	}
 	b.mAppendRecords.Add(int64(len(recs)))
-	b.mAppendBytes.Add(int64(bytes))
+	b.mAppendBytes.Add(int64(recordBytes(recs)))
 	t.backlog.Add(int64(len(recs)))
 }
 
@@ -372,37 +450,25 @@ func (b *Broker) countFetch(t *topic, recs []Record) {
 	if b.mFetchRecords == nil || len(recs) == 0 {
 		return
 	}
-	bytes := 0
-	for i := range recs {
-		bytes += len(recs[i].Value) + len(recs[i].key)
-	}
 	b.mFetchRecords.Add(int64(len(recs)))
-	b.mFetchBytes.Add(int64(bytes))
+	b.mFetchBytes.Add(int64(recordBytes(recs)))
 	t.backlog.Add(-int64(len(recs)))
+}
+
+// recordBytes is the payload size the network model and the traffic
+// counters charge for records.
+func recordBytes(recs []Record) int {
+	n := 0
+	for i := range recs {
+		n += len(recs[i].Value) + len(recs[i].key)
+	}
+	return n
 }
 
 // Fetch reads up to maxRecords from a topic partition starting at offset.
 // It never blocks: an empty slice means the consumer caught up.
 func (b *Broker) Fetch(topicName string, partition int, offset int64, maxRecords int) ([]Record, error) {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return nil, err
-	}
-	if partition < 0 || partition >= len(t.parts) {
-		return nil, fmt.Errorf("%w: %s/%d", errUnknownPartition, topicName, partition)
-	}
-	recs, err := t.parts[partition].fetch(offset, maxRecords)
-	if err == nil {
-		if b.cfg.Network.Enabled() {
-			bytes := 0
-			for i := range recs {
-				bytes += len(recs[i].Value) + len(recs[i].key)
-			}
-			b.cfg.Network.Apply(bytes)
-		}
-		b.countFetch(t, recs)
-	}
-	return recs, err
+	return b.FetchMultiInto(topicName, []FetchRequest{{Partition: partition, Offset: offset}}, maxRecords, nil)
 }
 
 // FetchRequest names one partition position inside a multi-partition
@@ -426,7 +492,10 @@ func (b *Broker) FetchMulti(topicName string, reqs []FetchRequest, maxTotal int)
 // docs/PERFORMANCE.md). The appended Record structs copy out of the
 // log, so they stay valid regardless of what the caller later does with
 // the buffer; their Key/Value byte slices alias the immutable stored
-// records, exactly as FetchMulti's do.
+// records, exactly as FetchMulti's do. A replicated partition serves
+// only below its high-watermark, and only on its leader: records a
+// leader crash could still lose stay invisible to consumers, which is
+// what makes failover consumer-transparent.
 func (b *Broker) FetchMultiInto(topicName string, reqs []FetchRequest, maxTotal int, out []Record) ([]Record, error) {
 	t, err := b.topic(topicName)
 	if err != nil {
@@ -450,27 +519,20 @@ func (b *Broker) FetchMultiInto(topicName string, reqs []FetchRequest, maxTotal 
 	}
 	fetched := out[base:]
 	if b.cfg.Network.Enabled() {
-		bytes := 0
-		for i := range fetched {
-			bytes += len(fetched[i].Value) + len(fetched[i].key)
-		}
-		b.cfg.Network.Apply(bytes)
+		b.cfg.Network.Apply(recordBytes(fetched))
 	}
 	b.countFetch(t, fetched)
 	return out, nil
 }
 
-// EndOffset returns the next offset to be assigned in a partition (i.e.
-// the current log end).
+// EndOffset returns the end of what consumers may read in a partition:
+// the log end, or a replicated partition's high-watermark, as in Kafka.
 func (b *Broker) EndOffset(topicName string, partition int) (int64, error) {
-	t, err := b.topic(topicName)
+	_, p, err := b.partition(topicName, partition)
 	if err != nil {
 		return 0, err
 	}
-	if partition < 0 || partition >= len(t.parts) {
-		return 0, fmt.Errorf("%w: %s/%d", errUnknownPartition, topicName, partition)
-	}
-	return t.parts[partition].end(), nil
+	return p.visibleEnd()
 }
 
 // topic is a named set of partitions. backlog tracks appended-minus-
@@ -482,10 +544,11 @@ type topic struct {
 	parts   []*partition
 	backlog *telemetry.Gauge
 
-	// The append signal. notify exists only between a waiter asking for
-	// it and the append (or the topic's end) that closes it; armed mirrors
-	// notify != nil so that an append nobody waits for takes no lock and
-	// makes no channel. gone is why the topic stopped taking waiters.
+	// The topic's signal. notify exists only between a waiter asking for
+	// it and the change (or the topic's end) that closes it; armed
+	// mirrors notify != nil so that an append nobody waits for takes no
+	// lock and makes no channel. gone is why the topic stopped taking
+	// waiters.
 	armed    atomic.Bool
 	notifyMu sync.Mutex
 	notify   chan struct{}
@@ -500,11 +563,12 @@ func newTopic(name string, n int) *topic {
 	return t
 }
 
-// appended wakes every waiter parked on the topic's append signal. A
-// waiter arms the signal before it checks the log and the append lands in
-// the log before this runs, so a waiter whose check missed the append is
-// seen here as armed.
-func (t *topic) appended() {
+// changed wakes every waiter parked on the topic's signal: records were
+// appended, a high-watermark advanced, or the broker's leadership or
+// liveness moved. A waiter arms the signal before it checks, and the
+// change is made before this runs, so a waiter whose check missed the
+// change is seen here as armed.
+func (t *topic) changed() {
 	if t.armed.Load() {
 		t.wake(nil)
 	}
@@ -526,7 +590,7 @@ func (t *topic) wake(gone error) {
 	}
 }
 
-// appendSignal arms the signal and returns the channel the next append
+// appendSignal arms the signal and returns the channel the next change
 // will close, or the reason the topic is gone.
 func (t *topic) appendSignal() (<-chan struct{}, error) {
 	t.notifyMu.Lock()
@@ -542,10 +606,13 @@ func (t *topic) appendSignal() (<-chan struct{}, error) {
 }
 
 // readable reports whether a fetch at one of the positions would return
-// something: records, or the error of an offset out of range.
+// something: records, NotLeaderError, or the error of an offset out of
+// range.
 func (t *topic) readable(positions []FetchRequest) bool {
 	for _, pos := range positions {
-		if t.parts[pos.Partition].end() != pos.Offset {
+		p := t.parts[pos.Partition]
+		visible, err := p.visibleEnd()
+		if err != nil || pos.Offset < visible || pos.Offset > visible && pos.Offset > p.end() {
 			return true
 		}
 	}
@@ -553,8 +620,10 @@ func (t *topic) readable(positions []FetchRequest) bool {
 }
 
 // partition is an append-only record log; a record's offset is its index.
+// repl is its replication state, nil while no cluster view covers it.
 type partition struct {
-	id int
+	id   int
+	repl atomic.Pointer[replState]
 
 	mu   sync.RWMutex
 	recs []Record
@@ -576,17 +645,35 @@ func (p *partition) append(recs []Record, clock func() time.Time) int64 {
 	return base
 }
 
-// fetch copies up to max records starting at offset.
-func (p *partition) fetch(offset int64, max int) ([]Record, error) {
-	return p.fetchInto(offset, max, nil)
+// visibleEnd is the end of what consumers may read: the high-watermark
+// of a replicated partition this broker leads, NotLeaderError for one it
+// does not, and the log end of an unreplicated one.
+func (p *partition) visibleEnd() (int64, error) {
+	if rs := p.repl.Load(); rs != nil {
+		return rs.visible()
+	}
+	return p.end(), nil
 }
 
-// fetchInto is fetch appending into out, so multi-partition pollers
-// reuse one response buffer across calls instead of allocating per
-// partition per poll.
+// fetchInto appends up to max records a consumer may read from offset
+// to out, so multi-partition pollers reuse one response buffer across
+// calls instead of allocating per partition per poll.
 func (p *partition) fetchInto(offset int64, max int, out []Record) ([]Record, error) {
-	if max <= 0 {
-		max = 1
+	visible := int64(math.MaxInt64)
+	if rs := p.repl.Load(); rs != nil {
+		var err error
+		if visible, err = rs.visible(); err != nil {
+			return nil, err
+		}
+	}
+	return p.read(offset, max, visible, out)
+}
+
+// read appends up to n records from offset, stopping at visible, to
+// out: the raw log read under every fetch.
+func (p *partition) read(offset int64, n int, visible int64, out []Record) ([]Record, error) {
+	if n <= 0 {
+		n = 1
 	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -594,7 +681,7 @@ func (p *partition) fetchInto(offset int64, max int, out []Record) ([]Record, er
 	if offset < 0 || offset > end {
 		return nil, fmt.Errorf("%w: offset %d, log range [0, %d]", errOffsetOutOfRange, offset, end)
 	}
-	return append(out, p.recs[offset:min(offset+int64(max), end)]...), nil
+	return append(out, p.recs[offset:min(offset+int64(n), end, max(visible, offset))]...), nil
 }
 
 // replicate appends leader-stamped records verbatim. Records the

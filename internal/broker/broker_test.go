@@ -3,10 +3,14 @@ package broker
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"crayfish/internal/resilience"
 )
 
 func newTestBroker(t *testing.T) *Broker {
@@ -152,14 +156,78 @@ func TestEndOffset(t *testing.T) {
 	}
 }
 
+// TestClosedBrokerRejectsOps: every Transport op on a closed broker
+// answers errClosed, and on a crashed cluster node the retryable
+// errNodeDown that the cluster client re-routes on.
 func TestClosedBrokerRejectsOps(t *testing.T) {
-	b := newTestBroker(t)
-	b.Close()
-	if _, err := b.Produce("in", 0, []Record{{Value: []byte("x")}}); !errors.Is(err, errClosed) {
-		t.Fatalf("produce after close: %v", err)
+	tp := TopicPartition{Topic: "in", Partition: 0}
+	at := []FetchRequest{{Partition: 0}}
+	ops := map[string]func(b Transport) error{
+		"CreateTopic": func(b Transport) error { return b.CreateTopic("t2", 1) },
+		"DeleteTopic": func(b Transport) error { return b.DeleteTopic("in") },
+		"Partitions":  func(b Transport) error { _, err := b.Partitions("in"); return err },
+		"Produce": func(b Transport) error {
+			_, err := b.Produce("in", 0, []Record{{Value: []byte("x")}})
+			return err
+		},
+		"Fetch":           func(b Transport) error { _, err := b.Fetch("in", 0, 0, 1); return err },
+		"FetchMulti":      func(b Transport) error { _, err := b.FetchMulti("in", at, 1); return err },
+		"Await":           func(b Transport) error { return b.Await("in", at, never, nil) },
+		"EndOffset":       func(b Transport) error { _, err := b.EndOffset("in", 0); return err },
+		"JoinGroup":       func(b Transport) error { _, err := b.JoinGroup("g", []string{"in"}); return err },
+		"LeaveGroup":      func(b Transport) error { return b.LeaveGroup("g", "g-member-0") },
+		"FetchAssignment": func(b Transport) error { _, err := b.FetchAssignment("g", "g-member-0", 1); return err },
+		"CommitOffset":    func(b Transport) error { return b.CommitOffset("g", tp, 1) },
+		"CommittedOffset": func(b Transport) error { _, err := b.CommittedOffset("g", tp); return err },
 	}
-	if err := b.CreateTopic("t2", 1); !errors.Is(err, errClosed) {
-		t.Fatalf("create after close: %v", err)
+	if n := reflect.TypeOf((*Transport)(nil)).Elem().NumMethod(); len(ops) != n {
+		t.Fatalf("the table covers %d ops, Transport has %d", len(ops), n)
+	}
+	closed := func(t *testing.T) Transport {
+		b := newTestBroker(t)
+		if _, err := b.JoinGroup("g", []string{"in"}); err != nil {
+			t.Fatal(err)
+		}
+		b.Close()
+		return b
+	}
+	crashed := func(t *testing.T) Transport {
+		c := newTestCluster(t, 1, 1)
+		if err := c.CreateTopic("in", 4); err != nil {
+			t.Fatal(err)
+		}
+		n, err := c.Node(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.JoinGroup("g", []string{"in"}); err != nil {
+			t.Fatal(err)
+		}
+		n.Crash()
+		return n
+	}
+	names := make([]string, 0, len(ops))
+	for name := range ops {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, tc := range []struct {
+		state     string
+		shut      func(t *testing.T) Transport
+		want      error
+		retryable bool
+	}{
+		{"closed", closed, errClosed, false},
+		{"crashed node", crashed, errNodeDown, true},
+	} {
+		for _, name := range names {
+			t.Run(tc.state+"/"+name, func(t *testing.T) {
+				err := ops[name](tc.shut(t))
+				if !errors.Is(err, tc.want) || resilience.IsRetryable(err) != tc.retryable {
+					t.Fatalf("%s on a %s broker = %v, want %v (retryable %v)", name, tc.state, err, tc.want, tc.retryable)
+				}
+			})
+		}
 	}
 }
 

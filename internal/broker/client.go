@@ -55,19 +55,16 @@ var _ AppendNotifier = (*Broker)(nil)
 
 // MultiFetcherInto is the optional transport extension for polling
 // without a response slice per call: FetchMultiInto appends the fetched
-// records into the caller's reusable buffer. The in-process *Broker, a
-// cluster *Node and the TCP *RemoteClient implement it (the last at one
-// allocation per non-empty fetch, the frame body its records alias);
-// consumers on any other transport fall back to the allocating
-// FetchMulti.
+// records into the caller's reusable buffer. The in-process *Broker —
+// standalone or a cluster node — and the TCP *RemoteClient implement it
+// (the last at one allocation per non-empty fetch, the frame body its
+// records alias); consumers on any other transport fall back to the
+// allocating FetchMulti.
 type MultiFetcherInto interface {
 	FetchMultiInto(topic string, reqs []FetchRequest, maxTotal int, out []Record) ([]Record, error)
 }
 
-var (
-	_ MultiFetcherInto = (*Broker)(nil)
-	_ MultiFetcherInto = (*Node)(nil)
-)
+var _ MultiFetcherInto = (*Broker)(nil)
 
 // Producer writes records to a topic, spreading keyless records
 // round-robin across partitions and hashing keyed records.
@@ -235,7 +232,7 @@ func (c *Consumer) adopt(a Assignment) error {
 // arriving at an idle consumer costs one await and one fetch. With
 // wait == 0 Poll never blocks. An empty result means nothing arrived
 // within the wait, or cancel closed, or the transport's Await is a
-// shorter bounded wait than asked for (the cluster transports'): callers
+// shorter bounded wait than asked for (ClusterClient's): callers
 // loop on their own clock. In group mode a broker-side rebalance is
 // handled transparently by adopting the new assignment, which is checked
 // after the park and before the fetch, so no record is fetched under an

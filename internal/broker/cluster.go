@@ -133,7 +133,7 @@ type replicaFetchResponse struct {
 
 // ClusterPeer is the node-to-node surface: the controller pings peers,
 // pushes views, and queries raw log ends for elections; followers pull
-// replica fetches from leaders. A *Node implements it in process; a
+// replica fetches from leaders. A *Broker implements it in process; a
 // *RemoteClient implements it over the wire for brokerd clusters.
 type ClusterPeer interface {
 	Ping() error

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"crayfish/internal/netsim"
 	"crayfish/internal/resilience"
 )
 
@@ -653,7 +654,87 @@ func TestClusterTopicAdminRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitUntil(t, 2*time.Second, func() bool {
-		_, err := n1.Broker().Partitions("t")
+		_, err := n1.Partitions("t")
 		return errors.Is(err, errUnknownTopic)
 	}, "topic deletion to reach followers")
+}
+
+// TestClusterMultiFetchPaysOneHop: a fetch across several partitions of
+// one leader is one response, and pays the modelled network hop once,
+// as on a standalone broker — not once per partition.
+func TestClusterMultiFetchPaysOneHop(t *testing.T) {
+	const hop = 20 * time.Millisecond
+	c, err := NewCluster(ClusterConfig{
+		Nodes:             1,
+		ReplicationFactor: 1,
+		Broker:            Config{Network: netsim.Profile{Latency: hop}},
+		HeartbeatEvery:    time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.CreateTopic("t", 4); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := c.Client(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]FetchRequest, 4)
+	for p := range reqs {
+		if _, err := cl.Produce("t", p, []Record{{Value: []byte("x")}}); err != nil {
+			t.Fatal(err)
+		}
+		reqs[p] = FetchRequest{Partition: p}
+	}
+	start := time.Now()
+	recs, err := cl.FetchMulti("t", reqs, 16)
+	took := time.Since(start)
+	if err != nil || len(recs) != len(reqs) {
+		t.Fatalf("FetchMulti = %d records, %v", len(recs), err)
+	}
+	if took >= 2*hop {
+		t.Fatalf("a %d-partition fetch with a %v hop took %v: charged per partition", len(reqs), hop, took)
+	}
+}
+
+// TestClusterProduceHopHoldsNoLock: a produce serves its modelled
+// network hop before it takes the partition's replication lock, so the
+// leader answers other calls on that partition while the hop runs.
+func TestClusterProduceHopHoldsNoLock(t *testing.T) {
+	const hop = 50 * time.Millisecond
+	c, err := NewCluster(ClusterConfig{
+		Nodes:             1,
+		ReplicationFactor: 1,
+		Broker:            Config{Network: netsim.Profile{Latency: hop}},
+		HeartbeatEvery:    time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.CreateTopic("t", 1); err != nil {
+		t.Fatal(err)
+	}
+	leader, err := c.Node(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	produced := make(chan error, 1)
+	go func() {
+		_, err := leader.Produce("t", 0, []Record{{Value: []byte("x")}})
+		produced <- err
+	}()
+	time.Sleep(hop / 5) // the produce is inside its hop
+	start := time.Now()
+	if _, err := leader.EndOffset("t", 0); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took >= hop/4 {
+		t.Fatalf("EndOffset took %v while a produce served its %v hop", took, hop)
+	}
+	if err := <-produced; err != nil {
+		t.Fatal(err)
+	}
 }

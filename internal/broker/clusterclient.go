@@ -236,10 +236,20 @@ func (c *ClusterClient) FetchMulti(topic string, reqs []FetchRequest, maxTotal i
 	return out, nil
 }
 
-// Await implements Transport as a bounded timed wait on the client's
-// side (awaitBounded): no node is asked.
+// Await implements Transport as a wait of at most a millisecond on the
+// client's side: no node is asked, and it looks at no log. Positions
+// spread over several leaders would need one parked wait per leader;
+// consumers re-poll at this pace instead.
 func (c *ClusterClient) Await(topic string, positions []FetchRequest, wait time.Duration, cancel <-chan struct{}) error {
-	awaitBounded(wait, cancel)
+	if wait <= 0 {
+		return nil
+	}
+	t := time.NewTimer(min(wait, time.Millisecond))
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-cancel:
+	}
 	return nil
 }
 

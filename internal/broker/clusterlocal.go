@@ -34,8 +34,7 @@ type ClusterConfig struct {
 // controller on node 0, and named crash/restart hooks for the fault
 // injector's broker-crash / broker-restart timed events.
 type Cluster struct {
-	cfg   ClusterConfig
-	nodes []*Node
+	nodes []*Broker
 	ctrl  *Controller
 }
 
@@ -44,32 +43,17 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("broker: cluster needs at least one node")
 	}
-	if cfg.ReplicationFactor <= 0 {
-		cfg.ReplicationFactor = 1
-	}
-	if cfg.ReplicationFactor > cfg.Nodes {
-		cfg.ReplicationFactor = cfg.Nodes
-	}
-	nodes := make([]*Node, cfg.Nodes)
-	for i := range nodes {
-		n, err := NewNode(NodeConfig{
-			ID:          i,
-			Broker:      cfg.Broker,
-			ackTimeout:  cfg.AckTimeout,
-			replicaPoll: cfg.ReplicaPoll,
-		})
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = n
-	}
+	nodes := make([]*Broker, cfg.Nodes)
 	peers := make(map[int]ClusterPeer, cfg.Nodes)
-	for i, n := range nodes {
-		peers[i] = n
+	for i := range nodes {
+		bc := cfg.Broker
+		bc.ID, bc.ackTimeout, bc.replicaPoll = i, cfg.AckTimeout, cfg.ReplicaPoll
+		nodes[i] = New(bc)
+		peers[i] = nodes[i]
 	}
 	for _, n := range nodes {
 		for id, p := range peers {
-			if id != n.id {
+			if id != n.cfg.ID {
 				n.SetPeer(id, p)
 			}
 		}
@@ -78,7 +62,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		Peers:             peers,
 		ReplicationFactor: cfg.ReplicationFactor,
 		HeartbeatEvery:    cfg.HeartbeatEvery,
-		Coordinator:       nodes[0].Broker(),
+		Coordinator:       nodes[0],
 		Metrics:           cfg.Broker.Metrics,
 	})
 	if err != nil {
@@ -86,7 +70,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	nodes[0].AttachController(ctrl)
 	ctrl.Start()
-	return &Cluster{cfg: cfg, nodes: nodes, ctrl: ctrl}, nil
+	return &Cluster{nodes: nodes, ctrl: ctrl}, nil
 }
 
 // CreateTopic places and creates a replicated topic cluster-wide.
@@ -110,7 +94,7 @@ func (c *Cluster) Client(retry *resilience.Retry) (*ClusterClient, error) {
 }
 
 // Node returns the node with the given id.
-func (c *Cluster) Node(id int) (*Node, error) {
+func (c *Cluster) Node(id int) (*Broker, error) {
 	if id < 0 || id >= len(c.nodes) {
 		return nil, fmt.Errorf("broker: no node %d in a %d-node cluster", id, len(c.nodes))
 	}
@@ -118,9 +102,9 @@ func (c *Cluster) Node(id int) (*Node, error) {
 }
 
 // nodeByName resolves a fault-plan target like "node-1".
-func (c *Cluster) nodeByName(name string) (*Node, error) {
+func (c *Cluster) nodeByName(name string) (*Broker, error) {
 	for _, n := range c.nodes {
-		if n.name == name {
+		if n.Name() == name {
 			return n, nil
 		}
 	}

@@ -15,7 +15,7 @@ import (
 // wireCluster is a 3-node cluster whose every link — controller pings,
 // view pushes, replica fetches, client traffic — crosses real TCP.
 type wireCluster struct {
-	nodes   []*broker.Node
+	nodes   []*broker.Broker
 	servers []*broker.Server
 	ctrl    *broker.Controller
 	closers []func()
@@ -54,11 +54,8 @@ func newWireCluster(t *testing.T, n, rf int) *wireCluster {
 	t.Helper()
 	w := &wireCluster{}
 	for id := 0; id < n; id++ {
-		node, err := broker.NewNode(broker.NodeConfig{ID: id})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := broker.ServeNode(node, "127.0.0.1:0")
+		node := broker.New(broker.Config{ID: id})
+		srv, err := broker.Serve(node, "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +79,7 @@ func newWireCluster(t *testing.T, n, rf int) *wireCluster {
 		Peers:             peers,
 		ReplicationFactor: rf,
 		HeartbeatEvery:    time.Hour, // tests drive Tick directly
-		Coordinator:       w.nodes[0].Broker(),
+		Coordinator:       w.nodes[0],
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -31,9 +31,14 @@ type group struct {
 	committed  map[TopicPartition]int64
 }
 
-func (b *Broker) group(name string) *group {
+// group returns the named group, creating it on first use, through the
+// broker's gate.
+func (b *Broker) group(name string) (*group, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if err := b.gateLocked(); err != nil {
+		return nil, err
+	}
 	g, ok := b.groups[name]
 	if !ok {
 		g = &group{
@@ -44,7 +49,7 @@ func (b *Broker) group(name string) *group {
 		}
 		b.groups[name] = g
 	}
-	return g
+	return g, nil
 }
 
 // JoinGroup adds a member subscribing to the given topics and returns its
@@ -57,7 +62,10 @@ func (b *Broker) JoinGroup(groupName string, topics []string) (Assignment, error
 			return Assignment{}, err
 		}
 	}
-	g := b.group(groupName)
+	g, err := b.group(groupName)
+	if err != nil {
+		return Assignment{}, err
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	member := fmt.Sprintf("%s-member-%d", groupName, g.nextMember)
@@ -75,7 +83,10 @@ func (b *Broker) JoinGroup(groupName string, topics []string) (Assignment, error
 
 // LeaveGroup removes a member and triggers a rebalance.
 func (b *Broker) LeaveGroup(groupName, memberID string) error {
-	g := b.group(groupName)
+	g, err := b.group(groupName)
+	if err != nil {
+		return err
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	idx := -1
@@ -96,7 +107,10 @@ func (b *Broker) LeaveGroup(groupName, memberID string) error {
 // generation moved past the member's, it returns errRebalance and the
 // member must adopt the new assignment it receives.
 func (b *Broker) FetchAssignment(groupName, memberID string, generation int) (Assignment, error) {
-	g := b.group(groupName)
+	g, err := b.group(groupName)
+	if err != nil {
+		return Assignment{}, err
+	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	parts, ok := g.assignment[memberID]
@@ -116,7 +130,10 @@ func (b *Broker) CommitOffset(groupName string, tp TopicPartition, offset int64)
 	if offset < 0 {
 		return fmt.Errorf("broker: negative commit offset %d", offset)
 	}
-	g := b.group(groupName)
+	g, err := b.group(groupName)
+	if err != nil {
+		return err
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	g.committed[tp] = offset
@@ -126,7 +143,10 @@ func (b *Broker) CommitOffset(groupName string, tp TopicPartition, offset int64)
 // CommittedOffset returns the committed offset for a partition, or 0 when
 // the group never committed.
 func (b *Broker) CommittedOffset(groupName string, tp TopicPartition) (int64, error) {
-	g := b.group(groupName)
+	g, err := b.group(groupName)
+	if err != nil {
+		return 0, err
+	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	return g.committed[tp], nil

@@ -110,7 +110,10 @@ func TestGroupAssignmentPartitionProperty(t *testing.T) {
 		}
 		seen := map[int]bool{}
 		sizes := []int{}
-		g := b.group("g")
+		g, err := b.group("g")
+		if err != nil {
+			return false
+		}
 		b.mu.RLock()
 		defer b.mu.RUnlock()
 		if g.generation != last.Generation {

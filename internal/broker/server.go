@@ -92,9 +92,7 @@ type wireResponse struct {
 
 // requestHandler is what a Server serves: the two record-bearing ops and
 // the await as methods, every other op as a control request whose
-// response frame the handler appends. The Server is generic over it so
-// the same listener and framing serve a standalone Broker or a cluster
-// Node.
+// response frame the handler appends. A *Broker is one; tests wrap it.
 type requestHandler interface {
 	Produce(topic string, partition int, recs []Record) (int64, error)
 	MultiFetcherInto
@@ -122,17 +120,11 @@ type Server struct {
 const maxAwait = time.Second
 
 // Serve starts a TCP server for the broker on addr (e.g. "127.0.0.1:0")
-// and returns once the listener is bound.
+// and returns once the listener is bound. It serves the Transport ops
+// and, for a cluster node, the cluster ops (ping, metadata, push_view,
+// log_end, admit_follower, replica_fetch).
 func Serve(b *Broker, addr string) (*Server, error) {
-	return serveHandler(brokerHandler{b}, addr)
-}
-
-// ServeNode starts a TCP server for a cluster node: the standard
-// Transport ops gated by the node's leadership/high-watermark rules,
-// plus the cluster ops (ping, metadata, push_view, log_end,
-// replica_fetch, admit_follower).
-func ServeNode(n *Node, addr string) (*Server, error) {
-	return serveHandler(nodeHandler{n}, addr)
+	return serveHandler(b, addr)
 }
 
 func serveHandler(h requestHandler, addr string) (*Server, error) {
@@ -330,107 +322,65 @@ func appendErrorFrame(b []byte, err error) ([]byte, error) {
 	return appendControlFrame(b, failResp(&wireResponse{}, err))
 }
 
-// dispatchTransport serves the Transport ops that travel as control
-// requests against t — the shared core of the standalone-broker and
-// cluster-node handlers.
-func dispatchTransport(t Transport, req *wireRequest) *wireResponse {
-	resp := &wireResponse{}
-	fail := func(err error) *wireResponse { return failResp(resp, err) }
-	switch req.Op {
-	case "create_topic":
-		if err := t.CreateTopic(req.Topic, req.Partitions); err != nil {
-			return fail(err)
-		}
-	case "delete_topic":
-		if err := t.DeleteTopic(req.Topic); err != nil {
-			return fail(err)
-		}
-	case "partitions":
-		n, err := t.Partitions(req.Topic)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Count = n
-	case "end_offset":
-		off, err := t.EndOffset(req.Topic, req.Partition)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Offset = off
-	case "join_group":
-		a, err := t.JoinGroup(req.Group, req.Topics)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Assignment = &a
-	case "leave_group":
-		if err := t.LeaveGroup(req.Group, req.Member); err != nil {
-			return fail(err)
-		}
-	case "fetch_assignment":
-		a, err := t.FetchAssignment(req.Group, req.Member, req.Generation)
-		resp.Assignment = &a
-		if err != nil {
-			return fail(err)
-		}
-	case "commit_offset":
-		if req.TP == nil {
-			return fail(fmt.Errorf("broker: commit_offset missing tp"))
-		}
-		if err := t.CommitOffset(req.Group, *req.TP, req.Offset); err != nil {
-			return fail(err)
-		}
-	case "committed_offset":
-		if req.TP == nil {
-			return fail(fmt.Errorf("broker: committed_offset missing tp"))
-		}
-		off, err := t.CommittedOffset(req.Group, *req.TP)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Offset = off
-	default:
-		return fail(fmt.Errorf("broker: unknown op %q", req.Op))
-	}
-	return resp
-}
-
-// brokerHandler serves a standalone Broker.
-type brokerHandler struct{ *Broker }
-
-func (h brokerHandler) control(req *wireRequest, out []byte) ([]byte, error) {
-	return appendControlFrame(out, dispatchTransport(h.Broker, req))
-}
-
-// nodeHandler serves a cluster Node: the cluster ops plus the standard
-// Transport ops routed through the node's leadership gates.
-type nodeHandler struct{ *Node }
-
-func (h nodeHandler) control(req *wireRequest, out []byte) ([]byte, error) {
+// control answers one control request: a Transport op that carries no
+// records, or a cluster op from the controller or a peer node.
+func (b *Broker) control(req *wireRequest, out []byte) ([]byte, error) {
 	resp := &wireResponse{}
 	var err error
 	switch req.Op {
+	case "create_topic":
+		err = b.CreateTopic(req.Topic, req.Partitions)
+	case "delete_topic":
+		err = b.DeleteTopic(req.Topic)
+	case "partitions":
+		resp.Count, err = b.Partitions(req.Topic)
+	case "end_offset":
+		resp.Offset, err = b.EndOffset(req.Topic, req.Partition)
+	case "join_group":
+		var a Assignment
+		if a, err = b.JoinGroup(req.Group, req.Topics); err == nil {
+			resp.Assignment = &a
+		}
+	case "leave_group":
+		err = b.LeaveGroup(req.Group, req.Member)
+	case "fetch_assignment":
+		// Sent with its error too: errRebalance carries the assignment.
+		var a Assignment
+		a, err = b.FetchAssignment(req.Group, req.Member, req.Generation)
+		resp.Assignment = &a
+	case "commit_offset":
+		if req.TP == nil {
+			err = fmt.Errorf("broker: commit_offset missing tp")
+		} else {
+			err = b.CommitOffset(req.Group, *req.TP, req.Offset)
+		}
+	case "committed_offset":
+		if req.TP == nil {
+			err = fmt.Errorf("broker: committed_offset missing tp")
+		} else {
+			resp.Offset, err = b.CommittedOffset(req.Group, *req.TP)
+		}
 	case "ping":
-		err = h.Ping()
+		err = b.Ping()
 	case "metadata":
 		var v ClusterView
-		if v, err = h.ClusterView(); err == nil {
+		if v, err = b.ClusterView(); err == nil {
 			resp.View = &v
 		}
 	case "push_view":
 		if req.View == nil {
 			err = fmt.Errorf("broker: push_view missing view")
 		} else {
-			err = h.PushView(*req.View)
+			err = b.PushView(*req.View)
 		}
 	case "log_end":
-		resp.Offset, err = h.LogEnd(TopicPartition{Topic: req.Topic, Partition: req.Partition})
+		resp.Offset, err = b.LogEnd(TopicPartition{Topic: req.Topic, Partition: req.Partition})
 	case "admit_follower":
-		resp.Admitted, err = h.AdmitFollower(TopicPartition{Topic: req.Topic, Partition: req.Partition}, req.From, req.Epoch)
+		resp.Admitted, err = b.AdmitFollower(TopicPartition{Topic: req.Topic, Partition: req.Partition}, req.From, req.Epoch)
 	case "replica_fetch":
 		// The one control op answered with a records frame.
 		var r replicaFetchResponse
-		r, err = h.ReplicaFetch(replicaFetchRequest{
+		r, err = b.ReplicaFetch(replicaFetchRequest{
 			Topic:     req.Topic,
 			Partition: req.Partition,
 			Offset:    req.Offset,
@@ -442,7 +392,7 @@ func (h nodeHandler) control(req *wireRequest, out []byte) ([]byte, error) {
 			return appendRecordsFrame(out, r.HW, r.Epoch, r.Records), nil
 		}
 	default:
-		resp = dispatchTransport(h.Node, req)
+		err = fmt.Errorf("broker: unknown op %q", req.Op)
 	}
 	if err != nil {
 		resp = failResp(resp, err)

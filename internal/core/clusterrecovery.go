@@ -171,7 +171,7 @@ func clusterTransport(cluster *broker.Cluster, spec ClusterSpec, chaosFor time.D
 			cleanup()
 			return nil, nil, err
 		}
-		srv, err := broker.ServeNode(node, "127.0.0.1:0")
+		srv, err := broker.Serve(node, "127.0.0.1:0")
 		if err != nil {
 			cleanup()
 			return nil, nil, err

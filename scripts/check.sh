@@ -84,18 +84,23 @@ go test -race -count=1 \
 # Cluster conformance (docs/CLUSTER.md): a leader kill mid-produce must
 # lose zero acked records, a follower kill must be client-invisible, and
 # a broker-membership rebalance must not double-consume any offset —
-# in-process and again over real TCP with torn-frame chaos. Replication
-# is all cross-goroutine (fetchers, ack waiters, the controller sweep),
-# so this runs race-enabled and by name; the clustertest binary also
-# leak-checks every node, server, and client join.
-go test -race -count=1 -run 'TestCluster' ./internal/broker/ ./internal/broker/clustertest/
+# in-process and again over real TCP with torn-frame chaos. A node is a
+# Broker holding a view, so the gate is one table: every Transport op on
+# a closed broker answers errClosed, on a crashed node the retryable
+# errNodeDown. Replication is all cross-goroutine (fetchers, ack
+# waiters, the controller sweep), so this runs race-enabled and by name;
+# the clustertest binary also leak-checks every node, server, and
+# client join.
+go test -race -count=1 -run 'TestCluster|TestClosedBrokerRejectsOps' ./internal/broker/ ./internal/broker/clustertest/
 # Blocking fetch (docs/PERFORMANCE.md "Blocking fetch"): consumers park
 # at the broker and are woken by appends, cancels, deletions and closes
 # from other goroutines — a lost wake-up or a waiter nobody tells shows
 # as a hang, not as a wrong value. Race-enabled and by name: the await
-# ends in process and over TCP, the 10 000-round ping-pong, shutdown and
-# Close with a call parked, and every engine's Stop with its sources
-# parked for an hour.
+# ends in process and over TCP, on a standalone broker and at the leader
+# of replicated partitions (high-watermark advance, leadership loss,
+# crash; an unacked append does not end the wait), the 10 000-round
+# ping-pong, shutdown and Close with a call parked, and every engine's
+# Stop with its sources parked for an hour.
 go test -race -count=1 -timeout 5m \
 	-run 'TestAwait|TestPollNeverLosesAWakeUp|TestIdleConsumerCallsPerWait|TestServerCloseWakesParkedAwait|TestRemoteCloseEndsCallInFlight|TestRemoteAwaitCancelDropsTheConnection' \
 	./internal/broker/
