@@ -169,7 +169,7 @@ func BenchmarkBrokerFailover(b *testing.B) {
 	}
 	var ttrMs float64
 	for i := 0; i < b.N; i++ {
-		res, err := crayfish.RunClusterRecovery(cfg, plan, crayfish.ClusterSpec{})
+		res, err := crayfish.RunRecovery(cfg, plan, crayfish.ClusterSpec{Nodes: 3})
 		if err != nil {
 			b.Fatal(err)
 		}

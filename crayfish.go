@@ -185,12 +185,9 @@ type (
 	// RecoveryResult is a recovery run's outcome: the usual Result plus
 	// the loss/duplication accounting and recovery timings.
 	RecoveryResult = core.RecoveryResult
-	// ClusterSpec sizes the replicated broker cluster a failover
-	// recovery run executes against (docs/CLUSTER.md).
+	// ClusterSpec sizes the broker cluster a recovery run executes
+	// against; the zero value is one node (docs/CLUSTER.md).
 	ClusterSpec = core.ClusterSpec
-	// ClusterRecoveryResult extends RecoveryResult with the failover
-	// accounting: elections performed and the highest leader epoch.
-	ClusterRecoveryResult = core.ClusterRecoveryResult
 )
 
 // Fault kinds.
@@ -205,20 +202,14 @@ const (
 	FaultBrokerRestart = faults.BrokerRestart
 )
 
-// RunRecovery executes one experiment while the fault plan fires and
-// reports time-to-recover plus the loss/duplication books. Recovery
-// runs always use a private in-process broker. See docs/FAULTS.md.
-func RunRecovery(cfg Config, plan FaultPlan) (*RecoveryResult, error) {
-	return (&Runner{}).RunRecovery(cfg, plan)
-}
-
-// RunClusterRecovery executes one experiment against a private
-// replicated broker cluster while the fault plan fires: broker-crash
-// events kill named nodes, the controller fails leadership over, and
-// the partition-aware client re-routes. Acked-record loss must stay 0
-// across a single leader crash (docs/CLUSTER.md).
-func RunClusterRecovery(cfg Config, plan FaultPlan, spec ClusterSpec) (*ClusterRecoveryResult, error) {
-	return (&Runner{}).RunClusterRecovery(cfg, plan, spec)
+// RunRecovery executes one experiment on a private broker cluster sized
+// by spec while the fault plan fires, and reports time-to-recover, the
+// loss/duplication books and the failovers. Broker-crash events kill
+// named nodes and the partition-aware client re-routes; acked-record
+// loss must stay 0 across a single leader crash. See docs/FAULTS.md and
+// docs/CLUSTER.md.
+func RunRecovery(cfg Config, plan FaultPlan, spec ClusterSpec) (*RecoveryResult, error) {
+	return (&Runner{}).RunRecovery(cfg, plan, spec)
 }
 
 // NewTelemetry creates a live-metrics registry to attach to

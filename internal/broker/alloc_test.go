@@ -14,56 +14,71 @@ import (
 // TestPollSteadyStateAllocs pins the consumer fetch path's steady-state
 // allocation profile: once Poll's reusable request and response buffers
 // have warmed up, re-reading a topic through the in-process broker
-// (which serves FetchMultiInto) must not allocate at all. A regression
-// here means someone re-introduced a per-call slice on the hot path.
+// (which serves FetchMultiInto), or through the partition-aware client
+// of a one-node cluster, which hands the node the consumer's buffer,
+// must not allocate at all. A regression here means someone
+// re-introduced a per-call slice on the hot path.
 func TestPollSteadyStateAllocs(t *testing.T) {
 	const parts, perPart = 4, 64
-	b := New(DefaultConfig())
-	if err := b.CreateTopic("t", parts); err != nil {
-		t.Fatal(err)
-	}
-	for p := 0; p < parts; p++ {
-		recs := make([]Record, perPart)
-		for i := range recs {
-			recs[i] = Record{Value: []byte(fmt.Sprintf("p%d-%d", p, i))}
-		}
-		if _, err := b.Produce("t", p, recs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c, err := NewAssignedConsumer(b, "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	drain := func() int {
-		total := 0
-		for p := 0; p < parts; p++ {
-			c.positions[TopicPartition{Topic: "t", Partition: p}] = 0
-		}
-		for {
-			recs, err := c.Poll(128, 0, nil)
+	for via, build := range map[string]func(t *testing.T) Transport{
+		"broker": func(*testing.T) Transport { return New(DefaultConfig()) },
+		"cluster-client": func(t *testing.T) Transport {
+			cl, err := newTestCluster(t, 1, 1).Client(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(recs) == 0 {
-				return total
+			return cl
+		},
+	} {
+		t.Run(via, func(t *testing.T) {
+			tr := build(t)
+			if err := tr.CreateTopic("t", parts); err != nil {
+				t.Fatal(err)
 			}
-			total += len(recs)
-		}
-	}
+			for p := 0; p < parts; p++ {
+				recs := make([]Record, perPart)
+				for i := range recs {
+					recs[i] = Record{Value: []byte(fmt.Sprintf("p%d-%d", p, i))}
+				}
+				if _, err := tr.Produce("t", p, recs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c, err := NewAssignedConsumer(tr, "t")
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// Warm the reusable buffers, then measure.
-	if got := drain(); got != parts*perPart {
-		t.Fatalf("warm drain read %d records, want %d", got, parts*perPart)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if got := drain(); got != parts*perPart {
-			t.Fatalf("drain read %d records, want %d", got, parts*perPart)
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("steady-state Poll allocated %.1f times per drain, want 0", allocs)
+			drain := func() int {
+				total := 0
+				for p := 0; p < parts; p++ {
+					c.positions[TopicPartition{Topic: "t", Partition: p}] = 0
+				}
+				for {
+					recs, err := c.Poll(128, 0, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(recs) == 0 {
+						return total
+					}
+					total += len(recs)
+				}
+			}
+
+			// Warm the reusable buffers, then measure.
+			if got := drain(); got != parts*perPart {
+				t.Fatalf("warm drain read %d records, want %d", got, parts*perPart)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if got := drain(); got != parts*perPart {
+					t.Fatalf("drain read %d records, want %d", got, parts*perPart)
+				}
+			})
+			if allocs > 0 {
+				t.Fatalf("steady-state Poll allocated %.1f times per drain, want 0", allocs)
+			}
+		})
 	}
 }
 

@@ -408,9 +408,9 @@ func (c *countingTransport) Await(topic string, positions []FetchRequest, wait t
 	return c.Transport.Await(topic, positions, wait, cancel)
 }
 
-func (c *countingTransport) FetchMulti(topic string, reqs []FetchRequest, maxTotal int) ([]Record, error) {
+func (c *countingTransport) FetchMultiInto(topic string, reqs []FetchRequest, maxTotal int, out []Record) ([]Record, error) {
 	c.fetches.Add(1)
-	return c.Transport.FetchMulti(topic, reqs, maxTotal)
+	return c.Transport.FetchMultiInto(topic, reqs, maxTotal, out)
 }
 
 func (c *countingTransport) FetchAssignment(group, memberID string, generation int) (Assignment, error) {
@@ -422,23 +422,31 @@ func (c *countingTransport) FetchAssignment(group, memberID string, generation i
 // transport calls per wait period — one await, one assignment check, one
 // fetch — however long the period is, and a record that arrives at a
 // parked consumer costs the same three. That holds on a standalone
-// broker and at the leader of replicated partitions, in process and
-// over TCP.
+// broker and at the leader of replicated partitions, in process, over
+// TCP and through the partition-aware client of a one-node cluster.
 func TestIdleConsumerCallsPerWait(t *testing.T) {
-	for _, via := range []string{"standalone", "node", "node-tcp"} {
+	for _, via := range []string{"standalone", "node", "node-tcp", "cluster-client"} {
 		t.Run(via, func(t *testing.T) {
 			var b *Broker
+			var c *Cluster
 			if via == "standalone" {
 				b = New(DefaultConfig())
 				if err := b.CreateTopic("t", 2); err != nil {
 					t.Fatal(err)
 				}
 			} else {
-				_, b = awaitCluster(t, 1, 1)
+				c, b = awaitCluster(t, 1, 1)
 			}
 			var tr Transport = b
-			if via == "node-tcp" {
+			switch via {
+			case "node-tcp":
 				_, tr = dialServed(t, b)
+			case "cluster-client":
+				cl, err := c.Client(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr = cl
 			}
 			idleCallsPerWait(t, b, tr)
 		})
@@ -534,5 +542,73 @@ func BenchmarkPollWake(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestClusterClientAwaitMultiLeader: positions led by two nodes. The
+// client parks at one leader for at most a millisecond, so an idle
+// consumer does not spin (a node answers at once for a partition it
+// does not lead, so a client that handed it the other leader's position
+// would), and a record reaches Poll within a few re-polls whichever
+// leader the consumer is parked at: its first position, and so the
+// leader it parks at, alternates from poll to poll.
+func TestClusterClientAwaitMultiLeader(t *testing.T) {
+	c, _ := awaitCluster(t, 3, 3)
+	if l0, l1 := c.View().Partitions["t"][0].Leader, c.View().Partitions["t"][1].Leader; l0 != 0 || l1 != 1 {
+		t.Fatalf("leaders %d and %d, want 0 and 1", l0, l1)
+	}
+	cl, err := c.Client(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := &countingTransport{Transport: cl}
+	cons, err := NewAssignedConsumer(ct, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const idle = 20 * time.Millisecond
+	for start := time.Now(); time.Since(start) < idle; {
+		if recs, err := cons.Poll(8, FetchMaxWait, nil); err != nil || len(recs) != 0 {
+			t.Fatalf("idle poll = %d records, %v", len(recs), err)
+		}
+	}
+	if a := ct.awaits.Load(); a > 30 {
+		t.Fatalf("an idle consumer made %d awaits in %v", a, idle)
+	}
+
+	got := make(chan time.Time, 1)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	defer func() { close(stop); <-done }()
+	go func() {
+		defer close(done)
+		for {
+			recs, err := cons.Poll(8, FetchMaxWait, stop)
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err != nil || len(recs) > 0 {
+				if err != nil || len(recs) != 1 {
+					t.Errorf("poll = %d records, %v", len(recs), err)
+				}
+				got <- time.Now()
+				return
+			}
+		}
+	}()
+	idleAwaits := ct.awaits.Load()
+	waitUntil(t, 2*time.Second, func() bool { return ct.awaits.Load() > idleAwaits+2 }, "the consumer to park")
+	n1, err := c.Node(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n1.Produce("t", 1, []Record{{Value: []byte("x")}}); err != nil {
+		t.Fatal(err)
+	}
+	acked := time.Now()
+	if took := (<-got).Sub(acked); took > 5*time.Millisecond {
+		t.Fatalf("a record at node 1 took %v to reach a consumer parked at one of two leaders", took)
 	}
 }

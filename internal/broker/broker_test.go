@@ -172,6 +172,7 @@ func TestClosedBrokerRejectsOps(t *testing.T) {
 		},
 		"Fetch":           func(b Transport) error { _, err := b.Fetch("in", 0, 0, 1); return err },
 		"FetchMulti":      func(b Transport) error { _, err := b.FetchMulti("in", at, 1); return err },
+		"FetchMultiInto":  func(b Transport) error { _, err := b.FetchMultiInto("in", at, 1, nil); return err },
 		"Await":           func(b Transport) error { return b.Await("in", at, never, nil) },
 		"EndOffset":       func(b Transport) error { _, err := b.EndOffset("in", 0); return err },
 		"JoinGroup":       func(b Transport) error { _, err := b.JoinGroup("g", []string{"in"}); return err },

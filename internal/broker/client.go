@@ -9,9 +9,10 @@ import (
 )
 
 // Transport is the client-facing broker API. A *Broker satisfies it
-// directly (in-process transport); RemoteClient satisfies it over TCP.
-// Stream processors and the Crayfish driver are written against this
-// interface so experiments can switch transports without code changes.
+// directly (in-process transport), RemoteClient over TCP and
+// ClusterClient over a cluster's partition leaders. Stream processors
+// and the Crayfish driver are written against this interface so
+// experiments can switch transports without code changes.
 type Transport interface {
 	CreateTopic(name string, partitions int) error
 	DeleteTopic(name string) error
@@ -19,6 +20,7 @@ type Transport interface {
 	Produce(topic string, partition int, recs []Record) (int64, error)
 	Fetch(topic string, partition int, offset int64, max int) ([]Record, error)
 	FetchMulti(topic string, reqs []FetchRequest, maxTotal int) ([]Record, error)
+	MultiFetcherInto
 	// Await parks at the broker — Kafka's fetch.max.wait.ms, with
 	// fetch.min.bytes left at its default of 1 — until a record is
 	// readable at or past one of the positions, wait elapses or cancel
@@ -53,18 +55,14 @@ type AppendNotifier interface {
 
 var _ AppendNotifier = (*Broker)(nil)
 
-// MultiFetcherInto is the optional transport extension for polling
-// without a response slice per call: FetchMultiInto appends the fetched
-// records into the caller's reusable buffer. The in-process *Broker —
-// standalone or a cluster node — and the TCP *RemoteClient implement it
-// (the last at one allocation per non-empty fetch, the frame body its
-// records alias); consumers on any other transport fall back to the
-// allocating FetchMulti.
+// MultiFetcherInto is the poll path of every Transport: FetchMultiInto
+// is FetchMulti appending the fetched records into the caller's reusable
+// buffer, so a consumer polls without a response slice per call (over
+// TCP at one allocation per non-empty fetch, the frame body its records
+// alias).
 type MultiFetcherInto interface {
 	FetchMultiInto(topic string, reqs []FetchRequest, maxTotal int, out []Record) ([]Record, error)
 }
-
-var _ MultiFetcherInto = (*Broker)(nil)
 
 // Producer writes records to a topic, spreading keyless records
 // round-robin across partitions and hashing keyed records.
@@ -231,12 +229,11 @@ func (c *Consumer) adopt(a Assignment) error {
 // drained the log parks before it fetches rather than after, so a record
 // arriving at an idle consumer costs one await and one fetch. With
 // wait == 0 Poll never blocks. An empty result means nothing arrived
-// within the wait, or cancel closed, or the transport's Await is a
-// shorter bounded wait than asked for (ClusterClient's): callers
-// loop on their own clock. In group mode a broker-side rebalance is
-// handled transparently by adopting the new assignment, which is checked
-// after the park and before the fetch, so no record is fetched under an
-// assignment older than one round trip.
+// within the wait, or cancel closed, or the transport's Await returned
+// early (it may): callers loop on their own clock. In group mode a
+// broker-side rebalance is handled transparently by adopting the new
+// assignment, which is checked after the park and before the fetch, so
+// no record is fetched under an assignment older than one round trip.
 //
 // Poll is for one goroutine at a time. Buffer ownership: the returned
 // slice is the consumer's reusable response buffer — it stays valid only
@@ -310,13 +307,7 @@ func (c *Consumer) fetch(max int) ([]Record, error) {
 	}
 	c.reqs = c.appendPositionsLocked(c.reqs[:0])
 	c.rr++
-	var out []Record
-	var err error
-	if mf, ok := c.t.(MultiFetcherInto); ok {
-		out, err = mf.FetchMultiInto(c.topic, c.reqs, max, c.recs[:0])
-	} else {
-		out, err = c.t.FetchMulti(c.topic, c.reqs, max)
-	}
+	out, err := c.t.FetchMultiInto(c.topic, c.reqs, max, c.recs[:0])
 	if err != nil {
 		return nil, err
 	}

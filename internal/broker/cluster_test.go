@@ -738,3 +738,39 @@ func TestClusterProduceHopHoldsNoLock(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestClusterClientFetchSplitsPerAttempt: a client whose view is one
+// version behind believes node 1 leads both partitions, while node 0
+// leads partition 0. The first attempt's misrouted half answers
+// NotLeader and refreshes the view; the retry must split the request
+// set again by the fresh view, or every retry resends one group to a
+// node that leads only part of it until the budget runs out.
+func TestClusterClientFetchSplitsPerAttempt(t *testing.T) {
+	c := newTestCluster(t, 3, 3)
+	if err := c.CreateTopic("t", 2); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := c.Client(&resilience.Retry{BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, MaxElapsed: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < 2; p++ {
+		if _, err := cl.Produce("t", p, []Record{{Value: []byte(fmt.Sprint(p))}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stale := c.View()
+	if l0, l1 := stale.Partitions["t"][0].Leader, stale.Partitions["t"][1].Leader; l0 != 0 || l1 != 1 {
+		t.Fatalf("leaders %d and %d, want 0 and 1", l0, l1)
+	}
+	stale.Version--
+	stale.Partitions["t"][0].Leader = 1
+	cl.mu.Lock()
+	cl.view = stale
+	cl.mu.Unlock()
+
+	recs, err := cl.FetchMulti("t", []FetchRequest{{Partition: 0}, {Partition: 1}}, 16)
+	if err != nil || len(recs) != 2 {
+		t.Fatalf("fetch through a stale view = %d records, %v; want both partitions' records", len(recs), err)
+	}
+}

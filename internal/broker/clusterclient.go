@@ -2,7 +2,6 @@ package broker
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -63,39 +62,62 @@ func (c *ClusterClient) refreshView() error {
 }
 
 // leaderFor resolves the partition's leader from the cached view,
-// refreshing once when the view does not cover the partition yet.
+// refreshing once when the view does not cover the partition yet. Every
+// error is retryable: an unknown or offline partition, or a leader with
+// no link, may come right with the next view (a restarting replica may
+// revive the partition within the retry budget).
 func (c *ClusterClient) leaderFor(tp TopicPartition) (int, error) {
 	c.mu.RLock()
 	leader, err := c.view.leader(tp)
 	c.mu.RUnlock()
-	if err == nil {
-		return leader, nil
-	}
-	if rerr := c.refreshView(); rerr != nil {
-		return 0, resilience.MarkRetryable(rerr)
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	leader, err = c.view.leader(tp)
 	if err != nil {
-		// Offline or unknown: retryable — a restarting replica may
-		// revive the partition within the retry budget.
+		if err = c.refreshView(); err == nil {
+			c.mu.RLock()
+			leader, err = c.view.leader(tp)
+			c.mu.RUnlock()
+		}
+	}
+	if err == nil && leader >= len(c.links) {
+		err = fmt.Errorf("broker: leader %d of %s/%d has no link", leader, tp.Topic, tp.Partition)
+	}
+	if err != nil {
 		return 0, resilience.MarkRetryable(err)
 	}
 	return leader, nil
 }
 
-// leaderForRetry resolves a partition leader under the client's retry
-// policy — for resolution happening outside an onLeader loop (request
-// grouping), where a transient metadata miss must not escape unretried.
-func (c *ClusterClient) leaderForRetry(tp TopicPartition) (int, error) {
-	var leader int
-	err := resilience.Run(c.retry, nil, func() error {
-		var lerr error
-		leader, lerr = c.leaderFor(tp)
-		return lerr
-	})
-	return leader, err
+// leadersOf appends the leader of each request's partition to leaders.
+func (c *ClusterClient) leadersOf(topic string, reqs []FetchRequest, leaders []int) ([]int, error) {
+	for _, req := range reqs {
+		id, err := c.leaderFor(TopicPartition{Topic: topic, Partition: req.Partition})
+		if err != nil {
+			return nil, err
+		}
+		leaders = append(leaders, id)
+	}
+	return leaders, nil
+}
+
+// ledBy is the requests whose partitions node id leads, leaders[i]
+// being the leader of reqs[i]: reqs itself when id leads them all, so a
+// single-leader poll copies nothing.
+func ledBy(reqs []FetchRequest, leaders []int, id int) []FetchRequest {
+	n := 0
+	for _, l := range leaders {
+		if l == id {
+			n++
+		}
+	}
+	if n == 0 || n == len(reqs) {
+		return reqs[:n]
+	}
+	sub := make([]FetchRequest, 0, n)
+	for i, req := range reqs {
+		if leaders[i] == id {
+			sub = append(sub, req)
+		}
+	}
+	return sub
 }
 
 // onLeader runs fn against the partition leader's link, refreshing
@@ -105,9 +127,6 @@ func (c *ClusterClient) onLeader(tp TopicPartition, fn func(link ClusterTranspor
 		leader, err := c.leaderFor(tp)
 		if err != nil {
 			return err
-		}
-		if leader < 0 || leader >= len(c.links) {
-			return resilience.MarkRetryable(fmt.Errorf("broker: leader %d of %s/%d has no link", leader, tp.Topic, tp.Partition))
 		}
 		err = fn(c.links[leader])
 		if err != nil && resilience.IsRetryable(err) {
@@ -183,74 +202,76 @@ func (c *ClusterClient) Produce(topic string, partition int, recs []Record) (int
 
 // Fetch implements Transport, routed to the partition leader.
 func (c *ClusterClient) Fetch(topic string, partition int, offset int64, max int) ([]Record, error) {
-	var recs []Record
-	err := c.onLeader(TopicPartition{Topic: topic, Partition: partition}, func(l ClusterTransport) error {
-		var ferr error
-		recs, ferr = l.Fetch(topic, partition, offset, max)
-		return ferr
-	})
-	return recs, err
+	return c.FetchMultiInto(topic, []FetchRequest{{Partition: partition, Offset: offset}}, max, nil)
 }
 
-// FetchMulti implements Transport by splitting the request set across
-// partition leaders — one round trip per distinct leader, preserving
-// per-partition record order.
+// FetchMulti implements Transport.
 func (c *ClusterClient) FetchMulti(topic string, reqs []FetchRequest, maxTotal int) ([]Record, error) {
+	return c.FetchMultiInto(topic, reqs, maxTotal, nil)
+}
+
+// FetchMultiInto implements Transport by splitting the request set
+// across partition leaders — one round trip per distinct leader, in
+// node order, preserving per-partition record order — and appending
+// into out. Every attempt splits afresh from the view it reads, so a
+// retry after a leadership move re-routes each partition on its own. A
+// failed attempt's records are dropped: positions advance only on
+// records a fetch returns, so the retry reads them again.
+func (c *ClusterClient) FetchMultiInto(topic string, reqs []FetchRequest, maxTotal int, out []Record) ([]Record, error) {
 	if maxTotal <= 0 {
 		maxTotal = 1
 	}
-	byLeader := make(map[int][]FetchRequest)
-	for _, req := range reqs {
-		leader, err := c.leaderForRetry(TopicPartition{Topic: topic, Partition: req.Partition})
-		if err != nil {
-			return nil, err
+	base := len(out)
+	err := resilience.Run(c.retry, nil, func() error {
+		out = out[:base]
+		var buf [16]int
+		leaders, err := c.leadersOf(topic, reqs, buf[:0])
+		for id := 0; id < len(c.links) && err == nil && len(out)-base < maxTotal; id++ {
+			if group := ledBy(reqs, leaders, id); len(group) > 0 {
+				out, err = c.links[id].FetchMultiInto(topic, group, maxTotal-(len(out)-base), out)
+			}
 		}
-		byLeader[leader] = append(byLeader[leader], req)
-	}
-	leaders := make([]int, 0, len(byLeader))
-	for id := range byLeader {
-		leaders = append(leaders, id)
-	}
-	sort.Ints(leaders)
-	var out []Record
-	for _, id := range leaders {
-		budget := maxTotal - len(out)
-		if budget <= 0 {
-			break
+		if err != nil && resilience.IsRetryable(err) {
+			_ = c.refreshView()
 		}
-		sub := byLeader[id]
-		var recs []Record
-		// Route through onLeader keyed by the first sub-request so a
-		// leadership move mid-call re-resolves and retries this group.
-		tp := TopicPartition{Topic: topic, Partition: sub[0].Partition}
-		err := c.onLeader(tp, func(l ClusterTransport) error {
-			var ferr error
-			recs, ferr = l.FetchMulti(topic, sub, budget)
-			return ferr
-		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, recs...)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// Await implements Transport as a wait of at most a millisecond on the
-// client's side: no node is asked, and it looks at no log. Positions
-// spread over several leaders would need one parked wait per leader;
-// consumers re-poll at this pace instead.
+// Await implements Transport by parking at a leader: the leader of the
+// first position, asked about the positions it leads — a node answers
+// at once for a partition it does not lead. With no positions it parks
+// at the coordinator seat, as a single broker parks with none. When one
+// leader leads every position the park lasts the full wait; when others
+// lead some, at most a millisecond, so a record that arrives at another
+// leader waits no longer than one re-poll. A retryable failure (the
+// leader moved or died, the link broke) refreshes the view and returns
+// nil: the fetch that follows re-routes.
 func (c *ClusterClient) Await(topic string, positions []FetchRequest, wait time.Duration, cancel <-chan struct{}) error {
 	if wait <= 0 {
 		return nil
 	}
-	t := time.NewTimer(min(wait, time.Millisecond))
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-cancel:
+	var buf [16]int
+	leaders, err := c.leadersOf(topic, positions, buf[:0])
+	if err == nil {
+		leader, mine := 0, positions
+		if len(leaders) > 0 {
+			leader = leaders[0]
+			if mine = ledBy(positions, leaders, leader); len(mine) < len(positions) {
+				wait = min(wait, time.Millisecond)
+			}
+		}
+		err = c.links[leader].Await(topic, mine, wait, cancel)
 	}
-	return nil
+	if err != nil && resilience.IsRetryable(err) {
+		_ = c.refreshView()
+		return nil
+	}
+	return err
 }
 
 // EndOffset implements Transport: the leader's high-watermark, the

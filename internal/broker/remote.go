@@ -548,7 +548,6 @@ func (rc *RemoteClient) ClusterView() (ClusterView, error) {
 
 var (
 	_ Transport        = (*RemoteClient)(nil)
-	_ MultiFetcherInto = (*RemoteClient)(nil)
 	_ ClusterPeer      = (*RemoteClient)(nil)
 	_ ClusterTransport = (*RemoteClient)(nil)
 )

@@ -24,7 +24,9 @@ type RecoveryResult struct {
 	// Duplicated count broker-boundary message faults; Accounted counts
 	// unique batches the output consumer measured. Lost = Produced −
 	// Dropped − Accounted: records the pipeline failed to deliver beyond
-	// the planned drops (0 on a clean recovery).
+	// the planned drops (0 on a clean recovery; on a replicated cluster
+	// this is acked-record loss, which the high-watermark ack gate keeps
+	// at 0 while every partition keeps a live in-sync replica).
 	Produced   int
 	Dropped    int
 	Duplicated int
@@ -43,49 +45,208 @@ type RecoveryResult struct {
 	// them.
 	DegradedP95     time.Duration
 	DegradedSamples int
+	// Failovers counts the leader elections the controller performed,
+	// and LeaderEpoch is the highest epoch any partition reached: 0 and
+	// 1 on a run no broker crash touched.
+	Failovers   int
+	LeaderEpoch int
 }
 
-// RunRecovery executes one experiment while the fault plan fires: the
-// broker applies the plan's message faults, timed events crash/restart
-// the external serving daemon (when cfg serves externally) and open
-// scorer-error windows, and the SUT's clients ride the
-// faults out with retries and circuit breakers. The run then reports
-// time-to-recover and the loss/duplication accounting.
+// ClusterSpec sizes the broker cluster a fault run executes against.
+// The zero value is one node.
+type ClusterSpec struct {
+	// Nodes is the broker count (default 1). Every partition has a
+	// replica on every node.
+	Nodes int
+	// TornFrameEvery, when >0, additionally serves every node over real
+	// TCP behind a faults.NewProxy and arms a torn frame — a response
+	// stream severed mid-frame — on every node's client link at this
+	// period. Replication and controller links stay in-process, so the
+	// planned fault schedule (and its log) is untouched; the chaos lands
+	// purely on the client transport, which must ride it out. Like every
+	// planned fault the chaos window is bounded: tears stop arming once
+	// the workload and the last fault window have both passed, so the
+	// drain phase measures recovery instead of prolonging the outage.
+	TornFrameEvery time.Duration
+	// TornFrameFor bounds the chaos window explicitly. Zero derives it
+	// from the plan's last fault window and the workload duration,
+	// whichever ends later.
+	TornFrameFor time.Duration
+}
+
+// The fault run cluster's fixed timings.
+const (
+	// clusterAckTimeout bounds a produce's replication wait: small enough
+	// that an undetected dead follower surfaces as a retryable timeout
+	// well inside the experiment's retry budget.
+	clusterAckTimeout = 2 * time.Second
+	// clusterHeartbeat is the controller's liveness sweep period.
+	clusterHeartbeat = time.Millisecond
+	// clusterReplicaPoll is the follower fetch loop's idle interval,
+	// keeping replica lag far below the fault-window scale.
+	clusterReplicaPoll = 200 * time.Microsecond
+	// tornFrameBytes is how many response bytes pass before an armed tear
+	// severs the connection: mid-frame for every response the pipeline
+	// sends.
+	tornFrameBytes = 48
+)
+
+// RunRecovery executes one experiment on a private broker cluster while
+// the fault plan fires: the partition leaders apply the plan's message
+// faults, timed events crash/restart the external serving daemon (when
+// cfg serves externally), open scorer-error windows and kill or revive
+// named broker nodes (the controller elects a new leader from the ISR
+// and fences the old epoch), and the SUT's clients ride the faults out
+// with retries, circuit breakers and the partition-aware client's
+// re-routing. The run then reports time-to-recover, the loss/duplication
+// accounting and the failovers.
 //
-// Recovery runs need the fault hook at the broker's produce boundary,
-// so they always run on a private in-process broker; a Runner with an
-// overriding Transport is rejected.
-func (r *Runner) RunRecovery(cfg Config, plan faults.Plan) (*RecoveryResult, error) {
+// Fault runs need the fault hook at the brokers' produce boundary, so
+// they always build their own cluster; a Runner with an overriding
+// Transport is rejected.
+func (r *Runner) RunRecovery(cfg Config, plan faults.Plan, spec ClusterSpec) (*RecoveryResult, error) {
 	if r.Transport != nil {
-		return nil, fmt.Errorf("core: recovery runs require the private in-process broker (Transport override set)")
+		return nil, fmt.Errorf("core: fault runs own their broker cluster (Transport override set)")
 	}
-	fr, scorer, cleanup, err := prepareFaultRun(&cfg, plan)
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
-	return r.measure(cfg, broker.New(brokerConfig(cfg, fr.inj)), scorer, fr)
-}
-
-// prepareFaultRun is the prelude single-broker and cluster recovery
-// runs share: the plan's injector, counting what it fires into
-// faults.injected.*, and the SUT prepared under it. The two runs differ
-// only in the transport they build over brokerConfig(cfg, fr.inj).
-func prepareFaultRun(cfg *Config, plan faults.Plan) (*faultRun, serving.Scorer, func(), error) {
+	spec.Nodes = max(spec.Nodes, 1)
 	inj, err := faults.New(plan)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	if reg := cfg.Telemetry; reg != nil {
 		inj.OnInject(func(k faults.Kind) {
 			reg.Counter("faults.injected." + string(k)).Inc()
 		})
 	}
-	scorer, cleanup, err := prepare(cfg, inj)
+	scorer, cleanup, err := prepare(&cfg, inj)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	return &faultRun{plan: plan, inj: inj}, scorer, cleanup, nil
+	defer cleanup()
+
+	cluster, err := broker.NewCluster(broker.ClusterConfig{
+		Nodes:             spec.Nodes,
+		ReplicationFactor: spec.Nodes,
+		Broker:            brokerConfig(cfg, inj),
+		AckTimeout:        clusterAckTimeout,
+		HeartbeatEvery:    clusterHeartbeat,
+		ReplicaPoll:       clusterReplicaPoll,
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer cluster.Close()
+	// Bind before the measurement loop starts the injector: broker-crash
+	// and broker-restart events resolve their "node-<id>" targets here.
+	cluster.Bind(inj)
+
+	// Torn-frame chaos runs while the workload is live and the planned
+	// faults are in flight, then stops: an unbounded tear schedule would
+	// sever every response once drain traffic goes sparse (one armed tear
+	// is always pending), turning a bounded outage into a permanent one.
+	chaosFor := spec.TornFrameFor
+	if chaosFor <= 0 {
+		chaosFor = max(plan.LastWindowEnd(), cfg.Workload.Duration)
+	}
+	if chaosFor <= 0 {
+		chaosFor = time.Second
+	}
+	transport, wireCleanup, err := clusterTransport(cluster, spec, chaosFor, recoveryRetry(plan))
+	if err != nil {
+		return nil, err
+	}
+	defer wireCleanup()
+
+	res, err := r.measure(cfg, transport, scorer, &faultRun{plan: plan, inj: inj})
+	if err != nil {
+		return nil, err
+	}
+	// Every election bumps exactly one partition's epoch by one from its
+	// floor of 1, so the failover count is recoverable from the final
+	// view without telemetry.
+	for _, states := range cluster.View().Partitions {
+		for _, st := range states {
+			res.Failovers += st.Epoch - 1
+			res.LeaderEpoch = max(res.LeaderEpoch, st.Epoch)
+		}
+	}
+	return res, nil
+}
+
+// clusterTransport builds the client transport for a fault run: the
+// in-process partition-aware client by default, or — with torn frames
+// enabled — RemoteClients dialed through per-node fault proxies, with a
+// chaos goroutine re-arming a mid-frame tear on every link at the
+// configured period for chaosFor, then going quiet.
+func clusterTransport(cluster *broker.Cluster, spec ClusterSpec, chaosFor time.Duration, retry *resilience.Retry) (broker.Transport, func(), error) {
+	if spec.TornFrameEvery <= 0 {
+		cl, err := cluster.Client(retry)
+		return cl, func() {}, err
+	}
+	var closers []func()
+	cleanup := func() {
+		for i := len(closers) - 1; i >= 0; i-- {
+			closers[i]()
+		}
+	}
+	links := make([]broker.ClusterTransport, spec.Nodes)
+	proxies := make([]*faults.Proxy, 0, spec.Nodes)
+	for id := 0; id < spec.Nodes; id++ {
+		node, err := cluster.Node(id)
+		if err != nil {
+			cleanup()
+			return nil, nil, err
+		}
+		srv, err := broker.Serve(node, "127.0.0.1:0")
+		if err != nil {
+			cleanup()
+			return nil, nil, err
+		}
+		closers = append(closers, func() { _ = srv.Close() })
+		proxy, err := faults.NewProxy(srv.Addr())
+		if err != nil {
+			cleanup()
+			return nil, nil, err
+		}
+		closers = append(closers, func() { _ = proxy.Close() })
+		proxies = append(proxies, proxy)
+		// Each link carries its own transport retry: a torn frame is
+		// absorbed by a fresh dial at the link layer, and only sustained
+		// outages (a crashed node) escalate to the routing retry above.
+		rc, err := broker.Dial(proxy.Addr(),
+			broker.WithCallTimeout(5*time.Second),
+			broker.WithRetry(&resilience.Retry{Attempts: 10, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond}))
+		if err != nil {
+			cleanup()
+			return nil, nil, err
+		}
+		closers = append(closers, func() { _ = rc.Close() })
+		links[id] = rc
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for elapsed := time.Duration(0); elapsed < chaosFor; elapsed += spec.TornFrameEvery {
+			t := time.NewTimer(spec.TornFrameEvery)
+			select {
+			case <-stop:
+				t.Stop()
+				return
+			case <-t.C:
+			}
+			for _, p := range proxies {
+				p.TearAfter(tornFrameBytes)
+			}
+		}
+	}()
+	closers = append(closers, func() { close(stop); <-done })
+	cl, err := broker.NewClusterClient(links, retry)
+	if err != nil {
+		cleanup()
+		return nil, nil, err
+	}
+	return cl, cleanup, nil
 }
 
 // recoveryRetry builds the job-level retry policy for a fault plan: the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -38,7 +39,7 @@ func TestRunRecoveryAccountsMessageFaults(t *testing.T) {
 	r := &Runner{}
 	cfg := recoveryConfig("flink", ServingConfig{Mode: Embedded, Tool: "onnx"})
 	cfg.Telemetry = telemetry.New()
-	res, err := r.RunRecovery(cfg, messagePlan())
+	res, err := r.RunRecovery(cfg, messagePlan(), ClusterSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,6 +74,14 @@ func TestRunRecoveryAccountsMessageFaults(t *testing.T) {
 	if counters["consumer.duplicates"] != 4 {
 		t.Fatalf("consumer.duplicates = %d, want 4", counters["consumer.duplicates"])
 	}
+	// One node is a cluster no crash touched, and its consumers park at
+	// the broker between records as they do on every other run.
+	if res.Failovers != 0 || res.LeaderEpoch != 1 {
+		t.Fatalf("failovers=%d epoch=%d on one node, want 0 and 1", res.Failovers, res.LeaderEpoch)
+	}
+	if counters["broker.await.parked"] == 0 {
+		t.Fatal("broker.await.parked = 0: no consumer parked at the node")
+	}
 }
 
 // TestRunRecoveryDeterministicReplay runs the same plan over the same
@@ -83,7 +92,7 @@ func TestRunRecoveryDeterministicReplay(t *testing.T) {
 	cfg := recoveryConfig("kafka-streams", ServingConfig{Mode: Embedded, Tool: "onnx"})
 	run := func() *RecoveryResult {
 		t.Helper()
-		res, err := (&Runner{}).RunRecovery(cfg, plan)
+		res, err := (&Runner{}).RunRecovery(cfg, plan, ClusterSpec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +123,7 @@ func TestRunRecoveryHonoursBatching(t *testing.T) {
 		cfg := recoveryConfig("kafka-streams", ServingConfig{Mode: Embedded, Tool: "onnx"})
 		cfg.Batching = policy
 		cfg.Telemetry = telemetry.New()
-		res, err := (&Runner{}).RunRecovery(cfg, plan)
+		res, err := (&Runner{}).RunRecovery(cfg, plan, ClusterSpec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +160,7 @@ func TestRunRecoveryScorerErrorWindow(t *testing.T) {
 			{Kind: faults.ScorerError, At: 20 * time.Millisecond, Duration: 60 * time.Millisecond, Target: "onnx"},
 		},
 	}
-	res, err := r.RunRecovery(cfg, plan)
+	res, err := r.RunRecovery(cfg, plan, ClusterSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +195,7 @@ func TestRunRecoveryExternalCrashRestart(t *testing.T) {
 			{Kind: faults.Restart, At: 120 * time.Millisecond, Duration: 0, Target: "tf-serving"},
 		},
 	}
-	res, err := r.RunRecovery(cfg, plan)
+	res, err := r.RunRecovery(cfg, plan, ClusterSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,5 +213,106 @@ func TestRunRecoveryExternalCrashRestart(t *testing.T) {
 	// client: either the client retried or the job-level policy did.
 	if counters["resilience.retries.tf-serving"] == 0 && counters["sps.score.retries"] == 0 {
 		t.Fatal("no retries recorded across the daemon outage")
+	}
+}
+
+// failoverPlan kills node-1 mid-run and revives it later — timed events
+// only, so the fault log is a pure function of the plan and replays
+// byte-identically.
+func failoverPlan() faults.Plan {
+	return faults.Plan{
+		Seed: 42,
+		Events: []faults.Event{
+			{Kind: faults.BrokerCrash, At: 30 * time.Millisecond, Duration: 80 * time.Millisecond, Target: "node-1"},
+		},
+	}
+}
+
+// TestRunClusterRecoveryLeaderFailover kills a partition leader inside
+// a replicated cluster mid-run: the controller must fail leadership
+// over, the client must re-route, and the books must balance with zero
+// acked-record loss.
+func TestRunClusterRecoveryLeaderFailover(t *testing.T) {
+	cfg := recoveryConfig("flink", ServingConfig{Mode: Embedded, Tool: "onnx"})
+	cfg.Telemetry = telemetry.New()
+	res, err := (&Runner{}).RunRecovery(cfg, failoverPlan(), ClusterSpec{Nodes: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Result.EngineErr != nil {
+		t.Fatalf("engine error: %v", res.Result.EngineErr)
+	}
+	if !res.Recovered || res.Lost != 0 {
+		t.Fatalf("recovered=%v lost=%d, want clean failover (acked loss must be 0)", res.Recovered, res.Lost)
+	}
+	if res.Produced != 120 {
+		t.Fatalf("produced %d, want 120", res.Produced)
+	}
+	// node-1 leads partitions in both topics (round-robin placement), so
+	// its death forces at least one election and an epoch bump.
+	if res.Failovers < 1 || res.LeaderEpoch < 2 {
+		t.Fatalf("failovers=%d epoch=%d, want at least one election", res.Failovers, res.LeaderEpoch)
+	}
+	if !strings.Contains(res.FaultLog, "broker-crash") || !strings.Contains(res.FaultLog, "broker-restart") {
+		t.Fatalf("fault log missing broker events:\n%s", res.FaultLog)
+	}
+	snap := res.Result.Telemetry
+	if snap == nil {
+		t.Fatal("no telemetry snapshot")
+	}
+	if snap.Counters["broker.cluster.failovers"] < 1 {
+		t.Fatalf("broker.cluster.failovers = %d, want >= 1", snap.Counters["broker.cluster.failovers"])
+	}
+	if snap.Gauges["broker.cluster.leader_epoch"] < 2 {
+		t.Fatalf("broker.cluster.leader_epoch = %d, want >= 2", snap.Gauges["broker.cluster.leader_epoch"])
+	}
+}
+
+// TestRunClusterRecoveryReplay runs the same failover plan over the
+// same pinned workload twice: byte-identical fault logs and equal loss
+// books — the replay contract extended to cluster runs.
+func TestRunClusterRecoveryReplay(t *testing.T) {
+	cfg := recoveryConfig("kafka-streams", ServingConfig{Mode: Embedded, Tool: "onnx"})
+	run := func() *RecoveryResult {
+		t.Helper()
+		res, err := (&Runner{}).RunRecovery(cfg, failoverPlan(), ClusterSpec{Nodes: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	a, b := run(), run()
+	if a.FaultLog != b.FaultLog {
+		t.Fatalf("fault logs differ:\n--- run 1\n%s--- run 2\n%s", a.FaultLog, b.FaultLog)
+	}
+	if a.FaultLog == "" {
+		t.Fatal("empty fault log")
+	}
+	if a.Lost != b.Lost || a.Lost != 0 {
+		t.Fatalf("loss books: run1=%d run2=%d, want 0", a.Lost, b.Lost)
+	}
+}
+
+// TestRunClusterRecoveryTornFrames layers transport chaos on the
+// failover: every client link crosses real TCP through a torn-frame
+// proxy that severs responses mid-frame throughout the run. Retries
+// must absorb both the tears and the leader kill with zero acked loss.
+func TestRunClusterRecoveryTornFrames(t *testing.T) {
+	cfg := recoveryConfig("flink", ServingConfig{Mode: Embedded, Tool: "onnx"})
+	// 20ms between tears keeps the chaos rate meaningful (dozens of
+	// severed responses per run) while leaving the race-detector build
+	// enough headroom to complete round trips between them.
+	res, err := (&Runner{}).RunRecovery(cfg, failoverPlan(), ClusterSpec{
+		Nodes:          3,
+		TornFrameEvery: 20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Result.EngineErr != nil {
+		t.Fatalf("engine error: %v", res.Result.EngineErr)
+	}
+	if !res.Recovered || res.Lost != 0 {
+		t.Fatalf("recovered=%v lost=%d under torn frames, want clean failover", res.Recovered, res.Lost)
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"strconv"
 	"time"
 
@@ -47,12 +46,9 @@ func brokerFailover(opts Options) (*Report, error) {
 	// measures recovery rather than prolonging the outage. The floor
 	// keeps the period above the cost of riding one tear out (redial +
 	// retry); below it the producer crawls instead of streaming.
-	torn := d / 10
-	if torn < 25*time.Millisecond {
-		torn = 25 * time.Millisecond
-	}
 	spec := core.ClusterSpec{
-		TornFrameEvery: torn,
+		Nodes:          3,
+		TornFrameEvery: max(d/10, 25*time.Millisecond),
 		TornFrameFor:   d,
 	}
 	pairs := []struct {
@@ -63,10 +59,7 @@ func brokerFailover(opts Options) (*Report, error) {
 		{"spark-ss", embeddedTool("onnx")},
 	}
 	// The replay contract needs at least two runs per pair.
-	runs := o.Runs
-	if runs < 2 {
-		runs = 2
-	}
+	runs := max(o.Runs, 2)
 	for _, p := range pairs {
 		w := o.ffnnWorkload()
 		w.MaxEvents = maxEvents
@@ -87,47 +80,14 @@ func brokerFailover(opts Options) (*Report, error) {
 		// elections).
 		cfg.Partitions = 2
 
-		var ttrs, degs []time.Duration
-		lost, firstLog := 0, ""
-		replay := "byte-identical"
-		var last *core.ClusterRecoveryResult
-		for run := 0; run < runs; run++ {
-			cfg.Workload.Seed = int64(run + 1)
-			res, err := (&core.Runner{}).RunClusterRecovery(cfg, plan, spec)
-			if err != nil {
-				return nil, fmt.Errorf("failover %s/%s: %w", p.engine, p.serving.Tool, err)
-			}
-			if res.Result.EngineErr != nil {
-				return nil, fmt.Errorf("failover %s/%s: engine: %w", p.engine, p.serving.Tool, res.Result.EngineErr)
-			}
-			if res.Lost > lost {
-				lost = res.Lost
-			}
-			if res.Recovered {
-				ttrs = append(ttrs, res.TimeToRecover)
-			}
-			if res.DegradedSamples > 0 {
-				degs = append(degs, res.DegradedP95)
-			}
-			if firstLog == "" {
-				firstLog = res.FaultLog
-			} else if res.FaultLog != firstLog {
-				replay = "DIVERGED"
-			}
-			last = res
-			o.logf("failover %s/%s run %d: lost=%d failovers=%d epoch=%d ttr=%v",
-				p.engine, p.serving.Tool, run, res.Lost, res.Failovers, res.LeaderEpoch, res.TimeToRecover)
-		}
-		ttr, _ := aggregateRecovery(ttrs)
-		deg, _ := aggregateRecovery(degs)
-		degCell := "no samples in window"
-		if deg >= 0 {
-			degCell = fmtMs(deg)
+		b, err := runFaults(o, "failover", cfg, plan, spec, runs)
+		if err != nil {
+			return nil, err
 		}
 		r.addRow(p.engine, string(p.serving.Mode)+" "+p.serving.Tool,
-			strconv.Itoa(last.Produced), strconv.Itoa(lost),
-			strconv.Itoa(last.Failovers), strconv.Itoa(last.LeaderEpoch),
-			fmtDurOrDash(ttr), degCell, replay)
+			strconv.Itoa(b.last.Produced), strconv.Itoa(b.lost),
+			strconv.Itoa(b.last.Failovers), strconv.Itoa(b.last.LeaderEpoch),
+			b.ttr, b.degraded, b.replay)
 	}
 	r.addNote("acked lost counts records the broker acked and then failed to serve; the high-watermark gate keeps it at 0 across a single leader crash")
 	r.addNote("the crash/restart schedule is timed-only, so every run's fault log is a pure function of the plan — 'byte-identical' is asserted, not assumed")

@@ -50,44 +50,65 @@ func recoveryFaultInjection(opts Options) (*Report, error) {
 		cfg := o.baseConfig(p.engine, p.serving, w, "ffnn", 1)
 		plan := recoveryPlan(p.serving, d)
 
-		var ttrs, degs []time.Duration
-		lost := 0
-		var last *core.RecoveryResult
-		for run := 0; run < o.Runs; run++ {
-			cfg.Workload.Seed = int64(run + 1)
-			res, err := (&core.Runner{}).RunRecovery(cfg, plan)
-			if err != nil {
-				return nil, fmt.Errorf("recovery %s/%s: %w", p.engine, p.serving.Tool, err)
-			}
-			if res.Result.EngineErr != nil {
-				return nil, fmt.Errorf("recovery %s/%s: engine: %w", p.engine, p.serving.Tool, res.Result.EngineErr)
-			}
-			if res.Lost > lost {
-				lost = res.Lost
-			}
-			if res.Recovered {
-				ttrs = append(ttrs, res.TimeToRecover)
-			}
-			if res.DegradedSamples > 0 {
-				degs = append(degs, res.DegradedP95)
-			}
-			last = res
-			o.logf("recovery %s/%s run %d: lost=%d dup=%d ttr=%v degraded=%d",
-				p.engine, p.serving.Tool, run, res.Lost, res.Duplicated, res.TimeToRecover, res.DegradedSamples)
-		}
-		ttr, _ := aggregateRecovery(ttrs)
-		deg, _ := aggregateRecovery(degs)
-		degCell := "no samples in window"
-		if deg >= 0 {
-			degCell = fmtMs(deg)
+		b, err := runFaults(o, "recovery", cfg, plan, core.ClusterSpec{}, o.Runs)
+		if err != nil {
+			return nil, err
 		}
 		r.addRow(p.engine, string(p.serving.Mode)+" "+p.serving.Tool,
-			strconv.Itoa(last.Produced), strconv.Itoa(last.Dropped), strconv.Itoa(last.Duplicated),
-			strconv.Itoa(lost), fmtDurOrDash(ttr), degCell)
+			strconv.Itoa(b.last.Produced), strconv.Itoa(b.last.Dropped), strconv.Itoa(b.last.Duplicated),
+			strconv.Itoa(b.lost), b.ttr, b.degraded)
 	}
 	r.addNote("the plan is seed-driven: replaying it over the same workload reproduces the fault log byte for byte")
 	r.addNote("lost counts records missing beyond the planned drops; 0 means the retries and breakers rode the outage out")
 	return r, nil
+}
+
+// faultBooks is what a fault table keeps of one pair's runs: the last
+// run's books, the worst loss of any run, the mean recovery time and
+// degraded-window p95 as table cells, and whether every run replayed
+// the first run's fault log byte for byte.
+type faultBooks struct {
+	last          *core.RecoveryResult
+	lost          int
+	ttr, degraded string
+	replay        string
+}
+
+// runFaults runs one pair's fault run `runs` times, seeding the workload
+// 1..runs, and books them. A run that fails or whose engine failed fails
+// the table.
+func runFaults(o Options, label string, cfg core.Config, plan faults.Plan, spec core.ClusterSpec, runs int) (*faultBooks, error) {
+	b := &faultBooks{replay: "byte-identical", degraded: "no samples in window"}
+	var ttrs, degs []time.Duration
+	for run := 0; run < runs; run++ {
+		cfg.Workload.Seed = int64(run + 1)
+		res, err := (&core.Runner{}).RunRecovery(cfg, plan, spec)
+		if err == nil {
+			err = res.Result.EngineErr
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s %s/%s: %w", label, cfg.Engine, cfg.Serving.Tool, err)
+		}
+		b.lost = max(b.lost, res.Lost)
+		if res.Recovered {
+			ttrs = append(ttrs, res.TimeToRecover)
+		}
+		if res.DegradedSamples > 0 {
+			degs = append(degs, res.DegradedP95)
+		}
+		if b.last != nil && res.FaultLog != b.last.FaultLog {
+			b.replay = "DIVERGED"
+		}
+		b.last = res
+		o.logf("%s %s/%s run %d: lost=%d dup=%d failovers=%d epoch=%d ttr=%v degraded=%d",
+			label, cfg.Engine, cfg.Serving.Tool, run, res.Lost, res.Duplicated, res.Failovers, res.LeaderEpoch, res.TimeToRecover, res.DegradedSamples)
+	}
+	ttr, _ := aggregateRecovery(ttrs)
+	b.ttr = fmtDurOrDash(ttr)
+	if deg, _ := aggregateRecovery(degs); deg >= 0 {
+		b.degraded = fmtMs(deg)
+	}
+	return b, nil
 }
 
 // recoveryPlan builds the scenario's fault plan: message faults over

@@ -28,6 +28,12 @@ import (
 // maxFrame bounds one RPC frame.
 const maxFrame = 96 << 20
 
+// readChunk is the most a frame's length header alone makes a reader
+// commit: the body grows as its bytes arrive, doubling from this size,
+// so a header that promises more than follows costs at most twice the
+// bytes that did arrive. A body of at most readChunk bytes is one exact-size allocation.
+const readChunk = 64 << 10
+
 // defaultCallTimeout bounds one Call when WithTimeout is not given: no
 // hung daemon may wedge a run (a hang is indistinguishable from a
 // crash without a deadline).
@@ -194,16 +200,8 @@ func writeRequest(w io.Writer, method string, payload []byte) error {
 }
 
 func readRequest(r io.Reader) (string, []byte, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return "", nil, err
-	}
-	total := binary.BigEndian.Uint32(lenBuf[:])
-	if total > maxFrame || total < 2 {
-		return "", nil, fmt.Errorf("grpcish: bad frame length %d", total)
-	}
-	frame := make([]byte, total)
-	if _, err := io.ReadFull(r, frame); err != nil {
+	frame, err := readFrame(r, 2)
+	if err != nil {
 		return "", nil, err
 	}
 	mlen := int(binary.BigEndian.Uint16(frame))
@@ -211,6 +209,30 @@ func readRequest(r io.Reader) (string, []byte, error) {
 		return "", nil, fmt.Errorf("grpcish: bad method length %d", mlen)
 	}
 	return string(frame[2 : 2+mlen]), frame[2+mlen:], nil
+}
+
+// readFrame reads one length-prefixed frame body of at least least
+// bytes, growing it as the bytes arrive rather than trusting the length
+// up front.
+func readFrame(r io.Reader, least uint32) ([]byte, error) {
+	var lenBuf [4]byte
+	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+		return nil, err
+	}
+	total := binary.BigEndian.Uint32(lenBuf[:])
+	if total > maxFrame || total < least {
+		return nil, fmt.Errorf("grpcish: bad frame length %d", total)
+	}
+	var frame []byte
+	for n := int(total); len(frame) < n; {
+		grown := make([]byte, min(n, max(2*len(frame), readChunk)))
+		copy(grown, frame)
+		if _, err := io.ReadFull(r, grown[len(frame):]); err != nil {
+			return nil, err
+		}
+		frame = grown
+	}
+	return frame, nil
 }
 
 // response frame: u32 length | u8 status | payload.
@@ -230,16 +252,8 @@ func writeResponse(w io.Writer, status byte, payload []byte) error {
 }
 
 func readResponse(r io.Reader) (byte, []byte, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return 0, nil, err
-	}
-	total := binary.BigEndian.Uint32(lenBuf[:])
-	if total > maxFrame || total < 1 {
-		return 0, nil, fmt.Errorf("grpcish: bad frame length %d", total)
-	}
-	frame := make([]byte, total)
-	if _, err := io.ReadFull(r, frame); err != nil {
+	frame, err := readFrame(r, 1)
+	if err != nil {
 		return 0, nil, err
 	}
 	return frame[0], frame[1:], nil

@@ -60,10 +60,13 @@ go test -race -count=1 -run 'TestRunScenario' ./internal/core/
 # One experiment pipeline (DESIGN.md `internal/core`): a fault run and the
 # broker-less baseline are the ordinary run's prelude and loop, so what
 # Config says holds in them too — Batching under a fault plan (same fault
-# log, nothing lost), Load, DatasetPath and Network in RunStandalone. The
-# injector, the batcher and the standalone workers all cross goroutines:
-# race-enabled and by name.
-go test -race -count=1 -run 'TestRunRecoveryHonoursBatching|TestRunStandaloneHonoursConfig' ./internal/core/
+# log, nothing lost), Load, DatasetPath and Network in RunStandalone. A
+# one-node fault run is the cluster run at one node: its message-fault
+# books, replay, scorer-error window and daemon crash/restart ride the
+# partition-aware client, and its consumers park at the node. The
+# injector, the batcher, the controller and the standalone workers all
+# cross goroutines: race-enabled and by name.
+go test -race -count=1 -run 'TestRunRecovery|TestRunStandaloneHonoursConfig' ./internal/core/
 # The producer's sample pool and the operator's float parse
 # (docs/PERFORMANCE.md "Off both strconv floors"): a pooled record is
 # the generator's batch formatted, a repeated sample is scored in full,
@@ -87,10 +90,12 @@ go test -race -count=1 \
 # in-process and again over real TCP with torn-frame chaos. A node is a
 # Broker holding a view, so the gate is one table: every Transport op on
 # a closed broker answers errClosed, on a crashed node the retryable
-# errNodeDown. Replication is all cross-goroutine (fetchers, ack
-# waiters, the controller sweep), so this runs race-enabled and by name;
-# the clustertest binary also leak-checks every node, server, and
-# client join.
+# errNodeDown. The partition-aware client splits a fetch by leader on
+# every attempt (a stale view must not fail a poll) and parks at most a
+# millisecond at one of several leaders without spinning. Replication is all
+# cross-goroutine (fetchers, ack waiters, the controller sweep), so this
+# runs race-enabled and by name; the clustertest binary also leak-checks
+# every node, server, and client join.
 go test -race -count=1 -run 'TestCluster|TestClosedBrokerRejectsOps' ./internal/broker/ ./internal/broker/clustertest/
 # Blocking fetch (docs/PERFORMANCE.md "Blocking fetch"): consumers park
 # at the broker and are woken by appends, cancels, deletions and closes
@@ -100,7 +105,9 @@ go test -race -count=1 -run 'TestCluster|TestClosedBrokerRejectsOps' ./internal/
 # of replicated partitions (high-watermark advance, leadership loss,
 # crash; an unacked append does not end the wait), the 10 000-round
 # ping-pong, shutdown and Close with a call parked, and every engine's
-# Stop with its sources parked for an hour.
+# Stop with its sources parked for an hour. The idle-consumer test also
+# runs through the partition-aware client of a one-node cluster, which
+# parks at the node for the whole wait.
 go test -race -count=1 -timeout 5m \
 	-run 'TestAwait|TestPollNeverLosesAWakeUp|TestIdleConsumerCallsPerWait|TestServerCloseWakesParkedAwait|TestRemoteCloseEndsCallInFlight|TestRemoteAwaitCancelDropsTheConnection' \
 	./internal/broker/
@@ -131,6 +138,10 @@ go test -run '^$' -fuzz '^FuzzWireFrameDecode$' -fuzztime 8s ./internal/broker/
 # input panics one, no decoded shape holds more floats than the input
 # carries, and whatever decodes re-encodes to the same model.
 go test -run '^$' -fuzz '^FuzzModelDecode$' -fuzztime 8s ./internal/modelfmt/
+# The serving RPC frames and the batch payload they carry, under the same
+# contract: a length header alone commits no body, and whatever decodes
+# re-encodes to the same bytes.
+go test -run '^$' -fuzz '^FuzzRPCFrame$' -fuzztime 8s ./internal/grpcish/
 CRAYFISH_BENCH_SCALE=0.05 go test -run NONE -bench . -benchtime=1x .
 # Inference microbenchmarks at smoke scale: validates the harness and the
 # JSON pipeline without overwriting the tracked BENCH_inference.json

@@ -67,13 +67,13 @@ func TestRunTelemetryContract(t *testing.T) {
 			{Kind: crayfish.FaultCrash, At: 30 * time.Millisecond, Target: "tf-serving"},
 			{Kind: crayfish.FaultRestart, At: 90 * time.Millisecond, Target: "tf-serving"},
 		},
-	})
+	}, crayfish.ClusterSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	recSnap := recRes.Result.Telemetry
 
-	// The broker.cluster.* family only exists on replicated runs, so a
+	// The broker.cluster.* family moves only when a node dies, so a
 	// fourth tiny run drives a 3-node cluster through a leader crash:
 	// node-1 leads one partition per topic under round-robin placement,
 	// so its death forces real elections and moves the failover counter.
@@ -83,12 +83,12 @@ func TestRunTelemetryContract(t *testing.T) {
 	clCfg.Partitions = 2
 	clCfg.Workload.MaxEvents = 60
 	clCfg.Workload.Duration = time.Second
-	clRes, err := crayfish.RunClusterRecovery(clCfg, crayfish.FaultPlan{
+	clRes, err := crayfish.RunRecovery(clCfg, crayfish.FaultPlan{
 		Seed: 9,
 		Events: []crayfish.FaultEvent{
 			{Kind: crayfish.FaultBrokerCrash, At: 30 * time.Millisecond, Duration: 60 * time.Millisecond, Target: "node-1"},
 		},
-	}, crayfish.ClusterSpec{})
+	}, crayfish.ClusterSpec{Nodes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
