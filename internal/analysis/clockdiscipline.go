@@ -9,9 +9,10 @@ import (
 // clockRestricted lists the module-relative packages that sit on the
 // measurement's timestamp path. The paper's latency pipeline (§3.3) is
 // producer CreateTime → broker LogAppendTime → consumer, with the broker
-// clock injectable (broker.Config's clock) and all modelled waiting owned
-// by netsim.Profile / gpu's transfer model. Inside these packages a raw
-// wall-clock read or ad-hoc sleep either bypasses the injected clock
+// clock injectable (broker.Config's clock) and all modelled waiting done
+// by timing.WaitUntil, on behalf of netsim.Profile, gpu's transfer model,
+// the broker's fault hold, resilience's back-off and the pacer. Inside
+// these packages a raw wall-clock read or ad-hoc sleep either bypasses the injected clock
 // (making timestamp tests nondeterministic) or adds unmodelled delay to
 // the measurement path — exactly the perturbation §4.3 verifies the
 // harness does not introduce. The fault injector joins the list because
@@ -23,6 +24,10 @@ import (
 // The load generator joins because its arrival schedules are promised to
 // be byte-identical per seed and its pacer is the instrument that stamps
 // the offered load: both must run off the injectable loadgen.Clock.
+// Resilience joins because its back-off is modelled time and its breaker
+// and retry clocks are injected by the fault layer. The timing package
+// joins so that its own raw clock and sleep calls, the only annotated
+// waits left, stay annotated.
 var clockRestricted = []string{
 	"internal/broker",
 	"internal/netsim",
@@ -30,6 +35,8 @@ var clockRestricted = []string{
 	"internal/faults",
 	"internal/batching",
 	"internal/loadgen",
+	"internal/resilience",
+	"internal/timing",
 }
 
 // clockBanned is the set of time-package functions that must not be
@@ -43,12 +50,12 @@ var clockBanned = map[string]bool{
 
 // newClockDiscipline flags raw time.Now / time.Sleep (and After/Tick)
 // references in timestamp-path packages. Legitimate uses — the broker's
-// documented default clock, netsim's own modelled sleep — carry a
+// documented default clock, the timing package's own wait — carry a
 // //lint:allow clockdiscipline annotation stating why.
 func newClockDiscipline() *Analyzer {
 	a := &Analyzer{
 		Name: "clockdiscipline",
-		Doc:  "timestamp-path packages (broker, netsim, gpu, faults, batching, loadgen) must route time through the injected clock / network model",
+		Doc:  "timestamp-path packages (broker, netsim, gpu, faults, batching, loadgen, resilience, timing) must read time through the injected clock and wait with timing.WaitUntil",
 	}
 	a.Run = func(pass *Pass) {
 		if !clockRestrictedPkg(pass.Pkg.ModRel) {
@@ -68,7 +75,7 @@ func newClockDiscipline() *Analyzer {
 				if !isPackageRef(info, ident, "time") {
 					return true
 				}
-				pass.report(sel.Pos(), "raw time.%s in timestamp-path package %s: route through the injected clock (broker.Config's clock) or the netsim/gpu delay model, or annotate //lint:allow clockdiscipline <reason>", sel.Sel.Name, pass.Pkg.ModRel)
+				pass.report(sel.Pos(), "raw time.%s in timestamp-path package %s: read the injected clock (broker.Config's clock, loadgen.Clock) and wait for modelled time with timing.WaitUntil, or annotate //lint:allow clockdiscipline <reason>", sel.Sel.Name, pass.Pkg.ModRel)
 				return true
 			})
 		})

@@ -12,7 +12,8 @@ import (
 // import nothing but the standard library. A base package that grows a
 // module dependency silently inverts the layering and eventually cycles.
 // grpcish left the base when it gained retry support: it now sits one
-// layer up, importing internal/resilience.
+// layer up, importing internal/resilience. The one module import a base
+// package may make is a leaf package (leafRel).
 var baseRel = map[string]bool{
 	"internal/tensor":     true,
 	"internal/netsim":     true,
@@ -23,10 +24,19 @@ var baseRel = map[string]bool{
 	"internal/loadgen":    true,
 }
 
+// leafRel lists the packages below the base tier: stdlib-only like the
+// base packages, and importable by them. internal/timing is the one
+// deadline wait behind every modelled delay (netsim, gpu, resilience)
+// and the load generator's pacing, so it cannot sit beside them.
+var leafRel = map[string]bool{
+	"internal/timing": true,
+}
+
 // newLayering enforces the import DAG the architecture docs promise:
 //
-//   - base packages (tensor, netsim, telemetry, gpu, resilience, window,
-//     loadgen) import only the standard library;
+//   - leaf packages (timing) import only the standard library, and base
+//     packages (tensor, netsim, telemetry, gpu, resilience, window,
+//     loadgen) import only the standard library and leaf packages;
 //   - internal/core (the experiment driver) must not import any SPS
 //     engine package (internal/sps/<engine>) — engines are selected at
 //     the API layer via the sps registry, so the driver stays
@@ -63,8 +73,11 @@ func newLayering() *Analyzer {
 				if rel == "cmd" || strings.HasPrefix(rel, "cmd/") {
 					pass.report(imp.Pos(), "import of command package %q: nothing may import cmd/... (binaries are the top of the DAG)", path)
 				}
-				if baseRel[pkg.ModRel] {
-					pass.report(imp.Pos(), "base package %s may import only the standard library, not %q", pkg.ModRel, path)
+				if leafRel[pkg.ModRel] {
+					pass.report(imp.Pos(), "leaf package %s may import only the standard library, not %q", pkg.ModRel, path)
+				}
+				if baseRel[pkg.ModRel] && !leafRel[rel] {
+					pass.report(imp.Pos(), "base package %s may import only the standard library and leaf packages, not %q", pkg.ModRel, path)
 				}
 				if pkg.ModRel == "internal/core" && strings.HasPrefix(rel, "internal/sps/") {
 					pass.report(imp.Pos(), "internal/core must stay engine-agnostic: import engines via the sps registry, not %q", path)

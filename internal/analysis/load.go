@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -82,8 +83,9 @@ var moduleDirective = regexp.MustCompile(`(?m)^module\s+(\S+)`)
 
 // LoadModule loads, parses, and type-checks the module rooted at dir.
 // Directories named testdata or vendor, hidden directories, nested
-// modules, and *_test.go files are skipped. Type errors are recorded per
-// package, not fatal — parse errors are.
+// modules, *_test.go files, and files the go tool would not build on this
+// platform (build constraints, _GOOS suffixes) are skipped. Type errors
+// are recorded per package, not fatal — parse errors are.
 func LoadModule(dir string) (*Module, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
@@ -238,6 +240,13 @@ func (m *Module) parseDir(dir string) error {
 		n := e.Name()
 		if e.IsDir() || !strings.HasSuffix(n, ".go") ||
 			strings.HasSuffix(n, "_test.go") || strings.HasPrefix(n, ".") {
+			continue
+		}
+		ok, err := build.Default.MatchFile(dir, n)
+		if err != nil {
+			return fmt.Errorf("analysis: %w", err)
+		}
+		if !ok {
 			continue
 		}
 		names = append(names, n)

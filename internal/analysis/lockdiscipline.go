@@ -36,9 +36,9 @@ type lockEdge struct {
 //     (self-deadlock);
 //   - blocking while holding a lock: channel sends/receives, ranging
 //     over a channel, a select with no default, sync.WaitGroup.Wait,
-//     time.Sleep, and network calls (internal/grpcish, broker Client
-//     methods) — each can stall every other goroutine contending for
-//     the lock.
+//     time.Sleep, a modelled-time wait (internal/timing), and network
+//     calls (internal/grpcish, broker Client methods) — each can stall
+//     every other goroutine contending for the lock.
 //
 // Across the whole module it builds a mutex acquisition-order graph
 // (edges "A held while B acquired") and reports order cycles in Finish:
@@ -325,8 +325,8 @@ func isChanType(info *types.Info, e ast.Expr) bool {
 }
 
 // blockingCallee classifies calls that can block indefinitely: waiting
-// on a WaitGroup, sleeping, and network calls through the module's RPC
-// layer (internal/grpcish) or broker client. sync.Cond.Wait is excluded:
+// on a WaitGroup, sleeping (raw or modelled), and network calls through
+// the module's RPC layer (internal/grpcish) or broker client. sync.Cond.Wait is excluded:
 // it releases its locker while waiting.
 func blockingCallee(info *types.Info, call *ast.CallExpr) string {
 	fn := calleeFunc(info, call)
@@ -339,6 +339,8 @@ func blockingCallee(info *types.Info, call *ast.CallExpr) string {
 		return "sync.WaitGroup.Wait"
 	case path == "time" && fn.Name() == "Sleep":
 		return "time.Sleep"
+	case pkgPathHasSuffix(path, "internal/timing"):
+		return "a modelled-time wait (timing." + fn.Name() + ")"
 	case pkgPathHasSuffix(path, "internal/grpcish"):
 		return "a grpcish network call (" + fn.Name() + ")"
 	case pkgPathHasSuffix(path, "internal/broker") && recvTypeName(fn) == "Client":

@@ -23,7 +23,7 @@ var _ = []any{
 	lending.Sum, lending.Retain, lending.Publish, lending.Handoff, lending.AliasedRetain,
 	lending.Scratch, lending.BadName, lending.MissingName,
 	lockuse.Promote, lockuse.Audit, lockuse.Relock, lockuse.SendUnderLock, lockuse.PollUnderLock,
-	lockuse.SleepUnderLock, lockuse.WaitUnderLock, lockuse.CallUnderLock, lockuse.PacedRetire,
+	lockuse.SleepUnderLock, lockuse.ModelledSleepUnderLock, lockuse.WaitUnderLock, lockuse.CallUnderLock, lockuse.PacedRetire,
 	lockuse.Snapshot, lockuse.TryDrain, lockuse.Elect, lockuse.Announce, lockuse.AwaitHW,
 	lockuse.AwaitHWUnderLock,
 	model.AttnInto, model.Forward,

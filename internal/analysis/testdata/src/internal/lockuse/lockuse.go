@@ -1,7 +1,7 @@
 // Package lockuse seeds lockdiscipline violations: two-mutex
 // acquisition-order cycles, a self-relock, and blocking operations
-// (send, receive-only select, sleep, WaitGroup.Wait, RPC) inside
-// critical sections — plus the clean shapes (copy-then-send,
+// (send, receive-only select, sleep, modelled sleep, WaitGroup.Wait,
+// RPC) inside critical sections — plus the clean shapes (copy-then-send,
 // select-with-default, consistent nesting, and the cluster layer's
 // election nesting and high-watermark wait) that must stay silent.
 package lockuse
@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"fixture.test/internal/grpcish"
+	"fixture.test/internal/timing"
 )
 
 type table struct {
@@ -78,6 +79,13 @@ func SleepUnderLock(j *journal) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	time.Sleep(time.Millisecond) // want lockdiscipline
+}
+
+// ModelledSleepUnderLock holds the lock across a modelled delay.
+func ModelledSleepUnderLock(j *journal) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	timing.Sleep(time.Millisecond) // want lockdiscipline
 }
 
 // WaitUnderLock holds the lock across a WaitGroup join.

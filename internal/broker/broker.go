@@ -11,6 +11,7 @@ import (
 	"crayfish/internal/faults"
 	"crayfish/internal/netsim"
 	"crayfish/internal/telemetry"
+	"crayfish/internal/timing"
 )
 
 // Errors returned by broker operations.
@@ -343,9 +344,7 @@ func (b *Broker) applyFaults(topicName string, recs []Record) []Record {
 			out = append(out, recs[i])
 		}
 	}
-	if hold > 0 {
-		time.Sleep(hold) //lint:allow clockdiscipline modelled fault delay, applied like netsim.Profile.Apply
-	}
+	timing.Sleep(hold)
 	return out
 }
 

@@ -18,7 +18,7 @@ import (
 // (§3.3 step 1). Pacing is delegated to the workload's arrival policy
 // (Workload.LoadPolicy → internal/loadgen): the producer walks the
 // deterministic arrival schedule and a loadgen.Pacer turns offsets into
-// waits on the clock.
+// due instants it waits for on the clock.
 type InputProducer struct {
 	w       Workload
 	codec   BatchCodec
@@ -152,19 +152,20 @@ func (p *InputProducer) Run(stop <-chan struct{}) (int, error) {
 				return p.Produced(), nil
 			}
 		}
-		wait, lag, rate, ok := pacer.Tick()
+		due, lag, rate, ok := pacer.Tick()
 		if !ok {
 			// Trace replay exhausted its arrivals.
 			err := flush()
 			return p.Produced(), err
 		}
-		if wait > 0 {
+		if !due.IsZero() {
 			// When the next event is not yet due, flush what we have
-			// (linger.ms = 0) before waiting.
+			// (linger.ms = 0) before waiting; the wait still ends when
+			// the event is due, however long the flush took.
 			if err := flush(); err != nil {
 				return p.Produced(), err
 			}
-			if !pacer.Sleep(wait, stop) {
+			if !pacer.WaitUntil(due, stop) {
 				return p.Produced(), nil
 			}
 		}

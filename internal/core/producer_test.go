@@ -95,6 +95,56 @@ func TestProducerStopChannel(t *testing.T) {
 	}
 }
 
+// slowProduce charges every produce call cost on a virtual clock: the
+// flush before each paced wait takes time.
+type slowProduce struct {
+	broker.Transport
+	now  *time.Time
+	cost time.Duration
+}
+
+func (s slowProduce) Produce(topic string, partition int, recs []broker.Record) (int64, error) {
+	*s.now = s.now.Add(s.cost)
+	return s.Transport.Produce(topic, partition, recs)
+}
+
+// TestProducerIssuesAtDueAfterFlush: the producer flushes its pending
+// batch before it waits for the next event, and that flush does not make
+// the event late. On a virtual clock where each flush takes 0.3 ms, every
+// paced wait ends at the event's due instant, not 0.3 ms after it.
+func TestProducerIssuesAtDueAfterFlush(t *testing.T) {
+	now := time.Now()
+	tr := slowProduce{Transport: producerHarness(t), now: &now, cost: 300 * time.Microsecond}
+	w := Workload{InputShape: []int{4}, Load: constantLoad(1000), Duration: time.Hour, MaxEvents: 20, Seed: 1}
+	p, err := NewInputProducer(tr, "in", w, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var issued []time.Duration
+	start := now
+	p.Clock = loadgen.Clock{
+		Now: func() time.Time { return now },
+		WaitUntil: func(due time.Time, _ <-chan struct{}) bool {
+			if due.After(now) {
+				now = due
+			}
+			issued = append(issued, now.Sub(start))
+			return true
+		},
+	}
+	if _, err := p.Run(nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(issued) != 19 {
+		t.Fatalf("%d paced waits, want one per event after the first (19)", len(issued))
+	}
+	for i, at := range issued {
+		if want := time.Duration(i+1) * time.Millisecond; at != want {
+			t.Fatalf("event %d issued at +%v, want its due time +%v", i+1, at, want)
+		}
+	}
+}
+
 func TestProducerBatchContents(t *testing.T) {
 	tr := producerHarness(t)
 	w := Workload{InputShape: []int{3, 2}, BatchSize: 4, Duration: time.Second, MaxEvents: 3, Seed: 9}

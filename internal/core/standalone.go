@@ -71,13 +71,13 @@ func RunStandalone(cfg Config) (*Result, error) {
 		if cfg.Workload.MaxEvents > 0 && produced >= cfg.Workload.MaxEvents {
 			break
 		}
-		wait, _, _, ok := pacer.Tick()
+		due, _, _, ok := pacer.Tick()
 		if !ok {
 			// Trace replay exhausted its arrivals.
 			break
 		}
-		if wait > 0 {
-			pacer.Sleep(wait, nil)
+		if !due.IsZero() {
+			pacer.WaitUntil(due, nil)
 		}
 		value, _, err := pool.record(int64(produced))
 		if err != nil {

@@ -7,8 +7,9 @@
 //     speedup from real work) and charges an explicit host↔device transfer
 //     cost per inference call: bytes divided by PCIe-like bandwidth plus a
 //     fixed kernel-launch latency. The transfer pacing is the one place in
-//     this repository where time is modelled rather than computed; see
-//     DESIGN.md §5.
+//     this package where time is modelled rather than computed; see
+//     DESIGN.md §5. It is applied by timing.WaitUntil, so the 30 µs
+//     launch costs 30 µs, where a runtime timer would sleep ≈ 1.1 ms.
 package gpu
 
 import (
@@ -16,6 +17,8 @@ import (
 	"runtime"
 	"strings"
 	"time"
+
+	"crayfish/internal/timing"
 )
 
 // Device abstracts the execution hardware available to a serving runtime.
@@ -32,8 +35,8 @@ type Device interface {
 	// attention (head × query-row) lanes out alongside GEMM row ranges.
 	FastKernels() bool
 	// Transfer accounts for moving n bytes between host and device.
-	// It blocks for the modelled duration on accelerator devices and is
-	// free on the CPU.
+	// It blocks for the modelled duration on accelerator devices
+	// (timing.Sleep) and is free on the CPU.
 	Transfer(n int)
 }
 
@@ -136,9 +139,7 @@ func (g *gpuDevice) Transfer(n int) {
 	if n <= 0 {
 		return
 	}
-	d := g.cfg.LaunchLatency + time.Duration(float64(n)/g.cfg.BandwidthBytesPerSec*float64(time.Second))
-	//lint:allow clockdiscipline the modelled PCIe transfer delay itself
-	time.Sleep(d)
+	timing.Sleep(g.cfg.LaunchLatency + time.Duration(float64(n)/g.cfg.BandwidthBytesPerSec*float64(time.Second)))
 }
 
 // ByName resolves "cpu" or "gpu" (with defaults) for configuration

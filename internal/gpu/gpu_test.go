@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"sort"
 	"testing"
 	"time"
 )
@@ -42,12 +43,23 @@ func TestGPUTransferScalesWithBytes(t *testing.T) {
 	}
 }
 
+// TestGPULaunchLatencyFloor: a transfer applies its launch latency, no
+// less and no more, at 5 ms and at the default 30 µs (a runtime timer
+// sleeps that ≈ 1.1 ms). The median of 21 transfers must sit within
+// 10 % of the model, the primitive's p50 contract.
 func TestGPULaunchLatencyFloor(t *testing.T) {
-	d := NewGPU(Config{Workers: 1, BandwidthBytesPerSec: 1e12, LaunchLatency: 5 * time.Millisecond})
-	start := time.Now()
-	d.Transfer(1)
-	if time.Since(start) < 4*time.Millisecond {
-		t.Fatal("launch latency not applied")
+	for _, launch := range []time.Duration{5 * time.Millisecond, 30 * time.Microsecond} {
+		d := NewGPU(Config{Workers: 1, BandwidthBytesPerSec: 1e12, LaunchLatency: launch})
+		took := make([]time.Duration, 21)
+		for i := range took {
+			start := time.Now()
+			d.Transfer(1)
+			took[i] = time.Since(start)
+		}
+		sort.Slice(took, func(i, j int) bool { return took[i] < took[j] })
+		if p50 := took[len(took)/2]; p50 < launch*9/10 || p50 > launch*11/10 {
+			t.Errorf("launch latency %v applied as %v at p50, want within 10 %%", launch, p50)
+		}
 	}
 }
 

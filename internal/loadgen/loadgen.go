@@ -26,6 +26,8 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
+
+	"crayfish/internal/timing"
 )
 
 // ProcessKind names an arrival process.
@@ -232,16 +234,19 @@ func (s *Schedule) phaseAt(off time.Duration) Phase {
 type Clock struct {
 	// Now reads the current time.
 	Now func() time.Time
-	// After returns a channel that receives after d elapses (the wait
-	// until the next scheduled arrival).
-	After func(d time.Duration) <-chan time.Time
+	// WaitUntil blocks until deadline on this clock and reports true, or
+	// reports false once stop is closed (the wait for the next scheduled
+	// arrival).
+	WaitUntil func(deadline time.Time, stop <-chan struct{}) bool
 }
 
-// realClock is the wall-clock default used outside tests.
+// realClock is the wall-clock default used outside tests. It waits with
+// timing.WaitUntil, which ends a wait at its deadline where a runtime
+// timer would end a sub-millisecond one ≈ 1.1 ms after it.
 func realClock() Clock {
 	return Clock{
-		Now:   time.Now,   //lint:allow clockdiscipline documented default; tests inject a virtual clock
-		After: time.After, //lint:allow clockdiscipline documented default arrival timer; tests inject a virtual clock
+		Now:       time.Now, //lint:allow clockdiscipline documented default; tests inject a virtual clock
+		WaitUntil: timing.WaitUntil,
 	}
 }
 
@@ -264,7 +269,7 @@ type Pacer struct {
 // NewPacer builds a pacer over the schedule. A zero Clock defaults to
 // the wall clock.
 func NewPacer(s *Schedule, c Clock) *Pacer {
-	if c.Now == nil || c.After == nil {
+	if c.Now == nil || c.WaitUntil == nil {
 		c = realClock()
 	}
 	return &Pacer{s: s, c: c}
@@ -277,41 +282,41 @@ func (p *Pacer) Start() time.Time {
 	return p.start
 }
 
-// Tick advances to the next scheduled arrival. wait is how long the
-// caller must sleep before the arrival is due (0 when it is already
-// due), lag is how far the caller trails the schedule (0 when on time,
-// capped at MaxScheduleDebt — the excess shifts the remaining schedule),
-// rate is the instantaneous target rate, and ok is false only when a
-// replayed trace is exhausted. Saturating schedules always return
-// immediately with no wait and no lag.
-func (p *Pacer) Tick() (wait, lag time.Duration, rate float64, ok bool) {
+// Tick advances to the next scheduled arrival. due is the instant the
+// arrival falls due when that is still ahead of the clock, for the
+// caller to WaitUntil, and the zero Time when it is already due; lag is
+// how far the caller trails the schedule (0 when on time, capped at
+// MaxScheduleDebt — the excess shifts the remaining schedule), rate is
+// the instantaneous target rate, and ok is false only when a replayed
+// trace is exhausted. Saturating schedules always return immediately
+// with no due time and no lag.
+//
+// A caller that does work between Tick and the wait (the producer
+// flushes its pending batch) still issues on schedule: the wait ends at
+// due, not at a duration from the clock read Tick made.
+func (p *Pacer) Tick() (due time.Time, lag time.Duration, rate float64, ok bool) {
 	if p.s.saturating() {
-		return 0, 0, 0, true
+		return time.Time{}, 0, 0, true
 	}
 	off, rate, ok := p.s.Next()
 	if !ok {
-		return 0, 0, 0, false
+		return time.Time{}, 0, 0, false
 	}
-	due := p.start.Add(off + p.shift)
+	due = p.start.Add(off + p.shift)
 	now := p.c.Now()
-	if wait := due.Sub(now); wait > 0 {
-		return wait, 0, rate, true
+	if due.After(now) {
+		return due, 0, rate, true
 	}
 	lag = now.Sub(due)
 	if lag > MaxScheduleDebt {
 		p.shift += lag - MaxScheduleDebt
 		lag = MaxScheduleDebt
 	}
-	return 0, lag, rate, true
+	return time.Time{}, lag, rate, true
 }
 
-// Sleep waits d on the pacer's clock, returning false if stop closed
-// first.
-func (p *Pacer) Sleep(d time.Duration, stop <-chan struct{}) bool {
-	select {
-	case <-stop:
-		return false
-	case <-p.c.After(d):
-		return true
-	}
+// WaitUntil waits on the pacer's clock until due, returning false if
+// stop closed first.
+func (p *Pacer) WaitUntil(due time.Time, stop <-chan struct{}) bool {
+	return p.c.WaitUntil(due, stop)
 }

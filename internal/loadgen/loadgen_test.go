@@ -164,8 +164,8 @@ func TestPolicyValidate(t *testing.T) {
 	}
 }
 
-// vclock is a manually advanced virtual clock; After advances the clock
-// to the deadline immediately, so paced waits are instant in tests.
+// vclock is a manually advanced virtual clock; WaitUntil moves the
+// clock to the deadline immediately, so paced waits are instant in tests.
 type vclock struct {
 	now time.Time
 }
@@ -173,42 +173,58 @@ type vclock struct {
 func (v *vclock) clock() Clock {
 	return Clock{
 		Now: func() time.Time { return v.now },
-		After: func(d time.Duration) <-chan time.Time {
-			v.now = v.now.Add(d)
-			ch := make(chan time.Time, 1)
-			ch <- v.now
-			return ch
+		WaitUntil: func(deadline time.Time, stop <-chan struct{}) bool {
+			select {
+			case <-stop:
+				return false
+			default:
+			}
+			if deadline.After(v.now) {
+				v.now = deadline
+			}
+			return true
 		},
 	}
 }
 
-// TestPacerPacing: the pacer asks for exactly the schedule's inter-
-// arrival wait on a virtual clock, and reports zero lag when on time.
+// TestPacerPacing: the pacer hands out exactly the schedule's due
+// instants on a virtual clock, and reports zero lag when on time. Work
+// the caller does between Tick and the wait (the producer's flush, here
+// 0.3 ms) does not delay the arrival: every wait ends at the due
+// instant, not a flush later, so issue times do not drift.
 func TestPacerPacing(t *testing.T) {
 	s, err := Constant(1000).Schedule()
 	if err != nil {
 		t.Fatal(err)
 	}
+	const flush = 300 * time.Microsecond
 	vc := &vclock{now: time.Unix(0, 0)}
 	p := NewPacer(s, vc.clock())
-	p.Start()
-	for i := 0; i < 5; i++ {
-		wait, lag, rate, ok := p.Tick()
+	start := p.Start()
+	for i := 0; i < 50; i++ {
+		due, lag, rate, ok := p.Tick()
 		if !ok || rate != 1000 {
 			t.Fatalf("tick %d: ok=%v rate=%v", i, ok, rate)
 		}
 		if lag != 0 {
 			t.Fatalf("tick %d: on-time pacer reported lag %v", i, lag)
 		}
-		wantWait := time.Duration(0)
+		var want time.Time // arrival 0 is due at the start: no wait
 		if i > 0 {
-			wantWait = time.Millisecond
+			want = start.Add(time.Duration(i) * time.Millisecond)
 		}
-		if wait != wantWait {
-			t.Fatalf("tick %d: wait %v, want %v", i, wait, wantWait)
+		if !due.Equal(want) {
+			t.Fatalf("tick %d: due %v, want %v", i, due, want)
 		}
-		if wait > 0 && !p.Sleep(wait, nil) {
-			t.Fatalf("tick %d: sleep interrupted", i)
+		if due.IsZero() {
+			continue
+		}
+		vc.now = vc.now.Add(flush)
+		if !p.WaitUntil(due, nil) {
+			t.Fatalf("tick %d: wait interrupted", i)
+		}
+		if !vc.now.Equal(due) {
+			t.Fatalf("tick %d: issued at +%v, want its due time +%v", i, vc.now.Sub(start), due.Sub(start))
 		}
 	}
 }
@@ -225,9 +241,9 @@ func TestPacerDebtCap(t *testing.T) {
 	p.Start()
 	p.Tick() // consume arrival 0 at offset 0
 	vc.now = vc.now.Add(3 * time.Second)
-	_, lag, _, _ := p.Tick() // arrival 1 was due at 1ms: ~3s late
-	if lag != MaxScheduleDebt {
-		t.Fatalf("lag %v, want capped at %v", lag, MaxScheduleDebt)
+	due, lag, _, _ := p.Tick() // arrival 1 was due at 1ms: ~3s late
+	if lag != MaxScheduleDebt || !due.IsZero() {
+		t.Fatalf("lag %v due %v, want capped at %v and nothing to wait for", lag, due, MaxScheduleDebt)
 	}
 	// The excess was forgiven: arrival 2 (scheduled 2ms) shifted forward
 	// by ~3s-1ms-1s, so its remaining lag is just under the cap.
@@ -247,28 +263,35 @@ func TestPacerSaturate(t *testing.T) {
 	p := NewPacer(s, vc.clock())
 	p.Start()
 	for i := 0; i < 3; i++ {
-		wait, lag, _, ok := p.Tick()
-		if !ok || wait != 0 || lag != 0 {
-			t.Fatalf("saturating tick %d: wait=%v lag=%v ok=%v", i, wait, lag, ok)
+		due, lag, _, ok := p.Tick()
+		if !ok || !due.IsZero() || lag != 0 {
+			t.Fatalf("saturating tick %d: due=%v lag=%v ok=%v", i, due, lag, ok)
 		}
 	}
 }
 
-// TestPacerSleepStop: a closed stop channel interrupts the paced sleep.
-func TestPacerSleepStop(t *testing.T) {
+// TestPacerWaitStop: a closed stop channel interrupts the paced wait,
+// on an injected clock that never reaches the deadline and on the wall
+// clock's default.
+func TestPacerWaitStop(t *testing.T) {
 	s, err := Constant(1).Schedule()
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocked := Clock{
-		Now:   func() time.Time { return time.Unix(0, 0) },
-		After: func(d time.Duration) <-chan time.Time { return make(chan time.Time) },
-	}
-	p := NewPacer(s, blocked)
 	stop := make(chan struct{})
 	close(stop)
-	if p.Sleep(time.Hour, stop) {
-		t.Fatal("sleep survived a closed stop channel")
+	blocked := Clock{
+		Now: func() time.Time { return time.Unix(0, 0) },
+		WaitUntil: func(_ time.Time, stop <-chan struct{}) bool {
+			<-stop
+			return false
+		},
+	}
+	for name, c := range map[string]Clock{"injected": blocked, "default": {}} {
+		p := NewPacer(s, c)
+		if p.WaitUntil(p.Start().Add(time.Hour), stop) {
+			t.Fatalf("%s clock: an hour's wait survived a closed stop channel", name)
+		}
 	}
 }
 

@@ -4,11 +4,20 @@
 // 1.565 ms). This repository runs everything on one host, so experiments
 // opt into a Profile that injects the corresponding one-way delay at the
 // broker and at the external serving daemons. This pacing and the GPU
-// transfer model are the only modelled-time elements in the repository
-// (DESIGN.md §5); everything else is real work.
+// transfer model are the only modelled network and device time in the
+// repository (DESIGN.md §5); everything else is real work.
+//
+// A delay is applied by timing.WaitUntil, to within a few µs of the
+// model: a runtime timer would stretch the LAN profile's 0.5 ms hop of a
+// 3 KB message to ≈ 1.1 ms, and its round trip to ≈ 2.2 ms against the
+// paper's 0.945 ms.
 package netsim
 
-import "time"
+import (
+	"time"
+
+	"crayfish/internal/timing"
+)
 
 // Profile describes one network link.
 type Profile struct {
@@ -42,13 +51,11 @@ func (p Profile) delay(n int) time.Duration {
 	return d
 }
 
-// Apply blocks for the modelled transfer time of n bytes.
+// Apply blocks for the modelled transfer time of n bytes, applied by
+// timing.Sleep to within a few µs of the model.
 func (p Profile) Apply(n int) {
 	if !p.Enabled() {
 		return
 	}
-	if d := p.delay(n); d > 0 {
-		//lint:allow clockdiscipline the modelled transfer delay itself
-		time.Sleep(d)
-	}
+	timing.Sleep(p.delay(n))
 }

@@ -20,6 +20,8 @@ import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"crayfish/internal/timing"
 )
 
 // markedErr wraps an error to flag it as retryable. It preserves the
@@ -110,7 +112,7 @@ func (b *Breaker) now() time.Time {
 	if b.clock != nil {
 		return b.clock()
 	}
-	return time.Now()
+	return time.Now() //lint:allow clockdiscipline documented default; the fault layer injects its clock
 }
 
 func (b *Breaker) threshold() int {
@@ -247,7 +249,7 @@ type Retry struct {
 	// instead of attempt count.
 	MaxElapsed time.Duration
 	// Sleep and Clock are injectable for tests and the fault layer
-	// (defaults time.Sleep / time.Now).
+	// (defaults timing.Sleep / time.Now).
 	Sleep func(time.Duration)
 	clock func() time.Time
 	// OnAttempt, if set, observes every retry (attempt numbers start at
@@ -287,7 +289,7 @@ func (r *Retry) now() time.Time {
 	if r.clock != nil {
 		return r.clock()
 	}
-	return time.Now()
+	return time.Now() //lint:allow clockdiscipline documented default; the fault layer injects its clock
 }
 
 func (r *Retry) sleep(d time.Duration) {
@@ -295,7 +297,7 @@ func (r *Retry) sleep(d time.Duration) {
 		r.Sleep(d)
 		return
 	}
-	time.Sleep(d)
+	timing.Sleep(d)
 }
 
 // backoff returns the delay before retry number attempt (1-based),

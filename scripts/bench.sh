@@ -35,7 +35,11 @@
 # (broker_tcp_rt_us_per_rec). The wake rung books the blocking fetch
 # (docs/PERFORMANCE.md "Blocking fetch"): the time from an append to the
 # parked consumer holding the record, in process and over loopback
-# (poll_wake_us_inproc, poll_wake_us_tcp).
+# (poll_wake_us_inproc, poll_wake_us_tcp). The deadline-wait rung books
+# the modelled-time wait every paced event and modelled delay goes
+# through (DESIGN.md §5): per wait at 20 µs, 200 µs and 2 ms, how late it
+# ended at p50 and p99 and the process CPU it burned
+# (deadline_wait_err_p50_us, deadline_wait_err_p99_us, deadline_wait_cpu_us).
 #
 #   BENCHTIME   per-benchmark budget (default 1s; check.sh passes 50x)
 #   OUT         output path (default BENCH_inference.json)
@@ -46,7 +50,7 @@ BENCHTIME="${BENCHTIME:-1s}"
 OUT="${OUT:-BENCH_inference.json}"
 
 go test -run NONE -benchmem -benchtime "$BENCHTIME" \
-	-bench 'MatMulBlocked128|QMatMul$|Conv2D$|Conv2DInto$|ConvDirectVsWinograd|PlanForward|QPlanAgreement$|UnplannedForward|ScoreResNet|ScoreFFNN|ScoreBatchedVsUnbatched|ServerCapacitySweep$|BrokerFailover$|AttentionFusedVsUnfused|JSONCodec|ProducerRecord|WireFrame|RemoteProduceFetch$|PollWake' \
+	-bench 'MatMulBlocked128|QMatMul$|Conv2D$|Conv2DInto$|ConvDirectVsWinograd|PlanForward|QPlanAgreement$|UnplannedForward|ScoreResNet|ScoreFFNN|ScoreBatchedVsUnbatched|ServerCapacitySweep$|BrokerFailover$|AttentionFusedVsUnfused|JSONCodec|ProducerRecord|WireFrame|RemoteProduceFetch$|PollWake|DeadlineWait' \
 	./internal/tensor/ ./internal/model/ ./internal/serving/embedded/ ./internal/serving/external/ ./internal/core/ ./internal/broker/ . \
 	| awk -v benchtime="$BENCHTIME" '
 	/^pkg:/ { pkg = $2 }
@@ -59,6 +63,9 @@ go test -run NONE -benchmem -benchtime "$BENCHTIME" \
 			if ($i == "capacity_rps") cap = $(i - 1)
 			if ($i == "recovery_ms") ttr = $(i - 1)
 			if ($i == "top1_delta") { delta = $(i - 1); dseen = 1 }
+			if ($i == "err_p50_us") werr50 = $(i - 1)
+			if ($i == "err_p99_us") werr99 = $(i - 1)
+			if ($i == "cpu_us") wcpu = $(i - 1)
 		}
 		if (n++) printf ",\n"
 		printf "    {\"pkg\": \"%s\", \"name\": \"%s\", \"iters\": %s, \"ns_op\": %s, \"b_op\": %s, \"allocs_op\": %s}", pkg, name, $2, ns, bytes, allocs
@@ -86,6 +93,13 @@ go test -run NONE -benchmem -benchtime "$BENCHTIME" \
 		if (name ~ /RemoteProduceFetch$/)                 { rtns = ns }
 		if (name ~ /PollWake\/inproc$/)                   { pwins = ns }
 		if (name ~ /PollWake\/tcp$/)                      { pwtns = ns }
+		if (name ~ /DeadlineWait\//) {
+			target = name; sub(/.*\//, "", target)
+			wsep = nw++ ? ", " : ""
+			w50 = w50 wsep "\"" target "\": " werr50
+			w99 = w99 wsep "\"" target "\": " werr99
+			wcpus = wcpus wsep "\"" target "\": " wcpu
+		}
 	}
 	END {
 		printf "\n  ],\n"
@@ -164,6 +178,13 @@ go test -run NONE -benchmem -benchtime "$BENCHTIME" \
 		if (pwins > 0 && pwtns > 0) {
 			printf "  \"poll_wake_us_inproc\": %.2f,\n", pwins / 1000
 			printf "  \"poll_wake_us_tcp\": %.2f,\n", pwtns / 1000
+		}
+		# The modelled-time wait (DESIGN.md §5): per target, µs late at
+		# p50 and p99, and µs of process CPU per wait.
+		if (nw > 0) {
+			printf "  \"deadline_wait_err_p50_us\": {%s},\n", w50
+			printf "  \"deadline_wait_err_p99_us\": {%s},\n", w99
+			printf "  \"deadline_wait_cpu_us\": {%s},\n", wcpus
 		}
 		# The server scenario capacity (highest offered Poisson rate
 		# meeting the p99 bound; docs/SCENARIOS.md).

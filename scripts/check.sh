@@ -57,6 +57,13 @@ go test -race -count=1 \
 	-run 'TestScheduleDeterminism|TestScheduleGolden|TestScenarioVerdicts|TestPacer' \
 	./internal/loadgen/
 go test -race -count=1 -run 'TestRunScenario' ./internal/core/
+# The modelled-time wait (DESIGN.md §5 "Modelled time"): the pacer and
+# every modelled delay wait with timing.WaitUntil, which must end within
+# 10 % of its target at p50 and 25 % at p99, from 20 µs to 2 ms. The p99
+# half needs the waiting thread to have a core to itself, so the test
+# runs here alone, by name and without -race (which slows the clock reads
+# the spin makes); the full sweep below judges p50 only.
+CRAYFISH_WAIT_P99=1 go test -count=1 -run '^TestWaitAccuracy$' ./internal/timing/
 # One experiment pipeline (DESIGN.md `internal/core`): a fault run and the
 # broker-less baseline are the ordinary run's prelude and loop, so what
 # Config says holds in them too — Batching under a fault plan (same fault
