@@ -9,9 +9,19 @@
 //
 //   - size: the pending batch reaches the current target size, and the
 //     request that completed it flushes synchronously (leader flush);
+//   - quorum: every registered submitter (Register) is parked on the
+//     open batch, so no record could join it before the linger ran
+//     out — it ships at once, with the members the linger would have
+//     cut;
 //   - linger: the batch's oldest request has waited Policy.Linger, and
 //     the batch ships partially filled so latency stays bounded at low
 //     rates.
+//
+// A submitter counts toward the quorum only while the tail of its
+// DoMany submission sits in the open batch; one parked on a batch that
+// was already cut can come back with more records, so it does not
+// count. Plain Do callers are never counted: with no registered
+// submitter the batcher cuts by size and linger alone.
 //
 // With Policy.SLO set, an AIMD controller tunes the target size per
 // engine×serving combination: while the observed p95 request latency
@@ -26,9 +36,10 @@
 // analyzer covers this package.
 //
 // Concurrency contract: Do is safe for concurrent use from any number
-// of goroutines (that concurrency is the batching opportunity). Close
-// flushes the open batch and joins every linger watcher; no Do calls
-// may start after Close.
+// of goroutines (that concurrency is the batching opportunity), and so
+// is DoMany across registrations, with at most one DoMany in flight per
+// registration. Close flushes the open batch and joins every linger
+// watcher; no Do or DoMany calls may start after Close.
 package batching
 
 import (
@@ -75,8 +86,8 @@ type Policy struct {
 	Window int
 }
 
-// WithDefaults fills zero fields with the documented defaults.
-func (p Policy) WithDefaults() Policy {
+// withDefaults fills zero fields with the documented defaults.
+func (p Policy) withDefaults() Policy {
 	if p.MaxBatch <= 0 {
 		p.MaxBatch = 16
 	}
@@ -134,23 +145,32 @@ const (
 	metricBatchSize   = "sps.batch.size"
 	metricLingerFlush = "sps.batch.linger_flush"
 	metricSizeFlush   = "sps.batch.size_flush"
+	metricQuorumFlush = "sps.batch.quorum_flush"
+	metricSubmitters  = "sps.batch.submitters"
 	metricTarget      = "sps.batch.target"
 )
 
-// request is one coalesced Do call.
+// request is one coalesced record.
 type request struct {
 	value []byte
 	out   []byte
 	err   error
-	done  chan struct{}
 	start time.Time
 }
 
 // pending is the open batch being assembled. cut is closed when the
-// batch is taken for flushing so its linger watcher stands down.
+// batch is taken for flushing so its linger watcher stands down; done
+// is closed once every request holds its result. waiters counts the
+// registered submitters whose tail is in this batch.
 type pending struct {
-	reqs []*request
-	cut  chan struct{}
+	reqs    []*request
+	waiters int
+	cut     chan struct{}
+	done    chan struct{}
+}
+
+func newPending() *pending {
+	return &pending{cut: make(chan struct{}), done: make(chan struct{})}
 }
 
 // Batcher coalesces concurrent Do calls into BatchFunc invocations.
@@ -162,12 +182,15 @@ type Batcher struct {
 	sizeH   *telemetry.Histogram
 	lingerC *telemetry.Counter
 	sizeC   *telemetry.Counter
+	quorumC *telemetry.Counter
+	submitG *telemetry.Gauge
 	targetG *telemetry.Gauge
 
-	mu     sync.Mutex
-	cur    *pending
-	target int
-	closed bool
+	mu         sync.Mutex
+	cur        *pending
+	target     int
+	registered int
+	closed     bool
 
 	stop     chan struct{} // closed by Close; wakes idle linger watchers
 	watchers sync.WaitGroup
@@ -178,14 +201,14 @@ type Batcher struct {
 	window []int64
 }
 
-// New builds a batcher. The policy is defaulted via WithDefaults; the
+// New builds a batcher. The policy is defaulted via withDefaults; the
 // adaptive target starts at MinBatch (slow start) when an SLO is set,
 // at MaxBatch otherwise.
 func New(cfg Config) (*Batcher, error) {
 	if cfg.Batch == nil {
 		return nil, errors.New("batching: config needs a Batch function")
 	}
-	p := cfg.Policy.WithDefaults()
+	p := cfg.Policy.withDefaults()
 	clock := cfg.clock
 	if clock.Now == nil || clock.After == nil {
 		clock = realClock()
@@ -198,6 +221,8 @@ func New(cfg Config) (*Batcher, error) {
 		sizeH:   cfg.Metrics.Histogram(metricBatchSize),
 		lingerC: cfg.Metrics.Counter(metricLingerFlush),
 		sizeC:   cfg.Metrics.Counter(metricSizeFlush),
+		quorumC: cfg.Metrics.Counter(metricQuorumFlush),
+		submitG: cfg.Metrics.Gauge(metricSubmitters),
 		targetG: cfg.Metrics.Gauge(metricTarget),
 		stop:    make(chan struct{}),
 	}
@@ -208,6 +233,7 @@ func New(cfg Config) (*Batcher, error) {
 		b.target = p.MaxBatch
 	}
 	b.targetG.Set(int64(b.target))
+	b.submitG.Set(0)
 	return b, nil
 }
 
@@ -220,14 +246,14 @@ func New(cfg Config) (*Batcher, error) {
 //
 //lint:lent value
 func (b *Batcher) Do(value []byte) ([]byte, error) {
-	r := &request{value: value, done: make(chan struct{}), start: b.clock.Now()}
+	r := &request{value: value, start: b.clock.Now()}
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
 		return nil, errClosed
 	}
 	if b.cur == nil {
-		b.cur = &pending{cut: make(chan struct{})}
+		b.cur = newPending()
 		b.watchers.Add(1)
 		go b.lingerWatch(b.cur)
 	}
@@ -242,8 +268,89 @@ func (b *Batcher) Do(value []byte) ([]byte, error) {
 		b.sizeC.Inc()
 		b.flush(take)
 	}
-	<-r.done
+	<-cur.done
 	return r.out, r.err
+}
+
+// Register adds a submitter to the quorum: until the returned function
+// deregisters it (call it once), an open batch ships the moment it holds
+// the tails of every registered submitter. Deregistering can complete
+// the quorum of those left, and then ships the open batch.
+func (b *Batcher) Register() (deregister func()) {
+	b.mu.Lock()
+	b.registered++
+	b.submitG.Set(int64(b.registered))
+	b.mu.Unlock()
+	return func() {
+		b.mu.Lock()
+		b.registered--
+		b.submitG.Set(int64(b.registered))
+		take := b.takeQuorumLocked()
+		b.mu.Unlock()
+		if take != nil {
+			b.quorumC.Inc()
+			b.flush(take)
+		}
+	}
+}
+
+// DoMany submits values for a registered submitter under one lock and
+// blocks until every one is scored; outs[i] and errs[i] belong to
+// values[i]. Full batches are cut by size as the submission fills them,
+// and the rest — the tail — joins the open batch, where it counts
+// toward the quorum until that batch is cut. The batches the
+// submission cut are flushed here, on at most par goroutines including
+// the caller's. values are held only until DoMany returns.
+//
+//lint:lent values
+func (b *Batcher) DoMany(values [][]byte, par int) ([][]byte, []error) {
+	outs := make([][]byte, len(values))
+	errs := make([]error, len(values))
+	reqs := make([]request, len(values))
+	start := b.clock.Now()
+	var cuts []*pending
+	b.mu.Lock()
+	if b.closed {
+		b.mu.Unlock()
+		for i := range errs {
+			errs[i] = errClosed
+		}
+		return outs, errs
+	}
+	opened := false // whether the open batch was opened in this critical section
+	for i, v := range values {
+		if b.cur == nil {
+			b.cur, opened = newPending(), true
+		}
+		reqs[i] = request{value: v, start: start}
+		b.cur.reqs = append(b.cur.reqs, &reqs[i])
+		if len(b.cur.reqs) >= b.target {
+			cuts = append(cuts, b.takeLocked())
+		}
+	}
+	sized := len(cuts)
+	var tail *pending // nil when the submission ended on a full batch
+	if len(values) > 0 && b.cur != nil {
+		tail = b.cur
+		tail.waiters++
+		if q := b.takeQuorumLocked(); q != nil {
+			cuts = append(cuts, q)
+		} else if opened {
+			b.watchers.Add(1)
+			go b.lingerWatch(tail)
+		}
+	}
+	b.mu.Unlock()
+	b.sizeC.Add(int64(sized))
+	b.quorumC.Add(int64(len(cuts) - sized))
+	b.flushAll(cuts, par)
+	if tail != nil {
+		<-tail.done
+	}
+	for i := range reqs {
+		outs[i], errs[i] = reqs[i].out, reqs[i].err
+	}
+	return outs, errs
 }
 
 // takeLocked detaches the open batch for flushing. Callers hold b.mu.
@@ -254,6 +361,36 @@ func (b *Batcher) takeLocked() *pending {
 	return take
 }
 
+// takeQuorumLocked detaches the open batch if every registered
+// submitter is waiting on it. Callers hold b.mu.
+func (b *Batcher) takeQuorumLocked() *pending {
+	if b.cur == nil || b.registered == 0 || b.cur.waiters < b.registered {
+		return nil
+	}
+	return b.takeLocked()
+}
+
+// flushAll flushes batches on at most par goroutines, the caller's
+// among them, and returns once all of them are done.
+func (b *Batcher) flushAll(batches []*pending, par int) {
+	workers := min(max(par, 1), len(batches))
+	run := func(w int) {
+		for i := w; i < len(batches); i += workers {
+			b.flush(batches[i])
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(w)
+		}()
+	}
+	run(0)
+	wg.Wait()
+}
+
 // lingerWatch enforces the linger deadline for one batch: if the batch
 // is still open when the deadline passes, it ships partially filled.
 func (b *Batcher) lingerWatch(p *pending) {
@@ -261,7 +398,7 @@ func (b *Batcher) lingerWatch(p *pending) {
 	select {
 	case <-b.clock.After(b.policy.Linger):
 	case <-p.cut:
-		return // cut by size trigger or Close; they flush it
+		return // cut by the size or quorum trigger or Close; they flush it
 	case <-b.stop:
 		return // Close drains the open batch itself
 	}
@@ -308,9 +445,7 @@ func (b *Batcher) flush(p *pending) {
 	if b.policy.SLO > 0 {
 		b.observe(p.reqs)
 	}
-	for _, r := range p.reqs {
-		close(r.done)
-	}
+	close(p.done)
 }
 
 // observe feeds completed-request latencies to the AIMD controller.

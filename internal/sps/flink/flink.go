@@ -177,8 +177,15 @@ func (j *job) startChained() error {
 		return err
 	}
 	for slot, consumer := range consumers {
+		// The synchronous slot scores each poll as one record set;
+		// the async operator submits record by record and stays out
+		// of the batcher's quorum.
+		var scorer *sps.Submitter
+		if !j.e.AsyncIO {
+			scorer = j.spec.Submitter(1)
+		}
 		j.wg.Add(1)
-		go j.chainedSlot(consumer, producers[slot])
+		go j.chainedSlot(consumer, producers[slot], scorer)
 	}
 	return nil
 }
@@ -204,9 +211,12 @@ func chainedClients(spec sps.JobSpec) ([]*broker.Consumer, []*broker.Producer, e
 // score → buffered sink flush, all on this goroutine. With AsyncIO the
 // scoring step becomes Flink's async operator: the slot keeps polling
 // while up to asyncCapacity transforms are in flight, and completed
-// results flush unordered.
-func (j *job) chainedSlot(consumer *broker.Consumer, producer *broker.Producer) {
+// results flush unordered; scorer is nil then.
+func (j *job) chainedSlot(consumer *broker.Consumer, producer *broker.Producer, scorer *sps.Submitter) {
 	defer j.wg.Done()
+	if scorer != nil {
+		defer scorer.Close()
+	}
 	stages := j.spec.Stages()
 
 	var mu sync.Mutex // guards sinkBuf in async mode
@@ -269,7 +279,7 @@ func (j *job) chainedSlot(consumer *broker.Consumer, producer *broker.Producer) 
 		stages.In.Add(int64(len(recs)))
 		if !j.e.AsyncIO {
 			// The synchronous task thread scores the poll's records
-			// through TransformMany: with batching enabled this slot's
+			// through its Submitter: with batching enabled this slot's
 			// records coalesce (with other slots') into shared scorer
 			// invocations; without it the loop is sequential as before.
 			// Results return positionally, preserving emit order.
@@ -279,7 +289,7 @@ func (j *job) chainedSlot(consumer *broker.Consumer, producer *broker.Producer) 
 				// boundary between the source and the chained task.
 				values[i] = segment(rec.Value).reassemble()
 			}
-			scoredAll, scoreErrs := j.spec.TransformMany(values)
+			scoredAll, scoreErrs := scorer.TransformMany(values)
 			for i := range values {
 				if err := scoreErrs[i]; err != nil {
 					j.errs.Set(fmt.Errorf("flink: scoring: %w", err))

@@ -99,7 +99,7 @@ func (e *engine) Run(spec sps.JobSpec) (sps.Job, error) {
 	}
 	for _, p := range pairs {
 		j.wg.Add(1)
-		go j.streamThread(p.consumer, p.producer)
+		go j.streamThread(p.consumer, p.producer, j.spec.Submitter(1))
 	}
 	return j, nil
 }
@@ -119,8 +119,9 @@ func (j *job) ErrSignal() <-chan struct{} { return j.errs.Signal() }
 // a batching async producer (Kafka Streams uses the Kafka producer client
 // underneath) that is flushed before every offset commit, preserving
 // at-least-once semantics.
-func (j *job) streamThread(consumer *broker.Consumer, producer *broker.AsyncProducer) {
+func (j *job) streamThread(consumer *broker.Consumer, producer *broker.AsyncProducer, scorer *sps.Submitter) {
 	defer j.wg.Done()
+	defer scorer.Close()
 	defer func() {
 		if err := consumer.Close(); err != nil {
 			j.errs.Set(fmt.Errorf("kafka-streams: source: %w", err))
@@ -159,17 +160,17 @@ func (j *job) streamThread(consumer *broker.Consumer, producer *broker.AsyncProd
 		default:
 		}
 		stages.In.Add(int64(len(recs)))
-		// The whole poll goes through TransformMany: with batching
-		// enabled the records coalesce into shared scorer invocations
-		// (this thread's contribution to the cross-thread batch);
-		// without it the call degrades to the sequential per-record
-		// loop. Results come back positionally, so sink order is
-		// unchanged.
+		// The whole poll goes through the thread's Submitter: with
+		// batching enabled the records coalesce into shared scorer
+		// invocations (this thread's contribution to the cross-thread
+		// batch); without it the call degrades to the sequential
+		// per-record loop. Results come back positionally, so sink
+		// order is unchanged.
 		values := make([][]byte, len(recs))
 		for i, rec := range recs {
 			values[i] = rec.Value
 		}
-		scoredAll, scoreErrs := j.spec.TransformMany(values)
+		scoredAll, scoreErrs := scorer.TransformMany(values)
 		for i := range recs {
 			if err := scoreErrs[i]; err != nil {
 				j.errs.Set(fmt.Errorf("kafka-streams: transform: %w", err))

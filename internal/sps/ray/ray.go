@@ -100,8 +100,9 @@ func (e *engine) Run(spec sps.JobSpec) (sps.Job, error) {
 		output := j.sys.spawn(fmt.Sprintf("output-%d", i), mailboxDepth, func(a *actor) {
 			j.outputActor(a, producer)
 		})
+		scorer := j.spec.Submitter(1)
 		scoring := j.sys.spawn(fmt.Sprintf("scoring-%d", i), mailboxDepth, func(a *actor) {
-			j.scoringActor(a, output)
+			j.scoringActor(a, output, scorer)
 		})
 		j.sys.spawn(fmt.Sprintf("input-%d", i), mailboxDepth, func(a *actor) {
 			j.inputActor(a, consumer, scoring)
@@ -151,11 +152,12 @@ func (j *job) inputActor(a *actor, consumer *broker.Consumer, downstream *actor)
 // external endpoint via the transform closure, then forwards downstream.
 // After each blocking receive it opportunistically drains whatever else
 // is already queued in its mailbox, so a batching-enabled job scores the
-// actor's backlog through one TransformMany round instead of record by
+// actor's backlog through one Submitter round instead of record by
 // record; without batching the round degrades to the same sequential
 // loop as before, and message order is preserved either way.
-func (j *job) scoringActor(a *actor, downstream *actor) {
+func (j *job) scoringActor(a *actor, downstream *actor, scorer *sps.Submitter) {
 	defer close(downstream.Inbox)
+	defer scorer.Close()
 	stages := j.spec.Stages()
 	values := make([][]byte, 0, mailboxDepth)
 	for {
@@ -187,7 +189,7 @@ func (j *job) scoringActor(a *actor, downstream *actor) {
 				break drain // mailbox momentarily empty
 			}
 		}
-		scoredAll, scoreErrs := j.spec.TransformMany(values)
+		scoredAll, scoreErrs := scorer.TransformMany(values)
 		for i := range values {
 			if err := scoreErrs[i]; err != nil {
 				j.errs.Set(fmt.Errorf("ray: scoring actor: %w", err))

@@ -1,9 +1,9 @@
 // Package sparkss implements the Spark Structured Streaming analogue: a
 // micro-batch engine (§3.4.1). A driver loop fires on a trigger interval,
 // collects every record available on the input topic into a micro-batch,
-// splits the batch into chunks executed by a pool of executor cores, waits
-// for the stage barrier, appends the results to the sink in one batched
-// write, and commits — trading latency (the micro-batch floor Figure 10
+// hands it to a stage run on a pool of executor cores, waits for the
+// stage barrier, appends the results to the sink in one batched write,
+// and commits — trading latency (the micro-batch floor Figure 10
 // shows) for throughput (the batching that saturates external servers in
 // Figure 11).
 package sparkss
@@ -15,7 +15,6 @@ import (
 
 	"crayfish/internal/broker"
 	"crayfish/internal/sps"
-	"crayfish/internal/telemetry"
 )
 
 func init() {
@@ -74,9 +73,18 @@ func (e *engine) Run(spec sps.JobSpec) (sps.Job, error) {
 		_ = consumer.Close()
 		return nil, err
 	}
+	// Effective stage parallelism: partition-bound tasks on the
+	// executor's cores. mp raises it further only beyond the core count
+	// (in practice Spark SS is insensitive to mp, as in Figure 11).
+	parts, err := spec.Transport.Partitions(spec.InputTopic)
+	if err != nil {
+		_ = consumer.Close()
+		return nil, err
+	}
+	executors := max(min(parts, executorCores), spec.Parallelism.Score)
 	j := &job{e: e, spec: spec, stopCh: make(chan struct{})}
 	j.wg.Add(1)
-	go j.driverLoop(consumer, producer)
+	go j.driverLoop(consumer, producer, j.spec.Submitter(executors))
 	return j, nil
 }
 
@@ -91,29 +99,21 @@ func (j *job) Err() error { return j.errs.Get() }
 
 func (j *job) ErrSignal() <-chan struct{} { return j.errs.Signal() }
 
-// driverLoop is the micro-batch scheduler.
-func (j *job) driverLoop(consumer *broker.Consumer, producer *broker.Producer) {
+// driverLoop is the micro-batch scheduler. The stage runs the whole
+// micro-batch through the driver's Submitter, whose parallelism is the
+// executor count: unbatched, the executors share the records out;
+// batched, the micro-batch is one submission whose batches flush on
+// the executors — and since the driver is the only submitter and parks
+// at the stage barrier, the last, partial batch ships at once instead
+// of waiting out a linger no record could arrive in.
+func (j *job) driverLoop(consumer *broker.Consumer, producer *broker.Producer, stage *sps.Submitter) {
 	defer j.wg.Done()
+	defer stage.Close()
 	defer func() {
 		if err := consumer.Close(); err != nil {
 			j.errs.Set(fmt.Errorf("spark-ss: source: %w", err))
 		}
 	}()
-	// Effective stage parallelism: partition-bound tasks on the
-	// executor's cores. mp raises it further only beyond the core count
-	// (in practice Spark SS is insensitive to mp, as in Figure 11).
-	parts, err := j.spec.Transport.Partitions(j.spec.InputTopic)
-	if err != nil {
-		j.errs.Set(fmt.Errorf("spark-ss: %w", err))
-		return
-	}
-	executors := parts
-	if executors > executorCores {
-		executors = executorCores
-	}
-	if mp := j.spec.Parallelism.Score; mp > executors {
-		executors = mp
-	}
 	stages := j.spec.Stages()
 	ticker := time.NewTicker(j.e.triggerInterval)
 	defer ticker.Stop()
@@ -141,7 +141,20 @@ func (j *job) driverLoop(consumer *broker.Consumer, producer *broker.Producer) {
 			continue
 		}
 		stages.In.Add(int64(len(batch)))
-		scored := j.runStage(batch, executors, stages.Dropped)
+		values := make([][]byte, len(batch))
+		for i, rec := range batch {
+			values[i] = rec.Value
+		}
+		scoredAll, scoreErrs := stage.TransformMany(values) // stage barrier
+		scored := make([]broker.Record, 0, len(batch))
+		for i := range values {
+			if err := scoreErrs[i]; err != nil {
+				j.errs.Set(fmt.Errorf("spark-ss: task: %w", err))
+				stages.Dropped.Inc()
+				continue
+			}
+			scored = append(scored, broker.Record{Value: scoredAll[i], Timestamp: time.Now()})
+		}
 		// Append-mode sink: one batched write.
 		if len(scored) > 0 {
 			if _, err := j.spec.Transport.Produce(j.spec.OutputTopic, producer.NextPartition(), scored); err != nil {
@@ -155,56 +168,4 @@ func (j *job) driverLoop(consumer *broker.Consumer, producer *broker.Producer) {
 			j.errs.Set(fmt.Errorf("spark-ss: commit: %w", err))
 		}
 	}
-}
-
-// runStage splits the micro-batch into chunks, executes them on the
-// executor pool, and waits for the barrier. Records whose task fails are
-// counted on dropped.
-func (j *job) runStage(batch []broker.Record, executors int, dropped *telemetry.Counter) []broker.Record {
-	if executors > len(batch) {
-		executors = len(batch)
-	}
-	results := make([][]broker.Record, executors)
-	chunk := (len(batch) + executors - 1) / executors
-	var wg sync.WaitGroup
-	for e := 0; e < executors; e++ {
-		lo := e * chunk
-		hi := lo + chunk
-		if hi > len(batch) {
-			hi = len(batch)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(e, lo, hi int) {
-			defer wg.Done()
-			// Each task hands its whole chunk to TransformMany: with
-			// batching enabled the chunk's records (and those of the
-			// other concurrent tasks) coalesce into shared scorer
-			// invocations; without it the records score sequentially
-			// as before.
-			values := make([][]byte, hi-lo)
-			for i, rec := range batch[lo:hi] {
-				values[i] = rec.Value
-			}
-			scoredAll, scoreErrs := j.spec.TransformMany(values)
-			out := make([]broker.Record, 0, hi-lo)
-			for i := range values {
-				if err := scoreErrs[i]; err != nil {
-					j.errs.Set(fmt.Errorf("spark-ss: task: %w", err))
-					dropped.Inc()
-					continue
-				}
-				out = append(out, broker.Record{Value: scoredAll[i], Timestamp: time.Now()})
-			}
-			results[e] = out
-		}(e, lo, hi)
-	}
-	wg.Wait() // stage barrier
-	var flat []broker.Record
-	for _, rs := range results {
-		flat = append(flat, rs...)
-	}
-	return flat
 }

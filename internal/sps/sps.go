@@ -10,11 +10,12 @@
 //
 // Concurrency contract: engines invoke JobSpec.Transform from mp
 // parallel operator instances, so transforms must be safe for concurrent
-// use; Job.Stop and Job.Err may be called from any goroutine. When
-// JobSpec.Metrics is set, the scoring operator is instrumented uniformly
-// across engines (sps.score.* metrics, recorded lock-free; see
-// docs/OBSERVABILITY.md) and each engine additionally counts its source
-// and sink records.
+// use; an instance that scores whole polled record sets does so through
+// a Submitter of its own. Job.Stop and Job.Err may be called from any
+// goroutine. When JobSpec.Metrics is set, the scoring operator is
+// instrumented uniformly across engines (sps.score.* metrics, recorded
+// lock-free; see docs/OBSERVABILITY.md) and each engine additionally
+// counts its source and sink records.
 package sps
 
 import (
@@ -22,7 +23,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"crayfish/internal/batching"
@@ -117,6 +117,8 @@ type JobSpec struct {
 	// batcher is built by Validate when Batching is set; engines close
 	// it via CloseBatching once their operators have drained.
 	batcher *batching.Batcher
+	// score holds the sps.score.* instruments when Metrics is set.
+	score *scoreMetrics
 }
 
 // Validate checks the spec's required fields.
@@ -158,7 +160,8 @@ func (s *JobSpec) Validate() error {
 		s.Transform = b.Do
 	}
 	if s.Metrics != nil {
-		s.Transform = instrumentTransform(s.Transform, s.Metrics)
+		s.score = newScoreMetrics(s.Metrics)
+		s.Transform = s.score.instrument(s.Transform)
 	}
 	var err error
 	s.Parallelism, err = s.Parallelism.normalize()
@@ -188,62 +191,116 @@ func retryTransform(t Transform, r *resilience.Retry, reg *telemetry.Registry) T
 	}
 }
 
-// instrumentTransform wraps the scoring operator with live telemetry:
-// call and error counts plus a per-call latency histogram. The latency
+// scoreMetrics are the scoring operator's live telemetry: call and
+// error counts plus a per-record latency histogram. The latency
 // includes the operator's full work — batch decode, inference, and
 // re-encode — so comparing sps.score.latency_ns against
 // serving.score.latency_ns isolates the serialisation cost.
-func instrumentTransform(t Transform, reg *telemetry.Registry) Transform {
-	calls := reg.Counter("sps.score.calls")
-	errs := reg.Counter("sps.score.errors")
-	lat := reg.Histogram("sps.score.latency_ns")
+type scoreMetrics struct {
+	calls, errs *telemetry.Counter
+	lat         *telemetry.Histogram
+}
+
+func newScoreMetrics(reg *telemetry.Registry) *scoreMetrics {
+	return &scoreMetrics{
+		calls: reg.Counter("sps.score.calls"),
+		errs:  reg.Counter("sps.score.errors"),
+		lat:   reg.Histogram("sps.score.latency_ns"),
+	}
+}
+
+// instrument wraps the per-record transform.
+func (m *scoreMetrics) instrument(t Transform) Transform {
 	return func(value []byte) ([]byte, error) {
 		start := time.Now()
 		out, err := t(value)
-		lat.RecordSince(start)
-		calls.Inc()
+		m.lat.RecordSince(start)
+		m.calls.Inc()
 		if err != nil {
-			errs.Inc()
+			m.errs.Inc()
 		}
 		return out, err
 	}
 }
 
-// TransformMany runs the validated Transform over several record
-// values, returning outputs and errors positionally. With batching
-// enabled the calls fan out on goroutines so records polled together
-// coalesce into shared scorer invocations — this is how pull-based
-// engines (whose operator loop is otherwise sequential) expose the
-// batching opportunity. Without batching the records run sequentially;
-// spawning goroutines would buy nothing.
-//
-// The fan-out is MaxBatch workers pulling indices, which fills a batch
-// as fast as one goroutine per record would: a micro-batch engine polls
-// thousands of records at once, and the runtime keeps every goroutine
-// descriptor it ever made for later collections to walk.
-func (s *JobSpec) TransformMany(values [][]byte) ([][]byte, []error) {
-	outs := make([][]byte, len(values))
-	errs := make([]error, len(values))
-	if s.batcher == nil || len(values) < 2 {
-		for i, v := range values {
-			outs[i], errs[i] = s.Transform(v)
+// recordSet books a record set scored in one submission: every record
+// was in the operator for the submission's whole duration d.
+func (m *scoreMetrics) recordSet(d time.Duration, errs []error) {
+	if m == nil {
+		return
+	}
+	m.calls.Add(int64(len(errs)))
+	for _, err := range errs {
+		m.lat.Record(int64(d))
+		if err != nil {
+			m.errs.Inc()
 		}
+	}
+}
+
+// Submitter is one operator instance's way into the scoring operator
+// for the record sets it polls. With batching on it is registered with
+// the micro-batcher, so an open batch that holds the tails of every
+// instance's submission ships without waiting out the linger. One
+// goroutine uses a Submitter at a time.
+type Submitter struct {
+	transform  Transform
+	batcher    *batching.Batcher
+	score      *scoreMetrics
+	par        int
+	deregister func()
+}
+
+// Submitter returns the handle for one operator instance whose own
+// parallelism is par: without batching a record set is scored on up to
+// par goroutines, with it the batches a set cuts flush on up to par.
+// Validate must have run.
+func (s *JobSpec) Submitter(par int) *Submitter {
+	h := &Submitter{transform: s.Transform, batcher: s.batcher, score: s.score, par: max(par, 1)}
+	if h.batcher != nil {
+		h.deregister = h.batcher.Register()
+	}
+	return h
+}
+
+// TransformMany scores values, returning outputs and errors
+// positionally. With batching on the set is one batcher submission
+// (batching.Batcher.DoMany); without it up to par goroutines, the
+// caller's among them, each score every par-th record in turn.
+func (h *Submitter) TransformMany(values [][]byte) ([][]byte, []error) {
+	if h.batcher != nil {
+		start := time.Now()
+		outs, errs := h.batcher.DoMany(values, h.par)
+		h.score.recordSet(time.Since(start), errs)
 		return outs, errs
 	}
-	workers := min(s.Batching.WithDefaults().MaxBatch, len(values))
-	var next atomic.Int64
+	outs := make([][]byte, len(values))
+	errs := make([]error, len(values))
+	workers := min(h.par, len(values))
+	run := func(w int) {
+		for i := w; i < len(values); i += workers {
+			outs[i], errs[i] = h.transform(values[i])
+		}
+	}
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for range workers {
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(values); i = int(next.Add(1)) - 1 {
-				outs[i], errs[i] = s.Transform(values[i])
-			}
+			run(w)
 		}()
 	}
+	run(0)
 	wg.Wait()
 	return outs, errs
+}
+
+// Close takes the instance out of the batcher's quorum; the instance
+// calls it once, when it stops scoring.
+func (h *Submitter) Close() {
+	if h.deregister != nil {
+		h.deregister()
+	}
 }
 
 // CloseBatching flushes and joins the micro-batcher, if Validate built

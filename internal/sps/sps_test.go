@@ -1,9 +1,9 @@
 package sps
 
 import (
-	"bytes"
 	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -11,6 +11,7 @@ import (
 
 	"crayfish/internal/batching"
 	"crayfish/internal/broker"
+	"crayfish/internal/telemetry"
 )
 
 func TestParallelismNormalize(t *testing.T) {
@@ -136,24 +137,34 @@ func TestNamesIncludesRegistered(t *testing.T) {
 	}
 }
 
-// TestTransformManyBoundsFanOut: a micro-batch engine hands
-// TransformMany thousands of records at once. With batching on, the
-// records still coalesce into full batches and come back in order, and
-// TransformMany runs them on at most MaxBatch goroutines, not one each.
+// TestTransformManyBoundsFanOut: a micro-batch engine hands its
+// Submitter thousands of records at once. With batching on, the records
+// still coalesce into full batches and come back in order; the
+// submission starts no goroutine per record, and its batches flush on
+// exactly par goroutines at once, never more.
 func TestTransformManyBoundsFanOut(t *testing.T) {
-	const maxBatch, records = 16, 2048
-	var peak, batches, coalesced atomic.Int64
+	const maxBatch, records, par = 16, 2048, 4
+	var inflight, peak, peakGoroutines, batches, coalesced atomic.Int64
+	gate := make(chan struct{})
+	var gateOnce sync.Once
 	spec := JobSpec{
 		Transport: fakeTransport{}, InputTopic: "a", OutputTopic: "b",
 		Transform: func(v []byte) ([]byte, error) { return v, nil },
 		BatchTransform: func(values [][]byte) ([][]byte, error) {
-			// Count the goroutines TransformMany started that are alive
-			// now. (runtime.NumGoroutine would also count the batcher's
-			// linger watchers, which exit when the scheduler gets to them.)
-			buf := make([]byte, 1<<20)
-			stacks := buf[:runtime.Stack(buf, true)]
-			n := int64(bytes.Count(stacks, []byte("created by crayfish/internal/sps.(*JobSpec).TransformMany")))
-			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			n := inflight.Add(1)
+			defer inflight.Add(-1)
+			raise(&peak, n)
+			raise(&peakGoroutines, int64(runtime.NumGoroutine()))
+			// Hold the first flushes until par of them are in flight,
+			// so the test sees the bound reached, not just respected.
+			if n == par {
+				gateOnce.Do(func() { close(gate) })
+			}
+			select {
+			case <-gate:
+			case <-time.After(5 * time.Second):
+				t.Errorf("only %d flushes ever ran at once, want %d", peak.Load(), par)
+				gateOnce.Do(func() { close(gate) })
 			}
 			batches.Add(1)
 			coalesced.Add(int64(len(values)))
@@ -168,7 +179,10 @@ func TestTransformManyBoundsFanOut(t *testing.T) {
 	for i := range values {
 		values[i] = []byte(strconv.Itoa(i))
 	}
-	outs, errs := spec.TransformMany(values)
+	h := spec.Submitter(par)
+	before := int64(runtime.NumGoroutine())
+	outs, errs := h.TransformMany(values)
+	h.Close()
 	spec.CloseBatching()
 	for i := range values {
 		if errs[i] != nil || string(outs[i]) != strconv.Itoa(i) {
@@ -178,8 +192,81 @@ func TestTransformManyBoundsFanOut(t *testing.T) {
 	if batches.Load() != records/maxBatch || coalesced.Load() != records {
 		t.Fatalf("%d records went out in %d batches, want %d full ones", coalesced.Load(), batches.Load(), records/maxBatch)
 	}
-	if got := peak.Load(); got == 0 || got > maxBatch {
-		t.Fatalf("TransformMany ran %d records on %d goroutines at once, want 1 to %d", records, got, maxBatch)
+	if got := peak.Load(); got > par {
+		t.Fatalf("%d flushes were in flight at once, want at most par = %d", got, par)
+	}
+	if extra := peakGoroutines.Load() - before; extra > par-1 {
+		t.Fatalf("the submission ran %d goroutines beside its caller, want at most par-1 = %d", extra, par-1)
+	}
+}
+
+// TestSubmitterMetricsCountRecords: on a Metrics-enabled spec a
+// submission books one sps.score.calls and one latency sample per
+// record, and each sample includes the record's coalescing wait — here
+// the time A's tail waited for B's to join and complete the quorum.
+func TestSubmitterMetricsCountRecords(t *testing.T) {
+	const maxBatch, wait = 16, 20 * time.Millisecond
+	reg := telemetry.New()
+	firstFlush := make(chan struct{})
+	var once sync.Once
+	spec := JobSpec{
+		Transport: fakeTransport{}, InputTopic: "a", OutputTopic: "b",
+		Transform: func(v []byte) ([]byte, error) { return v, nil },
+		BatchTransform: func(values [][]byte) ([][]byte, error) {
+			once.Do(func() { close(firstFlush) })
+			return values, nil
+		},
+		Batching: &batching.Policy{MaxBatch: maxBatch, Linger: time.Hour},
+		Metrics:  reg,
+	}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	a, b := spec.Submitter(1), spec.Submitter(1)
+	values := make([][]byte, maxBatch+1)
+	for i := range values {
+		values[i] = []byte(strconv.Itoa(i))
+	}
+	done := make(chan []error)
+	go func() {
+		_, errs := a.TransformMany(values)
+		done <- errs
+	}()
+	// A flushes its full batch only after its tail has joined the open
+	// batch, so from here on the tail is waiting for B.
+	<-firstFlush
+	time.Sleep(wait)
+	if _, errs := b.TransformMany([][]byte{[]byte("b")}); errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	for _, err := range <-done {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Close()
+	b.Close()
+	spec.CloseBatching()
+
+	records := int64(len(values) + 1)
+	if got := reg.Counter("sps.score.calls").Value(); got != records {
+		t.Fatalf("sps.score.calls = %d, want %d (one per record)", got, records)
+	}
+	lat := reg.Histogram("sps.score.latency_ns")
+	if lat.Count() != records {
+		t.Fatalf("sps.score.latency_ns has %d samples, want %d", lat.Count(), records)
+	}
+	if floor := int64(len(values)) * int64(wait); lat.Sum() < floor {
+		t.Fatalf("latency sum %v: A's %d records did not each book the %v their tail waited", time.Duration(lat.Sum()), len(values), wait)
+	}
+	if got := reg.Counter("sps.batch.quorum_flush").Value(); got != 1 {
+		t.Fatalf("sps.batch.quorum_flush = %d, want the one batch B's tail completed", got)
+	}
+}
+
+// raise lifts m to v if v is larger.
+func raise(m *atomic.Int64, v int64) {
+	for p := m.Load(); v > p && !m.CompareAndSwap(p, v); p = m.Load() {
 	}
 }
 

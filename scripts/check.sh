@@ -28,8 +28,12 @@ go test -race -run TestFaultConformance -count=1 ./internal/sps/...
 # coalesced output must stay byte-identical to the unbatched path and
 # partial-batch faults must drop only their own records. The batcher is
 # all cross-goroutine coalescing, so this too runs race-enabled and by
-# name across every engine.
-go test -race -run 'TestBatchingConformance|TestAsyncIOBatchingConformance' -count=1 ./internal/sps/...
+# name across every engine — and with it the batcher's own quorum cut
+# (a batch ships once every registered submitter waits on it), driven on
+# the virtual clock.
+go test -race -count=1 \
+	-run 'TestBatchingConformance|TestAsyncIOBatchingConformance|TestQuorumOneSubmitterNeverWaitsOnTheClock|TestQuorumShipsWhenEveryTailHasJoined|TestQuorumSkipsSubmitterParkedOnFlushedBatch|TestUnregisteredDoCutsOnlyBySizeOrLinger|TestDeregisterCompletesQuorum|TestConcurrentStress' \
+	./internal/sps/... ./internal/batching/
 # Zero-allocation regression suite (docs/PERFORMANCE.md): the Into
 # kernels, the buffer arena, and compiled plans must stay allocation-free
 # in steady state. Run race-enabled and by name for an attributable
@@ -78,10 +82,10 @@ go test -race -count=1 -run 'TestRunRecovery|TestRunStandaloneHonoursConfig' ./i
 # (docs/PERFORMANCE.md "Off both strconv floors"): a pooled record is
 # the generator's batch formatted, a repeated sample is scored in full,
 # and every float the fast path returns is strconv's bit for bit. Then
-# TransformMany's bounded fan-out, whose workers share one index
-# counter: race-enabled and by name.
+# a Submitter's bounded flush fan-out, whose workers share one index
+# counter, and its per-record books: race-enabled and by name.
 go test -race -count=1 -run 'TestSamplePool|TestRepeatedSampleCostsAFullScore|TestParseJSONFloat32MatchesStrconv' ./internal/core/
-go test -race -count=1 -run 'TestTransformManyBoundsFanOut' ./internal/sps/
+go test -race -count=1 -run 'TestTransformManyBoundsFanOut|TestSubmitterMetricsCountRecords' ./internal/sps/
 # Static-analysis self-tests (docs/STATIC_ANALYSIS.md): the CFG/dataflow
 # analyzers and deadexport must match the fixture markers exactly, each
 # deadexport finding must name its disposition, the directive grammar

@@ -122,9 +122,11 @@ func TestRunTelemetryContract(t *testing.T) {
 	// no failures, no duplicate deliveries, and no serving daemon; a
 	// clean recovery has no abandoned records, and whether the *client*
 	// retried (vs the job-level policy) depends on crash timing.
-	// The batching run moves sps.batch.size and sps.batch.target, but
-	// which flush trigger fires (size vs linger) depends on arrival
-	// timing, so either counter alone may stay zero. Consumers park at
+	// The batching run moves sps.batch.size and sps.batch.target. Its
+	// one flink slot is the batcher's only registered submitter, so a
+	// poll's partial tail ships by quorum and never waits out the
+	// linger; whether a poll also fills a whole batch depends on arrival
+	// timing, so size_flush may stay zero. Consumers park at
 	// the broker between records, but at 300 events/s none need sit out
 	// a whole broker.FetchMaxWait.
 	zeroOK := map[string]bool{
@@ -227,6 +229,16 @@ func TestRunTelemetryContract(t *testing.T) {
 	}
 	if got, want := snap.Counters["serving.score.calls"], snap.Histograms["sps.batch.size"].Count; got != want {
 		t.Errorf("serving.score.calls %d != %d batch flushes", got, want)
+	}
+	flushes := snap.Counters["sps.batch.size_flush"] + snap.Counters["sps.batch.quorum_flush"] + snap.Counters["sps.batch.linger_flush"]
+	if got := snap.Histograms["sps.batch.size"].Count; flushes != got {
+		t.Errorf("size + quorum + linger flushes = %d, but %d batches were recorded", flushes, got)
+	}
+	if got := snap.Counters["sps.batch.linger_flush"]; got != 0 {
+		t.Errorf("sps.batch.linger_flush = %d with the slot as the only submitter, want 0", got)
+	}
+	if got := snap.Gauges["sps.batch.submitters"]; got != 0 {
+		t.Errorf("sps.batch.submitters = %d after the job stopped, want 0", got)
 	}
 	if got, want := snap.Counters["consumer.samples"], int64(res.Metrics.Consumed); got != want {
 		t.Errorf("consumer.samples %d != Metrics.Consumed %d", got, want)
