@@ -37,20 +37,35 @@ func MatMulInto(dst, a, b *Tensor) {
 	matMulRange(cd, ad, bd, 0, m, k, n)
 }
 
-// matMulRange computes rows [i0,i1) of C += A×B with blocking over k and j.
+// matMulRange computes rows [i0,i1) of C += A×B with blocking over k.
+// Each pass over a C row takes four k-steps, so an element of C is
+// loaded and stored once per four products. Every element still adds
+// its products in ascending k, one rounding at a time, so the result is
+// bit-identical to a naive dot product summed from C's starting value.
 func matMulRange(cd, ad, bd []float32, i0, i1, k, n int) {
 	for kk := 0; kk < k; kk += matMulBlock {
-		kmax := kk + matMulBlock
-		if kmax > k {
-			kmax = k
-		}
+		kmax := min(kk+matMulBlock, k)
 		for i := i0; i < i1; i++ {
 			arow := ad[i*k : (i+1)*k]
 			crow := cd[i*n : (i+1)*n]
-			for p := kk; p < kmax; p++ {
-				// No zero-skip: kernel cost must be data-
-				// independent so benchmark timings do not vary
-				// with activation sparsity.
+			// No zero-skip: kernel cost must be data-independent so
+			// benchmark timings do not vary with activation sparsity.
+			p := kk
+			for ; p+4 <= kmax; p += 4 {
+				a0, a1, a2, a3 := arow[p], arow[p+1], arow[p+2], arow[p+3]
+				b0 := bd[p*n : (p+1)*n]
+				b1, b2, b3 := bd[(p+1)*n:][:len(b0)], bd[(p+2)*n:][:len(b0)], bd[(p+3)*n:][:len(b0)]
+				c := crow[:len(b0)]
+				for j := range c {
+					v := c[j]
+					v += a0 * b0[j]
+					v += a1 * b1[j]
+					v += a2 * b2[j]
+					v += a3 * b3[j]
+					c[j] = v
+				}
+			}
+			for ; p < kmax; p++ {
 				av := arow[p]
 				brow := bd[p*n : (p+1)*n]
 				for j, bv := range brow {

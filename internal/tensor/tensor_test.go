@@ -172,10 +172,14 @@ func randTensor(r *rand.Rand, shape ...int) *Tensor {
 	return t
 }
 
+// TestMatMulMatchesNaiveProperty holds the blocked kernel to the naive
+// triple loop bit for bit: both add each element's products in ascending
+// k from zero, so any difference is a reordering bug. The fixed shapes
+// give k every residue mod 4, cross the 64-wide k block, and cover the
+// FFNN's dense layers at batch 1 and 16; quick.Check adds random ones.
 func TestMatMulMatchesNaiveProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
-	f := func(mi, ki, ni uint8) bool {
-		m, k, n := int(mi)%17+1, int(ki)%90+1, int(ni)%17+1
+	matches := func(m, k, n int) bool {
 		a := randTensor(r, m, k)
 		b := randTensor(r, k, n)
 		fast, err := MatMul(a, b)
@@ -186,7 +190,19 @@ func TestMatMulMatchesNaiveProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return fast.AllClose(slow, 1e-3)
+		return bitEqual(fast, slow)
+	}
+	for _, s := range [][3]int{
+		{1, 1, 1}, {1, 2, 3}, {1, 3, 5}, {1, 4, 7}, {3, 5, 9}, {2, 6, 1}, {1, 7, 4},
+		{2, 63, 17}, {1, 64, 16}, {4, 65, 3}, {1, 66, 5}, {1, 127, 8}, {5, 128, 33}, {1, 129, 2}, {3, 200, 31},
+		{1, 784, 32}, {16, 784, 32}, {1, 32, 32}, {16, 32, 32}, {1, 32, 10}, {16, 32, 10},
+	} {
+		if !matches(s[0], s[1], s[2]) {
+			t.Errorf("%dx%dx%d: MatMul differs from MatMulNaive", s[0], s[1], s[2])
+		}
+	}
+	f := func(mi, ki, ni uint8) bool {
+		return matches(int(mi)%17+1, int(ki)%200+1, int(ni)%17+1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -566,6 +582,24 @@ func BenchmarkMatMulBlocked128(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MatMulInto(c, a, x)
+	}
+}
+
+// BenchmarkMatMulFFNN times the kernel at the FFNN's 784×32 input layer,
+// batch 1 and 16: the shape the paper's default row spends its scoring
+// time in.
+func BenchmarkMatMulFFNN(b *testing.B) {
+	for _, m := range []int{1, 16} {
+		b.Run(fmt.Sprintf("%dx784x32", m), func(b *testing.B) {
+			r := rand.New(rand.NewSource(1))
+			a := randTensor(r, m, 784)
+			x := randTensor(r, 784, 32)
+			c := New(m, 32)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MatMulInto(c, a, x)
+			}
+		})
 	}
 }
 

@@ -42,6 +42,13 @@ go test -race -count=1 \
 go test -race -count=1 \
 	-run 'TestIntoKernelsMatchAndDontAllocate|TestWinogradApplyInto|TestMatMulParallelInto|TestMatMulParallelMatchesSequentialProperty|TestParallelMatMulEvenSplit|TestConv2DPoolIntoMatchesSequential|TestWorkersPlanMatchesSequential|TestArena|TestPlanForwardAllocs|TestPlanConcurrent|TestQuantKernelsMatchOracleAndDontAllocate|TestQuantArena|TestQPlanForwardAllocs|TestQPlanConcurrent|TestAttentionKernelsMatchAndDontAllocate|TestAttentionFusedMatchesReference|TestLayerNormGELUKernels|TestTransformerFusedVsReference|TestQuantRejectsTransformerKinds' \
 	./internal/tensor/ ./internal/model/
+# The GEMM kernel against its naive oracle (docs/PERFORMANCE.md "GEMM
+# kernel"), bit for bit, again at GOAMD64=v3, where the compiler may
+# fuse a multiply and an add into one FMA: kernel and oracle must still
+# agree. Only on a CPU that can run v3 code.
+if grep -qw fma /proc/cpuinfo 2>/dev/null && grep -qw avx2 /proc/cpuinfo; then
+	GOAMD64=v3 go test -count=1 -run '^TestMatMulMatchesNaiveProperty$' ./internal/tensor/
+fi
 # One executor, one oracle (docs/PERFORMANCE.md "One executor"): every
 # compiled plan — fused, unfused, int8, with and without pool workers —
 # against the interpreter on seeded random model graphs, bit for bit;
