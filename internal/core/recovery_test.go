@@ -131,7 +131,7 @@ func TestRunRecoveryHonoursBatching(t *testing.T) {
 			t.Fatalf("engine error: %v", res.Result.EngineErr)
 		}
 		counters := res.Result.Telemetry.Counters
-		return res, counters["sps.batch.size_flush"] + counters["sps.batch.linger_flush"]
+		return res, counters["sps.batch.size_flush"] + counters["sps.batch.quorum_flush"] + counters["sps.batch.linger_flush"]
 	}
 	plain, plainBatches := run(nil)
 	batched, batches := run(&batching.Policy{MaxBatch: 4})
