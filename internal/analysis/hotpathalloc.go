@@ -32,11 +32,13 @@ var hotModelFiles = map[string]bool{
 	"attnexec.go": true,
 }
 
-// hotBrokerFiles are the internal/broker files whose entire contents are
-// hot: the TCP wire protocol's frame codec, which every produced and
-// fetched record crosses twice.
-var hotBrokerFiles = map[string]bool{
-	"wire.go": true,
+// hotWireFiles are the internal/broker and internal/grpcish files whose
+// entire contents are hot: the TCP wire protocol's frame codec, which
+// every produced and fetched record crosses twice, and the framing under
+// it.
+var hotWireFiles = map[string]bool{
+	"wire.go":  true,
+	"frame.go": true,
 }
 
 // newHotPathAlloc flags heap allocations on the inference hot path:
@@ -47,7 +49,8 @@ var hotBrokerFiles = map[string]bool{
 // attnexec.go, and make([]byte, ...), make([]Record, ...) and
 // make([]FetchRequest, ...) anywhere in internal/broker's wire.go, whose
 // encoders append into connection scratch and whose decoders slice the
-// frame they are given. The zero-allocation contract
+// frame they are given, and in internal/grpcish's frame.go, the framing
+// under it. The zero-allocation contract
 // (docs/PERFORMANCE.md) is held by AllocsPerRun tests at the package
 // level; this analyzer attributes a regression to its line before the
 // tests can only say "some step allocated". Deliberate cold-path
@@ -72,8 +75,8 @@ func newHotPathAlloc() *Analyzer {
 			})
 		case "internal/model":
 			reportHotFiles(pass, hotModelFiles, hotSliceElems)
-		case "internal/broker":
-			reportHotFiles(pass, hotBrokerFiles, hotWireElems)
+		case "internal/broker", "internal/grpcish":
+			reportHotFiles(pass, hotWireFiles, hotWireElems)
 		}
 	}
 	return a
@@ -137,8 +140,8 @@ var hotSliceElems = map[string]bool{
 }
 
 // hotWireElems are the element types banned in the broker's frame
-// codec: frame bytes, and the record and fetch-position slices the
-// decoders append to.
+// codec and the framing under it: frame bytes, and the record and
+// fetch-position slices the decoders append to.
 var hotWireElems = map[string]bool{
 	"byte":         true,
 	"Record":       true,

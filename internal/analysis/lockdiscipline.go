@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -326,8 +327,10 @@ func isChanType(info *types.Info, e ast.Expr) bool {
 
 // blockingCallee classifies calls that can block indefinitely: waiting
 // on a WaitGroup, sleeping (raw or modelled), and network calls through
-// the module's RPC layer (internal/grpcish) or broker client. sync.Cond.Wait is excluded:
-// it releases its locker while waiting.
+// the module's TCP substrate (internal/grpcish) or an exported method of
+// a broker client (the TCP and cluster clients and the interfaces
+// consumers call them through). sync.Cond.Wait is excluded: it releases
+// its locker while waiting.
 func blockingCallee(info *types.Info, call *ast.CallExpr) string {
 	fn := calleeFunc(info, call)
 	if fn == nil || fn.Pkg() == nil {
@@ -343,7 +346,8 @@ func blockingCallee(info *types.Info, call *ast.CallExpr) string {
 		return "a modelled-time wait (timing." + fn.Name() + ")"
 	case pkgPathHasSuffix(path, "internal/grpcish"):
 		return "a grpcish network call (" + fn.Name() + ")"
-	case pkgPathHasSuffix(path, "internal/broker") && recvTypeName(fn) == "Client":
+	case pkgPathHasSuffix(path, "internal/broker") && fn.Exported() &&
+		slices.Contains([]string{"RemoteClient", "ClusterClient", "Transport", "MultiFetcherInto"}, recvTypeName(fn)):
 		return "a broker client call (" + fn.Name() + ")"
 	}
 	return ""

@@ -5,6 +5,7 @@ import (
 	"fixture.test/internal/broker"
 	"fixture.test/internal/core"
 	"fixture.test/internal/deadexp"
+	"fixture.test/internal/grpcish"
 	"fixture.test/internal/lending"
 	"fixture.test/internal/lockuse"
 	"fixture.test/internal/model"
@@ -18,8 +19,9 @@ var _ = []any{
 	arenause.UseAfterRecycle, arenause.RecycleOnOnePath, arenause.LeakOnEarlyReturn,
 	arenause.UseAfterReset, arenause.PingPong, arenause.DeferredReset, arenause.StoreTransfers,
 	broker.Stamp, broker.Wait, broker.DefaultClock, broker.Poll, broker.Fetch, broker.Idle,
-	broker.DecodeCopy,
+	broker.DecodeCopy, (*broker.Consumer).Commit, (*broker.Consumer).Seek, broker.Transport.CommitOffset,
 	core.Run,
+	grpcish.ReadTrusting,
 	lending.Sum, lending.Retain, lending.Publish, lending.Handoff, lending.AliasedRetain,
 	lending.Scratch, lending.BadName, lending.MissingName,
 	lockuse.Promote, lockuse.Audit, lockuse.Relock, lockuse.SendUnderLock, lockuse.PollUnderLock,

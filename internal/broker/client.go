@@ -145,18 +145,16 @@ type Consumer struct {
 	rr        int
 	closed    bool
 
-	// reqs and recs are Poll's reusable request and response buffers
-	// (guarded by mu like the rest of the poll state), so the
-	// steady-state fetch path stops reallocating per call.
-	reqs []FetchRequest
-	recs []Record
-
-	// caughtUp and waitReqs belong to the goroutine in Poll, not to mu.
-	// caughtUp: the last fetch drained what was readable, so the next
-	// blocking Poll parks before it fetches. waitReqs: the positions
-	// handed to Await, which runs with mu released.
-	caughtUp bool
+	// The rest belongs to the goroutine in Poll, not to mu. reqs and
+	// recs are the fetch's reusable request and response buffers, so the
+	// steady-state fetch path stops reallocating per call; waitReqs are
+	// the positions handed to Await. Both round trips run with mu
+	// released. caughtUp: the last fetch drained what was readable, so
+	// the next blocking Poll parks before it fetches.
+	reqs     []FetchRequest
+	recs     []Record
 	waitReqs []FetchRequest
+	caughtUp bool
 }
 
 // NewAssignedConsumer creates a consumer reading the given partitions of a
@@ -211,6 +209,7 @@ func (c *Consumer) adopt(a Assignment) error {
 		if _, ok := c.positions[tp]; ok {
 			continue
 		}
+		//lint:allow lockdiscipline a rebalance installs the assignment and seeds its positions as one step: Commit must not see a new partition before its committed offset, which it would write back as 0
 		off, err := c.t.CommittedOffset(c.group, tp)
 		if err != nil {
 			return err
@@ -297,16 +296,19 @@ func (c *Consumer) fetch(max int) ([]Record, error) {
 		}
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.closed {
+		c.mu.Unlock()
 		return nil, errClosed
 	}
 	c.caughtUp = true
 	if len(c.assigned) == 0 {
+		c.mu.Unlock()
 		return nil, nil
 	}
 	c.reqs = c.appendPositionsLocked(c.reqs[:0])
 	c.rr++
+	c.mu.Unlock()
+	// The round trip runs with mu released, like await's.
 	out, err := c.t.FetchMultiInto(c.topic, c.reqs, max, c.recs[:0])
 	if err != nil {
 		return nil, err
@@ -315,6 +317,8 @@ func (c *Consumer) fetch(max int) ([]Record, error) {
 	// A fetch that filled its max may have left records behind; any
 	// other drained what was readable.
 	c.caughtUp = len(out) < max
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for _, rec := range out {
 		tp := TopicPartition{Topic: c.topic, Partition: rec.Partition}
 		if rec.Offset+1 > c.positions[tp] {
@@ -333,6 +337,7 @@ func (c *Consumer) Commit() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, tp := range c.assigned {
+		//lint:allow lockdiscipline the engines commit on the polling goroutine, between polls; the lock makes the commit one cut of the positions, and only Close waits it out
 		if err := c.t.CommitOffset(c.group, tp, c.positions[tp]); err != nil {
 			return err
 		}

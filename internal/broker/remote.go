@@ -1,229 +1,106 @@
 package broker
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
-	"slices"
-	"sync"
 	"time"
 
+	"crayfish/internal/grpcish"
 	"crayfish/internal/resilience"
 )
 
-// errUnavailable types every transport-level failure of the remote
-// client — dial failure, connection reset, torn frame, deadline — as
-// distinct from an error the broker itself returned. errUnavailable
-// errors are marked retryable (resilience.IsRetryable).
-var errUnavailable = errors.New("broker: unavailable")
-
-// defaultCallTimeout bounds one remote round trip when WithCallTimeout
-// is not given.
-const defaultCallTimeout = 30 * time.Second
-
 // RemoteClient is a Transport speaking the TCP wire protocol to a broker
-// Server. It maintains a small pool of connections; each request checks a
-// connection out for its synchronous round trip, so independent goroutines
-// proceed in parallel (a parked Await holds its connection for the wait).
-// Transport faults surface as typed, retryable errUnavailable errors;
-// WithRetry adds a retry policy on top. Note that
-// retrying a Produce after a torn response may re-append records the
-// broker already logged — delivery is at-least-once, and the output
-// consumer's seen-set deduplicates.
+// Server over a grpcish connection pool: each request checks a
+// connection out for its synchronous round trip, so independent
+// goroutines proceed in parallel (a parked Await holds its connection for
+// the wait). Transport faults surface as typed, retryable
+// grpcish.ErrUnavailable errors; WithRetry adds a retry policy on top.
+// Note that retrying a Produce after a torn response may re-append
+// records the broker already logged — delivery is at-least-once, and the
+// output consumer's seen-set deduplicates.
 type RemoteClient struct {
-	addr    string
+	pool    *grpcish.Pool
 	timeout time.Duration
 	retry   *resilience.Retry
-
-	// idle connections wait for a call, busy ones are in one; Close
-	// closes both kinds, so a call parked at the broker ends with it.
-	mu     sync.Mutex
-	idle   []*remoteConn
-	busy   []*remoteConn
-	closed bool
-}
-
-// remoteConn is one pooled connection. buf is its scratch: the request
-// frame is built in it and written in one call, then a record-free
-// response is read back into it. watched is where the goroutine watching
-// a parked await's cancel channel reports back (watch).
-type remoteConn struct {
-	c       net.Conn
-	br      *bufio.Reader
-	buf     []byte
-	watched chan bool
-}
-
-// watch interrupts the connection's pending read when cancel closes. The
-// caller collects the verdict from watched once its read has returned —
-// true: interrupted — and the rendezvous is also what guarantees that
-// the watcher is done with the connection before anyone else uses it.
-func (c *remoteConn) watch(cancel <-chan struct{}) {
-	select {
-	case <-cancel:
-		// A deadline in the past fails the blocked read at once.
-		c.c.SetReadDeadline(time.Unix(1, 0))
-		c.watched <- true
-	case c.watched <- false:
-	}
 }
 
 // DialOption configures a RemoteClient.
 type DialOption func(*RemoteClient)
 
 // WithCallTimeout sets the per-round-trip deadline (default
-// defaultCallTimeout); d ≤ 0 disables deadlines entirely.
+// grpcish.DefaultCallTimeout), which bounds the dial too; d ≤ 0
+// disables deadlines entirely.
 func WithCallTimeout(d time.Duration) DialOption {
 	return func(rc *RemoteClient) { rc.timeout = d }
 }
 
-// WithRetry retries transport failures (errUnavailable) with the given
-// policy; errors returned by the broker itself are never retried.
+// WithRetry retries transport failures (grpcish.ErrUnavailable) with the
+// given policy; errors returned by the broker itself are never retried.
 func WithRetry(r *resilience.Retry) DialOption {
 	return func(rc *RemoteClient) { rc.retry = r }
 }
 
-// Dial connects to a broker server.
+// Dial connects to a broker server, validating connectivity eagerly so
+// that misconfiguration fails fast.
 func Dial(addr string, opts ...DialOption) (*RemoteClient, error) {
-	rc := &RemoteClient{addr: addr, timeout: defaultCallTimeout}
+	rc := &RemoteClient{timeout: grpcish.DefaultCallTimeout}
 	for _, o := range opts {
 		o(rc)
 	}
-	// Validate connectivity eagerly so misconfiguration fails fast.
-	conn, err := rc.checkout()
+	pool, err := grpcish.DialPool(addr, rc.timeout, keepsRecords)
 	if err != nil {
 		return nil, err
 	}
-	rc.checkin(conn)
+	rc.pool = pool
 	return rc, nil
 }
 
 // Close tears down the connections, those of calls in flight included:
 // such a call, which may be parked at the broker, returns errClosed.
-func (rc *RemoteClient) Close() error {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	rc.closed = true
-	for _, c := range rc.idle {
-		c.c.Close()
-	}
-	for _, c := range rc.busy {
-		c.c.Close()
-	}
-	rc.idle = nil
-	return nil
-}
-
-func (rc *RemoteClient) checkout() (*remoteConn, error) {
-	rc.mu.Lock()
-	if rc.closed {
-		rc.mu.Unlock()
-		return nil, errClosed
-	}
-	if n := len(rc.idle); n > 0 {
-		c := rc.idle[n-1]
-		rc.idle = rc.idle[:n-1]
-		rc.busy = append(rc.busy, c)
-		rc.mu.Unlock()
-		return c, nil
-	}
-	rc.mu.Unlock()
-	// Bound the dial by the call timeout: a blackholed peer must fail
-	// fast, not hang the caller (the controller probes liveness through
-	// this path) on the kernel's connect timeout. Timeout ≤ 0 means
-	// unbounded, matching WithCallTimeout's deadline contract.
-	dialTimeout := rc.timeout
-	if dialTimeout < 0 {
-		dialTimeout = 0
-	}
-	conn, err := net.DialTimeout("tcp", rc.addr, dialTimeout)
-	if err != nil {
-		return nil, resilience.MarkRetryable(fmt.Errorf("broker: dial %s: %w: %w", rc.addr, errUnavailable, err))
-	}
-	c := &remoteConn{c: conn, br: bufio.NewReaderSize(conn, 64<<10), watched: make(chan bool)}
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if rc.closed {
-		conn.Close()
-		return nil, errClosed
-	}
-	rc.busy = append(rc.busy, c)
-	return c, nil
-}
-
-// unbusyLocked takes a connection out of the busy set.
-func (rc *RemoteClient) unbusyLocked(c *remoteConn) {
-	if i := slices.Index(rc.busy, c); i >= 0 {
-		last := len(rc.busy) - 1
-		rc.busy[i] = rc.busy[last]
-		rc.busy[last] = nil
-		rc.busy = rc.busy[:last]
-	}
-}
-
-// discard closes a connection that is not to be used again and reports
-// whether the client has been closed.
-func (rc *RemoteClient) discard(c *remoteConn) (closed bool) {
-	c.c.Close()
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	rc.unbusyLocked(c)
-	return rc.closed
-}
-
-// flushIdle drops every pooled connection: after one transport failure
-// the rest of the pool points at the same dead broker (e.g. across a
-// restart), so the next call must redial rather than inherit a corpse.
-func (rc *RemoteClient) flushIdle() {
-	rc.mu.Lock()
-	idle := rc.idle
-	rc.idle = nil
-	rc.mu.Unlock()
-	for _, c := range idle {
-		c.c.Close()
-	}
-}
-
-func (rc *RemoteClient) checkin(c *remoteConn) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	rc.unbusyLocked(c)
-	if rc.closed || len(rc.idle) >= 64 {
-		c.c.Close()
-		return
-	}
-	rc.idle = append(rc.idle, c)
-}
+func (rc *RemoteClient) Close() error { return rc.pool.Close() }
 
 // roundTrip performs one synchronous request/response exchange under
 // the client's resilience policy. enc appends the request frame to the
 // connection's scratch; dec decodes a binary response frame (nil when
 // only a control response is expected) and may keep slices of the
 // payload it is given only when that payload can hold a record
-// (readFrame). Transport faults (typed errUnavailable, retryable) are
-// retried; an error the broker itself returned proves it is up, so it is
-// not retried and comes back with the control response that carried it.
-func (rc *RemoteClient) roundTrip(enc func(b []byte) []byte, dec func(tag byte, payload []byte) error) (*wireResponse, error) {
-	return rc.roundTripParked(enc, dec, 0, nil)
-}
-
-// roundTripParked is roundTrip for a request the broker may sit on for up
-// to park before it answers, which the deadline allows for. When cancel
-// closes first the exchange is abandoned and nothing is returned, no
-// error either.
-func (rc *RemoteClient) roundTripParked(enc func(b []byte) []byte, dec func(tag byte, payload []byte) error, park time.Duration, cancel <-chan struct{}) (*wireResponse, error) {
+// (keepsRecords). Transport faults (typed grpcish.ErrUnavailable,
+// retryable) are retried; an error the broker itself returned proves it
+// is up, so it is not retried and comes back with the control response
+// that carried it. The deadline allows for a request the broker may sit
+// on for up to park before it answers; when cancel closes first the
+// exchange is abandoned and nothing is returned, no error either.
+func (rc *RemoteClient) roundTrip(enc func(b []byte) []byte, dec func(tag byte, payload []byte) error, park time.Duration, cancel <-chan struct{}) (*wireResponse, error) {
 	var resp *wireResponse
 	err := rc.retry.Do(func() error {
-		r, terr := rc.once(enc, dec, park, cancel)
-		if terr != nil {
-			return terr
-		}
-		resp = r
-		return nil
+		resp = nil
+		return rc.pool.RoundTrip(enc, func(body []byte) (err error) {
+			tag, payload := body[0], body[1:]
+			switch {
+			case tag == tagControl:
+				resp = new(wireResponse)
+				if err = json.Unmarshal(payload, resp); err == nil && dec != nil && resp.Err == "" {
+					// Only the failure of an op answered in binary is a
+					// control response.
+					err = errMalformedFrame
+				}
+			case dec != nil:
+				err = dec(tag, payload)
+			default:
+				err = errMalformedFrame
+			}
+			return err
+		}, park, cancel)
 	})
-	if err != nil {
+	// A closed client and an oversized frame answer as the broker does
+	// in process.
+	switch {
+	case errors.Is(err, grpcish.ErrClosed):
+		return nil, errClosed
+	case errors.Is(err, grpcish.ErrFrameTooLarge):
+		return nil, fmt.Errorf("%w: %w", errMessageTooLarge, err)
+	case err != nil:
 		return nil, err
 	}
 	if resp != nil && resp.Err != "" {
@@ -245,7 +122,7 @@ func (rc *RemoteClient) callDecoding(req *wireRequest, dec func(tag byte, payloa
 	if err != nil {
 		return nil, err
 	}
-	return rc.roundTrip(func(b []byte) []byte { return append(b[:0], frame...) }, dec)
+	return rc.roundTrip(func(b []byte) []byte { return append(b[:0], frame...) }, dec, 0, nil)
 }
 
 // decodeWireError reconstructs the typed error a broker or cluster node
@@ -270,79 +147,6 @@ func decodeWireError(resp *wireResponse) error {
 		err = resilience.MarkRetryable(err)
 	}
 	return err
-}
-
-// once is one wire exchange; every failure but an oversized request is
-// a transport fault.
-func (rc *RemoteClient) once(enc func(b []byte) []byte, dec func(tag byte, payload []byte) error, park time.Duration, cancel <-chan struct{}) (*wireResponse, error) {
-	conn, err := rc.checkout()
-	if err != nil {
-		return nil, err
-	}
-	if rc.timeout > 0 {
-		//lint:allow clockdiscipline socket I/O deadlines are wall-clock by net.Conn contract, not measurement timestamps
-		conn.c.SetDeadline(time.Now().Add(rc.timeout + park))
-	}
-	conn.buf = enc(conn.buf)
-	if err := writeFrame(conn.c, conn.buf); err != nil {
-		if errors.Is(err, errFrameTooLarge) {
-			// Nothing was sent: the connection is good and a retry
-			// would build the same frame.
-			conn.buf = nil
-			rc.checkin(conn)
-			return nil, err
-		}
-		return nil, rc.fault(conn, "write", err)
-	}
-	if cancel != nil {
-		//lint:allow gorolifecycle joined two lines down: the receive from watched is the watcher's last act
-		go conn.watch(cancel)
-	}
-	tag, payload, err := readFrame(conn.br, &conn.buf)
-	if cancel != nil && <-conn.watched {
-		// The broker will still answer, to nobody: the connection cannot
-		// carry another exchange.
-		if rc.discard(conn) {
-			return nil, errClosed
-		}
-		return nil, nil
-	}
-	if err != nil {
-		return nil, rc.fault(conn, "read", err)
-	}
-	var resp *wireResponse
-	switch {
-	case tag == tagControl:
-		resp = new(wireResponse)
-		if err = json.Unmarshal(payload, resp); err == nil && dec != nil && resp.Err == "" {
-			// Only the failure of an op answered in binary is a
-			// control response.
-			err = errMalformedFrame
-		}
-	case dec != nil:
-		err = dec(tag, payload)
-	default:
-		err = errMalformedFrame
-	}
-	if err != nil {
-		return nil, rc.fault(conn, "read", err)
-	}
-	if rc.timeout > 0 {
-		conn.c.SetDeadline(time.Time{})
-	}
-	conn.buf = trimScratch(conn.buf)
-	rc.checkin(conn)
-	return resp, nil
-}
-
-// fault closes a connection that failed mid-exchange and types the
-// failure as a retryable errUnavailable — unless Close is what failed it.
-func (rc *RemoteClient) fault(conn *remoteConn, during string, err error) error {
-	if rc.discard(conn) {
-		return errClosed
-	}
-	rc.flushIdle()
-	return resilience.MarkRetryable(fmt.Errorf("broker: %s: %w: %w", during, errUnavailable, err))
 }
 
 // CreateTopic implements Transport.
@@ -374,7 +178,7 @@ func (rc *RemoteClient) Produce(topic string, partition int, recs []Record) (int
 		func(tag byte, payload []byte) (err error) {
 			off, err = decodeAck(tag, payload)
 			return err
-		})
+		}, 0, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -403,7 +207,7 @@ func (rc *RemoteClient) FetchMultiInto(topic string, reqs []FetchRequest, maxTot
 			// A retried exchange starts over from what the caller gave.
 			out, _, _, err = decodeRecords(tag, payload, out[:base])
 			return err
-		})
+		}, 0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -418,7 +222,7 @@ func (rc *RemoteClient) Await(topic string, positions []FetchRequest, wait time.
 		return nil
 	}
 	waitMs := int64((wait + time.Millisecond - 1) / time.Millisecond)
-	_, err := rc.roundTripParked(
+	_, err := rc.roundTrip(
 		func(b []byte) []byte { return appendAwaitFrame(b, topic, waitMs, positions) },
 		func(tag byte, payload []byte) error {
 			_, err := decodeAck(tag, payload)

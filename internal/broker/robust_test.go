@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"crayfish/internal/faults"
+	"crayfish/internal/grpcish"
 	"crayfish/internal/resilience"
 )
 
@@ -293,7 +294,7 @@ func TestClientReconnectsAfterBrokerRestart(t *testing.T) {
 
 // TestTornFrameSurfacesTypedRetryableError reads a response through a
 // fault proxy that severs the stream mid-frame: the client must surface
-// a typed retryable errUnavailable (a partial read is a transport
+// a typed retryable grpcish.ErrUnavailable (a partial read is a transport
 // fault), and a retry-enabled client must recover on a fresh
 // connection.
 func TestTornFrameSurfacesTypedRetryableError(t *testing.T) {
@@ -323,7 +324,7 @@ func TestTornFrameSurfacesTypedRetryableError(t *testing.T) {
 	if err == nil {
 		t.Fatal("torn mid-frame response returned success")
 	}
-	if !errors.Is(err, errUnavailable) {
+	if !errors.Is(err, grpcish.ErrUnavailable) {
 		t.Fatalf("torn frame error = %v, want ErrUnavailable", err)
 	}
 	if !resilience.IsRetryable(err) {

@@ -6,18 +6,19 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
+	"crayfish/internal/grpcish"
 	"crayfish/internal/resilience"
 )
 
-// Wire protocol. Requests and responses alternate synchronously per
-// connection; clients open multiple connections for parallelism. There
-// is one framing and no negotiation:
+// Wire protocol. It runs on grpcish's TCP substrate: its listener, its
+// connection pool and its framing, `uint32 big-endian length | body` with
+// the body at most grpcish.MaxFrame bytes. Requests and responses
+// alternate synchronously per connection; clients open multiple
+// connections for parallelism. There is no negotiation:
 //
-//	frame   = uint32 big-endian length | tag byte | payload
-//	          (the length counts the tag and the payload, at most maxFrameSize)
+//	body    = tag byte | payload
 //	int     = uvarint of the value's two's complement, shortest spelling only
 //	bytes   = uvarint length | raw bytes
 //	time    = int64 big-endian Unix nanoseconds; math.MinInt64 is the zero time
@@ -100,20 +101,10 @@ type requestHandler interface {
 	control(req *wireRequest, out []byte) ([]byte, error)
 }
 
-// Server exposes a request handler over TCP.
-type Server struct {
-	h  requestHandler
-	ln net.Listener
-
-	// done closes when the server shuts down: the cancel of every await
-	// parked on a connection's goroutine.
-	done chan struct{}
-
-	mu     sync.Mutex
-	conns  map[net.Conn]bool
-	closed bool
-	wg     sync.WaitGroup
-}
+// Server is a broker served over TCP: Addr returns the bound listen
+// address, and Close stops the listener and all connections, waking the
+// awaits parked on them.
+type Server = grpcish.Listener
 
 // maxAwait bounds how long one 'W' frame may park its connection's
 // goroutine, whatever the peer asks for.
@@ -128,89 +119,19 @@ func Serve(b *Broker, addr string) (*Server, error) {
 }
 
 func serveHandler(h requestHandler, addr string) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s := &Server{h: h, ln: ln, done: make(chan struct{}), conns: make(map[net.Conn]bool)}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s, nil
+	return grpcish.Listen(addr, func(conn net.Conn, br *bufio.Reader, done <-chan struct{}) {
+		c := serverConn{h: h, cancel: done}
+		c.run(conn, br)
+	})
 }
 
-// Addr returns the bound listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Close stops the listener and all connections, waking the awaits
-// parked on them.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if !s.closed {
-		close(s.done)
-	}
-	s.closed = true
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = true
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.handle(conn)
-	}
-}
-
-func (s *Server) handle(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	br := bufio.NewReaderSize(conn, 64<<10)
-	c := serverConn{h: s.h, cancel: s.done}
-	for {
-		tag, payload, err := readFrame(br, &c.buf)
-		if err != nil {
-			return
-		}
-		if err := c.serve(tag, payload); err != nil {
-			return
-		}
-		// The record buffer must not keep the last frame's keys and
-		// values alive while the connection idles.
-		clear(c.recs)
-		if err := writeFrame(conn, c.buf); err != nil {
-			return
-		}
-		c.buf = trimScratch(c.buf)
-	}
-}
-
-// serverConn is one connection's reusable state. buf holds a
+// serverConn is one connection's reusable state. cancel is the
+// listener's done channel, closed when the server shuts down: the cancel
+// of every await parked on the connection's goroutine. buf holds a
 // record-free request payload and then the response frame: a decoder
 // copies what it keeps of such a payload (topic, positions) before the
 // response overwrites it, and a payload that can hold a record never
-// lands in buf (readFrame). recs is the decoded produce batch or the
+// lands in buf (keepsRecords). recs is the decoded produce batch or the
 // fetched records the response is encoded straight from. topics interns
 // the few topic names a connection sees, so that a request naming one
 // again — every poll — does not allocate its string.
@@ -226,6 +147,25 @@ type serverConn struct {
 // maxInternedTopics bounds serverConn.topics against a peer that names
 // a new topic in every request.
 const maxInternedTopics = 64
+
+// run answers the request frames of one connection until it fails.
+func (c *serverConn) run(conn net.Conn, br *bufio.Reader) {
+	for {
+		body, err := grpcish.ReadFrame(br, &c.buf, keepsRecords)
+		if err != nil {
+			return
+		}
+		if err := c.serve(body[0], body[1:]); err != nil {
+			return
+		}
+		// The record buffer must not keep the last frame's keys and
+		// values alive while the connection idles.
+		clear(c.recs)
+		if err := grpcish.WriteFrame(conn, c.buf); err != nil {
+			return
+		}
+	}
+}
 
 func (c *serverConn) topic(name []byte) string {
 	if s, ok := c.topics[string(name)]; ok {

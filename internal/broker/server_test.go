@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"crayfish/internal/grpcish"
 	"crayfish/internal/netsim"
+	"crayfish/internal/resilience"
 )
 
 // startServer runs a broker TCP server for the test's lifetime.
@@ -186,6 +188,25 @@ func TestClosedRemoteClient(t *testing.T) {
 	}
 }
 
+// TestRemoteOversizedProduce: a produce whose frame would exceed
+// grpcish.MaxFrame fails as the broker's errMessageTooLarge, the caller's
+// error and not a retryable transport fault; nothing was sent, so the
+// same client carries the next request.
+func TestRemoteOversizedProduce(t *testing.T) {
+	b, rc := startServer(t)
+	if err := b.CreateTopic("t", 1); err != nil {
+		t.Fatal(err)
+	}
+	value := make([]byte, grpcish.MaxFrame/3+1) // shared: three of these are one byte too many
+	_, err := rc.Produce("t", 0, []Record{{Value: value}, {Value: value}, {Value: value}})
+	if !errors.Is(err, errMessageTooLarge) || !errors.Is(err, grpcish.ErrFrameTooLarge) || resilience.IsRetryable(err) {
+		t.Fatalf("oversized produce: %v (retryable %v)", err, resilience.IsRetryable(err))
+	}
+	if off, err := rc.Produce("t", 0, []Record{{Value: []byte("small")}}); err != nil || off != 0 {
+		t.Fatalf("produce after the oversized one: offset %d, %v; want 0, nil", off, err)
+	}
+}
+
 func TestDialFailure(t *testing.T) {
 	if _, err := Dial("127.0.0.1:1"); err == nil {
 		t.Fatal("Dial to closed port succeeded")
@@ -229,7 +250,7 @@ func TestRemoteIncompleteResponses(t *testing.T) {
 	}
 	// An op answered in binary takes a control response only as its
 	// failure: one without an error is a broken peer, not offset 0.
-	if off, err := rc.Produce("t", 0, []Record{{Value: []byte("v")}}); !errors.Is(err, errUnavailable) {
+	if off, err := rc.Produce("t", 0, []Record{{Value: []byte("v")}}); !errors.Is(err, grpcish.ErrUnavailable) {
 		t.Fatalf("Produce = %d, %v, want ErrUnavailable", off, err)
 	}
 }

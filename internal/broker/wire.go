@@ -4,19 +4,20 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"math"
 	"slices"
 	"time"
+
+	"crayfish/internal/grpcish"
 )
 
 // The frame codec of the wire protocol whose grammar heads server.go:
-// framing (readFrame, writeFrame), the append-style encoders and the
-// slicing decoders of the four binary frames, and the JSON control
-// frame. Encoders append into the caller's buffer and decoders slice
-// the payload they are given, so a frame without records costs no
-// allocation on either side once a connection's scratch has warmed up.
+// the append-style encoders and the slicing decoders of the binary
+// frames, and the JSON control frame. The framing under them is
+// grpcish's (ReadFrame, WriteFrame). Encoders append into the caller's
+// buffer and decoders slice the payload they are given, so a frame
+// without records costs no allocation on either side once a
+// connection's scratch has warmed up.
 
 const (
 	tagControl byte = 'C'
@@ -28,20 +29,6 @@ const (
 )
 
 const (
-	// frameHeader is the uint32 length prefix; the length counts the
-	// tag and the payload.
-	frameHeader = 4
-	// maxFrameSize bounds a single wire frame: one 50 MB record (the
-	// maxRequestSize the paper raises Kafka to) with room to spare.
-	maxFrameSize = 96 << 20
-	// readChunk is the most readFrame allocates beyond twice the bytes
-	// of a body that have actually arrived, so a header alone cannot
-	// make a peer commit a frame's worth of memory.
-	readChunk = 1 << 20
-	// maxScratch is the largest per-connection scratch kept between
-	// frames; one oversized frame does not pin its size for the life of
-	// the connection.
-	maxScratch = 1 << 20
 	// minRecordWire is the shortest encoding of a record: two one-byte
 	// varints, two timestamps, two zero lengths. Decoders divide the
 	// bytes remaining by it to refuse an impossible record count before
@@ -57,85 +44,23 @@ const (
 	zeroTimeNanos = math.MinInt64
 )
 
-var (
-	errMalformedFrame = errors.New("broker: malformed frame")
-	errFrameTooLarge  = fmt.Errorf("%w: frame exceeds %d bytes", errMessageTooLarge, maxFrameSize)
-)
+var errMalformedFrame = errors.New("broker: malformed frame")
 
-// readFrame reads one frame and returns its tag and payload. The
-// payload of a produce or records frame long enough to hold a record
-// gets a body of its own, which the decoded records' keys and values
-// alias — that body is what the server's log and Consumer.Poll's
-// callers keep. Every other payload is read into *scratch and is valid
-// only until the scratch is next used.
-func readFrame(r io.Reader, scratch *[]byte) (byte, []byte, error) {
-	hdr := slices.Grow((*scratch)[:0], frameHeader+1)[:frameHeader+1]
-	*scratch = hdr
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return 0, nil, err
-	}
-	size, tag := binary.BigEndian.Uint32(hdr), hdr[frameHeader]
-	if size < 1 || size > maxFrameSize {
-		return 0, nil, fmt.Errorf("broker: frame of %d bytes outside [1, %d]", size, maxFrameSize)
-	}
-	n := int(size) - 1
-	if (tag == tagProduce || tag == tagRecords) && n >= minRecordWire {
-		payload, err := readBody(r, n, nil)
-		return tag, payload, err
-	}
-	payload, err := readBody(r, n, hdr)
-	if err != nil {
-		return 0, nil, err
-	}
-	*scratch = payload
-	return tag, payload, nil
-}
-
-// readBody reads n bytes into buf[:0], growing it as the bytes arrive
-// rather than trusting n up front. A body of at most readChunk bytes
-// read into a nil buf is one exact-size allocation.
-func readBody(r io.Reader, n int, buf []byte) ([]byte, error) {
-	buf = buf[:0]
-	for len(buf) < n {
-		next := min(n, max(2*len(buf), readChunk))
-		if cap(buf) < next {
-			//lint:allow hotpathalloc the one allocation per records frame, which the decoded keys and values alias
-			grown := make([]byte, len(buf), next)
-			copy(grown, buf)
-			buf = grown
-		}
-		if _, err := io.ReadFull(r, buf[len(buf):next]); err != nil {
-			return nil, err
-		}
-		buf = buf[:next]
-	}
-	return buf, nil
+// keepsRecords is the frame reader's choice of bodies to keep: a produce
+// or records frame long enough to hold a record gets a body of its own,
+// which the decoded records' keys and values alias — that body is what
+// the server's log and Consumer.Poll's callers keep. Every other body is
+// read into the connection's scratch and is valid only until the scratch
+// is next used.
+func keepsRecords(n int, tag byte) bool {
+	return (tag == tagProduce || tag == tagRecords) && n > minRecordWire
 }
 
 // beginFrame resets b to a frame with an unstamped length and the given
-// tag; the encoders append the payload and writeFrame stamps the length.
+// tag; the encoders append the payload and grpcish.WriteFrame stamps the
+// length.
 func beginFrame(b []byte, tag byte) []byte {
-	return append(b[:0], 0, 0, 0, 0, tag)
-}
-
-// writeFrame stamps the length of a frame built by beginFrame and
-// writes it in one call.
-func writeFrame(w io.Writer, frame []byte) error {
-	n := len(frame) - frameHeader
-	if n > maxFrameSize {
-		return errFrameTooLarge
-	}
-	binary.BigEndian.PutUint32(frame, uint32(n))
-	_, err := w.Write(frame)
-	return err
-}
-
-// trimScratch drops a scratch that one large frame grew past maxScratch.
-func trimScratch(b []byte) []byte {
-	if cap(b) > maxScratch {
-		return nil
-	}
-	return b
+	return append(grpcish.BeginFrame(b), tag)
 }
 
 // ---- encoders ----
@@ -228,11 +153,12 @@ func appendAckFrame(b []byte, offset int64) []byte {
 
 // appendRecordsFrame builds the response to a fetch (hw and epoch zero)
 // or a replica fetch. Records that would take the frame past
-// maxFrameSize are left off — a fetch promises at most max records, and
-// the reader asks again from where these end — but the first always goes.
+// grpcish.MaxFrame are left off — a fetch promises at most max records,
+// and the reader asks again from where these end — but the first always
+// goes.
 func appendRecordsFrame(b []byte, hw int64, epoch int, recs []Record) []byte {
 	size := 1 + 2*binary.MaxVarintLen64 + recordsWireMax(recs)
-	for size > maxFrameSize && len(recs) > 1 {
+	for size > grpcish.MaxFrame && len(recs) > 1 {
 		last := &recs[len(recs)-1]
 		size -= maxRecordOverhead + len(last.key) + len(last.Value)
 		recs = recs[:len(recs)-1]

@@ -13,8 +13,31 @@ import (
 	"testing"
 	"time"
 
+	"crayfish/internal/grpcish"
 	"crayfish/internal/resilience"
 )
+
+// frameHeader and readChunk are the framing's length prefix and the
+// most its reader commits before a body's bytes arrive, the units the
+// bounds below are stated in. They restate grpcish's unexported
+// constants, which grpcish's TestFrameUnits pins to these values.
+const (
+	frameHeader = 4
+	readChunk   = 1 << 20
+)
+
+// readFrame reads one frame the way both ends of a broker connection do
+// and splits its body into the tag and the payload.
+func readFrame(r io.Reader, scratch *[]byte) (byte, []byte, error) {
+	body, err := grpcish.ReadFrame(r, scratch, keepsRecords)
+	if err != nil {
+		return 0, nil, err
+	}
+	return body[0], body[1:], nil
+}
+
+// writeFrame is the framing's writer.
+var writeFrame = grpcish.WriteFrame
 
 // payloadOf strips the length prefix and the tag from a frame an
 // encoder built.
@@ -310,7 +333,7 @@ func TestWireErrorResponses(t *testing.T) {
 // bounded chunk; one past the limit, or an empty frame, costs nothing.
 func TestReadFrameDoesNotTrustTheHeader(t *testing.T) {
 	for _, tag := range []byte{tagProduce, tagControl} {
-		hdr := binary.BigEndian.AppendUint32(nil, maxFrameSize)
+		hdr := binary.BigEndian.AppendUint32(nil, grpcish.MaxFrame)
 		var before, after runtime.MemStats
 		var scratch []byte
 		runtime.ReadMemStats(&before)
@@ -323,7 +346,7 @@ func TestReadFrameDoesNotTrustTheHeader(t *testing.T) {
 			t.Errorf("tag %q: a bare header made readFrame allocate %d bytes", tag, grew)
 		}
 	}
-	for _, size := range []uint32{0, maxFrameSize + 1, math.MaxUint32} {
+	for _, size := range []uint32{0, grpcish.MaxFrame + 1, math.MaxUint32} {
 		var scratch []byte
 		hdr := append(binary.BigEndian.AppendUint32(nil, size), tagControl)
 		if _, _, err := readFrame(bytes.NewReader(hdr), &scratch); err == nil || errors.Is(err, io.EOF) {
@@ -354,12 +377,12 @@ func TestReadFrameGrowsLargeBodies(t *testing.T) {
 }
 
 // TestRecordsFrameStopsAtTheFrameLimit: a fetch whose records would
-// outgrow maxFrameSize is answered with the ones that fit.
+// outgrow grpcish.MaxFrame is answered with the ones that fit.
 func TestRecordsFrameStopsAtTheFrameLimit(t *testing.T) {
-	value := make([]byte, maxFrameSize/3+1) // shared: three of these are one byte too many
+	value := make([]byte, grpcish.MaxFrame/3+1) // shared: three of these are one byte too many
 	recs := []Record{{Value: value, Offset: 0}, {Value: value, Offset: 1}, {Value: value, Offset: 2}, {Value: []byte("small"), Offset: 3}}
 	frame := appendRecordsFrame(nil, 0, 0, recs)
-	if len(frame)-frameHeader > maxFrameSize {
+	if len(frame)-frameHeader > grpcish.MaxFrame {
 		t.Fatalf("frame of %d bytes exceeds the limit", len(frame)-frameHeader)
 	}
 	got, _, _, err := decodeRecords(tagRecords, payloadOf(frame), nil)
@@ -369,7 +392,7 @@ func TestRecordsFrameStopsAtTheFrameLimit(t *testing.T) {
 	// One record alone always goes, whatever its size — refusing it
 	// would stall the reader for good — and writeFrame is where a frame
 	// past the limit fails, typed.
-	if err := writeFrame(io.Discard, make([]byte, frameHeader+maxFrameSize+1)); !errors.Is(err, errMessageTooLarge) {
+	if err := writeFrame(io.Discard, make([]byte, frameHeader+grpcish.MaxFrame+1)); !errors.Is(err, grpcish.ErrFrameTooLarge) {
 		t.Fatalf("oversized frame: %v", err)
 	}
 }

@@ -9,8 +9,9 @@ import (
 // Proxy is a TCP fault proxy for transport tests: it relays bytes
 // between clients and a target address and can tear a server→client
 // stream mid-frame (partial write followed by connection close) or cut
-// every live connection — the two transport faults the broker and
-// grpcish clients must surface as typed, retryable errors.
+// every live connection — the two transport faults the TCP clients
+// (the broker's and the serving RPCs', one grpcish pool under both) must
+// surface as typed, retryable errors.
 type Proxy struct {
 	ln     net.Listener
 	target string

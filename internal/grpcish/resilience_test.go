@@ -84,7 +84,7 @@ func TestMidCallResetIsTypedRetryable(t *testing.T) {
 	if err == nil {
 		t.Fatal("call over a reset connection succeeded")
 	}
-	if !errors.Is(err, errUnavailable) {
+	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("reset not typed ErrUnavailable: %v", err)
 	}
 	if !resilience.IsRetryable(err) {
@@ -133,7 +133,7 @@ func TestRemoteErrorIsNotRetried(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected remote error")
 	}
-	if resilience.IsRetryable(err) || errors.Is(err, errUnavailable) {
+	if resilience.IsRetryable(err) || errors.Is(err, ErrUnavailable) {
 		t.Fatalf("application error mistyped as transport fault: %v", err)
 	}
 	mu.Lock()
@@ -173,7 +173,7 @@ func TestDefaultCallDeadline(t *testing.T) {
 	// must eventually fail the call. Shrink it via WithTimeout to keep
 	// the test quick, but prove Dial installs a deadline by default by
 	// checking the zero-option client's configured timeout.
-	c0 := &Client{addr: "x", timeout: defaultCallTimeout}
+	c0 := &Client{timeout: DefaultCallTimeout}
 	if c0.timeout <= 0 {
 		t.Fatal("no default deadline")
 	}
@@ -211,7 +211,7 @@ func TestDefaultCallDeadline(t *testing.T) {
 	if err == nil {
 		t.Fatal("hung call returned")
 	}
-	if !errors.Is(err, errUnavailable) || !resilience.IsRetryable(err) {
+	if !errors.Is(err, ErrUnavailable) || !resilience.IsRetryable(err) {
 		t.Fatalf("deadline error not typed/retryable: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -236,13 +236,13 @@ func TestOversizedRequestNotRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	big := make([]byte, maxFrame+1)
+	big := make([]byte, MaxFrame+1)
 	binary.BigEndian.PutUint32(big, 0) // touch it so the alloc is real
 	_, err = c.Call("echo", big)
 	if err == nil {
 		t.Fatal("oversized request accepted")
 	}
-	if errors.Is(err, errUnavailable) || resilience.IsRetryable(err) {
+	if errors.Is(err, ErrUnavailable) || resilience.IsRetryable(err) {
 		t.Fatalf("caller bug typed as transport fault: %v", err)
 	}
 	if attempts != 0 {

@@ -41,7 +41,7 @@ func TestServerSurvivesGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], maxFrame+1)
+	binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
 	conn.Write(hdr[:])
 	conn.Close()
 

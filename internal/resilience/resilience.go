@@ -5,9 +5,9 @@
 // callers which failures are worth another attempt.
 //
 // The package is a base layer (stdlib-only, see docs/STATIC_ANALYSIS.md):
-// it never imports other crayfish packages, so both the transports
-// (internal/grpcish, internal/broker) and the serving clients can depend
-// on it without cycles.
+// it never imports other crayfish packages, so the TCP substrate
+// (internal/grpcish, which the broker's wire protocol runs on too) and
+// the serving clients can depend on it without cycles.
 //
 // Determinism contract: Retry's jitter comes from a seeded math/rand
 // source, and both Retry and Breaker accept injected Clock/Sleep hooks,

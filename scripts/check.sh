@@ -122,13 +122,14 @@ go test -race -count=1 -run 'TestCluster|TestClosedBrokerRejectsOps' ./internal/
 # ends in process and over TCP, on a standalone broker and at the leader
 # of replicated partitions (high-watermark advance, leadership loss,
 # crash; an unacked append does not end the wait), the 10 000-round
-# ping-pong, shutdown and Close with a call parked, and every engine's
-# Stop with its sources parked for an hour. The idle-consumer test also
-# runs through the partition-aware client of a one-node cluster, which
-# parks at the node for the whole wait.
+# ping-pong, shutdown and Close with a call parked — a broker call, and a
+# grpcish call on the same connection pool — and every engine's Stop with
+# its sources parked for an hour. The idle-consumer test also runs
+# through the partition-aware client of a one-node cluster, which parks
+# at the node for the whole wait.
 go test -race -count=1 -timeout 5m \
-	-run 'TestAwait|TestPollNeverLosesAWakeUp|TestIdleConsumerCallsPerWait|TestServerCloseWakesParkedAwait|TestRemoteCloseEndsCallInFlight|TestRemoteAwaitCancelDropsTheConnection' \
-	./internal/broker/
+	-run 'TestAwait|TestPollNeverLosesAWakeUp|TestIdleConsumerCallsPerWait|TestServerCloseWakesParkedAwait|TestRemoteCloseEndsCallInFlight|TestRemoteAwaitCancelDropsTheConnection|TestCloseEndsCallInFlight|TestCancelDropsTheConnection' \
+	./internal/broker/ ./internal/grpcish/
 go test -race -count=1 -timeout 5m \
 	-run 'TestConformance/StopWhileParked|TestAsyncIOConformance/StopWhileParked|TestAsyncIOFlushesWhileSourceIsParked' \
 	./internal/sps/...
