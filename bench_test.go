@@ -160,6 +160,7 @@ func BenchmarkBrokerFailover(b *testing.B) {
 		Serving:    crayfish.ServingConfig{Mode: crayfish.Embedded, Tool: "onnx"},
 		Model:      crayfish.ModelSpec{Name: "ffnn", Seed: 1},
 		Partitions: 2,
+		Cluster:    crayfish.ClusterSpec{Nodes: 3},
 	}
 	plan := crayfish.FaultPlan{
 		Seed: 42,
@@ -169,7 +170,7 @@ func BenchmarkBrokerFailover(b *testing.B) {
 	}
 	var ttrMs float64
 	for i := 0; i < b.N; i++ {
-		res, err := crayfish.RunRecovery(cfg, plan, crayfish.ClusterSpec{Nodes: 3})
+		res, err := crayfish.RunRecovery(cfg, plan)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,25 +1,24 @@
-// Command brokerd runs the Crayfish message broker as a standalone TCP
-// daemon, so the input producer, the system under test, and the output
-// consumer can run in separate processes the way the paper deploys them on
-// separate VMs.
+// Command brokerd runs the Crayfish message broker as a TCP daemon, so
+// the input producer, the system under test, and the output consumer can
+// run in separate processes the way the paper deploys them on separate
+// VMs.
 //
-// Single-broker mode:
+// Every brokerd is one node of a replicated cluster: one process per
+// node, each passed the same ordered peer list; the process listens on
+// its own entry. Node 0 is the controller and consumer-group coordinator
+// seat: it elects partition leaders, pushes metadata to the peers, and
+// creates the -topics once every peer answers a ping. Metadata and
+// replication ride the TCP wire protocol clients use — tagged
+// length-prefixed frames, records in binary, control ops and errors as
+// JSON (docs/CLUSTER.md "Wire protocol"). Without -peers the list is
+// -addr alone, a one-node cluster:
 //
 //	brokerd -addr 127.0.0.1:9092 -topics crayfish-in:32,crayfish-out:32
 //
-// Replicated-cluster mode — one brokerd process per node, each passed the
-// same ordered peer list; the process listens on its own entry. Node 0 is
-// the controller and consumer-group coordinator seat: it elects partition
-// leaders, pushes metadata to the peers, and creates the -topics once
-// every peer answers a ping. Metadata and replication ride the TCP wire
-// protocol clients use — tagged length-prefixed frames, records in
-// binary, control ops and errors as JSON (docs/CLUSTER.md "Wire
-// protocol"):
-//
-//	brokerd -cluster -node-id 0 -peers 127.0.0.1:9092,127.0.0.1:9093,127.0.0.1:9094 \
+//	brokerd -node-id 0 -peers 127.0.0.1:9092,127.0.0.1:9093,127.0.0.1:9094 \
 //	        -replication-factor 3 -topics crayfish-in:32,crayfish-out:32
-//	brokerd -cluster -node-id 1 -peers 127.0.0.1:9092,127.0.0.1:9093,127.0.0.1:9094
-//	brokerd -cluster -node-id 2 -peers 127.0.0.1:9092,127.0.0.1:9093,127.0.0.1:9094
+//	brokerd -node-id 1 -peers 127.0.0.1:9092,127.0.0.1:9093,127.0.0.1:9094
+//	brokerd -node-id 2 -peers 127.0.0.1:9092,127.0.0.1:9093,127.0.0.1:9094
 //
 // With -metrics-addr, /metrics reports the node's replication state
 // alongside the broker counters: broker.cluster.leader.<topic>-<partition>
@@ -104,10 +103,11 @@ func parseTopics(s string) ([]topicSpec, error) {
 
 // parsePeers parses the -peers flag value: an ordered comma-separated
 // host:port list where position is node id. Every cluster process must
-// be handed the same list — it is the cluster membership.
+// be handed the same list — it is the cluster membership. One entry is a
+// one-node cluster.
 func parsePeers(s string, nodeID int) ([]string, error) {
 	if s == "" {
-		return nil, fmt.Errorf("-cluster needs -peers")
+		return nil, fmt.Errorf("no peers")
 	}
 	addrs := strings.Split(s, ",")
 	for i, a := range addrs {
@@ -116,9 +116,6 @@ func parsePeers(s string, nodeID int) ([]string, error) {
 			return nil, fmt.Errorf("bad peer %q at position %d: %v", a, i, err)
 		}
 		addrs[i] = a
-	}
-	if len(addrs) < 2 {
-		return nil, fmt.Errorf("a cluster needs at least 2 peers, got %d", len(addrs))
 	}
 	if nodeID < 0 || nodeID >= len(addrs) {
 		return nil, fmt.Errorf("-node-id %d out of range for %d peers", nodeID, len(addrs))
@@ -172,15 +169,21 @@ func (cn *clusterNode) Close() {
 // for processes that have not started yet), and on node 0 build the
 // controller and create the bootstrap topics.
 func startCluster(nodeID int, peerAddrs []string, rf int, topics []topicSpec, reg *crayfish.TelemetryRegistry) (*clusterNode, error) {
-	node := broker.New(broker.Config{ID: nodeID, Metrics: reg})
+	cfg := broker.ClusterConfig{
+		Nodes:             len(peerAddrs),
+		ReplicationFactor: min(rf, len(peerAddrs)),
+		Broker:            broker.Config{Metrics: reg},
+		HeartbeatEvery:    controllerHeartbeat,
+	}
+	node := cfg.NewNode(nodeID)
 	srv, err := broker.Serve(node, peerAddrs[nodeID])
 	if err != nil {
 		node.Close()
 		return nil, err
 	}
 	cn := &clusterNode{node: node, srv: srv}
-	fmt.Printf("brokerd %s listening on %s (cluster of %d, rf=%d)\n",
-		node.Name(), srv.Addr(), len(peerAddrs), rf)
+	fmt.Printf("brokerd listening on %s (%s, cluster of %d, rf=%d)\n",
+		srv.Addr(), node.Name(), cfg.Nodes, cfg.ReplicationFactor)
 
 	// Link the peers. Processes start in any order, so each dial waits
 	// for the remote listener; a peer that never appears is fatal — the
@@ -205,25 +208,18 @@ func startCluster(nodeID int, peerAddrs []string, rf int, topics []topicSpec, re
 	// same links, create the bootstrap topics (placement pushes the view
 	// — and the topics — to every peer), then start the liveness sweep.
 	if nodeID == 0 {
-		ctrl, err := broker.NewController(broker.ControllerConfig{
-			Peers:             peers,
-			ReplicationFactor: rf,
-			HeartbeatEvery:    controllerHeartbeat,
-			Coordinator:       node,
-			Metrics:           reg,
-		})
+		ctrl, err := cfg.Seat(node, peers)
 		if err != nil {
 			cn.Close()
 			return nil, err
 		}
-		node.AttachController(ctrl)
 		cn.ctrl = ctrl
 		for _, t := range topics {
 			if err := ctrl.CreateTopic(t.name, t.partitions); err != nil {
 				cn.Close()
 				return nil, fmt.Errorf("create topic: %v", err)
 			}
-			fmt.Printf("created topic %s with %d partitions (rf=%d)\n", t.name, t.partitions, rf)
+			fmt.Printf("created topic %s with %d partitions (rf=%d)\n", t.name, t.partitions, cfg.ReplicationFactor)
 		}
 		ctrl.Start()
 	} else if len(topics) > 0 {
@@ -234,15 +230,17 @@ func startCluster(nodeID int, peerAddrs []string, rf int, topics []topicSpec, re
 
 func main() {
 	var (
-		addr        = flag.String("addr", "127.0.0.1:9092", "listen address (single-broker mode; cluster mode listens on its -peers entry)")
+		addr        = flag.String("addr", "127.0.0.1:9092", "listen address of a one-node cluster (the -peers default)")
 		topics      = flag.String("topics", "", "topics to pre-create, as name:partitions[,name:partitions...]")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (JSON telemetry) and /debug/pprof on this address (empty = off)")
-		cluster     = flag.Bool("cluster", false, "run as one node of a replicated cluster (requires -node-id and -peers)")
-		nodeID      = flag.Int("node-id", 0, "this node's id in the -peers list (cluster mode)")
-		peersFlag   = flag.String("peers", "", "ordered comma-separated host:port list of every cluster node, position = node id (cluster mode)")
-		rf          = flag.Int("replication-factor", 3, "replicas per partition, clamped to the node count (cluster mode)")
+		nodeID      = flag.Int("node-id", 0, "this node's id in the -peers list")
+		peersFlag   = flag.String("peers", "", "ordered comma-separated host:port list of every cluster node, position = node id (default: -addr)")
+		rf          = flag.Int("replication-factor", 3, "replicas per partition, clamped to the node count")
 	)
 	flag.Parse()
+	if *peersFlag == "" {
+		*peersFlag = *addr
+	}
 
 	var reg *crayfish.TelemetryRegistry
 	if *metricsAddr != "" {
@@ -258,50 +256,19 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-
-	if *cluster {
-		peerAddrs, err := parsePeers(*peersFlag, *nodeID)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		cn, err := startCluster(*nodeID, peerAddrs, *rf, specs, reg)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		fmt.Println("shutting down")
-		cn.Close()
-		time.Sleep(50 * time.Millisecond)
-		return
-	}
-
-	var b *crayfish.Broker
-	if reg != nil {
-		b = crayfish.NewBrokerTelemetry(reg)
-	} else {
-		b = crayfish.NewBroker()
-	}
-	for _, t := range specs {
-		if err := b.CreateTopic(t.name, t.partitions); err != nil {
-			fatalf("create topic: %v", err)
-		}
-		fmt.Printf("created topic %s with %d partitions\n", t.name, t.partitions)
-	}
-	srv, err := crayfish.ServeBroker(b, *addr)
+	peerAddrs, err := parsePeers(*peersFlag, *nodeID)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	fmt.Printf("brokerd listening on %s\n", srv.Addr())
-
+	cn, err := startCluster(*nodeID, peerAddrs, *rf, specs, reg)
+	if err != nil {
+		fatalf("%v", err)
+	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("shutting down")
-	if err := srv.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "brokerd: shutdown: %v\n", err)
-	}
+	cn.Close()
 	time.Sleep(50 * time.Millisecond)
 }
 

@@ -38,12 +38,16 @@ func TestParsePeers(t *testing.T) {
 	if len(addrs) != 2 || addrs[1] != "127.0.0.1:9093" {
 		t.Fatalf("addrs %v", addrs)
 	}
+	// One node is a cluster: brokerd's -peers defaults to -addr alone.
+	if addrs, err := parsePeers("127.0.0.1:9092", 0); err != nil || len(addrs) != 1 {
+		t.Fatalf("one peer: %v, %v", addrs, err)
+	}
 	for _, bad := range []struct {
 		peers string
 		id    int
 	}{
 		{"", 0},                               // missing list
-		{"127.0.0.1:9092", 0},                 // one node is not a cluster
+		{"127.0.0.1:9092", 1},                 // id past a one-node list
 		{"127.0.0.1:9092,nonsense", 0},        // unparsable address
 		{"127.0.0.1:9092,127.0.0.1:9093", 2},  // id past the list
 		{"127.0.0.1:9092,127.0.0.1:9093", -1}, // negative id
@@ -112,7 +116,7 @@ func TestStartClusterSmoke(t *testing.T) {
 		}
 	}()
 
-	links := make([]broker.ClusterTransport, 3)
+	links := make([]broker.Transport, 3)
 	for i, a := range addrs {
 		rc, err := broker.Dial(a)
 		if err != nil {
@@ -155,5 +159,62 @@ func TestStartClusterSmoke(t *testing.T) {
 	}
 	if _, ok := regs[0].Snapshot().Counters["broker.cluster.failovers"]; !ok {
 		t.Fatal("controller registry missing broker.cluster.failovers")
+	}
+}
+
+// TestStartClusterOneNode: brokerd without -peers is the one-node case of
+// startCluster, and it serves a plain RemoteClient — topic admin,
+// produce, fetch and the consumer-group ops — as the standalone broker
+// it replaced did.
+func TestStartClusterOneNode(t *testing.T) {
+	addrs := reservePorts(t, 1)
+	reg := crayfish.NewTelemetry()
+	cn, err := startCluster(0, addrs, 3, []topicSpec{{"in", 2}}, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cn.Close()
+	rc, err := broker.Dial(addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+
+	if n, err := rc.Partitions("in"); err != nil || n != 2 {
+		t.Fatalf("bootstrap topic: %d partitions, %v", n, err)
+	}
+	if err := rc.CreateTopic("out", 1); err != nil {
+		t.Fatalf("create topic: %v", err)
+	}
+	if off, err := rc.Produce("in", 1, []broker.Record{{Value: []byte("a")}, {Value: []byte("b")}}); err != nil || off != 0 {
+		t.Fatalf("produce = %d, %v", off, err)
+	}
+	recs, err := rc.Fetch("in", 1, 0, 10)
+	if err != nil || len(recs) != 2 || string(recs[1].Value) != "b" {
+		t.Fatalf("fetch = %d records, %v", len(recs), err)
+	}
+
+	a, err := rc.JoinGroup("g", []string{"in"})
+	if err != nil {
+		t.Fatalf("join group: %v", err)
+	}
+	if len(a.Partitions) != 2 {
+		t.Fatalf("assignment %+v, want both partitions", a)
+	}
+	tp := broker.TopicPartition{Topic: "in", Partition: 1}
+	if err := rc.CommitOffset("g", tp, 2); err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	if off, err := rc.CommittedOffset("g", tp); err != nil || off != 2 {
+		t.Fatalf("committed offset = %d, %v", off, err)
+	}
+	if err := rc.LeaveGroup("g", a.MemberID); err != nil {
+		t.Fatalf("leave group: %v", err)
+	}
+	if err := rc.DeleteTopic("out"); err != nil {
+		t.Fatalf("delete topic: %v", err)
+	}
+	if _, ok := reg.Snapshot().Gauges["broker.cluster.leader.in-1"]; !ok {
+		t.Fatal("registry missing broker.cluster.leader.in-1")
 	}
 }

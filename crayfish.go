@@ -185,8 +185,8 @@ type (
 	// RecoveryResult is a recovery run's outcome: the usual Result plus
 	// the loss/duplication accounting and recovery timings.
 	RecoveryResult = core.RecoveryResult
-	// ClusterSpec sizes the broker cluster a recovery run executes
-	// against; the zero value is one node (docs/CLUSTER.md).
+	// ClusterSpec sizes a run's broker cluster (Config.Cluster); the
+	// zero value is one node (docs/CLUSTER.md).
 	ClusterSpec = core.ClusterSpec
 )
 
@@ -203,19 +203,19 @@ const (
 )
 
 // RunRecovery executes one experiment on a private broker cluster sized
-// by spec while the fault plan fires, and reports time-to-recover, the
-// loss/duplication books and the failovers. Broker-crash events kill
-// named nodes and the partition-aware client re-routes; acked-record
-// loss must stay 0 across a single leader crash. See docs/FAULTS.md and
-// docs/CLUSTER.md.
-func RunRecovery(cfg Config, plan FaultPlan, spec ClusterSpec) (*RecoveryResult, error) {
-	return (&Runner{}).RunRecovery(cfg, plan, spec)
+// by cfg.Cluster while the fault plan fires, and reports
+// time-to-recover, the loss/duplication books and the failovers.
+// Broker-crash events kill named nodes and the partition-aware client
+// re-routes; acked-record loss must stay 0 across a single leader crash.
+// See docs/FAULTS.md and docs/CLUSTER.md.
+func RunRecovery(cfg Config, plan FaultPlan) (*RecoveryResult, error) {
+	return (&Runner{}).RunRecovery(cfg, plan)
 }
 
 // NewTelemetry creates a live-metrics registry to attach to
-// Config.Telemetry (runs), NewBrokerTelemetry (broker daemons), or
-// ServingDaemonConfig.Telemetry (serving daemons). The metric names it
-// fills are documented in docs/OBSERVABILITY.md.
+// Config.Telemetry (runs) or ServingDaemonConfig.Telemetry (serving
+// daemons). The metric names it fills are documented in
+// docs/OBSERVABILITY.md.
 func NewTelemetry() *TelemetryRegistry { return telemetry.New() }
 
 // DumpTelemetry starts a goroutine printing a snapshot of reg to w every
@@ -369,14 +369,6 @@ func StartServingDaemon(cfg ServingDaemonConfig) (ServingDaemon, error) {
 // NewBroker creates a message broker with the paper's defaults (50 MB max
 // request size).
 func NewBroker() *Broker { return broker.New(broker.DefaultConfig()) }
-
-// NewBrokerTelemetry is NewBroker with live broker.* metrics feeding reg
-// (brokerd exposes them on /metrics).
-func NewBrokerTelemetry(reg *TelemetryRegistry) *Broker {
-	cfg := broker.DefaultConfig()
-	cfg.Metrics = reg
-	return broker.New(cfg)
-}
 
 // ServeBroker exposes a broker on a TCP address ("127.0.0.1:0" picks a
 // free port).

@@ -263,3 +263,57 @@ func TestProduceWithoutWaitersAllocs(t *testing.T) {
 		t.Errorf("Produce after the last waiter left allocated %.1f times, want 0", allocs)
 	}
 }
+
+// TestOneNodeClusterProduceAllocs: a partition whose ISR is only its
+// leader — every partition of a one-node cluster — acks a produce on its
+// first check, before any timer or signal is armed, so neither the node
+// nor the partition-aware client over it allocates.
+func TestOneNodeClusterProduceAllocs(t *testing.T) {
+	c := newTestCluster(t, 1, 1)
+	cl, err := c.Client(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.CreateTopic("t", 1); err != nil {
+		t.Fatal(err)
+	}
+	node, err := c.Node(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node.topics["t"].parts[0].recs = make([]Record, 0, 1024)
+	recs := []Record{{Value: []byte("x")}}
+	for _, via := range []struct {
+		name string
+		tr   Transport
+	}{{"node", node}, {"cluster-client", cl}} {
+		produce := func() {
+			if _, err := via.tr.Produce("t", 0, recs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if allocs := testing.AllocsPerRun(200, produce); allocs > 0 {
+			t.Errorf("%s: a one-node cluster produce allocated %.1f times, want 0", via.name, allocs)
+		}
+	}
+}
+
+// TestClusterTopicAdminAllocs: with telemetry off a view push names no
+// broker.cluster.leader.* gauge, so creating and deleting a 32-partition
+// topic on a one-node cluster pays only for the view's per-partition
+// state: 389 allocations at this writing. Formatting the leader gauges'
+// names on the controller and on the node for every push costs 563.
+func TestClusterTopicAdminAllocs(t *testing.T) {
+	c := newTestCluster(t, 1, 1)
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := c.CreateTopic("t", 32); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.DeleteTopic("t"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 400 {
+		t.Errorf("creating and deleting a 32-partition topic allocated %.0f times, want <= 400", allocs)
+	}
+}

@@ -180,6 +180,7 @@ func TestClosedBrokerRejectsOps(t *testing.T) {
 		"FetchAssignment": func(b Transport) error { _, err := b.FetchAssignment("g", "g-member-0", 1); return err },
 		"CommitOffset":    func(b Transport) error { return b.CommitOffset("g", tp, 1) },
 		"CommittedOffset": func(b Transport) error { _, err := b.CommittedOffset("g", tp); return err },
+		"ClusterView":     func(b Transport) error { _, err := b.ClusterView(); return err },
 	}
 	if n := reflect.TypeOf((*Transport)(nil)).Elem().NumMethod(); len(ops) != n {
 		t.Fatalf("the table covers %d ops, Transport has %d", len(ops), n)

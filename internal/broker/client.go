@@ -35,6 +35,9 @@ type Transport interface {
 	FetchAssignment(group, memberID string, generation int) (Assignment, error)
 	CommitOffset(group string, tp TopicPartition, offset int64) error
 	CommittedOffset(group string, tp TopicPartition) (int64, error)
+	// ClusterView is the metadata the partition-aware client routes by;
+	// it is empty on a broker no controller has pushed a view to.
+	ClusterView() (ClusterView, error)
 }
 
 var _ Transport = (*Broker)(nil)

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+
+	"crayfish/internal/telemetry"
 )
 
 // Cluster-mode errors. ErrNotLeader and errNodeDown are routing signals:
@@ -150,17 +152,13 @@ type ClusterPeer interface {
 	AdmitFollower(tp TopicPartition, follower, epoch int) (bool, error)
 }
 
-// ClusterTransport is the client-facing surface of one cluster node:
-// the ordinary Transport plus metadata discovery.
-type ClusterTransport interface {
-	Transport
-	ClusterView() (ClusterView, error)
-}
-
-// tpKey renders a TopicPartition for metric-name suffixes
-// (broker.cluster.leader.<topic>-<partition>).
-func tpKey(tp TopicPartition) string {
-	return fmt.Sprintf("%s-%d", tp.Topic, tp.Partition)
+// noteLeader publishes a partition's leader id into reg as the gauge
+// broker.cluster.leader.<topic>-<partition>. The name is built only when
+// telemetry is on: view pushes call this for every partition.
+func noteLeader(reg *telemetry.Registry, tp TopicPartition, leader int) {
+	if reg != nil {
+		reg.Gauge("broker.cluster.leader." + fmt.Sprintf("%s-%d", tp.Topic, tp.Partition)).Set(int64(leader))
+	}
 }
 
 // containsInt reports membership in a small id slice.

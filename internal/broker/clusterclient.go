@@ -16,7 +16,7 @@ import (
 // resilience policy. Group operations route to the coordinator seat
 // (node 0). Safe for concurrent use.
 type ClusterClient struct {
-	links []ClusterTransport
+	links []Transport
 	retry *resilience.Retry
 
 	mu   sync.RWMutex
@@ -27,7 +27,7 @@ type ClusterClient struct {
 // node id (links[0] must be the coordinator/controller seat). retry
 // nil gets a failover-sized default: tight backoff, wall-clock bounded
 // generously past leader-election latency.
-func NewClusterClient(links []ClusterTransport, retry *resilience.Retry) (*ClusterClient, error) {
+func NewClusterClient(links []Transport, retry *resilience.Retry) (*ClusterClient, error) {
 	if len(links) == 0 {
 		return nil, fmt.Errorf("broker: cluster client needs at least one node link")
 	}
@@ -122,7 +122,7 @@ func ledBy(reqs []FetchRequest, leaders []int, id int) []FetchRequest {
 
 // onLeader runs fn against the partition leader's link, refreshing
 // metadata and re-routing on every retryable routing failure.
-func (c *ClusterClient) onLeader(tp TopicPartition, fn func(link ClusterTransport) error) error {
+func (c *ClusterClient) onLeader(tp TopicPartition, fn func(link Transport) error) error {
 	return resilience.Run(c.retry, nil, func() error {
 		leader, err := c.leaderFor(tp)
 		if err != nil {
@@ -141,7 +141,7 @@ func (c *ClusterClient) onLeader(tp TopicPartition, fn func(link ClusterTranspor
 // onCoordinator runs fn against the coordinator seat, retrying
 // transport-level failures only; broker-level verdicts (including
 // errRebalance, which carries a valid assignment) pass through.
-func (c *ClusterClient) onCoordinator(fn func(link ClusterTransport) error) error {
+func (c *ClusterClient) onCoordinator(fn func(link Transport) error) error {
 	var inner error
 	err := resilience.Run(c.retry, nil, func() error {
 		inner = fn(c.links[0])
@@ -158,12 +158,12 @@ func (c *ClusterClient) onCoordinator(fn func(link ClusterTransport) error) erro
 
 // CreateTopic implements Transport via the controller seat.
 func (c *ClusterClient) CreateTopic(name string, partitions int) error {
-	return c.onCoordinator(func(l ClusterTransport) error { return l.CreateTopic(name, partitions) })
+	return c.onCoordinator(func(l Transport) error { return l.CreateTopic(name, partitions) })
 }
 
 // DeleteTopic implements Transport via the controller seat.
 func (c *ClusterClient) DeleteTopic(name string) error {
-	return c.onCoordinator(func(l ClusterTransport) error { return l.DeleteTopic(name) })
+	return c.onCoordinator(func(l Transport) error { return l.DeleteTopic(name) })
 }
 
 // Partitions implements Transport from cluster metadata.
@@ -192,7 +192,7 @@ func (c *ClusterClient) Partitions(topic string) (int, error) {
 // seen-set deduplicates, as with the remote transport.
 func (c *ClusterClient) Produce(topic string, partition int, recs []Record) (int64, error) {
 	var off int64
-	err := c.onLeader(TopicPartition{Topic: topic, Partition: partition}, func(l ClusterTransport) error {
+	err := c.onLeader(TopicPartition{Topic: topic, Partition: partition}, func(l Transport) error {
 		var perr error
 		off, perr = l.Produce(topic, partition, recs)
 		return perr
@@ -278,7 +278,7 @@ func (c *ClusterClient) Await(topic string, positions []FetchRequest, wait time.
 // consumer-visible log end.
 func (c *ClusterClient) EndOffset(topic string, partition int) (int64, error) {
 	var off int64
-	err := c.onLeader(TopicPartition{Topic: topic, Partition: partition}, func(l ClusterTransport) error {
+	err := c.onLeader(TopicPartition{Topic: topic, Partition: partition}, func(l Transport) error {
 		var oerr error
 		off, oerr = l.EndOffset(topic, partition)
 		return oerr
@@ -289,7 +289,7 @@ func (c *ClusterClient) EndOffset(topic string, partition int) (int64, error) {
 // JoinGroup implements Transport via the coordinator seat.
 func (c *ClusterClient) JoinGroup(group string, topics []string) (Assignment, error) {
 	var a Assignment
-	err := c.onCoordinator(func(l ClusterTransport) error {
+	err := c.onCoordinator(func(l Transport) error {
 		var jerr error
 		a, jerr = l.JoinGroup(group, topics)
 		return jerr
@@ -299,7 +299,7 @@ func (c *ClusterClient) JoinGroup(group string, topics []string) (Assignment, er
 
 // LeaveGroup implements Transport via the coordinator seat.
 func (c *ClusterClient) LeaveGroup(group, memberID string) error {
-	return c.onCoordinator(func(l ClusterTransport) error { return l.LeaveGroup(group, memberID) })
+	return c.onCoordinator(func(l Transport) error { return l.LeaveGroup(group, memberID) })
 }
 
 // FetchAssignment implements Transport via the coordinator seat. An
@@ -307,7 +307,7 @@ func (c *ClusterClient) LeaveGroup(group, memberID string) error {
 // consumers adopt it, exactly as on a single broker.
 func (c *ClusterClient) FetchAssignment(group, memberID string, generation int) (Assignment, error) {
 	var a Assignment
-	err := c.onCoordinator(func(l ClusterTransport) error {
+	err := c.onCoordinator(func(l Transport) error {
 		var ferr error
 		a, ferr = l.FetchAssignment(group, memberID, generation)
 		return ferr
@@ -317,18 +317,29 @@ func (c *ClusterClient) FetchAssignment(group, memberID string, generation int) 
 
 // CommitOffset implements Transport via the coordinator seat.
 func (c *ClusterClient) CommitOffset(group string, tp TopicPartition, offset int64) error {
-	return c.onCoordinator(func(l ClusterTransport) error { return l.CommitOffset(group, tp, offset) })
+	return c.onCoordinator(func(l Transport) error { return l.CommitOffset(group, tp, offset) })
 }
 
 // CommittedOffset implements Transport via the coordinator seat.
 func (c *ClusterClient) CommittedOffset(group string, tp TopicPartition) (int64, error) {
 	var off int64
-	err := c.onCoordinator(func(l ClusterTransport) error {
+	err := c.onCoordinator(func(l Transport) error {
 		var oerr error
 		off, oerr = l.CommittedOffset(group, tp)
 		return oerr
 	})
 	return off, err
+}
+
+// ClusterView implements Transport: the freshest view a node answers
+// with.
+func (c *ClusterClient) ClusterView() (ClusterView, error) {
+	if err := c.refreshView(); err != nil {
+		return ClusterView{}, err
+	}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.view.clone(), nil
 }
 
 var _ Transport = (*ClusterClient)(nil)

@@ -46,9 +46,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	nodes := make([]*Broker, cfg.Nodes)
 	peers := make(map[int]ClusterPeer, cfg.Nodes)
 	for i := range nodes {
-		bc := cfg.Broker
-		bc.ID, bc.ackTimeout, bc.replicaPoll = i, cfg.AckTimeout, cfg.ReplicaPoll
-		nodes[i] = New(bc)
+		nodes[i] = cfg.NewNode(i)
 		peers[i] = nodes[i]
 	}
 	for _, n := range nodes {
@@ -58,19 +56,20 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			}
 		}
 	}
-	ctrl, err := NewController(ControllerConfig{
-		Peers:             peers,
-		ReplicationFactor: cfg.ReplicationFactor,
-		HeartbeatEvery:    cfg.HeartbeatEvery,
-		Coordinator:       nodes[0],
-		Metrics:           cfg.Broker.Metrics,
-	})
+	ctrl, err := cfg.Seat(nodes[0], peers)
 	if err != nil {
 		return nil, err
 	}
-	nodes[0].AttachController(ctrl)
 	ctrl.Start()
 	return &Cluster{nodes: nodes, ctrl: ctrl}, nil
+}
+
+// NewNode builds node id of the cluster cfg describes. NewCluster builds
+// every node with it, and brokerd the one node its process hosts.
+func (cfg ClusterConfig) NewNode(id int) *Broker {
+	bc := cfg.Broker
+	bc.ID, bc.ackTimeout, bc.replicaPoll = id, cfg.AckTimeout, cfg.ReplicaPoll
+	return New(bc)
 }
 
 // CreateTopic places and creates a replicated topic cluster-wide.
@@ -86,7 +85,7 @@ func (c *Cluster) DeleteTopic(name string) error {
 // Client returns a partition-aware Transport over the cluster. retry
 // nil uses the failover-sized default policy.
 func (c *Cluster) Client(retry *resilience.Retry) (*ClusterClient, error) {
-	links := make([]ClusterTransport, len(c.nodes))
+	links := make([]Transport, len(c.nodes))
 	for i, n := range c.nodes {
 		links[i] = n
 	}

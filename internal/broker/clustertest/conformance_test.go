@@ -75,12 +75,8 @@ func newWireCluster(t *testing.T, n, rf int) *wireCluster {
 			}
 		}
 	}
-	ctrl, err := broker.NewController(broker.ControllerConfig{
-		Peers:             peers,
-		ReplicationFactor: rf,
-		HeartbeatEvery:    time.Hour, // tests drive Tick directly
-		Coordinator:       w.nodes[0],
-	})
+	// Heartbeat disabled: tests drive Tick directly.
+	ctrl, err := broker.ClusterConfig{Nodes: n, ReplicationFactor: rf, HeartbeatEvery: time.Hour}.Seat(w.nodes[0], peers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +90,7 @@ func newWireCluster(t *testing.T, n, rf int) *wireCluster {
 // builds the partition-aware cluster client over the wire links.
 func (w *wireCluster) client(t *testing.T, addrs []string) *broker.ClusterClient {
 	t.Helper()
-	links := make([]broker.ClusterTransport, len(addrs))
+	links := make([]broker.Transport, len(addrs))
 	for i, addr := range addrs {
 		rc, err := broker.Dial(addr, broker.WithCallTimeout(2*time.Second))
 		if err != nil {

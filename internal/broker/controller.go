@@ -9,26 +9,6 @@ import (
 	"crayfish/internal/telemetry"
 )
 
-// ControllerConfig configures the cluster controller.
-type ControllerConfig struct {
-	// Peers links the controller to every node, keyed by node id; ids
-	// must be 0..len(Peers)-1 (partition placement is modular over the
-	// id space).
-	Peers map[int]ClusterPeer
-	// ReplicationFactor is the replica count per partition (clamped to
-	// the node count).
-	ReplicationFactor int
-	// HeartbeatEvery is the liveness sweep interval (default 1ms for
-	// in-process clusters; brokerd uses a longer wire-friendly period).
-	HeartbeatEvery time.Duration
-	// Coordinator, when set, is the consumer-group coordinator seat
-	// (node 0's local broker): every membership change bumps all group
-	// generations so consumers rebalance.
-	Coordinator *Broker
-	// Metrics publishes broker.cluster.* telemetry.
-	Metrics *telemetry.Registry
-}
-
 // Controller is the cluster's deterministic control plane — the role
 // ZooKeeper/KRaft plays for Kafka, reduced to a single seat. It owns
 // the authoritative ClusterView: it sweeps node liveness, shrinks and
@@ -42,6 +22,7 @@ type Controller struct {
 	nNodes      int
 	tick        time.Duration
 	coordinator *Broker
+	peers       map[int]ClusterPeer // node id → link, fixed at construction
 
 	mFailovers   *telemetry.Counter
 	mLeaderEpoch *telemetry.Gauge
@@ -52,7 +33,6 @@ type Controller struct {
 	tickMu sync.Mutex
 
 	mu       sync.Mutex
-	peers    map[int]ClusterPeer
 	view     ClusterView
 	down     map[int]bool
 	maxEpoch int
@@ -63,34 +43,33 @@ type Controller struct {
 	wg   sync.WaitGroup
 }
 
-// NewController builds a controller over the given peer set.
-func NewController(cfg ControllerConfig) (*Controller, error) {
-	if len(cfg.Peers) == 0 {
+// Seat builds the controller of the cluster cfg describes over peers
+// (every node id, node 0's included, to its link) and seats it on node
+// 0, the consumer-group coordinator, so that topic admin there runs
+// through it. Ids must be 0..len(peers)-1: partition placement is
+// modular over the id space. NewCluster seats its node 0 with it, and
+// brokerd the node 0 its process hosts. The caller starts it.
+func (cfg ClusterConfig) Seat(node0 *Broker, peers map[int]ClusterPeer) (*Controller, error) {
+	if len(peers) == 0 {
 		return nil, fmt.Errorf("broker: controller needs at least one peer")
 	}
-	if cfg.ReplicationFactor <= 0 {
-		cfg.ReplicationFactor = 1
-	}
-	if cfg.HeartbeatEvery <= 0 {
-		cfg.HeartbeatEvery = time.Millisecond
-	}
-	members := make([]int, 0, len(cfg.Peers))
-	for id := range cfg.Peers {
-		if id < 0 || id >= len(cfg.Peers) {
-			return nil, fmt.Errorf("broker: controller peer ids must be 0..%d, got %d", len(cfg.Peers)-1, id)
+	members := make([]int, 0, len(peers))
+	for id := range peers {
+		if id < 0 || id >= len(peers) {
+			return nil, fmt.Errorf("broker: controller peer ids must be 0..%d, got %d", len(peers)-1, id)
 		}
 		members = append(members, id)
 	}
 	sort.Ints(members)
 	c := &Controller{
-		rf:           cfg.ReplicationFactor,
-		nNodes:       len(cfg.Peers),
+		rf:           max(cfg.ReplicationFactor, 1),
+		nNodes:       len(peers),
 		tick:         cfg.HeartbeatEvery,
-		coordinator:  cfg.Coordinator,
-		mFailovers:   cfg.Metrics.Counter("broker.cluster.failovers"),
-		mLeaderEpoch: cfg.Metrics.Gauge("broker.cluster.leader_epoch"),
-		metrics:      cfg.Metrics,
-		peers:        cfg.Peers,
+		coordinator:  node0,
+		mFailovers:   cfg.Broker.Metrics.Counter("broker.cluster.failovers"),
+		mLeaderEpoch: cfg.Broker.Metrics.Gauge("broker.cluster.leader_epoch"),
+		metrics:      cfg.Broker.Metrics,
+		peers:        peers,
 		down:         make(map[int]bool),
 		stop:         make(chan struct{}),
 		view: ClusterView{
@@ -99,10 +78,19 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 			Partitions: make(map[string][]PartitionState),
 		},
 	}
+	if c.tick <= 0 {
+		c.tick = time.Millisecond
+	}
+	node0.mu.Lock()
+	node0.ctrl = c
+	node0.mu.Unlock()
 	return c, nil
 }
 
-// Start launches the liveness sweep loop.
+// Start launches the liveness sweep loop. The ticker is made here, on
+// the caller's goroutine: the loop makes no timer per sweep, and the
+// time package's one-time set-up on first use (≈ 50 allocations) runs
+// before Start returns rather than whenever the loop is first scheduled.
 func (c *Controller) Start() {
 	c.mu.Lock()
 	if c.started || c.closed {
@@ -111,8 +99,9 @@ func (c *Controller) Start() {
 	}
 	c.started = true
 	c.mu.Unlock()
+	tick := time.NewTicker(c.tick)
 	c.wg.Add(1)
-	go c.run()
+	go c.run(tick)
 }
 
 // Close stops the sweep loop and waits for it.
@@ -128,15 +117,14 @@ func (c *Controller) Close() {
 	c.wg.Wait()
 }
 
-func (c *Controller) run() {
+func (c *Controller) run(tick *time.Ticker) {
 	defer c.wg.Done()
+	defer tick.Stop()
 	for {
-		t := time.NewTimer(c.tick)
 		select {
 		case <-c.stop:
-			t.Stop()
 			return
-		case <-t.C:
+		case <-tick.C:
 		}
 		c.Tick()
 	}
@@ -191,7 +179,7 @@ func (c *Controller) CreateTopic(name string, partitions int) error {
 			}
 		}
 		states[p] = PartitionState{Leader: leader, Epoch: 1, Replicas: replicas, ISR: isr}
-		c.noteLeaderLocked(TopicPartition{Topic: name, Partition: p}, leader)
+		noteLeader(c.metrics, TopicPartition{Topic: name, Partition: p}, leader)
 	}
 	if c.maxEpoch < 1 {
 		c.maxEpoch = 1
@@ -232,24 +220,16 @@ func (c *Controller) Tick() {
 	c.tickMu.Lock()
 	defer c.tickMu.Unlock()
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	closed := c.closed
+	c.mu.Unlock()
+	if closed {
 		return
 	}
-	ids := make([]int, 0, len(c.peers))
-	for id := range c.peers {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	peers := make(map[int]ClusterPeer, len(c.peers))
-	for id, p := range c.peers {
-		peers[id] = p
-	}
-	c.mu.Unlock()
-
-	alive := make(map[int]bool, len(ids))
-	for _, id := range ids {
-		alive[id] = peers[id].Ping() == nil
+	// The peer links (ids 0..nNodes-1) are fixed at construction, so the
+	// pings read them without c.mu.
+	alive := make([]bool, c.nNodes)
+	for id := range alive {
+		alive[id] = c.peers[id].Ping() == nil
 	}
 
 	c.mu.Lock()
@@ -258,7 +238,7 @@ func (c *Controller) Tick() {
 		return
 	}
 	changed := false
-	for _, id := range ids {
+	for id := range alive {
 		switch {
 		case !alive[id] && !c.down[id]:
 			c.down[id] = true
@@ -273,9 +253,7 @@ func (c *Controller) Tick() {
 	if changed {
 		c.view.Version++
 		c.pushViewLocked()
-		if c.coordinator != nil {
-			c.coordinator.rebalanceGroups()
-		}
+		c.coordinator.rebalanceGroups()
 	}
 	if c.expandISRLocked() {
 		c.view.Version++
@@ -317,7 +295,7 @@ func (c *Controller) handleDeathLocked(id int) {
 					c.mLeaderEpoch.Set(int64(c.maxEpoch))
 				}
 				c.mFailovers.Inc()
-				c.noteLeaderLocked(tp, st.Leader)
+				noteLeader(c.metrics, tp, st.Leader)
 			} else if st.Leader >= 0 && containsInt(st.ISR, id) {
 				// A follower died: shrink the ISR so the leader's
 				// high-watermark derivation stops waiting on it. An
@@ -394,7 +372,7 @@ func (c *Controller) handleReturnLocked(id int) {
 				c.mLeaderEpoch.Set(int64(c.maxEpoch))
 			}
 			c.mFailovers.Inc()
-			c.noteLeaderLocked(tp, st.Leader)
+			noteLeader(c.metrics, tp, st.Leader)
 		}
 	}
 }
@@ -444,10 +422,4 @@ func (c *Controller) pushViewLocked() {
 	for _, id := range c.view.Members {
 		_ = c.peers[id].PushView(c.view.clone())
 	}
-}
-
-// noteLeaderLocked publishes one partition's current leader id as a
-// broker.cluster.leader.<topic>-<partition> gauge. Caller holds c.mu.
-func (c *Controller) noteLeaderLocked(tp TopicPartition, leader int) {
-	c.metrics.Gauge("broker.cluster.leader." + tpKey(tp)).Set(int64(leader))
 }

@@ -106,15 +106,6 @@ func (b *Broker) SetPeer(id int, p ClusterPeer) {
 	b.peers[id] = p
 }
 
-// AttachController marks this node as the controller seat so topic
-// admin ops route into it. Local clusters and brokerd both call it on
-// node 0 right after building the controller.
-func (b *Broker) AttachController(c *Controller) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.ctrl = c
-}
-
 // nodeDown wraps errNodeDown retryably with the node's name.
 func (b *Broker) nodeDown() error {
 	return resilience.MarkRetryable(fmt.Errorf("%w: %s", errNodeDown, b.Name()))
@@ -176,7 +167,7 @@ func (b *Broker) LogEnd(tp TopicPartition) (int64, error) {
 	return p.end(), nil
 }
 
-// ClusterView implements ClusterTransport: the node's current metadata
+// ClusterView implements Transport: the node's current metadata
 // copy, for client-side leader discovery.
 func (b *Broker) ClusterView() (ClusterView, error) {
 	b.mu.RLock()
@@ -267,7 +258,7 @@ func (b *Broker) adoptLocked(p *partition, tp TopicPartition, st PartitionState)
 	// node's /metrics answers "who leads partition p", not just the
 	// controller's (followers are what you can still scrape
 	// mid-failover).
-	b.cfg.Metrics.Gauge("broker.cluster.leader." + tpKey(tp)).Set(int64(st.Leader))
+	noteLeader(b.cfg.Metrics, tp, st.Leader)
 	if epochMoved && !leadsNow {
 		// New term, not leading it: drop everything this node never saw
 		// acked so its log rejoins the new leader's as a clean prefix
@@ -529,11 +520,17 @@ func (b *Broker) produceAcked(t *topic, p *partition, rs *replState, recs []Reco
 	rs.mu.Unlock()
 	b.countAppend(t, recs)
 	target := base + int64(len(recs))
-	timer := time.NewTimer(b.cfg.ackTimeout)
-	defer timer.Stop()
+	// The first check runs unarmed, as in Await: a partition whose ISR is
+	// only its leader acks at once, with no timer and no channel.
+	var timer *time.Timer
 	for {
-		// Capture, then check, as in Await: a crash wakes the topic too.
-		signal, err := t.appendSignal()
+		var signal <-chan struct{}
+		var err error
+		if timer != nil {
+			// Capture, then check, as in Await: an ack or a crash racing
+			// the check closes the captured channel.
+			signal, err = t.appendSignal()
+		}
 		if err == nil {
 			err = b.gate()
 		}
@@ -557,6 +554,12 @@ func (b *Broker) produceAcked(t *topic, p *partition, rs *replState, recs []Reco
 		if acked {
 			return base, nil
 		}
+		if timer == nil {
+			// Not acked at once: arm, then check again before waiting.
+			timer = time.NewTimer(b.cfg.ackTimeout)
+			defer timer.Stop()
+			continue
+		}
 		select {
 		case <-signal:
 		case <-timer.C:
@@ -565,7 +568,4 @@ func (b *Broker) produceAcked(t *topic, p *partition, rs *replState, recs []Reco
 	}
 }
 
-var (
-	_ ClusterPeer      = (*Broker)(nil)
-	_ ClusterTransport = (*Broker)(nil)
-)
+var _ ClusterPeer = (*Broker)(nil)

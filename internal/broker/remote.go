@@ -338,7 +338,7 @@ func (rc *RemoteClient) LogEnd(tp TopicPartition) (int64, error) {
 	return resp.Offset, nil
 }
 
-// ClusterView implements ClusterTransport: cluster metadata discovery.
+// ClusterView implements Transport: cluster metadata discovery.
 func (rc *RemoteClient) ClusterView() (ClusterView, error) {
 	resp, err := rc.call(&wireRequest{Op: "metadata"})
 	if err != nil {
@@ -351,7 +351,6 @@ func (rc *RemoteClient) ClusterView() (ClusterView, error) {
 }
 
 var (
-	_ Transport        = (*RemoteClient)(nil)
-	_ ClusterPeer      = (*RemoteClient)(nil)
-	_ ClusterTransport = (*RemoteClient)(nil)
+	_ Transport   = (*RemoteClient)(nil)
+	_ ClusterPeer = (*RemoteClient)(nil)
 )

@@ -97,6 +97,9 @@ type Config struct {
 	SinkParallelism    int
 	// Partitions is the per-topic partition count (the paper uses 32).
 	Partitions int
+	// Cluster sizes the private broker cluster the run executes against
+	// (§4.2 runs Kafka as a cluster). The zero value is one node.
+	Cluster ClusterSpec
 	// Batching, when set, coalesces concurrent scoring-operator calls
 	// into multi-record scorer invocations under the policy's size +
 	// linger triggers (with an SLO, the AIMD controller tunes the batch
@@ -122,6 +125,27 @@ type Config struct {
 	// consumer completions. Set by Runner.RunScenario for the
 	// single-/multi-stream scenarios.
 	closedStreams int
+}
+
+// ClusterSpec sizes a run's broker cluster. The zero value is one node.
+type ClusterSpec struct {
+	// Nodes is the broker count (default 1). Every partition has a
+	// replica on every node.
+	Nodes int
+	// TornFrameEvery, when >0, additionally serves every node over real
+	// TCP behind a faults.NewProxy and arms a torn frame — a response
+	// stream severed mid-frame — on every node's client link at this
+	// period. Replication and controller links stay in-process, so a
+	// fault plan's schedule (and its log) is untouched; the chaos lands
+	// purely on the client transport, which must ride it out. Like every
+	// planned fault the chaos window is bounded: tears stop arming once
+	// the workload and the last fault window have both passed, so the
+	// drain phase measures recovery instead of prolonging the outage.
+	TornFrameEvery time.Duration
+	// TornFrameFor bounds the chaos window explicitly. Zero derives it
+	// from the plan's last fault window and the workload duration,
+	// whichever ends later.
+	TornFrameFor time.Duration
 }
 
 // ServingMode distinguishes embedded from external serving.
@@ -175,5 +199,6 @@ func (c *Config) Validate() error {
 	if c.Partitions <= 0 {
 		c.Partitions = 32
 	}
+	c.Cluster.Nodes = max(c.Cluster.Nodes, 1)
 	return nil
 }

@@ -98,9 +98,10 @@ func (s *holdingScorer) Score(inputs []float32, count int) ([]float32, error) {
 	return make([]float32, count), nil
 }
 
-// A 20 000-event saturating run drains completely through Runner, and
-// while the last event is held for 100 ms — the producer done, nearly
-// every sample recorded, the runner polling — the process allocates a
+// A 20 000-event saturating run drains completely through the runner's
+// measurement loop, and while the last event is held for 100 ms — the
+// producer done, nearly every sample recorded, the runner polling — the
+// process allocates a
 // small fraction of the one 1.28 MB sample copy per poll that
 // len(oc.Samples()) cost (~120 MB over the hold).
 func TestRunDrainWaitHoldsTwentyThousandSamplesWithoutCopying(t *testing.T) {
@@ -113,11 +114,14 @@ func TestRunDrainWaitHoldsTwentyThousandSamplesWithoutCopying(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 		runtime.ReadMemStats(&after)
 	}}
+	b := broker.New(broker.DefaultConfig())
+	defer b.Close()
 	r := &Runner{DrainTimeout: 30 * time.Second}
-	res, err := r.runWithScorer(cfg, scorer)
+	books, err := r.measure(cfg, b, scorer, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := books.Result
 	if res.EngineErr != nil {
 		t.Fatalf("engine error: %v", res.EngineErr)
 	}

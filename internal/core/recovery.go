@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"crayfish/internal/broker"
@@ -52,63 +51,21 @@ type RecoveryResult struct {
 	LeaderEpoch int
 }
 
-// ClusterSpec sizes the broker cluster a fault run executes against.
-// The zero value is one node.
-type ClusterSpec struct {
-	// Nodes is the broker count (default 1). Every partition has a
-	// replica on every node.
-	Nodes int
-	// TornFrameEvery, when >0, additionally serves every node over real
-	// TCP behind a faults.NewProxy and arms a torn frame — a response
-	// stream severed mid-frame — on every node's client link at this
-	// period. Replication and controller links stay in-process, so the
-	// planned fault schedule (and its log) is untouched; the chaos lands
-	// purely on the client transport, which must ride it out. Like every
-	// planned fault the chaos window is bounded: tears stop arming once
-	// the workload and the last fault window have both passed, so the
-	// drain phase measures recovery instead of prolonging the outage.
-	TornFrameEvery time.Duration
-	// TornFrameFor bounds the chaos window explicitly. Zero derives it
-	// from the plan's last fault window and the workload duration,
-	// whichever ends later.
-	TornFrameFor time.Duration
-}
-
-// The fault run cluster's fixed timings.
-const (
-	// clusterAckTimeout bounds a produce's replication wait: small enough
-	// that an undetected dead follower surfaces as a retryable timeout
-	// well inside the experiment's retry budget.
-	clusterAckTimeout = 2 * time.Second
-	// clusterHeartbeat is the controller's liveness sweep period.
-	clusterHeartbeat = time.Millisecond
-	// clusterReplicaPoll is the follower fetch loop's idle interval,
-	// keeping replica lag far below the fault-window scale.
-	clusterReplicaPoll = 200 * time.Microsecond
-	// tornFrameBytes is how many response bytes pass before an armed tear
-	// severs the connection: mid-frame for every response the pipeline
-	// sends.
-	tornFrameBytes = 48
-)
-
-// RunRecovery executes one experiment on a private broker cluster while
-// the fault plan fires: the partition leaders apply the plan's message
-// faults, timed events crash/restart the external serving daemon (when
-// cfg serves externally), open scorer-error windows and kill or revive
-// named broker nodes (the controller elects a new leader from the ISR
-// and fences the old epoch), and the SUT's clients ride the faults out
-// with retries, circuit breakers and the partition-aware client's
-// re-routing. The run then reports time-to-recover, the loss/duplication
-// accounting and the failovers.
+// RunRecovery executes one experiment on the run's private broker
+// cluster (cfg.Cluster) while the fault plan fires: the partition
+// leaders apply the plan's message faults, timed events crash/restart
+// the external serving daemon (when cfg serves externally), open
+// scorer-error windows and kill or revive named broker nodes (the
+// controller elects a new leader from the ISR and fences the old epoch),
+// and the SUT's clients ride the faults out with retries, circuit
+// breakers and the partition-aware client's re-routing. The run then
+// reports time-to-recover, the loss/duplication accounting and the
+// failovers.
 //
 // Fault runs need the fault hook at the brokers' produce boundary, so
 // they always build their own cluster; a Runner with an overriding
 // Transport is rejected.
-func (r *Runner) RunRecovery(cfg Config, plan faults.Plan, spec ClusterSpec) (*RecoveryResult, error) {
-	if r.Transport != nil {
-		return nil, fmt.Errorf("core: fault runs own their broker cluster (Transport override set)")
-	}
-	spec.Nodes = max(spec.Nodes, 1)
+func (r *Runner) RunRecovery(cfg Config, plan faults.Plan) (*RecoveryResult, error) {
 	inj, err := faults.New(plan)
 	if err != nil {
 		return nil, err
@@ -118,28 +75,26 @@ func (r *Runner) RunRecovery(cfg Config, plan faults.Plan, spec ClusterSpec) (*R
 			reg.Counter("faults.injected." + string(k)).Inc()
 		})
 	}
-	scorer, cleanup, err := prepare(&cfg, inj)
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
+	return r.run(cfg, &faultRun{plan: plan, inj: inj})
+}
 
-	cluster, err := broker.NewCluster(broker.ClusterConfig{
-		Nodes:             spec.Nodes,
-		ReplicationFactor: spec.Nodes,
-		Broker:            brokerConfig(cfg, inj),
-		AckTimeout:        clusterAckTimeout,
-		HeartbeatEvery:    clusterHeartbeat,
-		ReplicaPoll:       clusterReplicaPoll,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer cluster.Close()
-	// Bind before the measurement loop starts the injector: broker-crash
-	// and broker-restart events resolve their "node-<id>" targets here.
-	cluster.Bind(inj)
+// tornFrameBytes is how many response bytes pass before an armed tear
+// severs the connection: mid-frame for every response the pipeline
+// sends.
+const tornFrameBytes = 48
 
+// clusterTransport builds a run's client transport: the in-process
+// partition-aware client by default, or — with torn frames enabled —
+// RemoteClients dialed through per-node fault proxies, with a chaos
+// goroutine re-arming a mid-frame tear on every link at the configured
+// period for the chaos window, then going quiet. The client retries
+// through the plan's longest fault window.
+func clusterTransport(cluster *broker.Cluster, cfg Config, plan faults.Plan) (broker.Transport, func(), error) {
+	spec, retry := cfg.Cluster, recoveryRetry(plan)
+	if spec.TornFrameEvery <= 0 {
+		cl, err := cluster.Client(retry)
+		return cl, func() {}, err
+	}
 	// Torn-frame chaos runs while the workload is live and the planned
 	// faults are in flight, then stops: an unbounded tear schedule would
 	// sever every response once drain traffic goes sparse (one armed tear
@@ -148,48 +103,13 @@ func (r *Runner) RunRecovery(cfg Config, plan faults.Plan, spec ClusterSpec) (*R
 	if chaosFor <= 0 {
 		chaosFor = max(plan.LastWindowEnd(), cfg.Workload.Duration)
 	}
-	if chaosFor <= 0 {
-		chaosFor = time.Second
-	}
-	transport, wireCleanup, err := clusterTransport(cluster, spec, chaosFor, recoveryRetry(plan))
-	if err != nil {
-		return nil, err
-	}
-	defer wireCleanup()
-
-	res, err := r.measure(cfg, transport, scorer, &faultRun{plan: plan, inj: inj})
-	if err != nil {
-		return nil, err
-	}
-	// Every election bumps exactly one partition's epoch by one from its
-	// floor of 1, so the failover count is recoverable from the final
-	// view without telemetry.
-	for _, states := range cluster.View().Partitions {
-		for _, st := range states {
-			res.Failovers += st.Epoch - 1
-			res.LeaderEpoch = max(res.LeaderEpoch, st.Epoch)
-		}
-	}
-	return res, nil
-}
-
-// clusterTransport builds the client transport for a fault run: the
-// in-process partition-aware client by default, or — with torn frames
-// enabled — RemoteClients dialed through per-node fault proxies, with a
-// chaos goroutine re-arming a mid-frame tear on every link at the
-// configured period for chaosFor, then going quiet.
-func clusterTransport(cluster *broker.Cluster, spec ClusterSpec, chaosFor time.Duration, retry *resilience.Retry) (broker.Transport, func(), error) {
-	if spec.TornFrameEvery <= 0 {
-		cl, err := cluster.Client(retry)
-		return cl, func() {}, err
-	}
 	var closers []func()
 	cleanup := func() {
 		for i := len(closers) - 1; i >= 0; i-- {
 			closers[i]()
 		}
 	}
-	links := make([]broker.ClusterTransport, spec.Nodes)
+	links := make([]broker.Transport, spec.Nodes)
 	proxies := make([]*faults.Proxy, 0, spec.Nodes)
 	for id := 0; id < spec.Nodes; id++ {
 		node, err := cluster.Node(id)

@@ -39,7 +39,7 @@ func TestRunRecoveryAccountsMessageFaults(t *testing.T) {
 	r := &Runner{}
 	cfg := recoveryConfig("flink", ServingConfig{Mode: Embedded, Tool: "onnx"})
 	cfg.Telemetry = telemetry.New()
-	res, err := r.RunRecovery(cfg, messagePlan(), ClusterSpec{})
+	res, err := r.RunRecovery(cfg, messagePlan())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestRunRecoveryDeterministicReplay(t *testing.T) {
 	cfg := recoveryConfig("kafka-streams", ServingConfig{Mode: Embedded, Tool: "onnx"})
 	run := func() *RecoveryResult {
 		t.Helper()
-		res, err := (&Runner{}).RunRecovery(cfg, plan, ClusterSpec{})
+		res, err := (&Runner{}).RunRecovery(cfg, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestRunRecoveryHonoursBatching(t *testing.T) {
 		cfg := recoveryConfig("kafka-streams", ServingConfig{Mode: Embedded, Tool: "onnx"})
 		cfg.Batching = policy
 		cfg.Telemetry = telemetry.New()
-		res, err := (&Runner{}).RunRecovery(cfg, plan, ClusterSpec{})
+		res, err := (&Runner{}).RunRecovery(cfg, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func TestRunRecoveryScorerErrorWindow(t *testing.T) {
 			{Kind: faults.ScorerError, At: 20 * time.Millisecond, Duration: 60 * time.Millisecond, Target: "onnx"},
 		},
 	}
-	res, err := r.RunRecovery(cfg, plan, ClusterSpec{})
+	res, err := r.RunRecovery(cfg, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestRunRecoveryExternalCrashRestart(t *testing.T) {
 			{Kind: faults.Restart, At: 120 * time.Millisecond, Duration: 0, Target: "tf-serving"},
 		},
 	}
-	res, err := r.RunRecovery(cfg, plan, ClusterSpec{})
+	res, err := r.RunRecovery(cfg, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,8 @@ func failoverPlan() faults.Plan {
 func TestRunClusterRecoveryLeaderFailover(t *testing.T) {
 	cfg := recoveryConfig("flink", ServingConfig{Mode: Embedded, Tool: "onnx"})
 	cfg.Telemetry = telemetry.New()
-	res, err := (&Runner{}).RunRecovery(cfg, failoverPlan(), ClusterSpec{Nodes: 3})
+	cfg.Cluster.Nodes = 3
+	res, err := (&Runner{}).RunRecovery(cfg, failoverPlan())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,9 +274,10 @@ func TestRunClusterRecoveryLeaderFailover(t *testing.T) {
 // books — the replay contract extended to cluster runs.
 func TestRunClusterRecoveryReplay(t *testing.T) {
 	cfg := recoveryConfig("kafka-streams", ServingConfig{Mode: Embedded, Tool: "onnx"})
+	cfg.Cluster.Nodes = 3
 	run := func() *RecoveryResult {
 		t.Helper()
-		res, err := (&Runner{}).RunRecovery(cfg, failoverPlan(), ClusterSpec{Nodes: 3})
+		res, err := (&Runner{}).RunRecovery(cfg, failoverPlan())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,10 +304,8 @@ func TestRunClusterRecoveryTornFrames(t *testing.T) {
 	// 20ms between tears keeps the chaos rate meaningful (dozens of
 	// severed responses per run) while leaving the race-detector build
 	// enough headroom to complete round trips between them.
-	res, err := (&Runner{}).RunRecovery(cfg, failoverPlan(), ClusterSpec{
-		Nodes:          3,
-		TornFrameEvery: 20 * time.Millisecond,
-	})
+	cfg.Cluster = ClusterSpec{Nodes: 3, TornFrameEvery: 20 * time.Millisecond}
+	res, err := (&Runner{}).RunRecovery(cfg, failoverPlan())
 	if err != nil {
 		t.Fatal(err)
 	}

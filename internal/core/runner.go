@@ -52,12 +52,14 @@ type Result struct {
 	Verdict *loadgen.Verdict
 }
 
-// Runner executes experiments. The zero value runs on a private
-// in-process broker; set Transport to point experiments at a remote
-// broker daemon instead.
+// Runner executes experiments. The zero value runs each experiment on a
+// private in-process broker cluster sized by Config.Cluster; set
+// Transport to point experiments at a remote broker daemon instead.
 type Runner struct {
-	// Transport overrides the broker; nil creates a fresh in-process
-	// broker per run (fresh topics guarantee run isolation).
+	// Transport overrides the broker; nil builds a fresh cluster per run
+	// (fresh topics guarantee run isolation). An override takes one-node
+	// runs only: fault runs and a Config.Cluster of more nodes or with
+	// torn frames are refused.
 	Transport broker.Transport
 	// Codec overrides the pipeline serialisation; nil means JSON, the
 	// paper's default.
@@ -71,18 +73,17 @@ type Runner struct {
 	Engine sps.Processor
 }
 
-// Run executes one experiment: broker + topics, SUT assembly, output
-// consumer, rate-controlled producer, drain, analysis.
+// Run executes one experiment: broker cluster + topics, SUT assembly,
+// output consumer, rate-controlled producer, drain, analysis.
 //
 // The caller must have imported the engine packages (or the root crayfish
 // package) so the configured engine is registered.
 func (r *Runner) Run(cfg Config) (*Result, error) {
-	scorer, cleanup, err := prepare(&cfg, nil)
+	books, err := r.run(cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer cleanup()
-	return r.runWithScorer(cfg, scorer)
+	return books.Result, nil
 }
 
 // prepare is the prelude every runner shares: validate and default the
@@ -113,40 +114,90 @@ func prepare(cfg *Config, inj *faults.Injector) (serving.Scorer, func(), error) 
 	return serving.Instrument(scorer, cfg.Telemetry), cleanup, nil
 }
 
-// brokerConfig configures a run's private broker. It joins the run's
-// registry (a shared remote broker daemon reports through its own,
-// brokerd -metrics-addr); a fault run's injector applies the plan's
-// message faults at its produce boundary.
-func brokerConfig(cfg Config, inj *faults.Injector) broker.Config {
-	bcfg := broker.DefaultConfig()
-	bcfg.Network = cfg.Network
-	bcfg.Metrics = cfg.Telemetry
-	bcfg.Faults = inj
-	return bcfg
-}
+// The run cluster's fixed timings.
+const (
+	// clusterAckTimeout bounds a produce's replication wait: small enough
+	// that an undetected dead follower surfaces as a retryable timeout
+	// well inside the experiment's retry budget.
+	clusterAckTimeout = 2 * time.Second
+	// clusterHeartbeat is the controller's liveness sweep period.
+	clusterHeartbeat = time.Millisecond
+	// clusterReplicaPoll is the follower fetch loop's idle interval,
+	// keeping replica lag far below the fault-window scale.
+	clusterReplicaPoll = 200 * time.Microsecond
+)
 
-// runWithScorer measures a validated experiment against an explicit
-// scorer on the runner's broker. It backs both Run and the no-op broker
-// validation.
-func (r *Runner) runWithScorer(cfg Config, scorer serving.Scorer) (*Result, error) {
-	transport := r.Transport
-	if transport == nil {
-		transport = broker.New(brokerConfig(cfg, nil))
-	} else {
-		// Shared brokers persist across runs; drop this run's topics so
-		// reruns start clean (best-effort: the broker may already be
-		// shutting down). Private in-process brokers are discarded
-		// wholesale.
-		defer func() {
-			_ = transport.DeleteTopic(InputTopic)
-			_ = transport.DeleteTopic(OutputTopic)
-		}()
+// run is the one broker bring-up under Run and RunRecovery: prepare the
+// scorer, build the run's private cluster at cfg.Cluster, put the
+// partition-aware client over it, measure, and read the failover books
+// off the final view. The cluster's nodes join the run's registry (a
+// shared remote broker daemon reports through its own, brokerd
+// -metrics-addr). A fault run's injector also applies the plan's message
+// faults at the nodes' produce boundary and kills and revives the nodes
+// its broker events name.
+func (r *Runner) run(cfg Config, fr *faultRun) (*RecoveryResult, error) {
+	if r.Transport != nil && (fr != nil || cfg.Cluster.Nodes > 1 || cfg.Cluster.TornFrameEvery > 0) {
+		return nil, fmt.Errorf("core: fault runs and multi-node or torn-frame clusters own their broker cluster (Transport override set)")
 	}
-	books, err := r.measure(cfg, transport, scorer, nil)
+	var inj *faults.Injector
+	var plan faults.Plan
+	if fr != nil {
+		inj, plan = fr.inj, fr.plan
+	}
+	scorer, cleanup, err := prepare(&cfg, inj)
 	if err != nil {
 		return nil, err
 	}
-	return books.Result, nil
+	defer cleanup()
+	if r.Transport != nil {
+		// Shared brokers persist across runs; drop this run's topics so
+		// reruns start clean (best-effort: the broker may already be
+		// shutting down).
+		defer func() {
+			_ = r.Transport.DeleteTopic(InputTopic)
+			_ = r.Transport.DeleteTopic(OutputTopic)
+		}()
+		return r.measure(cfg, r.Transport, scorer, nil)
+	}
+
+	cluster, err := broker.NewCluster(broker.ClusterConfig{
+		Nodes:             cfg.Cluster.Nodes,
+		ReplicationFactor: cfg.Cluster.Nodes,
+		Broker:            broker.Config{Network: cfg.Network, Metrics: cfg.Telemetry, Faults: inj},
+		AckTimeout:        clusterAckTimeout,
+		HeartbeatEvery:    clusterHeartbeat,
+		ReplicaPoll:       clusterReplicaPoll,
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer cluster.Close()
+	if inj != nil {
+		// Bind before the measurement loop starts the injector:
+		// broker-crash and broker-restart events resolve their
+		// "node-<id>" targets here.
+		cluster.Bind(inj)
+	}
+	transport, wireCleanup, err := clusterTransport(cluster, cfg, plan)
+	if err != nil {
+		return nil, err
+	}
+	defer wireCleanup()
+
+	books, err := r.measure(cfg, transport, scorer, fr)
+	if err != nil {
+		return nil, err
+	}
+	// Every election bumps exactly one partition's epoch by one from its
+	// floor of 1, so the failover count is recoverable from the final
+	// view without telemetry.
+	for _, states := range cluster.View().Partitions {
+		for _, st := range states {
+			books.Failovers += st.Epoch - 1
+			books.LeaderEpoch = max(books.LeaderEpoch, st.Epoch)
+		}
+	}
+	return books, nil
 }
 
 // faultRun is what a fault-injection run hands the measurement loop on

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"crayfish/internal/broker"
+	"crayfish/internal/faults"
 	"crayfish/internal/grpcish"
 	"crayfish/internal/loadgen"
 	"crayfish/internal/model"
@@ -160,6 +161,51 @@ func TestRunOnRemoteBroker(t *testing.T) {
 	// Topics were cleaned up, so a rerun succeeds.
 	if _, err := r.Run(cfg); err != nil {
 		t.Fatalf("rerun on remote broker: %v", err)
+	}
+}
+
+// TestRunClusterSizes: every ordinary run is a cluster run, so one node
+// or three is a value in Config. Both sizes account for every event the
+// producer sent, with no duplicate and nothing lost.
+func TestRunClusterSizes(t *testing.T) {
+	for _, nodes := range []int{1, 3} {
+		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
+			cfg := quickConfig("flink", ServingConfig{Mode: Embedded, Tool: "onnx"})
+			cfg.Cluster.Nodes = nodes
+			res, err := (&Runner{DrainTimeout: 10 * time.Second}).Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.EngineErr != nil {
+				t.Fatalf("engine error: %v", res.EngineErr)
+			}
+			if m := res.Metrics; m.Produced == 0 || m.Consumed != m.Produced || res.Duplicates != 0 {
+				t.Fatalf("produced %d, consumed %d, %d duplicates; want every event once", m.Produced, m.Consumed, res.Duplicates)
+			}
+		})
+	}
+}
+
+// TestRunTransportOverrideIsOneNode: a Transport override stands for the
+// runner's one node, so a run that asks for more nodes or for torn
+// frames, and any fault run, is refused rather than run on a broker that
+// cannot honour it.
+func TestRunTransportOverrideIsOneNode(t *testing.T) {
+	b := broker.New(broker.DefaultConfig())
+	defer b.Close()
+	r := &Runner{Transport: b}
+	for name, spec := range map[string]ClusterSpec{
+		"three nodes": {Nodes: 3},
+		"torn frames": {TornFrameEvery: time.Millisecond},
+	} {
+		cfg := quickConfig("flink", ServingConfig{Mode: Embedded, Tool: "onnx"})
+		cfg.Cluster = spec
+		if _, err := r.Run(cfg); err == nil {
+			t.Errorf("%s: ran on the Transport override", name)
+		}
+	}
+	if _, err := r.RunRecovery(quickConfig("flink", ServingConfig{Mode: Embedded, Tool: "onnx"}), faults.Plan{}); err == nil {
+		t.Error("fault run ran on the Transport override")
 	}
 }
 

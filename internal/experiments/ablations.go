@@ -106,8 +106,18 @@ func ablationTransport(opts Options) (*Report, error) {
 	if err := run(nil, "in-process"); err != nil {
 		return nil, err
 	}
-	b := broker.New(broker.DefaultConfig())
-	srv, err := broker.Serve(b, "127.0.0.1:0")
+	// The TCP arm serves the node the in-process arm's one-node cluster
+	// has, so the two arms differ only by the hop.
+	cluster, err := broker.NewCluster(broker.ClusterConfig{Nodes: 1})
+	if err != nil {
+		return nil, err
+	}
+	defer cluster.Close()
+	node, err := cluster.Node(0)
+	if err != nil {
+		return nil, err
+	}
+	srv, err := broker.Serve(node, "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}

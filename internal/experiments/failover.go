@@ -46,7 +46,7 @@ func brokerFailover(opts Options) (*Report, error) {
 	// measures recovery rather than prolonging the outage. The floor
 	// keeps the period above the cost of riding one tear out (redial +
 	// retry); below it the producer crawls instead of streaming.
-	spec := core.ClusterSpec{
+	cluster := core.ClusterSpec{
 		Nodes:          3,
 		TornFrameEvery: max(d/10, 25*time.Millisecond),
 		TornFrameFor:   d,
@@ -79,8 +79,9 @@ func brokerFailover(opts Options) (*Report, error) {
 		// (node-1 leads one partition per topic, so its death forces two
 		// elections).
 		cfg.Partitions = 2
+		cfg.Cluster = cluster
 
-		b, err := runFaults(o, "failover", cfg, plan, spec, runs)
+		b, err := runFaults(o, "failover", cfg, plan, runs)
 		if err != nil {
 			return nil, err
 		}

@@ -50,7 +50,7 @@ func recoveryFaultInjection(opts Options) (*Report, error) {
 		cfg := o.baseConfig(p.engine, p.serving, w, "ffnn", 1)
 		plan := recoveryPlan(p.serving, d)
 
-		b, err := runFaults(o, "recovery", cfg, plan, core.ClusterSpec{}, o.Runs)
+		b, err := runFaults(o, "recovery", cfg, plan, o.Runs)
 		if err != nil {
 			return nil, err
 		}
@@ -77,12 +77,12 @@ type faultBooks struct {
 // runFaults runs one pair's fault run `runs` times, seeding the workload
 // 1..runs, and books them. A run that fails or whose engine failed fails
 // the table.
-func runFaults(o Options, label string, cfg core.Config, plan faults.Plan, spec core.ClusterSpec, runs int) (*faultBooks, error) {
+func runFaults(o Options, label string, cfg core.Config, plan faults.Plan, runs int) (*faultBooks, error) {
 	b := &faultBooks{replay: "byte-identical", degraded: "no samples in window"}
 	var ttrs, degs []time.Duration
 	for run := 0; run < runs; run++ {
 		cfg.Workload.Seed = int64(run + 1)
-		res, err := (&core.Runner{}).RunRecovery(cfg, plan, spec)
+		res, err := (&core.Runner{}).RunRecovery(cfg, plan)
 		if err == nil {
 			err = res.Result.EngineErr
 		}

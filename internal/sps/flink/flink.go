@@ -342,7 +342,7 @@ func (j *job) startUnchained() error {
 		}
 		producers = append(producers, producer)
 	}
-	scoreCh := make(chan pipeRecord, channelDepth*p.Score)
+	scoreCh := make(chan pipeRecord, channelDepth*p.Default)
 	sinkCh := make(chan []byte, channelDepth*p.Sink)
 
 	var sources sync.WaitGroup
@@ -357,7 +357,7 @@ func (j *job) startUnchained() error {
 
 	stages := j.spec.Stages()
 	var scorers sync.WaitGroup
-	for s := 0; s < p.Score; s++ {
+	for s := 0; s < p.Default; s++ {
 		scorers.Add(1)
 		j.wg.Add(1)
 		go func() {

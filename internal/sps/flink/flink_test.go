@@ -35,7 +35,7 @@ func TestOperatorLevelParallelism(t *testing.T) {
 	// flink[4-1-4]: distinct source/score/sink parallelism exercises the
 	// unchained topology (Figure 12).
 	h := spstest.NewHarness(t, 4, 4)
-	h.Spec.Parallelism = sps.Parallelism{Source: 4, Score: 1, Sink: 4, Default: 1}
+	h.Spec.Parallelism = sps.Parallelism{Source: 4, Sink: 4, Default: 1}
 	const n = 30
 	h.Produce(t, n)
 	job, err := New().Run(h.Spec)

@@ -58,7 +58,7 @@ func (e *engine) Run(spec sps.JobSpec) (sps.Job, error) {
 		return nil, err
 	}
 	j := &job{e: e, spec: spec, stopCh: make(chan struct{})}
-	threads := spec.Parallelism.Score
+	threads := spec.Parallelism.Default
 	parts, err := spec.Transport.Partitions(spec.InputTopic)
 	if err != nil {
 		return nil, err

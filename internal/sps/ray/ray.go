@@ -72,7 +72,7 @@ func (e *engine) Run(spec sps.JobSpec) (sps.Job, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	mp := spec.Parallelism.Score
+	mp := spec.Parallelism.Default
 	parts, err := spec.Transport.Partitions(spec.InputTopic)
 	if err != nil {
 		return nil, err

@@ -81,7 +81,7 @@ func (e *engine) Run(spec sps.JobSpec) (sps.Job, error) {
 		_ = consumer.Close()
 		return nil, err
 	}
-	executors := max(min(parts, executorCores), spec.Parallelism.Score)
+	executors := max(min(parts, executorCores), spec.Parallelism.Default)
 	j := &job{e: e, spec: spec, stopCh: make(chan struct{})}
 	j.wg.Add(1)
 	go j.driverLoop(consumer, producer, j.spec.Submitter(executors))

@@ -48,12 +48,12 @@ type Transform func(value []byte) ([]byte, error)
 type BatchTransform func(values [][]byte) ([][]byte, error)
 
 // Parallelism configures operator scaling. Default is the paper's mp
-// parameter; the per-operator fields override it for operator-level
-// parallelism experiments (Figure 12's flink[32-N-32]).
+// parameter and the scoring operator's parallelism; Source and Sink
+// override it for operator-level parallelism experiments (Figure 12's
+// flink[32-N-32]).
 type Parallelism struct {
 	Default int
 	Source  int
-	Score   int
 	Sink    int
 }
 
@@ -65,13 +65,10 @@ func (p Parallelism) normalize() (Parallelism, error) {
 	if p.Source == 0 {
 		p.Source = p.Default
 	}
-	if p.Score == 0 {
-		p.Score = p.Default
-	}
 	if p.Sink == 0 {
 		p.Sink = p.Default
 	}
-	if p.Source < 0 || p.Score < 0 || p.Sink < 0 {
+	if p.Source < 0 || p.Sink < 0 {
 		return p, fmt.Errorf("sps: negative parallelism %+v", p)
 	}
 	return p, nil
@@ -80,7 +77,7 @@ func (p Parallelism) normalize() (Parallelism, error) {
 // Uniform reports whether all three operators share one parallelism, the
 // condition under which engines chain operators.
 func (p Parallelism) Uniform() bool {
-	return p.Source == p.Score && p.Score == p.Sink
+	return p.Source == p.Default && p.Default == p.Sink
 }
 
 // JobSpec describes one streaming-inference job.

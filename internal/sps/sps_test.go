@@ -19,17 +19,17 @@ func TestParallelismNormalize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Default != 1 || p.Source != 1 || p.Score != 1 || p.Sink != 1 {
+	if p.Default != 1 || p.Source != 1 || p.Sink != 1 {
 		t.Fatalf("zero value normalised to %+v", p)
 	}
-	p, err = Parallelism{Default: 4, Score: 2}.normalize()
+	p, err = Parallelism{Default: 4, Sink: 2}.normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Source != 4 || p.Score != 2 || p.Sink != 4 {
+	if p.Source != 4 || p.Default != 4 || p.Sink != 2 {
 		t.Fatalf("override normalised to %+v", p)
 	}
-	if _, err := (Parallelism{Default: 2, Score: -1}).normalize(); err == nil {
+	if _, err := (Parallelism{Default: 2, Source: -1}).normalize(); err == nil {
 		t.Fatal("negative parallelism accepted")
 	}
 }
@@ -46,17 +46,16 @@ func TestParallelismUniform(t *testing.T) {
 }
 
 func TestParallelismNormalizeProperty(t *testing.T) {
-	f := func(d, src, score, sink uint8) bool {
+	f := func(d, src, sink uint8) bool {
 		p, err := Parallelism{
 			Default: int(d) % 32,
 			Source:  int(src) % 32,
-			Score:   int(score) % 32,
 			Sink:    int(sink) % 32,
 		}.normalize()
 		if err != nil {
 			return false
 		}
-		return p.Default >= 1 && p.Source >= 1 && p.Score >= 1 && p.Sink >= 1
+		return p.Default >= 1 && p.Source >= 1 && p.Sink >= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

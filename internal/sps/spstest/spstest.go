@@ -110,7 +110,7 @@ func RunConformance(t *testing.T, factory func() sps.Processor) {
 // parallelism alike — the caller gets no Job, so nobody could Stop
 // whatever a half-built topology had already launched.
 func testStartFailure(t *testing.T, factory func() sps.Processor) {
-	for _, p := range []sps.Parallelism{{Default: 2}, {Default: 1, Source: 2, Score: 1, Sink: 2}} {
+	for _, p := range []sps.Parallelism{{Default: 2}, {Default: 1, Source: 2, Sink: 2}} {
 		h := NewHarness(t, 2, 2)
 		h.Spec.OutputTopic = "missing"
 		h.Spec.Parallelism = p

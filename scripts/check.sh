@@ -78,13 +78,18 @@ CRAYFISH_WAIT_P99=1 go test -count=1 -run '^TestWaitAccuracy$' ./internal/timing
 # One experiment pipeline (DESIGN.md `internal/core`): a fault run and the
 # broker-less baseline are the ordinary run's prelude and loop, so what
 # Config says holds in them too — Batching under a fault plan (same fault
-# log, nothing lost), Load, DatasetPath and Network in RunStandalone. A
-# one-node fault run is the cluster run at one node: its message-fault
-# books, replay, scorer-error window and daemon crash/restart ride the
-# partition-aware client, and its consumers park at the node. The
-# injector, the batcher, the controller and the standalone workers all
-# cross goroutines: race-enabled and by name.
-go test -race -count=1 -run 'TestRunRecovery|TestRunStandaloneHonoursConfig' ./internal/core/
+# log, nothing lost), Load, DatasetPath and Network in RunStandalone.
+# Every run is a cluster run: an ordinary run at one node and at three
+# accounts for every event once, a Transport override refuses more than
+# one node, and brokerd without -peers is a one-node cluster serving a
+# plain client. A one-node fault run's message-fault books, replay,
+# scorer-error window and daemon crash/restart ride the partition-aware
+# client, and its consumers park at the node. The injector, the batcher,
+# the controller and the standalone workers all cross goroutines:
+# race-enabled and by name.
+go test -race -count=1 \
+	-run 'TestRunRecovery|TestRunStandaloneHonoursConfig|TestRunClusterSizes|TestRunTransportOverrideIsOneNode|TestStartClusterOneNode' \
+	./internal/core/ ./cmd/brokerd/
 # The producer's sample pool and the operator's float parse
 # (docs/PERFORMANCE.md "Off both strconv floors"): a pooled record is
 # the generator's batch formatted, a repeated sample is scored in full,

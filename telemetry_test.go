@@ -67,7 +67,7 @@ func TestRunTelemetryContract(t *testing.T) {
 			{Kind: crayfish.FaultCrash, At: 30 * time.Millisecond, Target: "tf-serving"},
 			{Kind: crayfish.FaultRestart, At: 90 * time.Millisecond, Target: "tf-serving"},
 		},
-	}, crayfish.ClusterSpec{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,6 +81,7 @@ func TestRunTelemetryContract(t *testing.T) {
 	clCfg := cfg
 	clCfg.Telemetry = clReg
 	clCfg.Partitions = 2
+	clCfg.Cluster = crayfish.ClusterSpec{Nodes: 3}
 	clCfg.Workload.MaxEvents = 60
 	clCfg.Workload.Duration = time.Second
 	clRes, err := crayfish.RunRecovery(clCfg, crayfish.FaultPlan{
@@ -88,7 +89,7 @@ func TestRunTelemetryContract(t *testing.T) {
 		Events: []crayfish.FaultEvent{
 			{Kind: crayfish.FaultBrokerCrash, At: 30 * time.Millisecond, Duration: 60 * time.Millisecond, Target: "node-1"},
 		},
-	}, crayfish.ClusterSpec{Nodes: 3})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
