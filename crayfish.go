@@ -367,7 +367,8 @@ func StartServingDaemon(cfg ServingDaemonConfig) (ServingDaemon, error) {
 }
 
 // NewBroker creates a message broker with the paper's defaults (50 MB max
-// request size).
+// request size): the one node of a one-node cluster, which runs nothing
+// in the background.
 func NewBroker() *Broker { return broker.New(broker.DefaultConfig()) }
 
 // ServeBroker exposes a broker on a TCP address ("127.0.0.1:0" picks a

@@ -97,53 +97,52 @@ func awaitCluster(t *testing.T, n, rf int) (*Cluster, *Broker) {
 }
 
 // TestAwaitReturns: Await ends on an append at a watched position, at
-// its deadline, on cancel, on the topic's deletion and on the broker's
-// close — and at once, without parking, when a record is already there.
-// The same holds at the leader of replicated partitions ("node"), where
-// a record counts once the high-watermark covers it, and where losing
-// the leadership and crashing end the wait too.
+// its deadline, on cancel, on the topic's deletion, on the broker's
+// close, on losing the leadership and on a crash — and at once, without
+// parking, when a record is already there. A record counts once the
+// high-watermark covers it. The node New builds ("inproc", "tcp") and
+// node 0 of a one-node NewCluster ("node", "node-tcp") are the same
+// node, reached in process and over TCP.
 func TestAwaitReturns(t *testing.T) {
 	at := []FetchRequest{{Partition: 0, Offset: 0}, {Partition: 1, Offset: 0}}
 	cases := []struct {
-		name     string
-		nodeOnly bool
-		end      func(b *Broker, c *Cluster, cancel chan struct{})
-		want     error
+		name string
+		end  func(b *Broker, cancel chan struct{})
+		want error
 	}{
-		{"append", false, func(b *Broker, _ *Cluster, _ chan struct{}) {
+		{"append", func(b *Broker, _ chan struct{}) {
 			if _, err := b.Produce("t", 1, []Record{{Value: []byte("x")}}); err != nil {
 				panic(err)
 			}
 		}, nil},
-		{"cancel", false, func(_ *Broker, _ *Cluster, cancel chan struct{}) { close(cancel) }, nil},
-		{"topic deleted", false, func(b *Broker, _ *Cluster, _ chan struct{}) {
+		{"cancel", func(_ *Broker, cancel chan struct{}) { close(cancel) }, nil},
+		{"topic deleted", func(b *Broker, _ chan struct{}) {
 			if err := b.DeleteTopic("t"); err != nil {
 				panic(err)
 			}
 		}, errUnknownTopic},
-		{"broker closed", false, func(b *Broker, _ *Cluster, _ chan struct{}) { b.Close() }, errClosed},
-		{"leadership lost", true, func(b *Broker, c *Cluster, _ chan struct{}) {
-			v := c.View()
-			v.Version++
-			st := &v.Partitions["t"][1]
-			st.Leader, st.Epoch = -1, st.Epoch+1
+		{"broker closed", func(b *Broker, _ chan struct{}) { b.Close() }, errClosed},
+		{"leadership lost", func(b *Broker, _ chan struct{}) {
+			v, err := b.ClusterView()
+			if err != nil {
+				panic(err)
+			}
+			v = editedView(v, 1, TopicPartition{Topic: "t", Partition: 1}, func(st *PartitionState) {
+				st.Leader, st.Epoch = -1, st.Epoch+1
+			})
 			if err := b.PushView(v); err != nil {
 				panic(err)
 			}
 		}, nil},
-		{"crash", true, func(b *Broker, _ *Cluster, _ chan struct{}) { b.Crash() }, errNodeDown},
+		{"crash", func(b *Broker, _ chan struct{}) { b.Crash() }, errNodeDown},
 	}
 	for _, tc := range cases {
 		for _, via := range []string{"inproc", "tcp", "node", "node-tcp"} {
-			if tc.nodeOnly && !strings.HasPrefix(via, "node") {
-				continue
-			}
 			t.Run(tc.name+"/"+via, func(t *testing.T) {
 				var b *Broker
-				var c *Cluster
 				var transports map[string]Transport
 				if strings.HasPrefix(via, "node") {
-					c, b = awaitCluster(t, 1, 1)
+					_, b = awaitCluster(t, 1, 1)
 					_, rc := dialServed(t, untilCancelled{b})
 					transports = map[string]Transport{"node": b, "node-tcp": rc}
 				} else {
@@ -158,7 +157,7 @@ func TestAwaitReturns(t *testing.T) {
 					t.Fatalf("Await returned %v with nothing to return for", err)
 				default:
 				}
-				tc.end(b, c, cancel)
+				tc.end(b, cancel)
 				if err := <-done; (tc.want == nil && err != nil) || (tc.want != nil && !hasErr(err, tc.want)) {
 					t.Fatalf("Await = %v, want %v", err, tc.want)
 				}

@@ -3,7 +3,6 @@ package broker
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,16 +47,16 @@ type Config struct {
 	// records surface downstream and are deduplicated by the consumer's
 	// seen-set, dropped records are accounted by the injector.
 	Faults *faults.Injector
-	// ID is the broker's node id inside a replicated cluster; its
-	// fault-plan target name is "node-<ID>". A standalone broker leaves
-	// it 0.
-	ID int
+	// id is the broker's node id inside its cluster, which names it
+	// "node-<id>" to fault plans. ClusterConfig.NewNode sets it; New's
+	// node is node 0.
+	id int
 	// clock supplies LogAppendTime stamps; nil means time.Now. Tests
 	// inject a fake clock to make timestamp assertions deterministic.
 	clock func() time.Time
-	// ackTimeout bounds how long a produce to a replicated partition
-	// waits for the high-watermark to cover it before failing retryably
-	// (default 5s) — Kafka's request.timeout.ms under acks=all.
+	// ackTimeout bounds how long a produce waits for the high-watermark
+	// to cover it before failing retryably (default 5s) — Kafka's
+	// request.timeout.ms under acks=all.
 	ackTimeout time.Duration
 	// replicaPoll is the follower fetch loop's idle re-poll interval
 	// (default 1ms).
@@ -69,12 +68,11 @@ func DefaultConfig() Config {
 	return Config{}
 }
 
-// Broker is an in-process message broker instance. It runs alone, or as
-// one node of a replicated cluster once a controller pushes it a view
-// (node.go): the partitions a view covers are replicated, and produce,
-// fetch and await on them follow the node's leadership and
-// high-watermark. A broker that never receives a view has only
-// unreplicated partitions.
+// Broker is an in-process message broker instance: one node of a
+// replicated cluster (node.go). A controller's pushed view creates its
+// topics, and produce, fetch and await on every partition follow the
+// node's leadership and high-watermark. New builds the node of a
+// one-node cluster, whose partitions each have one replica.
 type Broker struct {
 	cfg Config
 
@@ -89,15 +87,15 @@ type Broker struct {
 	mAwaitWait     *telemetry.Histogram
 
 	// mu guards the maps, the lifecycle flags and the cluster-node state
-	// below. Lock ordering: mu → replState.mu → partition.mu →
-	// topic.notifyMu; nothing locks upward.
+	// below. Lock ordering: Controller.mu → mu → replState.mu →
+	// partition.mu → topic.notifyMu; nothing locks upward.
 	mu     sync.RWMutex
 	topics map[string]*topic
 	groups map[string]*group
 	closed bool
 
-	// Cluster-node state, which a standalone broker leaves empty. down
-	// means crashed: calls answer retryable errNodeDown until Restart.
+	// Cluster-node state. down means crashed: calls answer retryable
+	// errNodeDown until Restart.
 	down     bool
 	ctrl     *Controller // set on the controller seat; routes topic admin
 	view     ClusterView
@@ -106,89 +104,50 @@ type Broker struct {
 	wg       sync.WaitGroup
 }
 
-// New creates a broker with the given configuration.
+// New builds node 0 of a one-node cluster with the controller seated on
+// it, so that topic admin on it runs through the controller, as on the
+// controller node of any cluster. Nothing runs in the background.
 func New(cfg Config) *Broker {
-	if cfg.clock == nil {
-		//lint:allow clockdiscipline documented default; tests inject a fake clock
-		cfg.clock = time.Now
-	}
-	if cfg.ackTimeout <= 0 {
-		cfg.ackTimeout = 5 * time.Second
-	}
-	if cfg.replicaPoll <= 0 {
-		cfg.replicaPoll = time.Millisecond
-	}
-	return &Broker{
-		cfg:            cfg,
-		mAppendRecords: cfg.Metrics.Counter("broker.append.records"),
-		mAppendBytes:   cfg.Metrics.Counter("broker.append.bytes"),
-		mFetchRecords:  cfg.Metrics.Counter("broker.fetch.records"),
-		mFetchBytes:    cfg.Metrics.Counter("broker.fetch.bytes"),
-		mAwaitParked:   cfg.Metrics.Counter("broker.await.parked"),
-		mAwaitTimeouts: cfg.Metrics.Counter("broker.await.timeouts"),
-		mAwaitWait:     cfg.Metrics.Histogram("broker.await.wait_ns"),
-		topics:         make(map[string]*topic),
-		groups:         make(map[string]*group),
-		peers:          make(map[int]ClusterPeer),
-		fetchers:       make(map[TopicPartition]*fetcher),
-	}
+	cc := ClusterConfig{Nodes: 1, Broker: cfg}
+	b := cc.NewNode(0)
+	_, _ = cc.Seat(b, map[int]ClusterPeer{0: b}) // one peer, id 0: Seat cannot refuse it
+	return b
 }
 
-// CreateTopic registers a topic with the given number of partitions. On
-// the controller seat of a cluster it places a replicated topic
-// cluster-wide; any other cluster node refuses.
+// CreateTopic places a replicated topic cluster-wide through the
+// controller seated on this node; a node without the seat refuses.
 func (b *Broker) CreateTopic(name string, partitions int) error {
-	switch ctrl, err := b.admin("create"); {
-	case err != nil:
-		return err
-	case ctrl != nil:
-		return ctrl.CreateTopic(name, partitions)
-	}
-	if partitions <= 0 {
-		return fmt.Errorf("broker: topic %q needs at least one partition", name)
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if err := b.gateLocked(); err != nil {
+	ctrl, err := b.admin("create")
+	if err != nil {
 		return err
 	}
-	if _, ok := b.topics[name]; ok {
-		return fmt.Errorf("%w: %q", ErrTopicExists, name)
-	}
-	b.createTopicLocked(name, partitions)
-	return nil
+	return ctrl.CreateTopic(name, partitions)
 }
 
-// createTopicLocked adds an empty topic. Caller holds b.mu.
+// createTopicLocked adds an empty topic whose partitions carry this
+// node's replication state; PushView then adopts the view's. Caller
+// holds b.mu.
 func (b *Broker) createTopicLocked(name string, partitions int) *topic {
-	t := newTopic(name, partitions)
-	t.backlog = b.cfg.Metrics.Gauge("broker.backlog." + name)
+	t := &topic{name: name, parts: make([]*partition, partitions), backlog: b.cfg.Metrics.Gauge("broker.backlog." + name)}
+	lag := b.cfg.Metrics.Gauge("broker.cluster.replica_lag")
+	for i := range t.parts {
+		t.parts[i] = &partition{id: i, repl: &replState{tp: TopicPartition{Topic: name, Partition: i}, self: b.cfg.id, lag: lag}}
+	}
 	b.topics[name] = t
 	return t
 }
 
-// DeleteTopic removes a topic, its logs, and any consumer-group offsets
-// referencing it (so a recreated topic starts clean). Whoever is parked
-// in Await on the topic wakes to errUnknownTopic. Topic admin on a
-// cluster runs through the controller seat, as in CreateTopic.
+// DeleteTopic removes a topic cluster-wide through the controller seated
+// on this node, as CreateTopic. Each node drops its logs and any
+// consumer-group offsets referencing the topic (so a recreated topic
+// starts clean), and whoever is parked in Await on it wakes to
+// errUnknownTopic.
 func (b *Broker) DeleteTopic(name string) error {
-	switch ctrl, err := b.admin("delete"); {
-	case err != nil:
-		return err
-	case ctrl != nil:
-		return ctrl.DeleteTopic(name)
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if err := b.gateLocked(); err != nil {
+	ctrl, err := b.admin("delete")
+	if err != nil {
 		return err
 	}
-	t, ok := b.topics[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", errUnknownTopic, name)
-	}
-	b.deleteTopicLocked(t)
-	return nil
+	return ctrl.DeleteTopic(name)
 }
 
 // deleteTopicLocked drops a topic and the group state naming it. Caller
@@ -206,17 +165,15 @@ func (b *Broker) deleteTopicLocked(t *topic) {
 	}
 }
 
-// admin says where topic admin runs: through the controller on the
-// controller seat, here (nil, nil) on a standalone broker. A cluster
-// node — one linked to peers or holding a view — without the seat
-// refuses it.
+// admin returns the controller seated on this node, through which topic
+// admin runs, or refuses it on a node without the seat.
 func (b *Broker) admin(op string) (*Controller, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	if err := b.gateLocked(); err != nil {
 		return nil, err
 	}
-	if b.ctrl == nil && (len(b.peers) > 0 || b.view.Version > 0) {
+	if b.ctrl == nil {
 		return nil, fmt.Errorf("broker: %s is not the controller; %s topics against the controller node", b.Name(), op)
 	}
 	return b.ctrl, nil
@@ -232,9 +189,16 @@ func (b *Broker) Partitions(name string) (int, error) {
 }
 
 // Close shuts the broker down for good. Outstanding clients receive
-// errClosed, those parked in Await included; a cluster node's follower
-// fetchers stop and Close waits for them.
+// errClosed, those parked in Await included; the follower fetchers stop
+// and Close waits for them. A controller seated on the node closes
+// first, so that it elects and pushes against it no more.
 func (b *Broker) Close() {
+	b.mu.RLock()
+	ctrl := b.ctrl
+	b.mu.RUnlock()
+	if ctrl != nil {
+		ctrl.Close()
+	}
 	b.mu.Lock()
 	b.closed = true
 	b.stopFetchersLocked()
@@ -290,9 +254,9 @@ func (b *Broker) partition(topicName string, id int) (*topic, *partition, error)
 }
 
 // Produce appends records to a topic partition, stamping each with the
-// broker's LogAppendTime. It returns the assigned base offset. On a
-// replicated partition only the leader takes the append, and the call
-// returns once the high-watermark covers it (produceAcked).
+// broker's LogAppendTime. It returns the assigned base offset. Only the
+// partition's leader takes the append, and the call returns once the
+// high-watermark covers it (produceAcked).
 func (b *Broker) Produce(topicName string, partition int, recs []Record) (int64, error) {
 	t, p, err := b.partition(topicName, partition)
 	if err != nil {
@@ -303,13 +267,10 @@ func (b *Broker) Produce(topicName string, partition int, recs []Record) (int64,
 			return 0, fmt.Errorf("%w: %d > %d bytes", errMessageTooLarge, len(recs[i].Value), maxRequestSize)
 		}
 	}
-	rs := p.repl.Load()
-	if rs != nil {
-		// A misrouted produce is refused before the hop and the fault
-		// verdicts, which belong to the leader's append.
-		if _, err := rs.visible(); err != nil {
-			return 0, err
-		}
+	// A misrouted produce is refused before the hop and the fault
+	// verdicts, which belong to the leader's append.
+	if _, err := p.repl.visible(); err != nil {
+		return 0, err
 	}
 	if b.cfg.Network.Enabled() {
 		b.cfg.Network.Apply(recordBytes(recs))
@@ -317,13 +278,7 @@ func (b *Broker) Produce(topicName string, partition int, recs []Record) (int64,
 	if b.cfg.Faults != nil {
 		recs = b.applyFaults(topicName, recs)
 	}
-	if rs != nil {
-		return b.produceAcked(t, p, rs, recs)
-	}
-	base := p.append(recs, b.cfg.clock)
-	b.countAppend(t, recs)
-	t.changed()
-	return base, nil
+	return b.produceAcked(t, p, recs)
 }
 
 // applyFaults asks the injector for a verdict per record: drops are
@@ -361,10 +316,10 @@ func (b *Broker) rebalanceGroups() {
 }
 
 // AppendSignal returns a channel that is closed the next time records are
-// appended to any partition of the topic (on a cluster node, also when a
-// high-watermark advances or the node's leadership or liveness moves),
-// or the topic or the broker goes away. Callers must capture the channel, check for data, and only then
-// block on it: the capture-then-check order guarantees an append racing
+// appended to any partition of the topic, a high-watermark advances,
+// the node's leadership or liveness moves, or the topic or the broker
+// goes away. Callers must capture the channel, check for data, and only
+// then block on it: the capture-then-check order guarantees an append racing
 // the check wakes the wait instead of being lost. Await is that loop.
 func (b *Broker) AppendSignal(topicName string) (<-chan struct{}, error) {
 	t, err := b.topic(topicName)
@@ -377,12 +332,12 @@ func (b *Broker) AppendSignal(topicName string) (<-chan struct{}, error) {
 // Await implements Transport on the topic's signal: it returns nil once
 // a record is readable at one of the positions (a position below its
 // partition's visible end, or past its log end so that the fetch refuses
-// it), once a replicated position's partition is no longer led here (the
-// fetch answers NotLeaderError), once wait has elapsed, or once cancel
+// it), once a position's partition is no longer led here (the fetch
+// answers NotLeaderError), once wait has elapsed, or once cancel
 // closes. It returns errUnknownTopic, errClosed or errNodeDown when the
 // topic is deleted, the broker closed or crashed — before the call or
-// while it is parked. An append a replicated partition has not acked
-// yet wakes the wait, which checks again and parks again.
+// while it is parked. An append the high-watermark does not cover yet
+// wakes the wait, which checks again and parks again.
 func (b *Broker) Await(topicName string, positions []FetchRequest, wait time.Duration, cancel <-chan struct{}) error {
 	t, err := b.topic(topicName)
 	if err != nil {
@@ -491,8 +446,8 @@ func (b *Broker) FetchMulti(topicName string, reqs []FetchRequest, maxTotal int)
 // docs/PERFORMANCE.md). The appended Record structs copy out of the
 // log, so they stay valid regardless of what the caller later does with
 // the buffer; their Key/Value byte slices alias the immutable stored
-// records, exactly as FetchMulti's do. A replicated partition serves
-// only below its high-watermark, and only on its leader: records a
+// records, exactly as FetchMulti's do. A partition serves only below
+// its high-watermark, and only on its leader: records a
 // leader crash could still lose stay invisible to consumers, which is
 // what makes failover consumer-transparent.
 func (b *Broker) FetchMultiInto(topicName string, reqs []FetchRequest, maxTotal int, out []Record) ([]Record, error) {
@@ -511,7 +466,11 @@ func (b *Broker) FetchMultiInto(topicName string, reqs []FetchRequest, maxTotal 
 		if len(out)-base >= maxTotal {
 			break
 		}
-		out, err = t.parts[req.Partition].fetchInto(req.Offset, maxTotal-(len(out)-base), out)
+		p := t.parts[req.Partition]
+		visible, err := p.repl.visible()
+		if err == nil {
+			out, err = p.read(req.Offset, maxTotal-(len(out)-base), visible, out)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -525,13 +484,13 @@ func (b *Broker) FetchMultiInto(topicName string, reqs []FetchRequest, maxTotal 
 }
 
 // EndOffset returns the end of what consumers may read in a partition:
-// the log end, or a replicated partition's high-watermark, as in Kafka.
+// its high-watermark, as in Kafka.
 func (b *Broker) EndOffset(topicName string, partition int) (int64, error) {
 	_, p, err := b.partition(topicName, partition)
 	if err != nil {
 		return 0, err
 	}
-	return p.visibleEnd()
+	return p.repl.visible()
 }
 
 // topic is a named set of partitions. backlog tracks appended-minus-
@@ -552,14 +511,6 @@ type topic struct {
 	notifyMu sync.Mutex
 	notify   chan struct{}
 	gone     error
-}
-
-func newTopic(name string, n int) *topic {
-	t := &topic{name: name, parts: make([]*partition, n)}
-	for i := range t.parts {
-		t.parts[i] = &partition{id: i}
-	}
-	return t
 }
 
 // changed wakes every waiter parked on the topic's signal: records were
@@ -610,7 +561,7 @@ func (t *topic) appendSignal() (<-chan struct{}, error) {
 func (t *topic) readable(positions []FetchRequest) bool {
 	for _, pos := range positions {
 		p := t.parts[pos.Partition]
-		visible, err := p.visibleEnd()
+		visible, err := p.repl.visible()
 		if err != nil || pos.Offset < visible || pos.Offset > visible && pos.Offset > p.end() {
 			return true
 		}
@@ -619,10 +570,10 @@ func (t *topic) readable(positions []FetchRequest) bool {
 }
 
 // partition is an append-only record log; a record's offset is its index.
-// repl is its replication state, nil while no cluster view covers it.
+// repl is this node's replication state for it.
 type partition struct {
 	id   int
-	repl atomic.Pointer[replState]
+	repl *replState
 
 	mu   sync.RWMutex
 	recs []Record
@@ -642,30 +593,6 @@ func (p *partition) append(recs []Record, clock func() time.Time) int64 {
 		p.recs = append(p.recs, r)
 	}
 	return base
-}
-
-// visibleEnd is the end of what consumers may read: the high-watermark
-// of a replicated partition this broker leads, NotLeaderError for one it
-// does not, and the log end of an unreplicated one.
-func (p *partition) visibleEnd() (int64, error) {
-	if rs := p.repl.Load(); rs != nil {
-		return rs.visible()
-	}
-	return p.end(), nil
-}
-
-// fetchInto appends up to max records a consumer may read from offset
-// to out, so multi-partition pollers reuse one response buffer across
-// calls instead of allocating per partition per poll.
-func (p *partition) fetchInto(offset int64, max int, out []Record) ([]Record, error) {
-	visible := int64(math.MaxInt64)
-	if rs := p.repl.Load(); rs != nil {
-		var err error
-		if visible, err = rs.visible(); err != nil {
-			return nil, err
-		}
-	}
-	return p.read(offset, max, visible, out)
 }
 
 // read appends up to n records from offset, stopping at visible, to

@@ -3,6 +3,7 @@ package broker
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"crayfish/internal/telemetry"
@@ -58,33 +59,14 @@ type PartitionState struct {
 }
 
 // ClusterView is the controller's metadata: cluster membership and
-// per-partition leadership. Nodes and clients hold private copies;
-// Version orders pushes so a stale view never overwrites a newer one.
+// per-partition leadership. A view is immutable once published: the
+// controller pushes one value to every node, and nodes and clients hold
+// it without copying, so nobody may write to it. Version orders views so
+// a stale one never overwrites a newer one.
 type ClusterView struct {
 	Version    int                         `json:"version"`
 	Members    []int                       `json:"members"` // alive node ids, sorted
 	Partitions map[string][]PartitionState `json:"partitions"`
-}
-
-// clone deep-copies the view so holders can mutate their copy freely.
-func (v ClusterView) clone() ClusterView {
-	out := ClusterView{Version: v.Version, Members: append([]int(nil), v.Members...)}
-	if v.Partitions != nil {
-		out.Partitions = make(map[string][]PartitionState, len(v.Partitions))
-		for t, states := range v.Partitions {
-			cp := make([]PartitionState, len(states))
-			for i, s := range states {
-				cp[i] = PartitionState{
-					Leader:   s.Leader,
-					Epoch:    s.Epoch,
-					Replicas: append([]int(nil), s.Replicas...),
-					ISR:      append([]int(nil), s.ISR...),
-				}
-			}
-			out.Partitions[t] = cp
-		}
-	}
-	return out
 }
 
 // State returns the partition's replication state, or false when the
@@ -161,35 +143,20 @@ func noteLeader(reg *telemetry.Registry, tp TopicPartition, leader int) {
 	}
 }
 
-// containsInt reports membership in a small id slice.
-func containsInt(ids []int, id int) bool {
-	for _, v := range ids {
-		if v == id {
-			return true
-		}
-	}
-	return false
-}
-
-// removeInt returns ids without id, preserving order.
+// removeInt returns a new slice of ids without id, preserving order.
 func removeInt(ids []int, id int) []int {
-	out := make([]int, 0, len(ids))
-	for _, v := range ids {
-		if v != id {
-			out = append(out, v)
-		}
-	}
-	return out
+	return slices.DeleteFunc(slices.Clone(ids), func(v int) bool { return v == id })
 }
 
-// insertSorted adds id to a sorted id slice if absent.
+// insertSorted returns a sorted id slice with id added: ids itself when
+// it holds id already, else a new slice, so that ids may belong to a
+// published view.
 func insertSorted(ids []int, id int) []int {
-	if containsInt(ids, id) {
+	if slices.Contains(ids, id) {
 		return ids
 	}
-	ids = append(ids, id)
-	sort.Ints(ids)
-	return ids
+	i := sort.SearchInts(ids, id)
+	return slices.Insert(slices.Clip(ids), i, id)
 }
 
 // placement computes the replica set for partition p in an n-node

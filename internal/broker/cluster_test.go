@@ -1,8 +1,13 @@
 package broker
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
+	"reflect"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +15,7 @@ import (
 
 	"crayfish/internal/netsim"
 	"crayfish/internal/resilience"
+	"crayfish/internal/telemetry"
 )
 
 // newTestCluster builds an N-node cluster with an effectively disabled
@@ -196,7 +202,7 @@ func TestClusterConformanceFollowerKill(t *testing.T) {
 	if st.Leader != 0 || st.Epoch != 1 {
 		t.Fatalf("follower death must not move leadership: %+v", st)
 	}
-	if containsInt(st.ISR, 2) {
+	if slices.Contains(st.ISR, 2) {
 		t.Fatalf("dead follower still in ISR: %+v", st)
 	}
 	if _, err := cl.Produce("t", 0, []Record{{Value: []byte("after")}}); err != nil {
@@ -334,7 +340,7 @@ func TestClusterRestartCatchUp(t *testing.T) {
 	waitUntil(t, 2*time.Second, func() bool {
 		c.ctrl.Tick()
 		st, _ := c.View().State(TopicPartition{Topic: "t", Partition: 0})
-		return containsInt(st.ISR, 2)
+		return slices.Contains(st.ISR, 2)
 	}, "returner re-admitted to ISR after catch-up")
 	n2, err := c.Node(2)
 	if err != nil {
@@ -387,7 +393,7 @@ func TestClusterReturnedReplicaOutOfISRUntilCaughtUp(t *testing.T) {
 		t.Fatalf("AdmitFollower(lagging returner) = (%v, %v), want (false, nil)", ok, aerr)
 	}
 	c.ctrl.Tick()
-	if st, _ := c.View().State(tp); containsInt(st.ISR, 2) {
+	if st, _ := c.View().State(tp); slices.Contains(st.ISR, 2) {
 		t.Fatalf("lagging returner must stay out of the ISR: %+v", st)
 	}
 	// Once restarted, replica fetches close the gap and the next sweeps
@@ -398,7 +404,7 @@ func TestClusterReturnedReplicaOutOfISRUntilCaughtUp(t *testing.T) {
 	waitUntil(t, 2*time.Second, func() bool {
 		c.ctrl.Tick()
 		st, _ := c.View().State(tp)
-		return containsInt(st.ISR, 2)
+		return slices.Contains(st.ISR, 2)
 	}, "caught-up returner re-admitted to ISR")
 	n2, err := c.Node(2)
 	if err != nil {
@@ -445,7 +451,7 @@ func TestClusterNoUncleanElectionAfterReturn(t *testing.T) {
 	}
 	c.ctrl.Tick()
 	st, _ := c.View().State(tp)
-	if st.Leader != -1 || !containsInt(st.ISR, 0) || containsInt(st.ISR, 1) {
+	if st.Leader != -1 || !slices.Contains(st.ISR, 0) || slices.Contains(st.ISR, 1) {
 		t.Fatalf("offline state must freeze the last in-sync set: %+v", st)
 	}
 	// The stale replica returns first. Electing it would lose "solo", so
@@ -476,7 +482,7 @@ func TestClusterNoUncleanElectionAfterReturn(t *testing.T) {
 	waitUntil(t, 2*time.Second, func() bool {
 		c.ctrl.Tick()
 		st, _ := c.View().State(tp)
-		return containsInt(st.ISR, 1)
+		return slices.Contains(st.ISR, 1)
 	}, "stale replica re-admitted after catch-up")
 }
 
@@ -609,19 +615,94 @@ func TestClusterOfflinePartitionAndRevival(t *testing.T) {
 	}
 }
 
-// TestClusterViewCloneIsolation guards the metadata plumbing: mutating
-// a returned view must not corrupt the controller's authoritative copy.
-func TestClusterViewCloneIsolation(t *testing.T) {
+// editedView returns v with one partition's state edited and its
+// version moved by dv, built beside v: views are shared, and nobody
+// writes to one.
+func editedView(v ClusterView, dv int, tp TopicPartition, edit func(*PartitionState)) ClusterView {
+	states := slices.Clone(v.Partitions[tp.Topic])
+	edit(&states[tp.Partition])
+	parts := maps.Clone(v.Partitions)
+	parts[tp.Topic] = states
+	return ClusterView{Version: v.Version + dv, Members: v.Members, Partitions: parts}
+}
+
+// TestClusterHeldViewsNeverChange: a view the controller, a node or the
+// partition-aware client hands out is shared, not copied, so no later
+// change may write to it. A follower's death leaves an ISR with spare
+// capacity ([0 2] of [0 1 2]); its return and re-admission must build a
+// new ISR beside it, on the controller and on the leader alike, not
+// insert into the held one.
+func TestClusterHeldViewsNeverChange(t *testing.T) {
 	c := newTestCluster(t, 3, 3)
 	if err := c.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)
 	}
-	v := c.View()
-	v.Partitions["t"][0].Leader = 99
-	v.Members[0] = 99
-	v2 := c.View()
-	if v2.Partitions["t"][0].Leader == 99 || v2.Members[0] == 99 {
-		t.Fatal("View must return an isolated clone")
+	cl, err := c.Client(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Produce("t", 0, []Record{{Value: []byte("x")}}); err != nil {
+		t.Fatal(err)
+	}
+	node0, err := c.Node(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type held struct {
+		name string
+		v    ClusterView
+		js   []byte
+	}
+	var views []held
+	hold := func(step string) {
+		for _, h := range []struct {
+			name string
+			get  func() (ClusterView, error)
+		}{
+			{"controller", func() (ClusterView, error) { return c.ctrl.View(), nil }},
+			{"node", node0.ClusterView},
+			{"client", cl.ClusterView},
+		} {
+			v, err := h.get()
+			if err != nil {
+				t.Fatal(err)
+			}
+			js, err := json.Marshal(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			views = append(views, held{step + "/" + h.name, v, js})
+		}
+	}
+	tp := TopicPartition{Topic: "t", Partition: 0}
+	hold("created")
+	if err := c.crash("node-1"); err != nil {
+		t.Fatal(err)
+	}
+	c.ctrl.Tick()
+	if st, _ := c.View().State(tp); !slices.Equal(st.ISR, []int{0, 2}) || cap(st.ISR) == len(st.ISR) {
+		t.Fatalf("after the follower's death ISR = %v (cap %d), want [0 2] with spare capacity", st.ISR, cap(st.ISR))
+	}
+	hold("follower dead")
+	if err := c.restart("node-1"); err != nil {
+		t.Fatal(err)
+	}
+	c.ctrl.Tick()
+	hold("follower back")
+	waitUntil(t, 2*time.Second, func() bool {
+		c.ctrl.Tick()
+		st, _ := c.View().State(tp)
+		return slices.Contains(st.ISR, 1)
+	}, "node 1's re-admission")
+	hold("re-admitted")
+	for _, h := range views {
+		var want ClusterView
+		if err := json.Unmarshal(h.js, &want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(h.v, want) {
+			t.Errorf("%s: the held view changed to %+v, was %+v", h.name, h.v, want)
+		}
 	}
 }
 
@@ -661,7 +742,7 @@ func TestClusterTopicAdminRouting(t *testing.T) {
 
 // TestClusterMultiFetchPaysOneHop: a fetch across several partitions of
 // one leader is one response, and pays the modelled network hop once,
-// as on a standalone broker — not once per partition.
+// as a produce does — not once per partition.
 func TestClusterMultiFetchPaysOneHop(t *testing.T) {
 	const hop = 20 * time.Millisecond
 	c, err := NewCluster(ClusterConfig{
@@ -763,8 +844,7 @@ func TestClusterClientFetchSplitsPerAttempt(t *testing.T) {
 	if l0, l1 := stale.Partitions["t"][0].Leader, stale.Partitions["t"][1].Leader; l0 != 0 || l1 != 1 {
 		t.Fatalf("leaders %d and %d, want 0 and 1", l0, l1)
 	}
-	stale.Version--
-	stale.Partitions["t"][0].Leader = 1
+	stale = editedView(stale, -1, TopicPartition{Topic: "t", Partition: 0}, func(st *PartitionState) { st.Leader = 1 })
 	cl.mu.Lock()
 	cl.view = stale
 	cl.mu.Unlock()
@@ -772,5 +852,118 @@ func TestClusterClientFetchSplitsPerAttempt(t *testing.T) {
 	recs, err := cl.FetchMulti("t", []FetchRequest{{Partition: 0}, {Partition: 1}}, 16)
 	if err != nil || len(recs) != 2 {
 		t.Fatalf("fetch through a stale view = %d records, %v; want both partitions' records", len(recs), err)
+	}
+}
+
+// TestOneNodeClusterStartsNoGoroutine: a one-node cluster runs nothing
+// in the background, whether New or NewCluster built it: its controller
+// arms no liveness sweep, and its partitions have no follower to fetch.
+func TestOneNodeClusterStartsNoGoroutine(t *testing.T) {
+	for name, build := range map[string]func(t *testing.T) (Transport, func()){
+		"New": func(*testing.T) (Transport, func()) {
+			b := New(DefaultConfig())
+			return b, b.Close
+		},
+		"NewCluster": func(t *testing.T) (Transport, func()) {
+			c, err := NewCluster(ClusterConfig{Nodes: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl, err := c.Client(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return cl, c.Close
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			tr, closeFn := build(t)
+			defer closeFn()
+			if err := tr.CreateTopic("t", 4); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tr.Produce("t", 0, []Record{{Value: []byte("x")}}); err != nil {
+				t.Fatal(err)
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Fatalf("%d goroutines before the cluster, %d with a topic in it", before, after)
+			}
+		})
+	}
+}
+
+// produceCounter counts the produce attempts made through it.
+type produceCounter struct {
+	Transport
+	n atomic.Int64
+}
+
+func (p *produceCounter) Produce(topic string, partition int, recs []Record) (int64, error) {
+	p.n.Add(1)
+	return p.Transport.Produce(topic, partition, recs)
+}
+
+// TestOneNodeClusterCrashRestart: a produce through the partition-aware
+// client while the only node of a one-node cluster is down retries until
+// the node restarts, then acks, with nothing lost. The leadership never
+// moves: no sweep runs to take the partition offline and revive it, so
+// the epoch stays 1 and no failover is booked.
+func TestOneNodeClusterCrashRestart(t *testing.T) {
+	reg := telemetry.New()
+	c, err := NewCluster(ClusterConfig{Nodes: 1, Broker: Config{Metrics: reg}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	node, err := c.Node(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	link := &produceCounter{Transport: node}
+	cl, err := NewClusterClient([]Transport{link}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.CreateTopic("t", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Produce("t", 0, []Record{{Value: []byte("before")}}); err != nil {
+		t.Fatal(err)
+	}
+	node.Crash()
+	type ack struct {
+		off int64
+		err error
+	}
+	done := make(chan ack, 1)
+	go func() {
+		off, err := cl.Produce("t", 0, []Record{{Value: []byte("during")}})
+		done <- ack{off, err}
+	}()
+	waitUntil(t, 2*time.Second, func() bool { return link.n.Load() >= 3 }, "the node to refuse a produce")
+	select {
+	case a := <-done:
+		t.Fatalf("a produce to the crashed node returned %d, %v", a.off, a.err)
+	default:
+	}
+	node.Restart()
+	if a := <-done; a.err != nil || a.off != 1 {
+		t.Fatalf("the produce across the crash = %d, %v; want offset 1", a.off, a.err)
+	}
+	if got := clusterValues(t, cl, "t", 0); len(got) != 2 || !got["before"] || !got["during"] {
+		t.Fatalf("records after the restart: %v", got)
+	}
+	nodeView, err := node.ClusterView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range map[string]ClusterView{"controller": c.View(), "node": nodeView} {
+		if st, _ := v.State(TopicPartition{Topic: "t"}); st.Leader != 0 || st.Epoch != 1 {
+			t.Fatalf("%s: partition state %+v after the restart, want node 0 leading at epoch 1", name, st)
+		}
+	}
+	if n := reg.Counter("broker.cluster.failovers").Value(); n != 0 {
+		t.Fatalf("%d failovers booked", n)
 	}
 }

@@ -332,14 +332,14 @@ func (c *ClusterClient) CommittedOffset(group string, tp TopicPartition) (int64,
 }
 
 // ClusterView implements Transport: the freshest view a node answers
-// with.
+// with, shared as the node holds it.
 func (c *ClusterClient) ClusterView() (ClusterView, error) {
 	if err := c.refreshView(); err != nil {
 		return ClusterView{}, err
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.view.clone(), nil
+	return c.view, nil
 }
 
 var _ Transport = (*ClusterClient)(nil)

@@ -38,7 +38,8 @@ type Cluster struct {
 	ctrl  *Controller
 }
 
-// NewCluster builds and starts the cluster.
+// NewCluster builds and starts the cluster. A one-node cluster starts
+// nothing in the background (Controller.Start).
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("broker: cluster needs at least one node")
@@ -51,7 +52,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	for _, n := range nodes {
 		for id, p := range peers {
-			if id != n.cfg.ID {
+			if id != n.cfg.id {
 				n.SetPeer(id, p)
 			}
 		}
@@ -64,12 +65,36 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return &Cluster{nodes: nodes, ctrl: ctrl}, nil
 }
 
-// NewNode builds node id of the cluster cfg describes. NewCluster builds
-// every node with it, and brokerd the one node its process hosts.
+// NewNode builds node id of the cluster cfg describes, with no
+// controller seated on it. NewCluster builds every node with it, and
+// brokerd the one node its process hosts.
 func (cfg ClusterConfig) NewNode(id int) *Broker {
 	bc := cfg.Broker
-	bc.ID, bc.ackTimeout, bc.replicaPoll = id, cfg.AckTimeout, cfg.ReplicaPoll
-	return New(bc)
+	bc.id, bc.ackTimeout, bc.replicaPoll = id, cfg.AckTimeout, cfg.ReplicaPoll
+	if bc.clock == nil {
+		//lint:allow clockdiscipline documented default; tests inject a fake clock
+		bc.clock = time.Now
+	}
+	if bc.ackTimeout <= 0 {
+		bc.ackTimeout = 5 * time.Second
+	}
+	if bc.replicaPoll <= 0 {
+		bc.replicaPoll = time.Millisecond
+	}
+	return &Broker{
+		cfg:            bc,
+		mAppendRecords: bc.Metrics.Counter("broker.append.records"),
+		mAppendBytes:   bc.Metrics.Counter("broker.append.bytes"),
+		mFetchRecords:  bc.Metrics.Counter("broker.fetch.records"),
+		mFetchBytes:    bc.Metrics.Counter("broker.fetch.bytes"),
+		mAwaitParked:   bc.Metrics.Counter("broker.await.parked"),
+		mAwaitTimeouts: bc.Metrics.Counter("broker.await.timeouts"),
+		mAwaitWait:     bc.Metrics.Histogram("broker.await.wait_ns"),
+		topics:         make(map[string]*topic),
+		groups:         make(map[string]*group),
+		peers:          make(map[int]ClusterPeer),
+		fetchers:       make(map[TopicPartition]*fetcher),
+	}
 }
 
 // CreateTopic places and creates a replicated topic cluster-wide.
@@ -144,9 +169,9 @@ func (c *Cluster) Bind(inj *faults.Injector) {
 	inj.Handle(faults.BrokerRestart, func(e faults.Event) { _ = c.restart(e.Target) })
 }
 
-// Close shuts down the controller and every node.
+// Close shuts down every node, node 0 and the controller seated on it
+// first.
 func (c *Cluster) Close() {
-	c.ctrl.Close()
 	for _, n := range c.nodes {
 		n.Close()
 	}

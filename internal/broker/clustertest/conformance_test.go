@@ -53,8 +53,10 @@ func dialPeer(t *testing.T, addr string) *broker.RemoteClient {
 func newWireCluster(t *testing.T, n, rf int) *wireCluster {
 	t.Helper()
 	w := &wireCluster{}
+	// Heartbeat disabled: tests drive Tick directly.
+	cfg := broker.ClusterConfig{Nodes: n, ReplicationFactor: rf, HeartbeatEvery: time.Hour}
 	for id := 0; id < n; id++ {
-		node := broker.New(broker.Config{ID: id})
+		node := cfg.NewNode(id)
 		srv, err := broker.Serve(node, "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -75,8 +77,7 @@ func newWireCluster(t *testing.T, n, rf int) *wireCluster {
 			}
 		}
 	}
-	// Heartbeat disabled: tests drive Tick directly.
-	ctrl, err := broker.ClusterConfig{Nodes: n, ReplicationFactor: rf, HeartbeatEvery: time.Hour}.Seat(w.nodes[0], peers)
+	ctrl, err := cfg.Seat(w.nodes[0], peers)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,8 @@ package broker
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -32,8 +34,11 @@ type Controller struct {
 	// outside c.mu so a stalled peer cannot block topic admin or View).
 	tickMu sync.Mutex
 
-	mu       sync.Mutex
-	view     ClusterView
+	mu   sync.Mutex
+	view ClusterView
+	// edited marks the change under construction: non-nil once it has
+	// copied view.Partitions, true for each topic whose states it copied.
+	edited   map[string]bool
 	down     map[int]bool
 	maxEpoch int
 	started  bool
@@ -87,13 +92,15 @@ func (cfg ClusterConfig) Seat(node0 *Broker, peers map[int]ClusterPeer) (*Contro
 	return c, nil
 }
 
-// Start launches the liveness sweep loop. The ticker is made here, on
-// the caller's goroutine: the loop makes no timer per sweep, and the
-// time package's one-time set-up on first use (≈ 50 allocations) runs
-// before Start returns rather than whenever the loop is first scheduled.
+// Start launches the liveness sweep loop on a cluster of more than one
+// node; a one-node cluster, whose one node hosts the controller, has no
+// other leader to elect. The ticker is made here, on the caller's
+// goroutine: the loop makes no timer per sweep, and the time package's
+// one-time set-up on first use (≈ 50 allocations) runs before Start
+// returns rather than whenever the loop is first scheduled.
 func (c *Controller) Start() {
 	c.mu.Lock()
-	if c.started || c.closed {
+	if c.started || c.closed || c.nNodes < 2 {
 		c.mu.Unlock()
 		return
 	}
@@ -130,13 +137,14 @@ func (c *Controller) run(tick *time.Ticker) {
 	}
 }
 
-// View returns a copy of the current authoritative metadata.
+// View returns the published view, shared: the caller must not write
+// to it.
 //
 //lint:allow deadexport clustertest's wire conformance suite reads it
 func (c *Controller) View() ClusterView {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.view.clone()
+	return c.view
 }
 
 // CreateTopic places a topic's partitions across the cluster —
@@ -159,25 +167,22 @@ func (c *Controller) CreateTopic(name string, partitions int) error {
 	states := make([]PartitionState, partitions)
 	for p := range states {
 		replicas := placement(p, c.nNodes, c.rf)
-		leader := -1
-		var isr []int
+		isr := make([]int, 0, len(replicas))
 		for _, id := range replicas {
-			if c.down[id] {
-				continue
-			}
-			isr = insertSorted(isr, id)
-			if leader < 0 {
-				leader = id
+			if !c.down[id] {
+				isr = append(isr, id)
 			}
 		}
-		if len(isr) == 0 {
+		leader := -1
+		if len(isr) > 0 {
+			leader = isr[0] // the first live replica in placement order
+		} else {
 			// Every replica is down at creation: all logs are equally
 			// (and trivially) empty, so the whole replica set is the
 			// in-sync set a returning member may revive from.
-			for _, id := range replicas {
-				isr = insertSorted(isr, id)
-			}
+			isr = append(isr, replicas...)
 		}
+		sort.Ints(isr)
 		states[p] = PartitionState{Leader: leader, Epoch: 1, Replicas: replicas, ISR: isr}
 		noteLeader(c.metrics, TopicPartition{Topic: name, Partition: p}, leader)
 	}
@@ -185,9 +190,8 @@ func (c *Controller) CreateTopic(name string, partitions int) error {
 		c.maxEpoch = 1
 		c.mLeaderEpoch.Set(1)
 	}
-	c.view.Partitions[name] = states
-	c.view.Version++
-	c.pushViewLocked()
+	c.partitionsLocked()[name] = states
+	c.publishLocked()
 	return nil
 }
 
@@ -201,9 +205,8 @@ func (c *Controller) DeleteTopic(name string) error {
 	if _, ok := c.view.Partitions[name]; !ok {
 		return fmt.Errorf("%w: %q", errUnknownTopic, name)
 	}
-	delete(c.view.Partitions, name)
-	c.view.Version++
-	c.pushViewLocked()
+	delete(c.partitionsLocked(), name)
+	c.publishLocked()
 	return nil
 }
 
@@ -251,13 +254,11 @@ func (c *Controller) Tick() {
 		}
 	}
 	if changed {
-		c.view.Version++
-		c.pushViewLocked()
+		c.publishLocked()
 		c.coordinator.rebalanceGroups()
 	}
 	if c.expandISRLocked() {
-		c.view.Version++
-		c.pushViewLocked()
+		c.publishLocked()
 	}
 }
 
@@ -266,17 +267,10 @@ func (c *Controller) Tick() {
 // holds c.mu.
 func (c *Controller) handleDeathLocked(id int) {
 	c.view.Members = removeInt(c.view.Members, id)
-	topics := make([]string, 0, len(c.view.Partitions))
-	for t := range c.view.Partitions {
-		topics = append(topics, t)
-	}
-	sort.Strings(topics)
-	for _, topic := range topics {
-		states := c.view.Partitions[topic]
-		for p := range states {
-			st := &states[p]
+	for _, topic := range c.topicsLocked() {
+		for p, st := range c.view.Partitions[topic] {
+			tp := TopicPartition{Topic: topic, Partition: p}
 			if st.Leader == id {
-				tp := TopicPartition{Topic: topic, Partition: p}
 				winner := c.electLocked(tp, removeInt(st.ISR, id))
 				if winner >= 0 {
 					st.ISR = removeInt(st.ISR, id)
@@ -289,21 +283,30 @@ func (c *Controller) handleDeathLocked(id int) {
 					// revive the partition (no unclean election).
 					st.Leader = -1
 				}
-				st.Epoch++
-				if st.Epoch > c.maxEpoch {
-					c.maxEpoch = st.Epoch
-					c.mLeaderEpoch.Set(int64(c.maxEpoch))
-				}
-				c.mFailovers.Inc()
-				noteLeader(c.metrics, tp, st.Leader)
-			} else if st.Leader >= 0 && containsInt(st.ISR, id) {
+				c.newTermLocked(tp, &st)
+			} else if st.Leader >= 0 && slices.Contains(st.ISR, id) {
 				// A follower died: shrink the ISR so the leader's
 				// high-watermark derivation stops waiting on it. An
 				// offline partition's frozen ISR stays untouched.
 				st.ISR = removeInt(st.ISR, id)
+			} else {
+				continue
 			}
+			c.setStateLocked(tp, st)
 		}
 	}
+}
+
+// newTermLocked bumps a partition's leader epoch after an election and
+// books the failover. Caller holds c.mu.
+func (c *Controller) newTermLocked(tp TopicPartition, st *PartitionState) {
+	st.Epoch++
+	if st.Epoch > c.maxEpoch {
+		c.maxEpoch = st.Epoch
+		c.mLeaderEpoch.Set(int64(c.maxEpoch))
+	}
+	c.mFailovers.Inc()
+	noteLeader(c.metrics, tp, st.Leader)
 }
 
 // electLocked picks the new leader from the surviving in-sync set: the
@@ -341,24 +344,12 @@ func (c *Controller) electLocked(tp TopicPartition, isr []int) int {
 // Caller holds c.mu.
 func (c *Controller) handleReturnLocked(id int) {
 	c.view.Members = insertSorted(c.view.Members, id)
-	topics := make([]string, 0, len(c.view.Partitions))
-	for t := range c.view.Partitions {
-		topics = append(topics, t)
-	}
-	sort.Strings(topics)
-	for _, topic := range topics {
-		states := c.view.Partitions[topic]
-		for p := range states {
-			st := &states[p]
-			if st.Leader >= 0 || !containsInt(st.ISR, id) {
+	for _, topic := range c.topicsLocked() {
+		for p, st := range c.view.Partitions[topic] {
+			if st.Leader >= 0 || !slices.Contains(st.ISR, id) {
 				continue
 			}
-			var live []int
-			for _, r := range st.ISR {
-				if !c.down[r] {
-					live = append(live, r)
-				}
-			}
+			live := slices.DeleteFunc(slices.Clone(st.ISR), func(r int) bool { return c.down[r] })
 			tp := TopicPartition{Topic: topic, Partition: p}
 			winner := c.electLocked(tp, live)
 			if winner < 0 {
@@ -366,13 +357,8 @@ func (c *Controller) handleReturnLocked(id int) {
 			}
 			st.ISR = live
 			st.Leader = winner
-			st.Epoch++
-			if st.Epoch > c.maxEpoch {
-				c.maxEpoch = st.Epoch
-				c.mLeaderEpoch.Set(int64(c.maxEpoch))
-			}
-			c.mFailovers.Inc()
-			noteLeader(c.metrics, tp, st.Leader)
+			c.newTermLocked(tp, &st)
+			c.setStateLocked(tp, st)
 		}
 	}
 }
@@ -385,29 +371,27 @@ func (c *Controller) handleReturnLocked(id int) {
 // past the new member between the check and this view update. Returns
 // true when any ISR grew. Caller holds c.mu.
 func (c *Controller) expandISRLocked() bool {
-	topics := make([]string, 0, len(c.view.Partitions))
-	for t := range c.view.Partitions {
-		topics = append(topics, t)
-	}
-	sort.Strings(topics)
 	changed := false
-	for _, topic := range topics {
-		states := c.view.Partitions[topic]
-		for p := range states {
-			st := &states[p]
+	for _, topic := range c.topicsLocked() {
+		for p, st := range c.view.Partitions[topic] {
 			if st.Leader < 0 || c.down[st.Leader] || len(st.ISR) >= len(st.Replicas) {
 				continue
 			}
+			tp := TopicPartition{Topic: topic, Partition: p}
+			grew := false
 			for _, r := range st.Replicas {
-				if r == st.Leader || c.down[r] || containsInt(st.ISR, r) {
+				if r == st.Leader || c.down[r] || slices.Contains(st.ISR, r) {
 					continue
 				}
-				tp := TopicPartition{Topic: topic, Partition: p}
 				ok, err := c.peers[st.Leader].AdmitFollower(tp, r, st.Epoch)
 				if err != nil || !ok {
 					continue // not caught up yet; next sweep retries
 				}
 				st.ISR = insertSorted(st.ISR, r)
+				grew = true
+			}
+			if grew {
+				c.setStateLocked(tp, st)
 				changed = true
 			}
 		}
@@ -415,11 +399,53 @@ func (c *Controller) expandISRLocked() bool {
 	return changed
 }
 
-// pushViewLocked sends the current view to every live node. A push
-// that fails (the node died since its last ping) is dropped; the next
-// sweep handles the death. Caller holds c.mu.
-func (c *Controller) pushViewLocked() {
+// topicsLocked lists the view's topics in order, so that transitions
+// apply deterministically. Caller holds c.mu.
+func (c *Controller) topicsLocked() []string {
+	topics := make([]string, 0, len(c.view.Partitions))
+	for t := range c.view.Partitions {
+		topics = append(topics, t)
+	}
+	sort.Strings(topics)
+	return topics
+}
+
+// partitionsLocked returns the Partitions map of the view under
+// construction, copying the published one on the change's first write.
+// A published view is shared by every node and client that holds it,
+// and nobody writes to it, so a change builds the next view beside it:
+// a new Partitions map, new state slices for the topics it edits, new
+// Members and ISR slices. Caller holds c.mu.
+func (c *Controller) partitionsLocked() map[string][]PartitionState {
+	if c.edited == nil {
+		c.view.Partitions = maps.Clone(c.view.Partitions)
+		c.edited = make(map[string]bool)
+	}
+	return c.view.Partitions
+}
+
+// setStateLocked writes one partition's state into the view under
+// construction, copying the topic's published states on the change's
+// first write to them. Caller holds c.mu.
+func (c *Controller) setStateLocked(tp TopicPartition, st PartitionState) {
+	parts := c.partitionsLocked()
+	states := parts[tp.Topic]
+	if !c.edited[tp.Topic] {
+		states = slices.Clone(states)
+		parts[tp.Topic] = states
+		c.edited[tp.Topic] = true
+	}
+	states[tp.Partition] = st
+}
+
+// publishLocked stamps the view under construction with the next
+// version and pushes that one value to every live node. A push that
+// fails (the node died since its last ping) is dropped; the next sweep
+// handles the death. Caller holds c.mu.
+func (c *Controller) publishLocked() {
+	c.view.Version++
+	c.edited = nil
 	for _, id := range c.view.Members {
-		_ = c.peers[id].PushView(c.view.clone())
+		_ = c.peers[id].PushView(c.view)
 	}
 }

@@ -3,6 +3,7 @@ package broker
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -10,8 +11,8 @@ import (
 	"crayfish/internal/telemetry"
 )
 
-// A Broker becomes one node of a replicated cluster when a controller
-// pushes it a view: the replication role machinery lives here —
+// Every Broker is one node of a replicated cluster, and the controller's
+// pushed views drive it: the replication role machinery lives here —
 // leadership gating with epoch fencing, high-watermark ack tracking
 // when leading, and follower catch-up fetchers when following.
 // Crash/Restart model a process kill that preserves the log ("disk
@@ -95,8 +96,8 @@ func (rs *replState) visible() (int64, error) {
 	return rs.hw, nil
 }
 
-// Name returns the broker's fault-plan target name, "node-<ID>".
-func (b *Broker) Name() string { return fmt.Sprintf("node-%d", b.cfg.ID) }
+// Name returns the broker's fault-plan target name, "node-<id>".
+func (b *Broker) Name() string { return fmt.Sprintf("node-%d", b.cfg.id) }
 
 // SetPeer installs or replaces a peer link; brokerd uses it to finish
 // wiring once all peer addresses resolve.
@@ -167,24 +168,26 @@ func (b *Broker) LogEnd(tp TopicPartition) (int64, error) {
 	return p.end(), nil
 }
 
-// ClusterView implements Transport: the node's current metadata
-// copy, for client-side leader discovery.
+// ClusterView implements Transport: the view the node holds, for
+// client-side leader discovery. Views are immutable and shared: the
+// caller must not write to it.
 func (b *Broker) ClusterView() (ClusterView, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	if err := b.gateLocked(); err != nil {
 		return ClusterView{}, err
 	}
-	return b.view.clone(), nil
+	return b.view, nil
 }
 
-// PushView implements ClusterPeer: the controller's metadata push.
-// The node creates any topics it does not hold yet, adopts the new
-// leadership/ISR state per partition, truncates its log to the old
-// high-watermark when demoted from leader (discarding only unacked
-// records — the acked prefix is identical on every ISR member), wakes
-// the waiters on every topic the view covers, and reconciles its
-// follower fetchers.
+// PushView implements ClusterPeer: the controller's metadata push, the
+// only place that creates and deletes a node's topics. The node holds v
+// as it is (views are immutable), creates the topics it does not hold
+// yet and drops those v no longer carries, adopts the new leadership/ISR
+// state per partition, truncates its log to the old high-watermark when
+// demoted from leader (discarding only unacked records — the acked
+// prefix is identical on every ISR member), wakes the waiters on every
+// topic the view covers, and reconciles its follower fetchers.
 func (b *Broker) PushView(v ClusterView) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -196,23 +199,21 @@ func (b *Broker) PushView(v ClusterView) error {
 		// view cannot resurrect a topic a newer view already deleted.
 		return nil
 	}
-	b.view = v.clone()
+	b.view = v
 	for name, states := range v.Partitions {
 		t := b.topics[name]
 		if t == nil {
 			t = b.createTopicLocked(name, len(states))
 		}
 		for i, st := range states[:min(len(states), len(t.parts))] {
-			b.adoptLocked(t.parts[i], TopicPartition{Topic: name, Partition: i}, st)
+			b.adoptLocked(t.parts[i], st)
 		}
 		// Leadership or the high-watermark may have moved: parked
 		// waiters check again.
 		t.changed()
 	}
-	// Drop the topics the view no longer carries (cluster-wide topic
-	// deletion).
 	for name, t := range b.topics {
-		if _, ok := v.Partitions[name]; !ok && len(t.parts) > 0 && t.parts[0].repl.Load() != nil {
+		if _, ok := v.Partitions[name]; !ok {
 			b.deleteTopicLocked(t)
 		}
 	}
@@ -222,12 +223,8 @@ func (b *Broker) PushView(v ClusterView) error {
 
 // adoptLocked installs one partition's state from a pushed view. Caller
 // holds b.mu.
-func (b *Broker) adoptLocked(p *partition, tp TopicPartition, st PartitionState) {
-	rs := p.repl.Load()
-	if rs == nil {
-		rs = &replState{tp: tp, self: b.cfg.ID, lag: b.cfg.Metrics.Gauge("broker.cluster.replica_lag")}
-		p.repl.Store(rs)
-	}
+func (b *Broker) adoptLocked(p *partition, st PartitionState) {
+	rs := p.repl
 	localEnd := p.end()
 	rs.mu.Lock()
 	oldHW := rs.hw
@@ -236,9 +233,10 @@ func (b *Broker) adoptLocked(p *partition, tp TopicPartition, st PartitionState)
 		rs.epoch = st.Epoch
 	}
 	rs.leader = st.Leader
-	rs.replicas = append([]int(nil), st.Replicas...)
-	rs.isr = append([]int(nil), st.ISR...)
-	rs.isLeader = st.Leader == b.cfg.ID
+	// Shared with the view, which nobody writes: AdmitFollower replaces
+	// isr rather than editing it.
+	rs.replicas, rs.isr = st.Replicas, st.ISR
+	rs.isLeader = st.Leader == b.cfg.id
 	leadsNow := rs.isLeader
 	if rs.isLeader {
 		if epochMoved || rs.followerEnd == nil {
@@ -258,7 +256,7 @@ func (b *Broker) adoptLocked(p *partition, tp TopicPartition, st PartitionState)
 	// node's /metrics answers "who leads partition p", not just the
 	// controller's (followers are what you can still scrape
 	// mid-failover).
-	noteLeader(b.cfg.Metrics, tp, st.Leader)
+	noteLeader(b.cfg.Metrics, rs.tp, st.Leader)
 	if epochMoved && !leadsNow {
 		// New term, not leading it: drop everything this node never saw
 		// acked so its log rejoins the new leader's as a clean prefix
@@ -275,12 +273,9 @@ func (b *Broker) reconcileFetchersLocked() {
 	want := make(map[TopicPartition]fetchTarget)
 	for _, t := range b.topics {
 		for _, p := range t.parts {
-			rs := p.repl.Load()
-			if rs == nil {
-				continue
-			}
+			rs := p.repl
 			rs.mu.Lock()
-			if !rs.isLeader && rs.leader >= 0 && rs.leader != b.cfg.ID && containsInt(rs.replicas, b.cfg.ID) {
+			if !rs.isLeader && rs.leader >= 0 && rs.leader != b.cfg.id && slices.Contains(rs.replicas, b.cfg.id) {
 				want[rs.tp] = fetchTarget{leader: rs.leader, epoch: rs.epoch}
 			}
 			rs.mu.Unlock()
@@ -350,18 +345,16 @@ func (b *Broker) fetchFromLeader(tp TopicPartition, target fetchTarget) (idle, s
 		Partition: tp.Partition,
 		Offset:    p.end(),
 		Max:       replicaBatch,
-		From:      b.cfg.ID,
+		From:      b.cfg.id,
 		Epoch:     target.epoch,
 	})
 	if err != nil {
 		return true, false
 	}
 	if len(resp.Records) > 0 {
-		if rs := p.repl.Load(); rs != nil {
-			rs.mu.Lock()
-			stale = rs.epoch != target.epoch
-			rs.mu.Unlock()
-		}
+		p.repl.mu.Lock()
+		stale = p.repl.epoch != target.epoch
+		p.repl.mu.Unlock()
 		if stale || p.replicate(resp.Records) != nil {
 			return true, stale
 		}
@@ -391,10 +384,7 @@ func (b *Broker) adoptLeaderHW(tp TopicPartition, hw int64) {
 	if err != nil {
 		return
 	}
-	rs := p.repl.Load()
-	if rs == nil {
-		return
-	}
+	rs := p.repl
 	hw = min(hw, p.end())
 	rs.mu.Lock()
 	moved := hw > rs.hw
@@ -417,10 +407,7 @@ func (b *Broker) ReplicaFetch(req replicaFetchRequest) (replicaFetchResponse, er
 	if err != nil {
 		return replicaFetchResponse{}, err
 	}
-	rs := p.repl.Load()
-	if rs == nil {
-		return replicaFetchResponse{}, fmt.Errorf("%w: %s/%d", errUnknownPartition, req.Topic, req.Partition)
-	}
+	rs := p.repl
 	localEnd := p.end()
 	rs.mu.Lock()
 	if !rs.isLeader {
@@ -475,16 +462,13 @@ func (b *Broker) AdmitFollower(tp TopicPartition, follower, epoch int) (bool, er
 	if err != nil {
 		return false, err
 	}
-	rs := p.repl.Load()
-	if rs == nil {
-		return false, fmt.Errorf("%w: %s/%d", errUnknownPartition, tp.Topic, tp.Partition)
-	}
+	rs := p.repl
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	if !rs.isLeader || rs.epoch != epoch || !containsInt(rs.replicas, follower) {
+	if !rs.isLeader || rs.epoch != epoch || !slices.Contains(rs.replicas, follower) {
 		return false, nil
 	}
-	if containsInt(rs.isr, follower) {
+	if slices.Contains(rs.isr, follower) {
 		// Already in the local derivation (an earlier admission whose
 		// view push was lost): confirm so the controller converges.
 		return true, nil
@@ -497,13 +481,14 @@ func (b *Broker) AdmitFollower(tp TopicPartition, follower, epoch int) (bool, er
 	return true, nil
 }
 
-// produceAcked is Produce on a replicated partition, with acks=all
-// semantics: the append is accepted only on the partition leader and
+// produceAcked is Produce past the hop and the fault verdicts, with
+// acks=all semantics: the append is accepted only on the partition leader and
 // the call blocks until the high-watermark covers it — every ISR member
 // stores the records — so an acked produce survives any single leader
 // crash. The hop and the fault verdicts were served before this runs,
 // so no lock is held across them.
-func (b *Broker) produceAcked(t *topic, p *partition, rs *replState, recs []Record) (int64, error) {
+func (b *Broker) produceAcked(t *topic, p *partition, recs []Record) (int64, error) {
+	rs := p.repl
 	// The leadership check and the append stay under one rs.mu hold: a
 	// concurrent demotion (PushView flips isLeader under rs.mu, then
 	// truncates to the old high-watermark) either lands before the

@@ -48,8 +48,8 @@ import (
 // is answered with an error.
 
 // wireRequest is the client -> server control document. From/Epoch/View
-// serve the cluster ops (replica_fetch, push_view); single-broker
-// traffic leaves them zero.
+// serve the cluster ops (replica_fetch, push_view); client traffic
+// leaves them zero.
 type wireRequest struct {
 	Op         string          `json:"op"`
 	Topic      string          `json:"topic,omitempty"`
@@ -112,8 +112,8 @@ const maxAwait = time.Second
 
 // Serve starts a TCP server for the broker on addr (e.g. "127.0.0.1:0")
 // and returns once the listener is bound. It serves the Transport ops
-// and, for a cluster node, the cluster ops (ping, metadata, push_view,
-// log_end, admit_follower, replica_fetch).
+// and the cluster ops (ping, metadata, push_view, log_end,
+// admit_follower, replica_fetch).
 func Serve(b *Broker, addr string) (*Server, error) {
 	return serveHandler(b, addr)
 }

@@ -110,30 +110,35 @@ go test -race -count=1 \
 # Cluster conformance (docs/CLUSTER.md): a leader kill mid-produce must
 # lose zero acked records, a follower kill must be client-invisible, and
 # a broker-membership rebalance must not double-consume any offset —
-# in-process and again over real TCP with torn-frame chaos. A node is a
-# Broker holding a view, so the gate is one table: every Transport op on
-# a closed broker answers errClosed, on a crashed node the retryable
+# in-process and again over real TCP with torn-frame chaos. Every Broker
+# is a cluster node, so the gate is one table: every Transport op on a
+# closed broker answers errClosed, on a crashed node the retryable
 # errNodeDown. The partition-aware client splits a fetch by leader on
 # every attempt (a stale view must not fail a poll) and parks at most a
-# millisecond at one of several leaders without spinning. Replication is all
-# cross-goroutine (fetchers, ack waiters, the controller sweep), so this
-# runs race-enabled and by name; the clustertest binary also leak-checks
-# every node, server, and client join.
-go test -race -count=1 -run 'TestCluster|TestClosedBrokerRejectsOps' ./internal/broker/ ./internal/broker/clustertest/
+# millisecond at one of several leaders without spinning. Views are
+# shared, so a view held across a follower's death, return and
+# re-admission must not change; a one-node cluster starts no goroutine.
+# Replication is all cross-goroutine (fetchers, ack waiters, the
+# controller sweep), so this runs race-enabled and by name; the
+# clustertest binary also leak-checks every node, server, and client
+# join.
+go test -race -count=1 -run 'TestCluster|TestClosedBrokerRejectsOps|TestOneNodeClusterStartsNoGoroutine' ./internal/broker/ ./internal/broker/clustertest/
 # Blocking fetch (docs/PERFORMANCE.md "Blocking fetch"): consumers park
 # at the broker and are woken by appends, cancels, deletions and closes
 # from other goroutines — a lost wake-up or a waiter nobody tells shows
 # as a hang, not as a wrong value. Race-enabled and by name: the await
-# ends in process and over TCP, on a standalone broker and at the leader
-# of replicated partitions (high-watermark advance, leadership loss,
-# crash; an unacked append does not end the wait), the 10 000-round
+# ends in process and over TCP, on the node New builds and on node 0 of
+# a one-node NewCluster, at the leader of replicated partitions
+# (high-watermark advance, leadership loss, crash; an unacked append
+# does not end the wait), a produce across the crash of a one-node
+# cluster's only node acks after its restart, the 10 000-round
 # ping-pong, shutdown and Close with a call parked — a broker call, and a
 # grpcish call on the same connection pool — and every engine's Stop with
 # its sources parked for an hour. The idle-consumer test also runs
 # through the partition-aware client of a one-node cluster, which parks
 # at the node for the whole wait.
 go test -race -count=1 -timeout 5m \
-	-run 'TestAwait|TestPollNeverLosesAWakeUp|TestIdleConsumerCallsPerWait|TestServerCloseWakesParkedAwait|TestRemoteCloseEndsCallInFlight|TestRemoteAwaitCancelDropsTheConnection|TestCloseEndsCallInFlight|TestCancelDropsTheConnection' \
+	-run 'TestAwait|TestOneNodeClusterCrashRestart|TestPollNeverLosesAWakeUp|TestIdleConsumerCallsPerWait|TestServerCloseWakesParkedAwait|TestRemoteCloseEndsCallInFlight|TestRemoteAwaitCancelDropsTheConnection|TestCloseEndsCallInFlight|TestCancelDropsTheConnection' \
 	./internal/broker/ ./internal/grpcish/
 go test -race -count=1 -timeout 5m \
 	-run 'TestConformance/StopWhileParked|TestAsyncIOConformance/StopWhileParked|TestAsyncIOFlushesWhileSourceIsParked' \
