@@ -4,41 +4,38 @@ import (
 	"go/ast"
 	"go/types"
 	"path/filepath"
+	"slices"
 	"strings"
 )
 
 // hotTensorFuncs are the internal/tensor functions that sit on the
 // steady-state inference path beyond the Into-suffix convention: the
 // blocked matmul core, the im2col packers (float and quantized), the
-// pooled fan-out, the packed int8 GEMM core, and the fused transformer
-// row kernels (attention lanes, the shared softmax row loop).
-var hotTensorFuncs = map[string]bool{
-	"matMulRange":   true,
-	"im2col":        true,
-	"poolMatMul":    true,
-	"qMatMulPacked": true,
-	"im2colQ":       true,
-	"store4q":       true,
-	"attentionRows": true,
-	"softmaxRows":   true,
+// shared fan-out and the task body it runs on workers and caller alike,
+// the packed int8 GEMM core, and the fused transformer row kernels
+// (attention lanes, the shared softmax row loop).
+var hotTensorFuncs = []string{
+	"matMulRange",
+	"im2col",
+	"fanOut",
+	"run",
+	"qMatMulPacked",
+	"im2colQ",
+	"store4q",
+	"attentionRows",
+	"softmaxRows",
 }
 
-// hotModelFiles are the internal/model files whose entire contents are
-// hot: the compiled execution plan and the transformer-operator
-// dispatch it shares with the interpreter. The interpreter itself
-// (forward.go) is the oracle and may allocate.
-var hotModelFiles = map[string]bool{
-	"plan.go":     true,
-	"attnexec.go": true,
-}
-
-// hotWireFiles are the internal/broker and internal/grpcish files whose
-// entire contents are hot: the TCP wire protocol's frame codec, which
-// every produced and fetched record crosses twice, and the framing under
-// it.
-var hotWireFiles = map[string]bool{
-	"wire.go":  true,
-	"frame.go": true,
+// hotFiles are the files whose entire contents are hot, by package:
+// internal/model's compiled execution plan and the transformer-operator
+// dispatch it shares with the interpreter (the interpreter itself,
+// forward.go, is the oracle and may allocate); internal/broker's TCP
+// wire protocol frame codec, which every produced and fetched record
+// crosses twice, and internal/grpcish's framing under it.
+var hotFiles = map[string][]string{
+	"internal/model":   {"plan.go", "attnexec.go"},
+	"internal/broker":  {"wire.go"},
+	"internal/grpcish": {"frame.go"},
 }
 
 // newHotPathAlloc flags heap allocations on the inference hot path:
@@ -55,48 +52,62 @@ var hotWireFiles = map[string]bool{
 // level; this analyzer attributes a regression to its line before the
 // tests can only say "some step allocated". Deliberate cold-path
 // allocations — plan compilation, per-state scratch construction —
-// carry a //lint:allow hotpathalloc annotation stating why.
+// carry a //lint:allow hotpathalloc annotation stating why. A list
+// entry that names no function or file of its package is reported too:
+// a renamed kernel or file would otherwise drop out of the check
+// without a word.
 func newHotPathAlloc() *Analyzer {
 	a := &Analyzer{
 		Name: "hotpathalloc",
 		Doc:  "hot paths (tensor Into-kernels, the model plan, the broker wire codec) must not allocate; annotate deliberate cold-path allocations",
 	}
 	a.Run = func(pass *Pass) {
-		switch pass.Pkg.ModRel {
-		case "internal/tensor":
+		rel := pass.Pkg.ModRel
+		declared := make(map[string]bool) // function names in tensor, file names elsewhere
+		var list string
+		var listed []string
+		switch files, ok := hotFiles[rel]; {
+		case rel == "internal/tensor":
+			list, listed = "hotTensorFuncs", hotTensorFuncs
 			pass.eachFile(func(f *ast.File) {
 				for _, decl := range f.Decls {
 					fd, ok := decl.(*ast.FuncDecl)
-					if !ok || fd.Body == nil || !hotTensorFunc(fd.Name.Name) {
+					if !ok || fd.Body == nil {
 						continue
 					}
-					reportHotAllocs(pass, fd.Body, "tensor kernel "+fd.Name.Name, hotSliceElems)
+					declared[fd.Name.Name] = true
+					if hotTensorFunc(fd.Name.Name) {
+						reportHotAllocs(pass, fd.Body, "tensor kernel "+fd.Name.Name, hotSliceElems)
+					}
 				}
 			})
-		case "internal/model":
-			reportHotFiles(pass, hotModelFiles, hotSliceElems)
-		case "internal/broker", "internal/grpcish":
-			reportHotFiles(pass, hotWireFiles, hotWireElems)
+		case ok:
+			list, listed = "hotFiles", files
+			elems := hotWireElems
+			if rel == "internal/model" {
+				elems = hotSliceElems
+			}
+			pass.eachFile(func(f *ast.File) {
+				name := filepath.Base(pass.Module.Fset.Position(f.Pos()).Filename)
+				declared[name] = true
+				if slices.Contains(files, name) {
+					reportHotAllocs(pass, f, name, elems)
+				}
+			})
+		}
+		for _, name := range listed {
+			if !declared[name] {
+				pass.report(pass.Pkg.Files[0].Name.Pos(), "%s names %s, which %s does not declare: nothing under that name is checked for allocations", list, name, rel)
+			}
 		}
 	}
 	return a
 }
 
-// reportHotFiles reports the banned allocation forms anywhere in the
-// package's files named in files.
-func reportHotFiles(pass *Pass, files, elems map[string]bool) {
-	pass.eachFile(func(f *ast.File) {
-		name := filepath.Base(pass.Module.Fset.Position(f.Pos()).Filename)
-		if files[name] {
-			reportHotAllocs(pass, f, name, elems)
-		}
-	})
-}
-
 // hotTensorFunc reports whether a tensor function name is on the hot
 // path: the Into-variant naming convention or the helper allow-list.
 func hotTensorFunc(name string) bool {
-	return strings.HasSuffix(name, "Into") || hotTensorFuncs[name]
+	return strings.HasSuffix(name, "Into") || slices.Contains(hotTensorFuncs, name)
 }
 
 // reportHotAllocs walks one hot region and reports the banned

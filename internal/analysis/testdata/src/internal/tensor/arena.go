@@ -1,4 +1,4 @@
-package tensor
+package tensor // want hotpathalloc
 
 // Arena is a minimal stand-in for the real buffer arena: the
 // arenadiscipline analyzer recognizes the Get/Wrap/Recycle/Reset method

@@ -67,6 +67,20 @@ func softmaxRows(dst []float32) []float32 {
 	return rows
 }
 
+// matMulRange, im2colQ, fanOut and the task body run complete the
+// hot-helper allow-list, clean. The list's store4q is deliberately not
+// declared here: hotpathalloc reports the stale entry at this package's
+// first file (arena.go's package clause).
+func matMulRange(c []float32) { clear(c) }
+
+func im2colQ(lhs []uint64) { clear(lhs) }
+
+func fanOut(t task) { t.run() }
+
+type task struct{ rows []float32 }
+
+func (t task) run() { clear(t.rows) }
+
 // The hot helpers are seeded by name, not called; this keeps deadexport
 // from reporting them.
-var _ = []any{im2col, qMatMulPacked, attentionRows, softmaxRows}
+var _ = []any{im2col, qMatMulPacked, attentionRows, softmaxRows, matMulRange, im2colQ, fanOut}

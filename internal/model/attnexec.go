@@ -18,20 +18,17 @@ type attnMode int
 
 const (
 	attnReference attnMode = iota // materialised S×S scores, textbook P×V (CPU device)
-	attnFused                     // flash-style tiled kernel
-	attnPooled                    // the fused kernel, its lanes fanned over the work pool
+	attnFused                     // flash-style tiled kernel, its lanes over Workers
 )
 
-// attnModeFor is the attention half of the kernel-selection table.
+// attnModeFor is the attention half of the kernel-selection table. As
+// for the blocked convolution, the worker count is a parameter of the
+// fused kernel, not a mode of its own.
 func attnModeFor(h ExecHints) attnMode {
-	switch {
-	case !h.FastConv:
+	if !h.FastConv {
 		return attnReference
-	case h.Workers > 1:
-		return attnPooled
-	default:
-		return attnFused
 	}
+	return attnFused
 }
 
 // compileAttention resolves one attention op: head geometry and the
@@ -60,14 +57,11 @@ func (p *Plan) compileAttention(op *planOp, l *Layer, in []int) ([]int, error) {
 // attnInto runs one compiled attention op into dst. Scratch comes from
 // the execution state's pre-sized attention buffer.
 func (p *Plan) attnInto(s *execState, op *planOp, dst, src *tensor.Tensor) {
-	switch attnModeFor(p.hints) {
-	case attnReference:
+	if attnModeFor(p.hints) == attnReference {
 		tensor.AttentionReferenceInto(dst, src, op.l.Heads, s.attn)
-	case attnPooled:
-		tensor.AttentionPoolInto(dst, src, op.l.Heads, s.attn, p.hints.Workers, p.pool, &s.wg)
-	default:
-		tensor.AttentionInto(dst, src, op.l.Heads, s.attn)
+		return
 	}
+	tensor.AttentionPoolInto(dst, src, op.l.Heads, s.attn, p.hints.Workers, p.pool, &s.wg)
 }
 
 // fusesResidualNorm reports whether layer i is a layer norm the fast

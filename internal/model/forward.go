@@ -188,8 +188,6 @@ func convOp(x *tensor.Tensor, l *Layer, opts ExecHints) (*tensor.Tensor, error) 
 	case convReference:
 		y, err = tensor.Conv2DReference(x, l.W, l.Stride, l.Pad)
 	default:
-		// convBlocked; convPooled is the same blocked GEMM with its
-		// rows partitioned, which a sequential pass never asks for.
 		y, err = tensor.Conv2D(x, l.W, l.Stride, l.Pad)
 	}
 	if err != nil {
@@ -208,7 +206,6 @@ func attnOp(x *tensor.Tensor, l *Layer, opts ExecHints) (*tensor.Tensor, error) 
 	if attnModeFor(opts) == attnReference {
 		return tensor.AttentionReference(x, l.Heads)
 	}
-	// attnFused; attnPooled is the same kernel with its lanes partitioned.
 	return tensor.Attention(x, l.Heads)
 }
 

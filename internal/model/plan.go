@@ -20,7 +20,10 @@ import (
 // and every serving daemon scores through one. Outputs are bit-identical
 // to the oracle, Model.ForwardWith, under the same hints: the plan runs
 // the same kernel loop bodies in the same order, only the buffer
-// lifetimes (and, with Workers > 1, the row partitioning) differ.
+// lifetimes (and, with Workers > 1, the row partitioning) differ. The
+// GEMM, blocked convolution and fused attention each have one body with
+// the worker count and pool as parameters, so a one-worker plan runs
+// the same call as a pooled one, with a nil pool.
 type Plan struct {
 	m     *Model
 	hints ExecHints
@@ -46,25 +49,23 @@ type convMode int
 
 const (
 	convReference convMode = iota // single-thread textbook GEMM (CPU device)
-	convBlocked                   // cache-blocked GEMM
-	convPooled                    // blocked GEMM fanned over the work pool
+	convBlocked                   // cache-blocked GEMM, over Workers
 	convWinograd                  // F(2×2,3×3) fast kernel
 )
 
 // convModeFor is the convolution kernel-selection table, read by the
 // plan compiler and by the interpreter: the fast library runs Winograd
-// where it applies (3×3, stride 1) and the blocked GEMM elsewhere,
-// pooled when the device offers workers; without it the CPU device
-// runs the single-thread reference kernel, matching the paper's
-// one-thread CPU inference setting.
+// where it applies (3×3, stride 1) and the blocked GEMM elsewhere;
+// without it the CPU device runs the single-thread reference kernel,
+// matching the paper's one-thread CPU inference setting. How many
+// workers the blocked GEMM fans out over is not a mode: a plan passes
+// ExecHints.Workers and its pool (nil for one worker) to the one kernel.
 func convModeFor(h ExecHints, l *Layer) convMode {
 	switch {
 	case !h.FastConv:
 		return convReference
 	case l.Stride == 1 && l.W.Dim(2) == 3 && l.W.Dim(3) == 3:
 		return convWinograd
-	case h.Workers > 1:
-		return convPooled
 	default:
 		return convBlocked
 	}
@@ -445,11 +446,7 @@ func (p *Plan) exec(s *execState, in, out []float32) error {
 				xm = s.arena.Wrap(x.Data(), x.Dim(0)*x.Dim(1), x.Dim(2))
 				ym = s.arena.Wrap(y.Data(), y.Dim(0)*y.Dim(1), y.Dim(2))
 			}
-			if p.hints.Workers > 1 {
-				tensor.MatMulParallelInto(ym, xm, l.W, p.hints.Workers, p.pool, &s.wg)
-			} else {
-				tensor.MatMulInto(ym, xm, l.W)
-			}
+			tensor.MatMulParallelInto(ym, xm, l.W, p.hints.Workers, p.pool, &s.wg)
 			tensor.AddBiasInto(ym, ym, l.B)
 			p.retire(s, x)
 			x = y
@@ -608,10 +605,8 @@ func (p *Plan) convInto(s *execState, op *planOp, dst, src *tensor.Tensor) error
 	switch op.mode {
 	case convWinograd:
 		op.wino.ApplyInto(dst, src, op.l.Pad, s.winos[op.winoIdx])
-	case convPooled:
-		tensor.Conv2DPoolInto(dst, src, op.l.W, op.l.Stride, op.l.Pad, s.col, p.hints.Workers, p.pool, &s.wg)
 	case convBlocked:
-		tensor.Conv2DInto(dst, src, op.l.W, op.l.Stride, op.l.Pad, s.col)
+		tensor.Conv2DPoolInto(dst, src, op.l.W, op.l.Stride, op.l.Pad, s.col, p.hints.Workers, p.pool, &s.wg)
 	default:
 		tensor.Conv2DReferenceInto(dst, src, op.l.W, op.l.Stride, op.l.Pad, s.col)
 	}

@@ -167,31 +167,59 @@ func TestMatMulParallelInto(t *testing.T) {
 	}
 }
 
-// TestParallelMatMulEvenSplit pins the even ±1 row split of the pooled
+// TestParallelMatMulEvenSplit pins the even ±1 row split of the shared
 // fan-out: MatMulParallelInto stays correct when the row count is not a
 // multiple of the worker count — including the shapes where ceil
 // chunking would idle trailing workers (10 rows / 4 workers -> chunks
 // 3,3,3,1; the even split gives 3,3,2,2) — when more workers are asked
 // for than there are rows, and when more are asked for than the pool
-// holds.
+// holds. A nil pool asked for several workers (a one-worker plan's
+// call, whatever the hint) runs every row on the caller, and
+// AttentionPoolInto, whose chunks each slice their own lane strip, is
+// split the same way over 2m rows (two heads of m query rows).
 func TestParallelMatMulEvenSplit(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	pool := NewWorkPool(7)
 	defer pool.Close()
 	var wg sync.WaitGroup
-	for _, m := range []int{1, 2, 3, 5, 10, 16, 17} {
+	matmul := func(m, workers int, pool *WorkPool) (got, want *Tensor) {
 		a := randTensor(r, m, 6)
 		b := randTensor(r, 6, 4)
 		want, err := MatMul(a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := New(m, 4)
-		for _, workers := range []int{1, 2, 3, 4, 8, m + 3} {
-			got.Fill(-1)
-			MatMulParallelInto(got, a, b, workers, pool, &wg)
-			if !bitEqual(got, want) {
-				t.Errorf("m=%d workers=%d: parallel result differs", m, workers)
+		got = New(m, 4)
+		got.Fill(-1)
+		MatMulParallelInto(got, a, b, workers, pool, &wg)
+		return got, want
+	}
+	attention := func(m, workers int, pool *WorkPool) (got, want *Tensor) {
+		const d, heads = 8, 2
+		src := randTensor(r, 1, m, 3*d)
+		want, err := Attention(src, heads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = New(1, m, d)
+		got.Fill(-1)
+		AttentionPoolInto(got, src, heads, make([]float32, AttentionScratchLen(d, heads, workers)), workers, pool, &wg)
+		return got, want
+	}
+	for _, tc := range []struct {
+		name string
+		pool *WorkPool
+		run  func(m, workers int, pool *WorkPool) (got, want *Tensor)
+	}{
+		{"matmul", pool, matmul},
+		{"matmul/nil pool", nil, matmul},
+		{"attention", pool, attention},
+	} {
+		for _, m := range []int{1, 2, 3, 5, 10, 16, 17} {
+			for _, workers := range []int{1, 2, 3, 4, 8, m + 3} {
+				if got, want := tc.run(m, workers, tc.pool); !bitEqual(got, want) {
+					t.Errorf("%s m=%d workers=%d: split result differs", tc.name, m, workers)
+				}
 			}
 		}
 	}
@@ -268,6 +296,55 @@ func TestArena(t *testing.T) {
 	}
 	warm()
 	assertZeroAllocs(t, "Arena steady state", warm)
+
+	// A full class spills its overflow to the shared pool, and a buffer
+	// whose capacity is not a power of two is never pinned. Get only
+	// lends class-sized buffers, so this drives put directly.
+	var fa Arena
+	extra := checkFreeList(t, "float", &fa.free, func() *Tensor { return fa.Get(3) }, fa.put, New(15),
+		func(t *Tensor) any { return t })
+	if !raceEnabled { // the race runtime drops sync.Pool puts at random
+		spilled := false
+		for x := sharedBufs[classFor(3)].Get(); x != nil && !spilled; x = sharedBufs[classFor(3)].Get() {
+			spilled = x == extra
+		}
+		if !spilled {
+			t.Error("float: overflow beyond arenaFreeCap did not spill to the shared pool")
+		}
+	}
+}
+
+// checkFreeList recycles arenaFreeCap+1 buffers of one size class
+// through get and recycle, then one foreign buffer, and checks what f
+// pins: arenaFreeCap buffers of the class, neither the overflow nor
+// the foreign one. id maps a buffer to a comparable identity. It
+// returns the overflow buffer.
+func checkFreeList[T any](t *testing.T, name string, f *freeList[T], get func() T, recycle func(T), foreign T, id func(T) any) T {
+	t.Helper()
+	bufs := make([]T, arenaFreeCap+1)
+	for i := range bufs {
+		bufs[i] = get()
+	}
+	for _, b := range bufs {
+		recycle(b)
+	}
+	recycle(foreign)
+	extra, pinned := bufs[arenaFreeCap], 0
+	for c := range f {
+		pinned += len(f[c])
+		for _, b := range f[c] {
+			if id(b) == id(extra) {
+				t.Errorf("%s: the buffer beyond arenaFreeCap was pinned", name)
+			}
+			if id(b) == id(foreign) {
+				t.Errorf("%s: a foreign buffer was pinned", name)
+			}
+		}
+	}
+	if pinned != arenaFreeCap {
+		t.Errorf("%s: %d buffers pinned, want arenaFreeCap (%d)", name, pinned, arenaFreeCap)
+	}
+	return extra
 }
 
 // TestWorkPoolLifecycle checks Close joins the resident workers.

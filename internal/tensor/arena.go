@@ -35,21 +35,52 @@ var sharedBufs [arenaClasses]sync.Pool
 // headers view caller-owned data and are recycled separately, so caller
 // memory never enters the buffer free lists.
 type Arena struct {
-	free  [arenaClasses][]*Tensor // recycled, cap(data) == 1<<class
-	lent  []*Tensor               // handed out since last Reset (nil = recycled early)
-	wraps []*Tensor               // Wrap headers; wraps[:nwrap] are in use
+	free  freeList[*Tensor] // recycled, cap(data) == 1<<class
+	lent  []*Tensor         // handed out since last Reset (nil = recycled early)
+	wraps []*Tensor         // Wrap headers; wraps[:nwrap] are in use
 	nwrap int
 
 	// Quantized scratch uses the same size classes but a stricter
 	// contract: GetQ/GetAcc/GetU64 buffers are op-local and must be
 	// returned with their Recycle* counterpart (Reset does not sweep
 	// them), which keeps the quantized path off the lent list entirely.
-	freeQ   [arenaClasses][]*QTensor // recycled, cap(data) == 1<<class
-	freeAcc [arenaClasses][][]int32  // int32 accumulators, cap == 1<<class
-	freeU64 [arenaClasses][][]uint64 // packed-word scratch, cap == 1<<class
+	freeQ   freeList[*QTensor] // recycled, cap(data) == 1<<class
+	freeAcc freeList[[]int32]  // int32 accumulators, cap == 1<<class
+	freeU64 freeList[[]uint64] // packed-word scratch, cap == 1<<class
 
 	hits, misses       atomic.Uint64
 	extHits, extMisses *atomic.Uint64
+}
+
+// freeList holds one kind of recycled buffer by size class: class c
+// holds buffers of capacity 1<<c, at most arenaFreeCap of them.
+type freeList[T any] [arenaClasses][]T
+
+// push pins b in class c; it reports false, keeping nothing, when the
+// class is full.
+func (f *freeList[T]) push(c int, b T) bool {
+	if len(f[c]) >= arenaFreeCap {
+		return false
+	}
+	f[c] = append(f[c], b)
+	return true
+}
+
+// take removes entry i of class c, moving the last entry into its place.
+func (f *freeList[T]) take(c, i int) T {
+	fl := f[c]
+	b := fl[i]
+	fl[i] = fl[len(fl)-1]
+	f[c] = fl[:len(fl)-1]
+	return b
+}
+
+// pop removes the most recently pushed buffer of class c, if any.
+func (f *freeList[T]) pop(c int) (b T, ok bool) {
+	if len(f[c]) == 0 {
+		return b, false
+	}
+	return f.take(c, len(f[c])-1), true
 }
 
 // CountInto redirects the arena's hit/miss counters to shared sinks, so
@@ -83,6 +114,25 @@ func classFor(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
+// classOf returns the size class of a buffer of capacity n, or -1 for a
+// buffer the arena does not manage: off-scale, or a capacity that is
+// not a power of two (a foreign buffer).
+func classOf(n int) int {
+	if c := classFor(n); c < arenaClasses && n == 1<<c {
+		return c
+	}
+	return -1
+}
+
+// volume returns the element count of a shape.
+func volume(shape []int) int {
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	return n
+}
+
 func shapeEq(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
@@ -95,17 +145,16 @@ func shapeEq(a, b []int) bool {
 	return true
 }
 
-// reshapeTo repoints a recycled tensor at a new shape of n total
-// elements without allocating (unless the rank grew, which class reuse
-// almost never does).
-func (t *Tensor) reshapeTo(shape []int, n int) {
-	t.data = t.data[:n]
-	if cap(t.shape) >= len(shape) {
-		t.shape = t.shape[:len(shape)]
-		copy(t.shape, shape)
-	} else {
-		t.shape = append([]int(nil), shape...)
+// reuseShape returns shape copied into dst's storage when its capacity
+// allows, so a recycled header takes a new shape without allocating
+// (a rank that grew, which class reuse almost never meets, allocates).
+func reuseShape(dst, shape []int) []int {
+	if cap(dst) < len(shape) {
+		return append([]int(nil), shape...)
 	}
+	dst = dst[:len(shape)]
+	copy(dst, shape)
+	return dst
 }
 
 // Get returns a tensor of the given shape with unspecified contents.
@@ -113,10 +162,7 @@ func (t *Tensor) reshapeTo(shape []int, n int) {
 // free: exact-shape headers are reused whole, and same-class buffers
 // are resliced in place.
 func (a *Arena) Get(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
+	n := volume(shape)
 	c := classFor(n)
 	if c >= arenaClasses {
 		// Off-scale request: plain allocation, never recycled.
@@ -125,33 +171,25 @@ func (a *Arena) Get(shape ...int) *Tensor {
 		a.lent = append(a.lent, t)
 		return t
 	}
-	fl := a.free[c]
-	for i := len(fl) - 1; i >= 0; i-- {
-		if shapeEq(fl[i].shape, shape) {
-			t := fl[i]
-			fl[i] = fl[len(fl)-1]
-			a.free[c] = fl[:len(fl)-1]
-			a.hit()
-			a.lent = append(a.lent, t)
-			return t
+	var t *Tensor
+	for i := len(a.free[c]) - 1; i >= 0 && t == nil; i-- {
+		if shapeEq(a.free[c][i].shape, shape) {
+			t = a.free.take(c, i)
 		}
 	}
-	if len(fl) > 0 {
-		t := fl[len(fl)-1]
-		a.free[c] = fl[:len(fl)-1]
-		t.reshapeTo(shape, n)
-		a.hit()
-		a.lent = append(a.lent, t)
-		return t
+	if t == nil {
+		t, _ = a.free.pop(c)
 	}
-	if t, _ := sharedBufs[c].Get().(*Tensor); t != nil {
-		t.reshapeTo(shape, n)
-		a.hit()
-		a.lent = append(a.lent, t)
-		return t
+	if t == nil {
+		t, _ = sharedBufs[c].Get().(*Tensor)
 	}
-	a.miss()
-	t := &Tensor{shape: append([]int(nil), shape...), data: make([]float32, n, 1<<c)}
+	if t == nil {
+		a.miss()
+		t = &Tensor{shape: append([]int(nil), shape...), data: make([]float32, n, 1<<c)}
+	} else {
+		a.hit()
+		t.data, t.shape = t.data[:n], reuseShape(t.shape, shape)
+	}
 	a.lent = append(a.lent, t)
 	return t
 }
@@ -168,26 +206,14 @@ func (a *Arena) Wrap(data []float32, shape ...int) *Tensor {
 		a.wraps = append(a.wraps, t)
 	}
 	a.nwrap++
-	t.data = data
-	if cap(t.shape) >= len(shape) {
-		t.shape = t.shape[:len(shape)]
-		copy(t.shape, shape)
-	} else {
-		t.shape = append([]int(nil), shape...)
-	}
+	t.data, t.shape = data, reuseShape(t.shape, shape)
 	return t
 }
 
 // put returns an arena-owned tensor to its class free list, spilling to
 // the shared pool when the pinned list is full.
 func (a *Arena) put(t *Tensor) {
-	c := classFor(cap(t.data))
-	if c >= arenaClasses || cap(t.data) != 1<<c {
-		return // off-scale or foreign buffer: drop
-	}
-	if len(a.free[c]) < arenaFreeCap {
-		a.free[c] = append(a.free[c], t)
-	} else {
+	if c := classOf(cap(t.data)); c >= 0 && !a.free.push(c, t) {
 		sharedBufs[c].Put(t)
 	}
 }
@@ -223,18 +249,6 @@ func (a *Arena) Reset() {
 	a.nwrap = 0
 }
 
-// reshapeQTo repoints a recycled QTensor at a new shape of n total
-// elements, reusing the shape header when the rank allows.
-func (q *QTensor) reshapeQTo(shape []int, n int) {
-	q.data = q.data[:n]
-	if cap(q.shape) >= len(shape) {
-		q.shape = q.shape[:len(shape)]
-		copy(q.shape, shape)
-	} else {
-		q.shape = append([]int(nil), shape...)
-	}
-}
-
 // GetQ returns a quantized tensor of the given shape with unspecified
 // contents and identity-reset parameters. Rank-2 tensors come with
 // packed-LHS buffers sized for QuantizeLHSInto. Steady state is
@@ -242,45 +256,31 @@ func (q *QTensor) reshapeQTo(shape []int, n int) {
 // capacities. Unlike Get, the tensor is not swept by Reset — return it
 // with RecycleQ when the op completes.
 func (a *Arena) GetQ(shape ...int) *QTensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
+	n := volume(shape)
 	c := classFor(n)
-	if c >= arenaClasses {
-		// Off-scale request: plain allocation, never recycled. Built
-		// inline (not via newQ) so the variadic shape slice never
-		// escapes on the in-class path below.
+	var q *QTensor
+	if c < arenaClasses {
+		q, _ = a.freeQ.pop(c)
+	}
+	if q != nil {
+		a.hit()
+		q.data, q.shape = q.data[:n], reuseShape(q.shape, shape)
+	} else {
+		// An off-scale request gets an exact buffer, which RecycleQ
+		// drops. Built inline (not via newQ) so the variadic shape slice
+		// never escapes.
 		a.miss()
-		q := &QTensor{
+		size := n
+		if c < arenaClasses {
+			size = 1 << c
+		}
+		q = &QTensor{
 			shape:  append([]int(nil), shape...),
-			data:   make([]int8, n),
+			data:   make([]int8, n, size),
 			scales: []float32{1},
 			zps:    []int32{0},
 			axis:   -1,
 		}
-		if len(shape) == 2 {
-			q.ensureLHS(shape[0], shape[1])
-		}
-		return q
-	}
-	if fl := a.freeQ[c]; len(fl) > 0 {
-		q := fl[len(fl)-1]
-		a.freeQ[c] = fl[:len(fl)-1]
-		q.reshapeQTo(shape, n)
-		if len(shape) == 2 {
-			q.ensureLHS(shape[0], shape[1])
-		}
-		a.hit()
-		return q
-	}
-	a.miss()
-	q := &QTensor{
-		shape:  append([]int(nil), shape...),
-		data:   make([]int8, n, 1<<c),
-		scales: []float32{1},
-		zps:    []int32{0},
-		axis:   -1,
 	}
 	if len(shape) == 2 {
 		q.ensureLHS(shape[0], shape[1])
@@ -289,81 +289,52 @@ func (a *Arena) GetQ(shape ...int) *QTensor {
 }
 
 // RecycleQ returns a GetQ-ed tensor to the quantized free lists.
-// Foreign buffers (capacity not a managed class) are dropped.
+// Foreign buffers (capacity not a managed class) are dropped, as is
+// scratch whose class list is full.
 func (a *Arena) RecycleQ(q *QTensor) {
 	if q == nil {
 		return
 	}
-	c := classFor(cap(q.data))
-	if c >= arenaClasses || cap(q.data) != 1<<c {
-		return
-	}
-	if len(a.freeQ[c]) < arenaFreeCap {
-		a.freeQ[c] = append(a.freeQ[c], q)
+	if c := classOf(cap(q.data)); c >= 0 {
+		a.freeQ.push(c, q)
 	}
 }
 
 // GetAcc returns an int32 accumulator of length n with unspecified
 // contents. Return it with RecycleAcc; steady state is allocation-free.
-func (a *Arena) GetAcc(n int) []int32 {
-	c := classFor(n)
-	if c >= arenaClasses {
-		a.miss()
-		return make([]int32, n)
-	}
-	if fl := a.freeAcc[c]; len(fl) > 0 {
-		b := fl[len(fl)-1]
-		a.freeAcc[c] = fl[:len(fl)-1]
-		a.hit()
-		return b[:n]
-	}
-	a.miss()
-	return make([]int32, n, 1<<c)
-}
+func (a *Arena) GetAcc(n int) []int32 { return getSlice(a, &a.freeAcc, n) }
 
 // RecycleAcc returns a GetAcc-ed buffer to the free lists.
-func (a *Arena) RecycleAcc(b []int32) {
-	if cap(b) == 0 {
-		return
-	}
-	c := classFor(cap(b))
-	if c >= arenaClasses || cap(b) != 1<<c {
-		return
-	}
-	if len(a.freeAcc[c]) < arenaFreeCap {
-		a.freeAcc[c] = append(a.freeAcc[c], b)
-	}
-}
+func (a *Arena) RecycleAcc(b []int32) { recycleSlice(&a.freeAcc, b) }
 
 // GetU64 returns a packed-word scratch buffer of length n with
 // unspecified contents (the fused quantized im2col's destination).
 // Return it with RecycleU64; steady state is allocation-free.
-func (a *Arena) GetU64(n int) []uint64 {
+func (a *Arena) GetU64(n int) []uint64 { return getSlice(a, &a.freeU64, n) }
+
+// RecycleU64 returns a GetU64-ed buffer to the free lists.
+func (a *Arena) RecycleU64(b []uint64) { recycleSlice(&a.freeU64, b) }
+
+// getSlice returns a length-n buffer from f, or a new one of its class
+// capacity (exact length when off-scale, never recycled).
+func getSlice[E any](a *Arena, f *freeList[[]E], n int) []E {
 	c := classFor(n)
 	if c >= arenaClasses {
 		a.miss()
-		return make([]uint64, n)
+		return make([]E, n)
 	}
-	if fl := a.freeU64[c]; len(fl) > 0 {
-		b := fl[len(fl)-1]
-		a.freeU64[c] = fl[:len(fl)-1]
+	if b, ok := f.pop(c); ok {
 		a.hit()
 		return b[:n]
 	}
 	a.miss()
-	return make([]uint64, n, 1<<c)
+	return make([]E, n, 1<<c)
 }
 
-// RecycleU64 returns a GetU64-ed buffer to the free lists.
-func (a *Arena) RecycleU64(b []uint64) {
-	if cap(b) == 0 {
-		return
-	}
-	c := classFor(cap(b))
-	if c >= arenaClasses || cap(b) != 1<<c {
-		return
-	}
-	if len(a.freeU64[c]) < arenaFreeCap {
-		a.freeU64[c] = append(a.freeU64[c], b)
+// recycleSlice returns a getSlice-ed buffer to f; foreign and off-scale
+// buffers, and any beyond a full class, are dropped.
+func recycleSlice[E any](f *freeList[[]E], b []E) {
+	if c := classOf(cap(b)); c >= 0 {
+		f.push(c, b)
 	}
 }

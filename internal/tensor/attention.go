@@ -81,7 +81,7 @@ func Attention(src *Tensor, heads int) (*Tensor, error) {
 	}
 	dst := New(n, s, d)
 	scratch := make([]float32, AttentionScratchLen(d, heads, 1))
-	AttentionInto(dst, src, heads, scratch)
+	AttentionPoolInto(dst, src, heads, scratch, 1, nil, nil)
 	return dst, nil
 }
 
@@ -101,68 +101,20 @@ func AttentionReference(src *Tensor, heads int) (*Tensor, error) {
 	return dst, nil
 }
 
-// AttentionInto computes fused multi-head self-attention into dst,
-// which must already have shape [n, S, D] for a [n, S, 3D] src. The
-// caller provides scratch of at least AttentionScratchLen(d, heads, 1)
-// floats. It allocates nothing and panics on shape or scratch mismatch
-// (plan-compile-validated hot kernel).
-func AttentionInto(dst, src *Tensor, heads int, scratch []float32) {
-	n, s, d := attnMustCheck(dst, src, heads)
-	lane := attnQBlock * (d/heads + attnKeyTile)
-	if len(scratch) < lane {
-		panic(fmt.Sprintf("tensor: AttentionInto scratch %d < %d", len(scratch), lane))
-	}
-	attentionRows(dst.data, src.data, s, d, heads, 0, n*heads*s, scratch[:lane])
-}
-
-// AttentionPoolInto is AttentionInto with the (point, head, query-row)
-// lanes fanned out over the resident work pool; chunk 0 runs on the
-// calling goroutine and done joins. scratch must hold
-// AttentionScratchLen(d, heads, workers) floats — each worker owns a
-// disjoint lane strip. Every output row is produced whole by one
-// attentionRows call, so results are bit-identical to the sequential
-// fused kernel at any worker count.
+// AttentionPoolInto computes fused multi-head self-attention into dst,
+// which must already have shape [n, S, D] for a [n, S, 3D] src, with
+// the (point, head, query-row) lanes fanned out over the resident work
+// pool; chunk 0 runs on the calling goroutine and done joins. A nil
+// pool or workers <= 1 runs every lane on the caller, and done may then
+// be nil. scratch must hold AttentionScratchLen(d, heads, workers)
+// floats — each chunk owns a disjoint lane strip. Every output row is
+// produced whole by one attentionRows call, so results are
+// bit-identical at any worker count. It allocates nothing and panics on
+// shape or scratch mismatch (plan-compile-validated hot kernel).
 func AttentionPoolInto(dst, src *Tensor, heads int, scratch []float32, workers int, pool *WorkPool, done *sync.WaitGroup) {
 	n, s, d := attnMustCheck(dst, src, heads)
-	lane := attnQBlock * (d/heads + attnKeyTile)
-	rows := n * heads * s
-	if pool != nil && workers > pool.n+1 {
-		workers = pool.n + 1
-	}
-	if workers > rows {
-		workers = rows
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if len(scratch) < workers*lane {
-		panic(fmt.Sprintf("tensor: AttentionPoolInto scratch %d < %d", len(scratch), workers*lane))
-	}
-	if pool == nil || workers <= 1 || rows < 2 {
-		attentionRows(dst.data, src.data, s, d, heads, 0, rows, scratch[:lane])
-		return
-	}
-	base, rem := rows/workers, rows%workers
-	head := base
-	if rem > 0 {
-		head++
-	}
-	r0 := head
-	for w := 1; w < workers; w++ {
-		cnt := base
-		if w < rem {
-			cnt++
-		}
-		done.Add(1)
-		pool.tasks <- mmTask{
-			kind: taskAttention, cd: dst.data, ad: src.data,
-			i0: r0, i1: r0 + cnt, k: s, n: d, heads: heads,
-			scr: scratch[w*lane : (w+1)*lane], done: done,
-		}
-		r0 += cnt
-	}
-	attentionRows(dst.data, src.data, s, d, heads, 0, head, scratch[:lane])
-	done.Wait()
+	t := mmTask{cd: dst.data, ad: src.data, k: s, n: d, heads: heads, scr: scratch, done: done}
+	fanOut(pool, t, n*heads*s, workers, attnQBlock*(d/heads+attnKeyTile))
 }
 
 // attnMustCheck is the panicking geometry check shared by the Into

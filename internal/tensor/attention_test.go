@@ -37,9 +37,9 @@ func TestAttentionKernelsMatchAndDontAllocate(t *testing.T) {
 	}
 	dst := New(n, s, d)
 	scratch := make([]float32, AttentionScratchLen(d, heads, 1))
-	assertZeroAllocs(t, "AttentionInto", func() { AttentionInto(dst, src, heads, scratch) })
+	assertZeroAllocs(t, "AttentionPoolInto without a pool", func() { AttentionPoolInto(dst, src, heads, scratch, 1, nil, nil) })
 	if !bitEqual(dst, want) {
-		t.Error("AttentionInto differs from Attention")
+		t.Error("AttentionPoolInto without a pool differs from Attention")
 	}
 
 	pool := NewWorkPool(3)
@@ -201,7 +201,7 @@ func TestLayerNormGELUKernels(t *testing.T) {
 			t.Error("short attention scratch did not panic")
 		}
 	}()
-	AttentionInto(New(1, 4, 4), New(1, 4, 12), 2, make([]float32, 1))
+	AttentionPoolInto(New(1, 4, 4), New(1, 4, 12), 2, make([]float32, 1), 1, nil, nil)
 }
 
 // BenchmarkAttentionFusedVsUnfused is the kernel-level speedup contract
@@ -221,7 +221,7 @@ func BenchmarkAttentionFusedVsUnfused(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			AttentionInto(dst, src, heads, scratch)
+			AttentionPoolInto(dst, src, heads, scratch, 1, nil, nil)
 		}
 	})
 	b.Run("unfused", func(b *testing.B) {

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // matMulBlock is the cache-blocking tile edge used by MatMul.
@@ -22,19 +23,28 @@ func MatMul(a, b *Tensor) (*Tensor, error) {
 	return c, nil
 }
 
-// MatMulInto computes dst = A × B, reusing dst's storage. dst must already
-// have shape m×n. It panics on shape mismatch; it is the hot inner kernel
-// and callers are expected to have validated shapes.
-func MatMulInto(dst, a, b *Tensor) {
+// MatMulInto computes dst = A × B, reusing dst's storage, on the calling
+// goroutine: MatMulParallelInto without a pool.
+func MatMulInto(dst, a, b *Tensor) { MatMulParallelInto(dst, a, b, 1, nil, nil) }
+
+// MatMulParallelInto computes dst = a × b into an already-shaped dst
+// without allocating: row ranges are fanned out to the pool's resident
+// workers while the caller computes the first chunk itself. done must
+// be an idle caller-owned WaitGroup (keep one per execution state so
+// the hot path never allocates); it is idle again on return. A nil
+// pool or workers <= 1 runs everything on the calling goroutine, and
+// done may then be nil. Row partitioning keeps the result bit-identical
+// at any worker count. It panics on shape mismatch: it is the hot inner
+// kernel and callers (execution plans) validate shapes at compile time.
+func MatMulParallelInto(dst, a, b *Tensor, workers int, pool *WorkPool, done *sync.WaitGroup) {
+	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
+		panic(fmt.Sprintf("tensor: MatMulParallelInto requires rank-2 operands, got %v × %v -> %v", a.shape, b.shape, dst.shape))
+	}
 	m, k, n := a.shape[0], a.shape[1], b.shape[1]
 	if b.shape[0] != k || dst.shape[0] != m || dst.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulInto shape mismatch %v × %v -> %v", a.shape, b.shape, dst.shape))
+		panic(fmt.Sprintf("tensor: MatMulParallelInto shape mismatch %v × %v -> %v", a.shape, b.shape, dst.shape))
 	}
-	ad, bd, cd := a.data, b.data, dst.data
-	for i := range cd {
-		cd[i] = 0
-	}
-	matMulRange(cd, ad, bd, 0, m, k, n)
+	fanOut(pool, mmTask{cd: dst.data, ad: a.data, bd: b.data, k: k, n: n, done: done}, m, workers, 0)
 }
 
 // matMulRange computes rows [i0,i1) of C += A×B with blocking over k.
@@ -209,7 +219,7 @@ func BatchNorm(t, gamma, beta, mean, variance *Tensor, eps float32) (*Tensor, er
 // using im2col + the cache-blocked MatMul. Output spatial size is the
 // usual (H + 2*pad - kh)/stride + 1.
 func Conv2D(in, kernel *Tensor, stride, pad int) (*Tensor, error) {
-	return conv2D(in, kernel, stride, pad, nil)
+	return conv2D(in, kernel, stride, pad, Conv2DInto)
 }
 
 // Conv2DReference is the single-thread reference convolution: im2col plus
@@ -219,19 +229,19 @@ func Conv2D(in, kernel *Tensor, stride, pad int) (*Tensor, error) {
 // thread); accelerator devices use the optimised kernel library instead
 // (blocked GEMM, Winograd, folded batch norms).
 func Conv2DReference(in, kernel *Tensor, stride, pad int) (*Tensor, error) {
-	return conv2D(in, kernel, stride, pad, referenceMatMul)
+	return conv2D(in, kernel, stride, pad, Conv2DReferenceInto)
 }
 
 type matMulFn func(cd, ad, bd []float32, m, k, n int)
 
-func conv2D(in, kernel *Tensor, stride, pad int, mm matMulFn) (*Tensor, error) {
+func conv2D(in, kernel *Tensor, stride, pad int, into func(dst, in, kernel *Tensor, stride, pad int, col []float32)) (*Tensor, error) {
 	if err := conv2DCheck(in, kernel, stride, pad); err != nil {
 		return nil, err
 	}
 	oh, ow := Conv2DOutDims(in, kernel, stride, pad)
 	col := make([]float32, Conv2DScratchLen(in, kernel, stride, pad))
 	out := New(in.shape[0], kernel.shape[0], oh, ow)
-	conv2DInto(out, in, kernel, stride, pad, col, mm)
+	into(out, in, kernel, stride, pad, col)
 	return out, nil
 }
 
@@ -270,13 +280,24 @@ func Conv2DScratchLen(in, kernel *Tensor, stride, pad int) int {
 	return in.shape[1] * kernel.shape[2] * kernel.shape[3] * oh * ow
 }
 
-// Conv2DInto computes the cache-blocked im2col convolution into dst,
-// using the caller-provided im2col scratch buffer col (length at least
-// Conv2DScratchLen). It allocates nothing: dst must already have shape
-// [n, oc, oh, ow]. Like MatMulInto it panics on shape or scratch
-// mismatch — callers validate at plan-compile time.
+// Conv2DInto computes the cache-blocked im2col convolution into dst on
+// the calling goroutine, using the caller-provided im2col scratch buffer
+// col (length at least Conv2DScratchLen): Conv2DPoolInto without a pool.
+// It allocates nothing: dst must already have shape [n, oc, oh, ow].
+// Like MatMulInto it panics on shape or scratch mismatch — callers
+// validate at plan-compile time.
 func Conv2DInto(dst, in, kernel *Tensor, stride, pad int, col []float32) {
-	conv2DInto(dst, in, kernel, stride, pad, col, nil)
+	Conv2DPoolInto(dst, in, kernel, stride, pad, col, 1, nil, nil)
+}
+
+// Conv2DPoolInto is the cache-blocked im2col convolution with each
+// image's GEMM rows fanned out over the pool's resident workers;
+// bit-identical at any worker count. done follows the
+// MatMulParallelInto contract.
+func Conv2DPoolInto(dst, in, kernel *Tensor, stride, pad int, col []float32, workers int, pool *WorkPool, done *sync.WaitGroup) {
+	conv2DInto(dst, in, kernel, stride, pad, col, func(cd, ad, bd []float32, m, k, n int) {
+		fanOut(pool, mmTask{cd: cd, ad: ad, bd: bd, k: k, n: n, done: done}, m, workers, 0)
+	})
 }
 
 // Conv2DReferenceInto is Conv2DInto with the single-thread reference GEMM
@@ -299,8 +320,8 @@ func referenceMatMul(cd, ad, bd []float32, m, k, n int) {
 	}
 }
 
-// conv2DInto is the shared allocation-free convolution core. mm == nil
-// selects the cache-blocked GEMM.
+// conv2DInto is the shared allocation-free convolution core: im2col per
+// image, then mm multiplies the kernel matrix by the patch matrix.
 func conv2DInto(dst, in, kernel *Tensor, stride, pad int, col []float32, mm matMulFn) {
 	n, c, h, w := in.shape[0], in.shape[1], in.shape[2], in.shape[3]
 	oc, _, kh, kw := kernel.shape[0], kernel.shape[1], kernel.shape[2], kernel.shape[3]
@@ -319,14 +340,7 @@ func conv2DInto(dst, in, kernel *Tensor, stride, pad int, col []float32, mm matM
 	for img := 0; img < n; img++ {
 		im2col(in.data[img*c*h*w:(img+1)*c*h*w], col, c, h, w, kh, kw, oh, ow, stride, pad)
 		out := dst.data[img*oc*colCols : (img+1)*oc*colCols]
-		if mm != nil {
-			mm(out, kmat, col, oc, colRows, colCols)
-		} else {
-			for i := range out {
-				out[i] = 0
-			}
-			matMulRange(out, kmat, col, 0, oc, colRows, colCols)
-		}
+		mm(out, kmat, col, oc, colRows, colCols)
 	}
 }
 

@@ -457,10 +457,18 @@ func TestQuantArena(t *testing.T) {
 		t.Fatalf("quantized cycle recorded no arena hits (%d -> %d)", hBefore, hAfter)
 	}
 
-	// Foreign buffers are dropped, not pooled.
-	a.RecycleAcc(make([]int32, 100)[:70])
-	a.RecycleU64(make([]uint64, 33))
-	a.RecycleQ(nil)
+	a.RecycleQ(nil) // ignored
+
+	// Each list pins at most arenaFreeCap buffers a class and drops the
+	// overflow (quantized scratch never spills to the shared pool), and
+	// drops a foreign buffer, whose capacity is not a power of two.
+	var qa Arena
+	checkFreeList(t, "quantized", &qa.freeQ, func() *QTensor { return qa.GetQ(3) }, qa.RecycleQ,
+		&QTensor{data: make([]int8, 15)}, func(q *QTensor) any { return q })
+	checkFreeList(t, "accumulator", &qa.freeAcc, func() []int32 { return qa.GetAcc(3) }, qa.RecycleAcc,
+		make([]int32, 100)[:70], func(b []int32) any { return &b[0] })
+	checkFreeList(t, "packed-word", &qa.freeU64, func() []uint64 { return qa.GetU64(3) }, qa.RecycleU64,
+		make([]uint64, 33), func(b []uint64) any { return &b[0] })
 }
 
 func TestAffineParamsDegenerate(t *testing.T) {

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"sync"
 )
 
@@ -9,37 +10,42 @@ import (
 // without touching the allocator on the hot path: spawning a goroutine
 // (and the closure it captures) per call costs the allocator every
 // time, so a compiled plan keeps one pool alive for its lifetime and
-// feeds it value-typed tasks over a channel instead.
+// feeds it value-typed tasks over a channel instead. Every float kernel
+// that fans out has one body, with the worker count and the pool as
+// parameters: fanOut splits the rows, and a nil pool runs them all on
+// the caller.
 type WorkPool struct {
 	tasks chan mmTask
 	wg    sync.WaitGroup
 	n     int
 }
 
-// taskKind discriminates the work a pool task carries: matmul row
-// ranges and fused-attention (point, head, query-row) ranges share the
-// same resident workers.
-type taskKind uint8
-
-const (
-	taskMatMul taskKind = iota
-	taskAttention
-)
-
-// mmTask is one row range of a C = A×B product (taskMatMul) or one
-// flattened lane range of a fused attention pass (taskAttention, where
-// k/n carry the sequence length and model dim and scr is the lane's
-// private scratch strip). It is sent by value so enqueueing does not
-// allocate; done is owned by the caller and kept across calls (e.g.
-// inside a plan's execution state).
+// mmTask is one row range [i0, i1): rows of a C = A×B product
+// (heads == 0), or of a fused attention pass's flattened (point, head,
+// query-row) space (heads > 0, where k/n carry the sequence length and
+// model dim and scr is the chunk's private lane strip). It is sent by
+// value so enqueueing does not allocate; done is owned by the caller
+// and kept across calls (e.g. inside a plan's execution state).
 type mmTask struct {
-	kind       taskKind
 	cd, ad, bd []float32
 	i0, i1     int
 	k, n       int
 	heads      int
 	scr        []float32
 	done       *sync.WaitGroup
+}
+
+// run computes the task's rows, on a worker or on the caller. Every
+// output row is produced whole by one call — a GEMM row zeroed and
+// accumulated in ascending k, an attention row inside its lane — so
+// the result is bit-identical at any chunking.
+func (t *mmTask) run() {
+	if t.heads > 0 {
+		attentionRows(t.cd, t.ad, t.k, t.n, t.heads, t.i0, t.i1, t.scr)
+		return
+	}
+	clear(t.cd[t.i0*t.n : t.i1*t.n])
+	matMulRange(t.cd, t.ad, t.bd, t.i0, t.i1, t.k, t.n)
 }
 
 // NewWorkPool starts n resident workers (minimum 1). Close must be
@@ -59,21 +65,7 @@ func NewWorkPool(n int) *WorkPool {
 func (p *WorkPool) worker() {
 	defer p.wg.Done()
 	for t := range p.tasks {
-		switch t.kind {
-		case taskAttention:
-			// Every output row is produced whole inside its lane, so
-			// chunking never changes bits.
-			attentionRows(t.cd, t.ad, t.k, t.n, t.heads, t.i0, t.i1, t.scr)
-		default:
-			// Each worker zeroes its own disjoint row range before
-			// accumulating, so results are bit-identical to the
-			// sequential kernel for any chunking.
-			rows := t.cd[t.i0*t.n : t.i1*t.n]
-			for i := range rows {
-				rows[i] = 0
-			}
-			matMulRange(t.cd, t.ad, t.bd, t.i0, t.i1, t.k, t.n)
-		}
+		t.run()
 		t.done.Done()
 	}
 }
@@ -85,46 +77,43 @@ func (p *WorkPool) Close() {
 	p.wg.Wait()
 }
 
-// poolMatMul computes C = A×B over the pool: chunks 1..workers-1 are
-// enqueued, chunk 0 runs on the calling goroutine, done joins. Rows
-// split evenly, every chunk within ±1 row of the others — ceil chunking
-// can hand the first workers oversized chunks and leave the last with
-// nothing — and because each row is produced whole by one matMulRange
-// call, results are bit-identical to the sequential kernel at any
-// worker count.
-func poolMatMul(cd, ad, bd []float32, m, k, n, workers int, pool *WorkPool, done *sync.WaitGroup) {
-	if pool != nil && workers > pool.n+1 {
-		workers = pool.n + 1
+// fanOut runs t over rows [0, rows). The rows split into at most
+// workers chunks (capped by the pool's workers plus the caller, and by
+// rows) that differ by at most one row — ceil chunking can hand the
+// first workers oversized chunks and leave the last with nothing.
+// Chunks 1 and up are queued to the pool, chunk 0 runs on the caller,
+// and t.done joins; a nil pool runs every row on the caller, and
+// t.done may then be nil. With lane > 0 each chunk gets its own
+// lane-float strip of t.scr, which must hold one per chunk.
+func fanOut(pool *WorkPool, t mmTask, rows, workers, lane int) {
+	workers = max(1, min(workers, rows, pool.size()))
+	if lane > 0 && len(t.scr) < workers*lane {
+		panic(fmt.Sprintf("tensor: scratch %d < %d lanes of %d", len(t.scr), workers, lane))
 	}
-	if workers > m {
-		workers = m
-	}
-	if pool == nil || workers <= 1 || m < 2 {
-		for i := range cd {
-			cd[i] = 0
+	base, rem := rows/workers, rows%workers
+	for w := workers - 1; w >= 0; w-- {
+		c := t
+		c.i0, c.i1 = w*base+min(w, rem), (w+1)*base+min(w+1, rem)
+		if lane > 0 {
+			c.scr = t.scr[w*lane : (w+1)*lane]
 		}
-		matMulRange(cd, ad, bd, 0, m, k, n)
-		return
-	}
-	base, rem := m/workers, m%workers
-	head := base
-	if rem > 0 {
-		head++
-	}
-	i0 := head
-	for w := 1; w < workers; w++ {
-		rows := base
-		if w < rem {
-			rows++
+		if w == 0 {
+			c.run()
+		} else {
+			t.done.Add(1)
+			pool.tasks <- c
 		}
-		done.Add(1)
-		pool.tasks <- mmTask{cd: cd, ad: ad, bd: bd, i0: i0, i1: i0 + rows, k: k, n: n, done: done}
-		i0 += rows
 	}
-	own := cd[:head*n]
-	for i := range own {
-		own[i] = 0
+	if workers > 1 {
+		t.done.Wait()
 	}
-	matMulRange(cd, ad, bd, 0, head, k, n)
-	done.Wait()
+}
+
+// size is how many goroutines the pool runs a fan-out on: its workers
+// plus the caller; 1 for a nil pool.
+func (p *WorkPool) size() int {
+	if p == nil {
+		return 1
+	}
+	return p.n + 1
 }

@@ -36,9 +36,12 @@ go test -race -count=1 \
 	./internal/sps/... ./internal/batching/
 # Zero-allocation regression suite (docs/PERFORMANCE.md): the Into
 # kernels, the buffer arena, and compiled plans must stay allocation-free
-# in steady state. Run race-enabled and by name for an attributable
-# failure; under -race the exact-zero assertions relax but the same
-# paths still execute race-checked.
+# in steady state. The GEMM, blocked convolution and fused attention are
+# one kernel each, run here on a pool, on a nil pool and at uneven row
+# splits; the arena's four kinds of buffer share one size-classed free
+# list. Run race-enabled and by name for an attributable failure; under
+# -race the exact-zero assertions relax but the same paths still execute
+# race-checked.
 go test -race -count=1 \
 	-run 'TestIntoKernelsMatchAndDontAllocate|TestWinogradApplyInto|TestMatMulParallelInto|TestMatMulParallelMatchesSequentialProperty|TestParallelMatMulEvenSplit|TestConv2DPoolIntoMatchesSequential|TestWorkersPlanMatchesSequential|TestArena|TestPlanForwardAllocs|TestPlanConcurrent|TestQuantKernelsMatchOracleAndDontAllocate|TestQuantArena|TestQPlanForwardAllocs|TestQPlanConcurrent|TestAttentionKernelsMatchAndDontAllocate|TestAttentionFusedMatchesReference|TestLayerNormGELUKernels|TestTransformerFusedVsReference|TestQuantRejectsTransformerKinds' \
 	./internal/tensor/ ./internal/model/
@@ -54,11 +57,12 @@ fi
 # against the interpreter on seeded random model graphs, bit for bit;
 # a failure prints the seed and -graphseed N replays it. Then the
 # daemons: each one's answer against the oracle on the model it serves,
-# and plan lifetimes across Close with predicts in flight and failed
-# starts (the suite's TestMain leak-checks every pool worker).
+# and plan lifetimes across Close with predicts in flight or queued
+# behind Ray Serve's one replica, and failed starts (the suite's TestMain
+# leak-checks every pool worker and handler).
 go test -race -count=1 -run 'TestGraphDifferential|TestGraphGeneratorCoverage|TestGraphRejection' ./internal/model/
 go test -race -count=1 \
-	-run 'TestDaemonsMatchOracleBitForBit|TestCloseWaitsOutInflightPredicts|TestStartFailureReleasesPlan' \
+	-run 'TestDaemonsMatchOracleBitForBit|TestCloseWaitsOutInflightPredicts|TestRayServeCloseWithPredictsQueued|TestStartFailureReleasesPlan' \
 	./internal/serving/external/
 # Load-generator conformance (docs/SCENARIOS.md): arrival schedules must
 # replay byte-identically per seed and scenario verdict logic must match
