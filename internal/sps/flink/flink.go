@@ -9,7 +9,6 @@
 package flink
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -91,64 +90,25 @@ func (r pipeRecord) reassemble() []byte {
 
 // job is a running Flink job.
 type job struct {
-	e    *Engine
-	spec sps.JobSpec
-
-	stopCh  chan struct{}
-	stopped sync.Once
-	wg      sync.WaitGroup
-	errs    sps.ErrTracker
+	*sps.Running
+	e *Engine
 }
 
 // Run implements sps.Processor.
 func (e *Engine) Run(spec sps.JobSpec) (sps.Job, error) {
-	if err := spec.Validate(); err != nil {
+	run, err := sps.Start(e.Name(), spec)
+	if err != nil {
 		return nil, err
 	}
-	j := &job{e: e, spec: spec, stopCh: make(chan struct{})}
+	j := &job{Running: run, e: e}
 	start := j.startUnchained
-	if spec.Parallelism.Uniform() {
+	if j.Spec.Parallelism.Uniform() {
 		start = j.startChained
 	}
 	if err := start(); err != nil {
 		return nil, err
 	}
 	return j, nil
-}
-
-func (j *job) Stop() error {
-	j.stopped.Do(func() { close(j.stopCh) })
-	j.wg.Wait()
-	j.spec.CloseBatching()
-	return j.errs.Get()
-}
-
-func (j *job) Err() error { return j.errs.Get() }
-
-func (j *job) ErrSignal() <-chan struct{} { return j.errs.Signal() }
-
-// newSources spreads the input partitions over n source tasks and builds
-// a consumer for each task that owns any: tasks beyond the partition
-// count get nothing to run.
-func newSources(spec sps.JobSpec, n int) ([]*broker.Consumer, error) {
-	parts, err := spec.Transport.Partitions(spec.InputTopic)
-	if err != nil {
-		return nil, err
-	}
-	split := make([][]int, min(n, parts))
-	for p := 0; p < parts; p++ {
-		split[p%len(split)] = append(split[p%len(split)], p)
-	}
-	consumers := make([]*broker.Consumer, 0, len(split))
-	for _, owned := range split {
-		c, err := broker.NewAssignedConsumer(spec.Transport, spec.InputTopic, owned...)
-		if err != nil {
-			closeConsumers(consumers)
-			return nil, err
-		}
-		consumers = append(consumers, c)
-	}
-	return consumers, nil
 }
 
 // closeConsumers releases the consumers a failed start built.
@@ -169,12 +129,20 @@ const sinkFlushRecords = 4
 // startChained launches the flink[N-N-N] topology: N task slots, each
 // running the whole chained pipeline — source poll, record reassembly,
 // scoring, and the synchronous sink flush — on one task thread, exactly
-// what operator chaining does to a source→map→sink DAG. Every client is
-// built before any slot starts, so a failed start leaves nothing running.
+// what operator chaining does to a source→map→sink DAG. Slots beyond the
+// partition count get no clients. Every client is built before any slot
+// starts, so a failed start leaves nothing running.
 func (j *job) startChained() error {
-	consumers, producers, err := chainedClients(j.spec)
+	consumers, err := j.Sources(j.Spec.Parallelism.Default)
 	if err != nil {
 		return err
+	}
+	producers := make([]*broker.Producer, len(consumers))
+	for slot := range consumers {
+		if producers[slot], err = broker.NewProducer(j.Spec.Transport, j.Spec.OutputTopic); err != nil {
+			closeConsumers(consumers)
+			return err
+		}
 	}
 	for slot, consumer := range consumers {
 		// The synchronous slot scores each poll as one record set;
@@ -182,29 +150,11 @@ func (j *job) startChained() error {
 		// of the batcher's quorum.
 		var scorer *sps.Submitter
 		if !j.e.AsyncIO {
-			scorer = j.spec.Submitter(1)
+			scorer = j.Spec.Submitter(1)
 		}
-		j.wg.Add(1)
-		go j.chainedSlot(consumer, producers[slot], scorer)
+		j.Go(func() { j.chainedSlot(consumer, producers[slot], scorer) })
 	}
 	return nil
-}
-
-// chainedClients builds each chained slot's source consumer and sink
-// producer; slots beyond the partition count get neither.
-func chainedClients(spec sps.JobSpec) ([]*broker.Consumer, []*broker.Producer, error) {
-	consumers, err := newSources(spec, spec.Parallelism.Default)
-	if err != nil {
-		return nil, nil, err
-	}
-	producers := make([]*broker.Producer, len(consumers))
-	for slot := range consumers {
-		if producers[slot], err = broker.NewProducer(spec.Transport, spec.OutputTopic); err != nil {
-			closeConsumers(consumers)
-			return nil, nil, err
-		}
-	}
-	return consumers, producers, nil
 }
 
 // chainedSlot is one flink[N-N-N] task slot: poll → segment/reassemble →
@@ -213,11 +163,9 @@ func chainedClients(spec sps.JobSpec) ([]*broker.Consumer, []*broker.Producer, e
 // while up to asyncCapacity transforms are in flight, and completed
 // results flush unordered; scorer is nil then.
 func (j *job) chainedSlot(consumer *broker.Consumer, producer *broker.Producer, scorer *sps.Submitter) {
-	defer j.wg.Done()
 	if scorer != nil {
 		defer scorer.Close()
 	}
-	stages := j.spec.Stages()
 
 	var mu sync.Mutex // guards sinkBuf in async mode
 	var sinkBuf []broker.Record
@@ -226,15 +174,10 @@ func (j *job) chainedSlot(consumer *broker.Consumer, producer *broker.Producer, 
 		batch := sinkBuf
 		sinkBuf = nil
 		mu.Unlock()
-		if len(batch) == 0 {
-			return
+		if len(batch) > 0 {
+			_, _, err := producer.SendBatch(batch)
+			j.Sent(len(batch), err)
 		}
-		if _, _, err := producer.SendBatch(batch); err != nil {
-			j.errs.Set(fmt.Errorf("flink: sink: %w", err))
-			stages.Dropped.Add(int64(len(batch)))
-			return
-		}
-		stages.Out.Add(int64(len(batch)))
 	}
 	emit := func(scored []byte) {
 		mu.Lock()
@@ -248,35 +191,13 @@ func (j *job) chainedSlot(consumer *broker.Consumer, producer *broker.Producer, 
 
 	inflight := make(chan struct{}, asyncCapacity)
 	var pending sync.WaitGroup
-	score := func(value []byte) {
-		scored, err := j.spec.Transform(value)
-		if err != nil {
-			j.errs.Set(fmt.Errorf("flink: scoring: %w", err))
-			stages.Dropped.Inc()
-			return
-		}
-		emit(scored)
-	}
-
 	for {
-		select {
-		case <-j.stopCh:
-			pending.Wait()
-			flush()
-			return
-		default:
-		}
-		recs, err := consumer.Poll(channelDepth, broker.FetchMaxWait, j.stopCh)
-		if err != nil {
-			j.errs.Set(fmt.Errorf("flink: source: %w", err))
+		recs, ok := j.Poll(consumer, channelDepth)
+		if !ok {
 			pending.Wait()
 			flush()
 			return
 		}
-		if len(recs) == 0 {
-			continue
-		}
-		stages.In.Add(int64(len(recs)))
 		if !j.e.AsyncIO {
 			// The synchronous task thread scores the poll's records
 			// through its Submitter: with batching enabled this slot's
@@ -289,15 +210,7 @@ func (j *job) chainedSlot(consumer *broker.Consumer, producer *broker.Producer, 
 				// boundary between the source and the chained task.
 				values[i] = segment(rec.Value).reassemble()
 			}
-			scoredAll, scoreErrs := scorer.TransformMany(values)
-			for i := range values {
-				if err := scoreErrs[i]; err != nil {
-					j.errs.Set(fmt.Errorf("flink: scoring: %w", err))
-					stages.Dropped.Inc()
-					continue
-				}
-				emit(scoredAll[i])
-			}
+			j.Score(scorer, values, emit)
 			// End of the poll's records: flush so low-rate events do
 			// not linger in the client buffer.
 			flush()
@@ -307,16 +220,18 @@ func (j *job) chainedSlot(consumer *broker.Consumer, producer *broker.Producer, 
 			value := segment(rec.Value).reassemble()
 			inflight <- struct{}{}
 			pending.Add(1)
-			go func(v []byte) {
+			go func() {
 				defer pending.Done()
-				score(v)
+				if scored, ok := j.ScoreOne(value); ok {
+					emit(scored)
+				}
 				<-inflight
 				if len(inflight) == 0 {
 					// Nothing else in flight: the source may be parked in
 					// its poll, so the results must not wait for it.
 					flush()
 				}
-			}(value)
+			}()
 		}
 	}
 }
@@ -325,14 +240,14 @@ func (j *job) chainedSlot(consumer *broker.Consumer, producer *broker.Producer, 
 // scoring queue → Score tasks → sink queue → Sink tasks. Every client is
 // built before any task starts, so a failed start leaves nothing running.
 func (j *job) startUnchained() error {
-	p := j.spec.Parallelism
-	consumers, err := newSources(j.spec, p.Source)
+	p := j.Spec.Parallelism
+	consumers, err := j.Sources(p.Source)
 	if err != nil {
 		return err
 	}
 	producers := make([]*broker.AsyncProducer, 0, p.Sink)
 	for s := 0; s < p.Sink; s++ {
-		producer, err := broker.NewAsyncProducer(j.spec.Transport, j.spec.OutputTopic, channelDepth)
+		producer, err := broker.NewAsyncProducer(j.Spec.Transport, j.Spec.OutputTopic, channelDepth)
 		if err != nil {
 			closeConsumers(consumers)
 			for _, producer := range producers {
@@ -348,49 +263,32 @@ func (j *job) startUnchained() error {
 	var sources sync.WaitGroup
 	for _, consumer := range consumers {
 		sources.Add(1)
-		j.wg.Add(1)
-		go func() {
+		j.Go(func() {
 			defer sources.Done()
 			j.sourceLoop(consumer, scoreCh)
-		}()
+		})
 	}
 
-	stages := j.spec.Stages()
 	var scorers sync.WaitGroup
 	for s := 0; s < p.Default; s++ {
 		scorers.Add(1)
-		j.wg.Add(1)
-		go func() {
-			defer j.wg.Done()
+		j.Go(func() {
 			defer scorers.Done()
 			for rec := range scoreCh {
-				scored, err := j.spec.Transform(rec.reassemble())
-				if err != nil {
-					j.errs.Set(fmt.Errorf("flink: scoring: %w", err))
-					stages.Dropped.Inc()
-					continue
+				if scored, ok := j.ScoreOne(rec.reassemble()); ok {
+					sinkCh <- scored
 				}
-				sinkCh <- scored
 			}
-		}()
+		})
 	}
 
 	for _, producer := range producers {
-		j.wg.Add(1)
-		go func() {
-			defer j.wg.Done()
+		j.Go(func() {
 			for scored := range sinkCh {
-				if err := producer.Send(scored); err != nil {
-					j.errs.Set(fmt.Errorf("flink: sink: %w", err))
-					stages.Dropped.Inc()
-					continue
-				}
-				stages.Out.Inc()
+				j.Sent(1, producer.Send(scored))
 			}
-			if err := producer.Close(); err != nil {
-				j.errs.Set(fmt.Errorf("flink: sink: %w", err))
-			}
-		}()
+			j.Fail("sink", producer.Close())
+		})
 	}
 
 	// Close the stage queues once upstream drains, so Stop() flushes
@@ -407,27 +305,15 @@ func (j *job) startUnchained() error {
 // sourceLoop polls the broker and pushes segmented records downstream
 // until stopped. The bounded channel write is the backpressure point.
 func (j *job) sourceLoop(consumer *broker.Consumer, out chan<- pipeRecord) {
-	defer j.wg.Done()
-	stages := j.spec.Stages()
 	for {
-		select {
-		case <-j.stopCh:
-			return
-		default:
-		}
-		recs, err := consumer.Poll(channelDepth, broker.FetchMaxWait, j.stopCh)
-		if err != nil {
-			j.errs.Set(fmt.Errorf("flink: source: %w", err))
+		recs, ok := j.Poll(consumer, channelDepth)
+		if !ok {
 			return
 		}
-		if len(recs) == 0 {
-			continue
-		}
-		stages.In.Add(int64(len(recs)))
 		for _, rec := range recs {
 			select {
 			case out <- segment(rec.Value):
-			case <-j.stopCh:
+			case <-j.Stopping():
 				return
 			}
 		}

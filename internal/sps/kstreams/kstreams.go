@@ -8,8 +8,6 @@
 package kstreams
 
 import (
-	"fmt"
-	"sync"
 	"time"
 
 	"crayfish/internal/broker"
@@ -41,33 +39,26 @@ func newEngine() *engine {
 func (e *engine) Name() string { return "kafka-streams" }
 
 type job struct {
-	e    *engine
-	spec sps.JobSpec
-
-	stopCh  chan struct{}
-	stopped sync.Once
-	wg      sync.WaitGroup
-	errs    sps.ErrTracker
+	*sps.Running
+	e *engine
 }
 
 // Run implements sps.Processor. Kafka Streams has no operator-level
 // parallelism: the topology is replicated across stream threads, so the
 // scoring parallelism (mp) sets the thread count.
 func (e *engine) Run(spec sps.JobSpec) (sps.Job, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	j := &job{e: e, spec: spec, stopCh: make(chan struct{})}
-	threads := spec.Parallelism.Default
-	parts, err := spec.Transport.Partitions(spec.InputTopic)
+	run, err := sps.Start(e.Name(), spec)
 	if err != nil {
 		return nil, err
 	}
-	if threads > parts {
-		// Threads beyond the partition count would idle, as in Kafka
-		// Streams itself.
-		threads = parts
+	j := &job{Running: run, e: e}
+	parts, err := j.Spec.Transport.Partitions(j.Spec.InputTopic)
+	if err != nil {
+		return nil, err
 	}
+	// Threads beyond the partition count would idle, as in Kafka
+	// Streams itself.
+	threads := min(j.Spec.Parallelism.Default, parts)
 	// Every thread's consumer joins the group before any thread polls:
 	// each join bumps the group generation, and a thread polling under
 	// an assignment about to be rebalanced away would re-deliver its
@@ -86,11 +77,11 @@ func (e *engine) Run(spec sps.JobSpec) (sps.Job, error) {
 		return nil, err
 	}
 	for i := 0; i < threads; i++ {
-		consumer, err := broker.NewGroupConsumer(spec.Transport, spec.Group, spec.InputTopic)
+		consumer, err := broker.NewGroupConsumer(j.Spec.Transport, j.Spec.Group, j.Spec.InputTopic)
 		if err != nil {
 			return fail(err)
 		}
-		producer, err := broker.NewAsyncProducer(spec.Transport, spec.OutputTopic, e.pollRecords*2)
+		producer, err := broker.NewAsyncProducer(j.Spec.Transport, j.Spec.OutputTopic, e.pollRecords*2)
 		if err != nil {
 			_ = consumer.Close()
 			return fail(err)
@@ -98,55 +89,26 @@ func (e *engine) Run(spec sps.JobSpec) (sps.Job, error) {
 		pairs = append(pairs, pair{consumer, producer})
 	}
 	for _, p := range pairs {
-		j.wg.Add(1)
-		go j.streamThread(p.consumer, p.producer, j.spec.Submitter(1))
+		scorer := j.Spec.Submitter(1)
+		j.Go(func() { j.streamThread(p.consumer, p.producer, scorer) })
 	}
 	return j, nil
 }
-
-func (j *job) Stop() error {
-	j.stopped.Do(func() { close(j.stopCh) })
-	j.wg.Wait()
-	j.spec.CloseBatching()
-	return j.errs.Get()
-}
-
-func (j *job) Err() error { return j.errs.Get() }
-
-func (j *job) ErrSignal() <-chan struct{} { return j.errs.Signal() }
 
 // streamThread is the poll → process-whole-DAG → commit loop. The sink is
 // a batching async producer (Kafka Streams uses the Kafka producer client
 // underneath) that is flushed before every offset commit, preserving
 // at-least-once semantics.
 func (j *job) streamThread(consumer *broker.Consumer, producer *broker.AsyncProducer, scorer *sps.Submitter) {
-	defer j.wg.Done()
 	defer scorer.Close()
-	defer func() {
-		if err := consumer.Close(); err != nil {
-			j.errs.Set(fmt.Errorf("kafka-streams: source: %w", err))
-		}
-	}()
-	defer func() {
-		if err := producer.Close(); err != nil {
-			j.errs.Set(fmt.Errorf("kafka-streams: sink: %w", err))
-		}
-	}()
-	stages := j.spec.Stages()
+	defer func() { j.Fail("source", consumer.Close()) }()
+	defer func() { j.Fail("sink", producer.Close()) }()
+	emit := func(scored []byte) { j.Sent(1, producer.Send(scored)) }
 	lastCommit := time.Now()
 	for {
-		select {
-		case <-j.stopCh:
+		recs, ok := j.Poll(consumer, j.e.pollRecords)
+		if !ok {
 			return
-		default:
-		}
-		recs, err := consumer.Poll(j.e.pollRecords, broker.FetchMaxWait, j.stopCh)
-		if err != nil {
-			j.errs.Set(fmt.Errorf("kafka-streams: poll: %w", err))
-			return
-		}
-		if len(recs) == 0 {
-			continue
 		}
 		// Re-check after the poll: a peer thread that saw the stop may
 		// already have closed its consumer, and the resulting rebalance
@@ -155,11 +117,10 @@ func (j *job) streamThread(consumer *broker.Consumer, producer *broker.AsyncProd
 		// double-process on the way out (the leave happens-after the
 		// stop closed, so this check always catches the re-delivery).
 		select {
-		case <-j.stopCh:
+		case <-j.Stopping():
 			return
 		default:
 		}
-		stages.In.Add(int64(len(recs)))
 		// The whole poll goes through the thread's Submitter: with
 		// batching enabled the records coalesce into shared scorer
 		// invocations (this thread's contribution to the cross-thread
@@ -170,27 +131,10 @@ func (j *job) streamThread(consumer *broker.Consumer, producer *broker.AsyncProd
 		for i, rec := range recs {
 			values[i] = rec.Value
 		}
-		scoredAll, scoreErrs := scorer.TransformMany(values)
-		for i := range recs {
-			if err := scoreErrs[i]; err != nil {
-				j.errs.Set(fmt.Errorf("kafka-streams: transform: %w", err))
-				stages.Dropped.Inc()
-				continue
-			}
-			if err := producer.Send(scoredAll[i]); err != nil {
-				j.errs.Set(fmt.Errorf("kafka-streams: sink: %w", err))
-				stages.Dropped.Inc()
-				continue
-			}
-			stages.Out.Inc()
-		}
+		j.Score(scorer, values, emit)
 		if j.e.commitInterval <= 0 || time.Since(lastCommit) >= j.e.commitInterval {
-			if err := producer.Flush(); err != nil {
-				j.errs.Set(fmt.Errorf("kafka-streams: sink: %w", err))
-			}
-			if err := consumer.Commit(); err != nil {
-				j.errs.Set(fmt.Errorf("kafka-streams: commit: %w", err))
-			}
+			j.Fail("sink", producer.Flush())
+			j.Fail("commit", consumer.Commit())
 			lastCommit = time.Now()
 		}
 	}

@@ -55,46 +55,12 @@ func (s *objectStore) get(ref objectRef) ([]byte, error) {
 // mailbox is an actor's bounded message queue, carrying object refs.
 type mailbox chan objectRef
 
-// actor is a processing actor with a mailbox and a behaviour that runs on
-// its own goroutine.
+// actor is a processing actor: a mailbox, and a behaviour the job runs
+// as one of its operators.
 type actor struct {
-	Name  string
 	Inbox mailbox
 	store *objectStore
 }
-
-// system owns the object store and the spawned actors.
-type system struct {
-	store *objectStore
-
-	mu     sync.Mutex
-	actors []*actor
-	wg     sync.WaitGroup
-}
-
-// newSystem creates an actor system with a fresh object store.
-func newSystem() *system {
-	return &system{store: newObjectStore()}
-}
-
-// spawn starts an actor running behaviour on its own goroutine. The
-// behaviour receives the actor and returns when the actor is done (its
-// inbox closed or its source exhausted).
-func (sys *system) spawn(name string, inboxCap int, behaviour func(*actor)) *actor {
-	a := &actor{Name: name, Inbox: make(mailbox, inboxCap), store: sys.store}
-	sys.mu.Lock()
-	sys.actors = append(sys.actors, a)
-	sys.mu.Unlock()
-	sys.wg.Add(1)
-	go func() {
-		defer sys.wg.Done()
-		behaviour(a)
-	}()
-	return a
-}
-
-// Wait blocks until every spawned actor has returned.
-func (sys *system) Wait() { sys.wg.Wait() }
 
 // send serialises value into the object store and delivers its ref to the
 // target's mailbox.

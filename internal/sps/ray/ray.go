@@ -9,8 +9,6 @@ package ray
 
 import (
 	"encoding/json"
-	"fmt"
-	"sync"
 
 	"crayfish/internal/broker"
 	"crayfish/internal/sps"
@@ -57,91 +55,68 @@ func pickleCycle(value []byte) []byte {
 func (e *engine) Name() string { return "ray" }
 
 type job struct {
-	spec sps.JobSpec
-	sys  *system
-
-	stopCh  chan struct{}
-	stopped sync.Once
-	errs    sps.ErrTracker
+	*sps.Running
+	store *objectStore
 }
 
 // Run implements sps.Processor. Ray has no operator-level parallelism
 // knob; mp actors of each type are spawned manually and chained
-// one-to-one, as in the paper's setup.
+// one-to-one, as in the paper's setup. Chains beyond the partition
+// count get nothing to run. Every chain's clients are built before any
+// actor starts, so a failed start leaves nothing running.
 func (e *engine) Run(spec sps.JobSpec) (sps.Job, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	mp := spec.Parallelism.Default
-	parts, err := spec.Transport.Partitions(spec.InputTopic)
+	run, err := sps.Start(e.Name(), spec)
 	if err != nil {
 		return nil, err
 	}
-	split := make([][]int, mp)
-	for p := 0; p < parts; p++ {
-		split[p%mp] = append(split[p%mp], p)
+	j := &job{Running: run, store: newObjectStore()}
+	consumers, err := j.Sources(j.Spec.Parallelism.Default)
+	if err != nil {
+		return nil, err
 	}
-
-	j := &job{spec: spec, sys: newSystem(), stopCh: make(chan struct{})}
-	for i := 0; i < mp; i++ {
-		if len(split[i]) == 0 {
-			continue
-		}
-		consumer, err := broker.NewAssignedConsumer(spec.Transport, spec.InputTopic, split[i]...)
+	producers := make([]*broker.AsyncProducer, 0, len(consumers))
+	for range consumers {
+		producer, err := broker.NewAsyncProducer(j.Spec.Transport, j.Spec.OutputTopic, mailboxDepth)
 		if err != nil {
+			for _, c := range consumers {
+				_ = c.Close()
+			}
+			for _, p := range producers {
+				_ = p.Close()
+			}
 			return nil, err
 		}
-		producer, err := broker.NewAsyncProducer(spec.Transport, spec.OutputTopic, mailboxDepth)
-		if err != nil {
-			return nil, err
-		}
+		producers = append(producers, producer)
+	}
+	for i, consumer := range consumers {
 		// The chain is wired back to front so each stage knows its
 		// downstream actor.
-		output := j.sys.spawn(fmt.Sprintf("output-%d", i), mailboxDepth, func(a *actor) {
-			j.outputActor(a, producer)
-		})
-		scorer := j.spec.Submitter(1)
-		scoring := j.sys.spawn(fmt.Sprintf("scoring-%d", i), mailboxDepth, func(a *actor) {
-			j.scoringActor(a, output, scorer)
-		})
-		j.sys.spawn(fmt.Sprintf("input-%d", i), mailboxDepth, func(a *actor) {
-			j.inputActor(a, consumer, scoring)
-		})
+		output := j.spawn(func(a *actor) { j.outputActor(a, producers[i]) })
+		scorer := j.Spec.Submitter(1)
+		scoring := j.spawn(func(a *actor) { j.scoringActor(a, output, scorer) })
+		j.spawn(func(a *actor) { j.inputActor(a, consumer, scoring) })
 	}
 	return j, nil
 }
 
-func (j *job) Stop() error {
-	j.stopped.Do(func() { close(j.stopCh) })
-	j.sys.Wait()
-	j.spec.CloseBatching()
-	return j.errs.Get()
+// spawn starts an actor running behaviour as one of the job's
+// operators. The behaviour returns when the actor is done (its inbox
+// closed or its source stopped).
+func (j *job) spawn(behaviour func(*actor)) *actor {
+	a := &actor{Inbox: make(mailbox, mailboxDepth), store: j.store}
+	j.Go(func() { behaviour(a) })
+	return a
 }
-
-func (j *job) Err() error { return j.errs.Get() }
-
-func (j *job) ErrSignal() <-chan struct{} { return j.errs.Signal() }
 
 // inputActor consumes Kafka partitions and forwards records downstream.
 // On stop it closes its downstream mailbox so the chain drains in order.
 func (j *job) inputActor(a *actor, consumer *broker.Consumer, downstream *actor) {
 	defer close(downstream.Inbox)
-	stages := j.spec.Stages()
 	for {
-		select {
-		case <-j.stopCh:
-			return
-		default:
-		}
-		recs, err := consumer.Poll(mailboxDepth, broker.FetchMaxWait, j.stopCh)
-		if err != nil {
-			j.errs.Set(fmt.Errorf("ray: input actor: %w", err))
+		recs, ok := j.Poll(consumer, mailboxDepth)
+		if !ok {
 			return
 		}
-		if len(recs) == 0 {
-			continue
-		}
-		stages.In.Add(int64(len(recs)))
 		for _, rec := range recs {
 			a.send(downstream, pickleCycle(rec.Value))
 		}
@@ -158,12 +133,12 @@ func (j *job) inputActor(a *actor, consumer *broker.Consumer, downstream *actor)
 func (j *job) scoringActor(a *actor, downstream *actor, scorer *sps.Submitter) {
 	defer close(downstream.Inbox)
 	defer scorer.Close()
-	stages := j.spec.Stages()
+	emit := func(scored []byte) { a.send(downstream, pickleCycle(scored)) }
 	values := make([][]byte, 0, mailboxDepth)
 	for {
 		value, ok, err := a.recv()
 		if err != nil {
-			j.errs.Set(fmt.Errorf("ray: scoring actor: %w", err))
+			j.Fail("scoring", err)
 			continue
 		}
 		if !ok {
@@ -181,7 +156,7 @@ func (j *job) scoringActor(a *actor, downstream *actor, scorer *sps.Submitter) {
 				}
 				v, err := a.store.get(ref)
 				if err != nil {
-					j.errs.Set(fmt.Errorf("ray: scoring actor: %w", err))
+					j.Fail("scoring", err)
 					continue
 				}
 				values = append(values, v)
@@ -189,41 +164,23 @@ func (j *job) scoringActor(a *actor, downstream *actor, scorer *sps.Submitter) {
 				break drain // mailbox momentarily empty
 			}
 		}
-		scoredAll, scoreErrs := scorer.TransformMany(values)
-		for i := range values {
-			if err := scoreErrs[i]; err != nil {
-				j.errs.Set(fmt.Errorf("ray: scoring actor: %w", err))
-				stages.Dropped.Inc()
-				continue
-			}
-			a.send(downstream, pickleCycle(scoredAll[i]))
-		}
+		j.Score(scorer, values, emit)
 	}
 }
 
 // outputActor writes scored records to the output topic through a
 // batching producer (Ray's Kafka client batches sends too).
 func (j *job) outputActor(a *actor, producer *broker.AsyncProducer) {
-	defer func() {
-		if err := producer.Close(); err != nil {
-			j.errs.Set(fmt.Errorf("ray: output actor: %w", err))
-		}
-	}()
-	stages := j.spec.Stages()
+	defer func() { j.Fail("sink", producer.Close()) }()
 	for {
 		value, ok, err := a.recv()
 		if err != nil {
-			j.errs.Set(fmt.Errorf("ray: output actor: %w", err))
+			j.Fail("sink", err)
 			continue
 		}
 		if !ok {
 			return
 		}
-		if err := producer.Send(value); err != nil {
-			j.errs.Set(fmt.Errorf("ray: output actor: %w", err))
-			stages.Dropped.Inc()
-			continue
-		}
-		stages.Out.Inc()
+		j.Sent(1, producer.Send(value))
 	}
 }

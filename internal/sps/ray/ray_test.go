@@ -100,12 +100,16 @@ func TestObjectStoreConcurrent(t *testing.T) {
 }
 
 func TestActorChainDrainsOnClose(t *testing.T) {
-	sys := newSystem()
+	store := newObjectStore()
+	src := &actor{Inbox: make(mailbox, 8), store: store}
+	sink := &actor{Inbox: make(mailbox, 8), store: store}
 	var received [][]byte
-	var mu sync.Mutex
-	sink := sys.spawn("sink", 8, func(a *actor) {
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
 		for {
-			v, ok, err := a.recv()
+			v, ok, err := sink.recv()
 			if err != nil {
 				t.Error(err)
 				return
@@ -113,23 +117,21 @@ func TestActorChainDrainsOnClose(t *testing.T) {
 			if !ok {
 				return
 			}
-			mu.Lock()
 			received = append(received, v)
-			mu.Unlock()
 		}
-	})
-	src := sys.spawn("src", 8, func(a *actor) {
+	}()
+	go func() {
+		defer wg.Done()
 		defer close(sink.Inbox)
 		for i := 0; i < 5; i++ {
-			a.send(sink, []byte{byte(i)})
+			src.send(sink, []byte{byte(i)})
 		}
-	})
-	_ = src
-	sys.Wait()
+	}()
+	wg.Wait()
 	if len(received) != 5 {
 		t.Fatalf("sink received %d messages, want 5", len(received))
 	}
-	if n := len(sys.store.objects); n != 0 {
+	if n := len(store.objects); n != 0 {
 		t.Fatalf("object store leaked %d objects", n)
 	}
 }
@@ -151,7 +153,7 @@ func TestPipelineLeavesNoObjects(t *testing.T) {
 	if err := running.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(running.(*job).sys.store.objects); n != 0 {
+	if n := len(running.(*job).store.objects); n != 0 {
 		t.Fatalf("object store leaked %d objects", n)
 	}
 }

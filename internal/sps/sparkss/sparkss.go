@@ -9,8 +9,6 @@
 package sparkss
 
 import (
-	"fmt"
-	"sync"
 	"time"
 
 	"crayfish/internal/broker"
@@ -50,25 +48,22 @@ func newEngine() *engine {
 func (e *engine) Name() string { return "spark-ss" }
 
 type job struct {
-	e    *engine
-	spec sps.JobSpec
-
-	stopCh  chan struct{}
-	stopped sync.Once
-	wg      sync.WaitGroup
-	errs    sps.ErrTracker
+	*sps.Running
+	e *engine
 }
 
 // Run implements sps.Processor.
 func (e *engine) Run(spec sps.JobSpec) (sps.Job, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	consumer, err := broker.NewGroupConsumer(spec.Transport, spec.Group, spec.InputTopic)
+	run, err := sps.Start(e.Name(), spec)
 	if err != nil {
 		return nil, err
 	}
-	producer, err := broker.NewProducer(spec.Transport, spec.OutputTopic)
+	j := &job{Running: run, e: e}
+	consumer, err := broker.NewGroupConsumer(j.Spec.Transport, j.Spec.Group, j.Spec.InputTopic)
+	if err != nil {
+		return nil, err
+	}
+	producer, err := broker.NewProducer(j.Spec.Transport, j.Spec.OutputTopic)
 	if err != nil {
 		_ = consumer.Close()
 		return nil, err
@@ -76,28 +71,15 @@ func (e *engine) Run(spec sps.JobSpec) (sps.Job, error) {
 	// Effective stage parallelism: partition-bound tasks on the
 	// executor's cores. mp raises it further only beyond the core count
 	// (in practice Spark SS is insensitive to mp, as in Figure 11).
-	parts, err := spec.Transport.Partitions(spec.InputTopic)
+	parts, err := j.Spec.Transport.Partitions(j.Spec.InputTopic)
 	if err != nil {
 		_ = consumer.Close()
 		return nil, err
 	}
-	executors := max(min(parts, executorCores), spec.Parallelism.Default)
-	j := &job{e: e, spec: spec, stopCh: make(chan struct{})}
-	j.wg.Add(1)
-	go j.driverLoop(consumer, producer, j.spec.Submitter(executors))
+	stage := j.Spec.Submitter(max(min(parts, executorCores), j.Spec.Parallelism.Default))
+	j.Go(func() { j.driverLoop(consumer, producer, stage) })
 	return j, nil
 }
-
-func (j *job) Stop() error {
-	j.stopped.Do(func() { close(j.stopCh) })
-	j.wg.Wait()
-	j.spec.CloseBatching()
-	return j.errs.Get()
-}
-
-func (j *job) Err() error { return j.errs.Get() }
-
-func (j *job) ErrSignal() <-chan struct{} { return j.errs.Signal() }
 
 // driverLoop is the micro-batch scheduler. The stage runs the whole
 // micro-batch through the driver's Submitter, whose parallelism is the
@@ -107,19 +89,13 @@ func (j *job) ErrSignal() <-chan struct{} { return j.errs.Signal() }
 // at the stage barrier, the last, partial batch ships at once instead
 // of waiting out a linger no record could arrive in.
 func (j *job) driverLoop(consumer *broker.Consumer, producer *broker.Producer, stage *sps.Submitter) {
-	defer j.wg.Done()
 	defer stage.Close()
-	defer func() {
-		if err := consumer.Close(); err != nil {
-			j.errs.Set(fmt.Errorf("spark-ss: source: %w", err))
-		}
-	}()
-	stages := j.spec.Stages()
+	defer func() { j.Fail("source", consumer.Close()) }()
 	ticker := time.NewTicker(j.e.triggerInterval)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-j.stopCh:
+		case <-j.Stopping():
 			return
 		case <-ticker.C:
 		}
@@ -129,7 +105,7 @@ func (j *job) driverLoop(consumer *broker.Consumer, producer *broker.Producer, s
 		for len(batch) < maxBatchRecords {
 			recs, err := consumer.Poll(maxBatchRecords-len(batch), 0, nil)
 			if err != nil {
-				j.errs.Set(fmt.Errorf("spark-ss: poll: %w", err))
+				j.Fail("poll", err)
 				return
 			}
 			if len(recs) == 0 {
@@ -140,32 +116,20 @@ func (j *job) driverLoop(consumer *broker.Consumer, producer *broker.Producer, s
 		if len(batch) == 0 {
 			continue
 		}
-		stages.In.Add(int64(len(batch)))
+		j.Polled(len(batch))
 		values := make([][]byte, len(batch))
 		for i, rec := range batch {
 			values[i] = rec.Value
 		}
-		scoredAll, scoreErrs := stage.TransformMany(values) // stage barrier
 		scored := make([]broker.Record, 0, len(batch))
-		for i := range values {
-			if err := scoreErrs[i]; err != nil {
-				j.errs.Set(fmt.Errorf("spark-ss: task: %w", err))
-				stages.Dropped.Inc()
-				continue
-			}
-			scored = append(scored, broker.Record{Value: scoredAll[i], Timestamp: time.Now()})
-		}
+		j.Score(stage, values, func(v []byte) { // stage barrier
+			scored = append(scored, broker.Record{Value: v, Timestamp: time.Now()})
+		})
 		// Append-mode sink: one batched write.
 		if len(scored) > 0 {
-			if _, err := j.spec.Transport.Produce(j.spec.OutputTopic, producer.NextPartition(), scored); err != nil {
-				j.errs.Set(fmt.Errorf("spark-ss: sink: %w", err))
-				stages.Dropped.Add(int64(len(scored)))
-			} else {
-				stages.Out.Add(int64(len(scored)))
-			}
+			_, err := j.Spec.Transport.Produce(j.Spec.OutputTopic, producer.NextPartition(), scored)
+			j.Sent(len(scored), err)
 		}
-		if err := consumer.Commit(); err != nil {
-			j.errs.Set(fmt.Errorf("spark-ss: commit: %w", err))
-		}
+		j.Fail("commit", consumer.Commit())
 	}
 }

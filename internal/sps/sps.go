@@ -8,6 +8,11 @@
 // (push-based, pipelined), kstreams (pull-based), sparkss (micro-batch),
 // and ray (actor-based).
 //
+// The engines differ only in how they move records. What a running job
+// does besides — stopping and joining its operators, keeping its first
+// error, polling a source, scoring a record set, splitting partitions
+// over sources — is the one Running every engine's job embeds.
+//
 // Concurrency contract: engines invoke JobSpec.Transform from mp
 // parallel operator instances, so transforms must be safe for concurrent
 // use; an instance that scores whole polled record sets does so through
@@ -111,8 +116,8 @@ type JobSpec struct {
 	// registry; nil disables instrumentation at near-zero cost.
 	Metrics *telemetry.Registry
 
-	// batcher is built by Validate when Batching is set; engines close
-	// it via CloseBatching once their operators have drained.
+	// batcher is built by Validate when Batching is set; Running.Stop
+	// closes it once the operators have drained.
 	batcher *batching.Batcher
 	// score holds the sps.score.* instruments when Metrics is set.
 	score *scoreMetrics
@@ -260,11 +265,11 @@ func (s *JobSpec) Submitter(par int) *Submitter {
 	return h
 }
 
-// TransformMany scores values, returning outputs and errors
+// transformMany scores values, returning outputs and errors
 // positionally. With batching on the set is one batcher submission
 // (batching.Batcher.DoMany); without it up to par goroutines, the
 // caller's among them, each score every par-th record in turn.
-func (h *Submitter) TransformMany(values [][]byte) ([][]byte, []error) {
+func (h *Submitter) transformMany(values [][]byte) ([][]byte, []error) {
 	if h.batcher != nil {
 		start := time.Now()
 		outs, errs := h.batcher.DoMany(values, h.par)
@@ -297,39 +302,6 @@ func (h *Submitter) TransformMany(values [][]byte) ([][]byte, []error) {
 func (h *Submitter) Close() {
 	if h.deregister != nil {
 		h.deregister()
-	}
-}
-
-// CloseBatching flushes and joins the micro-batcher, if Validate built
-// one. Engines call it from Stop after their operator goroutines have
-// drained; it is nil-safe and idempotent.
-func (s *JobSpec) CloseBatching() {
-	if s.batcher != nil {
-		s.batcher.Close()
-	}
-}
-
-// StageCounters are the engine-side source/sink record counters every
-// engine publishes. Resolve them once per job with Stages.
-type StageCounters struct {
-	// In counts records the source operators polled from the broker.
-	In *telemetry.Counter
-	// Out counts records the sink operators handed to the producer.
-	Out *telemetry.Counter
-	// Dropped counts records abandoned after a transform or sink
-	// failure — the at-least-once loss ledger the recovery scenario
-	// audits against.
-	Dropped *telemetry.Counter
-}
-
-// Stages resolves the per-stage counters from the spec's registry. With
-// telemetry disabled the returned handles are nil and counting is a
-// no-op.
-func (s *JobSpec) Stages() StageCounters {
-	return StageCounters{
-		In:      s.Metrics.Counter("sps.source.records"),
-		Out:     s.Metrics.Counter("sps.sink.records"),
-		Dropped: s.Metrics.Counter("sps.score.dropped"),
 	}
 }
 
@@ -394,47 +366,190 @@ func Names() []string {
 	return out
 }
 
-// ErrTracker collects the first asynchronous error from a job's operator
-// goroutines. The zero value is ready to use.
-type ErrTracker struct {
-	mu  sync.Mutex
-	err error
-	ch  chan struct{}
+// Running is the half of a running job that every engine shares: its
+// validated spec, its operator goroutines and their stop, its first
+// error, and the source poll, record-set scoring and partition split
+// every engine runs alike. An engine's job embeds it and through it
+// implements Job; the engine keeps only how it moves records.
+type Running struct {
+	// Spec is the validated copy of the spec the job was started with:
+	// its Transform carries the retry, batching and instrumentation
+	// wrappers and its Parallelism is normalised. Engines read this
+	// copy, never the spec they were handed.
+	Spec JobSpec
+
+	engine           string
+	stop             chan struct{}
+	stopOnce         sync.Once
+	ops              sync.WaitGroup
+	in, out, dropped *telemetry.Counter
+
+	mu     sync.Mutex
+	err    error
+	failed chan struct{} // closed by the first error
 }
 
-// Set records err if it is the first non-nil error and wakes anyone
-// blocked on Signal.
-func (e *ErrTracker) Set(err error) {
+// Start validates spec for the named engine and returns the job's
+// running half, with no operator started yet.
+func Start(engine string, spec JobSpec) (*Running, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	return &Running{
+		Spec:    spec,
+		engine:  engine,
+		stop:    make(chan struct{}),
+		in:      spec.Metrics.Counter("sps.source.records"),
+		out:     spec.Metrics.Counter("sps.sink.records"),
+		dropped: spec.Metrics.Counter("sps.score.dropped"),
+		failed:  make(chan struct{}),
+	}, nil
+}
+
+// Go runs one operator on its own goroutine; Stop joins it.
+func (r *Running) Go(operator func()) {
+	r.ops.Add(1)
+	go func() {
+		defer r.ops.Done()
+		operator()
+	}()
+}
+
+// Stopping returns the channel Stop closes: operators select on it to
+// end, and park on it as the cancel of a blocking call.
+func (r *Running) Stopping() <-chan struct{} { return r.stop }
+
+// Stop implements Job: it closes the stop channel once, joins every
+// operator, then flushes and joins the micro-batcher, and returns the
+// job's first error.
+func (r *Running) Stop() error {
+	r.stopOnce.Do(func() { close(r.stop) })
+	r.ops.Wait()
+	if r.Spec.batcher != nil {
+		r.Spec.batcher.Close()
+	}
+	return r.Err()
+}
+
+// Err implements Job.
+func (r *Running) Err() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.err
+}
+
+// ErrSignal implements Job.
+func (r *Running) ErrSignal() <-chan struct{} { return r.failed }
+
+// Fail records err, failed at the named stage, as the job's error if it
+// is the first; a nil err is ignored. The error reads
+// "<engine>: <stage>: <err>".
+func (r *Running) Fail(stage string, err error) {
 	if err == nil {
 		return
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.err == nil {
-		e.err = err
-		if e.ch != nil {
-			close(e.ch)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.err == nil {
+		r.err = fmt.Errorf("%s: %s: %w", r.engine, stage, err)
+		close(r.failed)
+	}
+}
+
+// Poll is one source operator's fetch: up to max records from c,
+// parked at the broker for up to broker.FetchMaxWait at a time and
+// polling again while nothing arrives. Stop cuts the park short. The
+// records count on sps.source.records. It reports false once the job
+// is stopping or the poll failed, the failure being the job's "source"
+// error.
+func (r *Running) Poll(c *broker.Consumer, max int) ([]broker.Record, bool) {
+	for {
+		select {
+		case <-r.stop:
+			return nil, false
+		default:
+		}
+		recs, err := c.Poll(max, broker.FetchMaxWait, r.stop)
+		if err != nil {
+			r.Fail("source", err)
+			return nil, false
+		}
+		if len(recs) > 0 {
+			r.Polled(len(recs))
+			return recs, true
 		}
 	}
 }
 
-// Signal returns a channel that is closed once the first error is
-// recorded, so callers can select on failure instead of polling Get.
-func (e *ErrTracker) Signal() <-chan struct{} {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.ch == nil {
-		e.ch = make(chan struct{})
-		if e.err != nil {
-			close(e.ch)
+// Polled counts n records a source operator fetched by other means than
+// Poll.
+func (r *Running) Polled(n int) { r.in.Add(int64(n)) }
+
+// Score scores a polled record set through the operator instance's
+// Submitter and hands each scored value to emit, in order. A record the
+// transform failed is dropped: it is the job's "scoring" error and
+// counts on sps.score.dropped.
+func (r *Running) Score(sub *Submitter, values [][]byte, emit func(scored []byte)) {
+	outs, errs := sub.transformMany(values)
+	for i, err := range errs {
+		if r.scored(err) {
+			emit(outs[i])
 		}
 	}
-	return e.ch
 }
 
-// Get returns the recorded error.
-func (e *ErrTracker) Get() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.err
+// ScoreOne is Score for an operator that submits record by record,
+// outside any Submitter: ok is false for a dropped record.
+func (r *Running) ScoreOne(value []byte) (scored []byte, ok bool) {
+	scored, err := r.Spec.Transform(value)
+	return scored, r.scored(err)
+}
+
+// scored reports whether a record's scoring succeeded, dropping it
+// otherwise.
+func (r *Running) scored(err error) bool {
+	if err == nil {
+		return true
+	}
+	r.Fail("scoring", err)
+	r.dropped.Inc()
+	return false
+}
+
+// Sent books n records a sink operator handed to its producer in one
+// call: they count on sps.sink.records, or, when the call failed, they
+// are dropped and err is the job's "sink" error.
+func (r *Running) Sent(n int, err error) {
+	if err != nil {
+		r.Fail("sink", err)
+		r.dropped.Add(int64(n))
+		return
+	}
+	r.out.Add(int64(n))
+}
+
+// Sources spreads the input partitions over n source operators and
+// builds an assigned consumer for each that owns any: operators beyond
+// the partition count get none. On failure it closes what it built.
+func (r *Running) Sources(n int) ([]*broker.Consumer, error) {
+	parts, err := r.Spec.Transport.Partitions(r.Spec.InputTopic)
+	if err != nil {
+		return nil, err
+	}
+	split := make([][]int, min(n, parts))
+	for p := 0; p < parts; p++ {
+		split[p%len(split)] = append(split[p%len(split)], p)
+	}
+	consumers := make([]*broker.Consumer, 0, len(split))
+	for _, owned := range split {
+		c, err := broker.NewAssignedConsumer(r.Spec.Transport, r.Spec.InputTopic, owned...)
+		if err != nil {
+			for _, c := range consumers {
+				_ = c.Close()
+			}
+			return nil, err
+		}
+		consumers = append(consumers, c)
+	}
+	return consumers, nil
 }

@@ -1,6 +1,7 @@
 package sps
 
 import (
+	"errors"
 	"runtime"
 	"strconv"
 	"sync"
@@ -78,20 +79,39 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 	Register("dup-test", func() Processor { return nil })
 }
 
-func TestErrTrackerKeepsFirst(t *testing.T) {
-	var e ErrTracker
-	if e.Get() != nil {
-		t.Fatal("zero tracker not nil")
+// TestRunningKeepsFirstError: Fail ignores nil, keeps the first error
+// under the engine's and the stage's name, and closes ErrSignal once —
+// a caller that asks after the failure gets a closed channel too.
+func TestRunningKeepsFirstError(t *testing.T) {
+	r, err := Start("eng", JobSpec{Transport: fakeTransport{}, InputTopic: "a", OutputTopic: "b", Transform: func(v []byte) ([]byte, error) { return v, nil }})
+	if err != nil {
+		t.Fatal(err)
 	}
-	e.Set(nil)
-	if e.Get() != nil {
-		t.Fatal("Set(nil) recorded")
+	early := r.ErrSignal()
+	r.Fail("source", nil)
+	if r.Err() != nil {
+		t.Fatalf("Fail(nil) recorded %v", r.Err())
+	}
+	select {
+	case <-early:
+		t.Fatal("ErrSignal closed before any failure")
+	default:
 	}
 	first := errDummy("first")
-	e.Set(first)
-	e.Set(errDummy("second"))
-	if e.Get() != first {
-		t.Fatalf("Get = %v", e.Get())
+	r.Fail("scoring", first)
+	r.Fail("sink", errDummy("second"))
+	if err := r.Err(); !errors.Is(err, first) || err.Error() != "eng: scoring: first" {
+		t.Fatalf("Err = %v, want the first error as \"eng: scoring: first\"", err)
+	}
+	for _, ch := range []<-chan struct{}{early, r.ErrSignal()} {
+		select {
+		case <-ch:
+		default:
+			t.Fatal("ErrSignal not closed after the first failure")
+		}
+	}
+	if err := r.Stop(); !errors.Is(err, first) {
+		t.Fatalf("Stop = %v, want the first error", err)
 	}
 }
 
@@ -180,9 +200,9 @@ func TestTransformManyBoundsFanOut(t *testing.T) {
 	}
 	h := spec.Submitter(par)
 	before := int64(runtime.NumGoroutine())
-	outs, errs := h.TransformMany(values)
+	outs, errs := h.transformMany(values)
 	h.Close()
-	spec.CloseBatching()
+	spec.batcher.Close()
 	for i := range values {
 		if errs[i] != nil || string(outs[i]) != strconv.Itoa(i) {
 			t.Fatalf("record %d: %q, %v", i, outs[i], errs[i])
@@ -228,14 +248,14 @@ func TestSubmitterMetricsCountRecords(t *testing.T) {
 	}
 	done := make(chan []error)
 	go func() {
-		_, errs := a.TransformMany(values)
+		_, errs := a.transformMany(values)
 		done <- errs
 	}()
 	// A flushes its full batch only after its tail has joined the open
 	// batch, so from here on the tail is waiting for B.
 	<-firstFlush
 	time.Sleep(wait)
-	if _, errs := b.TransformMany([][]byte{[]byte("b")}); errs[0] != nil {
+	if _, errs := b.transformMany([][]byte{[]byte("b")}); errs[0] != nil {
 		t.Fatal(errs[0])
 	}
 	for _, err := range <-done {
@@ -245,7 +265,7 @@ func TestSubmitterMetricsCountRecords(t *testing.T) {
 	}
 	a.Close()
 	b.Close()
-	spec.CloseBatching()
+	spec.batcher.Close()
 
 	records := int64(len(values) + 1)
 	if got := reg.Counter("sps.score.calls").Value(); got != records {

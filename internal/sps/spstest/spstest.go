@@ -105,10 +105,13 @@ func RunConformance(t *testing.T, factory func() sps.Processor) {
 	t.Run("StartFailure", func(t *testing.T) { testStartFailure(t, factory) })
 }
 
-// testStartFailure: a job whose output topic is missing must fail to
+// testStartFailure: a job that cannot build its clients must fail to
 // start and leave nothing running, under uniform and per-operator
 // parallelism alike — the caller gets no Job, so nobody could Stop
-// whatever a half-built topology had already launched.
+// whatever a half-built topology had already launched. The start fails
+// on a missing output topic, and on a transport that refuses every
+// Partitions call after its first k: each k stops the start one client
+// later, and a start that gets far enough to succeed must stop clean.
 func testStartFailure(t *testing.T, factory func() sps.Processor) {
 	for _, p := range []sps.Parallelism{{Default: 2}, {Default: 1, Source: 2, Sink: 2}} {
 		h := NewHarness(t, 2, 2)
@@ -122,7 +125,36 @@ func testStartFailure(t *testing.T, factory func() sps.Processor) {
 		if err := leakcheck.Check(2 * time.Second); err != nil {
 			t.Fatalf("%s %+v: failed start left goroutines running: %v", proc.Name(), p, err)
 		}
+		for k := int64(0); k <= 7; k++ {
+			h := NewHarness(t, 2, 2)
+			r := &refusing{Transport: h.Broker}
+			r.left.Store(k)
+			h.Spec.Transport = r
+			h.Spec.Parallelism = p
+			if job, err := proc.Run(h.Spec); err == nil {
+				_ = job.Stop() // a failure after the start is the job's, not the test's
+			}
+			if err := leakcheck.Check(2 * time.Second); err != nil {
+				t.Fatalf("%s %+v: start with Partitions refused after %d calls left goroutines running: %v", proc.Name(), p, k, err)
+			}
+		}
 	}
+}
+
+// refusing is a transport that answers left more Partitions calls and
+// refuses every one after: the client a start builds when the calls run
+// out is the one whose construction fails.
+type refusing struct {
+	broker.Transport
+	left atomic.Int64
+}
+
+// Partitions implements broker.Transport.
+func (r *refusing) Partitions(topic string) (int, error) {
+	if r.left.Add(-1) < 0 {
+		return 0, fmt.Errorf("spstest: Partitions(%q) refused", topic)
+	}
+	return r.Transport.Partitions(topic)
 }
 
 // Patient is a transport whose every Await is stretched to an hour: a
