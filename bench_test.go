@@ -4,7 +4,6 @@ import (
 	"os"
 	"strconv"
 	"testing"
-	"time"
 
 	"crayfish"
 )
@@ -132,99 +131,3 @@ func BenchmarkAblationDynamicBatching(b *testing.B) { runExperiment(b, "ablation
 // BenchmarkScenarioSuite runs the four MLPerf-style scenarios across
 // engine × serving tool plus the offered-load sweep (docs/SCENARIOS.md).
 func BenchmarkScenarioSuite(b *testing.B) { runExperiment(b, "scenarios") }
-
-// BenchmarkBrokerFailover measures leader-failover recovery on the
-// replicated 3-node cluster (docs/CLUSTER.md): node-1 crashes mid-run,
-// the controller elects new leaders from the ISR, and the run must
-// lose zero acked records. Time-to-recover after the crash window is
-// reported as recovery_ms and lands in BENCH_inference.json as
-// failover_recovery_ms, so replication-path speedups move a measured
-// recovery number.
-func BenchmarkBrokerFailover(b *testing.B) {
-	scale := benchScale()
-	d := time.Duration(2 * float64(time.Second) * scale)
-	if d < 100*time.Millisecond {
-		d = 100 * time.Millisecond
-	}
-	const maxEvents = 120
-	cfg := crayfish.Config{
-		Workload: crayfish.Workload{
-			InputShape: []int{28, 28},
-			BatchSize:  1,
-			MaxEvents:  maxEvents,
-			Load:       &crayfish.LoadPolicy{Process: crayfish.LoadConstant, Rate: 2 * maxEvents / d.Seconds()},
-			Duration:   d + 6*time.Second,
-			Seed:       1,
-		},
-		Engine:     "flink",
-		Serving:    crayfish.ServingConfig{Mode: crayfish.Embedded, Tool: "onnx"},
-		Model:      crayfish.ModelSpec{Name: "ffnn", Seed: 1},
-		Partitions: 2,
-		Cluster:    crayfish.ClusterSpec{Nodes: 3},
-	}
-	plan := crayfish.FaultPlan{
-		Seed: 42,
-		Events: []crayfish.FaultEvent{
-			{Kind: crayfish.FaultBrokerCrash, At: d / 8, Duration: d / 4, Target: "node-1"},
-		},
-	}
-	var ttrMs float64
-	for i := 0; i < b.N; i++ {
-		res, err := crayfish.RunRecovery(cfg, plan)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Result.EngineErr != nil {
-			b.Fatal(res.Result.EngineErr)
-		}
-		if res.Lost != 0 {
-			b.Fatalf("acked records lost across the failover: %d", res.Lost)
-		}
-		ttrMs = float64(res.TimeToRecover) / float64(time.Millisecond)
-		if i == 0 {
-			b.Logf("failovers=%d epoch=%d ttr=%v", res.Failovers, res.LeaderEpoch, res.TimeToRecover)
-		}
-	}
-	b.ReportMetric(ttrMs, "recovery_ms")
-}
-
-// BenchmarkServerCapacitySweep measures the server scenario's capacity:
-// the highest offered Poisson rate whose p99 stays under the bound on
-// flink/onnx. The knee is reported as capacity_rps and lands in
-// BENCH_inference.json as server_capacity_rps, so later speedups move a
-// measured capacity number.
-func BenchmarkServerCapacitySweep(b *testing.B) {
-	scale := benchScale()
-	d := time.Duration(2 * float64(time.Second) * scale)
-	if d < 100*time.Millisecond {
-		d = 100 * time.Millisecond
-	}
-	cfg := crayfish.Config{
-		Workload: crayfish.Workload{
-			InputShape: []int{28, 28},
-			BatchSize:  1,
-			Duration:   d,
-			Seed:       1,
-		},
-		Engine:     "flink",
-		Serving:    crayfish.ServingConfig{Mode: crayfish.Embedded, Tool: "onnx"},
-		Model:      crayfish.ModelSpec{Name: "ffnn", Seed: 1},
-		Partitions: 4,
-	}
-	sc := crayfish.Scenario{Kind: crayfish.ScenarioServer, Seed: 7, LatencyBound: 250 * time.Millisecond}
-	rates := []float64{250, 500, 1000, 2000, 4000, 8000, 16000}
-	var capacity float64
-	for i := 0; i < b.N; i++ {
-		c, points, err := crayfish.FindServerCapacity(cfg, sc, rates)
-		if err != nil {
-			b.Fatal(err)
-		}
-		capacity = c
-		if i == 0 {
-			for _, pt := range points {
-				b.Logf("offered %.0f ev/s: %s", pt.Rate, pt.Result.Verdict)
-			}
-		}
-	}
-	b.ReportMetric(capacity, "capacity_rps")
-}

@@ -41,8 +41,8 @@ import (
 	"syscall"
 	"time"
 
-	"crayfish"
 	"crayfish/internal/broker"
+	"crayfish/internal/telemetry"
 )
 
 // controllerHeartbeat is node 0's liveness sweep interval. The in-process
@@ -58,9 +58,9 @@ const peerWait = 30 * time.Second
 // serveMetrics exposes a /metrics JSON snapshot plus the net/http/pprof
 // profiling endpoints on addr, returning the bound address. Shared by
 // brokerd and modelserver via copy (cmd packages stay self-contained).
-func serveMetrics(addr string, reg *crayfish.TelemetryRegistry) (string, error) {
+func serveMetrics(addr string, reg *telemetry.Registry) (string, error) {
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", crayfish.TelemetryHandler(reg))
+	mux.Handle("/metrics", telemetry.Handler(reg))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -168,7 +168,7 @@ func (cn *clusterNode) Close() {
 // cluster: serve the node on its -peers entry, link every peer (waiting
 // for processes that have not started yet), and on node 0 build the
 // controller and create the bootstrap topics.
-func startCluster(nodeID int, peerAddrs []string, rf int, topics []topicSpec, reg *crayfish.TelemetryRegistry) (*clusterNode, error) {
+func startCluster(nodeID int, peerAddrs []string, rf int, topics []topicSpec, reg *telemetry.Registry) (*clusterNode, error) {
 	cfg := broker.ClusterConfig{
 		Nodes:             len(peerAddrs),
 		ReplicationFactor: min(rf, len(peerAddrs)),
@@ -242,9 +242,9 @@ func main() {
 		*peersFlag = *addr
 	}
 
-	var reg *crayfish.TelemetryRegistry
+	var reg *telemetry.Registry
 	if *metricsAddr != "" {
-		reg = crayfish.NewTelemetry()
+		reg = telemetry.New()
 		bound, err := serveMetrics(*metricsAddr, reg)
 		if err != nil {
 			fatalf("metrics listener: %v", err)

@@ -5,8 +5,8 @@ import (
 	"sync"
 	"testing"
 
-	"crayfish"
 	"crayfish/internal/broker"
+	"crayfish/internal/telemetry"
 	"crayfish/internal/testutil/leakcheck"
 )
 
@@ -88,12 +88,12 @@ func reservePorts(t *testing.T, n int) []string {
 // is what /metrics serves per node.
 func TestStartClusterSmoke(t *testing.T) {
 	addrs := reservePorts(t, 3)
-	regs := make([]*crayfish.TelemetryRegistry, 3)
+	regs := make([]*telemetry.Registry, 3)
 	nodes := make([]*clusterNode, 3)
 	var wg sync.WaitGroup
 	errs := make([]error, 3)
 	for id := 0; id < 3; id++ {
-		regs[id] = crayfish.NewTelemetry()
+		regs[id] = telemetry.New()
 		var topics []topicSpec
 		if id == 0 {
 			topics = []topicSpec{{"t", 2}}
@@ -168,7 +168,7 @@ func TestStartClusterSmoke(t *testing.T) {
 // it replaced did.
 func TestStartClusterOneNode(t *testing.T) {
 	addrs := reservePorts(t, 1)
-	reg := crayfish.NewTelemetry()
+	reg := telemetry.New()
 	cn, err := startCluster(0, addrs, 3, []topicSpec{{"in", 2}}, reg)
 	if err != nil {
 		t.Fatal(err)

@@ -41,9 +41,9 @@ import (
 	"crayfish/internal/broker"
 	"crayfish/internal/core"
 	"crayfish/internal/experiments"
-	"crayfish/internal/faults"
 	"crayfish/internal/gpu"
 	"crayfish/internal/loadgen"
+	"crayfish/internal/model"
 	"crayfish/internal/modelfmt"
 	"crayfish/internal/netsim"
 	"crayfish/internal/serving/external"
@@ -76,8 +76,6 @@ type (
 	Result = core.Result
 	// Metrics aggregates throughput and latency for a run.
 	Metrics = core.Metrics
-	// LatencyStats summarises a latency distribution.
-	LatencyStats = core.LatencyStats
 	// Sample is one per-batch end-to-end measurement.
 	Sample = core.Sample
 	// DataBatch is the CrayfishDataBatch unit of computation.
@@ -93,9 +91,6 @@ type (
 	// TelemetryRegistry collects live per-stage metrics during a run;
 	// attach one via Config.Telemetry. See docs/OBSERVABILITY.md.
 	TelemetryRegistry = telemetry.Registry
-	// TelemetrySnapshot is a point-in-time copy of every metric,
-	// returned in Result.Telemetry.
-	TelemetrySnapshot = telemetry.Snapshot
 )
 
 // Serving modes.
@@ -115,9 +110,7 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // Load-generation types (docs/SCENARIOS.md): a LoadPolicy declaratively
-// selects the arrival process driving the producer (Workload.Load), and
-// a Scenario wraps an arrival discipline with the MLPerf-style
-// constraint its run is judged against.
+// selects the arrival process driving the producer (Workload.Load).
 type (
 	// LoadPolicy describes a deterministic arrival process: constant,
 	// Poisson, trace replay, phased composition, or saturation. Equal
@@ -125,92 +118,13 @@ type (
 	LoadPolicy = loadgen.Policy
 	// LoadPhase is one segment of a phased (diurnal/burst) composition.
 	LoadPhase = loadgen.Phase
-	// Scenario is one MLPerf-style load scenario with its constraint.
-	Scenario = loadgen.Scenario
-	// Verdict is a scenario's structured pass/fail outcome.
-	Verdict = loadgen.Verdict
-	// CapacityPoint is one step of a server capacity sweep.
-	CapacityPoint = core.CapacityPoint
-)
-
-// Scenario kinds (the MLPerf Inference four, docs/SCENARIOS.md).
-const (
-	// ScenarioSingleStream issues one query at a time and books p90.
-	ScenarioSingleStream = loadgen.SingleStream
-	// ScenarioMultiStream keeps N queries outstanding and books p99.
-	ScenarioMultiStream = loadgen.MultiStream
-	// ScenarioServer offers Poisson arrivals under a p99 bound.
-	ScenarioServer = loadgen.Server
-	// ScenarioOffline issues everything unpaced and books throughput.
-	ScenarioOffline = loadgen.Offline
 )
 
 // Arrival processes for Workload.Load.
 const (
 	LoadConstant = loadgen.ProcessConstant
-	LoadPoisson  = loadgen.ProcessPoisson
-	LoadTrace    = loadgen.ProcessTrace
 	LoadPhased   = loadgen.ProcessPhased
-	LoadSaturate = loadgen.ProcessSaturate
 )
-
-// RunScenario executes one experiment under an MLPerf-style scenario on
-// a private in-process broker; the verdict lands in Result.Verdict.
-func RunScenario(cfg Config, sc Scenario) (*Result, error) {
-	return (&Runner{}).RunScenario(cfg, sc)
-}
-
-// FindServerCapacity steps the server scenario's offered Poisson rate
-// through rates and returns the highest rate whose run still meets the
-// tail-latency bound (the knee of the latency-vs-load curve), plus every
-// step's result.
-func FindServerCapacity(cfg Config, sc Scenario, rates []float64) (float64, []CapacityPoint, error) {
-	return (&Runner{}).FindServerCapacity(cfg, sc, rates)
-}
-
-// Fault-injection types (docs/FAULTS.md): a FaultPlan is a reproducible
-// chaos schedule — message-fault rules applied at the broker boundary
-// and timed events that crash the serving daemon or degrade the scorer.
-type (
-	// FaultPlan is a seed-driven, replayable fault schedule.
-	FaultPlan = faults.Plan
-	// FaultRule is one message-fault clause (drop/duplicate/delay by
-	// per-topic sequence window).
-	FaultRule = faults.Rule
-	// FaultEvent is one timed fault (crash, restart, scorer-error
-	// window, broker crash or restart).
-	FaultEvent = faults.Event
-	// FaultKind names one fault type.
-	FaultKind = faults.Kind
-	// RecoveryResult is a recovery run's outcome: the usual Result plus
-	// the loss/duplication accounting and recovery timings.
-	RecoveryResult = core.RecoveryResult
-	// ClusterSpec sizes a run's broker cluster (Config.Cluster); the
-	// zero value is one node (docs/CLUSTER.md).
-	ClusterSpec = core.ClusterSpec
-)
-
-// Fault kinds.
-const (
-	FaultDrop          = faults.Drop
-	FaultDuplicate     = faults.Duplicate
-	FaultDelay         = faults.Delay
-	FaultCrash         = faults.Crash
-	FaultRestart       = faults.Restart
-	FaultScorerError   = faults.ScorerError
-	FaultBrokerCrash   = faults.BrokerCrash
-	FaultBrokerRestart = faults.BrokerRestart
-)
-
-// RunRecovery executes one experiment on a private broker cluster sized
-// by cfg.Cluster while the fault plan fires, and reports
-// time-to-recover, the loss/duplication books and the failovers.
-// Broker-crash events kill named nodes and the partition-aware client
-// re-routes; acked-record loss must stay 0 across a single leader crash.
-// See docs/FAULTS.md and docs/CLUSTER.md.
-func RunRecovery(cfg Config, plan FaultPlan) (*RecoveryResult, error) {
-	return (&Runner{}).RunRecovery(cfg, plan)
-}
 
 // NewTelemetry creates a live-metrics registry to attach to
 // Config.Telemetry (runs) or ServingDaemonConfig.Telemetry (serving
@@ -230,20 +144,6 @@ func DumpTelemetry(w io.Writer, reg *TelemetryRegistry, interval time.Duration) 
 // endpoint of brokerd and modelserver.
 func TelemetryHandler(reg *TelemetryRegistry) http.Handler { return telemetry.Handler(reg) }
 
-// SaveModel materialises a model and writes it to path in the given
-// storage format ("onnx", "savedmodel", "torch", "h5").
-func SaveModel(spec ModelSpec, format, path string) error {
-	m, err := spec.Build()
-	if err != nil {
-		return err
-	}
-	data, err := modelfmt.Encode(modelfmt.Format(format), m)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
 // LoadStoredModel reads a model file in any of the four storage formats
 // (auto-detected) and returns a ModelSpec serving it.
 func LoadStoredModel(path string) (ModelSpec, error) {
@@ -262,6 +162,17 @@ func LoadStoredModel(path string) (ModelSpec, error) {
 	return ModelSpec{Custom: m}, nil
 }
 
+// NewFFNNSized builds a feed-forward classifier for ModelSpec.Custom.
+func NewFFNNSized(seed int64, in int, hidden []int, classes int) *model.Model {
+	return model.NewFFNNSized(seed, in, hidden, classes)
+}
+
+// RecoveryTime measures how long after a burst a KeepSamples run's
+// latency returns to steady state (§5.1.4).
+func RecoveryTime(samples []Sample, runStart time.Time, burstStart, burstEnd, bin time.Duration, tolerance float64) (time.Duration, error) {
+	return core.RecoveryTime(samples, runStart, burstStart, burstEnd, bin, tolerance)
+}
+
 // FormatMetrics renders an experiment's performance statistics.
 func FormatMetrics(m Metrics) string { return core.FormatMetrics(m) }
 
@@ -278,18 +189,10 @@ func RunStandalone(cfg Config) (*Result, error) {
 // Engines lists the registered stream processors.
 func Engines() []string { return sps.Names() }
 
-// EmbeddedTools lists the embedded serving runtimes.
-func EmbeddedTools() []string { return []string{"onnx", "savedmodel", "dl4j"} }
-
-// ExternalTools lists the external serving frameworks.
-func ExternalTools() []string { return []string{"tf-serving", "torchserve", "ray-serve"} }
-
 // Experiment types for regenerating the paper's tables and figures.
 type (
 	// ExperimentOptions scales and instruments a paper experiment.
 	ExperimentOptions = experiments.Options
-	// Report is one regenerated table or figure.
-	Report = experiments.Report
 	// Experiment pairs an experiment ID with its runner.
 	Experiment = experiments.Definition
 )
@@ -306,8 +209,6 @@ func ExperimentByID(id string) (Experiment, error) { return experiments.ByID(id)
 type (
 	// Broker is the in-process Kafka-analogue message broker.
 	Broker = broker.Broker
-	// BrokerServer exposes a broker over TCP.
-	BrokerServer = broker.Server
 	// BrokerClient is a TCP broker transport.
 	BrokerClient = broker.RemoteClient
 )
@@ -370,10 +271,6 @@ func StartServingDaemon(cfg ServingDaemonConfig) (ServingDaemon, error) {
 // request size): the one node of a one-node cluster, which runs nothing
 // in the background.
 func NewBroker() *Broker { return broker.New(broker.DefaultConfig()) }
-
-// ServeBroker exposes a broker on a TCP address ("127.0.0.1:0" picks a
-// free port).
-func ServeBroker(b *Broker, addr string) (*BrokerServer, error) { return broker.Serve(b, addr) }
 
 // DialBroker connects to a broker daemon.
 func DialBroker(addr string) (*BrokerClient, error) { return broker.Dial(addr) }

@@ -1,11 +1,14 @@
 package crayfish_test
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"crayfish"
+	"crayfish/internal/broker"
+	"crayfish/internal/modelfmt"
 )
 
 func TestPublicAPIEndToEnd(t *testing.T) {
@@ -58,9 +61,6 @@ func TestEnginesAndToolsListed(t *testing.T) {
 	if len(want) != 0 {
 		t.Fatalf("missing engines %v (got %v)", want, engines)
 	}
-	if len(crayfish.EmbeddedTools()) != 3 || len(crayfish.ExternalTools()) != 3 {
-		t.Fatal("tool lists wrong")
-	}
 }
 
 func TestExperimentRegistryExposed(t *testing.T) {
@@ -77,7 +77,7 @@ func TestExperimentRegistryExposed(t *testing.T) {
 
 func TestBrokerHelpers(t *testing.T) {
 	b := crayfish.NewBroker()
-	srv, err := crayfish.ServeBroker(b, "127.0.0.1:0")
+	srv, err := broker.Serve(b, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,15 @@ func TestLANProfileExposed(t *testing.T) {
 
 func TestSaveAndLoadStoredModel(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ffnn.onnx")
-	if err := crayfish.SaveModel(crayfish.ModelSpec{Name: "ffnn", Seed: 3}, "onnx", path); err != nil {
+	m, err := crayfish.ModelSpec{Name: "ffnn", Seed: 3}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := modelfmt.Encode(modelfmt.ONNX, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	spec, err := crayfish.LoadStoredModel(path)
@@ -122,11 +130,5 @@ func TestSaveAndLoadStoredModel(t *testing.T) {
 
 	if _, err := crayfish.LoadStoredModel(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Fatal("missing file accepted")
-	}
-	if err := crayfish.SaveModel(crayfish.ModelSpec{Name: "bogus"}, "onnx", path); err == nil {
-		t.Fatal("unknown model accepted")
-	}
-	if err := crayfish.SaveModel(crayfish.ModelSpec{Name: "ffnn"}, "pickle", path); err == nil {
-		t.Fatal("unknown format accepted")
 	}
 }

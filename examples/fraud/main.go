@@ -20,16 +20,13 @@ import (
 	"time"
 
 	"crayfish"
-	"crayfish/internal/core"
-	"crayfish/internal/model"
-	"crayfish/internal/window"
 )
 
 func main() {
 	// A custom pre-trained model: 64 transaction features, two hidden
-	// layers, fraud/legit output. Any model built with the model
-	// package (or loaded from a stored format) plugs in the same way.
-	fraudModel := model.NewFFNNSized(7, 64, []int{48, 24}, 2)
+	// layers, fraud/legit output. Any model built in code (or loaded
+	// from a stored format) plugs in the same way.
+	fraudModel := crayfish.NewFFNNSized(7, 64, []int{48, 24}, 2)
 
 	baseCfg := crayfish.Config{
 		Workload: crayfish.Workload{
@@ -97,7 +94,7 @@ func main() {
 	for burst := 1; burst < 3; burst++ {
 		start := time.Duration(burst) * timeBetweenBursts
 		end := start + burstDuration
-		rec, err := core.RecoveryTime(res.Samples, res.RunStart, start, end,
+		rec, err := crayfish.RecoveryTime(res.Samples, res.RunStart, start, end,
 			burstDuration/10, 2)
 		if err != nil {
 			fmt.Printf("burst %d: %v\n", burst, err)
@@ -114,7 +111,7 @@ func main() {
 // with the broker's append time.
 func windowFraudRate(b *crayfish.Broker, stop <-chan struct{}) {
 	type frauds struct{ fraud, total int }
-	agg, err := window.NewTumbling(time.Second, 200*time.Millisecond,
+	agg, err := NewTumbling(time.Second, 200*time.Millisecond,
 		func() frauds { return frauds{} },
 		func(acc frauds, batch *crayfish.DataBatch) frauds {
 			per := len(batch.Predictions) / batch.Count
@@ -131,7 +128,7 @@ func windowFraudRate(b *crayfish.Broker, stop <-chan struct{}) {
 		log.Fatal(err)
 	}
 
-	report := func(results []window.Result[frauds]) {
+	report := func(results []Result[frauds]) {
 		for _, r := range results {
 			rate := 0.0
 			if r.Value.total > 0 {

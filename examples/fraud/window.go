@@ -1,10 +1,11 @@
-// Package window provides event-time window aggregation — the streaming
-// capability the paper counts among stream processors' native strengths
-// over serving frameworks (§1: "online data transformations, aggregation,
-// and windowing"). It implements tumbling windows with
-// watermark-driven emission and bounded lateness, the dataflow-model
-// semantics the paper's engines share (§1 cites the Dataflow model).
-package window
+// Event-time window aggregation — the streaming capability the paper
+// counts among stream processors' native strengths over serving
+// frameworks (§1: "online data transformations, aggregation, and
+// windowing"). Tumbling windows with watermark-driven emission and
+// bounded lateness, the dataflow-model semantics the paper's engines
+// share (§1 cites the Dataflow model).
+
+package main
 
 import (
 	"fmt"

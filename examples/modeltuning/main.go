@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"crayfish"
-	"crayfish/internal/model"
 )
 
 // candidate pairs a trained model variant with the accuracy its training
@@ -42,7 +41,7 @@ func main() {
 	fmt.Printf("%-8s  %-9s  %-10s  %-10s  %s\n", "model", "params", "accuracy", "p95", "verdict")
 	best := -1
 	for i, c := range candidates {
-		m := model.NewFFNNSized(int64(i+1), 28*28, c.hidden, 10)
+		m := crayfish.NewFFNNSized(int64(i+1), 28*28, c.hidden, 10)
 		cfg := crayfish.Config{
 			Workload: crayfish.Workload{
 				InputShape: []int{28, 28},

@@ -172,9 +172,11 @@ func TestDirectiveSuppressionAndGrammar(t *testing.T) {
 
 // TestDeadExportDispositions: each deadexport seed's message names who
 // references it, which is what decides the fix. The exemptions (a
-// Stringer method, a type reached through Open's signature, a method
-// the bench module selects, a tagged field, a test-support package, an
-// allowed name) are pinned silent by TestSuiteMatchesFixtureMarkers.
+// Stringer method, a type reached through Open's signature, a root alias
+// reached through the root Open's, a root name examples/demo calls, a
+// method the bench module selects, a tagged field, a test-support
+// package, an allowed name) are pinned silent by
+// TestSuiteMatchesFixtureMarkers.
 func TestDeadExportDispositions(t *testing.T) {
 	_, res := fixture(t)
 	want := map[string]string{
@@ -184,6 +186,7 @@ func TestDeadExportDispositions(t *testing.T) {
 		"func Nowhere":          "referenced nowhere: delete it",
 		"method *Handle.Rewind": "referenced nowhere: delete it",
 		"func testHelper":       "no non-test reference outside its own body",
+		"func TestsOnly":        "reached only by the root package's own tests: delete it, or move it into a _test.go file",
 		"field Settings.Burst":  "dead setting: other packages set Settings but never this field",
 	}
 	for _, d := range res.Diagnostics {

@@ -12,10 +12,12 @@ import (
 	"strings"
 )
 
-// newDeadExport keeps internal/ free of surface nobody needs. The root
-// package (the module's API) and cmd/ are callers, not checked; a package
-// under internal/ earns each exported name through a caller in another
-// package's non-test code or in a nested module (bench/). It reports:
+// newDeadExport keeps the root package (the module's API) and internal/
+// free of surface nobody needs. cmd/ and examples/ are callers, not
+// checked; a checked package earns each exported name through a caller
+// in another package's non-test code or in a nested module (bench/) —
+// for the root, that is a binary, an example or the bench module. It
+// reports:
 //
 //   - an exported func, type, var, const or method no such caller
 //     references, saying who does — that decides the fix;
@@ -29,13 +31,13 @@ import (
 // resolve to its package, any other selector or composite-literal key to
 // every method and field of that name, so nothing they might reach is
 // flagged. Exempt are methods that satisfy an interface in sight, types
-// reached through the signature of a name another package uses, and the
-// names of test-support packages (spstest, internal/testutil/...) that
-// other packages' tests call.
+// and aliases reached through the signature of a name another package
+// uses, and the names of test-support packages (spstest,
+// internal/testutil/...) that other packages' tests call.
 func newDeadExport() *Analyzer {
 	a := &Analyzer{
 		Name: "deadexport",
-		Doc:  "every exported name in internal/ has a caller outside its package; no unexported func is reached only by tests",
+		Doc:  "every exported name in the root package and internal/ has a caller outside its package; no unexported func is reached only by tests",
 	}
 	a.Finish = func(pass *Pass) {
 		tests, nested, err := scanByName(pass.Module)
@@ -210,7 +212,7 @@ func newDeadScan(mod *Module, nested byName) *deadScan {
 				addIface(tv.Type)
 			}
 		}
-		if pkg.ModRel == "internal" || strings.HasPrefix(pkg.ModRel, "internal/") {
+		if pkg.ModRel == "" || pkg.ModRel == "internal" || strings.HasPrefix(pkg.ModRel, "internal/") {
 			d.collectDecls(pkg)
 		}
 	}
@@ -225,6 +227,9 @@ func newDeadScan(mod *Module, nested byName) *deadScan {
 			dc.used = true
 			d.reach(obj.Type())
 		}
+		if dc.used {
+			d.reachAliases(dc)
+		}
 	}
 	for v := range d.fields {
 		if nested["."+v.Name()] != nil {
@@ -233,6 +238,24 @@ func newDeadScan(mod *Module, nested byName) *deadScan {
 		}
 	}
 	return d
+}
+
+// reachAliases marks the aliases a used declaration spells out. The type
+// checker resolves an alias to its target, so only the syntax says that
+// a caller of DialBroker holds a BrokerClient without naming it.
+func (d *deadScan) reachAliases(dc *decl) {
+	node := dc.node
+	if fn, ok := node.(*ast.FuncDecl); ok {
+		node = fn.Type // the signature, not the body
+	}
+	ast.Inspect(node, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if tn, ok := dc.pkg.TypesInfo.Uses[id].(*types.TypeName); ok && tn.IsAlias() {
+				d.reached[tn] = true
+			}
+		}
+		return true
+	})
 }
 
 func (d *deadScan) collectDecls(pkg *Package) {
@@ -423,6 +446,10 @@ func (d *deadScan) report(pass *Pass, tests byName) {
 		if fn, ok := obj.(*types.Func); dc.used || ok && isMethod(fn) && d.satisfies(fn) || isType && d.reached[tn] {
 			continue
 		}
+		scope := dc.pkg.ModRel
+		if scope == "" {
+			scope = "the root package"
+		}
 		var ownTests bool
 		var others []string
 		for dir := range tests[key(obj)] {
@@ -437,11 +464,11 @@ func (d *deadScan) report(pass *Pass, tests byName) {
 		case len(others) > 0 && (strings.HasSuffix(obj.Pkg().Name(), "test") || strings.HasPrefix(dc.pkg.ModRel, "internal/testutil/")):
 		case len(others) > 0:
 			pass.report(obj.Pos(), "%s is reached from outside %s only by tests (%s): move it to a test-support package (spstest, clustertest, leakcheck) or mark it //lint:allow deadexport <reason>",
-				what, dc.pkg.ModRel, strings.Join(others, ", "))
+				what, scope, strings.Join(others, ", "))
 		case dc.own:
-			pass.report(obj.Pos(), "%s is used only inside %s: unexport it", what, dc.pkg.ModRel)
+			pass.report(obj.Pos(), "%s is used only inside %s: unexport it", what, scope)
 		case ownTests:
-			pass.report(obj.Pos(), "%s is reached only by %s's own tests: delete it, or move it into a _test.go file", what, dc.pkg.ModRel)
+			pass.report(obj.Pos(), "%s is reached only by %s's own tests: delete it, or move it into a _test.go file", what, scope)
 		default:
 			pass.report(obj.Pos(), "%s is referenced nowhere: delete it", what)
 		}

@@ -8,7 +8,7 @@ import (
 // baseRel lists the module-relative packages that form the bottom of the
 // import DAG: pure leaf libraries (tensor math, the network model, the
 // telemetry registry, the GPU transfer model, the resilience primitives,
-// windowing) that every higher layer may depend on and that therefore may
+// the load generator) that every higher layer may depend on and that therefore may
 // import nothing but the standard library. A base package that grows a
 // module dependency silently inverts the layering and eventually cycles.
 // grpcish left the base when it gained retry support: it now sits one
@@ -20,7 +20,6 @@ var baseRel = map[string]bool{
 	"internal/telemetry":  true,
 	"internal/gpu":        true,
 	"internal/resilience": true,
-	"internal/window":     true,
 	"internal/loadgen":    true,
 }
 
@@ -35,8 +34,8 @@ var leafRel = map[string]bool{
 // newLayering enforces the import DAG the architecture docs promise:
 //
 //   - leaf packages (timing) import only the standard library, and base
-//     packages (tensor, netsim, telemetry, gpu, resilience, window,
-//     loadgen) import only the standard library and leaf packages;
+//     packages (tensor, netsim, telemetry, gpu, resilience, loadgen)
+//     import only the standard library and leaf packages;
 //   - internal/core (the experiment driver) must not import any SPS
 //     engine package (internal/sps/<engine>) — engines are selected at
 //     the API layer via the sps registry, so the driver stays

@@ -1,7 +1,7 @@
 // Package metricdoc parses the metrics contract out of
 // docs/OBSERVABILITY.md. It is the single source of truth for the
 // documented metric names: the metricnames static analyzer checks the
-// code against it in both directions, and the root telemetry_test.go
+// code against it in both directions, and internal/core's telemetry_test.go
 // contract test checks the runtime snapshot against it — so the doc↔code
 // consistency logic exists in exactly one place.
 package metricdoc
@@ -38,14 +38,14 @@ type Metric struct {
 
 // Wildcard reports whether the name contains a dynamic placeholder.
 //
-//lint:allow deadexport telemetry_test.go's runtime contract check reads it
+//lint:allow deadexport internal/core's telemetry_test.go runtime contract check reads it
 func (m Metric) Wildcard() bool { return strings.Contains(m.Name, "<") }
 
 // Prefix returns the literal part of a wildcard name up to the
 // placeholder ("broker.backlog." for broker.backlog.<topic>); for exact
 // names it returns the full name.
 //
-//lint:allow deadexport telemetry_test.go's runtime contract check reads it
+//lint:allow deadexport internal/core's telemetry_test.go runtime contract check reads it
 func (m Metric) Prefix() string {
 	if i := strings.IndexByte(m.Name, '<'); i >= 0 {
 		return m.Name[:i]

@@ -44,7 +44,7 @@ const (
 	ProcessPoisson ProcessKind = "poisson"
 	// ProcessTrace replays an explicit list of arrival offsets once;
 	// production ends when the trace is exhausted.
-	ProcessTrace ProcessKind = "trace"
+	ProcessTrace ProcessKind = "trace" //lint:allow deadexport enum value of Policy.Process; unexport it with the next change that may rebuild the bench binary
 	// ProcessPhased cycles through a list of phases (duration + rate +
 	// per-phase process), composing diurnal patterns and the legacy
 	// periodic-burst generator.
@@ -52,7 +52,7 @@ const (
 	// ProcessSaturate emits with no pacing at all: the producer issues
 	// as fast as it can — the paper's saturation probes and the MLPerf
 	// offline scenario.
-	ProcessSaturate ProcessKind = "saturate"
+	ProcessSaturate ProcessKind = "saturate" //lint:allow deadexport enum value of Policy.Process; unexport it with the next change that may rebuild the bench binary
 )
 
 // Phase is one segment of a phased (diurnal/burst) composition.

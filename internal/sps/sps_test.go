@@ -69,14 +69,23 @@ func TestRegistryUnknown(t *testing.T) {
 	}
 }
 
+// freshName is a registry name no earlier call in this process used: the
+// registry is process-wide, and -count=N reruns tests in one process.
+func freshName(prefix string) string {
+	return prefix + "-" + strconv.FormatInt(registrations.Add(1), 10)
+}
+
+var registrations atomic.Int64
+
 func TestRegisterDuplicatePanics(t *testing.T) {
-	Register("dup-test", func() Processor { return nil })
+	name := freshName("dup-test")
+	Register(name, func() Processor { return nil })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate Register did not panic")
 		}
 	}()
-	Register("dup-test", func() Processor { return nil })
+	Register(name, func() Processor { return nil })
 }
 
 // TestRunningKeepsFirstError: Fail ignores nil, keeps the first error
@@ -141,17 +150,18 @@ func TestJobSpecValidateDefaults(t *testing.T) {
 }
 
 func TestNamesIncludesRegistered(t *testing.T) {
-	Register("names-test", func() Processor { return nil })
+	name := freshName("names-test")
+	Register(name, func() Processor { return nil })
 	found := false
 	for _, n := range Names() {
-		if n == "names-test" {
+		if n == name {
 			found = true
 		}
 	}
 	if !found {
 		t.Fatalf("Names() = %v", Names())
 	}
-	if _, err := New("names-test"); err != nil {
+	if _, err := New(name); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -102,6 +102,9 @@ go test -race -count=1 \
 # counter, and its per-record books: race-enabled and by name.
 go test -race -count=1 -run 'TestSamplePool|TestRepeatedSampleCostsAFullScore|TestParseJSONFloat32MatchesStrconv' ./internal/core/
 go test -race -count=1 -run 'TestTransformManyBoundsFanOut|TestSubmitterMetricsCountRecords' ./internal/sps/
+# The engine registry is process-wide: the sps tests must pass when run
+# twice in one process.
+go test -count=2 ./internal/sps/
 # Static-analysis self-tests (docs/STATIC_ANALYSIS.md): the CFG/dataflow
 # analyzers and deadexport must match the fixture markers exactly, each
 # deadexport finding must name its disposition, the directive grammar
@@ -177,6 +180,9 @@ go test -run '^$' -fuzz '^FuzzModelDecode$' -fuzztime 8s ./internal/modelfmt/
 # re-encodes to the same bytes.
 go test -run '^$' -fuzz '^FuzzRPCFrame$' -fuzztime 8s ./internal/grpcish/
 CRAYFISH_BENCH_SCALE=0.05 go test -run NONE -bench . -benchtime=1x .
+# The ledger's failover and capacity benchmarks (failover_recovery_ms,
+# server_capacity_rps) live beside the runner they time.
+CRAYFISH_BENCH_SCALE=0.05 go test -run NONE -bench 'BrokerFailover$|ServerCapacitySweep$' -benchtime=1x ./internal/core/
 # Inference microbenchmarks at smoke scale: validates the harness and the
 # JSON pipeline without overwriting the tracked BENCH_inference.json
 # trajectory with few-iteration timing noise (full runs: scripts/bench.sh).
